@@ -9,6 +9,8 @@ found, 2 the input could not be understood.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -59,6 +61,16 @@ def _eps_grid_arg(text: str):
     return tuple(float(e) for e in np.geomspace(start, stop, count))
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _nonneg_int(text: str) -> int:
     try:
         value = int(text)
@@ -105,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ambient dimensions cycled over (default: 1,2,3,8)",
     )
     verify.add_argument("--field", choices=("real", "complex", "both"), default="both")
-    verify.add_argument("--tol", type=float, default=CHAIN_REL_TOL)
+    verify.add_argument("--tol", type=_finite_float, default=CHAIN_REL_TOL)
     verify.add_argument("--seed", type=_nonneg_int, default=0)
     verify.add_argument(
         "--adversarial",
@@ -128,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--input", required=True, metavar="FILE")
     evaluate.add_argument("--output", default=None, metavar="FILE")
     evaluate.add_argument("--format", choices=("json", "csv"), default="json")
-    evaluate.add_argument("--tol", type=float, default=CHAIN_REL_TOL)
+    evaluate.add_argument("--tol", type=_finite_float, default=CHAIN_REL_TOL)
 
     return parser
 
@@ -158,24 +170,9 @@ def _cmd_eval(args) -> int:
     report = evaluate_file(args.input, tol=args.tol)
     if args.output is not None:
         emit_report(report, args.output, args.format)
-    summary = SuiteReportView(report)
-    sys.stdout.write(summary.to_json())
+    # stdout carries the aggregates only; records go to --output
+    sys.stdout.write(dataclasses.replace(report, records=None).to_json())
     return 0 if report.violations == 0 else 1
-
-
-class SuiteReportView:
-    """Stdout view of an eval report: aggregates only, records go to --output."""
-
-    def __init__(self, report):
-        self.report = report
-
-    def to_json(self) -> str:
-        doc = {
-            "metadata": self.report.metadata,
-            "aggregate": self.report.aggregate,
-            "per_theorem": self.report.per_theorem,
-        }
-        return render_json(doc)
 
 
 def main(argv=None) -> int:

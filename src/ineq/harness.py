@@ -1,14 +1,28 @@
 """Randomized verification harness: samplers, evaluators, suite runner, file eval.
 
 Each supported result gets a wire id (below).  For every id there is a
-sampler producing a JSON-able instance dict whose hypothesis holds *by
-construction* (no rejection sampling against the condition itself: the point
-is sampled as center + scaled in-ball residual, so instances land arbitrarily
-close to the hypothesis boundary), and an evaluator that decodes the dict,
-runs the corresponding operation, and reports every asserted comparison.
+sampler producing an instance whose hypothesis holds *by construction* (no
+rejection sampling against the condition itself: the point is sampled as
+center + scaled in-ball residual, so instances land arbitrarily close to the
+hypothesis boundary), and an evaluator that runs the corresponding operation
+on it and reports every asserted comparison.
 
-Instance schema: a dict with "theorem", "field", and the operation's
-parameters — vectors as number lists ({"re","im"} objects over the complex
+Samplers produce *typed* instances: a dict with "theorem", "field" and the
+operation's parameters as the objects the operations take -- `Vector` and
+`CoefficientSequence` for coordinates and coefficients, `ScalarPair` for
+scalar pairs, {"poly": ndarray} for functions, floats for radii and bounds.
+The `Vector`/`CoefficientSequence` types carry the validation: the public
+constructors check and copy their input, and the arrays a sampler or an
+arithmetic operation computes are adopted after a finiteness check.
+
+JSON exists only at the boundary.  `sample_admissible` encodes a typed
+instance into the document schema below, and `evaluate_instance` (hence
+`ineq eval`) decodes documents with full per-element validation; a typed
+value met while decoding passes through when its field matches.  `run_suite`
+samples and evaluates typed instances without any JSON round trip.
+
+Document schema: a dict with "theorem", "field", and the operation's
+parameters -- vectors as number lists ({"re","im"} objects over the complex
 field), scalar pairs as {"lo","hi"}, orthonormal families as {"size": k}
 meaning the first k standard basis vectors, integral instances with a
 "domain" object {"interval","weight":{"poly":[...]},"rule":{"kind","n"}} and
@@ -30,6 +44,7 @@ hypothesis m*g <= f <= M*g is an ordering of real values.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -44,7 +59,7 @@ from .bessel import (
     gruss_orthonormal_pair,
 )
 from .conditions import ScalarPair
-from .errors import IneqError, InputFormatError
+from .errors import FieldMismatchError, IneqError, InputFormatError
 from .gruss import gruss_ball, gruss_ball_refined, gruss_pair, gruss_pair_refined
 from .integral import (
     DiscretizedFunction,
@@ -74,6 +89,7 @@ from .space import (
     FieldTag,
     OrthonormalFamily,
     Vector,
+    _array_norm,
     coefficients,
     standard_basis,
     vector,
@@ -191,7 +207,7 @@ def _rand_coords(rng: np.random.Generator, dim: int, field: FieldTag) -> np.ndar
 def _nonzero_coords(rng, dim, field, floor: float = 1e-3) -> np.ndarray:
     for _ in range(_RESAMPLE_CAP):
         v = _rand_coords(rng, dim, field)
-        if np.linalg.norm(v) >= floor:
+        if _array_norm(v) >= floor:
             return v
     v = np.zeros(dim, dtype=field.dtype)
     v[0] = 1.0
@@ -200,7 +216,7 @@ def _nonzero_coords(rng, dim, field, floor: float = 1e-3) -> np.ndarray:
 
 def _unit_coords(rng, dim, field) -> np.ndarray:
     v = _nonzero_coords(rng, dim, field)
-    return v / np.linalg.norm(v)
+    return v / _array_norm(v)
 
 
 def _radius(rng, lo: float = 1e-3, hi: float = 10.0) -> float:
@@ -245,17 +261,14 @@ def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
     for _ in range(_RESAMPLE_CAP):
         lo = _rand_coords(rng, k, field)
         hi = _rand_coords(rng, k, field)
-        mass = float(np.linalg.norm(lo) + np.linalg.norm(hi))
+        mass = _array_norm(lo) + _array_norm(hi)
         if mass < 1e-6:
             continue
-        if (
-            np.linalg.norm(hi - lo) < 1e-3 * mass
-            or np.linalg.norm(hi + lo) < 1e-3 * mass
-        ):
+        if _array_norm(hi - lo) < 1e-3 * mass or _array_norm(hi + lo) < 1e-3 * mass:
             continue
         if positive_sum:
             re = float(np.vdot(lo, hi).real)
-            if abs(re) < 1e-3 * np.linalg.norm(lo) * np.linalg.norm(hi):
+            if abs(re) < 1e-3 * _array_norm(lo) * _array_norm(hi):
                 continue
             if re < 0:
                 lo = -lo
@@ -265,7 +278,7 @@ def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# JSON value encoding/decoding.
+# Typed instance values, and their JSON encoding/decoding.
 
 
 def _enc_scalar(c, field: FieldTag):
@@ -275,12 +288,34 @@ def _enc_scalar(c, field: FieldTag):
     return {"re": c.real, "im": c.imag}
 
 
-def _enc_array(arr, field: FieldTag) -> list:
-    return [_enc_scalar(v, field) for v in np.asarray(arr)]
+def _enc_array(arr: np.ndarray, field: FieldTag) -> list:
+    return [_enc_scalar(v, field) for v in arr]
 
 
-def _enc_pair(lo, hi, field: FieldTag) -> dict:
-    return {"lo": _enc_scalar(lo, field), "hi": _enc_scalar(hi, field)}
+def _enc_value(value, field: FieldTag):
+    if isinstance(value, Vector):
+        return _enc_array(value.coords, field)
+    if isinstance(value, CoefficientSequence):
+        return _enc_array(value.entries, field)
+    if isinstance(value, ScalarPair):
+        return {"lo": _enc_scalar(value.lo, field), "hi": _enc_scalar(value.hi, field)}
+    if isinstance(value, dict) and isinstance(value.get("poly"), np.ndarray):
+        return {"poly": _enc_array(value["poly"], field)}
+    return value
+
+
+def _encode_instance(inst: dict) -> dict:
+    """The JSON-able document form of a typed instance, keys in the same order."""
+    field = FieldTag.parse(inst["field"])
+    return {key: _enc_value(value, field) for key, value in inst.items()}
+
+
+def _same_field(value, field: FieldTag):
+    if value.field is not field:
+        raise FieldMismatchError(
+            f"{value.field.value} {type(value).__name__} in a {field.value} instance"
+        )
+    return value
 
 
 def _dec_scalar(v):
@@ -297,18 +332,24 @@ def _dec_scalar(v):
 
 
 def _dec_vector(obj, field: FieldTag) -> Vector:
+    if isinstance(obj, Vector):
+        return _same_field(obj, field)
     if not isinstance(obj, (list, tuple)):
         raise InputFormatError(f"expected a coordinate list, got {obj!r}")
     return vector([_dec_scalar(v) for v in obj], field)
 
 
 def _dec_seq(obj, field: FieldTag) -> CoefficientSequence:
+    if isinstance(obj, CoefficientSequence):
+        return _same_field(obj, field)
     if not isinstance(obj, (list, tuple)):
         raise InputFormatError(f"expected a coefficient list, got {obj!r}")
     return coefficients([_dec_scalar(v) for v in obj], field)
 
 
 def _dec_pair(obj) -> ScalarPair:
+    if isinstance(obj, ScalarPair):
+        return obj
     if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
         raise InputFormatError(f"expected {{'lo','hi'}}, got {obj!r}")
     return ScalarPair(_dec_scalar(obj["lo"]), _dec_scalar(obj["hi"]))
@@ -358,7 +399,9 @@ def _dec_domain(obj) -> WeightedDomain:
 
 def _dec_function(obj, dom: WeightedDomain, field: FieldTag) -> DiscretizedFunction:
     if isinstance(obj, dict) and "poly" in obj:
-        coeffs = np.array([_dec_scalar(v) for v in obj["poly"]])
+        coeffs = obj["poly"]
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = np.array([_dec_scalar(v) for v in coeffs])
         return dom.discretize(np.polynomial.polynomial.polyval(dom.nodes, coeffs), field)
     if isinstance(obj, dict) and "values" in obj:
         return dom.discretize([_dec_scalar(v) for v in obj["values"]], field)
@@ -372,7 +415,7 @@ def _poly_minmax_scale(coeffs, nodes) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Samplers.  Each returns a JSON-able instance dict whose hypothesis holds by
+# Samplers.  Each returns a typed instance dict whose hypothesis holds by
 # construction (or is deliberately broken when adversarial=True).
 
 
@@ -384,7 +427,7 @@ def _sample_ball_instance(theorem, rng, dim, field, adversarial, restrict=False)
     """x in the ball around a; restrict=True keeps r < ||a|| (strict form)."""
     if restrict:
         a = _nonzero_coords(rng, dim, field)
-        na = float(np.linalg.norm(a))
+        na = _array_norm(a)
         if theorem == "legacy1.7" and adversarial:
             # keep Re<x,a> >= 0 evaluable: small radius, capped inflation
             s = float(rng.uniform(0.05, 0.3))
@@ -399,15 +442,15 @@ def _sample_ball_instance(theorem, rng, dim, field, adversarial, restrict=False)
         t = _frac(rng, adversarial)
     x = a + t * r * _unit_coords(rng, dim, field)
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(x, field)
-    inst["a"] = _enc_array(a, field)
+    inst["x"] = Vector._computed(x, field)
+    inst["a"] = Vector._computed(a, field)
     inst["r"] = r
     return inst
 
 
 def _sample_two_sided_instance(theorem, rng, dim, field, adversarial):
     y = _nonzero_coords(rng, dim, field)
-    ny = float(np.linalg.norm(y))
+    ny = _array_norm(y)
     positive = theorem in ("legacy1.3",)
     lo, hi = _sample_pair(rng, field, positive_real=positive)
     mid = (complex(lo) + complex(hi)) / 2.0
@@ -417,16 +460,16 @@ def _sample_two_sided_instance(theorem, rng, dim, field, adversarial):
         rng, dim, field
     )
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(x, field)
-    inst["y"] = _enc_array(y, field)
-    inst["pair"] = _enc_pair(lo, hi, field)
+    inst["x"] = Vector._computed(x, field)
+    inst["y"] = Vector._computed(y, field)
+    inst["pair"] = ScalarPair(lo, hi)
     return inst
 
 
 def _sample_real_range_instance(theorem, rng, dim, field, adversarial):
     """Real pair 0 < m < M against y; Re<x,y> stays >= 0 for the strict triangle form."""
     y = _nonzero_coords(rng, dim, field)
-    ny = float(np.linalg.norm(y))
+    ny = _array_norm(y)
     m = _radius(rng, 0.05, 2.0)
     if theorem == "legacy1.8" and adversarial:
         dfrac = float(rng.uniform(0.05, 0.5))
@@ -440,8 +483,8 @@ def _sample_real_range_instance(theorem, rng, dim, field, adversarial):
     radius = 0.5 * (M - m) * ny
     x = mid * y + t * radius * _unit_coords(rng, dim, field)
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(x, field)
-    inst["y"] = _enc_array(y, field)
+    inst["x"] = Vector._computed(x, field)
+    inst["y"] = Vector._computed(y, field)
     inst["m"] = m
     inst["M"] = M
     return inst
@@ -459,9 +502,9 @@ def _sample_gruss_ball_instance(theorem, rng, dim, field, adversarial):
     x = e + _frac(rng, adversarial) * r1 * _unit_coords(rng, dim, field)
     y = e + _frac(rng, adversarial) * r2 * _unit_coords(rng, dim, field)
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(x, field)
-    inst["y"] = _enc_array(y, field)
-    inst["e"] = _enc_array(e, field)
+    inst["x"] = Vector._computed(x, field)
+    inst["y"] = Vector._computed(y, field)
+    inst["e"] = Vector._computed(e, field)
     inst["r1"] = r1
     inst["r2"] = r2
     return inst
@@ -481,11 +524,11 @@ def _sample_gruss_pair_instance(theorem, rng, dim, field, adversarial):
         return c * e + t * radius * _unit_coords(rng, dim, field)
 
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(point(lo_x, hi_x), field)
-    inst["y"] = _enc_array(point(lo_y, hi_y), field)
-    inst["e"] = _enc_array(e, field)
-    inst["pair_x"] = _enc_pair(lo_x, hi_x, field)
-    inst["pair_y"] = _enc_pair(lo_y, hi_y, field)
+    inst["x"] = Vector._computed(point(lo_x, hi_x), field)
+    inst["y"] = Vector._computed(point(lo_y, hi_y), field)
+    inst["e"] = Vector._computed(e, field)
+    inst["pair_x"] = ScalarPair(lo_x, hi_x)
+    inst["pair_y"] = ScalarPair(lo_y, hi_y)
     return inst
 
 
@@ -496,7 +539,7 @@ def _family_size(dim: int) -> int:
 def _sample_bessel_ball_instance(theorem, rng, dim, field, adversarial):
     k = _family_size(dim)
     lam = _nonzero_coords(rng, k, field)
-    lam_norm = float(np.linalg.norm(lam))
+    lam_norm = _array_norm(lam)
     if theorem == "legacy1.18":
         r = float(rng.uniform(0.05, 0.95)) * lam_norm
     else:
@@ -505,9 +548,9 @@ def _sample_bessel_ball_instance(theorem, rng, dim, field, adversarial):
     center[:k] = lam
     x = center + _frac(rng, adversarial) * r * _unit_coords(rng, dim, field)
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(x, field)
+    inst["x"] = Vector._computed(x, field)
     inst["size"] = k
-    inst["lam"] = _enc_array(lam, field)
+    inst["lam"] = CoefficientSequence._computed(lam, field)
     inst["r"] = r
     return inst
 
@@ -517,13 +560,13 @@ def _sample_bessel_pair_instance(theorem, rng, dim, field, adversarial):
     lo, hi = _sample_seq_pair(rng, field, k, positive_sum=(theorem == "legacy1.20"))
     center = np.zeros(dim, dtype=field.dtype)
     center[:k] = 0.5 * (lo + hi)
-    radius = 0.5 * float(np.linalg.norm(hi - lo))
+    radius = 0.5 * _array_norm(hi - lo)
     x = center + _frac(rng, adversarial) * radius * _unit_coords(rng, dim, field)
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(x, field)
+    inst["x"] = Vector._computed(x, field)
     inst["size"] = k
-    inst["gammas"] = _enc_array(lo, field)
-    inst["Gammas"] = _enc_array(hi, field)
+    inst["gammas"] = CoefficientSequence._computed(lo, field)
+    inst["Gammas"] = CoefficientSequence._computed(hi, field)
     return inst
 
 
@@ -542,11 +585,11 @@ def _sample_family_gruss_ball_instance(theorem, rng, dim, field, adversarial):
         return center + _frac(rng, adversarial) * r * _unit_coords(rng, dim, field)
 
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(point(lam, r1), field)
-    inst["y"] = _enc_array(point(mu, r2), field)
+    inst["x"] = Vector._computed(point(lam, r1), field)
+    inst["y"] = Vector._computed(point(mu, r2), field)
     inst["size"] = k
-    inst["lam"] = _enc_array(lam, field)
-    inst["mu"] = _enc_array(mu, field)
+    inst["lam"] = CoefficientSequence._computed(lam, field)
+    inst["mu"] = CoefficientSequence._computed(mu, field)
     inst["r1"] = r1
     inst["r2"] = r2
     return inst
@@ -560,17 +603,17 @@ def _sample_family_gruss_pair_instance(theorem, rng, dim, field, adversarial):
     def point(lo, hi):
         center = np.zeros(dim, dtype=field.dtype)
         center[:k] = 0.5 * (lo + hi)
-        radius = 0.5 * float(np.linalg.norm(hi - lo))
+        radius = 0.5 * _array_norm(hi - lo)
         return center + _frac(rng, adversarial) * radius * _unit_coords(rng, dim, field)
 
     inst = _base(theorem, field)
-    inst["x"] = _enc_array(point(lo_x, hi_x), field)
-    inst["y"] = _enc_array(point(lo_y, hi_y), field)
+    inst["x"] = Vector._computed(point(lo_x, hi_x), field)
+    inst["y"] = Vector._computed(point(lo_y, hi_y), field)
     inst["size"] = k
-    inst["gammas_x"] = _enc_array(lo_x, field)
-    inst["Gammas_x"] = _enc_array(hi_x, field)
-    inst["phis_y"] = _enc_array(lo_y, field)
-    inst["Phis_y"] = _enc_array(hi_y, field)
+    inst["gammas_x"] = CoefficientSequence._computed(lo_x, field)
+    inst["Gammas_x"] = CoefficientSequence._computed(hi_x, field)
+    inst["phis_y"] = CoefficientSequence._computed(lo_y, field)
+    inst["Phis_y"] = CoefficientSequence._computed(hi_y, field)
     return inst
 
 
@@ -602,8 +645,8 @@ def _sample_integral_ball_instance(theorem, rng, dim, field, adversarial):
     f = np.polynomial.polynomial.polyadd(g, delta)
     inst = _base(theorem, field)
     inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": _enc_array(f, field)}
-    inst["g"] = {"poly": _enc_array(g, field)}
+    inst["f"] = {"poly": f}
+    inst["g"] = {"poly": g}
     inst["r"] = r
     return inst
 
@@ -620,9 +663,9 @@ def _sample_integral_pair_instance(theorem, rng, dim, field, adversarial):
     f = np.polynomial.polynomial.polymul(factor, g)
     inst = _base(theorem, field)
     inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": _enc_array(f, field)}
-    inst["g"] = {"poly": _enc_array(g, field)}
-    inst["pair"] = _enc_pair(lo, hi, field)
+    inst["f"] = {"poly": f}
+    inst["g"] = {"poly": g}
+    inst["pair"] = ScalarPair(lo, hi)
     return inst
 
 
@@ -639,8 +682,8 @@ def _sample_integral_range_instance(theorem, rng, dim, field, adversarial):
     f = np.polynomial.polynomial.polymul(factor, g)
     inst = _base(theorem, FieldTag.REAL)
     inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": _enc_array(f, FieldTag.REAL)}
-    inst["g"] = {"poly": _enc_array(g, FieldTag.REAL)}
+    inst["f"] = {"poly": f}
+    inst["g"] = {"poly": g}
     inst["m"] = m
     inst["M"] = M
     return inst
@@ -671,11 +714,11 @@ def _sample_integral_gruss_instance(theorem, rng, dim, field, adversarial):
     g, lo_g, hi_g = side(False)
     inst = _base(theorem, field)
     inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": _enc_array(f, field)}
-    inst["g"] = {"poly": _enc_array(g, field)}
-    inst["h"] = {"poly": _enc_array(h, field)}
-    inst["pair_f"] = _enc_pair(lo_f, hi_f, field)
-    inst["pair_g"] = _enc_pair(lo_g, hi_g, field)
+    inst["f"] = {"poly": f}
+    inst["g"] = {"poly": g}
+    inst["h"] = {"poly": h}
+    inst["pair_f"] = ScalarPair(lo_f, hi_f)
+    inst["pair_g"] = ScalarPair(lo_g, hi_g)
     return inst
 
 
@@ -801,7 +844,8 @@ def _inst_dim(inst) -> int:
     if "domain" in inst:
         rule = inst["domain"].get("rule", {}) if isinstance(inst["domain"], dict) else {}
         return int(rule.get("n", 64))
-    return len(inst["x"])
+    x = inst["x"]
+    return x.dim if isinstance(x, Vector) else len(x)
 
 
 def _field_of(inst) -> FieldTag:
@@ -1061,7 +1105,11 @@ def sample_admissible(
     adversarial: bool = False,
     index: int = 0,
 ) -> dict:
-    """Deterministically sample one instance whose hypothesis holds by construction."""
+    """Deterministically sample one instance whose hypothesis holds by construction.
+
+    Returns the instance as a JSON-able document, the schema `evaluate_instance`
+    and `ineq eval` read.
+    """
     tid = normalize_theorem_id(theorem)
     tag = field if isinstance(field, FieldTag) else FieldTag.parse(field)
     if tid in REAL_ONLY_IDS:
@@ -1069,13 +1117,13 @@ def sample_admissible(
     if dim < 1:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
     rng = _rng_for(seed, tid, index)
-    inst = _SAMPLERS[tid](rng, int(dim), tag, bool(adversarial))
+    inst = _encode_instance(_SAMPLERS[tid](rng, int(dim), tag, bool(adversarial)))
     inst["seed"] = int(seed)
     return inst
 
 
 def evaluate_instance(inst: dict) -> InstanceResult:
-    """Decode one instance dict and run its theorem's operation."""
+    """Decode one instance dict (a document, or typed) and run its theorem's operation."""
     if not isinstance(inst, dict):
         raise InputFormatError(f"instance must be an object, got {type(inst).__name__}")
     if "theorem" not in inst:
@@ -1161,10 +1209,17 @@ def run_suite(
 
     Each instance i of a theorem uses an RNG stream derived from (seed,
     theorem, i), so reports depend only on the arguments, never on execution
-    order.  Violations count admissible instances failing an asserted
-    comparison at relative tolerance tol (the theorems guarantee zero);
-    counterexamples count hypothesis-violating instances whose bare inequality
-    fails (adversarial mode exists to show these are found).
+    order.  Instances stay typed from sampler to evaluator; none is encoded
+    to JSON, and records hold only results.  Instance i is drawn on grid
+    cell i mod len(grid), the grid being dims x the theorem's fields in
+    order; `sample_admissible(theorem, field, dim, seed, adversarial,
+    index=i)` returns the same instance as a document, and evaluating that
+    document gives the same record bit for bit.
+
+    Violations count admissible instances failing an asserted comparison at
+    relative tolerance tol (the theorems guarantee zero); counterexamples
+    count hypothesis-violating instances whose bare inequality fails
+    (adversarial mode exists to show these are found).
     """
     ids = (
         list(THEOREM_IDS)
@@ -1227,6 +1282,17 @@ def run_suite(
 # File-based evaluation.
 
 
+def _first_non_finite(result: InstanceResult) -> Optional[tuple[str, float]]:
+    """(name, value) of the first reported quantity that is NaN or infinite."""
+    named = [("gap", result.gap), ("bound", result.bound), ("margin", result.margin)]
+    for lhs_label, lhs, rhs_label, rhs in result.comparisons:
+        named += [(lhs_label, lhs), (rhs_label, rhs)]
+    for name, value in named:
+        if not math.isfinite(value):
+            return name, float(value)
+    return None
+
+
 def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
     """Evaluate an instance document: {"instances": [instance, ...]}."""
     try:
@@ -1246,19 +1312,27 @@ def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
     per_theorem: dict[str, _Stats] = {}
     records: list = []
     order: list[str] = []
-    for i, inst in enumerate(instances):
-        try:
-            result = evaluate_instance(inst)
-        except InputFormatError as exc:
-            raise InputFormatError(f"instance {i}: {exc}")
-        except (IneqError, ValueError, TypeError) as exc:
-            raise InputFormatError(f"instance {i}: {exc}")
-        ok = result.passed(tol)
-        if result.theorem not in per_theorem:
-            order.append(result.theorem)
-        per_theorem.setdefault(result.theorem, _Stats()).add(result, ok)
-        total.add(result, ok)
-        records.append(_record(i, result, tol, ok))
+    # Overflow is classified below as bad input, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, inst in enumerate(instances):
+            try:
+                result = evaluate_instance(inst)
+            except InputFormatError as exc:
+                raise InputFormatError(f"instance {i}: {exc}")
+            except (IneqError, ValueError, TypeError) as exc:
+                raise InputFormatError(f"instance {i}: {exc}")
+            bad = _first_non_finite(result)
+            if bad is not None:
+                raise InputFormatError(
+                    f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}; "
+                    "the inputs overflow double precision"
+                )
+            ok = result.passed(tol)
+            if result.theorem not in per_theorem:
+                order.append(result.theorem)
+            per_theorem.setdefault(result.theorem, _Stats()).add(result, ok)
+            total.add(result, ok)
+            records.append(_record(i, result, tol, ok))
 
     metadata = {"mode": "eval", "version": __version__, "tol": float(tol)}
     return SuiteReport(

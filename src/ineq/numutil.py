@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 #: Relative slack used throughout when checking a <= b on computed chains.
 CHAIN_REL_TOL = 1e-9
@@ -12,16 +12,6 @@ CHAIN_REL_TOL = 1e-9
 def leq_with_slack(lhs: float, rhs: float, tol: float = CHAIN_REL_TOL) -> bool:
     """True when lhs <= rhs up to both relative and absolute slack tol."""
     return lhs <= rhs * (1.0 + tol) + tol
-
-
-def is_nondecreasing(values: Sequence[float], tol: float = CHAIN_REL_TOL) -> bool:
-    """True when every adjacent step of the chain satisfies leq_with_slack."""
-    return all(leq_with_slack(a, b, tol) for a, b in zip(values, values[1:]))
-
-
-def rel_close(a: float, b: float, tol: float) -> bool:
-    """|a - b| <= tol * max(1, |a|, |b|)."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 def fmt_float(v: float) -> str:
@@ -86,15 +76,3 @@ def _render(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append(closing + "]")
     else:
         raise TypeError(f"cannot render {type(obj).__name__} deterministically")
-
-
-def flatten_rows(rows: Iterable[dict]) -> tuple[list[str], list[list[Any]]]:
-    """Collect a stable union of keys plus row values for CSV emission."""
-    rows = list(rows)
-    cols: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    table = [[row.get(c, "") for c in cols] for row in rows]
-    return cols, table

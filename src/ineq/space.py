@@ -18,6 +18,7 @@ caller's tail is declared zero.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Union
 
@@ -66,10 +67,35 @@ def _as_coords(values, tag: FieldTag) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 1-D array, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionMismatchError("dimension must be >= 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("entries must be finite (no NaN/Inf)")
     arr.flags.writeable = False
     return arr
+
+
+def _computed_coords(arr: np.ndarray, tag: FieldTag) -> np.ndarray:
+    """Adopt, without copying, an array the library itself just computed.
+
+    Arithmetic on validated operands already has the field's dtype and shape,
+    so only finiteness can be lost (x + y may overflow to inf).
+    """
+    assert arr.dtype == tag.dtype and arr.ndim == 1 and arr.size, (arr.dtype, arr.shape)
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite (no NaN/Inf)")
+    arr.flags.writeable = False
+    return arr
+
+
+def _array_norm(arr: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64/complex128 array.
+
+    The same arithmetic as np.linalg.norm's fast path (so bit-identical to it)
+    without the wrapper's dispatch cost.
+    """
+    if arr.dtype.kind == "c":
+        re, im = arr.real, arr.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(arr.dot(arr))
 
 
 def _check_scalar(c: Scalar, tag: FieldTag) -> Scalar:
@@ -93,24 +119,32 @@ class Vector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", _as_coords(self.coords, self.field))
 
+    @classmethod
+    def _computed(cls, coords: np.ndarray, field: FieldTag) -> "Vector":
+        """Trusted constructor for coordinates the library just computed."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coords", _computed_coords(coords, field))
+        object.__setattr__(self, "field", field)
+        return self
+
     @property
     def dim(self) -> int:
         return int(self.coords.size)
 
     def __add__(self, other: "Vector") -> "Vector":
         check_same_space(self, other)
-        return Vector(self.coords + other.coords, self.field)
+        return Vector._computed(self.coords + other.coords, self.field)
 
     def __sub__(self, other: "Vector") -> "Vector":
         check_same_space(self, other)
-        return Vector(self.coords - other.coords, self.field)
+        return Vector._computed(self.coords - other.coords, self.field)
 
     def __neg__(self) -> "Vector":
-        return Vector(-self.coords, self.field)
+        return Vector._computed(-self.coords, self.field)
 
     def scaled(self, c: Scalar) -> "Vector":
         """c * x, rejecting complex c on a real-space vector."""
-        return Vector(_check_scalar(c, self.field) * self.coords, self.field)
+        return Vector._computed(_check_scalar(c, self.field) * self.coords, self.field)
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"Vector({self.coords.tolist()!r}, {self.field.value})"
@@ -143,7 +177,7 @@ def inner(x: Vector, y: Vector) -> Scalar:
 
 def norm(x: Vector) -> float:
     """||x|| = sqrt(Re<x, x>); zero iff x = 0."""
-    return float(np.linalg.norm(x.coords))
+    return _array_norm(x.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +189,19 @@ class CoefficientSequence:
     sq_norm: float = dc_field(init=False)
 
     def __post_init__(self) -> None:
-        arr = _as_coords(self.entries, self.field)
+        self._adopt(_as_coords(self.entries, self.field))
+
+    def _adopt(self, arr: np.ndarray) -> None:
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "sq_norm", float(np.vdot(arr, arr).real))
+
+    @classmethod
+    def _computed(cls, entries: np.ndarray, field: FieldTag) -> "CoefficientSequence":
+        """Trusted constructor for entries the library just computed."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        self._adopt(_computed_coords(entries, field))
+        return self
 
     def __len__(self) -> int:
         return int(self.entries.size)
@@ -283,7 +327,7 @@ def fourier_coefficients(x: Vector, fam: OrthonormalFamily) -> CoefficientSequen
     """The sequence (<x, e_i>)_i."""
     check_same_space(x, fam.members[0])
     coeffs = fam._matrix.conj() @ x.coords
-    return CoefficientSequence(coeffs, x.field)
+    return CoefficientSequence._computed(coeffs, x.field)
 
 
 def synthesize(coeffs: CoefficientSequence, fam: OrthonormalFamily) -> Vector:
@@ -292,7 +336,7 @@ def synthesize(coeffs: CoefficientSequence, fam: OrthonormalFamily) -> Vector:
         raise DimensionMismatchError(f"{len(coeffs)} coefficients for {fam.size} members")
     if coeffs.field is not fam.field:
         raise FieldMismatchError("coefficient field differs from family field")
-    return Vector(coeffs.entries @ fam._matrix, fam.field)
+    return Vector._computed(coeffs.entries @ fam._matrix, fam.field)
 
 
 def project(x: Vector, fam: OrthonormalFamily) -> Vector:

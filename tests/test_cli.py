@@ -149,3 +149,26 @@ def test_eval_malformed_instance_exits_2(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "eval", "--input", str(src))
     assert rc == 2
     assert "instance 0" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["eval", "--input", "unused.json"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tol_exits_2(capsys, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err
+
+
+def test_eval_overflow_exits_2(tmp_path, capsys):
+    src = tmp_path / "huge.json"
+    src.write_text(
+        '{"instances":[{"theorem":"thm2.1","field":"real",'
+        '"x":[1e200,1e200],"a":[1e200,0],"r":1.0}]}',
+        encoding="utf-8",
+    )
+    rc, out, err = run_cli(capsys, "eval", "--input", str(src))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ineq: instance 0: ") and "Traceback" not in err

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from ineq import (
+    FieldMismatchError,
+    FieldTag,
     InputFormatError,
     THEOREM_IDS,
     emit_report,
@@ -13,6 +15,7 @@ from ineq import (
     evaluate_instance,
     run_suite,
     sample_admissible,
+    vector,
 )
 from ineq.harness import CSV_COLUMNS, REAL_ONLY_IDS, normalize_theorem_id
 
@@ -118,6 +121,55 @@ def test_evaluate_instance_rejects_malformed_input():
         evaluate_instance(
             {"theorem": "thm2.1", "field": "real", "x": [1, 0], "a": [1, 0]}
         )  # no radius
+    for bad in ([True, 0.0], ["1.0", 0.0], [[1.0, 0.0], 0.0], [{"re": "x"}, 0.0], "10"):
+        with pytest.raises(InputFormatError):
+            evaluate_instance(
+                {"theorem": "thm2.1", "field": "real", "x": bad, "a": [1, 0], "r": 1.0}
+            )
+
+
+def test_typed_values_pass_through_only_in_their_field():
+    inst = {"theorem": "thm2.1", "field": "real", "x": [0.5, 0.5], "a": [1.0, 0.0], "r": 1.0}
+    typed = dict(inst, x=vector(inst["x"], FieldTag.REAL))
+    assert evaluate_instance(typed) == evaluate_instance(inst)
+    with pytest.raises(FieldMismatchError):
+        evaluate_instance(dict(typed, field="complex", a=[{"re": 1.0}, {"re": 0.0}]))
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+def _comparison_bits(comparisons):
+    return [(l1, _bits(v1), l2, _bits(v2)) for l1, v1, l2, v2, *_ in comparisons]
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_suite_records_equal_the_json_route(adversarial):
+    # run_suite evaluates typed instances; the same instances sampled as
+    # documents, serialized, parsed and decoded must give identical bits
+    dims, fields, seed = (1, 2, 3, 8, 16), ("real", "complex"), 13
+    rep = run_suite(
+        trials=20, dims=dims, fields=fields, seed=seed,
+        adversarial=adversarial, keep_records=True,
+    )
+    assert len(rep.records) == 25 * 20
+    for rec in rep.records:
+        tid, i = rec["theorem"], rec["index"]
+        grid = [
+            (d, f) for d in dims for f in fields
+            if not (tid in REAL_ONLY_IDS and f == "complex")
+        ]
+        dim, field = grid[i % len(grid)]
+        doc = sample_admissible(tid, field, dim, seed, adversarial, index=i)
+        direct = evaluate_instance(json.loads(json.dumps(doc)))
+        assert (rec["field"], rec["dim"], rec["admissible"]) == (
+            direct.field, direct.dim, direct.admissible,
+        ), (tid, i)
+        assert [_bits(rec[k]) for k in ("margin", "gap", "bound")] == [
+            _bits(direct.margin), _bits(direct.gap), _bits(direct.bound),
+        ], (tid, i)
+        assert _comparison_bits(rec["comparisons"]) == _comparison_bits(direct.comparisons)
 
 
 def test_evaluate_file_matches_in_memory_results(tmp_path):

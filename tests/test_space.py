@@ -24,6 +24,7 @@ from ineq import (
 )
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=64)
+finite_any = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 def vec_strategy(dim, field):
@@ -102,6 +103,45 @@ def test_nonfinite_entries_rejected():
         vector([np.nan, 0.0])
     with pytest.raises(ValueError):
         vector([np.inf, 0.0])
+
+
+def test_arithmetic_overflow_rejected():
+    big = vector([1e308])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            big + big
+        with pytest.raises(ValueError, match="finite"):
+            big - (-big)
+        with pytest.raises(ValueError, match="finite"):
+            big.scaled(10.0)
+
+
+@given(
+    st.integers(1, 64).flatmap(
+        lambda n: st.tuples(
+            st.lists(finite_any, min_size=n, max_size=n),
+            st.lists(finite_any, min_size=n, max_size=n),
+            st.booleans(),
+        )
+    )
+)
+def test_norm_is_bit_identical_to_numpy(parts):
+    re, im, is_complex = parts
+    if is_complex:
+        v = vector([complex(a, b) for a, b in zip(re, im)], FieldTag.COMPLEX)
+    else:
+        v = vector(re, FieldTag.REAL)
+    with np.errstate(over="ignore"):
+        expected = float(np.linalg.norm(v.coords))
+        assert norm(v) == expected
+
+
+def test_norm_is_bit_identical_to_numpy_on_sampled_arrays():
+    rng = np.random.default_rng(7)
+    for dim in range(1, 65):
+        re, im = rng.uniform(-2, 2, (2, dim))
+        for v in (vector(re), vector(re + 1j * im)):
+            assert norm(v) == float(np.linalg.norm(v.coords))
 
 
 def test_coords_are_read_only():
