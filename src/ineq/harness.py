@@ -1,11 +1,32 @@
-"""Randomized verification harness: samplers, evaluators, suite runner, file eval.
+"""Randomized verification harness: theorem registry, samplers, suite runner, file eval.
 
-Each supported result gets a wire id (below).  For every id there is a
-sampler producing an instance whose hypothesis holds *by construction* (no
-rejection sampling against the condition itself: the point is sampled as
-center + scaled in-ball residual, so instances land arbitrarily close to the
-hypothesis boundary), and an evaluator that runs the corresponding operation
-on it and reports every asserted comparison.
+Each supported result has a wire id and one `TheoremSpec` in `_SPECS`, whose
+order is the canonical report order.  A spec holds everything the harness
+knows about its theorem:
+
+- `params`, the operation's parameters in call order as (key, kind) pairs.
+  The kinds are "vector", "seq" (coefficient sequence), "pair" (scalar pair),
+  "real", "count" (size k of an orthonormal family, meaning the first k
+  standard basis vectors of x's space), "domain" (a quadrature domain) and
+  "function" (discretized on that domain);
+- `sampler`, called with the keyword `options` that set its theorem-specific
+  choices.  It draws an instance whose hypothesis holds *by construction*
+  (no rejection sampling against the condition itself: the point is sampled
+  as center + scaled in-ball residual, so instances land arbitrarily close
+  to the hypothesis boundary);
+- `operation`, the name of the bound-chain function in this module's
+  namespace, looked up each time an instance is evaluated;
+- `adapter`, which turns the operation's report into an `InstanceResult`
+  listing every asserted comparison;
+- `real_only`, for hypotheses that order real values (m*g <= f <= M*g in
+  prop7.11 and prop7.12).
+
+`THEOREM_IDS`, `REAL_ONLY_IDS`, `_SAMPLERS` and `_EVALUATORS` are derived
+from `_SPECS`.  One evaluator walks every schema: `_Decoding` has one decoder
+per kind, and each spec's (position, key, decoder) steps are built at import,
+the domain first because functions are discretized on its nodes.  A decoding
+error names its key; a missing key also lists the keys the theorem needs.  A
+record's `dim` is x's dimension, or the node count of an integral instance.
 
 Samplers produce *typed* instances: a dict with "theorem", "field" and the
 operation's parameters as the objects the operations take -- `Vector` and
@@ -26,7 +47,9 @@ parameters -- vectors as number lists ({"re","im"} objects over the complex
 field), scalar pairs as {"lo","hi"}, orthonormal families as {"size": k}
 meaning the first k standard basis vectors, integral instances with a
 "domain" object {"interval","weight":{"poly":[...]},"rule":{"kind","n"}} and
-functions as {"poly":[...]} or {"values":[...]}.
+functions as non-empty {"poly":[...]} or {"values":[...]} lists.  Every
+number is a JSON int or float, never a bool or a string; "size" and "rule.n"
+are integral.
 
 In adversarial mode the samplers inflate the residual far beyond the
 admissible limit while keeping every scalar precondition valid, so the
@@ -36,9 +59,6 @@ holds and some asserted comparison fails; it is a "counterexample" when the
 hypothesis fails and a comparison fails.  Theorems whose hypotheses hold
 guarantee zero violations; counterexamples in adversarial mode are the
 desired outcome, not errors.
-
-The range-condition results (prop7.11, prop7.12) are real-field only: their
-hypothesis m*g <= f <= M*g is an ordering of real values.
 """
 
 from __future__ import annotations
@@ -46,7 +66,8 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -95,38 +116,6 @@ from .space import (
     vector,
 )
 from .triangle import triangle_reverse_ball, triangle_reverse_pair
-
-#: Wire ids in canonical report order.
-THEOREM_IDS = (
-    "thm2.1",
-    "thm2.2",
-    "prop2.3",
-    "prop2.4",
-    "thm4.1",
-    "thm4.2",
-    "thm4.3",
-    "thm4.4",
-    "thm5.1",
-    "thm5.2",
-    "thm6.1",
-    "thm6.2",
-    "legacy1.1",
-    "legacy1.3",
-    "legacy1.7",
-    "legacy1.8",
-    "legacy1.10",
-    "legacy1.13",
-    "legacy1.18",
-    "legacy1.20",
-    "prop7.1",
-    "prop7.2",
-    "prop7.11",
-    "prop7.12",
-    "prop7.3",
-)
-
-#: Ids whose hypothesis is an ordering of real values.
-REAL_ONLY_IDS = frozenset({"prop7.11", "prop7.12"})
 
 DEFAULT_DIMS = (1, 2, 3, 8)
 DEFAULT_FIELDS = ("real", "complex")
@@ -318,33 +307,41 @@ def _same_field(value, field: FieldTag):
     return value
 
 
-def _dec_scalar(v):
-    if isinstance(v, bool):
-        raise InputFormatError(f"expected a number, got {v!r}")
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, dict) and v and set(v) <= {"re", "im"}:
+def _dec_real(v) -> float:
+    """The one rule for numbers in a document: an int or a float, not a bool or a string."""
+    if type(v) is float:
+        return v
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         try:
-            return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-        except (TypeError, ValueError):
-            raise InputFormatError(f"bad complex scalar {v!r}")
-    raise InputFormatError(f"expected a number or {{'re','im'}} object, got {v!r}")
+            return float(v)
+        except OverflowError:
+            pass
+    raise InputFormatError(f"expected a number, got {v!r}")
 
 
-def _dec_vector(obj, field: FieldTag) -> Vector:
-    if isinstance(obj, Vector):
-        return _same_field(obj, field)
-    if not isinstance(obj, (list, tuple)):
-        raise InputFormatError(f"expected a coordinate list, got {obj!r}")
-    return vector([_dec_scalar(v) for v in obj], field)
+def _dec_count(v) -> int:
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InputFormatError(f"expected an integer, got {v!r}")
 
 
-def _dec_seq(obj, field: FieldTag) -> CoefficientSequence:
-    if isinstance(obj, CoefficientSequence):
-        return _same_field(obj, field)
-    if not isinstance(obj, (list, tuple)):
-        raise InputFormatError(f"expected a coefficient list, got {obj!r}")
-    return coefficients([_dec_scalar(v) for v in obj], field)
+def _dec_list(obj) -> list:
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise InputFormatError(f"expected a non-empty list, got {obj!r}")
+    return obj
+
+
+def _dec_scalar(v):
+    if type(v) is float:
+        return v
+    if isinstance(v, dict) and v and set(v) <= {"re", "im"}:
+        return complex(_dec_real(v.get("re", 0.0)), _dec_real(v.get("im", 0.0)))
+    try:
+        return _dec_real(v)
+    except InputFormatError:
+        raise InputFormatError(f"expected a number or {{'re','im'}} object, got {v!r}") from None
 
 
 def _dec_pair(obj) -> ScalarPair:
@@ -379,16 +376,27 @@ DEFAULT_DOMAIN_SPEC = {
 def _dec_domain(obj) -> WeightedDomain:
     if not isinstance(obj, dict):
         raise InputFormatError(f"expected a domain object, got {obj!r}")
+    part = "interval"
     try:
-        interval = obj.get("interval", [0.0, 1.0])
-        a, b = float(interval[0]), float(interval[1])
-        weight = obj.get("weight", {"poly": [1.0]})
-        wpoly = tuple(float(c) for c in weight["poly"])
-        rule = obj.get("rule", {"kind": "gauss", "n": 64})
+        interval = obj.get("interval", DEFAULT_DOMAIN_SPEC["interval"])
+        if not isinstance(interval, (list, tuple)) or len(interval) < 2:
+            raise InputFormatError(f"expected [a, b], got {interval!r}")
+        a, b = _dec_real(interval[0]), _dec_real(interval[1])
+        part = "weight"
+        weight = obj.get("weight", DEFAULT_DOMAIN_SPEC["weight"])
+        if not isinstance(weight, dict):
+            raise InputFormatError(f"expected a {{'poly'}} object, got {weight!r}")
+        part = "weight.poly"
+        wpoly = tuple([_dec_real(c) for c in _dec_list(weight.get("poly"))])
+        part = "rule"
+        rule = obj.get("rule", DEFAULT_DOMAIN_SPEC["rule"])
+        if not isinstance(rule, dict):
+            raise InputFormatError(f"expected an object, got {rule!r}")
         kind = str(rule.get("kind", "gauss"))
-        n = int(rule.get("n", 64))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputFormatError(f"bad domain object {obj!r}: {exc}")
+        part = "rule.n"
+        n = _dec_count(rule.get("n", 64))
+    except InputFormatError as exc:
+        raise InputFormatError(f"{part}: {exc}") from None
     key = (a, b, wpoly, kind, n)
     dom = _DOMAIN_CACHE.get(key)
     if dom is None:
@@ -401,10 +409,10 @@ def _dec_function(obj, dom: WeightedDomain, field: FieldTag) -> DiscretizedFunct
     if isinstance(obj, dict) and "poly" in obj:
         coeffs = obj["poly"]
         if not isinstance(coeffs, np.ndarray):
-            coeffs = np.array([_dec_scalar(v) for v in coeffs])
+            coeffs = np.array([_dec_scalar(v) for v in _dec_list(coeffs)])
         return dom.discretize(np.polynomial.polynomial.polyval(dom.nodes, coeffs), field)
     if isinstance(obj, dict) and "values" in obj:
-        return dom.discretize([_dec_scalar(v) for v in obj["values"]], field)
+        return dom.discretize([_dec_scalar(v) for v in _dec_list(obj["values"])], field)
     raise InputFormatError(f"expected {{'poly'}} or {{'values'}} function, got {obj!r}")
 
 
@@ -419,16 +427,21 @@ def _poly_minmax_scale(coeffs, nodes) -> float:
 # construction (or is deliberately broken when adversarial=True).
 
 
-def _base(theorem: str, field: FieldTag) -> dict:
-    return {"theorem": theorem, "field": field.value}
+def _instance(theorem: str, field: FieldTag, **params) -> dict:
+    return {"theorem": theorem, "field": field.value, **params}
 
 
-def _sample_ball_instance(theorem, rng, dim, field, adversarial, restrict=False):
-    """x in the ball around a; restrict=True keeps r < ||a|| (strict form)."""
+_vec = Vector._computed
+_seq = CoefficientSequence._computed
+
+
+def _sample_ball(theorem, rng, dim, field, adversarial, restrict=False, capped=False):
+    """x in the ball around a; restrict=True keeps r < ||a|| (strict form), and
+    capped=True keeps Re<x,a> >= 0 when adversarial (the triangle form)."""
     if restrict:
         a = _nonzero_coords(rng, dim, field)
         na = _array_norm(a)
-        if theorem == "legacy1.7" and adversarial:
+        if capped and adversarial:
             # keep Re<x,a> >= 0 evaluable: small radius, capped inflation
             s = float(rng.uniform(0.05, 0.3))
             r = s * na
@@ -441,37 +454,29 @@ def _sample_ball_instance(theorem, rng, dim, field, adversarial, restrict=False)
         r = _radius(rng)
         t = _frac(rng, adversarial)
     x = a + t * r * _unit_coords(rng, dim, field)
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(x, field)
-    inst["a"] = Vector._computed(a, field)
-    inst["r"] = r
-    return inst
+    return _instance(theorem, field, x=_vec(x, field), a=_vec(a, field), r=r)
 
 
-def _sample_two_sided_instance(theorem, rng, dim, field, adversarial):
+def _sample_two_sided(theorem, rng, dim, field, adversarial, positive_real=False):
     y = _nonzero_coords(rng, dim, field)
     ny = _array_norm(y)
-    positive = theorem in ("legacy1.3",)
-    lo, hi = _sample_pair(rng, field, positive_real=positive)
+    lo, hi = _sample_pair(rng, field, positive_real=positive_real)
     mid = (complex(lo) + complex(hi)) / 2.0
     radius = 0.5 * abs(complex(hi) - complex(lo)) * ny
     t = _frac(rng, adversarial)
     x = (mid if field is FieldTag.COMPLEX else mid.real) * y + t * radius * _unit_coords(
         rng, dim, field
     )
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(x, field)
-    inst["y"] = Vector._computed(y, field)
-    inst["pair"] = ScalarPair(lo, hi)
-    return inst
+    return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field), pair=ScalarPair(lo, hi))
 
 
-def _sample_real_range_instance(theorem, rng, dim, field, adversarial):
-    """Real pair 0 < m < M against y; Re<x,y> stays >= 0 for the strict triangle form."""
+def _sample_real_range(theorem, rng, dim, field, adversarial, capped=False):
+    """Real pair 0 < m < M against y; capped=True keeps Re<x,y> >= 0 when
+    adversarial (the strict triangle form)."""
     y = _nonzero_coords(rng, dim, field)
     ny = _array_norm(y)
     m = _radius(rng, 0.05, 2.0)
-    if theorem == "legacy1.8" and adversarial:
+    if capped and adversarial:
         dfrac = float(rng.uniform(0.05, 0.5))
         M = m * (1.0 + dfrac)
         cap = 0.9 * (M + m) / (M - m)
@@ -482,17 +487,13 @@ def _sample_real_range_instance(theorem, rng, dim, field, adversarial):
     mid = 0.5 * (m + M)
     radius = 0.5 * (M - m) * ny
     x = mid * y + t * radius * _unit_coords(rng, dim, field)
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(x, field)
-    inst["y"] = Vector._computed(y, field)
-    inst["m"] = m
-    inst["M"] = M
-    return inst
+    return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field), m=m, M=M)
 
 
-def _sample_gruss_ball_instance(theorem, rng, dim, field, adversarial):
+def _sample_gruss_ball(theorem, rng, dim, field, adversarial, unit_radii=False):
+    """unit_radii=True draws r1, r2 below 1 (the squared-level legacy form)."""
     e = _unit_coords(rng, dim, field)
-    if theorem == "legacy1.10":
+    if unit_radii:
         r1 = float(rng.uniform(0.05, 0.95))
         r2 = float(rng.uniform(0.05, 0.95))
     elif adversarial:
@@ -501,20 +502,14 @@ def _sample_gruss_ball_instance(theorem, rng, dim, field, adversarial):
         r1, r2 = _radius(rng), _radius(rng)
     x = e + _frac(rng, adversarial) * r1 * _unit_coords(rng, dim, field)
     y = e + _frac(rng, adversarial) * r2 * _unit_coords(rng, dim, field)
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(x, field)
-    inst["y"] = Vector._computed(y, field)
-    inst["e"] = Vector._computed(e, field)
-    inst["r1"] = r1
-    inst["r2"] = r2
-    return inst
+    x, y, e = _vec(x, field), _vec(y, field), _vec(e, field)
+    return _instance(theorem, field, x=x, y=y, e=e, r1=r1, r2=r2)
 
 
-def _sample_gruss_pair_instance(theorem, rng, dim, field, adversarial):
+def _sample_gruss_pair(theorem, rng, dim, field, adversarial, positive_real=False):
     e = _unit_coords(rng, dim, field)
-    positive = theorem == "legacy1.13"
-    lo_x, hi_x = _sample_pair(rng, field, positive_real=positive)
-    lo_y, hi_y = _sample_pair(rng, field, positive_real=positive)
+    lo_x, hi_x = _sample_pair(rng, field, positive_real=positive_real)
+    lo_y, hi_y = _sample_pair(rng, field, positive_real=positive_real)
 
     def point(lo, hi):
         mid = (complex(lo) + complex(hi)) / 2.0
@@ -523,54 +518,42 @@ def _sample_gruss_pair_instance(theorem, rng, dim, field, adversarial):
         c = mid if field is FieldTag.COMPLEX else mid.real
         return c * e + t * radius * _unit_coords(rng, dim, field)
 
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(point(lo_x, hi_x), field)
-    inst["y"] = Vector._computed(point(lo_y, hi_y), field)
-    inst["e"] = Vector._computed(e, field)
-    inst["pair_x"] = ScalarPair(lo_x, hi_x)
-    inst["pair_y"] = ScalarPair(lo_y, hi_y)
-    return inst
+    x, y = _vec(point(lo_x, hi_x), field), _vec(point(lo_y, hi_y), field)
+    pair_x, pair_y = ScalarPair(lo_x, hi_x), ScalarPair(lo_y, hi_y)
+    return _instance(theorem, field, x=x, y=y, e=_vec(e, field), pair_x=pair_x, pair_y=pair_y)
 
 
 def _family_size(dim: int) -> int:
     return dim - 1 if dim >= 2 else 1
 
 
-def _sample_bessel_ball_instance(theorem, rng, dim, field, adversarial):
+def _sample_bessel_ball(theorem, rng, dim, field, adversarial, restrict=False):
+    """restrict=True keeps r < ||lam|| (strict form)."""
     k = _family_size(dim)
     lam = _nonzero_coords(rng, k, field)
     lam_norm = _array_norm(lam)
-    if theorem == "legacy1.18":
+    if restrict:
         r = float(rng.uniform(0.05, 0.95)) * lam_norm
     else:
         r = _radius(rng)
     center = np.zeros(dim, dtype=field.dtype)
     center[:k] = lam
     x = center + _frac(rng, adversarial) * r * _unit_coords(rng, dim, field)
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(x, field)
-    inst["size"] = k
-    inst["lam"] = CoefficientSequence._computed(lam, field)
-    inst["r"] = r
-    return inst
+    return _instance(theorem, field, x=_vec(x, field), size=k, lam=_seq(lam, field), r=r)
 
 
-def _sample_bessel_pair_instance(theorem, rng, dim, field, adversarial):
+def _sample_bessel_pair(theorem, rng, dim, field, adversarial, positive_sum=False):
     k = _family_size(dim)
-    lo, hi = _sample_seq_pair(rng, field, k, positive_sum=(theorem == "legacy1.20"))
+    lo, hi = _sample_seq_pair(rng, field, k, positive_sum=positive_sum)
     center = np.zeros(dim, dtype=field.dtype)
     center[:k] = 0.5 * (lo + hi)
     radius = 0.5 * _array_norm(hi - lo)
     x = center + _frac(rng, adversarial) * radius * _unit_coords(rng, dim, field)
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(x, field)
-    inst["size"] = k
-    inst["gammas"] = CoefficientSequence._computed(lo, field)
-    inst["Gammas"] = CoefficientSequence._computed(hi, field)
-    return inst
+    x, gammas, Gammas = _vec(x, field), _seq(lo, field), _seq(hi, field)
+    return _instance(theorem, field, x=x, size=k, gammas=gammas, Gammas=Gammas)
 
 
-def _sample_family_gruss_ball_instance(theorem, rng, dim, field, adversarial):
+def _sample_family_gruss_ball(theorem, rng, dim, field, adversarial):
     k = _family_size(dim)
     lam = _nonzero_coords(rng, k, field)
     mu = _nonzero_coords(rng, k, field)
@@ -584,18 +567,12 @@ def _sample_family_gruss_ball_instance(theorem, rng, dim, field, adversarial):
         center[:k] = coeffs
         return center + _frac(rng, adversarial) * r * _unit_coords(rng, dim, field)
 
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(point(lam, r1), field)
-    inst["y"] = Vector._computed(point(mu, r2), field)
-    inst["size"] = k
-    inst["lam"] = CoefficientSequence._computed(lam, field)
-    inst["mu"] = CoefficientSequence._computed(mu, field)
-    inst["r1"] = r1
-    inst["r2"] = r2
-    return inst
+    x, y = _vec(point(lam, r1), field), _vec(point(mu, r2), field)
+    lam, mu = _seq(lam, field), _seq(mu, field)
+    return _instance(theorem, field, x=x, y=y, size=k, lam=lam, mu=mu, r1=r1, r2=r2)
 
 
-def _sample_family_gruss_pair_instance(theorem, rng, dim, field, adversarial):
+def _sample_family_gruss_pair(theorem, rng, dim, field, adversarial):
     k = _family_size(dim)
     lo_x, hi_x = _sample_seq_pair(rng, field, k)
     lo_y, hi_y = _sample_seq_pair(rng, field, k)
@@ -606,15 +583,14 @@ def _sample_family_gruss_pair_instance(theorem, rng, dim, field, adversarial):
         radius = 0.5 * _array_norm(hi - lo)
         return center + _frac(rng, adversarial) * radius * _unit_coords(rng, dim, field)
 
-    inst = _base(theorem, field)
-    inst["x"] = Vector._computed(point(lo_x, hi_x), field)
-    inst["y"] = Vector._computed(point(lo_y, hi_y), field)
-    inst["size"] = k
-    inst["gammas_x"] = CoefficientSequence._computed(lo_x, field)
-    inst["Gammas_x"] = CoefficientSequence._computed(hi_x, field)
-    inst["phis_y"] = CoefficientSequence._computed(lo_y, field)
-    inst["Phis_y"] = CoefficientSequence._computed(hi_y, field)
-    return inst
+    x, y = _vec(point(lo_x, hi_x), field), _vec(point(lo_y, hi_y), field)
+    seqs = {
+        "gammas_x": _seq(lo_x, field),
+        "Gammas_x": _seq(hi_x, field),
+        "phis_y": _seq(lo_y, field),
+        "Phis_y": _seq(hi_y, field),
+    }
+    return _instance(theorem, field, x=x, y=y, size=k, **seqs)
 
 
 def _default_domain() -> WeightedDomain:
@@ -636,22 +612,17 @@ def _scaled_perturbation(rng, deg, field, nodes, limit) -> np.ndarray:
     return p * (limit / m)
 
 
-def _sample_integral_ball_instance(theorem, rng, dim, field, adversarial):
+def _sample_integral_ball(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
     g = _rand_poly(rng, 3, field)
     r = _radius(rng)
     t = _frac(rng, adversarial)
     delta = _scaled_perturbation(rng, 3, field, dom.nodes, t * r)
     f = np.polynomial.polynomial.polyadd(g, delta)
-    inst = _base(theorem, field)
-    inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": f}
-    inst["g"] = {"poly": g}
-    inst["r"] = r
-    return inst
+    return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, f={"poly": f}, g={"poly": g}, r=r)
 
 
-def _sample_integral_pair_instance(theorem, rng, dim, field, adversarial):
+def _sample_integral_pair(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
     g = _rand_poly(rng, 2, field)
     lo, hi = _sample_pair(rng, field)
@@ -661,15 +632,11 @@ def _sample_integral_pair_instance(theorem, rng, dim, field, adversarial):
     mid_c = mid if field is FieldTag.COMPLEX else mid.real
     factor = np.polynomial.polynomial.polyadd(np.array([mid_c]), q)
     f = np.polynomial.polynomial.polymul(factor, g)
-    inst = _base(theorem, field)
-    inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": f}
-    inst["g"] = {"poly": g}
-    inst["pair"] = ScalarPair(lo, hi)
-    return inst
+    f, g = {"poly": f}, {"poly": g}
+    return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, f=f, g=g, pair=ScalarPair(lo, hi))
 
 
-def _sample_integral_range_instance(theorem, rng, dim, field, adversarial):
+def _sample_integral_range(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
     q = _rand_poly(rng, 2, FieldTag.REAL)
     g = np.polynomial.polynomial.polymul(q, q)
@@ -680,16 +647,11 @@ def _sample_integral_range_instance(theorem, rng, dim, field, adversarial):
     q2 = _scaled_perturbation(rng, 2, FieldTag.REAL, dom.nodes, t * 0.5 * (M - m))
     factor = np.polynomial.polynomial.polyadd(np.array([0.5 * (m + M)]), q2)
     f = np.polynomial.polynomial.polymul(factor, g)
-    inst = _base(theorem, FieldTag.REAL)
-    inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": f}
-    inst["g"] = {"poly": g}
-    inst["m"] = m
-    inst["M"] = M
-    return inst
+    f, g = {"poly": f}, {"poly": g}
+    return _instance(theorem, FieldTag.REAL, domain=DEFAULT_DOMAIN_SPEC, f=f, g=g, m=m, M=M)
 
 
-def _sample_integral_gruss_instance(theorem, rng, dim, field, adversarial):
+def _sample_integral_gruss(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
     h0 = _rand_poly(rng, 2, field)
     nh = dom.norm(dom.discretize(np.polynomial.polynomial.polyval(dom.nodes, h0), field))
@@ -712,47 +674,14 @@ def _sample_integral_gruss_instance(theorem, rng, dim, field, adversarial):
 
     f, lo_f, hi_f = side(adversarial)
     g, lo_g, hi_g = side(False)
-    inst = _base(theorem, field)
-    inst["domain"] = DEFAULT_DOMAIN_SPEC
-    inst["f"] = {"poly": f}
-    inst["g"] = {"poly": g}
-    inst["h"] = {"poly": h}
-    inst["pair_f"] = ScalarPair(lo_f, hi_f)
-    inst["pair_g"] = ScalarPair(lo_g, hi_g)
-    return inst
-
-
-_SAMPLERS: dict[str, Callable] = {
-    "thm2.1": lambda *a: _sample_ball_instance("thm2.1", *a),
-    "prop2.3": lambda *a: _sample_ball_instance("prop2.3", *a),
-    "thm2.2": lambda *a: _sample_two_sided_instance("thm2.2", *a),
-    "prop2.4": lambda *a: _sample_real_range_instance("prop2.4", *a),
-    "thm4.1": lambda *a: _sample_gruss_ball_instance("thm4.1", *a),
-    "thm4.2": lambda *a: _sample_gruss_ball_instance("thm4.2", *a),
-    "thm4.3": lambda *a: _sample_gruss_pair_instance("thm4.3", *a),
-    "thm4.4": lambda *a: _sample_gruss_pair_instance("thm4.4", *a),
-    "thm5.1": lambda *a: _sample_bessel_ball_instance("thm5.1", *a),
-    "thm5.2": lambda *a: _sample_bessel_pair_instance("thm5.2", *a),
-    "thm6.1": lambda *a: _sample_family_gruss_ball_instance("thm6.1", *a),
-    "thm6.2": lambda *a: _sample_family_gruss_pair_instance("thm6.2", *a),
-    "legacy1.1": lambda *a: _sample_ball_instance("legacy1.1", *a, restrict=True),
-    "legacy1.3": lambda *a: _sample_two_sided_instance("legacy1.3", *a),
-    "legacy1.7": lambda *a: _sample_ball_instance("legacy1.7", *a, restrict=True),
-    "legacy1.8": lambda *a: _sample_real_range_instance("legacy1.8", *a),
-    "legacy1.10": lambda *a: _sample_gruss_ball_instance("legacy1.10", *a),
-    "legacy1.13": lambda *a: _sample_gruss_pair_instance("legacy1.13", *a),
-    "legacy1.18": lambda *a: _sample_bessel_ball_instance("legacy1.18", *a),
-    "legacy1.20": lambda *a: _sample_bessel_pair_instance("legacy1.20", *a),
-    "prop7.1": lambda *a: _sample_integral_ball_instance("prop7.1", *a),
-    "prop7.2": lambda *a: _sample_integral_pair_instance("prop7.2", *a),
-    "prop7.11": lambda *a: _sample_integral_range_instance("prop7.11", *a),
-    "prop7.12": lambda *a: _sample_integral_range_instance("prop7.12", *a),
-    "prop7.3": lambda *a: _sample_integral_gruss_instance("prop7.3", *a),
-}
+    funcs = {"f": {"poly": f}, "g": {"poly": g}, "h": {"poly": h}}
+    pairs = {"pair_f": ScalarPair(lo_f, hi_f), "pair_g": ScalarPair(lo_g, hi_g)}
+    return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, **funcs, **pairs)
 
 
 # ---------------------------------------------------------------------------
-# Evaluators.
+# Result adapters: an operation's report as an InstanceResult.  `head` is
+# (theorem, field, dim).
 
 
 def _chain_comparisons(chain: BoundChain) -> list:
@@ -773,26 +702,25 @@ def _intermediate_comparisons(report) -> list:
     ]
 
 
-def _result_from_chain(inst, chain: BoundChain, gap_index: int) -> InstanceResult:
+def _result_from_chain(head, chain: BoundChain, gap_index: int, additive=False):
+    """Every link is compared; the headline pair comes from the additive chain
+    when `additive` (legacy1.3), else from the chain itself."""
     rep = chain.admissibility
+    headline = chain.additive if additive else chain
     return InstanceResult(
-        theorem=inst["theorem"],
-        field=inst["field"],
-        dim=_inst_dim(inst),
+        *head,
         admissible=rep.holds,
         margin=rep.margin,
-        gap=chain.values[gap_index],
-        bound=chain.values[-1],
+        gap=headline.values[gap_index],
+        bound=headline.values[-1],
         comparisons=tuple(_chain_comparisons(chain)),
     )
 
 
-def _result_from_defect(inst, defect) -> InstanceResult:
+def _result_from_defect(head, defect) -> InstanceResult:
     rep = defect.admissibility
     return InstanceResult(
-        theorem=inst["theorem"],
-        field=inst["field"],
-        dim=_inst_dim(inst),
+        *head,
         admissible=rep.holds,
         margin=rep.margin,
         gap=defect.defect,
@@ -801,7 +729,7 @@ def _result_from_defect(inst, defect) -> InstanceResult:
     )
 
 
-def _result_from_gruss(inst, report, ordered: bool) -> InstanceResult:
+def _result_from_gruss(head, report, ordered: bool) -> InstanceResult:
     comps = [("gap", report.gap, label, value) for label, value in report.bounds]
     if ordered and len(report.bounds) == 2:
         (l0, v0), (l1, v1) = report.bounds
@@ -809,9 +737,7 @@ def _result_from_gruss(inst, report, ordered: bool) -> InstanceResult:
     comps.extend(_intermediate_comparisons(report))
     margins = [rep.margin for rep in report.admissibility]
     return InstanceResult(
-        theorem=inst["theorem"],
-        field=inst["field"],
-        dim=_inst_dim(inst),
+        *head,
         admissible=report.admissible,
         margin=min(margins),
         gap=report.gap,
@@ -820,7 +746,7 @@ def _result_from_gruss(inst, report, ordered: bool) -> InstanceResult:
     )
 
 
-def _result_from_bessel(inst, report, dim) -> InstanceResult:
+def _result_from_bessel(head, report) -> InstanceResult:
     comps = []
     if report.chain is not None:
         comps.extend(_chain_comparisons(report.chain))
@@ -829,9 +755,7 @@ def _result_from_bessel(inst, report, dim) -> InstanceResult:
     comps.append(("gap", report.gap, "bound", report.bound))
     rep = report.admissibility
     return InstanceResult(
-        theorem=inst["theorem"],
-        field=inst["field"],
-        dim=dim,
+        *head,
         admissible=rep.holds,
         margin=rep.margin,
         gap=report.gap,
@@ -840,257 +764,205 @@ def _result_from_bessel(inst, report, dim) -> InstanceResult:
     )
 
 
-def _inst_dim(inst) -> int:
-    if "domain" in inst:
-        rule = inst["domain"].get("rule", {}) if isinstance(inst["domain"], dict) else {}
-        return int(rule.get("n", 64))
-    x = inst["x"]
-    return x.dim if isinstance(x, Vector) else len(x)
+# ---------------------------------------------------------------------------
+# The registry.
 
 
-def _field_of(inst) -> FieldTag:
-    return FieldTag.parse(inst["field"])
+class _Decoding:
+    """One decoder per parameter kind, and what later parameters depend on:
+    the field, the record's dim and the domain functions are discretized on."""
+
+    __slots__ = ("field", "dim", "dom")
+
+    def __init__(self, field: FieldTag):
+        self.field = field
+        self.dim = None
+        self.dom = None
+
+    def vector(self, obj) -> Vector:
+        if isinstance(obj, Vector):
+            x = _same_field(obj, self.field)
+        elif isinstance(obj, (list, tuple)):
+            x = vector([_dec_scalar(v) for v in obj], self.field)
+        else:
+            raise InputFormatError(f"expected a coordinate list, got {obj!r}")
+        if self.dim is None:
+            self.dim = x.dim
+        return x
+
+    def seq(self, obj) -> CoefficientSequence:
+        if isinstance(obj, CoefficientSequence):
+            return _same_field(obj, self.field)
+        if not isinstance(obj, (list, tuple)):
+            raise InputFormatError(f"expected a coefficient list, got {obj!r}")
+        return coefficients([_dec_scalar(v) for v in obj], self.field)
+
+    def pair(self, obj) -> ScalarPair:
+        return _dec_pair(obj)
+
+    def real(self, obj) -> float:
+        return _dec_real(obj)
+
+    def count(self, obj) -> OrthonormalFamily:
+        return _family(self.field, self.dim, _dec_count(obj))
+
+    def domain(self, obj) -> WeightedDomain:
+        self.dom = _dec_domain(obj)
+        self.dim = self.dom.size
+        return self.dom
+
+    def function(self, obj) -> DiscretizedFunction:
+        return _dec_function(obj, self.dom, self.field)
 
 
-def _eval_thm21(inst):
-    field = _field_of(inst)
-    chain = reverse_schwarz_ball(
-        _dec_vector(inst["x"], field), _dec_vector(inst["a"], field), float(inst["r"])
-    )
-    return _result_from_chain(inst, chain, gap_index=3)
+@dataclass(frozen=True)
+class TheoremSpec:
+    """Schema, sampler, operation and result adapter of one theorem id."""
+
+    params: tuple[tuple[str, str], ...]
+    sampler: Callable
+    operation: str
+    adapter: Callable
+    options: dict = dc_field(default_factory=dict)
+    real_only: bool = False
+    steps: tuple = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        steps = [(i, key, getattr(_Decoding, kind)) for i, (key, kind) in enumerate(self.params)]
+        # the domain first: functions are discretized on its nodes
+        steps.sort(key=lambda step: step[2] is not _Decoding.domain)
+        object.__setattr__(self, "steps", tuple(steps))
 
 
-def _eval_prop23(inst):
-    field = _field_of(inst)
-    defect = triangle_reverse_ball(
-        _dec_vector(inst["x"], field), _dec_vector(inst["a"], field), float(inst["r"])
-    )
-    return _result_from_defect(inst, defect)
+_BALL = (("x", "vector"), ("a", "vector"), ("r", "real"))
+_TWO_SIDED = (("x", "vector"), ("y", "vector"), ("pair", "pair"))
+_RANGE = (("x", "vector"), ("y", "vector"), ("m", "real"), ("M", "real"))
+_GRUSS = (("x", "vector"), ("y", "vector"), ("e", "vector"))
+_GRUSS_BALL = _GRUSS + (("r1", "real"), ("r2", "real"))
+_GRUSS_PAIR = _GRUSS + (("pair_x", "pair"), ("pair_y", "pair"))
+_BESSEL_BALL = (("x", "vector"), ("size", "count"), ("lam", "seq"), ("r", "real"))
+_BESSEL_PAIR = (("x", "vector"), ("size", "count"), ("gammas", "seq"), ("Gammas", "seq"))
+_FAMILY = (("x", "vector"), ("y", "vector"), ("size", "count"))
+_FAMILY_BALL = _FAMILY + (("lam", "seq"), ("mu", "seq"), ("r1", "real"), ("r2", "real"))
+_FAMILY_PAIR = _FAMILY + (
+    ("gammas_x", "seq"), ("Gammas_x", "seq"), ("phis_y", "seq"), ("Phis_y", "seq")
+)
+_INTEGRAL = (("f", "function"), ("g", "function"))
+_INTEGRAL_BALL = _INTEGRAL + (("domain", "domain"), ("r", "real"))
+_INTEGRAL_PAIR = _INTEGRAL + (("domain", "domain"), ("pair", "pair"))
+_INTEGRAL_RANGE = _INTEGRAL + (("domain", "domain"), ("m", "real"), ("M", "real"))
+_INTEGRAL_GRUSS = _INTEGRAL + (
+    ("h", "function"), ("domain", "domain"), ("pair_f", "pair"), ("pair_g", "pair")
+)
 
 
-def _eval_thm22(inst):
-    field = _field_of(inst)
-    chain = reverse_schwarz_pair(
-        _dec_vector(inst["x"], field), _dec_vector(inst["y"], field), _dec_pair(inst["pair"])
-    )
-    return _result_from_chain(inst, chain, gap_index=3)
+def _chain(gap_index: int, additive: bool = False) -> Callable:
+    return partial(_result_from_chain, gap_index=gap_index, additive=additive)
 
 
-def _eval_prop24(inst):
-    field = _field_of(inst)
-    defect = triangle_reverse_pair(
-        _dec_vector(inst["x"], field),
-        _dec_vector(inst["y"], field),
-        float(inst["m"]),
-        float(inst["M"]),
-    )
-    return _result_from_defect(inst, defect)
+_CHAIN = _chain(3)
+_DEFECT = _result_from_defect
+_BESSEL = _result_from_bessel
+_UNORDERED = partial(_result_from_gruss, ordered=False)
+_ORDERED = partial(_result_from_gruss, ordered=True)
 
-
-def _eval_gruss(inst, op, ordered):
-    field = _field_of(inst)
-    report = op(
-        _dec_vector(inst["x"], field),
-        _dec_vector(inst["y"], field),
-        _dec_vector(inst["e"], field),
-        float(inst["r1"]) if "r1" in inst else _dec_pair(inst["pair_x"]),
-        float(inst["r2"]) if "r2" in inst else _dec_pair(inst["pair_y"]),
-    )
-    return _result_from_gruss(inst, report, ordered)
-
-
-def _eval_bessel_ball(inst, op):
-    field = _field_of(inst)
-    x = _dec_vector(inst["x"], field)
-    fam = _family(field, x.dim, int(inst["size"]))
-    report = op(x, fam, _dec_seq(inst["lam"], field), float(inst["r"]))
-    return _result_from_bessel(inst, report, x.dim)
-
-
-def _eval_bessel_pair(inst, op):
-    field = _field_of(inst)
-    x = _dec_vector(inst["x"], field)
-    fam = _family(field, x.dim, int(inst["size"]))
-    report = op(x, fam, _dec_seq(inst["gammas"], field), _dec_seq(inst["Gammas"], field))
-    return _result_from_bessel(inst, report, x.dim)
-
-
-def _eval_thm61(inst):
-    field = _field_of(inst)
-    x = _dec_vector(inst["x"], field)
-    fam = _family(field, x.dim, int(inst["size"]))
-    report = gruss_orthonormal_ball(
-        x,
-        _dec_vector(inst["y"], field),
-        fam,
-        _dec_seq(inst["lam"], field),
-        _dec_seq(inst["mu"], field),
-        float(inst["r1"]),
-        float(inst["r2"]),
-    )
-    return _result_from_gruss(inst, report, ordered=True)
-
-
-def _eval_thm62(inst):
-    field = _field_of(inst)
-    x = _dec_vector(inst["x"], field)
-    fam = _family(field, x.dim, int(inst["size"]))
-    report = gruss_orthonormal_pair(
-        x,
-        _dec_vector(inst["y"], field),
-        fam,
-        _dec_seq(inst["gammas_x"], field),
-        _dec_seq(inst["Gammas_x"], field),
-        _dec_seq(inst["phis_y"], field),
-        _dec_seq(inst["Phis_y"], field),
-    )
-    return _result_from_gruss(inst, report, ordered=True)
-
-
-def _eval_integral_chain(inst, which):
-    field = _field_of(inst)
-    dom = _dec_domain(inst["domain"])
-    f = _dec_function(inst["f"], dom, field)
-    g = _dec_function(inst["g"], dom, field)
-    if which == "ball":
-        chain = integral_schwarz_ball(f, g, dom, float(inst["r"]))
-        return _result_from_chain(inst, chain, gap_index=3)
-    if which == "pair":
-        chain = integral_schwarz_pair(f, g, dom, _dec_pair(inst["pair"]))
-        return _result_from_chain(inst, chain, gap_index=3)
-    chain = integral_schwarz_range(f, g, dom, float(inst["m"]), float(inst["M"]))
-    return _result_from_chain(inst, chain, gap_index=1)
-
-
-def _eval_prop712(inst):
-    field = _field_of(inst)
-    dom = _dec_domain(inst["domain"])
-    defect = integral_triangle(
-        _dec_function(inst["f"], dom, field),
-        _dec_function(inst["g"], dom, field),
-        dom,
-        float(inst["m"]),
-        float(inst["M"]),
-    )
-    return _result_from_defect(inst, defect)
-
-
-def _eval_prop73(inst):
-    field = _field_of(inst)
-    dom = _dec_domain(inst["domain"])
-    report = integral_gruss(
-        _dec_function(inst["f"], dom, field),
-        _dec_function(inst["g"], dom, field),
-        _dec_function(inst["h"], dom, field),
-        dom,
-        _dec_pair(inst["pair_f"]),
-        _dec_pair(inst["pair_g"]),
-    )
-    return _result_from_gruss(inst, report, ordered=False)
-
-
-def _eval_legacy13(inst):
-    field = _field_of(inst)
-    chain = legacy_schwarz_pair(
-        _dec_vector(inst["x"], field), _dec_vector(inst["y"], field), _dec_pair(inst["pair"])
-    )
-    rep = chain.admissibility
-    comps = _chain_comparisons(chain)
-    return InstanceResult(
-        theorem=inst["theorem"],
-        field=inst["field"],
-        dim=_inst_dim(inst),
-        admissible=rep.holds,
-        margin=rep.margin,
-        gap=chain.additive.values[1],
-        bound=chain.additive.values[2],
-        comparisons=tuple(comps),
-    )
-
-
-def _eval_legacy11(inst):
-    field = _field_of(inst)
-    chain = legacy_schwarz_ball(
-        _dec_vector(inst["x"], field), _dec_vector(inst["a"], field), float(inst["r"])
-    )
-    return _result_from_chain(inst, chain, gap_index=2)
-
-
-def _eval_legacy17(inst):
-    field = _field_of(inst)
-    defect = legacy_triangle_ball(
-        _dec_vector(inst["x"], field), _dec_vector(inst["a"], field), float(inst["r"])
-    )
-    return _result_from_defect(inst, defect)
-
-
-def _eval_legacy18(inst):
-    field = _field_of(inst)
-    defect = legacy_triangle_pair(
-        _dec_vector(inst["x"], field),
-        _dec_vector(inst["y"], field),
-        float(inst["m"]),
-        float(inst["M"]),
-    )
-    return _result_from_defect(inst, defect)
-
-
-def _eval_legacy110(inst):
-    field = _field_of(inst)
-    report = legacy_gruss_ball(
-        _dec_vector(inst["x"], field),
-        _dec_vector(inst["y"], field),
-        _dec_vector(inst["e"], field),
-        float(inst["r1"]),
-        float(inst["r2"]),
-    )
-    return _result_from_gruss(inst, report, ordered=False)
-
-
-def _eval_legacy113(inst):
-    field = _field_of(inst)
-    report = legacy_gruss_pair(
-        _dec_vector(inst["x"], field),
-        _dec_vector(inst["y"], field),
-        _dec_vector(inst["e"], field),
-        _dec_pair(inst["pair_x"]),
-        _dec_pair(inst["pair_y"]),
-    )
-    return _result_from_gruss(inst, report, ordered=False)
-
-
-_EVALUATORS: dict[str, Callable] = {
-    "thm2.1": _eval_thm21,
-    "thm2.2": _eval_thm22,
-    "prop2.3": _eval_prop23,
-    "prop2.4": _eval_prop24,
-    "thm4.1": lambda inst: _eval_gruss(inst, gruss_ball, ordered=False),
-    "thm4.2": lambda inst: _eval_gruss(inst, gruss_ball_refined, ordered=False),
-    "thm4.3": lambda inst: _eval_gruss(inst, gruss_pair, ordered=True),
-    "thm4.4": lambda inst: _eval_gruss(inst, gruss_pair_refined, ordered=False),
-    "thm5.1": lambda inst: _eval_bessel_ball(inst, bessel_reverse_ball),
-    "thm5.2": lambda inst: _eval_bessel_pair(inst, bessel_reverse_pair),
-    "thm6.1": _eval_thm61,
-    "thm6.2": _eval_thm62,
-    "legacy1.1": _eval_legacy11,
-    "legacy1.3": _eval_legacy13,
-    "legacy1.7": _eval_legacy17,
-    "legacy1.8": _eval_legacy18,
-    "legacy1.10": _eval_legacy110,
-    "legacy1.13": _eval_legacy113,
-    "legacy1.18": lambda inst: _eval_bessel_ball(inst, legacy_bessel_ball),
-    "legacy1.20": lambda inst: _eval_bessel_pair(inst, legacy_bessel_pair),
-    "prop7.1": lambda inst: _eval_integral_chain(inst, "ball"),
-    "prop7.2": lambda inst: _eval_integral_chain(inst, "pair"),
-    "prop7.11": lambda inst: _eval_integral_chain(inst, "range"),
-    "prop7.12": _eval_prop712,
-    "prop7.3": _eval_prop73,
+_SPECS: dict[str, TheoremSpec] = {
+    "thm2.1": TheoremSpec(_BALL, _sample_ball, "reverse_schwarz_ball", _CHAIN),
+    "thm2.2": TheoremSpec(_TWO_SIDED, _sample_two_sided, "reverse_schwarz_pair", _CHAIN),
+    "prop2.3": TheoremSpec(_BALL, _sample_ball, "triangle_reverse_ball", _DEFECT),
+    "prop2.4": TheoremSpec(_RANGE, _sample_real_range, "triangle_reverse_pair", _DEFECT),
+    "thm4.1": TheoremSpec(_GRUSS_BALL, _sample_gruss_ball, "gruss_ball", _UNORDERED),
+    "thm4.2": TheoremSpec(_GRUSS_BALL, _sample_gruss_ball, "gruss_ball_refined", _UNORDERED),
+    "thm4.3": TheoremSpec(_GRUSS_PAIR, _sample_gruss_pair, "gruss_pair", _ORDERED),
+    "thm4.4": TheoremSpec(_GRUSS_PAIR, _sample_gruss_pair, "gruss_pair_refined", _UNORDERED),
+    "thm5.1": TheoremSpec(_BESSEL_BALL, _sample_bessel_ball, "bessel_reverse_ball", _BESSEL),
+    "thm5.2": TheoremSpec(_BESSEL_PAIR, _sample_bessel_pair, "bessel_reverse_pair", _BESSEL),
+    "thm6.1": TheoremSpec(
+        _FAMILY_BALL, _sample_family_gruss_ball, "gruss_orthonormal_ball", _ORDERED
+    ),
+    "thm6.2": TheoremSpec(
+        _FAMILY_PAIR, _sample_family_gruss_pair, "gruss_orthonormal_pair", _ORDERED
+    ),
+    "legacy1.1": TheoremSpec(
+        _BALL, _sample_ball, "legacy_schwarz_ball", _chain(2), {"restrict": True}
+    ),
+    "legacy1.3": TheoremSpec(
+        _TWO_SIDED,
+        _sample_two_sided,
+        "legacy_schwarz_pair",
+        _chain(1, additive=True),
+        {"positive_real": True},
+    ),
+    "legacy1.7": TheoremSpec(
+        _BALL, _sample_ball, "legacy_triangle_ball", _DEFECT, {"restrict": True, "capped": True}
+    ),
+    "legacy1.8": TheoremSpec(
+        _RANGE, _sample_real_range, "legacy_triangle_pair", _DEFECT, {"capped": True}
+    ),
+    "legacy1.10": TheoremSpec(
+        _GRUSS_BALL, _sample_gruss_ball, "legacy_gruss_ball", _UNORDERED, {"unit_radii": True}
+    ),
+    "legacy1.13": TheoremSpec(
+        _GRUSS_PAIR, _sample_gruss_pair, "legacy_gruss_pair", _UNORDERED, {"positive_real": True}
+    ),
+    "legacy1.18": TheoremSpec(
+        _BESSEL_BALL, _sample_bessel_ball, "legacy_bessel_ball", _BESSEL, {"restrict": True}
+    ),
+    "legacy1.20": TheoremSpec(
+        _BESSEL_PAIR, _sample_bessel_pair, "legacy_bessel_pair", _BESSEL, {"positive_sum": True}
+    ),
+    "prop7.1": TheoremSpec(_INTEGRAL_BALL, _sample_integral_ball, "integral_schwarz_ball", _CHAIN),
+    "prop7.2": TheoremSpec(_INTEGRAL_PAIR, _sample_integral_pair, "integral_schwarz_pair", _CHAIN),
+    "prop7.11": TheoremSpec(
+        _INTEGRAL_RANGE,
+        _sample_integral_range,
+        "integral_schwarz_range",
+        _chain(1),
+        real_only=True,
+    ),
+    "prop7.12": TheoremSpec(
+        _INTEGRAL_RANGE, _sample_integral_range, "integral_triangle", _DEFECT, real_only=True
+    ),
+    "prop7.3": TheoremSpec(_INTEGRAL_GRUSS, _sample_integral_gruss, "integral_gruss", _UNORDERED),
 }
+
+#: Wire ids in canonical report order.
+THEOREM_IDS = tuple(_SPECS)
+
+#: Ids whose hypothesis is an ordering of real values.
+REAL_ONLY_IDS = frozenset(tid for tid, spec in _SPECS.items() if spec.real_only)
+
+
+def _evaluate(tid: str, inst: dict) -> InstanceResult:
+    """Decode `inst` along its theorem's schema, run the operation, adapt its report."""
+    spec = _SPECS[tid]
+    decoding = _Decoding(FieldTag.parse(inst["field"]))
+    args = [None] * len(spec.params)
+    for pos, key, decode in spec.steps:
+        try:
+            obj = inst[key]
+        except KeyError:
+            needs = ", ".join(name for _, name, _ in spec.steps)
+            raise InputFormatError(
+                f"instance for {tid} is missing key {key!r} (needs {needs})"
+            ) from None
+        try:
+            args[pos] = decode(decoding, obj)
+        except (IneqError, ValueError) as exc:
+            raise type(exc)(f"{tid} {key!r}: {exc}") from None
+    report = globals()[spec.operation](*args)
+    return spec.adapter((inst["theorem"], inst["field"], decoding.dim), report)
+
+
+# perfbench/tracing.py wraps the entries of these two tables, so `run_suite`
+# looks its sampler and evaluator up here.
+_SAMPLERS = {tid: partial(spec.sampler, tid, **spec.options) for tid, spec in _SPECS.items()}
+_EVALUATORS = {tid: partial(_evaluate, tid) for tid in _SPECS}
 
 
 def normalize_theorem_id(theorem: str) -> str:
     tid = str(theorem).strip().lower()
-    if tid not in _EVALUATORS:
+    if tid not in _SPECS:
         raise InputFormatError(
             f"unknown theorem id {theorem!r} (expected one of {', '.join(THEOREM_IDS)})"
         )
@@ -1131,10 +1003,7 @@ def evaluate_instance(inst: dict) -> InstanceResult:
     tid = normalize_theorem_id(inst["theorem"])
     if "field" not in inst:
         raise InputFormatError("instance is missing the 'field' key")
-    try:
-        return _EVALUATORS[tid](inst)
-    except KeyError as exc:
-        raise InputFormatError(f"instance for {tid} is missing key {exc.args[0]!r}")
+    return _EVALUATORS[tid](inst)
 
 
 # ---------------------------------------------------------------------------

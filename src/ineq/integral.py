@@ -34,7 +34,7 @@ from .errors import (
 from .gruss import GrussReport
 from .schwarz import BALL_LABELS, PAIR_LABELS, BoundChain
 from .space import FieldTag, Scalar, Vector, _as_coords
-from .triangle import NONNEG_CLAMP_REL, TriangleDefect
+from .triangle import TriangleDefect, _clamped_defect
 
 #: Quadrature weights must sum to 1 within this, matching the unit-mass hypothesis.
 MASS_TOL = 1e-8
@@ -315,9 +315,7 @@ def integral_triangle(
     report = pointwise_range(f, g, m, M)
     nf, ng = dom.norm(f), dom.norm(g)
     total = dom.norm(DiscretizedFunction(f.values + g.values, f.field))
-    defect = nf + ng - total
-    if -NONNEG_CLAMP_REL * (nf + ng) <= defect < 0.0:
-        defect = 0.0
+    defect = _clamped_defect(nf, ng, total)
     bound = (0.5 ** 0.5) * (M - m) / (M + m) ** 0.5 * ng
     return TriangleDefect(defect, bound, report)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import harness
 from .conditions import ScalarPair
 from .errors import PreconditionError
 from .legacy import legacy_schwarz_ball
@@ -161,8 +162,6 @@ def random_probe(
 ) -> ProbeResult:
     """Empirical sharpness floor: random sampling never exceeds the bound, and the
     maximum observed ratio lower-bounds how much of the bound is attainable."""
-    from . import harness
-
     tid = harness.normalize_theorem_id(theorem)
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")

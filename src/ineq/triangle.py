@@ -32,12 +32,17 @@ class TriangleDefect:
     admissibility: ConditionReport
 
 
-def _defect(x: Vector, other: Vector) -> float:
-    nx, no = norm(x), norm(other)
-    d = nx + no - norm(x + other)
-    if -NONNEG_CLAMP_REL * (nx + no) <= d < 0.0:
+def _clamped_defect(n1: float, n2: float, n_sum: float) -> float:
+    """n1 + n2 - n_sum for norms n1, n2 and the norm of their sum, with the
+    rounding noise in [-NONNEG_CLAMP_REL * (n1 + n2), 0) clamped to 0."""
+    d = n1 + n2 - n_sum
+    if -NONNEG_CLAMP_REL * (n1 + n2) <= d < 0.0:
         d = 0.0
     return d
+
+
+def _defect(x: Vector, other: Vector) -> float:
+    return _clamped_defect(norm(x), norm(other), norm(x + other))
 
 
 def triangle_reverse_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:

@@ -1,5 +1,6 @@
 """Command line entry points."""
 
+import hashlib
 import json
 
 import pytest
@@ -172,3 +173,66 @@ def test_eval_overflow_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("ineq: instance 0: ") and "Traceback" not in err
+
+
+_PROP71 = {
+    "theorem": "prop7.1",
+    "field": "real",
+    "domain": {"rule": {"kind": "gauss", "n": 8}},
+    "f": {"poly": [1.0, 0.5]},
+    "g": {"poly": [1.0]},
+    "r": 1.0,
+}
+
+
+def _thm51(**changes):
+    return dict(sample_admissible("thm5.1", "real", 3, seed=0), **changes)
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        (dict(_PROP71, domain={"rule": "gauss"}), "prop7.1 'domain': rule: expected an object"),
+        (dict(_PROP71, domain={"rule": ["gauss", 8]}), "prop7.1 'domain': rule: expected"),
+        (dict(_PROP71, domain={"rule": {"n": 8.9}}), "prop7.1 'domain': rule.n: expected an"),
+        (dict(_PROP71, f={"poly": []}), "prop7.1 'f': expected a non-empty list, got []"),
+        (dict(_PROP71, f={"values": []}), "prop7.1 'f': expected a non-empty list, got []"),
+        (dict(_PROP71, r="1.5"), "prop7.1 'r': expected a number, got '1.5'"),
+        (dict(_PROP71, r=True), "prop7.1 'r': expected a number, got True"),
+        (_thm51(size=2.7), "thm5.1 'size': expected an integer, got 2.7"),
+        (_thm51(size="2"), "thm5.1 'size': expected an integer, got '2'"),
+        (_thm51(size=True), "thm5.1 'size': expected an integer, got True"),
+    ],
+    ids=[
+        "rule-string", "rule-list", "rule-n-fraction", "empty-poly", "empty-values",
+        "r-string", "r-bool", "size-fraction", "size-string", "size-bool",
+    ],
+)
+def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, message):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"instances": [instance]}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "eval", "--input", str(src))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"ineq: instance 0: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+#: sha256 of the stdout of `ineq verify --trials 40 --dims 1,2,3,8,16 --seed S
+#: [--adversarial]`.  A change that alters these bytes on purpose updates them
+#: and says why in CHANGES.md.
+VERIFY_SHA256 = {
+    (0, False): "d4a602c4ee95ea208dd9d6720916cab316f9268b9f3adc87221c721a2950efe9",
+    (0, True): "c444e34ca546f91e0e2349eab67a0da6ea4e0a61021436e5151f9a460f5291c8",
+    (1, False): "ace251bb090b63b627ffdeebfffd229ad286ebe92e5476e6dd66cad48fc05c98",
+    (1, True): "eba8fa0d334b26cad98726e8c6b3cb0a5ddf332070a215707dc1489bff9a8f1e",
+    (7, False): "798e32b5ca3ca55ce3239a22244ca2b8a85622e98a9f06f305b8ece84fe67ec7",
+    (7, True): "c5042e01d548a0027da2e4272164ece9d9514d6da409d5cba7b1b7f86e450e8e",
+}
+
+
+@pytest.mark.parametrize("seed, adversarial", sorted(VERIFY_SHA256))
+def test_verify_stdout_is_pinned(capsys, seed, adversarial):
+    argv = ["verify", "--trials", "40", "--dims", "1,2,3,8,16", "--seed", str(seed)]
+    rc, out, err = run_cli(capsys, *argv, *(["--adversarial"] if adversarial else []))
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_SHA256[seed, adversarial]

@@ -17,7 +17,8 @@ from ineq import (
     sample_admissible,
     vector,
 )
-from ineq.harness import CSV_COLUMNS, REAL_ONLY_IDS, normalize_theorem_id
+from ineq import harness
+from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, normalize_theorem_id
 
 
 def test_theorem_catalog():
@@ -230,3 +231,91 @@ def test_emit_report_json_and_csv(tmp_path):
         emit_report(bare, str(cpath), "csv")
     with pytest.raises(InputFormatError):
         emit_report(rep, str(cpath), "xml")
+
+
+def test_registry_is_the_one_source_of_ids_samplers_and_schemas():
+    assert THEOREM_IDS == tuple(_SPECS)
+    assert REAL_ONLY_IDS == {"prop7.11", "prop7.12"}
+    for tid, spec in _SPECS.items():
+        doc = sample_admissible(tid, "real", 3, seed=0)
+        decode_order = [key for _, key, _ in spec.steps]
+        assert list(doc) == ["theorem", "field", *decode_order, "seed"], tid
+        assert callable(getattr(harness, spec.operation)), tid
+
+
+#: (kind, theorem, key, value): a bool, a string or an int beyond double range
+#: where a number belongs, or a number that is not integral where a count belongs.
+BAD_NUMBERS = [
+    ("vector", "thm2.1", "x", ["1.5", 0.0]),
+    ("vector", "thm2.1", "x", [{"re": "1", "im": 0.0}, 0.0]),
+    ("vector", "thm2.1", "x", [10**400, 0.0]),
+    ("seq", "thm5.1", "lam", [True, 0.0]),
+    ("pair", "thm2.2", "pair", {"lo": "1", "hi": 2.0}),
+    ("real", "thm2.1", "r", "1.5"),
+    ("real", "thm2.1", "r", True),
+    ("real", "thm2.1", "r", None),
+    ("real", "thm2.1", "r", 10**400),
+    ("count", "thm5.1", "size", 2.7),
+    ("count", "thm5.1", "size", "2"),
+    ("count", "thm5.1", "size", True),
+    ("domain", "prop7.1", "domain", {"rule": {"n": 8.9}}),
+    ("domain", "prop7.1", "domain", {"rule": {"n": "64"}}),
+    ("domain", "prop7.1", "domain", {"interval": ["0", 1.0]}),
+    ("domain", "prop7.1", "domain", {"weight": {"poly": [False]}}),
+    ("function", "prop7.1", "f", {"poly": ["1"]}),
+    ("function", "prop7.1", "f", {"values": [True] * 64}),
+]
+
+
+def test_bad_numbers_cover_every_kind():
+    kinds = {kind for spec in _SPECS.values() for _, kind in spec.params}
+    assert kinds == {kind for kind, *_ in BAD_NUMBERS}
+    for kind, tid, key, _ in BAD_NUMBERS:
+        assert (key, kind) in _SPECS[tid].params
+
+
+@pytest.mark.parametrize(
+    "kind, tid, key, bad", BAD_NUMBERS, ids=[f"{c[0]}-{i}" for i, c in enumerate(BAD_NUMBERS)]
+)
+def test_every_kind_applies_one_number_rule(kind, tid, key, bad):
+    inst = sample_admissible(tid, "real", 3, seed=0)
+    inst[key] = bad
+    with pytest.raises(InputFormatError, match=f"^{tid} '{key}': "):
+        evaluate_instance(inst)
+
+
+def test_integral_floats_are_counts():
+    inst = sample_admissible("thm5.1", "real", 3, seed=0)
+    assert evaluate_instance(dict(inst, size=float(inst["size"]))) == evaluate_instance(inst)
+    p71 = sample_admissible("prop7.1", "real", 3, seed=0)
+    domain = dict(p71["domain"], rule={"kind": "gauss", "n": 64.0})
+    assert evaluate_instance(dict(p71, domain=domain)) == evaluate_instance(p71)
+
+
+def test_record_dim_follows_the_schema_not_stray_keys():
+    inst = {"theorem": "thm2.1", "field": "real", "x": [0.5, 0.5], "a": [1.0, 0.0], "r": 1.0}
+    stray = dict(inst, domain={"rule": {"kind": "gauss", "n": 8}})
+    assert evaluate_instance(stray) == evaluate_instance(inst)
+    assert evaluate_instance(stray).dim == 2
+    p71 = sample_admissible("prop7.1", "real", 3, seed=0)
+    assert evaluate_instance(p71).dim == p71["domain"]["rule"]["n"]
+
+
+def test_missing_key_lists_the_keys_the_theorem_needs():
+    with pytest.raises(InputFormatError, match=r"missing key 'r' \(needs x, a, r\)$"):
+        evaluate_instance({"theorem": "thm2.1", "field": "real", "x": [1, 0], "a": [1, 0]})
+    inst = sample_admissible("prop7.3", "real", 3, seed=0)
+    del inst["h"]
+    with pytest.raises(InputFormatError, match=r"\(needs domain, f, g, h, pair_f, pair_g\)$"):
+        evaluate_instance(inst)
+
+
+def test_errors_inside_an_operation_are_not_missing_keys(monkeypatch):
+    # operations are looked up by name when called, so this patch takes effect
+    def broken(*args):
+        raise KeyError("r")
+
+    monkeypatch.setattr(harness, "reverse_schwarz_ball", broken)
+    inst = {"theorem": "thm2.1", "field": "real", "x": [0.5, 0.5], "a": [1.0, 0.0], "r": 1.0}
+    with pytest.raises(KeyError):
+        evaluate_instance(inst)
