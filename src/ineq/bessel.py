@@ -32,6 +32,7 @@ from .conditions import (
     ConditionForm,
     ConditionReport,
     PAIR_DEGENERACY_REL,
+    SingleCondition,
     family_two_sided,
     in_closed_ball,
 )
@@ -53,12 +54,13 @@ ADDITIVE_LABELS = ("zero", "residual_sq", "half_route", "bound")
 
 
 @dataclass(frozen=True)
-class BesselReport:
+class BesselReport(SingleCondition):
     """Bessel defect ||x|| - (sum|<x,e_i>|^2)^(1/2) with its certified bound.
 
     additive_chain carries the squared-level chain; for the older squared
     results, `chain` carries the multiplicative chain and `bound` is the
-    defect bound it implies.
+    defect bound it implies.  Every link of both chains is asserted, then
+    gap <= bound.
     """
 
     norm_x: float
@@ -68,6 +70,13 @@ class BesselReport:
     additive_chain: Optional[BoundChain]
     admissibility: ConditionReport
     chain: Optional[BoundChain] = None
+
+    @property
+    def comparisons(self) -> tuple[tuple[str, float, str, float], ...]:
+        comps = () if self.chain is None else self.chain.comparisons
+        if self.additive_chain is not None:
+            comps += self.additive_chain.comparisons
+        return comps + (("gap", self.gap, "bound", self.bound),)
 
 
 def _seq_pair_check(gammas: CoefficientSequence, Gammas: CoefficientSequence) -> tuple[float, float]:
@@ -170,10 +179,13 @@ def gruss_orthonormal_ball(
     denom = lam.sq_norm ** 0.25 * mu.sq_norm ** 0.25
     first = 0.5 * r1 * r2 * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5 / denom
     second = r1 * r2 * (nx * ny) ** 0.5 / denom
+    bounds = (("half_residual", first), ("norm_route", second))
+    # first <= second (Bessel: cnx <= nx); the intermediates assert it
     return GrussReport(
         gap=gruss_orthonormal_gap(x, y, fam),
-        bounds=(("half_residual", first), ("norm_route", second)),
+        bounds=bounds,
         admissibility=(rep_x, rep_y),
+        intermediates=bounds,
     )
 
 
@@ -197,8 +209,11 @@ def gruss_orthonormal_pair(
     factor = (diff_x * diff_y) ** 0.5 / (summ_x * summ_y) ** 0.25
     first = 0.25 * factor * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5
     second = 0.5 * factor * (nx * ny) ** 0.5
+    bounds = (("quarter_residual", first), ("half_norm", second))
+    # first <= second (Bessel: cnx <= nx); the intermediates assert it
     return GrussReport(
         gap=gruss_orthonormal_gap(x, y, fam),
-        bounds=(("quarter_residual", first), ("half_norm", second)),
+        bounds=bounds,
         admissibility=(rep_x, rep_y),
+        intermediates=bounds,
     )

@@ -56,6 +56,20 @@ class ConditionReport:
     tol: float
 
 
+class SingleCondition:
+    """`admissible` and `margin` of a report whose hypothesis is one `admissibility`."""
+
+    admissibility: ConditionReport
+
+    @property
+    def admissible(self) -> bool:
+        return self.admissibility.holds
+
+    @property
+    def margin(self) -> float:
+        return self.admissibility.margin
+
+
 def _report(margin: float, form: ConditionForm, scale: float) -> ConditionReport:
     tol = BOUNDARY_REL * scale
     return ConditionReport(margin >= -tol, float(margin), form, tol)

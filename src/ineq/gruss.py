@@ -32,7 +32,12 @@ UNIT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GrussReport:
-    """Gap plus one or two labeled bounds and the per-vector admissibility reports."""
+    """Gap plus one or two labeled bounds and the per-vector admissibility reports.
+
+    The gap is compared with every bound; the headline bound is the last.
+    `intermediates` lists further asserted comparisons as consecutive
+    (lhs, rhs) entries.
+    """
 
     gap: float
     bounds: tuple[tuple[str, float], ...]
@@ -46,6 +51,21 @@ class GrussReport:
     @property
     def admissible(self) -> bool:
         return all(rep.holds for rep in self.admissibility)
+
+    @property
+    def margin(self) -> float:
+        return min(rep.margin for rep in self.admissibility)
+
+    @property
+    def bound(self) -> float:
+        return self.bounds[-1][1]
+
+    @property
+    def comparisons(self) -> tuple[tuple[str, float, str, float], ...]:
+        inter = self.intermediates
+        return tuple(("gap", self.gap, label, value) for label, value in self.bounds) + tuple(
+            inter[i] + inter[i + 1] for i in range(0, len(inter) - 1, 2)
+        )
 
 
 def require_unit(e: Vector) -> None:
@@ -117,7 +137,8 @@ def gruss_pair(
     bounds[0] = 1/4 |A-a||B-b|/sqrt(|A+a||B+b|) sqrt(||x||+|<x,e>|) sqrt(||y||+|<y,e>|)
     bounds[1] = 1/2 |A-a||B-b|/sqrt(|A+a||B+b|) sqrt(||x|| ||y||)
 
-    Here bounds[0] <= bounds[1] always (Bessel: |<x,e>| <= ||x||).
+    Here bounds[0] <= bounds[1] always (Bessel: |<x,e>| <= ||x||), and the
+    intermediates assert it.
     """
     require_unit(e)
     factor = _pair_factor(pair_x) * _pair_factor(pair_y)
@@ -126,10 +147,12 @@ def gruss_pair(
     nx, ny, axe, aye = _residues(x, y, e)
     first = 0.25 * factor * (nx + axe) ** 0.5 * (ny + aye) ** 0.5
     second = 0.5 * factor * (nx * ny) ** 0.5
+    bounds = (("quarter_residual", first), ("half_norm", second))
     return GrussReport(
         gap=gruss_gap(x, y, e),
-        bounds=(("quarter_residual", first), ("half_norm", second)),
+        bounds=bounds,
         admissibility=(rep_x, rep_y),
+        intermediates=bounds,
     )
 
 

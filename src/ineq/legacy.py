@@ -229,7 +229,7 @@ def legacy_bessel_ball(
         (0.0, nx * nx - cn * cn, r * r / excess * cn * cn),
         report,
     )
-    bound = chain.values[-1] ** 0.5 - cn
+    bound = chain.bound ** 0.5 - cn
     return BesselReport(nx, cn, nx - cn, bound, additive, report, chain=chain)
 
 
@@ -270,5 +270,5 @@ def legacy_bessel_pair(
         (0.0, nx * nx - cn * cn, 0.25 * diff_sq / re_sum * cn * cn),
         report,
     )
-    bound = chain.values[-1] ** 0.5 - cn
+    bound = chain.bound ** 0.5 - cn
     return BesselReport(nx, cn, nx - cn, bound, additive, report, chain=chain)

@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conditions import ConditionReport, ScalarPair, in_closed_ball, two_sided_realpart
+from .conditions import (
+    ConditionReport,
+    ScalarPair,
+    SingleCondition,
+    in_closed_ball,
+    two_sided_realpart,
+)
 from .space import Vector, inner, norm
 
 BALL_LABELS = ("zero", "abs_gap", "abs_real_gap", "real_gap", "bound")
@@ -31,11 +37,13 @@ PAIR_LABELS = ("zero", "abs_gap", "abs_aligned_gap", "aligned_gap", "bound")
 
 
 @dataclass(frozen=True)
-class BoundChain:
+class BoundChain(SingleCondition):
     """A nondecreasing chain of reals ending in the theorem's bound.
 
     `additive` carries a companion chain for results stated with both a
-    multiplicative and an additive version.
+    multiplicative and an additive version; it is then the headline, the
+    chain whose last two links are `gap` and `bound`.  Every link of both
+    chains is asserted.
     """
 
     labels: tuple[str, ...]
@@ -50,8 +58,17 @@ class BoundChain:
             raise ValueError("a chain needs at least a gap and a bound")
 
     @property
+    def gap(self) -> float:
+        return (self.additive or self).values[-2]
+
+    @property
     def bound(self) -> float:
-        return self.values[-1]
+        return (self.additive or self).values[-1]
+
+    @property
+    def comparisons(self) -> tuple[tuple[str, float, str, float], ...]:
+        links = tuple(zip(self.labels, self.values, self.labels[1:], self.values[1:]))
+        return links if self.additive is None else links + self.additive.comparisons
 
     @property
     def slack(self) -> float:

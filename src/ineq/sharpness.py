@@ -1,16 +1,18 @@
 """Sharpness sweeps: explicit families driving gap/bound ratios to 1.
 
 Each construction evaluates its inequality on a one-parameter family whose
-ratio (penultimate chain value over the final bound) tends to 1 as the
-parameter eps shrinks, demonstrating that the bound's constant cannot be
-improved.  The sweep reports the ratio per grid point plus a Richardson-style
-extrapolation to eps -> 0 from the last two grid points, assuming the leading
-error term is linear in eps**order.
+ratio (the report's gap over its bound) tends to 1 as the parameter eps
+shrinks, demonstrating that the bound's constant cannot be improved.  The
+sweep reports the ratio per grid point plus a Richardson-style extrapolation
+to eps -> 0 from the last two grid points, assuming the leading error term is
+linear in eps**order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -21,17 +23,43 @@ from .legacy import legacy_schwarz_ball
 from .schwarz import reverse_schwarz_ball, reverse_schwarz_pair
 from .space import FieldTag, vector
 
-CONSTRUCTIONS = ("thm21", "thm22", "legacy11")
 
-#: Grids run from large to small eps; thm22/legacy11 need eps strictly below 1.
-DEFAULT_GRIDS = {
-    "thm21": tuple(np.geomspace(1.0, 1e-6, 7)),
-    "thm22": tuple(np.geomspace(0.1, 1e-6, 6)),
-    "legacy11": tuple(np.geomspace(0.1, 1e-6, 6)),
+@dataclass(frozen=True)
+class Construction:
+    """A one-parameter family: its default eps grid (large to small), the
+    leading order of 1 - ratio in eps, whether eps must lie in (0, 1), and
+    the report of its inequality at one eps."""
+
+    grid: tuple[float, ...]
+    order: int
+    open_unit: bool
+    report: Callable[[float], object]
+
+
+def _ball(operation: Callable) -> Callable[[float], object]:
+    """Ball construction in the plane: a = e1, x = a + sqrt(eps) e2, r = sqrt(eps)."""
+    a = vector([1.0, 0.0], FieldTag.REAL)
+    return lambda e: operation(vector([1.0, e**0.5], FieldTag.REAL), a, e**0.5)
+
+
+def _two_sided(e: float):
+    """Two-sided construction: y = (1,1), x = (1+eps, 1-eps), bounds 1 -+ eps."""
+    x = vector([1.0 + e, 1.0 - e], FieldTag.REAL)
+    y = vector([1.0, 1.0], FieldTag.REAL)
+    return reverse_schwarz_pair(x, y, ScalarPair(1.0 - e, 1.0 + e))
+
+
+_GRID = tuple(np.geomspace(1.0, 1e-6, 7))
+_OPEN_GRID = tuple(np.geomspace(0.1, 1e-6, 6))
+
+#: legacy11 is the squared-level ball form; eps < 1 keeps the ball inside ||a||.
+_CONSTRUCTIONS = {
+    "thm21": Construction(_GRID, 1, False, _ball(reverse_schwarz_ball)),
+    "thm22": Construction(_OPEN_GRID, 2, True, _two_sided),
+    "legacy11": Construction(_OPEN_GRID, 1, True, _ball(legacy_schwarz_ball)),
 }
 
-#: Leading order of 1 - ratio in eps, used for the extrapolation step.
-_ORDERS = {"thm21": 1, "thm22": 2, "legacy11": 1}
+CONSTRUCTIONS = tuple(_CONSTRUCTIONS)
 
 
 @dataclass(frozen=True)
@@ -73,64 +101,23 @@ def _extrapolate(epsilons, ratios, order: int) -> float:
     return r2 + (r2 - r1) * e2 / (e1 - e2)
 
 
-def sweep_thm21(epsilons=None) -> SweepResult:
-    """Ball construction in the plane: a = e1, x = a + sqrt(eps) e2, r = sqrt(eps)."""
-    eps = _prepare_grid(
-        DEFAULT_GRIDS["thm21"] if epsilons is None else epsilons, "thm21", open_unit=False
-    )
-    a = vector([1.0, 0.0], FieldTag.REAL)
-    ratios = []
-    for e in eps:
-        s = e**0.5
-        x = vector([1.0, s], FieldTag.REAL)
-        chain = reverse_schwarz_ball(x, a, s)
-        ratios.append(chain.values[-2] / chain.values[-1])
-    return SweepResult("thm21", eps, tuple(ratios), _extrapolate(eps, ratios, _ORDERS["thm21"]))
-
-
-def sweep_thm22(epsilons=None) -> SweepResult:
-    """Two-sided construction: y = (1,1), x = (1+eps, 1-eps), bounds 1 -+ eps."""
-    eps = _prepare_grid(
-        DEFAULT_GRIDS["thm22"] if epsilons is None else epsilons, "thm22", open_unit=True
-    )
-    y = vector([1.0, 1.0], FieldTag.REAL)
-    ratios = []
-    for e in eps:
-        x = vector([1.0 + e, 1.0 - e], FieldTag.REAL)
-        chain = reverse_schwarz_pair(x, y, ScalarPair(1.0 - e, 1.0 + e))
-        ratios.append(chain.values[-2] / chain.values[-1])
-    return SweepResult("thm22", eps, tuple(ratios), _extrapolate(eps, ratios, _ORDERS["thm22"]))
-
-
-def sweep_legacy11(epsilons=None) -> SweepResult:
-    """Squared-level ball construction, eps < 1 so the ball stays inside ||a||."""
-    eps = _prepare_grid(
-        DEFAULT_GRIDS["legacy11"] if epsilons is None else epsilons,
-        "legacy11",
-        open_unit=True,
-    )
-    a = vector([1.0, 0.0], FieldTag.REAL)
-    ratios = []
-    for e in eps:
-        s = e**0.5
-        x = vector([1.0, s], FieldTag.REAL)
-        chain = legacy_schwarz_ball(x, a, s)
-        ratios.append(chain.values[-2] / chain.values[-1])
-    return SweepResult(
-        "legacy11", eps, tuple(ratios), _extrapolate(eps, ratios, _ORDERS["legacy11"])
-    )
-
-
-_SWEEPS = {"thm21": sweep_thm21, "thm22": sweep_thm22, "legacy11": sweep_legacy11}
-
-
 def sweep(construction: str, epsilons=None) -> SweepResult:
+    """gap/bound of `construction` along `epsilons` (default: its own grid)."""
     key = str(construction).strip().lower()
-    if key not in _SWEEPS:
+    if key not in _CONSTRUCTIONS:
         raise PreconditionError(
             f"unknown construction {construction!r} (expected one of {', '.join(CONSTRUCTIONS)})"
         )
-    return _SWEEPS[key](epsilons)
+    family = _CONSTRUCTIONS[key]
+    eps = _prepare_grid(family.grid if epsilons is None else epsilons, key, family.open_unit)
+    reports = [family.report(e) for e in eps]
+    ratios = [report.gap / report.bound for report in reports]
+    return SweepResult(key, eps, tuple(ratios), _extrapolate(eps, ratios, family.order))
+
+
+sweep_thm21 = partial(sweep, "thm21")
+sweep_thm22 = partial(sweep, "thm22")
+sweep_legacy11 = partial(sweep, "legacy11")
 
 
 @dataclass(frozen=True)
@@ -165,10 +152,7 @@ def random_probe(
     tid = harness.normalize_theorem_id(theorem)
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
-    best = 0.0
-    for i in range(int(trials)):
-        inst = harness.sample_admissible(tid, field, dim, seed=seed, index=i)
-        result = harness.evaluate_instance(inst)
-        if result.admissible and result.bound > 1e-300:
-            best = max(best, result.gap / result.bound)
-    return ProbeResult(tid, int(trials), int(dim), int(seed), best)
+    fields = ["real" if tid in harness.REAL_ONLY_IDS else field]
+    report = harness.run_suite([tid], trials, [dim], fields, seed=seed)
+    best = report.per_theorem[tid]["max_ratio"]
+    return ProbeResult(tid, int(trials), int(dim), int(seed), max(0.0, best or 0.0))

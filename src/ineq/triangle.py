@@ -15,7 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conditions import ConditionReport, ScalarPair, in_closed_ball, two_sided_realpart
+from .conditions import (
+    ConditionReport,
+    ScalarPair,
+    SingleCondition,
+    in_closed_ball,
+    two_sided_realpart,
+)
 from .errors import PreconditionError
 from .space import Vector, norm
 
@@ -24,12 +30,20 @@ NONNEG_CLAMP_REL = 1e-12
 
 
 @dataclass(frozen=True)
-class TriangleDefect:
+class TriangleDefect(SingleCondition):
     """Nonnegative triangle defect together with its certified bound."""
 
     defect: float
     bound: float
     admissibility: ConditionReport
+
+    @property
+    def gap(self) -> float:
+        return self.defect
+
+    @property
+    def comparisons(self) -> tuple[tuple[str, float, str, float], ...]:
+        return (("defect", self.defect, "bound", self.bound),)
 
 
 def _clamped_defect(n1: float, n2: float, n_sum: float) -> float:

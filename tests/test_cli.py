@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ineq import sample_admissible
+from ineq import THEOREM_IDS, sample_admissible
 from ineq.cli import main
 
 
@@ -195,6 +195,10 @@ def _thm51(**changes):
         (dict(_PROP71, domain={"rule": "gauss"}), "prop7.1 'domain': rule: expected an object"),
         (dict(_PROP71, domain={"rule": ["gauss", 8]}), "prop7.1 'domain': rule: expected"),
         (dict(_PROP71, domain={"rule": {"n": 8.9}}), "prop7.1 'domain': rule.n: expected an"),
+        (
+            dict(_PROP71, domain={"interval": [0, 1, 5]}),
+            "prop7.1 'domain': interval: expected [a, b], got [0, 1, 5]",
+        ),
         (dict(_PROP71, f={"poly": []}), "prop7.1 'f': expected a non-empty list, got []"),
         (dict(_PROP71, f={"values": []}), "prop7.1 'f': expected a non-empty list, got []"),
         (dict(_PROP71, r="1.5"), "prop7.1 'r': expected a number, got '1.5'"),
@@ -204,8 +208,8 @@ def _thm51(**changes):
         (_thm51(size=True), "thm5.1 'size': expected an integer, got True"),
     ],
     ids=[
-        "rule-string", "rule-list", "rule-n-fraction", "empty-poly", "empty-values",
-        "r-string", "r-bool", "size-fraction", "size-string", "size-bool",
+        "rule-string", "rule-list", "rule-n-fraction", "interval-three", "empty-poly",
+        "empty-values", "r-string", "r-bool", "size-fraction", "size-string", "size-bool",
     ],
 )
 def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, message):
@@ -236,3 +240,53 @@ def test_verify_stdout_is_pinned(capsys, seed, adversarial):
     rc, out, err = run_cli(capsys, *argv, *(["--adversarial"] if adversarial else []))
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_SHA256[seed, adversarial]
+
+
+def _sampled_document() -> dict:
+    """Every id x dims 1,2,3,8,16 x both fields, plain then adversarial."""
+    instances = [
+        sample_admissible(tid, field, dim, seed=3, adversarial=adversarial, index=i)
+        for adversarial in (False, True)
+        for i, (tid, dim, field) in enumerate(
+            (tid, dim, field)
+            for tid in THEOREM_IDS
+            for dim in (1, 2, 3, 8, 16)
+            for field in ("real", "complex")
+        )
+    ]
+    return {"instances": instances}
+
+
+#: sha256 of the `ineq eval --output FILE [--format csv]` file written for
+#: `_sampled_document()`.
+EVAL_RECORDS_SHA256 = {
+    "json": "80b98e544da5863e83d3539532b6a5938102a40113bda6f1e78c9f4037c8679e",
+    "csv": "ccaf474b135e33d89fca990fe2e1b4fbca7be2d2ab95b1e45d71d8508689020d",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVAL_RECORDS_SHA256))
+def test_eval_records_are_pinned(tmp_path, capsys, fmt):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_sampled_document()), encoding="utf-8")
+    dest = tmp_path / f"out.{fmt}"
+    rc, out, err = run_cli(
+        capsys, "eval", "--input", str(src), "--output", str(dest), "--format", fmt
+    )
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == EVAL_RECORDS_SHA256[fmt]
+
+
+#: sha256 of the stdout of `ineq sharpness --construction C` (default grid).
+SHARPNESS_SHA256 = {
+    "thm21": "8582a4cb1ebe72f1b4ac47599f9889ac9c3ea4014b4d46cd88040a2b8d80aca1",
+    "thm22": "f350cd1457998d0aaccf1f08a25c52bab7e9f6d1c8c3e16f3b0659b71e591bb0",
+    "legacy11": "6227fb1bb5afdcd4196945592975882cd0a2008ba84cb037ef34893bad512a54",
+}
+
+
+@pytest.mark.parametrize("construction", sorted(SHARPNESS_SHA256))
+def test_sharpness_stdout_is_pinned(capsys, construction):
+    rc, out, err = run_cli(capsys, "sharpness", "--construction", construction)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHARPNESS_SHA256[construction]

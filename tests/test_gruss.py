@@ -104,6 +104,9 @@ def test_pair_bounds_are_ordered():
     y = vector([2, -1])
     rep = gruss_pair(x, y, vector([1, 0]), ScalarPair(1, 3), ScalarPair(1, 3))
     assert rep.bound_values[0] <= rep.bound_values[1] + 1e-12
+    (l0, v0), (l1, v1) = rep.bounds
+    assert rep.comparisons[-1] == (l0, v0, l1, v1)
+    assert rep.bound == v1
 
 
 def test_pair_refined_worked_example():

@@ -109,6 +109,19 @@ def test_run_suite_validates_arguments():
         run_suite(trials=1, fields=())
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tol_is_rejected(tmp_path, tol):
+    with pytest.raises(InputFormatError, match="tol must be finite"):
+        run_suite(theorems=["thm2.1"], trials=1, tol=tol)
+    doc = tmp_path / "one.json"
+    doc.write_text(json.dumps({"instances": [sample_admissible("thm2.1")]}), encoding="utf-8")
+    with pytest.raises(InputFormatError, match="tol must be finite"):
+        evaluate_file(str(doc), tol=tol)
+    # a negative tol stays allowed: every comparison then fails
+    assert run_suite(theorems=["thm2.1"], trials=1, tol=-1.0).violations == 1
+    assert evaluate_file(str(doc), tol=-1.0).violations == 1
+
+
 def test_evaluate_instance_rejects_malformed_input():
     with pytest.raises(InputFormatError):
         evaluate_instance([1, 2])

@@ -61,6 +61,9 @@ class TestSchwarzPair:
         chain = legacy_schwarz_pair(vector([2, 1]), vector([1, 1]), ScalarPair(1, 2))
         assert chain.values == pytest.approx((10.0, 10.125, 10.125), abs=1e-12)
         assert chain.additive.values == pytest.approx((0.0, 1.0, 1.125), abs=1e-12)
+        # the additive chain is the headline; the links of both are asserted
+        assert (chain.gap, chain.bound) == chain.additive.values[1:]
+        assert [c[0] for c in chain.comparisons] == ["norm_product_sq", "real_route", "zero", "gap"]
         assert chain.admissibility.holds
         assert chain.admissibility.margin == pytest.approx(0.0, abs=1e-12)
 

@@ -4,8 +4,11 @@ import pytest
 
 from ineq import (
     CONSTRUCTIONS,
+    THEOREM_IDS,
     PreconditionError,
+    evaluate_instance,
     random_probe,
+    sample_admissible,
     sweep,
     sweep_legacy11,
     sweep_thm21,
@@ -114,3 +117,15 @@ def test_random_probe_is_deterministic_and_bounded():
 def test_random_probe_validates_arguments():
     with pytest.raises(PreconditionError):
         random_probe("thm2.1", trials=0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_random_probe_matches_sampled_documents(field, dim):
+    for tid in THEOREM_IDS:
+        best = 0.0
+        for i in range(12):
+            result = evaluate_instance(sample_admissible(tid, field, dim, seed=5, index=i))
+            if result.admissible and result.bound > 1e-300:
+                best = max(best, result.gap / result.bound)
+        assert random_probe(tid, trials=12, dim=dim, seed=5, field=field).max_ratio == best, tid
