@@ -175,13 +175,39 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic per-instance RNG.
+# Deterministic per-instance RNG: one Philox stream per (seed, theorem).
 
 
-def _rng_for(seed: int, theorem: str, index: int) -> np.random.Generator:
-    """Independent stream per (seed, theorem, index) so execution order is irrelevant."""
-    tag = zlib.crc32(theorem.encode("ascii"))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
+class _Stream:
+    """A Philox generator keyed by (seed, theorem); `_rng_for` places it on an instance."""
+
+    __slots__ = ("generator", "bits", "key")
+
+    def __init__(self, seed: int, theorem: str):
+        tag = zlib.crc32(theorem.encode("ascii"))
+        # Philox(SeedSequence) derives the key as generate_state(2, uint64)
+        self.bits = np.random.Philox(np.random.SeedSequence([int(seed), tag]))
+        self.key = tuple(int(k) for k in self.bits.state["state"]["key"])
+        self.generator = np.random.Generator(self.bits)
+
+
+def _rng_for(stream: _Stream, index: int) -> np.random.Generator:
+    """The stream's generator, reset to instance `index`'s counter block.
+
+    The 256-bit counter is set to index * 2**64 with an empty buffer, so
+    instance i draws from blocks [i * 2**64, (i + 1) * 2**64): no rejection
+    loop reaches instance i + 1, and whatever instance i - 1 drew does not
+    matter.  Assigning a state built here skips the state getter.
+    """
+    stream.bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, index, 0, 0), "key": stream.key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return stream.generator
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +215,10 @@ def _rng_for(seed: int, theorem: str, index: int) -> np.random.Generator:
 
 
 def _rand_coords(rng: np.random.Generator, dim: int, field: FieldTag) -> np.ndarray:
-    re = rng.uniform(-2.0, 2.0, dim)
     if field is FieldTag.COMPLEX:
-        return re + 1j * rng.uniform(-2.0, 2.0, dim)
-    return re
+        # (re, im) interleaved: one draw fills the complex array
+        return rng.uniform(-2.0, 2.0, 2 * dim).view(np.complex128)
+    return rng.uniform(-2.0, 2.0, dim)
 
 
 def _nonzero_coords(rng, dim, field, floor: float = 1e-3) -> np.ndarray:
@@ -223,7 +249,7 @@ def _frac(rng, adversarial: bool) -> float:
 
 def _rand_scalar(rng, field: FieldTag):
     if field is FieldTag.COMPLEX:
-        return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        return complex(*rng.uniform(-2.0, 2.0, 2))
     return float(rng.uniform(-2.0, 2.0))
 
 
@@ -873,7 +899,9 @@ def sample_admissible(
         tag = FieldTag.REAL
     if dim < 1:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
-    rng = _rng_for(seed, tid, index)
+    if not 0 <= int(index) < 2**64:
+        raise InputFormatError(f"index must be in [0, 2**64), got {index}")
+    rng = _rng_for(_Stream(seed, tid), int(index))
     inst = _encode_instance(_SAMPLERS[tid](rng, int(dim), tag, bool(adversarial)))
     inst["seed"] = int(seed)
     return inst
@@ -1004,9 +1032,10 @@ def run_suite(
         grid = [(d, t) for d in dims for t in tags]
         sampler = _SAMPLERS[tid]
         evaluator = _EVALUATORS[tid]
+        stream = _Stream(seed, tid)
         for i in range(int(trials)):
             dim, tag = grid[i % len(grid)]
-            rng = _rng_for(seed, tid, i)
+            rng = _rng_for(stream, i)
             inst = sampler(rng, dim, tag, adversarial)
             result = evaluator(inst)
             ok = result.passed(tol)

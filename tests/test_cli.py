@@ -225,12 +225,12 @@ def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, m
 #: [--adversarial]`.  A change that alters these bytes on purpose updates them
 #: and says why in CHANGES.md.
 VERIFY_SHA256 = {
-    (0, False): "d4a602c4ee95ea208dd9d6720916cab316f9268b9f3adc87221c721a2950efe9",
-    (0, True): "c444e34ca546f91e0e2349eab67a0da6ea4e0a61021436e5151f9a460f5291c8",
-    (1, False): "ace251bb090b63b627ffdeebfffd229ad286ebe92e5476e6dd66cad48fc05c98",
-    (1, True): "eba8fa0d334b26cad98726e8c6b3cb0a5ddf332070a215707dc1489bff9a8f1e",
-    (7, False): "798e32b5ca3ca55ce3239a22244ca2b8a85622e98a9f06f305b8ece84fe67ec7",
-    (7, True): "c5042e01d548a0027da2e4272164ece9d9514d6da409d5cba7b1b7f86e450e8e",
+    (0, False): "dfe8219a03d11dfa01069f6efbb689d43930538b7c5d4e336eed4adfff6a9b00",
+    (0, True): "15c8153514601268e7dff0c8ed0b6e9efe8b3f50a9114ff596cf0c2848e6cd7b",
+    (1, False): "64cd105e2bb6009446982cf12bdde062178e87ec80289602c8960981ad88f306",
+    (1, True): "1d3d0362d2fbd2238048ddf83fe74e4acf71b99e21151f296889e88abeec0fee",
+    (7, False): "a6ee6c3e8e319907f73052bbf9f103f2d5c1c32cfec36a64d1d4c339d4dfce18",
+    (7, True): "7d009877751dfdae23e2136385a475da8aed433d7bbe45ff85ad74f435cd5ed2",
 }
 
 
@@ -260,8 +260,8 @@ def _sampled_document() -> dict:
 #: sha256 of the `ineq eval --output FILE [--format csv]` file written for
 #: `_sampled_document()`.
 EVAL_RECORDS_SHA256 = {
-    "json": "80b98e544da5863e83d3539532b6a5938102a40113bda6f1e78c9f4037c8679e",
-    "csv": "ccaf474b135e33d89fca990fe2e1b4fbca7be2d2ab95b1e45d71d8508689020d",
+    "json": "42c848cc42a9a6fc3c37fca25827fb472950ebf8992eda155e39e6fe52bfb56d",
+    "csv": "5cdb74f824cbd194d8903e22d2ed5f2364e96b1d37c760a9f69ca674ab31e326",
 }
 
 
