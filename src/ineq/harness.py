@@ -38,6 +38,13 @@ The `Vector`/`CoefficientSequence` types carry the validation: the public
 constructors check and copy their input, and the arrays a sampler or an
 arithmetic operation computes are adopted after a finiteness check.
 
+Randomness comes from one Philox stream per theorem (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed by
+SeedSequence([seed, crc32(theorem)]).  Instance i reads the counter blocks
+from i * 2**64 on, so it depends only on (seed, theorem, i): a run's
+prefix and the order of its theorems do not matter, and
+`sample_admissible(index=i)` replays instance i alone.
+
 JSON exists only at the boundary.  `sample_admissible` encodes a typed
 instance into the document schema below, and `evaluate_instance` (hence
 `ineq eval`) decodes documents with full per-element validation; a typed
@@ -249,7 +256,7 @@ def _frac(rng, adversarial: bool) -> float:
 
 def _rand_scalar(rng, field: FieldTag):
     if field is FieldTag.COMPLEX:
-        return complex(*rng.uniform(-2.0, 2.0, 2))
+        return complex(*rng.uniform(-2.0, 2.0, 2).tolist())
     return float(rng.uniform(-2.0, 2.0))
 
 
@@ -401,6 +408,12 @@ DEFAULT_DOMAIN_SPEC = {
 }
 
 
+#: Node caps per rule for untrusted documents, checked before anything is
+#: allocated: gauss builds a dense n x n eigenproblem (n = 2048 is ~50 MB),
+#: trapezoid a few length-n arrays.
+_MAX_NODES = {"gauss": 2048, "trapezoid": 2**20}
+
+
 def _dec_domain(obj) -> WeightedDomain:
     if not isinstance(obj, dict):
         raise InputFormatError(f"expected a domain object, got {obj!r}")
@@ -423,6 +436,9 @@ def _dec_domain(obj) -> WeightedDomain:
         kind = str(rule.get("kind", "gauss"))
         part = "rule.n"
         n = _dec_count(rule.get("n", 64))
+        cap = _MAX_NODES.get(kind)
+        if cap is not None and n > cap:
+            raise InputFormatError(f"{kind} rules take at most {cap} nodes, got {n}")
     except InputFormatError as exc:
         raise InputFormatError(f"{part}: {exc}") from None
     key = (a, b, wpoly, kind, n)
@@ -891,10 +907,11 @@ def sample_admissible(
     """Deterministically sample one instance whose hypothesis holds by construction.
 
     Returns the instance as a JSON-able document, the schema `evaluate_instance`
-    and `ineq eval` read.
+    and `ineq eval` read.  It is instance `index` (0 <= index < 2**64) of the
+    theorem's stream for `seed`, the one `run_suite` draws at that index.
     """
     tid = normalize_theorem_id(theorem)
-    tag = field if isinstance(field, FieldTag) else FieldTag.parse(field)
+    tag = FieldTag.parse(field)
     if tid in REAL_ONLY_IDS:
         tag = FieldTag.REAL
     if dim < 1:
@@ -981,7 +998,7 @@ def run_suite(
     theorems: Optional[Sequence[str]] = None,
     trials: int = DEFAULT_TRIALS,
     dims: Sequence[int] = DEFAULT_DIMS,
-    fields: Sequence[str] = DEFAULT_FIELDS,
+    fields: Sequence[FieldTag | str] = DEFAULT_FIELDS,
     tol: float = CHAIN_REL_TOL,
     seed: int = 0,
     adversarial: bool = False,
@@ -989,10 +1006,11 @@ def run_suite(
 ) -> SuiteReport:
     """Sample and evaluate `trials` instances per theorem over the dims x fields grid.
 
-    Each instance i of a theorem uses an RNG stream derived from (seed,
-    theorem, i), so reports depend only on the arguments, never on execution
-    order.  Instances stay typed from sampler to evaluator; none is encoded
-    to JSON, and records hold only results.  Instance i is drawn on grid
+    Each theorem draws from one Philox stream keyed by (seed, theorem), and
+    instance i starts at counter block i * 2**64 of it, so reports depend
+    only on the arguments, never on execution order.  Fields are names or
+    `FieldTag`s.  Instances stay typed from sampler to evaluator; none is
+    encoded to JSON, and records hold only results.  Instance i is drawn on grid
     cell i mod len(grid), the grid being dims x the theorem's fields in
     order; `sample_admissible(theorem, field, dim, seed, adversarial,
     index=i)` returns the same instance as a document, and evaluating that

@@ -111,8 +111,6 @@ class WeightedDomain:
             arr = np.full(self.size, arr[()])
         if field is None:
             tag = FieldTag.COMPLEX if np.iscomplexobj(arr) else FieldTag.REAL
-        elif isinstance(field, FieldTag):
-            tag = field
         else:
             tag = FieldTag.parse(field)
         f = DiscretizedFunction(arr, tag)

@@ -145,7 +145,7 @@ def random_probe(
     trials: int = 1000,
     dim: int = 3,
     seed: int = 0,
-    field: str = "real",
+    field: FieldTag | str = "real",
 ) -> ProbeResult:
     """Empirical sharpness floor: random sampling never exceeds the bound, and the
     maximum observed ratio lower-bounds how much of the bound is attainable."""

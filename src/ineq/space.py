@@ -43,12 +43,15 @@ class FieldTag(enum.Enum):
     REAL = "real"
     COMPLEX = "complex"
 
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64) if self is FieldTag.REAL else np.dtype(np.complex128)
+    def __init__(self, value: str):
+        #: The member's numpy dtype, built once: array constructors read it per instance.
+        self.dtype = np.dtype(np.float64 if value == "real" else np.complex128)
 
     @classmethod
-    def parse(cls, name: str) -> "FieldTag":
+    def parse(cls, name: str | FieldTag) -> FieldTag:
+        """The tag named `name` (any case); a `FieldTag` is returned unchanged."""
+        if isinstance(name, FieldTag):
+            return name
         tag = _FIELD_TAGS.get(str(name).lower())
         if tag is None:
             raise FieldMismatchError(f"unknown field {name!r} (expected 'real' or 'complex')")
@@ -158,8 +161,6 @@ def vector(values, field: FieldTag | str | None = None) -> Vector:
     """Build a Vector, inferring the field from the values when not given."""
     if field is None:
         tag = FieldTag.COMPLEX if np.iscomplexobj(np.asarray(values)) else FieldTag.REAL
-    elif isinstance(field, FieldTag):
-        tag = field
     else:
         tag = FieldTag.parse(field)
     return Vector(np.asarray(values), tag)
@@ -219,8 +220,6 @@ def coefficients(values, field: FieldTag | str | None = None) -> CoefficientSequ
     """Build a CoefficientSequence analogously to vector()."""
     if field is None:
         tag = FieldTag.COMPLEX if np.iscomplexobj(np.asarray(values)) else FieldTag.REAL
-    elif isinstance(field, FieldTag):
-        tag = field
     else:
         tag = FieldTag.parse(field)
     return CoefficientSequence(np.asarray(values), tag)

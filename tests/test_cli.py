@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ineq import THEOREM_IDS, sample_admissible
+from ineq import THEOREM_IDS, harness, sample_admissible
 from ineq.cli import main
 
 
@@ -290,3 +290,18 @@ def test_sharpness_stdout_is_pinned(capsys, construction):
     rc, out, err = run_cli(capsys, "sharpness", "--construction", construction)
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHARPNESS_SHA256[construction]
+
+
+@pytest.mark.parametrize("kind", ["gauss", "trapezoid"])
+def test_eval_huge_rule_n_exits_2_without_building(tmp_path, capsys, monkeypatch, kind):
+    def never(*args):
+        raise AssertionError("build_domain called for an over-cap rule.n")
+
+    monkeypatch.setattr(harness, "build_domain", never)
+    instance = dict(_PROP71, domain={"rule": {"kind": kind, "n": 10**9}})
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps({"instances": [instance]}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "eval", "--input", str(src))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"ineq: instance 0: prop7.1 'domain': rule.n: {kind} rules take at most ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import zlib
 
+import numpy as np
 import pytest
 
 from ineq import (
@@ -332,3 +334,66 @@ def test_errors_inside_an_operation_are_not_missing_keys(monkeypatch):
     inst = {"theorem": "thm2.1", "field": "real", "x": [0.5, 0.5], "a": [1.0, 0.0], "r": 1.0}
     with pytest.raises(KeyError):
         evaluate_instance(inst)
+
+
+def test_a_field_tag_and_its_name_give_equal_reports():
+    assert FieldTag.parse(FieldTag.COMPLEX) is FieldTag.COMPLEX
+    kwargs = dict(theorems=["thm2.2", "prop7.11"], trials=6, dims=(2, 3), seed=2)
+    by_tag = run_suite(fields=[FieldTag.COMPLEX, FieldTag.REAL], keep_records=True, **kwargs)
+    by_name = run_suite(fields=["complex", "real"], keep_records=True, **kwargs)
+    assert by_tag.to_json() == by_name.to_json()
+    assert sample_admissible("thm2.2", FieldTag.COMPLEX) == sample_admissible("thm2.2", "complex")
+
+
+def test_theorem_order_does_not_change_per_theorem_stats():
+    kwargs = dict(trials=12, dims=(1, 3), fields=("real", "complex"), seed=4)
+    ab = run_suite(theorems=["thm2.1", "thm5.2"], **kwargs)
+    ba = run_suite(theorems=["thm5.2", "thm2.1"], **kwargs)
+    assert ab.per_theorem == ba.per_theorem
+    assert list(ba.per_theorem) == ["thm5.2", "thm2.1"]
+
+
+def test_instance_i_starts_at_counter_block_i_times_2_to_the_64():
+    # a generator that instance i - 1 left dirty (many doubles, a half-used
+    # 32-bit word) yields the same instance i as a fresh stream advanced to
+    # block i * 2**64, which is what sample_admissible(index=i) replays
+    tid, seed, i = "thm6.2", 9, 5
+    stream = harness._Stream(seed, tid)
+    dirty = harness._rng_for(stream, i - 1)
+    dirty.uniform(size=10_001)
+    dirty.integers(0, 2**31, size=3, dtype=np.uint32)
+    reused = harness._rng_for(stream, i)
+    key = np.random.SeedSequence([seed, zlib.crc32(tid.encode("ascii"))])
+    fresh = np.random.Generator(np.random.Philox(key).advance(i << 64))
+    assert reused.uniform(size=7).tolist() == fresh.uniform(size=7).tolist()
+
+    doc = sample_admissible(tid, "complex", 4, seed, index=i)
+    inst = harness._SAMPLERS[tid](harness._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
+    assert dict(harness._encode_instance(inst), seed=seed) == doc
+
+
+def test_far_indices_are_deterministic_and_distinct():
+    far = 2**40
+    a = sample_admissible("thm4.3", "complex", 3, seed=1, index=far)
+    assert a == sample_admissible("thm4.3", "complex", 3, seed=1, index=far)
+    assert a != sample_admissible("thm4.3", "complex", 3, seed=1, index=far + 1)
+    for bad in (-1, 2**64):
+        with pytest.raises(InputFormatError, match="index must be in"):
+            sample_admissible("thm4.3", index=bad)
+
+
+def test_domain_node_caps_are_checked_before_building(monkeypatch):
+    built = []
+
+    def recording(interval, weight, kind, n):
+        built.append((kind, n))
+        raise RuntimeError("stop before allocating")
+
+    monkeypatch.setattr(harness, "build_domain", recording)
+    for kind, cap in (("gauss", 2048), ("trapezoid", 2**20)):
+        over = {"interval": [0.0, 3.0], "rule": {"kind": kind, "n": cap + 1}}
+        with pytest.raises(InputFormatError, match=f"^rule.n: {kind} rules take at most {cap} "):
+            harness._dec_domain(over)
+        with pytest.raises(RuntimeError, match="stop before allocating"):
+            harness._dec_domain(dict(over, rule={"kind": kind, "n": cap}))
+    assert built == [("gauss", 2048), ("trapezoid", 2**20)]
