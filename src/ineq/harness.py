@@ -192,8 +192,8 @@ class _Stream:
 
     def __init__(self, seed: int, theorem: str):
         tag = zlib.crc32(theorem.encode("ascii"))
-        # Philox(SeedSequence) derives the key as generate_state(2, uint64)
         self.bits = np.random.Philox(np.random.SeedSequence([int(seed), tag]))
+        # the key Philox derived from the SeedSequence, read once for `_rng_for`
         self.key = tuple(int(k) for k in self.bits.state["state"]["key"])
         self.generator = np.random.Generator(self.bits)
 

@@ -120,7 +120,9 @@ def test_random_probe_validates_arguments():
         random_probe("thm2.1", trials=0)
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "field", ["real", "complex", pytest.param(FieldTag.COMPLEX, id="FieldTag.COMPLEX")]
+)
 @pytest.mark.parametrize("dim", [1, 3])
 def test_random_probe_matches_sampled_documents(field, dim):
     for tid in THEOREM_IDS:
@@ -130,8 +132,3 @@ def test_random_probe_matches_sampled_documents(field, dim):
             if result.admissible and result.bound > 1e-300:
                 best = max(best, result.gap / result.bound)
         assert random_probe(tid, trials=12, dim=dim, seed=5, field=field).max_ratio == best, tid
-
-
-def test_random_probe_takes_a_field_tag():
-    by_tag = random_probe("thm2.2", trials=8, dim=2, seed=3, field=FieldTag.COMPLEX)
-    assert by_tag == random_probe("thm2.2", trials=8, dim=2, seed=3, field="complex")
