@@ -399,7 +399,30 @@ def _family(field: FieldTag, dim: int, size: int) -> OrthonormalFamily:
     return fam
 
 
-_DOMAIN_CACHE: dict = {}
+#: Most quadrature nodes the decoded-domain cache holds (about 32 MB of nodes
+#: and weights); a document naming more distinct domains rebuilds evicted ones.
+_DOMAIN_CACHE_NODES = 2**21
+
+
+class _DomainCache(dict):
+    """Domains by decode key, evicted oldest-first above _DOMAIN_CACHE_NODES nodes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nodes = 0
+
+    def add(self, key, dom: WeightedDomain) -> None:
+        self[key] = dom
+        self.nodes += dom.size
+        while self.nodes > _DOMAIN_CACHE_NODES:
+            self.nodes -= self.pop(next(iter(self))).size
+
+    def clear(self) -> None:
+        super().clear()
+        self.nodes = 0
+
+
+_DOMAIN_CACHE = _DomainCache()
 
 DEFAULT_DOMAIN_SPEC = {
     "interval": [0.0, 1.0],
@@ -409,8 +432,9 @@ DEFAULT_DOMAIN_SPEC = {
 
 
 #: Node caps per rule for untrusted documents, checked before anything is
-#: allocated: gauss builds a dense n x n eigenproblem (n = 2048 is ~50 MB),
-#: trapezoid a few length-n arrays.
+#: allocated.  Both rules take O(n) memory; gauss takes O(n^2) time (Newton on
+#: the Legendre recurrence, tens of ms at n = 2048), trapezoid O(n).  No cap
+#: exceeds _DOMAIN_CACHE_NODES, so the domain just built is never evicted.
 _MAX_NODES = {"gauss": 2048, "trapezoid": 2**20}
 
 
@@ -445,7 +469,7 @@ def _dec_domain(obj) -> WeightedDomain:
     dom = _DOMAIN_CACHE.get(key)
     if dom is None:
         dom = build_domain((a, b), polynomial(wpoly), kind, n)
-        _DOMAIN_CACHE[key] = dom
+        _DOMAIN_CACHE.add(key, dom)
     return dom
 
 

@@ -283,8 +283,8 @@ def standard_basis(field: FieldTag, dim: int, size: int | None = None) -> Orthon
     size = dim if size is None else size
     if not 1 <= size <= dim:
         raise DimensionMismatchError(f"cannot take {size} basis vectors in dimension {dim}")
-    eye = np.eye(dim, dtype=field.dtype)
-    return OrthonormalFamily(tuple(Vector(eye[i], field) for i in range(size)))
+    rows = np.eye(size, dim, dtype=field.dtype)
+    return OrthonormalFamily(tuple(Vector(row, field) for row in rows))
 
 
 def gram_schmidt(vs: Iterable[Vector], tol: float = DEFAULT_ORTHO_TOL) -> OrthonormalFamily:

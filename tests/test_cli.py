@@ -225,11 +225,11 @@ def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, m
 #: [--adversarial]`.  A change that alters these bytes on purpose updates them
 #: and says why in CHANGES.md.
 VERIFY_SHA256 = {
-    (0, False): "dfe8219a03d11dfa01069f6efbb689d43930538b7c5d4e336eed4adfff6a9b00",
+    (0, False): "e5750238d75bcab60ab30548ca0b07cf59fee3c2b8cab57eaa62444e0d7de9be",
     (0, True): "15c8153514601268e7dff0c8ed0b6e9efe8b3f50a9114ff596cf0c2848e6cd7b",
-    (1, False): "64cd105e2bb6009446982cf12bdde062178e87ec80289602c8960981ad88f306",
+    (1, False): "fb0812fcdc40db530c2d22293d138edd288b5324c1bed7c68666b8a3fef67ad6",
     (1, True): "1d3d0362d2fbd2238048ddf83fe74e4acf71b99e21151f296889e88abeec0fee",
-    (7, False): "a6ee6c3e8e319907f73052bbf9f103f2d5c1c32cfec36a64d1d4c339d4dfce18",
+    (7, False): "5725dd31768cd924cfad1a877eb55fc911e203f8355814ad17e1da15b5d9cc47",
     (7, True): "7d009877751dfdae23e2136385a475da8aed433d7bbe45ff85ad74f435cd5ed2",
 }
 
@@ -260,8 +260,8 @@ def _sampled_document() -> dict:
 #: sha256 of the `ineq eval --output FILE [--format csv]` file written for
 #: `_sampled_document()`.
 EVAL_RECORDS_SHA256 = {
-    "json": "42c848cc42a9a6fc3c37fca25827fb472950ebf8992eda155e39e6fe52bfb56d",
-    "csv": "5cdb74f824cbd194d8903e22d2ed5f2364e96b1d37c760a9f69ca674ab31e326",
+    "json": "34625c9f0fdc0c52d1ba69a21b05097c40375a3027acf7e022408725231ab7b3",
+    "csv": "11021db345479d0e4e8ac2a0c4588de56c3bc5139e11970f6ae0e03e398fc1f9",
 }
 
 

@@ -397,3 +397,41 @@ def test_domain_node_caps_are_checked_before_building(monkeypatch):
         with pytest.raises(RuntimeError, match="stop before allocating"):
             harness._dec_domain(dict(over, rule={"kind": kind, "n": cap}))
     assert built == [("gauss", 2048), ("trapezoid", 2**20)]
+
+
+def test_domain_cache_is_bounded_and_keeps_records(tmp_path, monkeypatch):
+    n = 2**16  # 40 distinct domains hold 2.6M nodes, above the 2**21 bound
+    specs = [
+        {"interval": [0.0, 1.0], "weight": {"poly": [1.0, 0.1 * i]},
+         "rule": {"kind": "trapezoid", "n": n}}
+        for i in range(40)
+    ]
+    instances = []
+    for i, spec in enumerate(specs + specs[:5]):  # the first five return after eviction
+        inst = sample_admissible("prop7.1", "real", 1, seed=2, index=i)
+        inst["domain"] = spec
+        instances.append(inst)
+    path = tmp_path / "domains.json"
+    path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
+
+    cache = harness._DOMAIN_CACHE
+    held = []
+    add = cache.add
+
+    def recording(key, dom):
+        add(key, dom)
+        held.append(cache.nodes)
+        assert cache.nodes == sum(d.size for d in cache.values())
+
+    cache.clear()
+    monkeypatch.setattr(cache, "add", recording)
+    try:
+        bounded = evaluate_file(str(path)).records
+        assert len(held) == 45 and max(held) <= harness._DOMAIN_CACHE_NODES
+        cache.clear()
+        monkeypatch.setattr(harness, "_DOMAIN_CACHE_NODES", 2**40)
+        unbounded = evaluate_file(str(path)).records
+        assert len(cache) == 40
+    finally:
+        cache.clear()
+    assert bounded == unbounded

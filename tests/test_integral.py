@@ -1,5 +1,7 @@
 """Quadrature-discretized weighted L^2 instances."""
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from ineq import (
     pointwise_range,
     polynomial,
 )
+from ineq.integral import _gauss_legendre
 
 from conftest import weighted_poly_inner
 
@@ -205,3 +208,65 @@ def test_range_condition_implies_pair_condition():
         f = UNIT.discretize((m + frac * (M - m)) * g.values)
         assert pointwise_range(f, g, m, M).holds
         assert pointwise_pair(f, g, ScalarPair(m, M)).margin >= -1e-12
+
+
+def _decimal_gauss_legendre(n):
+    """40-digit Gauss-Legendre nodes and weights: Newton on the recurrence in Decimal."""
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k in range(1, n + 1):
+            x = Decimal(-math.cos(math.pi * (4 * k - 1) / (4 * n + 2)))
+            for _ in range(100):
+                p_prev, p = Decimal(1), x
+                for j in range(1, n):
+                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+                dp = n * (p_prev - x * p) / (1 - x * x)
+                x -= p / dp
+                if abs(p / dp) < Decimal("1e-36"):
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 64, 65])
+def test_gauss_rule_matches_40_digit_oracle(n):
+    x, w = _gauss_legendre(n)
+    want_x, want_w = _decimal_gauss_legendre(n)
+    for got, want in zip(x, want_x):
+        if abs(want) < Decimal("1e-30"):  # the middle root of an odd rule
+            assert got == 0.0
+        else:
+            ulp = np.spacing(abs(float(want)))
+            assert abs(Decimal(float(got)) - want) <= 2 * Decimal(float(ulp)), (got, want)
+    for got, want in zip(w, want_w):
+        assert abs(Decimal(float(got)) - want) <= Decimal("1e-12") * want, (got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 256, 1024, 2048])
+def test_gauss_rule_is_exactly_symmetric(n):
+    x, w = _gauss_legendre(n)
+    assert np.array_equal(x[::-1], -x)
+    assert np.array_equal(w[::-1], w)
+    assert np.all(np.diff(x) > 0)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_large_gauss_rule_matches_leggauss_and_moments(n):
+    x, w = _gauss_legendre(n)
+    # leggauss (a dense eigen-solve) is a comparison only: its nodes are
+    # accurate, its weights are not (off by ~1e-9 relative at n = 1024).
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2.3e-16
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    for k in range(11):
+        want = 2.0 / (2 * k + 1)
+        assert abs(np.sum(w * x ** (2 * k)) - want) <= 1e-13 * want, k
+
+
+def test_build_domain_maps_the_gauss_rule_onto_the_interval():
+    t, wt = _gauss_legendre(7)
+    dom = build_domain((2.0, 5.0), n=7)
+    np.testing.assert_array_equal(dom.nodes, 3.5 + 1.5 * t)
+    assert dom.raw_mass == pytest.approx(3.0, rel=1e-15)
+    np.testing.assert_allclose(dom.weights, wt / 2.0, rtol=1e-15)

@@ -224,3 +224,21 @@ def test_single_member_family():
 def test_standard_basis_size_bounds():
     with pytest.raises(DimensionMismatchError):
         standard_basis(FieldTag.REAL, 2, 3)
+
+
+def test_standard_basis_builds_only_its_rows():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fam = standard_basis(FieldTag.REAL, 30_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # np.eye(30_000) alone would be 7.2 GB
+    assert fam.size == 1 and fam.dim == 30_000
+    for field in (FieldTag.REAL, FieldTag.COMPLEX):
+        eye = np.eye(5, dtype=field.dtype)
+        for k in range(1, 6):
+            got = np.stack([m.coords for m in standard_basis(field, 5, k).members])
+            assert got.dtype == eye.dtype and got.tobytes() == eye[:k].tobytes()
