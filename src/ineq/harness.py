@@ -387,16 +387,35 @@ def _dec_pair(obj) -> ScalarPair:
     return ScalarPair(_dec_scalar(obj["lo"]), _dec_scalar(obj["hi"]))
 
 
-_FAMILY_CACHE: dict = {}
+def _dec_coords(obj: list, field: FieldTag):
+    """The coordinates of a document list, for the `vector`/`coefficients` constructors.
+
+    A list of exact floats (real field) or of exact {"re": float, "im": float}
+    objects (complex field), as `sample_admissible` writes them, becomes one
+    array in one call.  At the first element of any other type the whole list
+    takes the per-element `_dec_scalar` route, with its rules and messages.
+    """
+    if field is FieldTag.REAL:
+        if set(map(type, obj)) == {float}:
+            return np.array(obj, dtype=np.float64)
+    elif obj:
+        parts = []
+        for v in obj:
+            if type(v) is not dict or len(v) != 2:
+                break
+            re, im = v.get("re"), v.get("im")
+            if type(re) is not float or type(im) is not float:
+                break
+            parts += (re, im)
+        else:
+            return np.array(parts).view(np.complex128)
+    return [_dec_scalar(v) for v in obj]
 
 
-def _family(field: FieldTag, dim: int, size: int) -> OrthonormalFamily:
-    key = (field, dim, size)
-    fam = _FAMILY_CACHE.get(key)
-    if fam is None:
-        fam = standard_basis(field, dim, size)
-        _FAMILY_CACHE[key] = fam
-    return fam
+#: Most coordinates (size x dim) of a "count" family in an untrusted document,
+#: checked before anything is allocated.  Building one costs O(size x dim)
+#: memory and an O(size^2 x dim) orthonormality check.
+_MAX_FAMILY_COORDS = 2**18
 
 
 #: Most quadrature nodes the decoded-domain cache holds (about 32 MB of nodes
@@ -756,7 +775,7 @@ class _Decoding:
         if isinstance(obj, Vector):
             x = _same_field(obj, self.field)
         elif isinstance(obj, (list, tuple)):
-            x = vector([_dec_scalar(v) for v in obj], self.field)
+            x = vector(_dec_coords(obj, self.field), self.field)
         else:
             raise InputFormatError(f"expected a coordinate list, got {obj!r}")
         if self.dim is None:
@@ -768,7 +787,7 @@ class _Decoding:
             return _same_field(obj, self.field)
         if not isinstance(obj, (list, tuple)):
             raise InputFormatError(f"expected a coefficient list, got {obj!r}")
-        return coefficients([_dec_scalar(v) for v in obj], self.field)
+        return coefficients(_dec_coords(obj, self.field), self.field)
 
     def pair(self, obj) -> ScalarPair:
         return _dec_pair(obj)
@@ -777,7 +796,13 @@ class _Decoding:
         return _dec_real(obj)
 
     def count(self, obj) -> OrthonormalFamily:
-        return _family(self.field, self.dim, _dec_count(obj))
+        size = _dec_count(obj)
+        if size <= self.dim and size * self.dim > _MAX_FAMILY_COORDS:
+            raise InputFormatError(
+                f"size {size} in dimension {self.dim} takes {size * self.dim} "
+                f"coordinates, more than {_MAX_FAMILY_COORDS}"
+            )
+        return standard_basis(self.field, self.dim, size)
 
     def domain(self, obj) -> WeightedDomain:
         self.dom = _dec_domain(obj)

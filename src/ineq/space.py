@@ -74,8 +74,7 @@ def _as_coords(values, tag: FieldTag) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 1-D array, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionMismatchError("dimension must be >= 1")
-    if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite (no NaN/Inf)")
+    _check_finite(arr)
     arr.flags.writeable = False
     return arr
 
@@ -87,10 +86,22 @@ def _computed_coords(arr: np.ndarray, tag: FieldTag) -> np.ndarray:
     so only finiteness can be lost (x + y may overflow to inf).
     """
     assert arr.dtype == tag.dtype and arr.ndim == 1 and arr.size, (arr.dtype, arr.shape)
-    if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite (no NaN/Inf)")
+    _check_finite(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise ValueError unless every entry of arr is finite.
+
+    Exact and silent: isfinite raises no floating-point flag whatever the
+    entries are (a sum or dot product of finite entries can overflow, and
+    numpy warns of that).  Counting the True entries costs about half as much
+    as `.all()`, whose Python-level wrapper dominates on the short arrays
+    built per instance.
+    """
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        raise ValueError("entries must be finite (no NaN/Inf)")
 
 
 def _array_norm(arr: np.ndarray) -> float:
@@ -278,13 +289,49 @@ class OrthonormalFamily:
         return len(self.members)
 
 
+#: Most coordinates (size x dim, summed over families) `_BASIS_CACHE` holds:
+#: 2 MB of float64 per copy, and a family keeps two (members and matrix).
+_BASIS_CACHE_COORDS = 2**18
+
+
+class _BasisCache(dict):
+    """Families by (field, dim, size), evicted oldest-first above _BASIS_CACHE_COORDS."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.coords = 0
+
+    def add(self, key, fam: OrthonormalFamily) -> None:
+        self[key] = fam
+        self.coords += fam.size * fam.dim
+        while self.coords > _BASIS_CACHE_COORDS:
+            old = self.pop(next(iter(self)))
+            self.coords -= old.size * old.dim
+
+    def clear(self) -> None:
+        super().clear()
+        self.coords = 0
+
+
+_BASIS_CACHE = _BasisCache()
+
+
 def standard_basis(field: FieldTag, dim: int, size: int | None = None) -> OrthonormalFamily:
-    """First `size` standard basis vectors of the given space."""
+    """First `size` standard basis vectors of the given space.
+
+    Families are immutable, so each (field, dim, size) is built and checked
+    once and then shared from a cache bounded by its total coordinate count.
+    """
     size = dim if size is None else size
     if not 1 <= size <= dim:
         raise DimensionMismatchError(f"cannot take {size} basis vectors in dimension {dim}")
-    rows = np.eye(size, dim, dtype=field.dtype)
-    return OrthonormalFamily(tuple(Vector(row, field) for row in rows))
+    key = (field, dim, size)
+    fam = _BASIS_CACHE.get(key)
+    if fam is None:
+        rows = np.eye(size, dim, dtype=field.dtype)
+        fam = OrthonormalFamily(tuple(Vector(row, field) for row in rows))
+        _BASIS_CACHE.add(key, fam)
+    return fam
 
 
 def gram_schmidt(vs: Iterable[Vector], tol: float = DEFAULT_ORTHO_TOL) -> OrthonormalFamily:

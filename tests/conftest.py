@@ -2,9 +2,12 @@
 
 The polynomial integration oracle works in Fractions so worked-example
 regressions compare the implementation against values derived by a genuinely
-independent route (symbolic antiderivatives, not quadrature).
+independent route (symbolic antiderivatives, not quadrature).  The report
+renderer is checked against `render_json_oracle`, a plain recursive restatement
+of the report format.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -51,3 +54,60 @@ def rand_coords(rng, dim, field):
 
 def close(a, b, tol=1e-10):
     return abs(float(a) - float(b)) <= tol
+
+
+def render_json_oracle(obj):
+    """The report format, rendered by the obvious recursion over isinstance checks."""
+    out = []
+    _render_oracle(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _fmt_float_oracle(v):
+    if v != v or v in (float("inf"), float("-inf")):
+        raise ValueError("reports must contain finite numbers only")
+    return format(float(v), ".17g")
+
+
+def _render_oracle(obj, out, level):
+    pad = "  " * (level + 1)
+    closing = "  " * level
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_float_oracle(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"non-string key {k!r}")
+            out.append(pad + json.dumps(k) + ": ")
+            _render_oracle(v, out, level + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(closing + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+            body = ", ".join(
+                _fmt_float_oracle(v) if isinstance(v, float) else str(v) for v in obj
+            )
+            out.append("[" + body + "]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(obj):
+            out.append(pad)
+            _render_oracle(v, out, level + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(closing + "]")
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} deterministically")

@@ -305,3 +305,83 @@ def test_eval_huge_rule_n_exits_2_without_building(tmp_path, capsys, monkeypatch
     assert rc == 2 and out == ""
     assert err.startswith(f"ineq: instance 0: prop7.1 'domain': rule.n: {kind} rules take at most ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_NAN, _INF = float("nan"), float("inf")
+_C3 = [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": 1.0}]
+
+#: (theorem, field, key, bad value, exit code, stderr after "ineq: instance 0: ").
+#: An exit-0 case names, instead of a message, the all-float value it must equal.
+_MALFORMED_COORDS = {
+    "bool": ("thm2.1", "real", "x", [1.0, True, 0.5], 2,
+             "thm2.1 'x': expected a number or {'re','im'} object, got True"),
+    "string": ("thm2.1", "real", "x", [1.0, "2.0", 0.5], 2,
+               "thm2.1 'x': expected a number or {'re','im'} object, got '2.0'"),
+    "int-among-floats": ("thm2.1", "real", "x", [1.0, 2, 0.5], 0, [1.0, 2.0, 0.5]),
+    "nested-list": ("thm2.1", "real", "x", [[1.0, 2.0], 0.5, 0.25], 2,
+                    "thm2.1 'x': expected a number or {'re','im'} object, got [1.0, 2.0]"),
+    "re-alone": ("thm2.1", "complex", "x", [{"re": 1.0}] + _C3, 0,
+                 [{"re": 1.0, "im": 0.0}] + _C3),
+    "extra-key": ("thm2.1", "complex", "x", [{"re": 1.0, "im": 0.0, "x": 0.0}] + _C3, 2,
+                  "thm2.1 'x': expected a number or {'re','im'} object, "
+                  "got {'re': 1.0, 'im': 0.0, 'x': 0.0}"),
+    "bool-part": ("thm2.1", "complex", "x", [{"re": True, "im": 0.0}] + _C3, 2,
+                  "thm2.1 'x': expected a number, got True"),
+    "nan-token": ("thm2.1", "real", "x", [1.0, _NAN, 0.5], 2,
+                  "thm2.1 'x': entries must be finite (no NaN/Inf)"),
+    "infinity-token": ("thm2.1", "complex", "x", [{"re": _INF, "im": 0.0}] + _C3, 2,
+                       "thm2.1 'x': entries must be finite (no NaN/Inf)"),
+    "pair-in-real": ("thm2.1", "real", "x", [{"re": 1.0, "im": 0.0}, 0.5, 0.25], 2,
+                     "thm2.1 'x': complex entries are not representable over real"),
+    "empty": ("thm2.1", "real", "x", [], 2, "thm2.1 'x': dimension must be >= 1"),
+    "seq-string": ("thm5.1", "real", "lam", ["0.5"], 2,
+                   "thm5.1 'lam': expected a number or {'re','im'} object, got '0.5'"),
+    "seq-nested": ("thm5.1", "complex", "lam", [[0.5, 0.0]], 2,
+                   "thm5.1 'lam': expected a number or {'re','im'} object, got [0.5, 0.0]"),
+    "seq-nan": ("thm5.1", "real", "lam", [_NAN], 2,
+                "thm5.1 'lam': entries must be finite (no NaN/Inf)"),
+}
+
+
+def _eval_one(tmp_path, capsys, inst):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"instances": [inst]}), encoding="utf-8")  # NaN, Infinity tokens
+    return run_cli(capsys, "eval", "--input", str(src))
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_COORDS))
+def test_eval_coordinate_lists_keep_their_rules_and_messages(tmp_path, capsys, case):
+    tid, field, key, value, code, expected = _MALFORMED_COORDS[case]
+    inst = sample_admissible(tid, field, 3, seed=0)
+    rc, out, err = _eval_one(tmp_path, capsys, dict(inst, **{key: value}))
+    assert rc == code
+    if code == 2:
+        assert out == "" and err == f"ineq: instance 0: {expected}\n"
+    else:
+        assert err == "" and (rc, out) == _eval_one(tmp_path, capsys, dict(inst, **{key: expected}))[:2]
+
+
+def test_eval_family_over_the_size_cap_exits_2_without_building(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("standard_basis called for an over-cap family")
+
+    monkeypatch.setattr(harness, "standard_basis", never)
+    inst = dict(sample_admissible("thm5.1", "real", 3, seed=0), x=[0.5] * 2000, size=2000)
+    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    assert rc == 2 and out == ""
+    assert err == (
+        "ineq: instance 0: thm5.1 'size': size 2000 in dimension 2000 takes 4000000 "
+        f"coordinates, more than {harness._MAX_FAMILY_COORDS}\n"
+    )
+
+
+def test_eval_family_size_cap_is_on_size_times_dim(tmp_path, capsys, monkeypatch):
+    inst = sample_admissible("thm5.1", "real", 3, seed=0)
+    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 3 * inst["size"])
+    assert _eval_one(tmp_path, capsys, inst)[0] == 0
+    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 3 * inst["size"] - 1)
+    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    assert rc == 2 and err.startswith("ineq: instance 0: thm5.1 'size': size ")
+    # a size above the dimension keeps its own message
+    rc, out, err = _eval_one(tmp_path, capsys, dict(inst, size=10**9))
+    assert rc == 2 and err == "ineq: instance 0: thm5.1 'size': cannot take 1000000000 basis vectors in dimension 3\n"

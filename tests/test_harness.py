@@ -12,6 +12,7 @@ from ineq import (
     FieldTag,
     InputFormatError,
     THEOREM_IDS,
+    coefficients,
     emit_report,
     evaluate_file,
     evaluate_instance,
@@ -435,3 +436,26 @@ def test_domain_cache_is_bounded_and_keeps_records(tmp_path, monkeypatch):
     finally:
         cache.clear()
     assert bounded == unbounded
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_coordinate_lists_decode_bit_identically_to_the_per_element_route(field):
+    constructors = {"vector": vector, "seq": coefficients}
+    checked = 0
+    for tid in THEOREM_IDS:
+        for dim in (1, 2, 3, 8, 16):
+            inst = sample_admissible(tid, field, dim, seed=4, index=dim)
+            tag = FieldTag.parse(inst["field"])
+            for key, kind in _SPECS[tid].params:
+                if kind not in constructors:
+                    continue
+                fast = harness._dec_coords(inst[key], tag)
+                assert isinstance(fast, np.ndarray), (tid, key)  # the one-call route ran
+                slow = [harness._dec_scalar(v) for v in inst[key]]
+                build = constructors[kind]
+                a, b = build(fast, tag), build(slow, tag)
+                got, want = (a.coords, b.coords) if kind == "vector" else (a.entries, b.entries)
+                assert got.dtype == want.dtype == tag.dtype
+                assert got.tobytes() == want.tobytes(), (tid, dim, key)
+                checked += 1
+    assert checked > 200

@@ -242,3 +242,50 @@ def test_standard_basis_builds_only_its_rows():
         for k in range(1, 6):
             got = np.stack([m.coords for m in standard_basis(field, 5, k).members])
             assert got.dtype == eye.dtype and got.tobytes() == eye[:k].tobytes()
+
+
+_any_float = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1.7976931348623157e308, 5e-324]),
+)
+
+
+@given(
+    st.lists(_any_float, min_size=1, max_size=40),
+    st.lists(_any_float, min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_finiteness_check_is_exact_and_silent(re, im, is_complex):
+    import warnings
+
+    # complex(a, b) keeps each part as drawn, where a + 1j*b would mix them
+    arr = np.array([complex(a, b) for a, b in zip(re, im)]) if is_complex else np.array(re)
+    finite = bool(np.isfinite(arr).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if finite:
+            vector(arr)
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                vector(arr)
+
+
+def test_standard_basis_is_shared_and_its_cache_bounded(monkeypatch):
+    from ineq import space
+
+    cache = space._BASIS_CACHE
+    cache.clear()
+    try:
+        fam = standard_basis(FieldTag.COMPLEX, 5, 2)
+        assert standard_basis(FieldTag.COMPLEX, 5, 2) is fam
+        assert standard_basis(FieldTag.REAL, 5, 2) is not fam
+        assert cache.coords == 20
+        monkeypatch.setattr(space, "_BASIS_CACHE_COORDS", 30)
+        big = standard_basis(FieldTag.REAL, 4, 4)  # 36 > 30: the oldest goes
+        assert list(cache) == [(FieldTag.REAL, 5, 2), (FieldTag.REAL, 4, 4)]
+        assert cache.coords == 26
+        assert standard_basis(FieldTag.REAL, 4, 4) is big
+        assert standard_basis(FieldTag.REAL, 40, 1).dim == 40  # above the bound: not held
+        assert len(cache) == cache.coords == 0
+    finally:
+        cache.clear()
