@@ -102,11 +102,12 @@ class ScalarPair:
     def mid(self) -> complex:
         return 0.5 * (complex(self.hi) + complex(self.lo))
 
-    def is_degenerate(self, cutoff: float = PAIR_DEGENERACY_REL) -> bool:
+    def is_degenerate(self) -> bool:
         mass = abs(complex(self.lo)) + abs(complex(self.hi))
         if mass == 0.0:
             return True
-        return abs(self.diff) < cutoff * mass or abs(self.summ) < cutoff * mass
+        cutoff = PAIR_DEGENERACY_REL * mass
+        return abs(self.diff) < cutoff or abs(self.summ) < cutoff
 
     def require_nondegenerate(self) -> None:
         if self.is_degenerate():

@@ -45,6 +45,12 @@ from i * 2**64 on, so it depends only on (seed, theorem, i): a run's
 prefix and the order of its theorems do not matter, and
 `sample_admissible(index=i)` replays instance i alone.
 
+Samplers read randomness only through `rng.uniform(low, high, size)`, with
+numpy `Generator` defaults for omitted arguments, and every in-ball point is
+drawn by `_in_ball` (t first, then the direction).  Any object with that one
+method is a draw source: a sampled instance is a function of the values it
+returns, in call order.  The tests hold every sampler to this contract.
+
 JSON exists only at the boundary.  `sample_admissible` encodes a typed
 instance into the document schema below, and `evaluate_instance` (hence
 `ineq eval`) decodes documents with full per-element validation; a typed
@@ -228,10 +234,10 @@ def _rand_coords(rng: np.random.Generator, dim: int, field: FieldTag) -> np.ndar
     return rng.uniform(-2.0, 2.0, dim)
 
 
-def _nonzero_coords(rng, dim, field, floor: float = 1e-3) -> np.ndarray:
+def _nonzero_coords(rng, dim, field) -> np.ndarray:
     for _ in range(_RESAMPLE_CAP):
         v = _rand_coords(rng, dim, field)
-        if _array_norm(v) >= floor:
+        if _array_norm(v) >= 1e-3:
             return v
     v = np.zeros(dim, dtype=field.dtype)
     v[0] = 1.0
@@ -243,8 +249,26 @@ def _unit_coords(rng, dim, field) -> np.ndarray:
     return v / _array_norm(v)
 
 
+def _in_ball(rng, field, center: np.ndarray, radius: float, t: float) -> np.ndarray:
+    """center + t * radius * (random unit direction), in the closed ball iff 0 <= t <= 1."""
+    return center + t * radius * _unit_coords(rng, center.size, field)
+
+
+def _padded(coeffs: np.ndarray, dim: int, field) -> np.ndarray:
+    """sum coeffs_i e_i in dimension dim: coeffs followed by zeros."""
+    center = np.zeros(dim, dtype=field.dtype)
+    center[: len(coeffs)] = coeffs
+    return center
+
+
 def _radius(rng, lo: float = 1e-3, hi: float = 10.0) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _radius_pair(rng, adversarial: bool) -> tuple[float, float]:
+    """Two ball radii, below 0.5 when adversarial so an inflated residual stays below 5.5."""
+    hi = 0.5 if adversarial else 10.0
+    return _radius(rng, 1e-3, hi), _radius(rng, 1e-3, hi)
 
 
 def _frac(rng, adversarial: bool) -> float:
@@ -317,14 +341,19 @@ def _enc_array(arr: np.ndarray, field: FieldTag) -> list:
 
 
 def _enc_value(value, field: FieldTag):
+    """A JSON-able copy of value: nested dicts and lists are copied, never shared."""
     if isinstance(value, Vector):
         return _enc_array(value.coords, field)
     if isinstance(value, CoefficientSequence):
         return _enc_array(value.entries, field)
     if isinstance(value, ScalarPair):
         return {"lo": _enc_scalar(value.lo, field), "hi": _enc_scalar(value.hi, field)}
-    if isinstance(value, dict) and isinstance(value.get("poly"), np.ndarray):
-        return {"poly": _enc_array(value["poly"], field)}
+    if isinstance(value, np.ndarray):
+        return _enc_array(value, field)
+    if isinstance(value, dict):
+        return {key: _enc_value(v, field) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_enc_value(v, field) for v in value]
     return value
 
 
@@ -503,12 +532,6 @@ def _dec_function(obj, dom: WeightedDomain, field: FieldTag) -> DiscretizedFunct
     raise InputFormatError(f"expected {{'poly'}} or {{'values'}} function, got {obj!r}")
 
 
-def _poly_minmax_scale(coeffs, nodes) -> float:
-    """max |p(s_i)| over the nodes, used to scale sampled perturbations."""
-    vals = np.polynomial.polynomial.polyval(nodes, np.asarray(coeffs))
-    return float(np.max(np.abs(vals)))
-
-
 # ---------------------------------------------------------------------------
 # Samplers.  Each returns a typed instance dict whose hypothesis holds by
 # construction (or is deliberately broken when adversarial=True).
@@ -540,24 +563,24 @@ def _sample_ball(theorem, rng, dim, field, adversarial, restrict=False, capped=F
         a = _rand_coords(rng, dim, field)
         r = _radius(rng)
         t = _frac(rng, adversarial)
-    x = a + t * r * _unit_coords(rng, dim, field)
+    x = _in_ball(rng, field, a, r, t)
     return _instance(theorem, field, x=_vec(x, field), a=_vec(a, field), r=r)
 
 
-def _pair_point(rng, dim, field, adversarial, base, scale, lo, hi) -> np.ndarray:
+def _pair_point(rng, field, adversarial, base, scale, lo, hi) -> np.ndarray:
     """x with Re<hi*base - x, x - lo*base> >= 0 when not adversarial: the midpoint
     times base plus a residual of length t * |hi - lo|/2 * scale, scale = ||base||."""
     mid = (complex(lo) + complex(hi)) / 2.0
     radius = 0.5 * abs(complex(hi) - complex(lo)) * scale
     t = _frac(rng, adversarial)
     c = mid if field is FieldTag.COMPLEX else mid.real
-    return c * base + t * radius * _unit_coords(rng, dim, field)
+    return _in_ball(rng, field, c * base, radius, t)
 
 
 def _sample_two_sided(theorem, rng, dim, field, adversarial, positive_real=False):
     y = _nonzero_coords(rng, dim, field)
     lo, hi = _sample_pair(rng, field, positive_real=positive_real)
-    x = _pair_point(rng, dim, field, adversarial, y, _array_norm(y), lo, hi)
+    x = _pair_point(rng, field, adversarial, y, _array_norm(y), lo, hi)
     return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field), pair=ScalarPair(lo, hi))
 
 
@@ -577,7 +600,7 @@ def _sample_real_range(theorem, rng, dim, field, adversarial, capped=False):
         t = _frac(rng, adversarial)
     mid = 0.5 * (m + M)
     radius = 0.5 * (M - m) * ny
-    x = mid * y + t * radius * _unit_coords(rng, dim, field)
+    x = _in_ball(rng, field, mid * y, radius, t)
     return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field), m=m, M=M)
 
 
@@ -587,12 +610,10 @@ def _sample_gruss_ball(theorem, rng, dim, field, adversarial, unit_radii=False):
     if unit_radii:
         r1 = float(rng.uniform(0.05, 0.95))
         r2 = float(rng.uniform(0.05, 0.95))
-    elif adversarial:
-        r1, r2 = _radius(rng, 1e-3, 0.5), _radius(rng, 1e-3, 0.5)
     else:
-        r1, r2 = _radius(rng), _radius(rng)
-    x = e + _frac(rng, adversarial) * r1 * _unit_coords(rng, dim, field)
-    y = e + _frac(rng, adversarial) * r2 * _unit_coords(rng, dim, field)
+        r1, r2 = _radius_pair(rng, adversarial)
+    x = _in_ball(rng, field, e, r1, _frac(rng, adversarial))
+    y = _in_ball(rng, field, e, r2, _frac(rng, adversarial))
     x, y, e = _vec(x, field), _vec(y, field), _vec(e, field)
     return _instance(theorem, field, x=x, y=y, e=e, r1=r1, r2=r2)
 
@@ -601,8 +622,8 @@ def _sample_gruss_pair(theorem, rng, dim, field, adversarial, positive_real=Fals
     e = _unit_coords(rng, dim, field)
     lo_x, hi_x = _sample_pair(rng, field, positive_real=positive_real)
     lo_y, hi_y = _sample_pair(rng, field, positive_real=positive_real)
-    x = _vec(_pair_point(rng, dim, field, adversarial, e, 1.0, lo_x, hi_x), field)
-    y = _vec(_pair_point(rng, dim, field, adversarial, e, 1.0, lo_y, hi_y), field)
+    x = _vec(_pair_point(rng, field, adversarial, e, 1.0, lo_x, hi_x), field)
+    y = _vec(_pair_point(rng, field, adversarial, e, 1.0, lo_y, hi_y), field)
     pair_x, pair_y = ScalarPair(lo_x, hi_x), ScalarPair(lo_y, hi_y)
     return _instance(theorem, field, x=x, y=y, e=_vec(e, field), pair_x=pair_x, pair_y=pair_y)
 
@@ -615,23 +636,18 @@ def _sample_bessel_ball(theorem, rng, dim, field, adversarial, restrict=False):
     """restrict=True keeps r < ||lam|| (strict form)."""
     k = _family_size(dim)
     lam = _nonzero_coords(rng, k, field)
-    lam_norm = _array_norm(lam)
     if restrict:
-        r = float(rng.uniform(0.05, 0.95)) * lam_norm
+        r = float(rng.uniform(0.05, 0.95)) * _array_norm(lam)
     else:
         r = _radius(rng)
-    center = np.zeros(dim, dtype=field.dtype)
-    center[:k] = lam
-    x = center + _frac(rng, adversarial) * r * _unit_coords(rng, dim, field)
+    x = _in_ball(rng, field, _padded(lam, dim, field), r, _frac(rng, adversarial))
     return _instance(theorem, field, x=_vec(x, field), size=k, lam=_seq(lam, field), r=r)
 
 
 def _seq_pair_point(rng, dim, field, adversarial, lo, hi) -> np.ndarray:
     """sum (lo_i + hi_i)/2 e_i plus a residual of length t * ||hi - lo||/2."""
-    center = np.zeros(dim, dtype=field.dtype)
-    center[: len(lo)] = 0.5 * (lo + hi)
-    radius = 0.5 * _array_norm(hi - lo)
-    return center + _frac(rng, adversarial) * radius * _unit_coords(rng, dim, field)
+    center = _padded(0.5 * (lo + hi), dim, field)
+    return _in_ball(rng, field, center, 0.5 * _array_norm(hi - lo), _frac(rng, adversarial))
 
 
 def _sample_bessel_pair(theorem, rng, dim, field, adversarial, positive_sum=False):
@@ -646,17 +662,9 @@ def _sample_family_gruss_ball(theorem, rng, dim, field, adversarial):
     k = _family_size(dim)
     lam = _nonzero_coords(rng, k, field)
     mu = _nonzero_coords(rng, k, field)
-    if adversarial:
-        r1, r2 = _radius(rng, 1e-3, 0.5), _radius(rng, 1e-3, 0.5)
-    else:
-        r1, r2 = _radius(rng), _radius(rng)
-
-    def point(coeffs, r):
-        center = np.zeros(dim, dtype=field.dtype)
-        center[:k] = coeffs
-        return center + _frac(rng, adversarial) * r * _unit_coords(rng, dim, field)
-
-    x, y = _vec(point(lam, r1), field), _vec(point(mu, r2), field)
+    r1, r2 = _radius_pair(rng, adversarial)
+    x = _vec(_in_ball(rng, field, _padded(lam, dim, field), r1, _frac(rng, adversarial)), field)
+    y = _vec(_in_ball(rng, field, _padded(mu, dim, field), r2, _frac(rng, adversarial)), field)
     lam, mu = _seq(lam, field), _seq(mu, field)
     return _instance(theorem, field, x=x, y=y, size=k, lam=lam, mu=mu, r1=r1, r2=r2)
 
@@ -680,14 +688,10 @@ def _default_domain() -> WeightedDomain:
     return _dec_domain(DEFAULT_DOMAIN_SPEC)
 
 
-def _rand_poly(rng, deg: int, field: FieldTag) -> np.ndarray:
-    return _rand_coords(rng, deg + 1, field)
-
-
 def _scaled_perturbation(rng, deg, field, nodes, limit) -> np.ndarray:
     """Polynomial q with max_node |q| = limit (zero polynomial if limit is 0)."""
-    p = _rand_poly(rng, deg, field)
-    m = _poly_minmax_scale(p, nodes)
+    p = _rand_coords(rng, deg + 1, field)
+    m = float(np.max(np.abs(np.polynomial.polynomial.polyval(nodes, p))))
     if m < 1e-12:
         p = np.zeros_like(p)
         p[0] = 1.0
@@ -697,7 +701,7 @@ def _scaled_perturbation(rng, deg, field, nodes, limit) -> np.ndarray:
 
 def _sample_integral_ball(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
-    g = _rand_poly(rng, 3, field)
+    g = _rand_coords(rng, 4, field)
     r = _radius(rng)
     t = _frac(rng, adversarial)
     delta = _scaled_perturbation(rng, 3, field, dom.nodes, t * r)
@@ -705,52 +709,51 @@ def _sample_integral_ball(theorem, rng, dim, field, adversarial):
     return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, f={"poly": f}, g={"poly": g}, r=r)
 
 
-def _pair_multiple(rng, field, dom, adversarial, base) -> tuple:
-    """(f, lo, hi): f = c * base for a polynomial c within t * |hi - lo|/2 of
-    (lo + hi)/2 at the nodes, so f meets the two-sided condition against base."""
-    lo, hi = _sample_pair(rng, field)
+def _pair_multiple(rng, field, dom, adversarial, base, lo, hi) -> np.ndarray:
+    """f = c * base for a polynomial c within t * |hi - lo|/2 of (lo + hi)/2 at
+    the nodes, so f meets the two-sided condition against base."""
     mid = (complex(lo) + complex(hi)) / 2.0
     t = _frac(rng, adversarial)
     q = _scaled_perturbation(rng, 2, field, dom.nodes, t * 0.5 * abs(complex(hi) - complex(lo)))
     mid_c = mid if field is FieldTag.COMPLEX else mid.real
     factor = np.polynomial.polynomial.polyadd(np.array([mid_c]), q)
-    return np.polynomial.polynomial.polymul(factor, base), lo, hi
+    return np.polynomial.polynomial.polymul(factor, base)
 
 
 def _sample_integral_pair(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
-    g = _rand_poly(rng, 2, field)
-    f, lo, hi = _pair_multiple(rng, field, dom, adversarial, g)
+    g = _rand_coords(rng, 3, field)
+    lo, hi = _sample_pair(rng, field)
+    f = _pair_multiple(rng, field, dom, adversarial, g, lo, hi)
     f, g = {"poly": f}, {"poly": g}
     return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, f=f, g=g, pair=ScalarPair(lo, hi))
 
 
 def _sample_integral_range(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
-    q = _rand_poly(rng, 2, FieldTag.REAL)
+    q = _rand_coords(rng, 3, FieldTag.REAL)
     g = np.polynomial.polynomial.polymul(q, q)
     g = np.polynomial.polynomial.polyadd(g, np.array([float(rng.uniform(0.1, 1.0))]))
     m = _radius(rng, 0.05, 2.0)
     M = m + _radius(rng, 0.01, 5.0)
-    t = _frac(rng, adversarial)
-    q2 = _scaled_perturbation(rng, 2, FieldTag.REAL, dom.nodes, t * 0.5 * (M - m))
-    factor = np.polynomial.polynomial.polyadd(np.array([0.5 * (m + M)]), q2)
-    f = np.polynomial.polynomial.polymul(factor, g)
+    f = _pair_multiple(rng, FieldTag.REAL, dom, adversarial, g, m, M)
     f, g = {"poly": f}, {"poly": g}
     return _instance(theorem, FieldTag.REAL, domain=DEFAULT_DOMAIN_SPEC, f=f, g=g, m=m, M=M)
 
 
 def _sample_integral_gruss(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
-    h0 = _rand_poly(rng, 2, field)
+    h0 = _rand_coords(rng, 3, field)
     nh = dom.norm(dom.discretize(np.polynomial.polynomial.polyval(dom.nodes, h0), field))
     if nh < 1e-3:
         h0 = np.zeros_like(h0)
         h0[0] = 1.0
         nh = 1.0
     h = h0 / nh
-    f, lo_f, hi_f = _pair_multiple(rng, field, dom, adversarial, h)
-    g, lo_g, hi_g = _pair_multiple(rng, field, dom, False, h)
+    lo_f, hi_f = _sample_pair(rng, field)
+    f = _pair_multiple(rng, field, dom, adversarial, h, lo_f, hi_f)
+    lo_g, hi_g = _sample_pair(rng, field)
+    g = _pair_multiple(rng, field, dom, False, h, lo_g, hi_g)
     funcs = {"f": {"poly": f}, "g": {"poly": g}, "h": {"poly": h}}
     pairs = {"pair_f": ScalarPair(lo_f, hi_f), "pair_g": ScalarPair(lo_g, hi_g)}
     return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, **funcs, **pairs)

@@ -7,8 +7,11 @@ A WeightedDomain holds nodes s_i and weights w_i >= 0 with sum w_i = 1, so
 is the inner product of the weight's probability measure restricted to the
 nodes.  Everything downstream is then a finite-dimensional instance via the
 embedding f |-> (sqrt(w_i) f(s_i))_i, which the test suite exercises against
-the abstract modules; the bounds here are computed directly from the
-quadrature sums so the two routes stay independent.
+the abstract modules.  The norms and inner products here come from the
+quadrature sums, never from that embedding, so the two routes stay
+independent.  The chain formulas applied to those sums are shared: the ball
+and two-sided Schwarz chains are `schwarz`'s, and the range bound and its
+M > m > 0 check are `triangle`'s.
 
 Pointwise conditions (|f - g| <= r at every node, the two-sided scalar
 condition at every node, m g <= f <= M g at every node) stand in for the
@@ -32,9 +35,9 @@ from .errors import (
     PreconditionError,
 )
 from .gruss import GrussReport
-from .schwarz import BALL_LABELS, PAIR_LABELS, BoundChain
+from .schwarz import BoundChain, _ball_chain, _pair_chain
 from .space import FieldTag, Scalar, Vector, _as_coords
-from .triangle import TriangleDefect, _clamped_defect
+from .triangle import TriangleDefect, _clamped_defect, _range_bound, _require_range
 
 #: Quadrature weights must sum to 1 within this, matching the unit-mass hypothesis.
 MASS_TOL = 1e-8
@@ -307,16 +310,7 @@ def integral_schwarz_ball(
 ) -> BoundChain:
     """Gap chain for |f - g| <= r at the nodes; bound r^2/2 (unit total mass)."""
     report = pointwise_ball(f, g, r)
-    nf, ng = dom.norm(f), dom.norm(g)
-    ip = complex(dom.inner(f, g))
-    values = (
-        0.0,
-        nf * ng - abs(ip),
-        nf * ng - abs(ip.real),
-        nf * ng - ip.real,
-        0.5 * r * r,
-    )
-    return BoundChain(BALL_LABELS, values, report)
+    return _ball_chain(dom.norm(f), dom.norm(g), complex(dom.inner(f, g)), r, report)
 
 
 def integral_schwarz_pair(
@@ -325,18 +319,7 @@ def integral_schwarz_pair(
     """Gap chain for the nodewise two-sided condition; bound |G-g|^2/(4|G+g|) ||g||^2."""
     pair.require_nondegenerate()
     report = pointwise_pair(f, g, pair)
-    nf, ng = dom.norm(f), dom.norm(g)
-    ip = complex(dom.inner(f, g))
-    summ = pair.summ
-    aligned = (summ.conjugate() / abs(summ) * ip).real
-    values = (
-        0.0,
-        nf * ng - abs(ip),
-        nf * ng - abs(aligned),
-        nf * ng - aligned,
-        0.25 * abs(pair.diff) ** 2 / abs(summ) * ng * ng,
-    )
-    return BoundChain(PAIR_LABELS, values, report)
+    return _pair_chain(dom.norm(f), dom.norm(g), complex(dom.inner(f, g)), pair, report)
 
 
 def integral_schwarz_range(
@@ -362,14 +345,12 @@ def integral_triangle(
     f: DiscretizedFunction, g: DiscretizedFunction, dom: WeightedDomain, m: float, M: float
 ) -> TriangleDefect:
     """Triangle defect ||f|| + ||g|| - ||f+g|| <= (sqrt(2)/2)(M-m)/sqrt(M+m) ||g||."""
-    if not (M > m > 0):
-        raise PreconditionError(f"need M > m > 0, got m={m}, M={M}")
+    _require_range(m, M)
     report = pointwise_range(f, g, m, M)
     nf, ng = dom.norm(f), dom.norm(g)
     total = dom.norm(DiscretizedFunction(f.values + g.values, f.field))
     defect = _clamped_defect(nf, ng, total)
-    bound = (0.5 ** 0.5) * (M - m) / (M + m) ** 0.5 * ng
-    return TriangleDefect(defect, bound, report)
+    return TriangleDefect(defect, _range_bound(m, M, ng), report)
 
 
 def integral_gruss(

@@ -35,7 +35,7 @@ from .space import (
     norm,
     synthesize,
 )
-from .triangle import TriangleDefect, _defect
+from .triangle import TriangleDefect, _defect, _require_range
 
 SQUARED_BALL_LABELS = ("zero", "abs_gap", "real_gap", "bound")
 SQUARED_PAIR_LABELS = ("norm_product_sq", "real_route", "bound")
@@ -47,12 +47,8 @@ BESSEL_BALL_LABELS = ("norm_sq", "real_route", "abs_route", "bound")
 RATIO_EMIT_REL = 1e-12
 
 
-def legacy_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
-    """Squared-level chain ||x||^2||a||^2 - |<x,a>|^2 <= ... <= r^2 ||x||^2.
-
-    Requires r < ||a|| strictly, unlike the half-constant bound which has no
-    such restriction.
-    """
+def _strict_ball(x: Vector, a: Vector, r: float) -> float:
+    """||a||, after checking x and a share a space and 0 < r < ||a||."""
     check_same_space(x, a)
     if not r > 0:
         raise PreconditionError(f"radius must be positive, got {r}")
@@ -61,6 +57,16 @@ def legacy_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
         raise PreconditionError(
             f"radius must be smaller than the center norm: r={r}, ||a||={na}"
         )
+    return na
+
+
+def legacy_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
+    """Squared-level chain ||x||^2||a||^2 - |<x,a>|^2 <= ... <= r^2 ||x||^2.
+
+    Requires r < ||a|| strictly, unlike the half-constant bound which has no
+    such restriction.
+    """
+    na = _strict_ball(x, a, r)
     report = in_closed_ball(x, a, r)
     nx = norm(x)
     ip = inner(x, a)
@@ -110,14 +116,7 @@ def legacy_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
 
 def legacy_triangle_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:
     """Triangle defect bound sqrt(2) r sqrt(Re<x,a> / (s (s + ||a||))), s = sqrt(||a||^2 - r^2)."""
-    check_same_space(x, a)
-    if not r > 0:
-        raise PreconditionError(f"radius must be positive, got {r}")
-    na = norm(a)
-    if not r < na:
-        raise PreconditionError(
-            f"radius must be smaller than the center norm: r={r}, ||a||={na}"
-        )
+    na = _strict_ball(x, a, r)
     re_ip = complex(inner(x, a)).real
     if re_ip < 0:
         raise PreconditionError(f"Re<x,a> must be nonnegative, got {re_ip}")
@@ -130,8 +129,7 @@ def legacy_triangle_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:
 def legacy_triangle_pair(x: Vector, y: Vector, m: float, M: float) -> TriangleDefect:
     """Triangle defect bound (sqrt(M) - sqrt(m)) / (M m)^(1/4) * sqrt(Re<x,y>)."""
     check_same_space(x, y)
-    if not (M > m > 0):
-        raise PreconditionError(f"need M > m > 0, got m={m}, M={M}")
+    _require_range(m, M)
     re_ip = complex(inner(x, y)).real
     if re_ip < 0:
         raise PreconditionError(f"Re<x,y> must be nonnegative, got {re_ip}")
@@ -240,7 +238,7 @@ def legacy_bessel_pair(
     Gammas: CoefficientSequence,
 ) -> BesselReport:
     """Multiplicative reverse Bessel chain with factor sum|G+g|^2 / (4 sum Re(G conj(g)))."""
-    _seq_pair_check(gammas, Gammas)
+    diff_sq, summ_sq = _seq_pair_check(gammas, Gammas)
     re_sum = float(np.vdot(gammas.entries, Gammas.entries).real)
     if not re_sum > 0:
         raise PreconditionError(
@@ -250,11 +248,7 @@ def legacy_bessel_pair(
     nx = norm(x)
     coeffs = fourier_coefficients(x, fam)
     cn = coeffs.norm
-    summ = Gammas.entries + gammas.entries
-    diff = Gammas.entries - gammas.entries
-    summ_sq = float(np.vdot(summ, summ).real)
-    diff_sq = float(np.vdot(diff, diff).real)
-    mixed = complex(np.vdot(summ, coeffs.entries))
+    mixed = complex(np.vdot(Gammas.entries + gammas.entries, coeffs.entries))
     chain = BoundChain(
         BESSEL_BALL_LABELS,
         (

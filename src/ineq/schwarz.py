@@ -78,14 +78,8 @@ class BoundChain(SingleCondition):
         return dict(zip(self.labels, self.values))
 
 
-def reverse_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
-    """Gap chain for the ball hypothesis ||x - a|| <= r; bound r^2/2.
-
-    No r < ||a|| restriction: the proof needs only the ball membership.
-    """
-    report = in_closed_ball(x, a, r)
-    nx, na = norm(x), norm(a)
-    ip = complex(inner(x, a))
+def _ball_chain(nx: float, na: float, ip: complex, r: float, report) -> BoundChain:
+    """The ball-form chain from ||x||, ||a||, <x,a> and the radius r."""
     values = (
         0.0,
         nx * na - abs(ip),
@@ -96,12 +90,8 @@ def reverse_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
     return BoundChain(BALL_LABELS, values, report)
 
 
-def reverse_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
-    """Gap chain for the two-sided hypothesis with scalar pair (lo, hi) = (g, G)."""
-    pair.require_nondegenerate()
-    report = two_sided_realpart(x, y, pair)
-    nx, ny = norm(x), norm(y)
-    ip = complex(inner(x, y))
+def _pair_chain(nx: float, ny: float, ip: complex, pair: ScalarPair, report) -> BoundChain:
+    """The two-sided chain from ||x||, ||y||, <x,y> and the pair (g, G)."""
     summ = pair.summ
     aligned = (summ.conjugate() / abs(summ) * ip).real
     bound = 0.25 * abs(pair.diff) ** 2 / abs(summ) * ny * ny
@@ -113,3 +103,19 @@ def reverse_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
         bound,
     )
     return BoundChain(PAIR_LABELS, values, report)
+
+
+def reverse_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
+    """Gap chain for the ball hypothesis ||x - a|| <= r; bound r^2/2.
+
+    No r < ||a|| restriction: the proof needs only the ball membership.
+    """
+    report = in_closed_ball(x, a, r)
+    return _ball_chain(norm(x), norm(a), complex(inner(x, a)), r, report)
+
+
+def reverse_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
+    """Gap chain for the two-sided hypothesis with scalar pair (lo, hi) = (g, G)."""
+    pair.require_nondegenerate()
+    report = two_sided_realpart(x, y, pair)
+    return _pair_chain(norm(x), norm(y), complex(inner(x, y)), pair, report)

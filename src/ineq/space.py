@@ -316,20 +316,22 @@ class _BasisCache(dict):
 _BASIS_CACHE = _BasisCache()
 
 
-def standard_basis(field: FieldTag, dim: int, size: int | None = None) -> OrthonormalFamily:
+def standard_basis(field: FieldTag | str, dim: int, size: int | None = None) -> OrthonormalFamily:
     """First `size` standard basis vectors of the given space.
 
-    Families are immutable, so each (field, dim, size) is built and checked
-    once and then shared from a cache bounded by its total coordinate count.
+    The field is a `FieldTag` or its name.  Families are immutable, so each
+    (tag, dim, size) is built and checked once and then shared from a cache
+    bounded by its total coordinate count.
     """
+    tag = FieldTag.parse(field)
     size = dim if size is None else size
     if not 1 <= size <= dim:
         raise DimensionMismatchError(f"cannot take {size} basis vectors in dimension {dim}")
-    key = (field, dim, size)
+    key = (tag, dim, size)
     fam = _BASIS_CACHE.get(key)
     if fam is None:
-        rows = np.eye(size, dim, dtype=field.dtype)
-        fam = OrthonormalFamily(tuple(Vector(row, field) for row in rows))
+        rows = np.eye(size, dim, dtype=tag.dtype)
+        fam = OrthonormalFamily(tuple(Vector(row, tag) for row in rows))
         _BASIS_CACHE.add(key, fam)
     return fam
 

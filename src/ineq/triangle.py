@@ -65,10 +65,18 @@ def triangle_reverse_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:
     return TriangleDefect(_defect(x, a), float(r), report)
 
 
-def triangle_reverse_pair(x: Vector, y: Vector, m: float, M: float) -> TriangleDefect:
-    """Defect bound (sqrt(2)/2)(M-m)/sqrt(M+m) ||y|| under the (m, M) condition."""
+def _require_range(m: float, M: float) -> None:
     if not (M > m > 0):
         raise PreconditionError(f"need M > m > 0, got m={m}, M={M}")
+
+
+def _range_bound(m: float, M: float, ny: float) -> float:
+    """(sqrt(2)/2)(M-m)/sqrt(M+m) ||y|| from ||y||."""
+    return (0.5 ** 0.5) * (M - m) / (M + m) ** 0.5 * ny
+
+
+def triangle_reverse_pair(x: Vector, y: Vector, m: float, M: float) -> TriangleDefect:
+    """Defect bound (sqrt(2)/2)(M-m)/sqrt(M+m) ||y|| under the (m, M) condition."""
+    _require_range(m, M)
     report = two_sided_realpart(x, y, ScalarPair(float(m), float(M)))
-    bound = (0.5 ** 0.5) * (M - m) / (M + m) ** 0.5 * norm(y)
-    return TriangleDefect(_defect(x, y), bound, report)
+    return TriangleDefect(_defect(x, y), _range_bound(m, M, norm(y)), report)

@@ -459,3 +459,62 @@ def test_coordinate_lists_decode_bit_identically_to_the_per_element_route(field)
                 assert got.tobytes() == want.tobytes(), (tid, dim, key)
                 checked += 1
     assert checked > 200
+
+
+def test_sampled_documents_own_their_domain():
+    # a returned document is the caller's to edit: changing any nested part
+    # of its domain leaves the default spec, later samples and suites alone
+    saved = json.loads(json.dumps(harness.DEFAULT_DOMAIN_SPEC))
+
+    def suite():
+        rep = run_suite(["prop7.1"], trials=4, dims=(3,), fields=("real",), seed=6,
+                        keep_records=True)
+        return rep.to_json()
+
+    fresh, report = sample_admissible("prop7.1", "real", 3, seed=6), suite()
+    try:
+        for tid in ("prop7.1", "prop7.2", "prop7.11", "prop7.12", "prop7.3"):
+            dom = sample_admissible(tid, "real", 3, seed=6)["domain"]
+            dom["interval"][1] = 2.0
+            dom["weight"]["poly"].append(1.0)
+            dom["rule"]["kind"] = "trapezoid"
+            dom["rule"]["n"] = 8
+        assert harness.DEFAULT_DOMAIN_SPEC == saved
+        assert sample_admissible("prop7.1", "real", 3, seed=6) == fresh
+        assert suite() == report
+    finally:
+        harness.DEFAULT_DOMAIN_SPEC.clear()
+        harness.DEFAULT_DOMAIN_SPEC.update(saved)
+        harness._DOMAIN_CACHE.clear()
+
+
+class _UniformOnly:
+    """A draw source with `uniform(low, high, size)` and nothing else."""
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._rng.uniform(low, high, size)
+
+
+def test_samplers_draw_only_through_uniform():
+    # the draw-source contract: a stand-in exposing only `uniform` reproduces
+    # every sampled document bit for bit
+    seed, checked = 11, 0
+    for tid in THEOREM_IDS:
+        stream = harness._Stream(seed, tid)
+        tags = [FieldTag.REAL] if tid in REAL_ONLY_IDS else [FieldTag.REAL, FieldTag.COMPLEX]
+        for dim in (1, 2, 3, 8, 16):
+            for tag in tags:
+                for adversarial in (False, True):
+                    for i in range(3):
+                        want = sample_admissible(tid, tag, dim, seed, adversarial, index=i)
+                        source = _UniformOnly(harness._rng_for(stream, i))
+                        inst = harness._SAMPLERS[tid](source, dim, tag, adversarial)
+                        got = dict(harness._encode_instance(inst), seed=seed)
+                        assert json.dumps(got) == json.dumps(want), (tid, dim, tag, i)
+                        checked += 1
+    assert checked == 1440

@@ -279,6 +279,8 @@ def test_standard_basis_is_shared_and_its_cache_bounded(monkeypatch):
         fam = standard_basis(FieldTag.COMPLEX, 5, 2)
         assert standard_basis(FieldTag.COMPLEX, 5, 2) is fam
         assert standard_basis(FieldTag.REAL, 5, 2) is not fam
+        assert standard_basis("complex", 5, 2) is fam  # a name shares the tag's entry
+        assert standard_basis("Real", 5, 2) is standard_basis(FieldTag.REAL, 5, 2)
         assert cache.coords == 20
         monkeypatch.setattr(space, "_BASIS_CACHE_COORDS", 30)
         big = standard_basis(FieldTag.REAL, 4, 4)  # 36 > 30: the oldest goes
