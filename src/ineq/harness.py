@@ -74,6 +74,12 @@ holds and some asserted comparison fails; it is a "counterexample" when the
 hypothesis fails and a comparison fails.  Theorems whose hypotheses hold
 guarantee zero violations; counterexamples in adversarial mode are the
 desired outcome, not errors.
+
+Both runners, `run_suite` (verify) and `evaluate_file` (eval), report
+through one `_Tally`: it decides each asserted comparison once, and those
+flags set a record's "passed", its per-comparison booleans and the
+per-theorem and aggregate counts.  A record or a per-theorem entry thus
+means the same in both reports.
 """
 
 from __future__ import annotations
@@ -278,51 +284,32 @@ def _frac(rng, adversarial: bool) -> float:
     return float(rng.uniform(0.0, 0.999))
 
 
-def _rand_scalar(rng, field: FieldTag):
-    if field is FieldTag.COMPLEX:
-        return complex(*rng.uniform(-2.0, 2.0, 2).tolist())
-    return float(rng.uniform(-2.0, 2.0))
-
-
-def _sample_pair(rng, field: FieldTag, positive_real: bool = False):
-    """(lo, hi) with |hi-lo|, |hi+lo| >= 1e-3 * mass; optionally Re(hi*conj(lo)) > 0."""
-    for _ in range(_RESAMPLE_CAP):
-        lo, hi = _rand_scalar(rng, field), _rand_scalar(rng, field)
-        mass = abs(lo) + abs(hi)
-        if mass < 1e-6:
-            continue
-        if abs(hi - lo) < 1e-3 * mass or abs(hi + lo) < 1e-3 * mass:
-            continue
-        if positive_real:
-            re = (complex(hi) * complex(lo).conjugate()).real
-            if abs(re) < 1e-3 * abs(lo) * abs(hi):
-                continue
-            if re < 0:
-                lo = -lo  # flips the sign of Re(hi*conj(lo)); separations swap roles
-        return lo, hi
-    one = 1.0 if field is FieldTag.REAL else complex(1.0)
-    return one, 2.5 * one
-
-
 def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
     """Sequences (lo_i), (hi_i) jointly nondegenerate; optionally sum Re(hi conj(lo)) > 0."""
     for _ in range(_RESAMPLE_CAP):
         lo = _rand_coords(rng, k, field)
         hi = _rand_coords(rng, k, field)
-        mass = _array_norm(lo) + _array_norm(hi)
+        norm_lo, norm_hi = _array_norm(lo), _array_norm(hi)
+        mass = norm_lo + norm_hi
         if mass < 1e-6:
             continue
         if _array_norm(hi - lo) < 1e-3 * mass or _array_norm(hi + lo) < 1e-3 * mass:
             continue
         if positive_sum:
             re = float(np.vdot(lo, hi).real)
-            if abs(re) < 1e-3 * _array_norm(lo) * _array_norm(hi):
+            if abs(re) < 1e-3 * norm_lo * norm_hi:
                 continue
             if re < 0:
-                lo = -lo
+                lo = -lo  # flips the sign of the sum; separations swap roles
         return lo, hi
     ones = np.ones(k, dtype=field.dtype)
     return ones, 2.5 * ones
+
+
+def _sample_pair(rng, field: FieldTag, positive_real: bool = False):
+    """Scalars (lo, hi): a nondegenerate sequence pair of length 1."""
+    lo, hi = _sample_seq_pair(rng, field, 1, positive_sum=positive_real)
+    return lo[0].item(), hi[0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -968,6 +955,8 @@ def sample_admissible(
         tag = FieldTag.REAL
     if dim < 1:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
+    if int(seed) < 0:
+        raise InputFormatError(f"seed must be nonnegative, got {seed}")
     if not 0 <= int(index) < 2**64:
         raise InputFormatError(f"index must be in [0, 2**64), got {index}")
     rng = _rng_for(_Stream(seed, tid), int(index))
@@ -1027,7 +1016,7 @@ class _Stats:
         }
 
 
-def _record(index: int, result: InstanceResult, tol: float, ok: bool) -> dict:
+def _record(index: int, result: InstanceResult, ok: bool, flags: list) -> dict:
     return {
         "index": index,
         "theorem": result.theorem,
@@ -1040,10 +1029,41 @@ def _record(index: int, result: InstanceResult, tol: float, ok: bool) -> dict:
         "slack": result.bound - result.gap,
         "passed": ok,
         "comparisons": [
-            [l1, v1, l2, v2, leq_with_slack(v1, v2, tol)]
-            for l1, v1, l2, v2 in result.comparisons
+            [l1, v1, l2, v2, flag] for (l1, v1, l2, v2), flag in zip(result.comparisons, flags)
         ],
     }
+
+
+class _Tally:
+    """Stats and records of `run_suite` and `evaluate_file`, from one flag per comparison.
+
+    Per-theorem entries appear in the order of `ids`, then of first appearance.
+    """
+
+    __slots__ = ("tol", "total", "per_theorem", "records")
+
+    def __init__(self, tol: float, keep_records: bool, ids: Sequence[str] = ()):
+        if not math.isfinite(tol):
+            raise InputFormatError(f"tol must be finite, got {tol!r}")
+        self.tol = tol
+        self.total = _Stats()
+        self.per_theorem = {tid: _Stats() for tid in ids}
+        self.records: Optional[list] = [] if keep_records else None
+
+    def add(self, index: int, result: InstanceResult) -> None:
+        flags = [leq_with_slack(lhs, rhs, self.tol) for _, lhs, _, rhs in result.comparisons]
+        ok = all(flags)
+        stats = self.per_theorem.get(result.theorem)
+        if stats is None:
+            stats = self.per_theorem[result.theorem] = _Stats()
+        stats.add(result, ok)
+        self.total.add(result, ok)
+        if self.records is not None:
+            self.records.append(_record(index, result, ok, flags))
+
+    def report(self, metadata: dict) -> SuiteReport:
+        per_theorem = {tid: stats.as_dict() for tid, stats in self.per_theorem.items()}
+        return SuiteReport(metadata, self.total.as_dict(), per_theorem, self.records)
 
 
 def run_suite(
@@ -1071,31 +1091,30 @@ def run_suite(
     Violations count admissible instances failing an asserted comparison at
     relative tolerance tol (the theorems guarantee zero); counterexamples
     count hypothesis-violating instances whose bare inequality fails
-    (adversarial mode exists to show these are found).
+    (adversarial mode exists to show these are found).  A theorem named twice
+    runs once.  Results are counted by the same `_Tally` as `evaluate_file`'s,
+    so a record and a per-theorem entry mean the same in both reports.
     """
-    ids = (
-        list(THEOREM_IDS)
+    ids = list(
+        THEOREM_IDS
         if theorems is None
-        else [normalize_theorem_id(t) for t in theorems]
+        else dict.fromkeys(normalize_theorem_id(t) for t in theorems)
     )
-    if not math.isfinite(tol):
-        raise InputFormatError(f"tol must be finite, got {tol!r}")
+    tally = _Tally(tol, keep_records, ids)
     if trials < 1:
         raise InputFormatError(f"trials must be >= 1, got {trials}")
     if int(seed) < 0:
         raise InputFormatError(f"seed must be nonnegative, got {seed}")
     dims = [int(d) for d in dims]
+    if not dims:
+        raise InputFormatError("need at least one dimension")
     if any(d < 1 for d in dims):
         raise InputFormatError(f"dimensions must be >= 1, got {dims}")
     field_tags = [FieldTag.parse(f) for f in fields]
     if not field_tags:
         raise InputFormatError("need at least one field")
 
-    total = _Stats()
-    per_theorem: dict[str, _Stats] = {}
-    records: Optional[list] = [] if keep_records else None
     for tid in ids:
-        stats = per_theorem.setdefault(tid, _Stats())
         tags = [t for t in field_tags if not (tid in REAL_ONLY_IDS and t is FieldTag.COMPLEX)]
         if not tags:
             continue
@@ -1105,16 +1124,9 @@ def run_suite(
         stream = _Stream(seed, tid)
         for i in range(int(trials)):
             dim, tag = grid[i % len(grid)]
-            rng = _rng_for(stream, i)
-            inst = sampler(rng, dim, tag, adversarial)
-            result = evaluator(inst)
-            ok = result.passed(tol)
-            stats.add(result, ok)
-            total.add(result, ok)
-            if records is not None:
-                records.append(_record(i, result, tol, ok))
+            tally.add(i, evaluator(sampler(_rng_for(stream, i), dim, tag, adversarial)))
 
-    metadata = {
+    return tally.report({
         "mode": "verify",
         "version": __version__,
         "seed": int(seed),
@@ -1124,13 +1136,7 @@ def run_suite(
         "fields": [t.value for t in field_tags],
         "theorems": ids,
         "adversarial": bool(adversarial),
-    }
-    return SuiteReport(
-        metadata=metadata,
-        aggregate=total.as_dict(),
-        per_theorem={tid: per_theorem[tid].as_dict() for tid in ids},
-        records=records,
-    )
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1149,9 +1155,12 @@ def _first_non_finite(result: InstanceResult) -> Optional[tuple[str, float]]:
 
 
 def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
-    """Evaluate an instance document: {"instances": [instance, ...]}."""
-    if not math.isfinite(tol):
-        raise InputFormatError(f"tol must be finite, got {tol!r}")
+    """Evaluate an instance document: {"instances": [instance, ...]}.
+
+    Results are counted by the same `_Tally` as `run_suite`'s, every record
+    kept; per-theorem entries follow the first appearance of each id.
+    """
+    tally = _Tally(tol, keep_records=True)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -1165,10 +1174,6 @@ def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
     if not isinstance(instances, list):
         raise InputFormatError(f"{path}: 'instances' must be a list")
 
-    total = _Stats()
-    per_theorem: dict[str, _Stats] = {}
-    records: list = []
-    order: list[str] = []
     # Overflow is classified below as bad input, so numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, inst in enumerate(instances):
@@ -1182,20 +1187,9 @@ def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
                     f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}; "
                     "the inputs overflow double precision"
                 )
-            ok = result.passed(tol)
-            if result.theorem not in per_theorem:
-                order.append(result.theorem)
-            per_theorem.setdefault(result.theorem, _Stats()).add(result, ok)
-            total.add(result, ok)
-            records.append(_record(i, result, tol, ok))
+            tally.add(i, result)
 
-    metadata = {"mode": "eval", "version": __version__, "tol": float(tol)}
-    return SuiteReport(
-        metadata=metadata,
-        aggregate=total.as_dict(),
-        per_theorem={tid: per_theorem[tid].as_dict() for tid in order},
-        records=records,
-    )
+    return tally.report({"mode": "eval", "version": __version__, "tol": float(tol)})
 
 
 CSV_COLUMNS = (

@@ -46,6 +46,14 @@ def test_verify_small_run(capsys):
     assert "records" not in doc
 
 
+def test_verify_runs_a_repeated_theorem_once(capsys):
+    argv = ["verify", "--trials", "4", "--dims", "2", "--field", "real"]
+    rc, twice, _ = run_cli(capsys, *argv, "--theorems", "thm2.1,thm2.1")
+    assert rc == 0
+    assert twice == run_cli(capsys, *argv, "--theorems", "thm2.1")[1]
+    assert json.loads(twice)["per_theorem"]["thm2.1"]["count"] == 4
+
+
 def test_verify_output_is_reproducible(capsys):
     argv = ["verify", "--theorems", "thm2.2", "--trials", "5", "--seed", "9"]
     rc1 = main(argv)

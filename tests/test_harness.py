@@ -110,6 +110,64 @@ def test_run_suite_validates_arguments():
         run_suite(trials=1, dims=(0,))
     with pytest.raises(InputFormatError):
         run_suite(trials=1, fields=())
+    with pytest.raises(InputFormatError, match="at least one dimension"):
+        run_suite(trials=1, dims=[])
+    with pytest.raises(InputFormatError, match="seed must be nonnegative"):
+        sample_admissible("thm2.1", seed=-1)
+
+
+def test_a_repeated_theorem_id_runs_once():
+    kwargs = dict(trials=4, dims=(2,), fields=("real",), seed=3, keep_records=True)
+    once = run_suite(["thm2.1"], **kwargs)
+    assert run_suite(["thm2.1", "THM2.1"], **kwargs).to_json() == once.to_json()
+    assert once.per_theorem["thm2.1"]["count"] == 4
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_verify_and_eval_tally_alike(tmp_path, adversarial):
+    # the documents of a run's instances 0..n-1, evaluated from a file, give
+    # the run's per-theorem stats and records; prop7.11 is real-only, and
+    # thm5.2 and legacy1.20 are Bessel ids
+    dims, fields, seed, n = (1, 2, 3), ("real", "complex"), 21, 24
+    for tid in ("thm2.2", "prop7.11", "thm5.2", "legacy1.20"):
+        rep = run_suite(
+            [tid], trials=n, dims=dims, fields=fields, seed=seed,
+            adversarial=adversarial, keep_records=True,
+        )
+        grid = [
+            (d, f) for d in dims for f in fields
+            if not (tid in REAL_ONLY_IDS and f == "complex")
+        ]
+        docs = []
+        for i in range(n):
+            dim, field = grid[i % len(grid)]
+            docs.append(sample_admissible(tid, field, dim, seed, adversarial, index=i))
+        path = tmp_path / f"{tid}.json"
+        path.write_text(json.dumps({"instances": docs}), encoding="utf-8")
+        evaluated = evaluate_file(str(path))
+        assert evaluated.per_theorem == {tid: rep.per_theorem[tid]}
+        assert evaluated.aggregate == rep.aggregate
+        assert evaluated.records == rep.records
+
+
+def test_eval_decides_each_comparison_once(tmp_path, monkeypatch):
+    calls = []
+    decide = harness.leq_with_slack
+
+    def counting(lhs, rhs, tol):
+        calls.append((lhs, rhs))
+        return decide(lhs, rhs, tol)
+
+    docs = [
+        sample_admissible(tid, "real", 3, seed=6, adversarial=(i % 2 == 1), index=i)
+        for i, tid in enumerate(THEOREM_IDS)
+    ]
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps({"instances": docs}), encoding="utf-8")
+    monkeypatch.setattr(harness, "leq_with_slack", counting)
+    rep = evaluate_file(str(path))
+    assert rep.counterexamples > 0
+    assert calls == [(v1, v2) for rec in rep.records for _, v1, _, v2, _ in rec["comparisons"]]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
