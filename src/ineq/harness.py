@@ -51,6 +51,14 @@ drawn by `_in_ball` (t first, then the direction).  Any object with that one
 method is a draw source: a sampled instance is a function of the values it
 returns, in call order.  The tests hold every sampler to this contract.
 
+`run_suite` runs on every CPU available to the process, with no option to
+choose how many: each theorem's index range is cut into one contiguous slice
+per worker, forked children compute all slices but the first, and this
+process counts every result in serial (theorem, index) order, so the report
+does not depend on the worker count.  Runs of fewer than two workers'
+worth of instances, one-CPU hosts, platforms without `os.fork` and
+processes running more than one Python thread stay serial.
+
 JSON exists only at the boundary.  `sample_admissible` encodes a typed
 instance into the document schema below, and `evaluate_instance` (hence
 `ineq eval`) decodes documents with full per-element validation; a typed
@@ -84,12 +92,18 @@ means the same in both reports.
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 import zlib
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -915,7 +929,7 @@ def _evaluate(tid: str, inst: dict) -> InstanceResult:
             raise type(exc)(f"{tid} {key!r}: {exc}") from None
     report = globals()[spec.operation](*args)
     return InstanceResult(
-        inst["theorem"], inst["field"], decoding.dim, report.admissible, report.margin,
+        tid, inst["field"], decoding.dim, report.admissible, report.margin,
         report.gap, report.bound, report.comparisons,
     )
 
@@ -1066,6 +1080,135 @@ class _Tally:
         return SuiteReport(metadata, self.total.as_dict(), per_theorem, self.records)
 
 
+#: Instances per worker below which one more forked worker costs `run_suite`
+#: more than it saves: a fork, its copy-on-write faults and its reaping cost
+#: about as much as this many instances (CHANGES.md has the measurement).
+_FORK_BREAK_EVEN = 128
+
+
+def _worker_count(instances: int) -> int:
+    """Processes `run_suite` splits `instances` over: 1 means serial, no fork.
+
+    One per CPU available to this process, but no more than leaves each
+    worker `_FORK_BREAK_EVEN` instances.  Forking needs `os.fork` and a
+    process with a single Python thread.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), instances // _FORK_BREAK_EVEN))
+
+
+def _results(job, seed: int, adversarial: bool, lo: int, hi: int):
+    """Instances lo..hi-1 of one theorem, sampled and evaluated in index order."""
+    tid, grid = job
+    sampler = _SAMPLERS[tid]
+    evaluator = _EVALUATORS[tid]
+    stream = _Stream(seed, tid)
+    for i in range(lo, hi):
+        dim, tag = grid[i % len(grid)]
+        yield evaluator(sampler(_rng_for(stream, i), dim, tag, adversarial))
+
+
+#: Results per pickle in a child's message: the parent unpickles one chunk
+#: at a time, so it never holds a whole slice of results.
+_PICKLE_CHUNK = 256
+
+
+class _Workers:
+    """Forked children, one per index slice of every job but the first.
+
+    The first slice is this process's own.  A child writes one
+    length-prefixed message per job, in job order: its slice's results as
+    pickled lists of `_PICKLE_CHUNK`.  It ends with `os._exit`, so the stdio
+    buffers it inherited are never flushed twice.  A child that fails for
+    any reason ends without writing that job's message; `take` then returns
+    None for it and every later job, and the parent computes those slices
+    itself.  `close` kills and reaps every child, whether or not the parent
+    finished.
+    """
+
+    def __init__(self, jobs, seed: int, adversarial: bool, slices) -> None:
+        self.pids: list[int] = []
+        self.readers = []
+        try:
+            for lo, hi in slices[1:]:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    pid = None  # the reader sees end of file: the parent computes
+                if pid == 0:
+                    os.close(r)
+                    self._work(jobs, seed, adversarial, lo, hi, w)
+                os.close(w)
+                if pid is not None:
+                    self.pids.append(pid)
+                self.readers.append(os.fdopen(r, "rb"))
+        except BaseException:
+            self.close()
+            raise
+
+    @staticmethod
+    def _work(jobs, seed, adversarial, lo, hi, fd) -> None:
+        """A child's whole life; it never returns, and an error only ends it early."""
+        code = 1
+        try:
+            out = os.fdopen(fd, "wb")
+            for job in jobs:
+                results = _results(job, seed, adversarial, lo, hi)
+                message = io.BytesIO()
+                while chunk := list(itertools.islice(results, _PICKLE_CHUNK)):
+                    pickle.dump(chunk, message, pickle.HIGHEST_PROTOCOL)
+                out.write(message.tell().to_bytes(8, "little"))
+                out.write(message.getbuffer())
+                out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+
+    def take(self, part: int) -> Optional[Iterator[InstanceResult]]:
+        """Slice `part`'s results for the next job; None means compute them here.
+
+        None for slice 0, and for a child that ended short.
+        """
+        if part == 0:
+            return None
+        reader = self.readers[part - 1]
+        head = reader.read(8)
+        if len(head) < 8:
+            return None
+        size = int.from_bytes(head, "little")
+        message = reader.read(size)
+        if len(message) < size:
+            return None
+        return self._unpickled(message)
+
+    @staticmethod
+    def _unpickled(message: bytes):
+        stream = io.BytesIO(message)
+        while stream.tell() < len(message):
+            yield from pickle.load(stream)
+
+    def close(self) -> None:
+        for reader in self.readers:
+            reader.close()
+        for pid in self.pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+        self.pids = []
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def run_suite(
     theorems: Optional[Sequence[str]] = None,
     trials: int = DEFAULT_TRIALS,
@@ -1087,6 +1230,17 @@ def run_suite(
     order; `sample_admissible(theorem, field, dim, seed, adversarial,
     index=i)` returns the same instance as a document, and evaluating that
     document gives the same record bit for bit.
+
+    The run uses the CPUs available to the process; no argument sets how
+    many.  Every theorem's index range is cut into one contiguous slice per
+    worker; this process computes the first slice and forked children the
+    others, sending back one theorem's results at a time.  Every result is
+    counted here in serial
+    (theorem, index) order, so the report, and the first exception raised,
+    do not depend on the worker count.  A child that fails or dies has its
+    slices computed here.  The run stays serial when it has fewer than two
+    workers' worth of instances (`_FORK_BREAK_EVEN` each), on one CPU,
+    without `os.fork`, or when the process has more than one Python thread.
 
     Violations count admissible instances failing an asserted comparison at
     relative tolerance tol (the theorems guarantee zero); counterexamples
@@ -1114,28 +1268,34 @@ def run_suite(
     if not field_tags:
         raise InputFormatError("need at least one field")
 
+    trials, seed, adversarial = int(trials), int(seed), bool(adversarial)
+    jobs = []
     for tid in ids:
         tags = [t for t in field_tags if not (tid in REAL_ONLY_IDS and t is FieldTag.COMPLEX)]
-        if not tags:
-            continue
-        grid = [(d, t) for d in dims for t in tags]
-        sampler = _SAMPLERS[tid]
-        evaluator = _EVALUATORS[tid]
-        stream = _Stream(seed, tid)
-        for i in range(int(trials)):
-            dim, tag = grid[i % len(grid)]
-            tally.add(i, evaluator(sampler(_rng_for(stream, i), dim, tag, adversarial)))
+        if tags:
+            jobs.append((tid, [(d, t) for d in dims for t in tags]))
+    workers = _worker_count(len(jobs) * trials)
+    cuts = [trials * w // workers for w in range(workers + 1)]
+    slices = list(zip(cuts, cuts[1:]))
+
+    with _Workers(jobs, seed, adversarial, slices) as children:
+        for job in jobs:
+            for part, (lo, hi) in enumerate(slices):
+                results = children.take(part) or _results(job, seed, adversarial, lo, hi)
+                for i, result in zip(range(lo, hi), results):
+                    tally.add(i, result)
+                del results  # one slice's results alive at a time
 
     return tally.report({
         "mode": "verify",
         "version": __version__,
-        "seed": int(seed),
+        "seed": seed,
         "tol": float(tol),
-        "trials": int(trials),
+        "trials": trials,
         "dims": dims,
         "fields": [t.value for t in field_tags],
         "theorems": ids,
-        "adversarial": bool(adversarial),
+        "adversarial": adversarial,
     })
 
 

@@ -8,10 +8,14 @@ of the report format.
 """
 
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
+
+from ineq import harness
 
 settings.register_profile(
     "fast",
@@ -20,6 +24,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("fast")
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """`force_workers(n)` makes `run_suite` split any run over n processes.
+
+    The host's CPU count is replaced by n and the fork break-even by one
+    instance, so a one-CPU host still runs the forked path.
+    """
+
+    def force(n):
+        monkeypatch.setattr(harness, "_FORK_BREAK_EVEN", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return force
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def poly_mul(p, q):

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +252,37 @@ def test_verify_stdout_is_pinned(capsys, seed, adversarial):
     rc, out, err = run_cli(capsys, *argv, *(["--adversarial"] if adversarial else []))
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_SHA256[seed, adversarial]
+
+
+@pytest.mark.parametrize("seed, adversarial", sorted(VERIFY_SHA256))
+def test_verify_stdout_is_pinned_on_two_workers(capsys, force_workers, seed, adversarial):
+    force_workers(2)
+    test_verify_stdout_is_pinned(capsys, seed, adversarial)
+
+
+def test_forked_verify_writes_stdout_once():
+    # text left unflushed in stdout before the fork must not be written again
+    # by a child
+    argv = ["verify", "--trials", "40", "--dims", "1,2,3,8,16", "--seed", "0"]
+    script = (
+        "import os, sys\n"
+        "from ineq import harness\n"
+        "from ineq.cli import main\n"
+        "harness._FORK_BREAK_EVEN = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.stdout.write('before the report\\n')\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # keep the text in the buffer at the fork
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    head, report = proc.stdout.split("\n", 1)
+    assert head == "before the report"
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == VERIFY_SHA256[0, False]
 
 
 def _sampled_document() -> dict:

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import threading
 import zlib
 
 import numpy as np
@@ -21,7 +23,10 @@ from ineq import (
     vector,
 )
 from ineq import harness
+from ineq.cli import main
 from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, normalize_theorem_id
+
+from conftest import assert_no_child_left
 
 
 def test_theorem_catalog():
@@ -576,3 +581,151 @@ def test_samplers_draw_only_through_uniform():
                         assert json.dumps(got) == json.dumps(want), (tid, dim, tag, i)
                         checked += 1
     assert checked == 1440
+
+
+def test_eval_keys_results_by_the_normalised_id(tmp_path):
+    # one theorem spelled two ways is one per-theorem entry, and the records
+    # name it by its id
+    first = sample_admissible("thm2.1", "real", 3, seed=1)
+    second = dict(sample_admissible("thm2.1", "real", 3, seed=1, index=1), theorem="THM2.1 ")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"instances": [first, second]}), encoding="utf-8")
+    rep = evaluate_file(str(path))
+    assert list(rep.per_theorem) == ["thm2.1"]
+    assert rep.per_theorem["thm2.1"]["count"] == 2
+    assert [rec["theorem"] for rec in rep.records] == ["thm2.1", "thm2.1"]
+
+
+# ---------------------------------------------------------------------------
+# run_suite split over forked workers.
+
+
+def test_worker_count_follows_cpus_and_break_even(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    even = harness._FORK_BREAK_EVEN
+    assert harness._worker_count(len(THEOREM_IDS)) == 1  # one instance of every id
+    assert harness._worker_count(2 * even - 1) == 1
+    assert harness._worker_count(2 * even) == 2
+    assert harness._worker_count(100 * even) == 4
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert harness._worker_count(100 * even) == 1  # no fork beside a thread
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+_SPLIT_CASES = {
+    "plain": dict(trials=7, dims=(1, 2, 3, 8, 16), seed=3),
+    "adversarial": dict(trials=7, dims=(1, 3), seed=4, adversarial=True),
+    "negative tol": dict(theorems=["thm2.1", "prop7.12"], trials=5, tol=-1e-3, seed=5),
+    "repeated ids": dict(
+        theorems=["thm5.2", "THM5.2 ", "legacy1.20", "thm5.2"], trials=4, seed=6
+    ),
+    "fewer trials than workers": dict(trials=2, dims=(2, 8), seed=8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_report_does_not_depend_on_the_worker_count(force_workers, monkeypatch, case):
+    # 7 trials split unevenly over 2 and 3 workers; 2 trials leave one of 3
+    # slices empty
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    reports = []
+    for n in (1, 2, 3):
+        force_workers(n)
+        forks.clear()
+        reports.append(run_suite(keep_records=True, **_SPLIT_CASES[case]).to_json())
+        assert len(forks) == n - 1
+        assert_no_child_left()
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def _act_at(monkeypatch, tid, index, action):
+    """Call `action()` before `tid`'s instance `index` is evaluated, in any process."""
+    current = {}
+    real_rng_for = harness._rng_for
+    real_evaluator = harness._EVALUATORS[tid]
+
+    def rng_for(stream, i):
+        current["index"] = i
+        return real_rng_for(stream, i)
+
+    def evaluator(inst):
+        if current["index"] == index:
+            action()
+        return real_evaluator(inst)
+
+    monkeypatch.setattr(harness, "_rng_for", rng_for)
+    monkeypatch.setitem(harness._EVALUATORS, tid, evaluator)
+
+
+def _log_pid(path):
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+#: With 10 trials over 2 workers, instance 1 is this process's and 9 a child's.
+@pytest.mark.parametrize("index", [1, 9])
+def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
+    force_workers, monkeypatch, capsys, tmp_path, index
+):
+    raised_in = tmp_path / "pids"
+
+    def fail():
+        _log_pid(raised_in)
+        raise InputFormatError(f"instance {index} is broken")
+
+    _act_at(monkeypatch, "thm4.1", index, fail)
+    ids = ["thm2.1", "thm4.1", "thm5.2"]
+    errors, cli = [], []
+    for n in (1, 2):
+        force_workers(n)
+        with pytest.raises(InputFormatError) as info:
+            run_suite(ids, trials=10, seed=2)
+        errors.append((type(info.value), str(info.value)))
+        assert_no_child_left()
+        rc = main(["verify", "--theorems", ",".join(ids), "--trials", "10", "--seed", "2"])
+        captured = capsys.readouterr()
+        cli.append((rc, captured.out, captured.err))
+        assert_no_child_left()
+    assert errors[1] == errors[0] == (InputFormatError, f"instance {index} is broken")
+    assert cli[1] == cli[0] == (2, "", f"ineq: instance {index} is broken\n")
+    pids = set(raised_in.read_text(encoding="ascii").split())
+    # a child's error ends the child, and this process then computes its
+    # slice: instance 9 raised in each of the two forked runs' child too
+    assert len(pids) == (3 if index == 9 else 1)
+    assert str(os.getpid()) in pids
+
+
+def test_a_child_that_dies_has_its_slices_computed_here(force_workers, monkeypatch, tmp_path):
+    # over 3 workers instance 7 lies in the last child's slice; that child
+    # dies at thm4.1, and its thm4.1 and thm5.2 slices are computed here
+    parent, died = os.getpid(), tmp_path / "pids"
+
+    def die_in_a_child():
+        if os.getpid() != parent:
+            _log_pid(died)
+            os._exit(1)
+
+    _act_at(monkeypatch, "thm4.1", 7, die_in_a_child)
+    kwargs = dict(theorems=["thm2.1", "thm4.1", "thm5.2"], trials=10, seed=2, keep_records=True)
+    force_workers(1)
+    serial = run_suite(**kwargs).to_json()
+    force_workers(3)
+    assert run_suite(**kwargs).to_json() == serial
+    assert_no_child_left()
+    assert len(died.read_text(encoding="ascii").split()) == 1
