@@ -51,13 +51,14 @@ drawn by `_in_ball` (t first, then the direction).  Any object with that one
 method is a draw source: a sampled instance is a function of the values it
 returns, in call order.  The tests hold every sampler to this contract.
 
-`run_suite` runs on every CPU available to the process, with no option to
-choose how many: each theorem's index range is cut into one contiguous slice
-per worker, forked children compute all slices but the first, and this
-process counts every result in serial (theorem, index) order, so the report
-does not depend on the worker count.  Runs of fewer than two workers'
-worth of instances, one-CPU hosts, platforms without `os.fork` and
-processes running more than one Python thread stay serial.
+`run_suite` and `evaluate_file` share one runner, `_run`, which uses every
+CPU available to the process, with no option to choose how many: each job's
+index range is cut into one contiguous slice per worker, forked children
+tally all slices but the first, and this process merges the tallies in
+serial (job, slice) order, so the report does not depend on the worker
+count.  Runs of fewer than two workers' worth of instances, one-CPU hosts,
+platforms without `os.fork` and processes running more than one Python
+thread stay serial.
 
 JSON exists only at the boundary.  `sample_admissible` encodes a typed
 instance into the document schema below, and `evaluate_instance` (hence
@@ -83,17 +84,15 @@ hypothesis fails and a comparison fails.  Theorems whose hypotheses hold
 guarantee zero violations; counterexamples in adversarial mode are the
 desired outcome, not errors.
 
-Both runners, `run_suite` (verify) and `evaluate_file` (eval), report
-through one `_Tally`: it decides each asserted comparison once, and those
-flags set a record's "passed", its per-comparison booleans and the
-per-theorem and aggregate counts.  A record or a per-theorem entry thus
-means the same in both reports.
+`run_suite` (verify) and `evaluate_file` (eval) both report through one
+`_Tally`: it decides each asserted comparison once, and those flags set a
+record's "passed", its per-comparison booleans and the per-theorem and
+aggregate counts.  A record or a per-theorem entry thus means the same in
+both reports.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
 import json
 import math
 import os
@@ -101,9 +100,10 @@ import pickle
 import signal
 import threading
 import zlib
+from contextlib import closing
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -929,7 +929,7 @@ def _evaluate(tid: str, inst: dict) -> InstanceResult:
             raise type(exc)(f"{tid} {key!r}: {exc}") from None
     report = globals()[spec.operation](*args)
     return InstanceResult(
-        tid, inst["field"], decoding.dim, report.admissible, report.margin,
+        tid, decoding.field.value, decoding.dim, report.admissible, report.margin,
         report.gap, report.bound, report.comparisons,
     )
 
@@ -1020,6 +1020,20 @@ class _Stats:
         elif not ok:
             self.counterexamples += 1
 
+    def merge(self, later: "_Stats") -> None:
+        """Fold in the stats of the rows after these, as `add` would have: ties keep the first.
+
+        Exact for NaN-free values only: sampled instances are finite, and
+        `evaluate_file` rejects non-finite results before tallying."""
+        self.count += later.count
+        self.violations += later.violations
+        self.counterexamples += later.counterexamples
+        slack, ratio = later.min_slack, later.max_ratio
+        if slack is not None and (self.min_slack is None or slack < self.min_slack):
+            self.min_slack = slack
+        if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
+            self.max_ratio = ratio
+
     def as_dict(self) -> dict:
         return {
             "count": self.count,
@@ -1075,19 +1089,34 @@ class _Tally:
         if self.records is not None:
             self.records.append(_record(index, result, ok, flags))
 
+    def counted(self, job, lo: int, hi: int) -> "_Tally":
+        """A new tally, with this one's tol and records choice, of `job(lo, hi)`."""
+        part = _Tally(self.tol, self.records is not None)
+        for i, result in zip(range(lo, hi), job(lo, hi)):
+            part.add(i, result)
+        return part
+
+    def merge(self, later: "_Tally") -> None:
+        """Fold in the tally of the results that follow every one counted here."""
+        self.total.merge(later.total)
+        for tid, stats in later.per_theorem.items():
+            self.per_theorem.setdefault(tid, _Stats()).merge(stats)
+        if self.records is not None:
+            self.records += later.records
+
     def report(self, metadata: dict) -> SuiteReport:
         per_theorem = {tid: stats.as_dict() for tid, stats in self.per_theorem.items()}
         return SuiteReport(metadata, self.total.as_dict(), per_theorem, self.records)
 
 
-#: Instances per worker below which one more forked worker costs `run_suite`
+#: Instances per worker below which one more forked worker costs `_run`
 #: more than it saves: a fork, its copy-on-write faults and its reaping cost
 #: about as much as this many instances (CHANGES.md has the measurement).
 _FORK_BREAK_EVEN = 128
 
 
 def _worker_count(instances: int) -> int:
-    """Processes `run_suite` splits `instances` over: 1 means serial, no fork.
+    """Processes `_run` splits `instances` over: 1 means serial, no fork.
 
     One per CPU available to this process, but no more than leaves each
     worker `_FORK_BREAK_EVEN` instances.  Forking needs `os.fork` and a
@@ -1100,9 +1129,8 @@ def _worker_count(instances: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), instances // _FORK_BREAK_EVEN))
 
 
-def _results(job, seed: int, adversarial: bool, lo: int, hi: int):
+def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, hi: int):
     """Instances lo..hi-1 of one theorem, sampled and evaluated in index order."""
-    tid, grid = job
     sampler = _SAMPLERS[tid]
     evaluator = _EVALUATORS[tid]
     stream = _Stream(seed, tid)
@@ -1111,25 +1139,19 @@ def _results(job, seed: int, adversarial: bool, lo: int, hi: int):
         yield evaluator(sampler(_rng_for(stream, i), dim, tag, adversarial))
 
 
-#: Results per pickle in a child's message: the parent unpickles one chunk
-#: at a time, so it never holds a whole slice of results.
-_PICKLE_CHUNK = 256
-
-
 class _Workers:
     """Forked children, one per index slice of every job but the first.
 
-    The first slice is this process's own.  A child writes one
-    length-prefixed message per job, in job order: its slice's results as
-    pickled lists of `_PICKLE_CHUNK`.  It ends with `os._exit`, so the stdio
-    buffers it inherited are never flushed twice.  A child that fails for
-    any reason ends without writing that job's message; `take` then returns
-    None for it and every later job, and the parent computes those slices
-    itself.  `close` kills and reaps every child, whether or not the parent
-    finished.
+    The first slice is this process's own.  A child writes one pickled
+    `_Tally` per job, in job order: the tally of its slice.  It ends with
+    `os._exit`, so the stdio buffers it inherited are never flushed twice.  A
+    child that fails for any reason ends without writing that job's tally;
+    `take` then returns None for it and every later job, and the parent
+    computes those slices itself.  `close` kills and reaps every child,
+    whether or not the parent finished.
     """
 
-    def __init__(self, jobs, seed: int, adversarial: bool, slices) -> None:
+    def __init__(self, tally: _Tally, jobs, slices) -> None:
         self.pids: list[int] = []
         self.readers = []
         try:
@@ -1141,7 +1163,7 @@ class _Workers:
                     pid = None  # the reader sees end of file: the parent computes
                 if pid == 0:
                     os.close(r)
-                    self._work(jobs, seed, adversarial, lo, hi, w)
+                    self._work(tally, jobs, lo, hi, w)
                 os.close(w)
                 if pid is not None:
                     self.pids.append(pid)
@@ -1151,45 +1173,27 @@ class _Workers:
             raise
 
     @staticmethod
-    def _work(jobs, seed, adversarial, lo, hi, fd) -> None:
+    def _work(tally, jobs, lo, hi, fd) -> None:
         """A child's whole life; it never returns, and an error only ends it early."""
         code = 1
         try:
             out = os.fdopen(fd, "wb")
             for job in jobs:
-                results = _results(job, seed, adversarial, lo, hi)
-                message = io.BytesIO()
-                while chunk := list(itertools.islice(results, _PICKLE_CHUNK)):
-                    pickle.dump(chunk, message, pickle.HIGHEST_PROTOCOL)
-                out.write(message.tell().to_bytes(8, "little"))
-                out.write(message.getbuffer())
+                pickle.dump(tally.counted(job, lo, hi), out, pickle.HIGHEST_PROTOCOL)
                 out.flush()
             code = 0
         finally:
             os._exit(code)
 
-    def take(self, part: int) -> Optional[Iterator[InstanceResult]]:
-        """Slice `part`'s results for the next job; None means compute them here.
+    def take(self, part: int) -> Optional[_Tally]:
+        """Slice `part`'s tally for the next job; None means compute it here.
 
         None for slice 0, and for a child that ended short.
         """
-        if part == 0:
+        try:
+            return pickle.load(self.readers[part - 1]) if part else None
+        except (EOFError, pickle.UnpicklingError):
             return None
-        reader = self.readers[part - 1]
-        head = reader.read(8)
-        if len(head) < 8:
-            return None
-        size = int.from_bytes(head, "little")
-        message = reader.read(size)
-        if len(message) < size:
-            return None
-        return self._unpickled(message)
-
-    @staticmethod
-    def _unpickled(message: bytes):
-        stream = io.BytesIO(message)
-        while stream.tell() < len(message):
-            yield from pickle.load(stream)
 
     def close(self) -> None:
         for reader in self.readers:
@@ -1202,11 +1206,24 @@ class _Workers:
                 pass
         self.pids = []
 
-    def __enter__(self) -> "_Workers":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+def _run(tally: _Tally, jobs: list, size: int) -> None:
+    """Count `job(0, size)` of every job into `tally`, job after job.
+
+    Each job is a callable (lo, hi) -> its results lo..hi-1 in index order.
+    Index range [0, size) is cut into one contiguous slice per worker
+    (`_worker_count`); this process counts the first slice of every job and
+    forked children the others.  Every slice is counted into a tally of its
+    own, and those are merged here in (job, slice) order, so `tally`, and
+    the first exception raised, do not depend on the worker count.
+    """
+    workers = _worker_count(len(jobs) * size)
+    cuts = [size * w // workers for w in range(workers + 1)]
+    slices = list(zip(cuts, cuts[1:]))
+    with closing(_Workers(tally, jobs, slices)) as children:
+        for job in jobs:
+            for part, (lo, hi) in enumerate(slices):
+                tally.merge(children.take(part) or tally.counted(job, lo, hi))
 
 
 def run_suite(
@@ -1231,16 +1248,9 @@ def run_suite(
     index=i)` returns the same instance as a document, and evaluating that
     document gives the same record bit for bit.
 
-    The run uses the CPUs available to the process; no argument sets how
-    many.  Every theorem's index range is cut into one contiguous slice per
-    worker; this process computes the first slice and forked children the
-    others, sending back one theorem's results at a time.  Every result is
-    counted here in serial
-    (theorem, index) order, so the report, and the first exception raised,
-    do not depend on the worker count.  A child that fails or dies has its
-    slices computed here.  The run stays serial when it has fewer than two
-    workers' worth of instances (`_FORK_BREAK_EVEN` each), on one CPU,
-    without `os.fork`, or when the process has more than one Python thread.
+    Each theorem is one job of `_run`, which splits its index range over the
+    CPUs available to the process; no argument sets how many.  The report,
+    and the first exception raised, do not depend on the worker count.
 
     Violations count admissible instances failing an asserted comparison at
     relative tolerance tol (the theorems guarantee zero); counterexamples
@@ -1273,18 +1283,9 @@ def run_suite(
     for tid in ids:
         tags = [t for t in field_tags if not (tid in REAL_ONLY_IDS and t is FieldTag.COMPLEX)]
         if tags:
-            jobs.append((tid, [(d, t) for d in dims for t in tags]))
-    workers = _worker_count(len(jobs) * trials)
-    cuts = [trials * w // workers for w in range(workers + 1)]
-    slices = list(zip(cuts, cuts[1:]))
-
-    with _Workers(jobs, seed, adversarial, slices) as children:
-        for job in jobs:
-            for part, (lo, hi) in enumerate(slices):
-                results = children.take(part) or _results(job, seed, adversarial, lo, hi)
-                for i, result in zip(range(lo, hi), results):
-                    tally.add(i, result)
-                del results  # one slice's results alive at a time
+            grid = [(d, t) for d in dims for t in tags]
+            jobs.append(partial(_suite_results, tid, grid, seed, adversarial))
+    _run(tally, jobs, trials)
 
     return tally.report({
         "mode": "verify",
@@ -1314,11 +1315,30 @@ def _first_non_finite(result: InstanceResult) -> Optional[tuple[str, float]]:
     return None
 
 
+def _file_results(instances: list, lo: int, hi: int):
+    """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index."""
+    for i in range(lo, hi):
+        try:
+            result = evaluate_instance(instances[i])
+        except (IneqError, ValueError, TypeError) as exc:
+            raise InputFormatError(f"instance {i}: {exc}")
+        bad = _first_non_finite(result)
+        if bad is not None:
+            raise InputFormatError(
+                f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}; "
+                "the inputs overflow double precision"
+            )
+        yield result
+
+
 def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
     """Evaluate an instance document: {"instances": [instance, ...]}.
 
     Results are counted by the same `_Tally` as `run_suite`'s, every record
-    kept; per-theorem entries follow the first appearance of each id.
+    kept; per-theorem entries follow the first appearance of each id.  The
+    document is one job of `_run`, as a theorem is in `run_suite`: its
+    instances are split over the CPUs in the same way, and the first bad
+    one is reported as "instance i: ..." whatever the worker count.
     """
     tally = _Tally(tol, keep_records=True)
     try:
@@ -1334,20 +1354,9 @@ def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
     if not isinstance(instances, list):
         raise InputFormatError(f"{path}: 'instances' must be a list")
 
-    # Overflow is classified below as bad input, so numpy need not warn of it.
+    # Overflow is bad input (`_file_results`), so numpy need not warn; workers inherit this.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, inst in enumerate(instances):
-            try:
-                result = evaluate_instance(inst)
-            except (IneqError, ValueError, TypeError) as exc:
-                raise InputFormatError(f"instance {i}: {exc}")
-            bad = _first_non_finite(result)
-            if bad is not None:
-                raise InputFormatError(
-                    f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}; "
-                    "the inputs overflow double precision"
-                )
-            tally.add(i, result)
+        _run(tally, [partial(_file_results, instances)], len(instances))
 
     return tally.report({"mode": "eval", "version": __version__, "tol": float(tol)})
 

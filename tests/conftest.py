@@ -28,7 +28,7 @@ settings.load_profile("fast")
 
 @pytest.fixture
 def force_workers(monkeypatch):
-    """`force_workers(n)` makes `run_suite` split any run over n processes.
+    """`force_workers(n)` makes `run_suite` and `evaluate_file` split any run over n processes.
 
     The host's CPU count is replaced by n and the fork break-even by one
     instance, so a one-CPU host still runs the forked path.
@@ -44,6 +44,13 @@ def force_workers(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test ends with every forked worker reaped, whichever runner forked it."""
+    yield
+    assert_no_child_left()
 
 
 def poly_mul(p, q):

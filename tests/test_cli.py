@@ -320,6 +320,38 @@ def test_eval_records_are_pinned(tmp_path, capsys, fmt):
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == EVAL_RECORDS_SHA256[fmt]
 
 
+@pytest.mark.parametrize("fmt", sorted(EVAL_RECORDS_SHA256))
+def test_eval_records_are_pinned_on_three_workers(tmp_path, capsys, force_workers, fmt):
+    force_workers(3)
+    test_eval_records_are_pinned(tmp_path, capsys, fmt)
+
+
+def test_forked_eval_writes_stdout_once(tmp_path, capsys):
+    # as for verify: text unflushed in stdout at the fork is written once
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_sampled_document()), encoding="utf-8")
+    argv = ["eval", "--input", str(src)]
+    rc, serial, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    script = (
+        "import os, sys\n"
+        "from ineq import harness\n"
+        "from ineq.cli import main\n"
+        "harness._FORK_BREAK_EVEN = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.stdout.write('before the report\\n')\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    pkg = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([pkg, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # keep the text in the buffer at the fork
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "before the report\n" + serial
+
+
 #: sha256 of the stdout of `ineq sharpness --construction C` (default grid).
 SHARPNESS_SHA256 = {
     "thm21": "8582a4cb1ebe72f1b4ac47599f9889ac9c3ea4014b4d46cd88040a2b8d80aca1",

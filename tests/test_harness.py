@@ -3,11 +3,14 @@
 import csv
 import json
 import os
+import pickle
 import threading
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ineq import (
     FieldMismatchError,
@@ -24,7 +27,7 @@ from ineq import (
 )
 from ineq import harness
 from ineq.cli import main
-from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, normalize_theorem_id
+from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, InstanceResult, normalize_theorem_id
 
 from conftest import assert_no_child_left
 
@@ -596,6 +599,15 @@ def test_eval_keys_results_by_the_normalised_id(tmp_path):
     assert [rec["theorem"] for rec in rep.records] == ["thm2.1", "thm2.1"]
 
 
+def test_eval_records_name_the_field_by_its_tag(tmp_path):
+    # a field spelled in any case is one field, and the records name it by its tag
+    real = dict(sample_admissible("thm2.1", "real", 3, seed=1), field="REAL")
+    cplx = dict(sample_admissible("thm2.1", "complex", 3, seed=1, index=1), field="Complex")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"instances": [real, cplx]}), encoding="utf-8")
+    assert [rec["field"] for rec in evaluate_file(str(path)).records] == ["real", "complex"]
+
+
 # ---------------------------------------------------------------------------
 # run_suite split over forked workers.
 
@@ -629,12 +641,9 @@ _SPLIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
-def test_report_does_not_depend_on_the_worker_count(force_workers, monkeypatch, case):
-    # 7 trials split unevenly over 2 and 3 workers; 2 trials leave one of 3
-    # slices empty
-    forks = []
-    real_fork = os.fork
+def _count_forks(monkeypatch) -> list:
+    """The pids of the children this process forks from now on."""
+    forks, real_fork = [], os.fork
 
     def counting_fork():
         pid = real_fork()
@@ -643,6 +652,14 @@ def test_report_does_not_depend_on_the_worker_count(force_workers, monkeypatch, 
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_report_does_not_depend_on_the_worker_count(force_workers, monkeypatch, case):
+    # 7 trials split unevenly over 2 and 3 workers; 2 trials leave one of 3
+    # slices empty
+    forks = _count_forks(monkeypatch)
     reports = []
     for n in (1, 2, 3):
         force_workers(n)
@@ -727,5 +744,172 @@ def test_a_child_that_dies_has_its_slices_computed_here(force_workers, monkeypat
     serial = run_suite(**kwargs).to_json()
     force_workers(3)
     assert run_suite(**kwargs).to_json() == serial
+    assert_no_child_left()
+    assert len(died.read_text(encoding="ascii").split()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Slice tallies, and evaluate_file split over forked workers.
+
+#: Values that tie, change sign, sit at or below the ratio's 1e-300 floor, or not.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-301, 1e-300, 2e-300, 0.5, 1.0, -1.0, 3.0])
+_FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(
+    rows=st.lists(st.tuples(st.booleans(), st.booleans(), _FLOATS, _FLOATS), max_size=40),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+)
+# tied extremes that only the first to reach them decides: slack 0.0 then
+# -0.0, and ratio 0.0 then -0.0
+@example(rows=[(True, True, 1.0, 1.0), (True, True, 0.0, -0.0)], cuts=[1])
+@example(rows=[(True, True, 0.0, 1.0), (True, True, -0.0, 1.0)], cuts=[1])
+def test_stats_merged_in_slice_order_equal_the_serial_fold(rows, cuts):
+    # rows are (admissible, ok, gap, bound); empty slices included
+    def folded(part):
+        stats = harness._Stats()
+        for admissible, ok, gap, bound in part:
+            stats.add(InstanceResult("thm2.1", "real", 1, admissible, 0.0, gap, bound, ()), ok)
+        return stats
+
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    merged = harness._Stats()
+    for lo, hi in zip(bounds, bounds[1:]):
+        merged.merge(folded(rows[lo:hi]))
+    # repr tells -0.0 from 0.0
+    assert repr(merged.as_dict()) == repr(folded(rows).as_dict())
+
+
+def test_a_records_free_child_message_does_not_grow_with_trials(
+    force_workers, monkeypatch, tmp_path
+):
+    # a child sends one pickled tally per job; without records its size does
+    # not depend on the slice's length, but for the pickled width of the two
+    # counts (the total and the theorem's), one byte wider each from 256 on
+    logged, dump = tmp_path / "sizes", pickle.dump
+
+    def logging_dump(obj, file, protocol=None):
+        with open(logged, "a", encoding="ascii") as fh:
+            fh.write(f"{len(pickle.dumps(obj, protocol))}\n")
+        return dump(obj, file, protocol)
+
+    monkeypatch.setattr(pickle, "dump", logging_dump)
+    force_workers(2)
+    sizes = {}
+    for trials in (100, 10_000):
+        run_suite(["thm2.1"], trials=trials, dims=(1, 2, 3, 8, 16), seed=1)
+        sizes[trials] = [int(n) for n in logged.read_text(encoding="ascii").split()]
+        logged.unlink()
+    assert len(sizes[100]) == len(sizes[10_000]) == 1
+    assert 0 <= sizes[10_000][0] - sizes[100][0] <= 2
+    assert sizes[10_000][0] < 512
+
+
+def _document(tmp_path, instances) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
+    return str(path)
+
+
+def _every_id_document(tmp_path) -> str:
+    """Every id at dims 1 and 3 in both fields, one instance in three adversarial."""
+    cells = [(tid, d, f) for tid in THEOREM_IDS for d in (1, 3) for f in ("real", "complex")]
+    return _document(tmp_path, [
+        sample_admissible(tid, f, d, seed=9, adversarial=(i % 3 == 2), index=i)
+        for i, (tid, d, f) in enumerate(cells)
+    ])
+
+
+@pytest.mark.parametrize("case", ["every id", "two instances"])
+def test_eval_does_not_depend_on_the_worker_count(force_workers, monkeypatch, tmp_path, case):
+    # 100 instances split unevenly over 3 workers; 2 instances, fewer than
+    # 3 CPUs, take 2 workers, one instance each
+    if case == "every id":
+        path, size = _every_id_document(tmp_path), 100
+    else:
+        docs = [sample_admissible("thm5.2", "complex", 3, seed=4, index=i) for i in range(2)]
+        path, size = _document(tmp_path, docs), 2
+    forks = _count_forks(monkeypatch)
+    reports = []
+    for n in (1, 2, 3):
+        force_workers(n)
+        forks.clear()
+        reports.append(evaluate_file(path).to_json())
+        assert len(forks) == min(n, size) - 1
+        assert_no_child_left()
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+    if case == "every id":
+        assert json.loads(reports[0])["aggregate"]["counterexamples"] > 0
+
+
+def _act_at_marked(monkeypatch, action):
+    """Call `action()` before a document instance with a "mark" key is evaluated."""
+    real_evaluate = harness.evaluate_instance
+
+    def evaluate(inst):
+        if "mark" in inst:
+            action()
+        return real_evaluate(inst)
+
+    monkeypatch.setattr(harness, "evaluate_instance", evaluate)
+
+
+def _marked_document(tmp_path, index) -> str:
+    """10 instances, the one at `index` marked."""
+    docs = [sample_admissible("thm4.1", "real", 3, seed=2, index=i) for i in range(10)]
+    docs[index]["mark"] = True
+    return _document(tmp_path, docs)
+
+
+#: With 10 instances over 2 workers, instance 1 is this process's and 9 a child's.
+@pytest.mark.parametrize("index", [1, 9])
+def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
+    force_workers, monkeypatch, capsys, tmp_path, index
+):
+    raised_in = tmp_path / "pids"
+
+    def fail():
+        _log_pid(raised_in)
+        raise InputFormatError("broken")
+
+    _act_at_marked(monkeypatch, fail)
+    path = _marked_document(tmp_path, index)
+    errors, cli = [], []
+    for n in (1, 2):
+        force_workers(n)
+        with pytest.raises(InputFormatError) as info:
+            evaluate_file(path)
+        errors.append((type(info.value), str(info.value)))
+        assert_no_child_left()
+        rc = main(["eval", "--input", path])
+        captured = capsys.readouterr()
+        cli.append((rc, captured.out, captured.err))
+        assert_no_child_left()
+    assert errors[1] == errors[0] == (InputFormatError, f"instance {index}: broken")
+    assert cli[1] == cli[0] == (2, "", f"ineq: instance {index}: broken\n")
+    pids = set(raised_in.read_text(encoding="ascii").split())
+    assert len(pids) == (3 if index == 9 else 1)
+    assert str(os.getpid()) in pids
+
+
+def test_an_eval_child_that_dies_has_its_slice_computed_here(
+    force_workers, monkeypatch, tmp_path
+):
+    # over 3 workers instance 7 lies in the last child's slice, 6..9
+    parent, died = os.getpid(), tmp_path / "pids"
+
+    def die_in_a_child():
+        if os.getpid() != parent:
+            _log_pid(died)
+            os._exit(1)
+
+    _act_at_marked(monkeypatch, die_in_a_child)
+    path = _marked_document(tmp_path, 7)
+    force_workers(1)
+    serial = evaluate_file(path).to_json()
+    force_workers(3)
+    assert evaluate_file(path).to_json() == serial
     assert_no_child_left()
     assert len(died.read_text(encoding="ascii").split()) == 1
