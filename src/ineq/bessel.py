@@ -148,13 +148,19 @@ def bessel_reverse_pair(
     return BesselReport(nx, cn, nx - cn, bound, additive, report)
 
 
+def _family_terms(x: Vector, y: Vector, fam: OrthonormalFamily) -> tuple[float, ...]:
+    """(`gruss_orthonormal_gap`, ||x||, ||y||, (sum_i |<x,e_i>|^2)^(1/2), the y analogue)."""
+    check_same_space(x, y)
+    cx = fourier_coefficients(x, fam)
+    cy = fourier_coefficients(y, fam)
+    # sum <x,e_i><e_i,y> = sum cx_i conj(cy_i)
+    gap = abs(complex(inner(x, y)) - complex(np.vdot(cy.entries, cx.entries)))
+    return gap, norm(x), norm(y), cx.norm, cy.norm
+
+
 def gruss_orthonormal_gap(x: Vector, y: Vector, fam: OrthonormalFamily) -> float:
     """|<x,y> - sum_i <x,e_i><e_i,y>|."""
-    check_same_space(x, y)
-    cx = fourier_coefficients(x, fam).entries
-    cy = fourier_coefficients(y, fam).entries
-    # sum <x,e_i><e_i,y> = sum cx_i conj(cy_i)
-    return abs(complex(inner(x, y)) - complex(np.vdot(cy, cx)))
+    return _family_terms(x, y, fam)[0]
 
 
 def gruss_orthonormal_ball(
@@ -173,16 +179,14 @@ def gruss_orthonormal_ball(
         raise PreconditionError("radii must be positive")
     rep_x = in_closed_ball(x, synthesize(lam, fam), r1)
     rep_y = in_closed_ball(y, synthesize(mu, fam), r2)
-    nx, ny = norm(x), norm(y)
-    cnx = fourier_coefficients(x, fam).norm
-    cny = fourier_coefficients(y, fam).norm
+    gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
     denom = lam.sq_norm ** 0.25 * mu.sq_norm ** 0.25
     first = 0.5 * r1 * r2 * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5 / denom
     second = r1 * r2 * (nx * ny) ** 0.5 / denom
     bounds = (("half_residual", first), ("norm_route", second))
     # first <= second (Bessel: cnx <= nx); the intermediates assert it
     return GrussReport(
-        gap=gruss_orthonormal_gap(x, y, fam),
+        gap=gap,
         bounds=bounds,
         admissibility=(rep_x, rep_y),
         intermediates=bounds,
@@ -203,16 +207,14 @@ def gruss_orthonormal_pair(
     diff_y, summ_y = _seq_pair_check(phis_y, Phis_y)
     rep_x = family_two_sided(x, fam, gammas_x, Gammas_x, ConditionForm.BALL)
     rep_y = family_two_sided(y, fam, phis_y, Phis_y, ConditionForm.BALL)
-    nx, ny = norm(x), norm(y)
-    cnx = fourier_coefficients(x, fam).norm
-    cny = fourier_coefficients(y, fam).norm
+    gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
     factor = (diff_x * diff_y) ** 0.5 / (summ_x * summ_y) ** 0.25
     first = 0.25 * factor * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5
     second = 0.5 * factor * (nx * ny) ** 0.5
     bounds = (("quarter_residual", first), ("half_norm", second))
     # first <= second (Bessel: cnx <= nx); the intermediates assert it
     return GrussReport(
-        gap=gruss_orthonormal_gap(x, y, fam),
+        gap=gap,
         bounds=bounds,
         admissibility=(rep_x, rep_y),
         intermediates=bounds,

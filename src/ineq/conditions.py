@@ -180,11 +180,10 @@ def family_two_sided(
     _family_pairs(fam, gammas, Gammas)
     if isinstance(form, str):
         form = ConditionForm(form)
-    diff_sq = float(
-        ((Gammas.entries - gammas.entries) * (Gammas.entries - gammas.entries).conj()).real.sum()
-    )
+    diff = Gammas.entries - gammas.entries
+    diff_sq = float((diff * diff.conj()).real.sum())
     if form is ConditionForm.BALL:
-        mid = CoefficientSequence(0.5 * (gammas.entries + Gammas.entries), gammas.field)
+        mid = CoefficientSequence._computed(0.5 * (gammas.entries + Gammas.entries), gammas.field)
         center = synthesize(mid, fam)
         radius = 0.5 * float(diff_sq) ** 0.5
         margin = radius - norm(x - center)

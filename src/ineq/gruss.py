@@ -73,14 +73,18 @@ def require_unit(e: Vector) -> None:
         raise NotUnitVectorError(f"||e|| = {norm(e)!r} is not 1 within {UNIT_TOL}")
 
 
+def _terms(x: Vector, y: Vector, e: Vector) -> tuple[float, ...]:
+    """(`gruss_gap`, |<x,e><e,y>|, |<x,e>|, |<e,y>|, ||x||, ||y||) for e past `require_unit`."""
+    xy = complex(inner(x, y))
+    xe, ey = complex(inner(x, e)), complex(inner(e, y))
+    prod = xe * ey
+    return abs(xy - prod), abs(prod), abs(xe), abs(ey), norm(x), norm(y)
+
+
 def gruss_gap(x: Vector, y: Vector, e: Vector) -> float:
     """|<x,y> - <x,e><e,y>|."""
     require_unit(e)
-    return abs(complex(inner(x, y)) - complex(inner(x, e)) * complex(inner(e, y)))
-
-
-def _residues(x: Vector, y: Vector, e: Vector) -> tuple[float, float, float, float]:
-    return norm(x), norm(y), abs(complex(inner(x, e))), abs(complex(inner(y, e)))
+    return _terms(x, y, e)[0]
 
 
 def gruss_ball(x: Vector, y: Vector, e: Vector, r1: float, r2: float) -> GrussReport:
@@ -88,11 +92,11 @@ def gruss_ball(x: Vector, y: Vector, e: Vector, r1: float, r2: float) -> GrussRe
     require_unit(e)
     rep_x = in_closed_ball(x, e, r1)
     rep_y = in_closed_ball(y, e, r2)
-    nx, ny, axe, aye = _residues(x, y, e)
+    gap, _, axe, aye, nx, ny = _terms(x, y, e)
     half = 0.5 * r1 * r2 * (nx + axe) ** 0.5 * (ny + aye) ** 0.5
     plain = r1 * r2 * nx * ny
     return GrussReport(
-        gap=gruss_gap(x, y, e),
+        gap=gap,
         bounds=(("half_residual", half), ("norm_product", plain)),
         admissibility=(rep_x, rep_y),
     )
@@ -107,7 +111,7 @@ def gruss_ball_refined(x: Vector, y: Vector, e: Vector, r1: float, r2: float) ->
     require_unit(e)
     rep_x = in_closed_ball(x, e, r1)
     rep_y = in_closed_ball(y, e, r2)
-    nx, ny, axe, aye = _residues(x, y, e)
+    gap, _, axe, aye, nx, ny = _terms(x, y, e)
     bound = r1 * r2 * (0.25 * r1 * r1 + axe) ** 0.5 * (0.25 * r2 * r2 + aye) ** 0.5
     inter = (
         ("residual_sq_x", nx * nx - axe * axe),
@@ -116,7 +120,7 @@ def gruss_ball_refined(x: Vector, y: Vector, e: Vector, r1: float, r2: float) ->
         ("residual_sq_y_bound", r2 * r2 * (0.25 * r2 * r2 + aye)),
     )
     return GrussReport(
-        gap=gruss_gap(x, y, e),
+        gap=gap,
         bounds=(("refined", bound),),
         admissibility=(rep_x, rep_y),
         intermediates=inter,
@@ -144,12 +148,12 @@ def gruss_pair(
     factor = _pair_factor(pair_x) * _pair_factor(pair_y)
     rep_x = two_sided_realpart(x, e, pair_x)
     rep_y = two_sided_realpart(y, e, pair_y)
-    nx, ny, axe, aye = _residues(x, y, e)
+    gap, _, axe, aye, nx, ny = _terms(x, y, e)
     first = 0.25 * factor * (nx + axe) ** 0.5 * (ny + aye) ** 0.5
     second = 0.5 * factor * (nx * ny) ** 0.5
     bounds = (("quarter_residual", first), ("half_norm", second))
     return GrussReport(
-        gap=gruss_gap(x, y, e),
+        gap=gap,
         bounds=bounds,
         admissibility=(rep_x, rep_y),
         intermediates=bounds,
@@ -169,14 +173,12 @@ def gruss_pair_refined(
     and the y analogue.
     """
     require_unit(e)
-    pair_x.require_nondegenerate()
-    pair_y.require_nondegenerate()
+    factor = _pair_factor(pair_x) * _pair_factor(pair_y)
     rep_x = two_sided_realpart(x, e, pair_x)
     rep_y = two_sided_realpart(y, e, pair_y)
-    nx, ny, axe, aye = _residues(x, y, e)
+    gap, _, axe, aye, nx, ny = _terms(x, y, e)
     cx = abs(pair_x.diff) ** 2 / abs(pair_x.summ)
     cy = abs(pair_y.diff) ** 2 / abs(pair_y.summ)
-    factor = _pair_factor(pair_x) * _pair_factor(pair_y)
     bound = 0.5 * factor * (0.125 * cx + axe) ** 0.5 * (0.125 * cy + aye) ** 0.5
     inter = (
         ("residual_sq_x", nx * nx - axe * axe),
@@ -185,7 +187,7 @@ def gruss_pair_refined(
         ("residual_sq_y_bound", 0.5 * cy * (aye + 0.125 * cy)),
     )
     return GrussReport(
-        gap=gruss_gap(x, y, e),
+        gap=gap,
         bounds=(("refined", bound),),
         admissibility=(rep_x, rep_y),
         intermediates=inter,

@@ -1320,7 +1320,7 @@ def _file_results(instances: list, lo: int, hi: int):
     for i in range(lo, hi):
         try:
             result = evaluate_instance(instances[i])
-        except (IneqError, ValueError, TypeError) as exc:
+        except (IneqError, ValueError, TypeError, ArithmeticError) as exc:
             raise InputFormatError(f"instance {i}: {exc}")
         bad = _first_non_finite(result)
         if bad is not None:
@@ -1346,7 +1346,7 @@ def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
             doc = json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise InputFormatError(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "instances" not in doc:
         raise InputFormatError(f"{path}: top level must be an object with 'instances'")

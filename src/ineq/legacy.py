@@ -16,6 +16,7 @@ import numpy as np
 
 from .conditions import (
     ConditionForm,
+    ConditionReport,
     ScalarPair,
     family_two_sided,
     in_closed_ball,
@@ -23,7 +24,7 @@ from .conditions import (
 )
 from .errors import PreconditionError
 from .bessel import BesselReport, _seq_pair_check
-from .gruss import GrussReport, gruss_gap, require_unit
+from .gruss import GrussReport, _terms, require_unit
 from .schwarz import BoundChain
 from .space import (
     CoefficientSequence,
@@ -146,9 +147,10 @@ def legacy_gruss_ball(x: Vector, y: Vector, e: Vector, r1: float, r2: float) -> 
         raise PreconditionError(f"radii must lie in (0, 1), got r1={r1}, r2={r2}")
     rep_x = in_closed_ball(x, e, r1)
     rep_y = in_closed_ball(y, e, r2)
+    gap, _, _, _, nx, ny = _terms(x, y, e)
     return GrussReport(
-        gap=gruss_gap(x, y, e),
-        bounds=(("norm_product", r1 * r2 * norm(x) * norm(y)),),
+        gap=gap,
+        bounds=(("norm_product", r1 * r2 * nx * ny),),
         admissibility=(rep_x, rep_y),
     )
 
@@ -178,17 +180,51 @@ def legacy_gruss_pair(
     rep_x = two_sided_realpart(x, e, pair_x)
     rep_y = two_sided_realpart(y, e, pair_y)
     constant = 0.25 * abs(Gamma - gamma) * abs(Phi - phi) / (re_x * re_y) ** 0.5
-    prod = complex(inner(x, e)) * complex(inner(e, y))
-    gap = gruss_gap(x, y, e)
+    gap, abs_prod, _, _, nx, ny = _terms(x, y, e)
     intermediates: tuple[tuple[str, float], ...] = ()
-    if abs(prod) > RATIO_EMIT_REL * norm(x) * norm(y):
-        intermediates = (("ratio", gap / abs(prod)), ("ratio_bound", constant))
+    if abs_prod > RATIO_EMIT_REL * nx * ny:
+        intermediates = (("ratio", gap / abs_prod), ("ratio_bound", constant))
     return GrussReport(
         gap=gap,
-        bounds=(("coefficient_product", constant * abs(prod)),),
+        bounds=(("coefficient_product", constant * abs_prod),),
         admissibility=(rep_x, rep_y),
         intermediates=intermediates,
     )
+
+
+def _multiplicative_bessel(
+    x: Vector,
+    fam: OrthonormalFamily,
+    report: ConditionReport,
+    weights: np.ndarray,
+    c: float,
+    denom: float,
+    chain_num: float,
+    additive_num: float,
+) -> BesselReport:
+    """||x||^2 <= c Re(m)^2/denom <= c|m|^2/denom <= c chain_num/denom sum|c_i|^2 and the additive
+    bound c additive_num/denom sum|c_i|^2, m = sum conj(w_i) c_i; c = 1.0 keeps the bits exactly."""
+    nx = norm(x)
+    coeffs = fourier_coefficients(x, fam)
+    cn = coeffs.norm
+    mixed = complex(np.vdot(weights, coeffs.entries))
+    chain = BoundChain(
+        BESSEL_BALL_LABELS,
+        (
+            nx * nx,
+            c * mixed.real ** 2 / denom,
+            c * abs(mixed) ** 2 / denom,
+            c * chain_num / denom * cn * cn,
+        ),
+        report,
+    )
+    additive = BoundChain(
+        ADDITIVE_LABELS,
+        (0.0, nx * nx - cn * cn, c * additive_num / denom * cn * cn),
+        report,
+    )
+    bound = chain.bound ** 0.5 - cn
+    return BesselReport(nx, cn, nx - cn, bound, additive, report, chain=chain)
 
 
 def legacy_bessel_ball(
@@ -207,28 +243,7 @@ def legacy_bessel_ball(
             f"need sum|lambda|^2 > r^2, got {lam.sq_norm} <= {r * r}"
         )
     report = in_closed_ball(x, synthesize(lam, fam), r)
-    nx = norm(x)
-    coeffs = fourier_coefficients(x, fam)
-    cn = coeffs.norm
-    # sum conj(lambda_i) <x, e_i>
-    mixed = complex(np.vdot(lam.entries, coeffs.entries))
-    chain = BoundChain(
-        BESSEL_BALL_LABELS,
-        (
-            nx * nx,
-            mixed.real ** 2 / excess,
-            abs(mixed) ** 2 / excess,
-            lam.sq_norm / excess * cn * cn,
-        ),
-        report,
-    )
-    additive = BoundChain(
-        ADDITIVE_LABELS,
-        (0.0, nx * nx - cn * cn, r * r / excess * cn * cn),
-        report,
-    )
-    bound = chain.bound ** 0.5 - cn
-    return BesselReport(nx, cn, nx - cn, bound, additive, report, chain=chain)
+    return _multiplicative_bessel(x, fam, report, lam.entries, 1.0, excess, lam.sq_norm, r * r)
 
 
 def legacy_bessel_pair(
@@ -245,24 +260,5 @@ def legacy_bessel_pair(
             f"sum Re(Gamma_i * conj(gamma_i)) must be positive, got {re_sum}"
         )
     report = family_two_sided(x, fam, gammas, Gammas, ConditionForm.BALL)
-    nx = norm(x)
-    coeffs = fourier_coefficients(x, fam)
-    cn = coeffs.norm
-    mixed = complex(np.vdot(Gammas.entries + gammas.entries, coeffs.entries))
-    chain = BoundChain(
-        BESSEL_BALL_LABELS,
-        (
-            nx * nx,
-            0.25 * mixed.real ** 2 / re_sum,
-            0.25 * abs(mixed) ** 2 / re_sum,
-            0.25 * summ_sq / re_sum * cn * cn,
-        ),
-        report,
-    )
-    additive = BoundChain(
-        ADDITIVE_LABELS,
-        (0.0, nx * nx - cn * cn, 0.25 * diff_sq / re_sum * cn * cn),
-        report,
-    )
-    bound = chain.bound ** 0.5 - cn
-    return BesselReport(nx, cn, nx - cn, bound, additive, report, chain=chain)
+    weights = Gammas.entries + gammas.entries
+    return _multiplicative_bessel(x, fam, report, weights, 0.25, re_sum, summ_sq, diff_sq)

@@ -1,13 +1,18 @@
 """Command line entry points."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineq import THEOREM_IDS, harness, sample_admissible
 from ineq.cli import main
@@ -460,3 +465,82 @@ def test_eval_family_size_cap_is_on_size_times_dim(tmp_path, capsys, monkeypatch
     # a size above the dimension keeps its own message
     rc, out, err = _eval_one(tmp_path, capsys, dict(inst, size=10**9))
     assert rc == 2 and err == "ineq: instance 0: thm5.1 'size': cannot take 1000000000 basis vectors in dimension 3\n"
+
+
+_TINY_PAIR = {"lo": 1e-100, "hi": 2e-100}
+_TINY_POLY_PAIR = {"lo": 1e-200, "hi": 2e-200}
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        # (re_x * re_y) ** 0.5 underflows to 0 in legacy_gruss_pair
+        {
+            "theorem": "legacy1.13", "field": "real", "x": [1.5e-100, 0], "y": [1.5e-100, 0],
+            "e": [1, 0], "pair_x": _TINY_PAIR, "pair_y": _TINY_PAIR,
+        },
+        # ZeroDivisionError in integral_gruss
+        {
+            "theorem": "prop7.3", "field": "real", "domain": {"rule": {"kind": "gauss", "n": 8}},
+            "f": {"poly": [1.5e-200]}, "g": {"poly": [1.5e-200]}, "h": {"poly": [1.0]},
+            "pair_f": _TINY_POLY_PAIR, "pair_g": _TINY_POLY_PAIR,
+        },
+    ],
+    ids=["legacy1.13", "prop7.3"],
+)
+def test_eval_arithmetic_error_exits_2(tmp_path, capsys, instance):
+    rc, out, err = _eval_one(tmp_path, capsys, instance)
+    assert rc == 2 and out == ""
+    assert err.startswith("ineq: instance 0: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"instances": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", b'{"instances": ["\xff"]}'],
+    ids=["nested", "not-utf-8"],
+)
+def test_eval_unreadable_document_exits_2(tmp_path, capsys, text):
+    src = tmp_path / "in.json"
+    src.write_bytes(text)
+    rc, out, err = run_cli(capsys, "eval", "--input", str(src))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"ineq: {src} is not valid JSON: ") and err.count("\n") == 1
+
+
+_ALLOWED = [
+    (tid, field)
+    for tid in THEOREM_IDS
+    for field in ("real", "complex")
+    if not (field == "complex" and tid in harness.REAL_ONLY_IDS)
+]
+
+
+#: Instance keys that are not coordinates, radii, pair values or coefficients.
+_UNSCALED = ("theorem", "field", "size", "domain", "seed")
+
+
+def _scaled(value, k: int):
+    """value with every number times 10**k, rounded once (to inf past the double range)."""
+    if isinstance(value, dict):
+        return {key: _scaled(v, k) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_scaled(v, k) for v in value]
+    return float(Decimal(value).scaleb(k))
+
+
+@pytest.mark.parametrize("tid, field", _ALLOWED)
+@settings(max_examples=5, deadline=None)
+@given(
+    k=st.integers(100, 330).flatmap(lambda k: st.sampled_from((k, -k))),
+    dim=st.sampled_from((1, 2, 3, 8)),
+    index=st.integers(0, 2**32),
+)
+def test_eval_exit_code_holds_at_any_scale(tmp_path_factory, tid, field, k, dim, index):
+    # every input number of a sampled document scaled by 10**k: bad input (2)
+    # when the scale breaks double precision, never a traceback
+    inst = sample_admissible(tid, field, dim, seed=5, adversarial=index % 2 == 1, index=index)
+    fixed = {key: inst.pop(key) for key in _UNSCALED if key in inst}
+    src = tmp_path_factory.mktemp("scaled") / "in.json"
+    src.write_text(json.dumps({"instances": [dict(_scaled(inst, k), **fixed)]}), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["eval", "--input", str(src)]) in (0, 1, 2)

@@ -25,7 +25,7 @@ from ineq import (
     sample_admissible,
     vector,
 )
-from ineq import harness
+from ineq import bessel, conditions, gruss, harness, legacy
 from ineq.cli import main
 from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, InstanceResult, normalize_theorem_id
 
@@ -176,6 +176,44 @@ def test_eval_decides_each_comparison_once(tmp_path, monkeypatch):
     rep = evaluate_file(str(path))
     assert rep.counterexamples > 0
     assert calls == [(v1, v2) for rec in rep.records for _, v1, _, v2, _ in rec["comparisons"]]
+
+
+#: Per report: (module, function) -> number of calls each Gruss-type id makes.
+_CALLS_PER_REPORT = {
+    ("gruss", "require_unit"): {
+        tid: 1 for tid in ("thm4.1", "thm4.2", "thm4.3", "thm4.4", "legacy1.10", "legacy1.13")
+    },
+    ("bessel", "fourier_coefficients"): {"thm6.1": 2, "thm6.2": 2},
+    ("conditions", "require_nondegenerate"): {"thm4.4": 2},
+}
+
+
+@pytest.mark.parametrize("target", sorted(_CALLS_PER_REPORT), ids="{0[1]}".format)
+def test_gruss_and_bessel_reports_compute_each_term_once(monkeypatch, target):
+    calls = []
+    module, name = target
+    owner = {"gruss": gruss, "bessel": bessel, "conditions": conditions.ScalarPair}[module]
+    func = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(1)
+        return func(*args)
+
+    for holder in (owner, legacy):  # legacy imports require_unit by name
+        if getattr(holder, name, None) is func:
+            monkeypatch.setattr(holder, name, counting)
+    for tid, per_report in _CALLS_PER_REPORT[target].items():
+        fields = ("real",) if tid in REAL_ONLY_IDS else ("real", "complex")
+        docs = [
+            sample_admissible(tid, field, dim, seed=4, adversarial=adversarial, index=dim)
+            for dim in (1, 2, 3, 8)
+            for field in fields
+            for adversarial in (False, True)
+        ]
+        del calls[:]
+        for doc in docs:
+            evaluate_instance(doc)
+        assert len(calls) == per_report * len(docs), tid
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
