@@ -167,7 +167,7 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    report = evaluate_file(args.input, tol=args.tol)
+    report = evaluate_file(args.input, tol=args.tol, keep_records=args.output is not None)
     if args.output is not None:
         emit_report(report, args.output, args.format)
     # stdout carries the aggregates only; records go to --output

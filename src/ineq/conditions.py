@@ -103,11 +103,10 @@ class ScalarPair:
         return 0.5 * (complex(self.hi) + complex(self.lo))
 
     def is_degenerate(self) -> bool:
-        mass = abs(complex(self.lo)) + abs(complex(self.hi))
-        if mass == 0.0:
-            return True
-        cutoff = PAIR_DEGENERACY_REL * mass
-        return abs(self.diff) < cutoff or abs(self.summ) < cutoff
+        # <=, not <: the cutoff of a subnormal pair underflows to 0 (as does
+        # that of lo = hi = 0), and hi = +/- lo must still count as degenerate.
+        cutoff = PAIR_DEGENERACY_REL * (abs(complex(self.lo)) + abs(complex(self.hi)))
+        return abs(self.diff) <= cutoff or abs(self.summ) <= cutoff
 
     def require_nondegenerate(self) -> None:
         if self.is_degenerate():

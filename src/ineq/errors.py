@@ -43,3 +43,18 @@ class PreconditionError(IneqError):
 
 class InputFormatError(IneqError):
     """A problem with an instance document (malformed JSON, missing fields, bad values)."""
+
+
+#: Longest repr of an offending value that an error message quotes.
+_BRIEF_CHARS = 200
+
+
+def _brief(value) -> str:
+    """repr(value) for an error message, cut to _BRIEF_CHARS with an ellipsis.
+
+    Messages quote untrusted document values, which can be arbitrarily large.
+    """
+    text = repr(value)
+    if len(text) <= _BRIEF_CHARS:
+        return text
+    return text[: _BRIEF_CHARS - 3] + "..."

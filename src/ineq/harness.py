@@ -115,11 +115,13 @@ from .bessel import (
     gruss_orthonormal_pair,
 )
 from .conditions import ScalarPair
-from .errors import FieldMismatchError, IneqError, InputFormatError
+from .errors import FieldMismatchError, IneqError, InputFormatError, _brief
 from .gruss import gruss_ball, gruss_ball_refined, gruss_pair, gruss_pair_refined
 from .integral import (
     DiscretizedFunction,
     WeightedDomain,
+    _poly_add,
+    _poly_mul,
     build_domain,
     integral_gruss,
     integral_schwarz_ball,
@@ -381,7 +383,7 @@ def _dec_real(v) -> float:
             return float(v)
         except OverflowError:
             pass
-    raise InputFormatError(f"expected a number, got {v!r}")
+    raise InputFormatError(f"expected a number, got {_brief(v)}")
 
 
 def _dec_count(v) -> int:
@@ -389,12 +391,12 @@ def _dec_count(v) -> int:
         return int(v)
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise InputFormatError(f"expected an integer, got {v!r}")
+    raise InputFormatError(f"expected an integer, got {_brief(v)}")
 
 
 def _dec_list(obj) -> list:
     if not isinstance(obj, (list, tuple)) or not obj:
-        raise InputFormatError(f"expected a non-empty list, got {obj!r}")
+        raise InputFormatError(f"expected a non-empty list, got {_brief(obj)}")
     return obj
 
 
@@ -406,14 +408,16 @@ def _dec_scalar(v):
     try:
         return _dec_real(v)
     except InputFormatError:
-        raise InputFormatError(f"expected a number or {{'re','im'}} object, got {v!r}") from None
+        raise InputFormatError(
+            f"expected a number or {{'re','im'}} object, got {_brief(v)}"
+        ) from None
 
 
 def _dec_pair(obj) -> ScalarPair:
     if isinstance(obj, ScalarPair):
         return obj
     if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
-        raise InputFormatError(f"expected {{'lo','hi'}}, got {obj!r}")
+        raise InputFormatError(f"expected {{'lo','hi'}}, got {_brief(obj)}")
     return ScalarPair(_dec_scalar(obj["lo"]), _dec_scalar(obj["hi"]))
 
 
@@ -448,8 +452,10 @@ def _dec_coords(obj: list, field: FieldTag):
 _MAX_FAMILY_COORDS = 2**18
 
 
-#: Most quadrature nodes the decoded-domain cache holds (about 32 MB of nodes
-#: and weights); a document naming more distinct domains rebuilds evicted ones.
+#: Most quadrature nodes the decoded-domain cache holds: about 32 MB of nodes
+#: and weights, and up to 64 MB more for the complex128 casts a domain keeps
+#: once complex functions are evaluated on it.  A document naming more
+#: distinct domains rebuilds evicted ones.
 _DOMAIN_CACHE_NODES = 2**21
 
 
@@ -489,23 +495,23 @@ _MAX_NODES = {"gauss": 2048, "trapezoid": 2**20}
 
 def _dec_domain(obj) -> WeightedDomain:
     if not isinstance(obj, dict):
-        raise InputFormatError(f"expected a domain object, got {obj!r}")
+        raise InputFormatError(f"expected a domain object, got {_brief(obj)}")
     part = "interval"
     try:
         interval = obj.get("interval", DEFAULT_DOMAIN_SPEC["interval"])
         if not isinstance(interval, (list, tuple)) or len(interval) != 2:
-            raise InputFormatError(f"expected [a, b], got {interval!r}")
+            raise InputFormatError(f"expected [a, b], got {_brief(interval)}")
         a, b = _dec_real(interval[0]), _dec_real(interval[1])
         part = "weight"
         weight = obj.get("weight", DEFAULT_DOMAIN_SPEC["weight"])
         if not isinstance(weight, dict):
-            raise InputFormatError(f"expected a {{'poly'}} object, got {weight!r}")
+            raise InputFormatError(f"expected a {{'poly'}} object, got {_brief(weight)}")
         part = "weight.poly"
         wpoly = tuple([_dec_real(c) for c in _dec_list(weight.get("poly"))])
         part = "rule"
         rule = obj.get("rule", DEFAULT_DOMAIN_SPEC["rule"])
         if not isinstance(rule, dict):
-            raise InputFormatError(f"expected an object, got {rule!r}")
+            raise InputFormatError(f"expected an object, got {_brief(rule)}")
         kind = str(rule.get("kind", "gauss"))
         part = "rule.n"
         n = _dec_count(rule.get("n", 64))
@@ -526,11 +532,16 @@ def _dec_function(obj, dom: WeightedDomain, field: FieldTag) -> DiscretizedFunct
     if isinstance(obj, dict) and "poly" in obj:
         coeffs = obj["poly"]
         if not isinstance(coeffs, np.ndarray):
-            coeffs = np.array([_dec_scalar(v) for v in _dec_list(coeffs)])
-        return dom.discretize(np.polynomial.polynomial.polyval(dom.nodes, coeffs), field)
+            coeffs = np.asarray(_dec_coords(_dec_list(coeffs), field))
+        if coeffs.dtype.kind == "c" and field is FieldTag.REAL:
+            raise FieldMismatchError("complex entries are not representable over real")
+        values = dom._poly(coeffs)
+        if values.dtype != field.dtype:
+            values = values.astype(field.dtype)
+        return DiscretizedFunction._computed(values, field)
     if isinstance(obj, dict) and "values" in obj:
-        return dom.discretize([_dec_scalar(v) for v in _dec_list(obj["values"])], field)
-    raise InputFormatError(f"expected {{'poly'}} or {{'values'}} function, got {obj!r}")
+        return dom.discretize(_dec_coords(_dec_list(obj["values"]), field), field)
+    raise InputFormatError(f"expected {{'poly'}} or {{'values'}} function, got {_brief(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +700,10 @@ def _default_domain() -> WeightedDomain:
     return _dec_domain(DEFAULT_DOMAIN_SPEC)
 
 
-def _scaled_perturbation(rng, deg, field, nodes, limit) -> np.ndarray:
+def _scaled_perturbation(rng, deg, field, dom, limit) -> np.ndarray:
     """Polynomial q with max_node |q| = limit (zero polynomial if limit is 0)."""
     p = _rand_coords(rng, deg + 1, field)
-    m = float(np.max(np.abs(np.polynomial.polynomial.polyval(nodes, p))))
+    m = float(np.abs(dom._poly(p)).max())
     if m < 1e-12:
         p = np.zeros_like(p)
         p[0] = 1.0
@@ -705,8 +716,8 @@ def _sample_integral_ball(theorem, rng, dim, field, adversarial):
     g = _rand_coords(rng, 4, field)
     r = _radius(rng)
     t = _frac(rng, adversarial)
-    delta = _scaled_perturbation(rng, 3, field, dom.nodes, t * r)
-    f = np.polynomial.polynomial.polyadd(g, delta)
+    delta = _scaled_perturbation(rng, 3, field, dom, t * r)
+    f = _poly_add(g, delta)
     return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, f={"poly": f}, g={"poly": g}, r=r)
 
 
@@ -715,10 +726,9 @@ def _pair_multiple(rng, field, dom, adversarial, base, lo, hi) -> np.ndarray:
     the nodes, so f meets the two-sided condition against base."""
     mid = (complex(lo) + complex(hi)) / 2.0
     t = _frac(rng, adversarial)
-    q = _scaled_perturbation(rng, 2, field, dom.nodes, t * 0.5 * abs(complex(hi) - complex(lo)))
+    q = _scaled_perturbation(rng, 2, field, dom, t * 0.5 * abs(complex(hi) - complex(lo)))
     mid_c = mid if field is FieldTag.COMPLEX else mid.real
-    factor = np.polynomial.polynomial.polyadd(np.array([mid_c]), q)
-    return np.polynomial.polynomial.polymul(factor, base)
+    return _poly_mul(_poly_add(np.array([mid_c]), q), base)
 
 
 def _sample_integral_pair(theorem, rng, dim, field, adversarial):
@@ -733,8 +743,7 @@ def _sample_integral_pair(theorem, rng, dim, field, adversarial):
 def _sample_integral_range(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
     q = _rand_coords(rng, 3, FieldTag.REAL)
-    g = np.polynomial.polynomial.polymul(q, q)
-    g = np.polynomial.polynomial.polyadd(g, np.array([float(rng.uniform(0.1, 1.0))]))
+    g = _poly_add(_poly_mul(q, q), np.array([float(rng.uniform(0.1, 1.0))]))
     m = _radius(rng, 0.05, 2.0)
     M = m + _radius(rng, 0.01, 5.0)
     f = _pair_multiple(rng, FieldTag.REAL, dom, adversarial, g, m, M)
@@ -745,7 +754,7 @@ def _sample_integral_range(theorem, rng, dim, field, adversarial):
 def _sample_integral_gruss(theorem, rng, dim, field, adversarial):
     dom = _default_domain()
     h0 = _rand_coords(rng, 3, field)
-    nh = dom.norm(dom.discretize(np.polynomial.polynomial.polyval(dom.nodes, h0), field))
+    nh = dom.norm(DiscretizedFunction._computed(dom._poly(h0), field))
     if nh < 1e-3:
         h0 = np.zeros_like(h0)
         h0[0] = 1.0
@@ -781,7 +790,7 @@ class _Decoding:
         elif isinstance(obj, (list, tuple)):
             x = vector(_dec_coords(obj, self.field), self.field)
         else:
-            raise InputFormatError(f"expected a coordinate list, got {obj!r}")
+            raise InputFormatError(f"expected a coordinate list, got {_brief(obj)}")
         if self.dim is None:
             self.dim = x.dim
         return x
@@ -790,7 +799,7 @@ class _Decoding:
         if isinstance(obj, CoefficientSequence):
             return _same_field(obj, self.field)
         if not isinstance(obj, (list, tuple)):
-            raise InputFormatError(f"expected a coefficient list, got {obj!r}")
+            raise InputFormatError(f"expected a coefficient list, got {_brief(obj)}")
         return coefficients(_dec_coords(obj, self.field), self.field)
 
     def pair(self, obj) -> ScalarPair:
@@ -944,7 +953,7 @@ def normalize_theorem_id(theorem: str) -> str:
     tid = str(theorem).strip().lower()
     if tid not in _SPECS:
         raise InputFormatError(
-            f"unknown theorem id {theorem!r} (expected one of {', '.join(THEOREM_IDS)})"
+            f"unknown theorem id {_brief(theorem)} (expected one of {', '.join(THEOREM_IDS)})"
         )
     return tid
 
@@ -1331,16 +1340,19 @@ def _file_results(instances: list, lo: int, hi: int):
         yield result
 
 
-def evaluate_file(path: str, tol: float = CHAIN_REL_TOL) -> SuiteReport:
+def evaluate_file(
+    path: str, tol: float = CHAIN_REL_TOL, keep_records: bool = True
+) -> SuiteReport:
     """Evaluate an instance document: {"instances": [instance, ...]}.
 
     Results are counted by the same `_Tally` as `run_suite`'s, every record
-    kept; per-theorem entries follow the first appearance of each id.  The
+    kept unless `keep_records` is false (then `records` is None); per-theorem
+    entries follow the first appearance of each id.  The
     document is one job of `_run`, as a theorem is in `run_suite`: its
     instances are split over the CPUs in the same way, and the first bad
     one is reported as "instance i: ..." whatever the worker count.
     """
-    tally = _Tally(tol, keep_records=True)
+    tally = _Tally(tol, keep_records)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

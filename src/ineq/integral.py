@@ -22,7 +22,9 @@ instance, which is itself a legitimate member of the hypothesis class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -33,10 +35,11 @@ from .errors import (
     FieldMismatchError,
     NotUnitVectorError,
     PreconditionError,
+    _brief,
 )
 from .gruss import GrussReport
 from .schwarz import BoundChain, _ball_chain, _pair_chain
-from .space import FieldTag, Scalar, Vector, _as_coords
+from .space import FieldTag, Scalar, Vector, _as_coords, _computed_coords
 from .triangle import TriangleDefect, _clamped_defect, _range_bound, _require_range
 
 #: Quadrature weights must sum to 1 within this, matching the unit-mass hypothesis.
@@ -63,8 +66,27 @@ class DiscretizedFunction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_coords(self.values, self.field))
 
+    @classmethod
+    def _computed(cls, values: np.ndarray, field: FieldTag) -> "DiscretizedFunction":
+        """Trusted constructor for node values the library just computed."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", _computed_coords(values, field))
+        object.__setattr__(self, "field", field)
+        return self
+
     def __len__(self) -> int:
         return int(self.values.size)
+
+    def _magnitudes(self) -> np.ndarray:
+        """|f_i|, computed once for the norm and the pointwise scales alike.
+
+        Not a `cached_property`: before Python 3.12 that takes a lock on every
+        first read, and a decoded function is read here only twice.
+        """
+        mags = self.__dict__.get("_abs")
+        if mags is None:
+            mags = self.__dict__["_abs"] = np.abs(self.values)
+        return mags
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +143,39 @@ class WeightedDomain:
             raise DimensionMismatchError(f"{len(f)} values for {self.size} nodes")
         return f
 
+    @cached_property
+    def _complex_nodes(self) -> np.ndarray:
+        """The nodes cast to complex128 once, for products with complex values."""
+        return self.nodes.astype(np.complex128)
+
+    @cached_property
+    def _complex_weights(self) -> np.ndarray:
+        """The weights cast to complex128 once, for products with complex values."""
+        return self.weights.astype(np.complex128)
+
+    def _poly(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_k coeffs[k] s_i^k at the nodes, bit for bit as numpy's polyval."""
+        if coeffs.dtype.kind == "c":
+            return _horner(coeffs, self.nodes, self._complex_nodes)
+        return _horner(coeffs, self.nodes)
+
     def inner(self, f: DiscretizedFunction, g: DiscretizedFunction) -> Scalar:
         """<f, g> = sum_i w_i f_i conj(g_i)."""
         self._check(f, g)
-        v = np.sum(self.weights * f.values * np.conj(g.values))
-        return float(np.real(v)) if f.field is FieldTag.REAL else complex(v)
+        if f.field is FieldTag.REAL:
+            terms = self.weights * f.values
+            terms *= g.values
+            return float(terms.sum())
+        # The product numpy forms after casting the weights, in the same order.
+        terms = self._complex_weights * f.values
+        terms *= np.conj(g.values)
+        return complex(terms.sum())
 
     def norm(self, f: DiscretizedFunction) -> float:
         self._check(f)
-        return float(np.sqrt(np.sum(self.weights * np.abs(f.values) ** 2)))
+        terms = np.square(f._magnitudes())
+        terms *= self.weights
+        return math.sqrt(terms.sum())
 
     def _check(self, *fs: DiscretizedFunction) -> None:
         for f in fs:
@@ -142,7 +188,49 @@ class WeightedDomain:
 def polynomial(coeffs) -> Callable[[np.ndarray], np.ndarray]:
     """Callable evaluating sum_k coeffs[k] * s^k (ascending order)."""
     c = np.atleast_1d(np.asarray(coeffs))
-    return lambda s: np.polynomial.polynomial.polyval(s, c)
+    if c.dtype.kind in "biu":
+        c = c + 0.0
+    return lambda s: _horner(c, np.asarray(s) if isinstance(s, (list, tuple)) else s)
+
+
+def _horner(c: np.ndarray, s, s_complex: Optional[np.ndarray] = None):
+    """numpy's polyval(s, c) for a 1-D float or complex c, bit for bit.
+
+    polyval starts from c[-1] + s*0 and builds a new array c[k] + c0*s per
+    coefficient; here c0 is updated in place.  For complex c every step is a
+    complex multiply by s cast to complex128, which polyval casts anew each
+    step and this casts once (or takes as `s_complex`).
+    """
+    c0 = c[-1] + s * 0
+    if c.dtype.kind == "c" and len(c) > 1:
+        s = np.asarray(s, dtype=np.complex128) if s_complex is None else s_complex
+    for k in range(len(c) - 2, -1, -1):
+        c0 *= s
+        c0 += c[k]
+    return c0
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zeros, keeping at least one entry, as numpy.polynomial trims."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _poly_add(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """numpy's polyadd(c1, c2) for 1-D float or complex c1, c2: value, dtype and length."""
+    c1, c2 = _trimmed(c1), _trimmed(c2)
+    if len(c1) < len(c2):
+        c1, c2 = c2, c1
+    out = c1.astype(np.result_type(c1, c2))
+    out[: len(c2)] += c2
+    return _trimmed(out)
+
+
+def _poly_mul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """numpy's polymul(c1, c2) for 1-D float or complex c1, c2: value, dtype and length."""
+    return _trimmed(np.convolve(_trimmed(c1), _trimmed(c2)))
 
 
 #: Newton on the Tricomi guesses takes 4 steps for n <= 88 and 3 above
@@ -226,7 +314,7 @@ def build_domain(
         base = np.full(int(n), h)
         base[0] = base[-1] = 0.5 * h
     else:
-        raise PreconditionError(f"unknown rule {rule!r} (expected 'gauss' or 'trapezoid')")
+        raise PreconditionError(f"unknown rule {_brief(rule)} (expected 'gauss' or 'trapezoid')")
     if weight is None:
         rho = np.ones_like(nodes)
     else:
@@ -260,7 +348,9 @@ def pointwise_ball(f: DiscretizedFunction, g: DiscretizedFunction, r: float) -> 
     if not r > 0:
         raise PreconditionError(f"radius must be positive, got {r}")
     _check_pair(f, g)
-    margin = float(r - np.max(np.abs(f.values - g.values)))
+    diff = f.values - g.values
+    dist = np.abs(diff, out=diff) if f.field is FieldTag.REAL else np.abs(diff)
+    margin = float(r - dist.max())
     scale = 1.0 + _amax(f) + _amax(g) + r
     return _report(margin, ConditionForm.BALL, scale)
 
@@ -271,8 +361,16 @@ def pointwise_pair(
     """Re[(hi*g - f)(conj(f) - conj(lo)*conj(g))] >= 0 at every node (worst-node margin)."""
     _check_pair(f, g)
     lo, hi = pair.coerced(f.field)
-    vals = (hi * g.values - f.values) * np.conj(f.values - lo * g.values)
-    margin = float(np.min(np.real(vals)))
+    upper = hi * g.values
+    upper -= f.values
+    lower = lo * g.values
+    np.subtract(f.values, lower, out=lower)
+    if f.field is FieldTag.REAL:
+        upper *= lower
+        margin = float(upper.min())
+    else:
+        upper *= np.conjugate(lower, out=lower)
+        margin = float(upper.real.min())
     scale = 1.0 + _amax(f) ** 2 + abs(complex(hi)) ** 2 * _amax(g) ** 2
     return _report(margin, ConditionForm.REAL_PART, scale)
 
@@ -285,13 +383,17 @@ def pointwise_range(
     if f.field is not FieldTag.REAL:
         raise FieldMismatchError("the range condition m g <= f <= M g needs real values")
     fv, gv = f.values, g.values
-    margin = float(min(np.min(fv - m * gv), np.min(M * gv - fv)))
+    below = m * gv
+    np.subtract(fv, below, out=below)
+    above = M * gv
+    above -= fv
+    margin = float(min(below.min(), above.min()))
     scale = 1.0 + _amax(f) + max(abs(m), abs(M)) * _amax(g)
     return _report(margin, ConditionForm.BALL, scale)
 
 
 def _amax(f: DiscretizedFunction) -> float:
-    return float(np.max(np.abs(f.values)))
+    return float(f._magnitudes().max())
 
 
 def _check_pair(f: DiscretizedFunction, g: DiscretizedFunction) -> None:
@@ -348,7 +450,7 @@ def integral_triangle(
     _require_range(m, M)
     report = pointwise_range(f, g, m, M)
     nf, ng = dom.norm(f), dom.norm(g)
-    total = dom.norm(DiscretizedFunction(f.values + g.values, f.field))
+    total = dom.norm(DiscretizedFunction._computed(f.values + g.values, f.field))
     defect = _clamped_defect(nf, ng, total)
     return TriangleDefect(defect, _range_bound(m, M, ng), report)
 

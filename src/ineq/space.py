@@ -29,6 +29,7 @@ from .errors import (
     FieldMismatchError,
     NotOrthonormalError,
     RankDeficiencyError,
+    _brief,
 )
 
 #: Default absolute tolerance for orthonormality checks and rank decisions.
@@ -54,7 +55,7 @@ class FieldTag(enum.Enum):
             return name
         tag = _FIELD_TAGS.get(str(name).lower())
         if tag is None:
-            raise FieldMismatchError(f"unknown field {name!r} (expected 'real' or 'complex')")
+            raise FieldMismatchError(f"unknown field {_brief(name)} (expected 'real' or 'complex')")
         return tag
 
 

@@ -544,3 +544,78 @@ def test_eval_exit_code_holds_at_any_scale(tmp_path_factory, tid, field, k, dim,
     src.write_text(json.dumps({"instances": [dict(_scaled(inst, k), **fixed)]}), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["eval", "--input", str(src)]) in (0, 1, 2)
+
+
+_GAUSS_8 = {"rule": {"kind": "gauss", "n": 8}}
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        (
+            {"theorem": "prop7.1", "field": "real", "domain": _GAUSS_8,
+             "f": {"poly": [1e308, 1e308]}, "g": {"poly": [1.0]}, "r": 1.0},
+            "prop7.1 'f': entries must be finite (no NaN/Inf)",
+        ),
+        (
+            {"theorem": "prop7.1", "field": "complex", "domain": _GAUSS_8,
+             "f": {"poly": [{"re": 1e308, "im": 0.0}, {"re": 0.0, "im": 1e308},
+                            {"re": 1e308, "im": 1e308}]},
+             "g": {"poly": [1.0]}, "r": 1.0},
+            "prop7.1 'f': entries must be finite (no NaN/Inf)",
+        ),
+        (
+            {"theorem": "prop7.2", "field": "real", "domain": _GAUSS_8,
+             "f": {"poly": [1e200]}, "g": {"poly": [1e200]}, "pair": {"lo": 0.5, "hi": 2.0}},
+            None,  # OverflowError in a float power: the message names no key
+        ),
+    ],
+    ids=["real-values", "complex-values", "norm"],
+)
+def test_eval_overflowing_polynomial_exits_2(tmp_path, capsys, instance, message):
+    rc, out, err = _eval_one(tmp_path, capsys, instance)
+    assert rc == 2 and out == ""
+    assert err.startswith("ineq: instance 0: ") and err.count("\n") == 1
+    assert message is None or err == f"ineq: instance 0: {message}\n"
+
+
+def test_eval_subnormal_degenerate_pair_exits_2_naming_the_pair(tmp_path, capsys):
+    inst = sample_admissible("thm4.3", "real", 3, seed=0)
+    inst["pair_x"] = {"lo": 5e-324, "hi": -5e-324}
+    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    assert rc == 2 and out == ""
+    assert err == (
+        "ineq: instance 0: pair (5e-324, -5e-324): hi is within relative 1e-12 of +/- lo\n"
+    )
+
+
+def test_eval_error_quotes_a_huge_value_briefly(tmp_path, capsys):
+    inst = {"theorem": "thm2.1", "field": "real", "x": [[0.5] * 200_000], "a": [0.0], "r": 1.0}
+    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    assert rc == 2 and out == ""
+    assert len(err.encode("utf-8")) < 1000
+    head = "ineq: instance 0: thm2.1 'x': expected a number or {'re','im'} object, got [0.5, 0.5"
+    assert err.startswith(head) and err.endswith("...\n") and err.count("\n") == 1
+
+
+def test_eval_stdout_does_not_depend_on_output(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_sampled_document()), encoding="utf-8")
+    kept = []
+    evaluate_file = harness.evaluate_file
+
+    def recording(*args, **kwargs):
+        report = evaluate_file(*args, **kwargs)
+        kept.append(report.records is not None)
+        return report
+
+    monkeypatch.setattr("ineq.cli.evaluate_file", recording)
+    rc, bare, err = run_cli(capsys, "eval", "--input", str(src))
+    assert rc == 0 and err == ""
+    rc, with_output, err = run_cli(
+        capsys, "eval", "--input", str(src), "--output", str(tmp_path / "out.json")
+    )
+    assert rc == 0 and err == ""
+    assert bare == with_output
+    assert kept == [False, True]
+    assert harness.evaluate_file(str(src), keep_records=False).records is None

@@ -125,3 +125,15 @@ def test_reports_carry_tolerance_scale():
     rep = in_closed_ball(vector([100.0, 0.0]), vector([100.0, 0.0]), 1e-3)
     assert rep.tol > 1e-9  # scaled by instance magnitude, not absolute
     assert rep.holds
+
+
+@pytest.mark.parametrize("lo, hi", [(5e-324, -5e-324), (5e-324, 5e-324), (0.0, 0.0), (-0.0, 0.0)])
+def test_subnormal_and_zero_pairs_are_degenerate(lo, hi):
+    pair = ScalarPair(lo, hi)
+    assert pair.is_degenerate()
+    with pytest.raises(DegeneratePairError):
+        pair.require_nondegenerate()
+
+
+def test_subnormal_pair_far_from_degenerate_is_not():
+    assert not ScalarPair(5e-324, 1e-320).is_degenerate()

@@ -951,3 +951,16 @@ def test_an_eval_child_that_dies_has_its_slice_computed_here(
     assert evaluate_file(path).to_json() == serial
     assert_no_child_left()
     assert len(died.read_text(encoding="ascii").split()) == 1
+
+
+def test_brief_quotes_short_values_whole_and_cuts_long_ones():
+    from ineq.errors import _BRIEF_CHARS, _brief
+
+    short = [0.5] * 10
+    assert _brief(short) == repr(short)
+    long = [0.5] * 1000
+    assert len(_brief(long)) == _BRIEF_CHARS
+    assert _brief(long) == repr(long)[: _BRIEF_CHARS - 3] + "..."
+    with pytest.raises(InputFormatError) as exc:
+        harness._dec_real("x" * 10**6)
+    assert str(exc.value) == f"expected a number, got {_brief('x' * 10**6)}"

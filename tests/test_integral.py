@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 from ineq import (
     DimensionMismatchError,
+    DiscretizedFunction,
     FieldMismatchError,
     FieldTag,
     PreconditionError,
@@ -25,9 +29,11 @@ from ineq import (
     pointwise_ball,
     pointwise_pair,
     pointwise_range,
+    evaluate_instance,
     polynomial,
+    sample_admissible,
 )
-from ineq.integral import _gauss_legendre
+from ineq.integral import _gauss_legendre, _horner, _poly_add, _poly_mul
 
 from conftest import weighted_poly_inner
 
@@ -270,3 +276,95 @@ def test_build_domain_maps_the_gauss_rule_onto_the_interval():
     np.testing.assert_array_equal(dom.nodes, 3.5 + 1.5 * t)
     assert dom.raw_mass == pytest.approx(3.0, rel=1e-15)
     np.testing.assert_allclose(dom.weights, wt / 2.0, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The polynomial kernels reproduce numpy.polynomial bit for bit.
+
+_COEFF = st.floats(-1e100, 1e100, allow_nan=False, width=64)
+_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _coefficients(draw, complex_ok=True):
+    """1 to 8 float or complex coefficients, zeros likely, then 0 to 3 trailing zeros."""
+    size = draw(st.integers(1, 8))
+    re = draw(st.lists(_COEFF | _ZEROS, min_size=size, max_size=size))
+    trailing = draw(st.lists(_ZEROS, max_size=3))
+    if complex_ok and draw(st.booleans()):
+        im = draw(st.lists(_COEFF | _ZEROS, min_size=size, max_size=size))
+        return np.array([complex(a, b) for a, b in zip(re, im)] + trailing, dtype=np.complex128)
+    return np.array(re + trailing, dtype=np.float64)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150)
+@given(c=_coefficients(), n=st.integers(1, 8192), seed=st.integers(0, 2**32 - 1))
+@example(c=np.array([1.0, -0.0, 0.0]), n=1, seed=0)
+@example(c=np.array([0j, 0j]), n=8192, seed=1)
+@example(c=np.array([-0.0 - 0.0j, 2.5 - 1j, -0.0j]), n=3, seed=2)
+def test_horner_is_polyval_bit_for_bit(c, n, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-2.0, 2.0, n)
+    s[rng.integers(0, n, 1 + n // 8)] = rng.choice([0.0, -0.0, -1.0, 1.0])
+    want = npp.polyval(s, c)
+    assert _same_bits(_horner(c, s), want)
+    assert _same_bits(_horner(c, s, s.astype(np.complex128)), want)
+    assert _same_bits(polynomial(c)(s), want)
+    assert _same_bits(polynomial(c)(float(s[0])), npp.polyval(float(s[0]), c))
+
+
+@settings(max_examples=150)
+@given(c1=_coefficients(), c2=_coefficients())
+@example(c1=np.array([0.0, 0.0]), c2=np.array([-0.0]))
+@example(c1=np.array([1.0, 2.0]), c2=np.array([0.0, -2.0, 0.0]))
+@example(c1=np.array([1.0 + 0j, 2j]), c2=np.array([-1.0, -0.0]))
+def test_poly_add_and_mul_are_polyadd_and_polymul_bit_for_bit(c1, c2):
+    assert _same_bits(_poly_add(c1, c2), npp.polyadd(c1, c2))
+    assert _same_bits(_poly_mul(c1, c2), npp.polymul(c1, c2))
+
+
+def test_polynomial_takes_integer_coefficients_and_node_lists():
+    s = [-1.0, 0.5, 3.0]
+    assert _same_bits(polynomial([1, 2, 3])(s), npp.polyval(s, [1, 2, 3]))
+    assert _same_bits(polynomial(np.array([True, False]))(s), npp.polyval(s, [True, False]))
+
+
+#: |values| passes per report: one per decoded function, plus the |f - g| of
+#: prop7.1's ball condition.
+_ABS_PASSES = {"prop7.1": 3, "prop7.2": 2, "prop7.11": 2, "prop7.12": 3, "prop7.3": 3}
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("tid", sorted(_ABS_PASSES))
+def test_each_function_magnitude_is_computed_once_per_report(monkeypatch, tid, field):
+    inst = sample_admissible(tid, field, 1, seed=0)
+    calls = []
+    real_abs = np.abs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_abs(*args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting)
+    evaluate_instance(inst)
+    assert len(calls) == _ABS_PASSES[tid], calls
+
+
+def test_triangle_sum_that_overflows_is_rejected():
+    f = UNIT.discretize(polynomial([1e308]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        integral_triangle(f, f, UNIT, 0.5, 2.0)
+
+
+def test_computed_function_checks_dtype_shape_and_finiteness():
+    with pytest.raises(AssertionError):
+        DiscretizedFunction._computed(np.ones(4, dtype=np.complex128), FieldTag.REAL)
+    with pytest.raises(AssertionError):
+        DiscretizedFunction._computed(np.ones((2, 2)), FieldTag.REAL)
+    with pytest.raises(ValueError, match="finite"):
+        DiscretizedFunction._computed(np.array([1.0, np.inf]), FieldTag.REAL)
