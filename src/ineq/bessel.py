@@ -23,21 +23,21 @@ additive chains above to each factor.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .conditions import (
-    ConditionForm,
     ConditionReport,
-    PAIR_DEGENERACY_REL,
     SingleCondition,
-    family_two_sided,
+    _coefficient_pair,
+    _family_ball,
     in_closed_ball,
 )
-from .errors import DegeneratePairError, PreconditionError
-from .gruss import GrussReport
+from .errors import PreconditionError
+from .gruss import GrussReport, _ordered_pair
 from .schwarz import BoundChain
 from .space import (
     CoefficientSequence,
@@ -79,22 +79,6 @@ class BesselReport(SingleCondition):
         return comps + (("gap", self.gap, "bound", self.bound),)
 
 
-def _seq_pair_check(gammas: CoefficientSequence, Gammas: CoefficientSequence) -> tuple[float, float]:
-    """Return (sum|G-g|^2, sum|G+g|^2), raising if either is degenerate."""
-    diff = Gammas.entries - gammas.entries
-    summ = Gammas.entries + gammas.entries
-    diff_sq = float(np.vdot(diff, diff).real)
-    summ_sq = float(np.vdot(summ, summ).real)
-    mass = Gammas.norm + gammas.norm
-    cutoff = (PAIR_DEGENERACY_REL * mass) ** 2
-    if mass == 0.0 or diff_sq < cutoff or summ_sq < cutoff:
-        raise DegeneratePairError(
-            "coefficient sequences are degenerate: Gamma within relative "
-            f"{PAIR_DEGENERACY_REL} of +/- gamma"
-        )
-    return diff_sq, summ_sq
-
-
 def bessel_reverse_ball(
     x: Vector, fam: OrthonormalFamily, lam: CoefficientSequence, r: float
 ) -> BesselReport:
@@ -109,16 +93,8 @@ def bessel_reverse_ball(
     cn = fourier_coefficients(x, fam).norm
     lam_norm = lam.sq_norm ** 0.5
     bound = 0.5 * r * r / lam_norm
-    additive = BoundChain(
-        ADDITIVE_LABELS,
-        (
-            0.0,
-            nx * nx - cn * cn,
-            0.5 * r * r * (nx + cn) / lam_norm,
-            r * r * nx / lam_norm,
-        ),
-        report,
-    )
+    chain = (0.0, nx * nx - cn * cn, 0.5 * r * r * (nx + cn) / lam_norm, r * r * nx / lam_norm)
+    additive = BoundChain(ADDITIVE_LABELS, chain, report)
     return BesselReport(nx, cn, nx - cn, bound, additive, report)
 
 
@@ -129,22 +105,15 @@ def bessel_reverse_pair(
     Gammas: CoefficientSequence,
 ) -> BesselReport:
     """Defect bound sum|G_i-g_i|^2 / (4 sqrt(sum|G_i+g_i|^2)) under the family condition."""
-    diff_sq, summ_sq = _seq_pair_check(gammas, Gammas)
-    report = family_two_sided(x, fam, gammas, Gammas, ConditionForm.BALL)
+    diff_sq, summ_sq = _coefficient_pair(fam, gammas, Gammas)
+    check_same_space(x, fam.members[0])
+    report = _family_ball(x, fam, gammas, Gammas)
     nx = norm(x)
     cn = fourier_coefficients(x, fam).norm
     ratio = diff_sq / summ_sq ** 0.5
     bound = 0.25 * ratio
-    additive = BoundChain(
-        ADDITIVE_LABELS,
-        (
-            0.0,
-            nx * nx - cn * cn,
-            0.25 * ratio * (nx + cn),
-            0.5 * ratio * nx,
-        ),
-        report,
-    )
+    chain = (0.0, nx * nx - cn * cn, 0.25 * ratio * (nx + cn), 0.5 * ratio * nx)
+    additive = BoundChain(ADDITIVE_LABELS, chain, report)
     return BesselReport(nx, cn, nx - cn, bound, additive, report)
 
 
@@ -185,12 +154,7 @@ def gruss_orthonormal_ball(
     second = r1 * r2 * (nx * ny) ** 0.5 / denom
     bounds = (("half_residual", first), ("norm_route", second))
     # first <= second (Bessel: cnx <= nx); the intermediates assert it
-    return GrussReport(
-        gap=gap,
-        bounds=bounds,
-        admissibility=(rep_x, rep_y),
-        intermediates=bounds,
-    )
+    return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y), intermediates=bounds)
 
 
 def gruss_orthonormal_pair(
@@ -203,19 +167,18 @@ def gruss_orthonormal_pair(
     Phis_y: CoefficientSequence,
 ) -> GrussReport:
     """Family Gruss bounds under the two-sided sequence conditions for x and y."""
-    diff_x, summ_x = _seq_pair_check(gammas_x, Gammas_x)
-    diff_y, summ_y = _seq_pair_check(phis_y, Phis_y)
-    rep_x = family_two_sided(x, fam, gammas_x, Gammas_x, ConditionForm.BALL)
-    rep_y = family_two_sided(y, fam, phis_y, Phis_y, ConditionForm.BALL)
+    diff_x, summ_x = _coefficient_pair(fam, gammas_x, Gammas_x)
+    diff_y, summ_y = _coefficient_pair(fam, phis_y, Phis_y)
+    check_same_space(x, fam.members[0])
+    rep_x = _family_ball(x, fam, gammas_x, Gammas_x)
+    check_same_space(y, fam.members[0])
+    rep_y = _family_ball(y, fam, phis_y, Phis_y)
     gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
-    factor = (diff_x * diff_y) ** 0.5 / (summ_x * summ_y) ** 0.25
-    first = 0.25 * factor * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5
-    second = 0.5 * factor * (nx * ny) ** 0.5
-    bounds = (("quarter_residual", first), ("half_norm", second))
-    # first <= second (Bessel: cnx <= nx); the intermediates assert it
-    return GrussReport(
-        gap=gap,
-        bounds=bounds,
-        admissibility=(rep_x, rep_y),
-        intermediates=bounds,
-    )
+    factor = _root_product(diff_x, diff_y, 0.5) / _root_product(summ_x, summ_y, 0.25)
+    return _ordered_pair(gap, factor, nx, cnx, ny, cny, rep_x, rep_y)
+
+
+def _root_product(a: float, b: float, p: float) -> float:
+    """(a b)^p of positive sums; a^p b^p where a b underflows the normal floats."""
+    ab = a * b
+    return ab ** p if ab >= sys.float_info.min else a ** p * b ** p

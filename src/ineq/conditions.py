@@ -19,7 +19,11 @@ demanding agreement on it.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegeneratePairError, DimensionMismatchError, FieldMismatchError, PreconditionError
 from .space import (
@@ -48,7 +52,7 @@ class ConditionForm(enum.Enum):
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of an admissibility check; margin >= -tol iff holds."""
+    """Outcome of an admissibility check; holds iff -inf < margin >= -tol."""
 
     holds: bool
     margin: float
@@ -71,8 +75,26 @@ class SingleCondition:
 
 
 def _report(margin: float, form: ConditionForm, scale: float) -> ConditionReport:
+    # An overflowed scale makes tol inf; a margin of -inf still fails.
     tol = BOUNDARY_REL * scale
-    return ConditionReport(margin >= -tol, float(margin), form, tol)
+    return ConditionReport(margin >= -tol and margin != -math.inf, float(margin), form, tol)
+
+
+def _ball(x: Vector, a: Vector, r: float) -> ConditionReport:
+    """Ball-form report of ||x - a|| <= r: margin r - ||x - a||, scale 1 + ||x|| + ||a|| + r."""
+    return _report(r - norm(x - a), ConditionForm.BALL, 1.0 + norm(x) + norm(a) + r)
+
+
+def _real_part(above: Vector, below: Vector, scale: float) -> ConditionReport:
+    """Real-part-form report of Re<upper - x, x - lower> >= 0, given above and below x."""
+    return _report(complex(inner(above, below)).real, ConditionForm.REAL_PART, scale)
+
+
+def _degenerate(mass: float, diff: float, summ: float) -> bool:
+    """The pair rule: |hi - lo| or |hi + lo| is at most PAIR_DEGENERACY_REL * mass.  <=, not <:
+    a subnormal or zero pair's cutoff underflows to 0, and hi = +/- lo is still degenerate."""
+    cutoff = PAIR_DEGENERACY_REL * mass
+    return diff <= cutoff or summ <= cutoff
 
 
 @dataclass(frozen=True)
@@ -103,10 +125,8 @@ class ScalarPair:
         return 0.5 * (complex(self.hi) + complex(self.lo))
 
     def is_degenerate(self) -> bool:
-        # <=, not <: the cutoff of a subnormal pair underflows to 0 (as does
-        # that of lo = hi = 0), and hi = +/- lo must still count as degenerate.
-        cutoff = PAIR_DEGENERACY_REL * (abs(complex(self.lo)) + abs(complex(self.hi)))
-        return abs(self.diff) <= cutoff or abs(self.summ) <= cutoff
+        mass = abs(complex(self.lo)) + abs(complex(self.hi))
+        return _degenerate(mass, abs(self.diff), abs(self.summ))
 
     def require_nondegenerate(self) -> None:
         if self.is_degenerate():
@@ -115,39 +135,27 @@ class ScalarPair:
             )
 
 
-def quad_scale(x: Vector, y: Vector, pair: ScalarPair) -> float:
-    """Boundary-band scale for real-part margins: 1 + ||x||^2 + |hi|^2 ||y||^2."""
-    return 1.0 + norm(x) ** 2 + abs(complex(pair.hi)) ** 2 * norm(y) ** 2
-
-
 def in_closed_ball(x: Vector, a: Vector, r: float) -> ConditionReport:
     """Membership of x in the closed ball of radius r about a."""
     if not r > 0:
         raise PreconditionError(f"radius must be positive, got {r}")
     check_same_space(x, a)
-    margin = r - norm(x - a)
-    scale = 1.0 + norm(x) + norm(a) + r
-    return _report(margin, ConditionForm.BALL, scale)
+    return _ball(x, a, r)
 
 
 def two_sided_realpart(x: Vector, y: Vector, pair: ScalarPair) -> ConditionReport:
     """Re<hi*y - x, x - lo*y> >= 0, reported with its signed margin."""
     check_same_space(x, y)
     lo, hi = pair.coerced(x.field)
-    margin = inner(y.scaled(hi) - x, x - y.scaled(lo))
-    margin = margin.real if isinstance(margin, complex) else margin
-    return _report(margin, ConditionForm.REAL_PART, quad_scale(x, y, pair))
+    above, below = y.scaled(hi) - x, x - y.scaled(lo)
+    return _real_part(above, below, 1.0 + norm(x) ** 2 + abs(hi) ** 2 * norm(y) ** 2)
 
 
 def two_sided_ball(x: Vector, y: Vector, pair: ScalarPair) -> ConditionReport:
     """||x - mid*y|| <= |hi - lo|/2 * ||y||, reported with its signed margin."""
     check_same_space(x, y)
     lo, hi = pair.coerced(x.field)
-    mid = (lo + hi) / 2
-    radius = 0.5 * abs(hi - lo) * norm(y)
-    margin = radius - norm(x - y.scaled(mid))
-    scale = 1.0 + norm(x) + (abs(mid) + 0.5 * abs(hi - lo)) * norm(y)
-    return _report(margin, ConditionForm.BALL, scale)
+    return _ball(x, y.scaled((lo + hi) / 2), 0.5 * abs(hi - lo) * norm(y))
 
 
 def _family_pairs(
@@ -161,6 +169,38 @@ def _family_pairs(
         )
     if gammas.field is not fam.field or Gammas.field is not fam.field:
         raise FieldMismatchError("coefficient sequences must share the family's field")
+
+
+def _rss(v: np.ndarray, sq: float) -> float:
+    """sqrt(sq) of sq = sum|v_i|^2; where sq underflowed, ||v|| over the largest |v_i|."""
+    top = np.abs(v).max(initial=0.0) if sq < sys.float_info.min else 0.0
+    return float(top * np.linalg.norm(np.abs(v) / top)) if top else math.sqrt(sq)
+
+
+def _coefficient_pair(
+    fam: OrthonormalFamily, gammas: CoefficientSequence, Gammas: CoefficientSequence
+) -> tuple[float, float]:
+    """(sum|G_i - g_i|^2, sum|G_i + g_i|^2) of a pair that fits `fam`, by `ScalarPair`'s rule on
+    root-sum-squares, taken over the largest |entry| where a square sum underflows.  A pair that
+    passes with a sum below the normal floats is rejected; past entries of about 1.3e154 the
+    capped mass rejects a pair whose difference or sum keeps a finite square as degenerate."""
+    _family_pairs(fam, gammas, Gammas)
+    diff = Gammas.entries - gammas.entries
+    summ = Gammas.entries + gammas.entries
+    diff_sq = float(np.vdot(diff, diff).real)
+    summ_sq = float(np.vdot(summ, summ).real)
+    mass = _rss(Gammas.entries, Gammas.sq_norm) + _rss(gammas.entries, gammas.sq_norm)
+    roots = _rss(diff, diff_sq), _rss(summ, summ_sq)
+    if _degenerate(min(mass, sys.float_info.max), *roots):
+        raise DegeneratePairError(
+            "coefficient sequences are degenerate: Gamma within relative "
+            f"{PAIR_DEGENERACY_REL} of +/- gamma"
+        )
+    if min(roots) > 0 and min(diff_sq, summ_sq) < sys.float_info.min:
+        raise PreconditionError(
+            f"coefficient sequences underflow: sum|Gamma -/+ gamma|^2 = {diff_sq!r}, {summ_sq!r}"
+        )
+    return diff_sq, summ_sq
 
 
 def family_two_sided(
@@ -177,20 +217,17 @@ def family_two_sided(
     """
     check_same_space(x, fam.members[0])
     _family_pairs(fam, gammas, Gammas)
-    if isinstance(form, str):
-        form = ConditionForm(form)
+    if ConditionForm(form) is ConditionForm.REAL_PART:
+        upper, lower = synthesize(Gammas, fam), synthesize(gammas, fam)
+        return _real_part(upper - x, x - lower, 1.0 + norm(x) ** 2 + Gammas.sq_norm)
+    return _family_ball(x, fam, gammas, Gammas)
+
+
+def _family_ball(
+    x: Vector, fam: OrthonormalFamily, gammas: CoefficientSequence, Gammas: CoefficientSequence
+) -> ConditionReport:
+    """Ball form of `family_two_sided`, with x and the pair already checked against `fam`."""
     diff = Gammas.entries - gammas.entries
-    diff_sq = float((diff * diff.conj()).real.sum())
-    if form is ConditionForm.BALL:
-        mid = CoefficientSequence._computed(0.5 * (gammas.entries + Gammas.entries), gammas.field)
-        center = synthesize(mid, fam)
-        radius = 0.5 * float(diff_sq) ** 0.5
-        margin = radius - norm(x - center)
-        scale = 1.0 + norm(x) + norm(center) + radius
-        return _report(margin, ConditionForm.BALL, scale)
-    upper = synthesize(Gammas, fam)
-    lower = synthesize(gammas, fam)
-    margin = inner(upper - x, x - lower)
-    margin = margin.real if isinstance(margin, complex) else margin
-    scale = 1.0 + norm(x) ** 2 + Gammas.sq_norm
-    return _report(margin, ConditionForm.REAL_PART, scale)
+    radius = 0.5 * float((diff * diff.conj()).real.sum()) ** 0.5
+    mid = CoefficientSequence._computed(0.5 * (gammas.entries + Gammas.entries), gammas.field)
+    return _ball(x, synthesize(mid, fam), radius)

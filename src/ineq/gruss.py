@@ -95,11 +95,8 @@ def gruss_ball(x: Vector, y: Vector, e: Vector, r1: float, r2: float) -> GrussRe
     gap, _, axe, aye, nx, ny = _terms(x, y, e)
     half = 0.5 * r1 * r2 * (nx + axe) ** 0.5 * (ny + aye) ** 0.5
     plain = r1 * r2 * nx * ny
-    return GrussReport(
-        gap=gap,
-        bounds=(("half_residual", half), ("norm_product", plain)),
-        admissibility=(rep_x, rep_y),
-    )
+    bounds = (("half_residual", half), ("norm_product", plain))
+    return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y))
 
 
 def gruss_ball_refined(x: Vector, y: Vector, e: Vector, r1: float, r2: float) -> GrussReport:
@@ -119,12 +116,23 @@ def gruss_ball_refined(x: Vector, y: Vector, e: Vector, r1: float, r2: float) ->
         ("residual_sq_y", ny * ny - aye * aye),
         ("residual_sq_y_bound", r2 * r2 * (0.25 * r2 * r2 + aye)),
     )
-    return GrussReport(
-        gap=gap,
-        bounds=(("refined", bound),),
-        admissibility=(rep_x, rep_y),
-        intermediates=inter,
-    )
+    bounds = (("refined", bound),)
+    return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y), intermediates=inter)
+
+
+def _ordered_pair(
+    gap: float, factor: float, nx: float, ax: float, ny: float, ay: float,
+    rep_x: ConditionReport, rep_y: ConditionReport,
+) -> GrussReport:
+    """Two-sided bounds 1/4 factor sqrt(||x||+ax) sqrt(||y||+ay) <= 1/2 factor sqrt(||x|| ||y||).
+
+    ax is |<x,e>| or the coefficient norm, so ax <= ||x|| (Bessel) and the
+    y analogue give the order, which the intermediates assert.
+    """
+    first = 0.25 * factor * (nx + ax) ** 0.5 * (ny + ay) ** 0.5
+    second = 0.5 * factor * (nx * ny) ** 0.5
+    bounds = (("quarter_residual", first), ("half_norm", second))
+    return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y), intermediates=bounds)
 
 
 def _pair_factor(pair: ScalarPair) -> float:
@@ -140,24 +148,13 @@ def gruss_pair(
 
     bounds[0] = 1/4 |A-a||B-b|/sqrt(|A+a||B+b|) sqrt(||x||+|<x,e>|) sqrt(||y||+|<y,e>|)
     bounds[1] = 1/2 |A-a||B-b|/sqrt(|A+a||B+b|) sqrt(||x|| ||y||)
-
-    Here bounds[0] <= bounds[1] always (Bessel: |<x,e>| <= ||x||), and the
-    intermediates assert it.
     """
     require_unit(e)
     factor = _pair_factor(pair_x) * _pair_factor(pair_y)
     rep_x = two_sided_realpart(x, e, pair_x)
     rep_y = two_sided_realpart(y, e, pair_y)
     gap, _, axe, aye, nx, ny = _terms(x, y, e)
-    first = 0.25 * factor * (nx + axe) ** 0.5 * (ny + aye) ** 0.5
-    second = 0.5 * factor * (nx * ny) ** 0.5
-    bounds = (("quarter_residual", first), ("half_norm", second))
-    return GrussReport(
-        gap=gap,
-        bounds=bounds,
-        admissibility=(rep_x, rep_y),
-        intermediates=bounds,
-    )
+    return _ordered_pair(gap, factor, nx, axe, ny, aye, rep_x, rep_y)
 
 
 def gruss_pair_refined(
@@ -186,9 +183,5 @@ def gruss_pair_refined(
         ("residual_sq_y", ny * ny - aye * aye),
         ("residual_sq_y_bound", 0.5 * cy * (aye + 0.125 * cy)),
     )
-    return GrussReport(
-        gap=gap,
-        bounds=(("refined", bound),),
-        admissibility=(rep_x, rep_y),
-        intermediates=inter,
-    )
+    bounds = (("refined", bound),)
+    return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y), intermediates=inter)

@@ -1324,18 +1324,24 @@ def _first_non_finite(result: InstanceResult) -> Optional[tuple[str, float]]:
     return None
 
 
+#: How `eval` ends the message of an instance whose evaluation leaves the range of a float.
+_OUT_OF_RANGE = "; the inputs leave double precision"
+
+
 def _file_results(instances: list, lo: int, hi: int):
     """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index."""
     for i in range(lo, hi):
         try:
             result = evaluate_instance(instances[i])
-        except (IneqError, ValueError, TypeError, ArithmeticError) as exc:
+        except (IneqError, ValueError, TypeError) as exc:
             raise InputFormatError(f"instance {i}: {exc}")
+        except ArithmeticError as exc:  # a float ** overflowed or a divisor underflowed to 0
+            tid = normalize_theorem_id(instances[i]["theorem"])
+            raise InputFormatError(f"instance {i}: {tid} {exc}{_OUT_OF_RANGE}")
         bad = _first_non_finite(result)
         if bad is not None:
             raise InputFormatError(
-                f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}; "
-                "the inputs overflow double precision"
+                f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}{_OUT_OF_RANGE}"
             )
         yield result
 

@@ -15,15 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from .conditions import (
-    ConditionForm,
     ConditionReport,
     ScalarPair,
-    family_two_sided,
+    _coefficient_pair,
+    _family_ball,
     in_closed_ball,
     two_sided_realpart,
 )
 from .errors import PreconditionError
-from .bessel import BesselReport, _seq_pair_check
+from .bessel import BesselReport
 from .gruss import GrussReport, _terms, require_unit
 from .schwarz import BoundChain
 from .space import (
@@ -148,11 +148,8 @@ def legacy_gruss_ball(x: Vector, y: Vector, e: Vector, r1: float, r2: float) -> 
     rep_x = in_closed_ball(x, e, r1)
     rep_y = in_closed_ball(y, e, r2)
     gap, _, _, _, nx, ny = _terms(x, y, e)
-    return GrussReport(
-        gap=gap,
-        bounds=(("norm_product", r1 * r2 * nx * ny),),
-        admissibility=(rep_x, rep_y),
-    )
+    bounds = (("norm_product", r1 * r2 * nx * ny),)
+    return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y))
 
 
 def legacy_gruss_pair(
@@ -253,12 +250,13 @@ def legacy_bessel_pair(
     Gammas: CoefficientSequence,
 ) -> BesselReport:
     """Multiplicative reverse Bessel chain with factor sum|G+g|^2 / (4 sum Re(G conj(g)))."""
-    diff_sq, summ_sq = _seq_pair_check(gammas, Gammas)
+    diff_sq, summ_sq = _coefficient_pair(fam, gammas, Gammas)
     re_sum = float(np.vdot(gammas.entries, Gammas.entries).real)
     if not re_sum > 0:
         raise PreconditionError(
             f"sum Re(Gamma_i * conj(gamma_i)) must be positive, got {re_sum}"
         )
-    report = family_two_sided(x, fam, gammas, Gammas, ConditionForm.BALL)
+    check_same_space(x, fam.members[0])
+    report = _family_ball(x, fam, gammas, Gammas)
     weights = Gammas.entries + gammas.entries
     return _multiplicative_bessel(x, fam, report, weights, 0.25, re_sum, summ_sq, diff_sq)

@@ -2,22 +2,26 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ineq import (
     DegeneratePairError,
+    DimensionMismatchError,
     FieldTag,
     PreconditionError,
+    ScalarPair,
     bessel_reverse_ball,
     bessel_reverse_pair,
     coefficients,
     gruss_orthonormal_ball,
     gruss_orthonormal_gap,
     gruss_orthonormal_pair,
+    legacy_bessel_pair,
     standard_basis,
     vector,
 )
+from ineq.conditions import _coefficient_pair
 
 FAM3 = standard_basis(FieldTag.REAL, 3, 2)
 
@@ -172,3 +176,119 @@ def test_ball_preconditions():
         bessel_reverse_ball(x, FAM3, lam, 0.0)
     with pytest.raises(PreconditionError):
         bessel_reverse_ball(x, FAM3, coefficients([0, 0], FieldTag.REAL), 0.5)
+
+
+#: The operations that take a coefficient pair, called on (x, fam, gammas, Gammas).
+_SEQUENCE_PAIR_OPS = {
+    "bessel_reverse_pair": bessel_reverse_pair,
+    "legacy_bessel_pair": legacy_bessel_pair,
+    "gruss_orthonormal_pair (x pair)": lambda x, fam, g, G: gruss_orthonormal_pair(
+        x, x, fam, g, G, coefficients([1.0] * len(g)), coefficients([2.0] * len(g))
+    ),
+    "gruss_orthonormal_pair (y pair)": lambda x, fam, g, G: gruss_orthonormal_pair(
+        x, x, fam, coefficients([1.0] * len(g)), coefficients([2.0] * len(g)), g, G
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SEQUENCE_PAIR_OPS))
+def test_underflowing_coefficient_pair_is_degenerate(op):
+    # the squared cutoff underflows to 0 here, so it once divided by zero
+    fam = standard_basis(FieldTag.REAL, 3, 1)
+    g, G = coefficients([1e-160]), coefficients([-1e-160])
+    with pytest.raises(DegeneratePairError, match="coefficient sequences are degenerate"):
+        _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), fam, g, G)
+
+
+@pytest.mark.parametrize("op", sorted(_SEQUENCE_PAIR_OPS))
+def test_coefficient_pair_shapes_are_checked_before_degeneracy(op):
+    g, G = coefficients([0.5, 0.5]), coefficients([0.5, 0.5, 0.5])
+    with pytest.raises(DimensionMismatchError, match="^sequence lengths differ: 2 vs 3$"):
+        _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), FAM3, g, G)
+
+
+def test_overflowing_coefficient_pair_is_not_degenerate():
+    # both squared sums and the mass overflow, yet G is 1e10 times g: not degenerate,
+    # as the scalar pair (1e150, 1e160) is not
+    fam = standard_basis(FieldTag.REAL, 3, 1)
+    assert _coefficient_pair(fam, coefficients([1e150]), coefficients([1e160])) == (np.inf, np.inf)
+    with pytest.raises(DegeneratePairError):  # finite diff: within the capped cutoff
+        _coefficient_pair(fam, coefficients([1e160]), coefficients([1e160]))
+
+
+def test_coefficient_pair_past_the_square_range_is_rejected():
+    # the documented limit: |G+g|^2 and the mass overflow, |G-g|^2 = 1e308 does not, so the
+    # pair falls under the capped cutoff although the scalar pair is far from degenerate
+    fam = standard_basis(FieldTag.REAL, 3, 1)
+    assert not ScalarPair(1e154, 2e154).is_degenerate()
+    with pytest.raises(DegeneratePairError, match="coefficient sequences are degenerate"):
+        _coefficient_pair(fam, coefficients([1e154]), coefficients([2e154]))
+
+
+_tiny = st.one_of(
+    st.just(0.0),
+    st.floats(-1e-150, 1e-150, allow_subnormal=True),
+    st.floats(-5e-324, 5e-324),
+    st.floats(-10.0, 10.0),
+)
+_tiny_entry = {
+    FieldTag.REAL: _tiny,
+    FieldTag.COMPLEX: st.one_of(_tiny, st.builds(complex, _tiny, _tiny)),
+}
+
+
+@st.composite
+def _coefficient_pairs(draw):
+    tag = draw(st.sampled_from(FieldTag))
+    size = draw(st.integers(1, 3))
+    seqs = [
+        coefficients(draw(st.lists(_tiny_entry[tag], min_size=size, max_size=size)), tag)
+        for _ in range(4)
+    ]
+    return standard_basis(tag, 3, size), seqs
+
+
+def _accepts(fam, g, G):
+    try:
+        _coefficient_pair(fam, g, G)
+    except (DegeneratePairError, PreconditionError):  # degenerate, or its sums underflow
+        return False
+    return True
+
+
+@given(_coefficient_pairs())
+def test_accepted_coefficient_pairs_never_divide_by_zero(case):
+    fam, (g, G, p, P) = case
+    assume(_accepts(fam, g, G))
+    x = vector(np.array([1e-160, -0.5, 2.0], dtype=fam.field.dtype))
+    y = vector(np.array([0.25, 1e-300, -1.0], dtype=fam.field.dtype))
+    assert bessel_reverse_pair(x, fam, g, G).bound > 0
+    try:
+        legacy_bessel_pair(x, fam, g, G)
+    except PreconditionError:  # sum Re(Gamma_i conj(gamma_i)) <= 0
+        pass
+    pairs = [(g, G, g, G)] + [(g, G, p, P)] * _accepts(fam, p, P)
+    for pair in pairs:
+        # the factor is a ratio of positive sums, so no bound may come back as 0
+        rep = gruss_orthonormal_pair(x, y, fam, *pair)
+        assert all(value > 0 for _, value in rep.bounds), rep.bounds
+
+
+def test_gruss_factor_survives_an_underflowing_product():
+    # sum|G-g|^2 = 4e-200 for both pairs: their product underflows to 0, the factor is 1e-100
+    fam = standard_basis(FieldTag.REAL, 3, 1)
+    g, G = coefficients([1e-100]), coefficients([3e-100])
+    x, y = vector([1.0, 0.5, 0.25]), vector([0.5, 1.0, 2.0])
+    rep = gruss_orthonormal_pair(x, y, fam, g, G, g, G)
+    nx, ny = float(np.linalg.norm(x.coords)), float(np.linalg.norm(y.coords))
+    assert rep.bounds[1][1] == pytest.approx(0.5e-100 * (nx * ny) ** 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("op", sorted(_SEQUENCE_PAIR_OPS))
+def test_coefficient_pair_with_subnormal_sums_is_rejected(op):
+    # not degenerate, but sum|G-g|^2 = 4e-320 keeps a dozen bits: no bound is built on it
+    fam = standard_basis(FieldTag.REAL, 3, 1)
+    g, G = coefficients([1e-160]), coefficients([3e-160])
+    assert not ScalarPair(1e-160, 3e-160).is_degenerate()
+    with pytest.raises(PreconditionError, match=r"^coefficient sequences underflow: .* = 4e-320, "):
+        _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), fam, g, G)

@@ -619,3 +619,54 @@ def test_eval_stdout_does_not_depend_on_output(tmp_path, capsys, monkeypatch):
     assert bare == with_output
     assert kept == [False, True]
     assert harness.evaluate_file(str(src), keep_records=False).records is None
+
+
+#: The keys of the first coefficient pair of each id that takes one.
+_SEQUENCE_PAIR_KEYS = {
+    "thm5.2": ("gammas", "Gammas"),
+    "thm6.2": ("gammas_x", "Gammas_x"),
+    "legacy1.20": ("gammas", "Gammas"),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(_SEQUENCE_PAIR_KEYS))
+def test_eval_underflowing_coefficient_pair_exits_2_naming_the_sequences(tmp_path, capsys, tid):
+    lo, hi = _SEQUENCE_PAIR_KEYS[tid]
+    inst = dict(sample_admissible(tid, "real", 3, seed=0), size=1, **{lo: [1e-160], hi: [-1e-160]})
+    if tid == "thm6.2":
+        inst.update(phis_y=[1.0], Phis_y=[2.0])
+    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    assert rc == 2 and out == ""
+    assert err == (
+        "ineq: instance 0: coefficient sequences are degenerate: "
+        "Gamma within relative 1e-12 of +/- gamma\n"
+    )
+
+
+@pytest.mark.parametrize("tid", sorted(_SEQUENCE_PAIR_KEYS))
+def test_eval_coefficient_lengths_are_checked_first(tmp_path, capsys, tid):
+    lo, hi = _SEQUENCE_PAIR_KEYS[tid]
+    inst = dict(sample_admissible(tid, "real", 3, seed=0), **{lo: [0.5, 0.5], hi: [0.5, 0.5, 0.5]})
+    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    assert rc == 2 and out == ""
+    assert err == "ineq: instance 0: sequence lengths differ: 2 vs 3\n"
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"theorem": "prop7.2", "field": "real", "domain": _GAUSS_8,
+         "f": {"poly": [1e200]}, "g": {"poly": [1e200]}, "pair": {"lo": 0.5, "hi": 2.0}},
+        {"theorem": "legacy1.18", "field": "real", "x": [1e150, 0], "size": 1,
+         "lam": [1e150], "r": 1},
+    ],
+    ids=["prop7.2", "legacy1.18"],
+)
+def test_eval_float_overflow_names_the_theorem(tmp_path, capsys, instance):
+    # a float ** overflows: Python's text alone names no theorem
+    rc, out, err = _eval_one(tmp_path, capsys, instance)
+    assert rc == 2 and out == ""
+    assert err == (
+        f"ineq: instance 0: {instance['theorem']} (34, 'Numerical result out of range'); "
+        "the inputs leave double precision\n"
+    )

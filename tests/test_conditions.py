@@ -1,8 +1,11 @@
 """Admissibility conditions: ball and real-part forms, degeneracy guards."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ineq import (
@@ -20,6 +23,7 @@ from ineq import (
     two_sided_realpart,
     vector,
 )
+from ineq import conditions
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=64)
 
@@ -137,3 +141,79 @@ def test_subnormal_and_zero_pairs_are_degenerate(lo, hi):
 
 def test_subnormal_pair_far_from_degenerate_is_not():
     assert not ScalarPair(5e-324, 1e-320).is_degenerate()
+
+
+_magnitude = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+_scalar = st.one_of(_magnitude, st.builds(complex, _magnitude, _magnitude))
+
+
+@st.composite
+def _scalar_pairs(draw):
+    lo = draw(_scalar)
+    near = st.floats(-1e-11, 1e-11).map(lambda t: lo * (1 + t))
+    hi = draw(st.one_of(_scalar, st.just(lo), st.just(-lo), near, near.map(lambda v: -v)))
+    return lo, hi
+
+
+@given(_scalar_pairs())
+@example((1e-150, 1.0000000000015948e-150))  # |hi - lo|^2 is subnormal: 2.5e-324 rounds to 5e-324
+def test_scalar_and_coefficient_pairs_share_one_degeneracy_rule(pair):
+    lo, hi = pair
+    cutoff = conditions.PAIR_DEGENERACY_REL * (abs(lo) + abs(hi))
+    # within a few ulps of the cutoff, squared norms may round the other way
+    assume(all(cutoff == 0 or abs(abs(d) - cutoff) > 1e-14 * cutoff for d in (hi - lo, hi + lo)))
+    tag = FieldTag.COMPLEX if complex in (type(lo), type(hi)) else FieldTag.REAL
+    fam = standard_basis(tag, 1)
+    try:
+        conditions._coefficient_pair(fam, coefficients([lo], tag), coefficients([hi], tag))
+    except DegeneratePairError:
+        degenerate = True
+    except PreconditionError:  # past the rule, but its squared sums underflow
+        degenerate = False
+    else:
+        degenerate = False
+    assert ScalarPair(lo, hi).is_degenerate() is degenerate
+
+
+def _applies_the_pair_rule(node: ast.AST) -> bool:
+    """Whether node reads PAIR_DEGENERACY_REL or raises DegeneratePairError."""
+    if isinstance(node, ast.Name) and node.id == "PAIR_DEGENERACY_REL":
+        return True
+    if isinstance(node, ast.Attribute) and node.attr == "PAIR_DEGENERACY_REL":
+        return True
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "PAIR_DEGENERACY_REL" for alias in node.names)
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(raised, (ast.Name, ast.Attribute)) and (
+            getattr(raised, "id", None) == "DegeneratePairError"
+            or getattr(raised, "attr", None) == "DegeneratePairError"
+        )
+    return False
+
+
+def test_only_conditions_applies_the_pair_degeneracy_rule():
+    package = Path(conditions.__file__).parent
+    offenders = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        if path.name != "conditions.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _applies_the_pair_rule(node)
+    )
+    assert offenders == []
+
+
+@np.errstate(over="ignore")  # the norms overflow on purpose
+def test_infinite_distance_fails_even_when_tol_overflows():
+    # ||x - c|| overflows to inf, so the margin is -inf; the scale overflows too, and
+    # tol = inf once let -inf >= -inf hold
+    far, lam = vector([0.0]), ScalarPair(0.5e10, 1.5e10)
+    assert not two_sided_ball(far, vector([1e150]), lam).holds  # mid*y = 1e160
+    assert not in_closed_ball(vector([1e160]), vector([-1e160]), 1.0).holds
+    fam = standard_basis(FieldTag.REAL, 1)
+    rep = family_two_sided(vector([-1e160]), fam, coefficients([1e150]), coefficients([3e150]))
+    assert rep.margin == -np.inf and rep.tol == np.inf and not rep.holds
+    # a finite margin inside an overflowed scale still holds
+    near = in_closed_ball(vector([1e160]), vector([1e160]), 1.0)
+    assert near.holds and near.margin == 1.0 and near.tol == np.inf
