@@ -179,6 +179,6 @@ def gruss_orthonormal_pair(
 
 
 def _root_product(a: float, b: float, p: float) -> float:
-    """(a b)^p of positive sums; a^p b^p where a b underflows the normal floats."""
+    """(a b)^p of positive sums; a^p b^p where a b under- or overflows the normal floats."""
     ab = a * b
-    return ab ** p if ab >= sys.float_info.min else a ** p * b ** p
+    return ab ** p if sys.float_info.min <= ab <= sys.float_info.max else a ** p * b ** p

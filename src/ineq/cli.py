@@ -171,7 +171,7 @@ def _cmd_eval(args) -> int:
     if args.output is not None:
         emit_report(report, args.output, args.format)
     # stdout carries the aggregates only; records go to --output
-    sys.stdout.write(dataclasses.replace(report, records=None).to_json())
+    sys.stdout.write(dataclasses.replace(report, record_texts=None).to_json())
     return 0 if report.violations == 0 else 1
 
 

@@ -81,8 +81,21 @@ def _report(margin: float, form: ConditionForm, scale: float) -> ConditionReport
 
 
 def _ball(x: Vector, a: Vector, r: float) -> ConditionReport:
-    """Ball-form report of ||x - a|| <= r: margin r - ||x - a||, scale 1 + ||x|| + ||a|| + r."""
-    return _report(r - norm(x - a), ConditionForm.BALL, 1.0 + norm(x) + norm(a) + r)
+    """Ball-form report of ||x - a|| <= r: margin r - ||x - a||, scale 1 + ||x|| + ||a|| + r.
+
+    Where the scale overflowed and decides (a finite negative margin), the norms whose
+    sums of squares overflowed are taken over their largest |entry| instead."""
+    margin = r - norm(x - a)
+    nx, na = norm(x), norm(a)
+    scale = 1.0 + nx + na + r
+    if scale == math.inf and -math.inf < margin < 0:
+        scale = 1.0 + _finite_norm(x, nx) + _finite_norm(a, na) + r
+    return _report(margin, ConditionForm.BALL, scale)
+
+
+def _finite_norm(v: Vector, n: float) -> float:
+    """n = ||v||, or ||v|| over the largest |v_i| where n overflowed on v's finite entries."""
+    return n if n != math.inf else _over_top(v.coords)
 
 
 def _real_part(above: Vector, below: Vector, scale: float) -> ConditionReport:
@@ -171,10 +184,15 @@ def _family_pairs(
         raise FieldMismatchError("coefficient sequences must share the family's field")
 
 
+def _over_top(v: np.ndarray) -> float:
+    """||v|| over the largest |v_i|, finite where a plain sum of squares under- or overflows."""
+    top = np.abs(v).max(initial=0.0)
+    return float(top * np.linalg.norm(np.abs(v) / top)) if top else 0.0
+
+
 def _rss(v: np.ndarray, sq: float) -> float:
     """sqrt(sq) of sq = sum|v_i|^2; where sq underflowed, ||v|| over the largest |v_i|."""
-    top = np.abs(v).max(initial=0.0) if sq < sys.float_info.min else 0.0
-    return float(top * np.linalg.norm(np.abs(v) / top)) if top else math.sqrt(sq)
+    return _over_top(v) if sq < sys.float_info.min else math.sqrt(sq)
 
 
 def _coefficient_pair(

@@ -88,7 +88,10 @@ desired outcome, not errors.
 `_Tally`: it decides each asserted comparison once, and those flags set a
 record's "passed", its per-comparison booleans and the per-theorem and
 aggregate counts.  A record or a per-theorem entry thus means the same in
-both reports.
+both reports.  A kept record is rendered where it is counted, once, by
+`_record_text`: a forked child sends its slice's records as one JSON text,
+`SuiteReport.to_json` splices the texts in after the rendered head, and
+`SuiteReport.records` is a parsed view of them.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ import threading
 import zlib
 from contextlib import closing
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -140,7 +143,15 @@ from .legacy import (
     legacy_triangle_ball,
     legacy_triangle_pair,
 )
-from .numutil import CHAIN_REL_TOL, leq_with_slack, render_json
+from .numutil import (
+    BOOL_TEXT,
+    CHAIN_REL_TOL,
+    FLOAT_SLOT,
+    _emit,
+    encode_basestring_ascii,
+    leq_with_slack,
+    render_json,
+)
 from .schwarz import reverse_schwarz_ball, reverse_schwarz_pair
 from .space import (
     CoefficientSequence,
@@ -180,12 +191,17 @@ class InstanceResult:
 
 @dataclass(frozen=True)
 class SuiteReport:
-    """Aggregate (and optionally per-instance) outcome of a verification run."""
+    """Aggregate (and optionally per-instance) outcome of a verification run.
+
+    `record_texts` holds the records as `to_json` writes them: runs of
+    consecutive records, each run rendered by `_record_text` and joined by
+    `_RECORD_SEP`.  `records` is the parsed view of those texts.
+    """
 
     metadata: dict
     aggregate: dict
     per_theorem: dict
-    records: Optional[list] = None
+    record_texts: Optional[list] = None
 
     @property
     def violations(self) -> int:
@@ -195,18 +211,45 @@ class SuiteReport:
     def counterexamples(self) -> int:
         return int(self.aggregate["counterexamples"])
 
+    @cached_property
+    def records(self) -> Optional[list]:
+        """One dict per record, or None; "index" and "dim" are ints, every other number a float."""
+        if self.record_texts is None:
+            return None
+        records = json.loads("[" + _RECORD_SEP.join(self.record_texts) + "]", parse_int=float)
+        for rec in records:
+            rec["index"], rec["dim"] = int(rec["index"]), int(rec["dim"])
+        return records
+
     def as_dict(self) -> dict:
         doc = {
             "metadata": self.metadata,
             "aggregate": self.aggregate,
             "per_theorem": self.per_theorem,
         }
-        if self.records is not None:
+        if self.record_texts is not None:
             doc["records"] = self.records
         return doc
 
     def to_json(self) -> str:
-        return render_json(self.as_dict())
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self) -> list:
+        """The report's JSON text in pieces: the rendered head, then the record texts."""
+        head = render_json({
+            "metadata": self.metadata,
+            "aggregate": self.aggregate,
+            "per_theorem": self.per_theorem,
+        })
+        if self.record_texts is None:
+            return [head]
+        if not self.record_texts:
+            return [head[:-3], ',\n  "records": []\n}\n']
+        pieces = [head[:-3], ',\n  "records": [\n    ']
+        for text in self.record_texts:
+            pieces += [text, _RECORD_SEP]
+        pieces[-1] = "\n  ]\n}\n"
+        return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -1053,22 +1096,97 @@ class _Stats:
         }
 
 
-def _record(index: int, result: InstanceResult, ok: bool, flags: list) -> dict:
-    return {
-        "index": index,
-        "theorem": result.theorem,
-        "field": result.field,
-        "dim": result.dim,
-        "admissible": result.admissible,
-        "margin": result.margin,
-        "gap": result.gap,
-        "bound": result.bound,
-        "slack": result.bound - result.gap,
-        "passed": ok,
-        "comparisons": [
-            [l1, v1, l2, v2, flag] for (l1, v1, l2, v2), flag in zip(result.comparisons, flags)
-        ],
-    }
+CSV_COLUMNS = (
+    "index",
+    "theorem",
+    "field",
+    "dim",
+    "admissible",
+    "margin",
+    "gap",
+    "bound",
+    "slack",
+    "passed",
+)
+
+#: A record's keys in report order: the CSV columns, then its comparisons.
+_RECORD_KEYS = CSV_COLUMNS + ("comparisons",)
+#: The types of a plain record's values, and of a plain comparison's
+#: [lhs label, lhs, rhs label, rhs, flag]: what evaluations give.
+_PLAIN_RECORD = (int, str, str, int, bool, float, float, float, float, bool)
+_PLAIN_COMPARISON = (str, float, str, float, bool)
+#: Printf slots that write a plain value's text once the str and bool values are JSON texts.
+_SLOTS = {int: "%d", float: FLOAT_SLOT, str: "%s", bool: "%s"}
+#: Between two records of a report, and between two comparisons of a record.
+_RECORD_SEP = ",\n    "
+_COMPARISON_SEP = ",\n        "
+
+
+def _record_template(slots) -> str:
+    """A record's text at the records indent of a report, with `slots` for its values."""
+    lines = [
+        f"\n      {encode_basestring_ascii(key)}: {slot}" for key, slot in zip(_RECORD_KEYS, slots)
+    ]
+    return "{" + ",".join(lines) + "\n    }"
+
+
+_RECORD = _record_template(["%s"] * len(_RECORD_KEYS))
+_PLAIN_RECORD_TEXT = _record_template([_SLOTS[t] for t in _PLAIN_RECORD] + ["%s"])
+#: A plain comparison's text at its indent in a record.
+_PLAIN_COMPARISON_TEXT = "[%s\n        ]" % ",".join(
+    f"\n          {_SLOTS[t]}" for t in _PLAIN_COMPARISON
+)
+
+
+def _comparisons_text(texts: list) -> str:
+    return "[\n        " + _COMPARISON_SEP.join(texts) + "\n      ]" if texts else "[]"
+
+
+def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> str:
+    """The one definition of a record: its text at the records indent of a report.
+
+    Byte for byte what `render_json` writes for the record's dict there, and
+    raising what it raises: a non-finite number is a ValueError, an
+    unrenderable value a TypeError.  A record of plain types and finite
+    numbers is formatted in one step; any other takes `render_json`'s walk
+    value by value.
+    """
+    margin, gap, bound = result.margin, result.gap, result.bound
+    slack = bound - gap
+    values = (
+        index, result.theorem, result.field, result.dim, result.admissible,
+        margin, gap, bound, slack, ok,
+    )
+    comparisons = [(l1, v1, l2, v2, f) for (l1, v1, l2, v2), f in zip(result.comparisons, flags)]
+    if tuple(map(type, values)) == _PLAIN_RECORD:
+        total = margin + gap + bound + slack
+        texts = []
+        for l1, v1, l2, v2, flag in comparisons:
+            if (type(l1), type(v1), type(l2), type(v2), type(flag)) != _PLAIN_COMPARISON:
+                break
+            total += v1 + v2
+            texts.append(_PLAIN_COMPARISON_TEXT % (
+                encode_basestring_ascii(l1), v1, encode_basestring_ascii(l2), v2, BOOL_TEXT[flag]
+            ))
+        else:
+            # a sum of finite floats is finite or overflows; one NaN or inf makes it non-finite
+            if total - total == 0.0:
+                return _PLAIN_RECORD_TEXT % (
+                    index, encode_basestring_ascii(result.theorem),
+                    encode_basestring_ascii(result.field), result.dim,
+                    BOOL_TEXT[result.admissible], margin, gap, bound, slack, BOOL_TEXT[ok],
+                    _comparisons_text(texts),
+                )
+    texts = [_value_text(v, "\n      ") for v in values]  # in document order, as render_json
+    texts.append(_comparisons_text([_value_text(list(c), "\n        ") for c in comparisons]))
+    return _RECORD % tuple(texts)
+
+
+def _value_text(value, pad: str) -> str:
+    """`render_json`'s text of `value` on a line that starts with `pad`."""
+    out: list = []
+    _emit(value, out, pad)
+    return "".join(out)
 
 
 class _Tally:
@@ -1096,13 +1214,18 @@ class _Tally:
         stats.add(result, ok)
         self.total.add(result, ok)
         if self.records is not None:
-            self.records.append(_record(index, result, ok, flags))
+            self.records.append(_record_text(index, result, ok, flags))
 
     def counted(self, job, lo: int, hi: int) -> "_Tally":
-        """A new tally, with this one's tol and records choice, of `job(lo, hi)`."""
+        """A new tally, with this one's tol and records choice, of `job(lo, hi)`.
+
+        Its records, if any, are one text: a child sends its slice's records
+        as one string, and the report splices it in as it is."""
         part = _Tally(self.tol, self.records is not None)
         for i, result in zip(range(lo, hi), job(lo, hi)):
             part.add(i, result)
+        if part.records:
+            part.records = [_RECORD_SEP.join(part.records)]
         return part
 
     def merge(self, later: "_Tally") -> None:
@@ -1379,25 +1502,11 @@ def evaluate_file(
     return tally.report({"mode": "eval", "version": __version__, "tol": float(tol)})
 
 
-CSV_COLUMNS = (
-    "index",
-    "theorem",
-    "field",
-    "dim",
-    "admissible",
-    "margin",
-    "gap",
-    "bound",
-    "slack",
-    "passed",
-)
-
-
 def emit_report(report: SuiteReport, path: str, format: str = "json") -> None:
     """Write a report as JSON (full) or CSV (flat per-instance records)."""
     if format == "json":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_json())
+            fh.writelines(report._json_pieces())
         return
     if format != "csv":
         raise InputFormatError(f"unknown format {format!r} (expected 'json' or 'csv')")

@@ -19,14 +19,21 @@ def leq_with_slack(lhs: float, rhs: float, tol: float = CHAIN_REL_TOL) -> bool:
     return lhs <= rhs * (1.0 + tol) + tol
 
 
+#: The printf form of a report float: 17 significant digits (round-trip exact).
+FLOAT_SLOT = "%.17g"
+
+
 def fmt_float(v: float) -> str:
     """Render a double with 17 significant digits (round-trip exact)."""
-    text = format(v, ".17g")
+    text = FLOAT_SLOT % v
     # "nan", "inf" and "-inf" are the only renderings with an "n" in them.
     if "n" in text:
         raise ValueError("reports must contain finite numbers only")
     return text
 
+
+#: The texts of False and True.
+BOOL_TEXT = ("false", "true")
 
 #: Text of each atom, by exact type.  Subclasses (np.float64, str and int
 #: subclasses) miss this table and take `_emit_fallback`.
@@ -34,7 +41,7 @@ _ATOMS = {
     float: fmt_float,
     int: int.__repr__,
     str: encode_basestring_ascii,
-    bool: ("false", "true").__getitem__,
+    bool: BOOL_TEXT.__getitem__,
     type(None): lambda _: "null",
 }
 _NUMBERS = frozenset((float, int))

@@ -210,7 +210,13 @@ class CoefficientSequence:
 
     def _adopt(self, arr: np.ndarray) -> None:
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "sq_norm", float(np.vdot(arr, arr).real))
+        sq = float(np.vdot(arr, arr).real)
+        # past about 1e154 a complex vdot gives NaN; Re.Re + Im.Im gives inf, as silently
+        if sq != sq:
+            re, im = arr.real, arr.imag
+            with np.errstate(over="ignore"):
+                sq = float(re.dot(re) + im.dot(im))
+        object.__setattr__(self, "sq_norm", sq)
 
     @classmethod
     def _computed(cls, entries: np.ndarray, field: FieldTag) -> "CoefficientSequence":

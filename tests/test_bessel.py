@@ -292,3 +292,30 @@ def test_coefficient_pair_with_subnormal_sums_is_rejected(op):
     assert not ScalarPair(1e-160, 3e-160).is_degenerate()
     with pytest.raises(PreconditionError, match=r"^coefficient sequences underflow: .* = 4e-320, "):
         _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), fam, g, G)
+
+
+def test_an_overflowing_complex_pair_equal_to_itself_is_degenerate():
+    # sq_norm once came out NaN here, so the pair rule's cutoff was NaN and
+    # Gamma = gamma passed with bound NaN and admissible True
+    fam = standard_basis(FieldTag.COMPLEX, 1)
+    g = coefficients([1e160 + 1e160j])
+    with np.errstate(over="ignore"), pytest.raises(DegeneratePairError):
+        bessel_reverse_pair(vector([1e160 + 1e160j]), fam, g, g)
+
+
+def test_overflowing_pair_products_keep_the_gruss_factor_finite():
+    # sum|G - g|^2 = 4e200 for both pairs: the product of the two sums
+    # overflows, and the factor is the split (4e200)^(1/2) (4e200)^(1/2) over
+    # (1.6e201)^(1/4) (1.6e201)^(1/4), i.e. 1e100
+    from ineq.bessel import _root_product
+
+    factor = _root_product(4e200, 4e200, 0.5) / _root_product(1.6e201, 1.6e201, 0.25)
+    assert factor == pytest.approx(1e100, rel=1e-12)
+    fam = standard_basis(FieldTag.REAL, 1)
+    g, G = coefficients([1e100]), coefficients([3e100])
+    rep = gruss_orthonormal_pair(vector([2e100]), vector([2e100]), fam, g, G, g, G)
+    assert rep.admissible
+    assert all(np.isfinite(bound) for _, bound in rep.bounds)
+    # in range, the product is taken whole, as before
+    assert _root_product(2.0, 8.0, 0.5) == 16.0 ** 0.5
+    assert _root_product(3e100, 5e100, 0.25) == (3e100 * 5e100) ** 0.25

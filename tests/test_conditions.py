@@ -18,6 +18,7 @@ from ineq import (
     coefficients,
     family_two_sided,
     in_closed_ball,
+    norm,
     standard_basis,
     two_sided_ball,
     two_sided_realpart,
@@ -217,3 +218,31 @@ def test_infinite_distance_fails_even_when_tol_overflows():
     # a finite margin inside an overflowed scale still holds
     near = in_closed_ball(vector([1e160]), vector([1e160]), 1.0)
     assert near.holds and near.margin == 1.0 and near.tol == np.inf
+
+
+@np.errstate(over="ignore")  # the scale's norms overflow on purpose
+def test_an_overflowed_scale_does_not_forgive_a_finite_negative_margin():
+    # ||x||^2 = 1e310 overflows, so the scale, and tol with it, was inf and
+    # a margin of -1e154 held; over the largest entry the scale is 1.9e155
+    rep = in_closed_ball(vector([1e155]), vector([9e154]), 1.0)
+    assert not rep.holds
+    assert rep.tol == pytest.approx(1e-9 * 1.9e155, rel=1e-12)
+    # two_sided_ball and family_two_sided share the rule
+    lam = ScalarPair(0.5e10, 1.5e10)  # mid*y = 1e155, radius 0.5e155
+    assert not two_sided_ball(vector([-1e155]), vector([1e145]), lam).holds
+    fam = standard_basis(FieldTag.REAL, 1)
+    g, G = coefficients([9.5e154]), coefficients([9.5e154 + 2e140])
+    rep = family_two_sided(vector([1e155]), fam, g, G)
+    assert not rep.holds and np.isfinite(rep.tol)
+
+
+@given(
+    st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4),
+    st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4),
+    st.floats(1e-300, 1e150),
+)
+def test_ball_tolerance_keeps_its_bits_where_nothing_overflows(xs, cs, r):
+    n = min(len(xs), len(cs))
+    x, c = vector(xs[:n]), vector(cs[:n])
+    rep = in_closed_ball(x, c, r)
+    assert rep.tol == conditions.BOUNDARY_REL * (1.0 + norm(x) + norm(c) + r)

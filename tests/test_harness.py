@@ -28,6 +28,7 @@ from ineq import (
 from ineq import bessel, conditions, gruss, harness, legacy
 from ineq.cli import main
 from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, InstanceResult, normalize_theorem_id
+from ineq.numutil import render_json
 
 from conftest import assert_no_child_left
 
@@ -844,6 +845,48 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
     assert sizes[10_000][0] < 512
 
 
+def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
+    force_workers, monkeypatch, tmp_path
+):
+    # over 2 workers this process counts instances 0..49 of 100 and a child
+    # 50..99; the child's one message is its slice of the report's JSON, as
+    # one text, plus its tally's stats; this process renders its own slice's
+    # records and, for the report, only the head
+    logged, dump = tmp_path / "messages", pickle.dump
+
+    def logging_dump(obj, file, protocol=None):
+        with open(logged, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([len(pickle.dumps(obj, protocol)), obj.records]) + "\n")
+        return dump(obj, file, protocol)
+
+    parent, emitted, rendered = os.getpid(), [], []
+    record_text, render_json = harness._record_text, harness.render_json
+
+    def counting_record_text(index, *args):
+        if os.getpid() == parent:
+            emitted.append(index)
+        return record_text(index, *args)
+
+    def counting_render_json(obj):
+        if os.getpid() == parent:
+            rendered.append(list(obj))
+        return render_json(obj)
+
+    path = _every_id_document(tmp_path)
+    monkeypatch.setattr(pickle, "dump", logging_dump)
+    monkeypatch.setattr(harness, "_record_text", counting_record_text)
+    monkeypatch.setattr(harness, "render_json", counting_render_json)
+    force_workers(2)
+    report = evaluate_file(path)
+    text = report.to_json()
+    assert emitted == list(range(50))
+    assert rendered == [["metadata", "aggregate", "per_theorem"]]
+    [[size, records]] = [json.loads(line) for line in logged.read_text("utf-8").splitlines()]
+    start = text.index('{\n      "index": 50,')
+    assert records == [text[start:text.rindex("\n  ]\n}\n")]]
+    assert 0 < size - len(records[0]) < 2048
+
+
 def _document(tmp_path, instances) -> str:
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
@@ -964,3 +1007,131 @@ def test_brief_quotes_short_values_whole_and_cuts_long_ones():
     with pytest.raises(InputFormatError) as exc:
         harness._dec_real("x" * 10**6)
     assert str(exc.value) == f"expected a number, got {_brief('x' * 10**6)}"
+
+
+# ---------------------------------------------------------------------------
+# Records: each rendered once, as text, by the tally that counts it.
+
+
+def _record_dict(index, result, ok, flags) -> dict:
+    """A record as a dict: what reports held before they held record texts."""
+    return {
+        "index": index,
+        "theorem": result.theorem,
+        "field": result.field,
+        "dim": result.dim,
+        "admissible": result.admissible,
+        "margin": result.margin,
+        "gap": result.gap,
+        "bound": result.bound,
+        "slack": result.bound - result.gap,
+        "passed": ok,
+        "comparisons": [
+            [l1, v1, l2, v2, flag] for (l1, v1, l2, v2), flag in zip(result.comparisons, flags)
+        ],
+    }
+
+
+def _rendered(render):
+    try:
+        return render()
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_record_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e16, 1e17, 123456789012345.0, 1e308, -1e308]),
+    st.integers(-(10**17), 10**17).map(float),  # integral floats print without a point
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_record_numbers = st.one_of(
+    _record_floats, _record_floats.map(np.float64), st.integers(-(2**70), 2**70)
+)
+#: Values `render_json` refuses (non-finite floats, numpy scalars that are
+#: not floats), and values it renders but no evaluation gives.
+_record_oddities = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), np.float64("inf"), np.int64(3),
+    np.bool_(True), None, True, "1.5", [1.0, 2.0],
+])
+_record_values = st.one_of(_record_numbers, _record_numbers, _record_oddities)
+_record_labels = st.one_of(st.sampled_from(["gap", "bound", "half_route"]), st.text(max_size=8))
+_record_flags = st.one_of(st.booleans(), st.booleans(), st.just(np.bool_(False)))
+
+
+@st.composite
+def _records(draw):
+    comparisons = draw(st.lists(
+        st.tuples(_record_labels, _record_values, _record_labels, _record_values), max_size=6
+    ))
+    result = InstanceResult(
+        draw(_record_labels), draw(_record_labels), draw(st.integers(0, 2**63)),
+        draw(_record_flags), draw(_record_values), draw(_record_values), draw(_record_values),
+        tuple(comparisons),
+    )
+    flags = [draw(_record_flags) for _ in comparisons]
+    return draw(st.integers(0, 2**63)), result, draw(_record_flags), flags
+
+
+def _plain_record(margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bound", 1.0),)):
+    result = InstanceResult("thm2.1", "real", 3, True, margin, gap, bound, comparisons)
+    return 7, result, True, [True]
+
+
+@settings(max_examples=300)
+@given(_records())
+@example(_plain_record())
+@example(_plain_record(margin=float("nan")))
+@example(_plain_record(gap=-1e308, bound=1e308))  # finite values, an infinite slack
+@example(_plain_record(comparisons=(("gap", np.float64(0.5), "bound", 1e17),)))
+@example(_plain_record(comparisons=((1, 0.5, 2, 1e17),)))  # labels that are not strings
+def test_a_record_text_is_what_render_json_writes_for_its_dict(record):
+    expected = _rendered(lambda: render_json({"records": [_record_dict(*record)]}))
+    got = _rendered(
+        lambda: '{\n  "records": [\n    ' + harness._record_text(*record) + "\n  ]\n}\n"
+    )
+    assert got == expected
+
+
+def _csv_bytes(path, records) -> bytes:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            writer.writerow([harness._csv_cell(rec[c]) for c in CSV_COLUMNS])
+    return path.read_bytes()
+
+
+def _assert_records_round_trip(report, expected, tmp_path):
+    # repr tells 1 from 1.0 and -0.0 from 0.0
+    assert repr(report.records) == repr(expected)
+    assert render_json(report.as_dict()) == report.to_json()
+    emit_report(report, str(tmp_path / "report.json"), "json")
+    assert (tmp_path / "report.json").read_text("utf-8") == report.to_json()
+    emit_report(report, str(tmp_path / "report.csv"), "csv")
+    assert (tmp_path / "report.csv").read_bytes() == _csv_bytes(tmp_path / "dicts.csv", expected)
+
+
+def test_records_are_a_parsed_view_that_renders_to_the_same_bytes(tmp_path):
+    path = _every_id_document(tmp_path)
+    report = evaluate_file(path)
+    expected = []
+    with open(path, encoding="utf-8") as fh:
+        for i, inst in enumerate(json.load(fh)["instances"]):
+            result = evaluate_instance(inst)
+            flags = [harness.leq_with_slack(v1, v2, 1e-9) for _, v1, _, v2 in result.comparisons]
+            expected.append(_record_dict(i, result, all(flags), flags))
+    _assert_records_round_trip(report, expected, tmp_path)
+    for rec in report.records:
+        assert type(rec["index"]) is int and type(rec["dim"]) is int
+        numbers = [rec[k] for k in ("margin", "gap", "bound", "slack")]
+        numbers += [v for _, v1, _, v2, _ in rec["comparisons"] for v in (v1, v2)]
+        assert all(type(v) is float for v in numbers)
+
+
+def test_a_negative_zero_margin_survives_the_parsed_view(tmp_path):
+    tally = harness._Tally(1e-9, keep_records=True)
+    index, result, ok, flags = _plain_record(margin=-0.0, comparisons=(("zero", -0.0, "gap", 2.0),))
+    tally.add(index, result)
+    report = tally.report({"mode": "eval"})
+    assert str(report.records[0]["margin"]) == "-0.0"
+    _assert_records_round_trip(report, [_record_dict(index, result, ok, flags)], tmp_path)

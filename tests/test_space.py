@@ -291,3 +291,26 @@ def test_standard_basis_is_shared_and_its_cache_bounded(monkeypatch):
         assert len(cache) == cache.coords == 0
     finally:
         cache.clear()
+
+
+@given(
+    st.integers(1, 16).flatmap(
+        lambda n: st.tuples(
+            st.lists(finite_any, min_size=n, max_size=n),
+            st.lists(finite_any, min_size=n, max_size=n),
+        )
+    )
+)
+def test_sq_norm_is_vdot_or_overflows_to_inf(parts):
+    # numpy's complex vdot overflows into NaN; sq_norm keeps vdot's bits
+    # wherever they are finite, and is inf where the sum overflows
+    seq = coefficients([complex(a, b) for a, b in zip(*parts)], FieldTag.COMPLEX)
+    real = coefficients(parts[0], FieldTag.REAL)
+    expected = float(np.vdot(seq.entries, seq.entries).real)
+    assert seq.sq_norm == expected if np.isfinite(expected) else seq.sq_norm == np.inf
+    assert real.sq_norm == float(np.vdot(real.entries, real.entries))
+
+
+def test_complex_sq_norm_past_1e154_is_inf_not_nan():
+    assert coefficients([1e160 + 1e160j]).sq_norm == np.inf
+    assert coefficients([1e160j, 0.5]).norm == np.inf
