@@ -27,14 +27,12 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .conditions import (
     ConditionReport,
     SingleCondition,
+    _ball,
     _coefficient_pair,
     _family_ball,
-    in_closed_ball,
 )
 from .errors import PreconditionError
 from .gruss import GrussReport, _ordered_pair
@@ -43,11 +41,12 @@ from .space import (
     CoefficientSequence,
     OrthonormalFamily,
     Vector,
+    _array_norm,
+    _synthesized,
+    _vdot,
     check_same_space,
     fourier_coefficients,
-    inner,
     norm,
-    synthesize,
 )
 
 ADDITIVE_LABELS = ("zero", "residual_sq", "half_route", "bound")
@@ -87,8 +86,7 @@ def bessel_reverse_ball(
         raise PreconditionError(f"radius must be positive, got {r}")
     if lam.sq_norm == 0.0:
         raise PreconditionError("lambda must be nonzero")
-    center = synthesize(lam, fam)
-    report = in_closed_ball(x, center, r)
+    report = _family_center_ball(x, fam, lam, r)
     nx = norm(x)
     cn = fourier_coefficients(x, fam).norm
     lam_norm = lam.sq_norm ** 0.5
@@ -117,18 +115,28 @@ def bessel_reverse_pair(
     return BesselReport(nx, cn, nx - cn, bound, additive, report)
 
 
+def _family_center_ball(
+    x: Vector, fam: OrthonormalFamily, lam: CoefficientSequence, r: float
+) -> ConditionReport:
+    """`in_closed_ball(x, synthesize(lam, fam), r)` for r > 0, the center left as coordinates."""
+    center = _synthesized(lam, fam)
+    check_same_space(x, fam.members[0])
+    return _ball(x, center, _array_norm(center), r)
+
+
 def _family_terms(x: Vector, y: Vector, fam: OrthonormalFamily) -> tuple[float, ...]:
-    """(`gruss_orthonormal_gap`, ||x||, ||y||, (sum_i |<x,e_i>|^2)^(1/2), the y analogue)."""
-    check_same_space(x, y)
+    """(`gruss_orthonormal_gap`, ||x||, ||y||, (sum_i |<x,e_i>|^2)^(1/2), the y analogue)
+    for x and y known to share a space."""
     cx = fourier_coefficients(x, fam)
     cy = fourier_coefficients(y, fam)
     # sum <x,e_i><e_i,y> = sum cx_i conj(cy_i)
-    gap = abs(complex(inner(x, y)) - complex(np.vdot(cy.entries, cx.entries)))
+    gap = abs(_vdot(x.coords, y.coords) - _vdot(cx.entries, cy.entries))
     return gap, norm(x), norm(y), cx.norm, cy.norm
 
 
 def gruss_orthonormal_gap(x: Vector, y: Vector, fam: OrthonormalFamily) -> float:
     """|<x,y> - sum_i <x,e_i><e_i,y>|."""
+    check_same_space(x, y)
     return _family_terms(x, y, fam)[0]
 
 
@@ -146,8 +154,8 @@ def gruss_orthonormal_ball(
         raise PreconditionError("lambda and mu must be nonzero")
     if not (r1 > 0 and r2 > 0):
         raise PreconditionError("radii must be positive")
-    rep_x = in_closed_ball(x, synthesize(lam, fam), r1)
-    rep_y = in_closed_ball(y, synthesize(mu, fam), r2)
+    rep_x = _family_center_ball(x, fam, lam, r1)
+    rep_y = _family_center_ball(y, fam, mu, r2)
     gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
     denom = lam.sq_norm ** 0.25 * mu.sq_norm ** 0.25
     first = 0.5 * r1 * r2 * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5 / denom

@@ -14,10 +14,19 @@ Since the theorems are closed conditions, a report "holds" when its margin is
 >= -tol for a scale-aware tol; the two forms are different functions vanishing
 on the same set, so equivalence tests exclude that boundary band instead of
 demanding agreement on it.
+
+The public checks validate their operands' spaces once; the cores behind them
+(`_ball`, `_pair_realpart`, `_family_ball`) and the evaluators that call them
+directly work on coordinate arrays.  Their intermediates (x - a, hi*y - x,
+x - lo*y, the synthesized centers) are never built as vectors, so no eager
+finiteness check runs on them: each is checked only where the norm or inner
+product that consumes it comes out non-finite, and then raises the same
+ValueError as a vector built from it would.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import sys
@@ -32,10 +41,13 @@ from .space import (
     OrthonormalFamily,
     Scalar,
     Vector,
+    _array_norm,
+    _check_finite,
+    _checked_norm,
+    _synthesized,
+    _vdot,
     check_same_space,
-    inner,
     norm,
-    synthesize,
 )
 
 #: Margins within -BOUNDARY_REL * scale of zero still count as holding.
@@ -80,27 +92,42 @@ def _report(margin: float, form: ConditionForm, scale: float) -> ConditionReport
     return ConditionReport(margin >= -tol and margin != -math.inf, float(margin), form, tol)
 
 
-def _ball(x: Vector, a: Vector, r: float) -> ConditionReport:
-    """Ball-form report of ||x - a|| <= r: margin r - ||x - a||, scale 1 + ||x|| + ||a|| + r.
+def _ball(x: Vector, a: np.ndarray, na: float, r: float) -> ConditionReport:
+    """Ball-form report of ||x - a|| <= r for the coordinates a of a center in x's space,
+    na = ||a||: margin r - ||x - a||, scale 1 + ||x|| + ||a|| + r.
 
     Where the scale overflowed and decides (a finite negative margin), the norms whose
     sums of squares overflowed are taken over their largest |entry| instead."""
-    margin = r - norm(x - a)
-    nx, na = norm(x), norm(a)
+    margin = r - _checked_norm(x.coords - a)
+    nx = norm(x)
     scale = 1.0 + nx + na + r
     if scale == math.inf and -math.inf < margin < 0:
-        scale = 1.0 + _finite_norm(x, nx) + _finite_norm(a, na) + r
+        scale = 1.0 + _finite_norm(x.coords, nx) + _finite_norm(a, na) + r
     return _report(margin, ConditionForm.BALL, scale)
 
 
-def _finite_norm(v: Vector, n: float) -> float:
+def _finite_norm(v: np.ndarray, n: float) -> float:
     """n = ||v||, or ||v|| over the largest |v_i| where n overflowed on v's finite entries."""
-    return n if n != math.inf else _over_top(v.coords)
+    return n if n != math.inf else _over_top(v)
 
 
-def _real_part(above: Vector, below: Vector, scale: float) -> ConditionReport:
-    """Real-part-form report of Re<upper - x, x - lower> >= 0, given above and below x."""
-    return _report(complex(inner(above, below)).real, ConditionForm.REAL_PART, scale)
+def _real_part(above: np.ndarray, below: np.ndarray) -> float:
+    """Re<above, below>: the real-part margin, given the coordinates of upper - x and
+    x - lower.  A non-finite entry makes the inner product non-finite, and only then
+    are the two scanned, raising `_check_finite`'s ValueError."""
+    ip = _vdot(above, below)
+    if not cmath.isfinite(ip):
+        _check_finite(above)
+        _check_finite(below)
+    return ip.real
+
+
+def _pair_realpart(x: Vector, y: Vector, lo: Scalar, hi: Scalar) -> ConditionReport:
+    """`two_sided_realpart` for x, y known to share a space and (lo, hi) coerced to it."""
+    xc, yc = x.coords, y.coords
+    margin = _real_part(hi * yc - xc, xc - lo * yc)
+    scale = 1.0 + norm(x) ** 2 + abs(hi) ** 2 * norm(y) ** 2
+    return _report(margin, ConditionForm.REAL_PART, scale)
 
 
 def _degenerate(mass: float, diff: float, summ: float) -> bool:
@@ -153,22 +180,23 @@ def in_closed_ball(x: Vector, a: Vector, r: float) -> ConditionReport:
     if not r > 0:
         raise PreconditionError(f"radius must be positive, got {r}")
     check_same_space(x, a)
-    return _ball(x, a, r)
+    return _ball(x, a.coords, norm(a), r)
 
 
 def two_sided_realpart(x: Vector, y: Vector, pair: ScalarPair) -> ConditionReport:
     """Re<hi*y - x, x - lo*y> >= 0, reported with its signed margin."""
     check_same_space(x, y)
     lo, hi = pair.coerced(x.field)
-    above, below = y.scaled(hi) - x, x - y.scaled(lo)
-    return _real_part(above, below, 1.0 + norm(x) ** 2 + abs(hi) ** 2 * norm(y) ** 2)
+    return _pair_realpart(x, y, lo, hi)
 
 
 def two_sided_ball(x: Vector, y: Vector, pair: ScalarPair) -> ConditionReport:
     """||x - mid*y|| <= |hi - lo|/2 * ||y||, reported with its signed margin."""
     check_same_space(x, y)
     lo, hi = pair.coerced(x.field)
-    return _ball(x, y.scaled((lo + hi) / 2), 0.5 * abs(hi - lo) * norm(y))
+    center = (lo + hi) / 2 * y.coords
+    radius = 0.5 * abs(hi - lo) * norm(y)
+    return _ball(x, center, _array_norm(center), radius)
 
 
 def _family_pairs(
@@ -201,7 +229,8 @@ def _coefficient_pair(
     """(sum|G_i - g_i|^2, sum|G_i + g_i|^2) of a pair that fits `fam`, by `ScalarPair`'s rule on
     root-sum-squares, taken over the largest |entry| where a square sum underflows.  A pair that
     passes with a sum below the normal floats is rejected; past entries of about 1.3e154 the
-    capped mass rejects a pair whose difference or sum keeps a finite square as degenerate."""
+    capped mass rejects a pair whose difference or sum keeps a finite square as degenerate, and
+    a complex pair whose square sum overflowed into NaN is rejected by name."""
     _family_pairs(fam, gammas, Gammas)
     diff = Gammas.entries - gammas.entries
     summ = Gammas.entries + gammas.entries
@@ -217,6 +246,10 @@ def _coefficient_pair(
     if min(roots) > 0 and min(diff_sq, summ_sq) < sys.float_info.min:
         raise PreconditionError(
             f"coefficient sequences underflow: sum|Gamma -/+ gamma|^2 = {diff_sq!r}, {summ_sq!r}"
+        )
+    if diff_sq != diff_sq or summ_sq != summ_sq:  # a complex vdot past about 1e154
+        raise PreconditionError(
+            f"coefficient sequences overflow: sum|Gamma -/+ gamma|^2 = {diff_sq!r}, {summ_sq!r}"
         )
     return diff_sq, summ_sq
 
@@ -236,8 +269,9 @@ def family_two_sided(
     check_same_space(x, fam.members[0])
     _family_pairs(fam, gammas, Gammas)
     if ConditionForm(form) is ConditionForm.REAL_PART:
-        upper, lower = synthesize(Gammas, fam), synthesize(gammas, fam)
-        return _real_part(upper - x, x - lower, 1.0 + norm(x) ** 2 + Gammas.sq_norm)
+        upper, lower = _synthesized(Gammas, fam), _synthesized(gammas, fam)
+        margin = _real_part(upper - x.coords, x.coords - lower)
+        return _report(margin, ConditionForm.REAL_PART, 1.0 + norm(x) ** 2 + Gammas.sq_norm)
     return _family_ball(x, fam, gammas, Gammas)
 
 
@@ -247,5 +281,5 @@ def _family_ball(
     """Ball form of `family_two_sided`, with x and the pair already checked against `fam`."""
     diff = Gammas.entries - gammas.entries
     radius = 0.5 * float((diff * diff.conj()).real.sum()) ** 0.5
-    mid = CoefficientSequence._computed(0.5 * (gammas.entries + Gammas.entries), gammas.field)
-    return _ball(x, synthesize(mid, fam), radius)
+    center = (0.5 * (gammas.entries + Gammas.entries)) @ fam._matrix
+    return _ball(x, center, _array_norm(center), radius)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .conditions import ConditionReport, ScalarPair, in_closed_ball, two_sided_realpart
 from .errors import NotUnitVectorError
-from .space import Vector, inner, norm
+from .space import Vector, _vdot, check_same_space, norm
 
 #: Base vectors must be unit within this tolerance; never renormalized.
 UNIT_TOL = 1e-10
@@ -74,9 +74,11 @@ def require_unit(e: Vector) -> None:
 
 
 def _terms(x: Vector, y: Vector, e: Vector) -> tuple[float, ...]:
-    """(`gruss_gap`, |<x,e><e,y>|, |<x,e>|, |<e,y>|, ||x||, ||y||) for e past `require_unit`."""
-    xy = complex(inner(x, y))
-    xe, ey = complex(inner(x, e)), complex(inner(e, y))
+    """(`gruss_gap`, |<x,e><e,y>|, |<x,e>|, |<e,y>|, ||x||, ||y||) for e past `require_unit`
+    and x, y, e known to share a space."""
+    xc, yc, ec = x.coords, y.coords, e.coords
+    xy = _vdot(xc, yc)
+    xe, ey = _vdot(xc, ec), _vdot(ec, yc)
     prod = xe * ey
     return abs(xy - prod), abs(prod), abs(xe), abs(ey), norm(x), norm(y)
 
@@ -84,6 +86,8 @@ def _terms(x: Vector, y: Vector, e: Vector) -> tuple[float, ...]:
 def gruss_gap(x: Vector, y: Vector, e: Vector) -> float:
     """|<x,y> - <x,e><e,y>|."""
     require_unit(e)
+    check_same_space(x, y)
+    check_same_space(x, e)
     return _terms(x, y, e)[0]
 
 

@@ -299,19 +299,21 @@ def _rand_coords(rng: np.random.Generator, dim: int, field: FieldTag) -> np.ndar
     return rng.uniform(-2.0, 2.0, dim)
 
 
-def _nonzero_coords(rng, dim, field) -> np.ndarray:
+def _nonzero_coords(rng, dim, field) -> tuple[np.ndarray, float]:
+    """(v, ||v||) for a draw v with ||v|| >= 1e-3."""
     for _ in range(_RESAMPLE_CAP):
         v = _rand_coords(rng, dim, field)
-        if _array_norm(v) >= 1e-3:
-            return v
+        n = _array_norm(v)
+        if n >= 1e-3:
+            return v, n
     v = np.zeros(dim, dtype=field.dtype)
     v[0] = 1.0
-    return v
+    return v, 1.0
 
 
 def _unit_coords(rng, dim, field) -> np.ndarray:
-    v = _nonzero_coords(rng, dim, field)
-    return v / _array_norm(v)
+    v, n = _nonzero_coords(rng, dim, field)
+    return v / n
 
 
 def _in_ball(rng, field, center: np.ndarray, radius: float, t: float) -> np.ndarray:
@@ -344,7 +346,8 @@ def _frac(rng, adversarial: bool) -> float:
 
 
 def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
-    """Sequences (lo_i), (hi_i) jointly nondegenerate; optionally sum Re(hi conj(lo)) > 0."""
+    """Sequences (lo_i), (hi_i) jointly nondegenerate, and ||hi - lo||; optionally
+    sum Re(hi conj(lo)) > 0."""
     for _ in range(_RESAMPLE_CAP):
         lo = _rand_coords(rng, k, field)
         hi = _rand_coords(rng, k, field)
@@ -352,23 +355,56 @@ def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
         mass = norm_lo + norm_hi
         if mass < 1e-6:
             continue
-        if _array_norm(hi - lo) < 1e-3 * mass or _array_norm(hi + lo) < 1e-3 * mass:
+        sep_diff = _array_norm(hi - lo)
+        if sep_diff < 1e-3 * mass:
+            continue
+        sep_summ = _array_norm(hi + lo)
+        if sep_summ < 1e-3 * mass:
             continue
         if positive_sum:
             re = float(np.vdot(lo, hi).real)
             if abs(re) < 1e-3 * norm_lo * norm_hi:
                 continue
             if re < 0:
-                lo = -lo  # flips the sign of the sum; separations swap roles
-        return lo, hi
-    ones = np.ones(k, dtype=field.dtype)
-    return ones, 2.5 * ones
+                # flips the sign of the sum; separations swap roles (hi - (-lo) is hi + lo bit for bit)
+                lo, sep_diff = -lo, sep_summ
+        return lo, hi, sep_diff
+    lo = np.ones(k, dtype=field.dtype)
+    hi = 2.5 * lo
+    return lo, hi, _array_norm(hi - lo)
 
 
 def _sample_pair(rng, field: FieldTag, positive_real: bool = False):
-    """Scalars (lo, hi): a nondegenerate sequence pair of length 1."""
-    lo, hi = _sample_seq_pair(rng, field, 1, positive_sum=positive_real)
-    return lo[0].item(), hi[0].item()
+    """Scalars (lo, hi): `_sample_seq_pair`'s draws and tests at length 1, in Python scalars.
+
+    A real draw is held as a complex with imaginary part 0, which changes no bit of
+    the norms, sums and products the tests read."""
+    size = 2 if field is FieldTag.COMPLEX else 1
+    for _ in range(_RESAMPLE_CAP):
+        lo = complex(*rng.uniform(-2.0, 2.0, size).tolist())
+        hi = complex(*rng.uniform(-2.0, 2.0, size).tolist())
+        norm_lo, norm_hi = _scalar_norm(lo), _scalar_norm(hi)
+        mass = norm_lo + norm_hi
+        if mass < 1e-6:
+            continue
+        if _scalar_norm(hi - lo) < 1e-3 * mass or _scalar_norm(hi + lo) < 1e-3 * mass:
+            continue
+        if positive_real:
+            re = lo.real * hi.real + lo.imag * hi.imag
+            if abs(re) < 1e-3 * norm_lo * norm_hi:
+                continue
+            if re < 0:
+                lo = -lo
+        break
+    else:
+        lo, hi = 1.0 + 0j, 2.5 + 0j
+    return (lo.real, hi.real) if field is FieldTag.REAL else (lo, hi)
+
+
+def _scalar_norm(c: complex) -> float:
+    """`_array_norm` of the one-entry array [c], bit for bit; abs(c) is a hypot, which rounds
+    differently."""
+    return math.sqrt(c.real * c.real + c.imag * c.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +640,7 @@ def _sample_ball(theorem, rng, dim, field, adversarial, restrict=False, capped=F
     """x in the ball around a; restrict=True keeps r < ||a|| (strict form), and
     capped=True keeps Re<x,a> >= 0 when adversarial (the triangle form)."""
     if restrict:
-        a = _nonzero_coords(rng, dim, field)
-        na = _array_norm(a)
+        a, na = _nonzero_coords(rng, dim, field)
         if capped and adversarial:
             # keep Re<x,a> >= 0 evaluable: small radius, capped inflation
             s = float(rng.uniform(0.05, 0.3))
@@ -615,11 +650,11 @@ def _sample_ball(theorem, rng, dim, field, adversarial, restrict=False, capped=F
             r = float(rng.uniform(0.05, 0.95)) * na
             t = _frac(rng, adversarial)
     else:
-        a = _rand_coords(rng, dim, field)
+        a, na = _rand_coords(rng, dim, field), None
         r = _radius(rng)
         t = _frac(rng, adversarial)
     x = _in_ball(rng, field, a, r, t)
-    return _instance(theorem, field, x=_vec(x, field), a=_vec(a, field), r=r)
+    return _instance(theorem, field, x=_vec(x, field), a=_vec(a, field, na), r=r)
 
 
 def _pair_point(rng, field, adversarial, base, scale, lo, hi) -> np.ndarray:
@@ -633,17 +668,17 @@ def _pair_point(rng, field, adversarial, base, scale, lo, hi) -> np.ndarray:
 
 
 def _sample_two_sided(theorem, rng, dim, field, adversarial, positive_real=False):
-    y = _nonzero_coords(rng, dim, field)
+    y, ny = _nonzero_coords(rng, dim, field)
     lo, hi = _sample_pair(rng, field, positive_real=positive_real)
-    x = _pair_point(rng, field, adversarial, y, _array_norm(y), lo, hi)
-    return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field), pair=ScalarPair(lo, hi))
+    x = _pair_point(rng, field, adversarial, y, ny, lo, hi)
+    y = _vec(y, field, ny)
+    return _instance(theorem, field, x=_vec(x, field), y=y, pair=ScalarPair(lo, hi))
 
 
 def _sample_real_range(theorem, rng, dim, field, adversarial, capped=False):
     """Real pair 0 < m < M against y; capped=True keeps Re<x,y> >= 0 when
     adversarial (the strict triangle form)."""
-    y = _nonzero_coords(rng, dim, field)
-    ny = _array_norm(y)
+    y, ny = _nonzero_coords(rng, dim, field)
     m = _radius(rng, 0.05, 2.0)
     if capped and adversarial:
         dfrac = float(rng.uniform(0.05, 0.5))
@@ -656,7 +691,7 @@ def _sample_real_range(theorem, rng, dim, field, adversarial, capped=False):
     mid = 0.5 * (m + M)
     radius = 0.5 * (M - m) * ny
     x = _in_ball(rng, field, mid * y, radius, t)
-    return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field), m=m, M=M)
+    return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field, ny), m=m, M=M)
 
 
 def _sample_gruss_ball(theorem, rng, dim, field, adversarial, unit_radii=False):
@@ -690,33 +725,33 @@ def _family_size(dim: int) -> int:
 def _sample_bessel_ball(theorem, rng, dim, field, adversarial, restrict=False):
     """restrict=True keeps r < ||lam|| (strict form)."""
     k = _family_size(dim)
-    lam = _nonzero_coords(rng, k, field)
+    lam, nlam = _nonzero_coords(rng, k, field)
     if restrict:
-        r = float(rng.uniform(0.05, 0.95)) * _array_norm(lam)
+        r = float(rng.uniform(0.05, 0.95)) * nlam
     else:
         r = _radius(rng)
     x = _in_ball(rng, field, _padded(lam, dim, field), r, _frac(rng, adversarial))
     return _instance(theorem, field, x=_vec(x, field), size=k, lam=_seq(lam, field), r=r)
 
 
-def _seq_pair_point(rng, dim, field, adversarial, lo, hi) -> np.ndarray:
-    """sum (lo_i + hi_i)/2 e_i plus a residual of length t * ||hi - lo||/2."""
+def _seq_pair_point(rng, dim, field, adversarial, lo, hi, sep) -> np.ndarray:
+    """sum (lo_i + hi_i)/2 e_i plus a residual of length t * ||hi - lo||/2, sep = ||hi - lo||."""
     center = _padded(0.5 * (lo + hi), dim, field)
-    return _in_ball(rng, field, center, 0.5 * _array_norm(hi - lo), _frac(rng, adversarial))
+    return _in_ball(rng, field, center, 0.5 * sep, _frac(rng, adversarial))
 
 
 def _sample_bessel_pair(theorem, rng, dim, field, adversarial, positive_sum=False):
     k = _family_size(dim)
-    lo, hi = _sample_seq_pair(rng, field, k, positive_sum=positive_sum)
-    x = _seq_pair_point(rng, dim, field, adversarial, lo, hi)
+    lo, hi, sep = _sample_seq_pair(rng, field, k, positive_sum=positive_sum)
+    x = _seq_pair_point(rng, dim, field, adversarial, lo, hi, sep)
     x, gammas, Gammas = _vec(x, field), _seq(lo, field), _seq(hi, field)
     return _instance(theorem, field, x=x, size=k, gammas=gammas, Gammas=Gammas)
 
 
 def _sample_family_gruss_ball(theorem, rng, dim, field, adversarial):
     k = _family_size(dim)
-    lam = _nonzero_coords(rng, k, field)
-    mu = _nonzero_coords(rng, k, field)
+    lam, _ = _nonzero_coords(rng, k, field)
+    mu, _ = _nonzero_coords(rng, k, field)
     r1, r2 = _radius_pair(rng, adversarial)
     x = _vec(_in_ball(rng, field, _padded(lam, dim, field), r1, _frac(rng, adversarial)), field)
     y = _vec(_in_ball(rng, field, _padded(mu, dim, field), r2, _frac(rng, adversarial)), field)
@@ -726,10 +761,10 @@ def _sample_family_gruss_ball(theorem, rng, dim, field, adversarial):
 
 def _sample_family_gruss_pair(theorem, rng, dim, field, adversarial):
     k = _family_size(dim)
-    lo_x, hi_x = _sample_seq_pair(rng, field, k)
-    lo_y, hi_y = _sample_seq_pair(rng, field, k)
-    x = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_x, hi_x), field)
-    y = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_y, hi_y), field)
+    lo_x, hi_x, sep_x = _sample_seq_pair(rng, field, k)
+    lo_y, hi_y, sep_y = _sample_seq_pair(rng, field, k)
+    x = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_x, hi_x, sep_x), field)
+    y = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_y, hi_y, sep_y), field)
     seqs = {
         "gammas_x": _seq(lo_x, field),
         "Gammas_x": _seq(hi_x, field),
@@ -1152,7 +1187,13 @@ def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> s
     value by value.
     """
     margin, gap, bound = result.margin, result.gap, result.bound
-    slack = bound - gap
+    try:
+        slack = bound - gap
+    except RuntimeWarning:
+        # numpy scalars warn on inf - inf or an overflow, and warnings may be errors;
+        # the NaN or inf is then render_json's ValueError below, as for the dict
+        with np.errstate(invalid="ignore", over="ignore"):
+            slack = bound - gap
     values = (
         index, result.theorem, result.field, result.dim, result.admissible,
         margin, gap, bound, slack, ok,

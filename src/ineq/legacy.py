@@ -17,24 +17,25 @@ import numpy as np
 from .conditions import (
     ConditionReport,
     ScalarPair,
+    _ball,
     _coefficient_pair,
     _family_ball,
+    _pair_realpart,
     in_closed_ball,
     two_sided_realpart,
 )
 from .errors import PreconditionError
-from .bessel import BesselReport
+from .bessel import BesselReport, _family_center_ball
 from .gruss import GrussReport, _terms, require_unit
 from .schwarz import BoundChain
 from .space import (
     CoefficientSequence,
     OrthonormalFamily,
     Vector,
+    _vdot,
     check_same_space,
     fourier_coefficients,
-    inner,
     norm,
-    synthesize,
 )
 from .triangle import TriangleDefect, _defect, _require_range
 
@@ -68,13 +69,13 @@ def legacy_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
     such restriction.
     """
     na = _strict_ball(x, a, r)
-    report = in_closed_ball(x, a, r)
+    report = _ball(x, a.coords, na, r)
     nx = norm(x)
-    ip = inner(x, a)
+    ip = _vdot(x.coords, a.coords)
     prod_sq = nx * nx * na * na
     return BoundChain(
         SQUARED_BALL_LABELS,
-        (0.0, prod_sq - abs(ip) ** 2, prod_sq - complex(ip).real ** 2, r * r * nx * nx),
+        (0.0, prod_sq - abs(ip) ** 2, prod_sq - ip.real ** 2, r * r * nx * nx),
         report,
     )
 
@@ -89,9 +90,9 @@ def legacy_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
         raise PreconditionError(
             f"Re(Gamma * conj(gamma)) must be positive, got {re_prod}"
         )
-    report = two_sided_realpart(x, y, pair)
+    report = _pair_realpart(x, y, lo, hi)
     nx, ny = norm(x), norm(y)
-    ip = complex(inner(x, y))
+    ip = _vdot(x.coords, y.coords)
     prod_sq = nx * nx * ny * ny
     aligned = ((Gamma + gamma).conjugate() * ip).real
     chain = BoundChain(
@@ -118,10 +119,10 @@ def legacy_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
 def legacy_triangle_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:
     """Triangle defect bound sqrt(2) r sqrt(Re<x,a> / (s (s + ||a||))), s = sqrt(||a||^2 - r^2)."""
     na = _strict_ball(x, a, r)
-    re_ip = complex(inner(x, a)).real
+    re_ip = _vdot(x.coords, a.coords).real
     if re_ip < 0:
         raise PreconditionError(f"Re<x,a> must be nonnegative, got {re_ip}")
-    report = in_closed_ball(x, a, r)
+    report = _ball(x, a.coords, na, r)
     s = (na * na - r * r) ** 0.5
     bound = 2.0 ** 0.5 * r * (re_ip / (s * (s + na))) ** 0.5
     return TriangleDefect(_defect(x, a), bound, report)
@@ -131,10 +132,10 @@ def legacy_triangle_pair(x: Vector, y: Vector, m: float, M: float) -> TriangleDe
     """Triangle defect bound (sqrt(M) - sqrt(m)) / (M m)^(1/4) * sqrt(Re<x,y>)."""
     check_same_space(x, y)
     _require_range(m, M)
-    re_ip = complex(inner(x, y)).real
+    re_ip = _vdot(x.coords, y.coords).real
     if re_ip < 0:
         raise PreconditionError(f"Re<x,y> must be nonnegative, got {re_ip}")
-    report = two_sided_realpart(x, y, ScalarPair(float(m), float(M)))
+    report = _pair_realpart(x, y, *ScalarPair(float(m), float(M)).coerced(x.field))
     bound = (M ** 0.5 - m ** 0.5) / (M * m) ** 0.25 * re_ip ** 0.5
     return TriangleDefect(_defect(x, y), bound, report)
 
@@ -239,7 +240,7 @@ def legacy_bessel_ball(
         raise PreconditionError(
             f"need sum|lambda|^2 > r^2, got {lam.sq_norm} <= {r * r}"
         )
-    report = in_closed_ball(x, synthesize(lam, fam), r)
+    report = _family_center_ball(x, fam, lam, r)
     return _multiplicative_bessel(x, fam, report, lam.entries, 1.0, excess, lam.sq_norm, r * r)
 
 

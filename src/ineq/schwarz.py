@@ -30,7 +30,7 @@ from .conditions import (
     in_closed_ball,
     two_sided_realpart,
 )
-from .space import Vector, inner, norm
+from .space import Vector, _vdot, norm
 
 BALL_LABELS = ("zero", "abs_gap", "abs_real_gap", "real_gap", "bound")
 PAIR_LABELS = ("zero", "abs_gap", "abs_aligned_gap", "aligned_gap", "bound")
@@ -111,11 +111,11 @@ def reverse_schwarz_ball(x: Vector, a: Vector, r: float) -> BoundChain:
     No r < ||a|| restriction: the proof needs only the ball membership.
     """
     report = in_closed_ball(x, a, r)
-    return _ball_chain(norm(x), norm(a), complex(inner(x, a)), r, report)
+    return _ball_chain(norm(x), norm(a), _vdot(x.coords, a.coords), r, report)
 
 
 def reverse_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
     """Gap chain for the two-sided hypothesis with scalar pair (lo, hi) = (g, G)."""
     pair.require_nondegenerate()
     report = two_sided_realpart(x, y, pair)
-    return _pair_chain(norm(x), norm(y), complex(inner(x, y)), pair, report)
+    return _pair_chain(norm(x), norm(y), _vdot(x.coords, y.coords), pair, report)

@@ -13,6 +13,16 @@ silently promoting, because certification must know which field's theorem it
 is checking.  Infinite-dimensional statements are represented by finite
 truncations: a coefficient sequence's length defines the family size, and the
 caller's tail is declared zero.
+
+Finiteness is checked where a value enters: the public constructors reject a
+NaN or infinite entry, and so does public arithmetic (x + y, x - y, -x,
+c * x, `synthesize`, `fourier_coefficients`) on a result that overflowed.
+The evaluators work on raw coordinate arrays instead and read finiteness off
+the norm or inner product that consumes an intermediate: such a reduction is
+finite only if every entry it read is, so `_check_finite` runs on the
+intermediate only when its reduction is not finite, and raises the same
+ValueError.  A vector's norm is computed once and kept (`norm`), which is
+safe because its coordinates are read-only.
 """
 
 from __future__ import annotations
@@ -139,11 +149,14 @@ class Vector:
         object.__setattr__(self, "coords", _as_coords(self.coords, self.field))
 
     @classmethod
-    def _computed(cls, coords: np.ndarray, field: FieldTag) -> "Vector":
-        """Trusted constructor for coordinates the library just computed."""
+    def _computed(cls, coords: np.ndarray, field: FieldTag, norm: float | None = None) -> "Vector":
+        """Trusted constructor for coordinates the library just computed, and
+        their norm when the caller already took `_array_norm(coords)`."""
         self = object.__new__(cls)
         object.__setattr__(self, "coords", _computed_coords(coords, field))
         object.__setattr__(self, "field", field)
+        if norm is not None:
+            self.__dict__["_norm"] = norm
         return self
 
     @property
@@ -181,7 +194,7 @@ def vector(values, field: FieldTag | str | None = None) -> Vector:
 def check_same_space(x: Vector, y: Vector) -> None:
     if x.field is not y.field:
         raise FieldMismatchError(f"field mismatch: {x.field.value} vs {y.field.value}")
-    if x.dim != y.dim:
+    if x.coords.size != y.coords.size:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
 
 
@@ -192,9 +205,28 @@ def inner(x: Vector, y: Vector) -> Scalar:
     return float(v.real) if x.field is FieldTag.REAL else complex(v)
 
 
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a, b> of coordinate arrays known to share a space, as a complex (`inner`'s value)."""
+    return complex(np.vdot(b, a))
+
+
 def norm(x: Vector) -> float:
-    """||x|| = sqrt(Re<x, x>); zero iff x = 0."""
-    return _array_norm(x.coords)
+    """||x|| = sqrt(Re<x, x>); zero iff x = 0.  Computed once per vector and kept."""
+    memo = x.__dict__
+    n = memo.get("_norm")
+    if n is None:
+        n = memo["_norm"] = _array_norm(x.coords)
+    return n
+
+
+def _checked_norm(arr: np.ndarray) -> float:
+    """||arr|| of an intermediate the library computed, raising `_check_finite`'s
+    ValueError where an entry overflowed: a norm reading a NaN or infinite entry is
+    not finite, so the entries are scanned only when the norm is not."""
+    n = _array_norm(arr)
+    if not n < math.inf:
+        _check_finite(arr)
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,20 +242,22 @@ class CoefficientSequence:
 
     def _adopt(self, arr: np.ndarray) -> None:
         object.__setattr__(self, "entries", arr)
-        sq = float(np.vdot(arr, arr).real)
-        # past about 1e154 a complex vdot gives NaN; Re.Re + Im.Im gives inf, as silently
-        if sq != sq:
-            re, im = arr.real, arr.imag
-            with np.errstate(over="ignore"):
-                sq = float(re.dot(re) + im.dot(im))
-        object.__setattr__(self, "sq_norm", sq)
+        object.__setattr__(self, "sq_norm", _sq_sum(arr))
 
     @classmethod
     def _computed(cls, entries: np.ndarray, field: FieldTag) -> "CoefficientSequence":
-        """Trusted constructor for entries the library just computed."""
+        """Trusted constructor for entries the library just computed.  The square norm
+        reads every entry, so the entries are scanned for finiteness only where it is
+        not finite."""
+        assert entries.dtype == field.dtype and entries.ndim == 1 and entries.size, (
+            entries.dtype, entries.shape
+        )
         self = object.__new__(cls)
         object.__setattr__(self, "field", field)
-        self._adopt(_computed_coords(entries, field))
+        self._adopt(entries)
+        if not self.sq_norm < math.inf:
+            _check_finite(entries)
+        entries.flags.writeable = False
         return self
 
     def __len__(self) -> int:
@@ -231,7 +265,18 @@ class CoefficientSequence:
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(self.sq_norm))
+        return math.sqrt(self.sq_norm)
+
+
+def _sq_sum(arr: np.ndarray) -> float:
+    """sum |arr_i|^2 by `np.vdot`; past about 1e154 a complex vdot gives NaN, and
+    Re.Re + Im.Im gives inf, as silently."""
+    sq = float(np.vdot(arr, arr).real)
+    if sq != sq:
+        re, im = arr.real, arr.imag
+        with np.errstate(over="ignore"):
+            sq = float(re.dot(re) + im.dot(im))
+    return sq
 
 
 def coefficients(values, field: FieldTag | str | None = None) -> CoefficientSequence:
@@ -389,13 +434,18 @@ def fourier_coefficients(x: Vector, fam: OrthonormalFamily) -> CoefficientSequen
     return CoefficientSequence._computed(coeffs, x.field)
 
 
-def synthesize(coeffs: CoefficientSequence, fam: OrthonormalFamily) -> Vector:
-    """sum_i c_i e_i; its norm equals sqrt(sum |c_i|^2) up to rounding."""
+def _synthesized(coeffs: CoefficientSequence, fam: OrthonormalFamily) -> np.ndarray:
+    """The coordinates of `synthesize(coeffs, fam)`, not yet checked for finiteness."""
     if len(coeffs) != fam.size:
         raise DimensionMismatchError(f"{len(coeffs)} coefficients for {fam.size} members")
     if coeffs.field is not fam.field:
         raise FieldMismatchError("coefficient field differs from family field")
-    return Vector._computed(coeffs.entries @ fam._matrix, fam.field)
+    return coeffs.entries @ fam._matrix
+
+
+def synthesize(coeffs: CoefficientSequence, fam: OrthonormalFamily) -> Vector:
+    """sum_i c_i e_i; its norm equals sqrt(sum |c_i|^2) up to rounding."""
+    return Vector._computed(_synthesized(coeffs, fam), fam.field)
 
 
 def project(x: Vector, fam: OrthonormalFamily) -> Vector:

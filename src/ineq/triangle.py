@@ -23,7 +23,7 @@ from .conditions import (
     two_sided_realpart,
 )
 from .errors import PreconditionError
-from .space import Vector, norm
+from .space import Vector, _checked_norm, norm
 
 #: Defects in [-NONNEG_CLAMP_REL * (||x||+||y||), 0) are rounding noise; clamp to 0.
 NONNEG_CLAMP_REL = 1e-12
@@ -56,7 +56,9 @@ def _clamped_defect(n1: float, n2: float, n_sum: float) -> float:
 
 
 def _defect(x: Vector, other: Vector) -> float:
-    return _clamped_defect(norm(x), norm(other), norm(x + other))
+    """The clamped defect of x and other, known to share a space; x + other is checked
+    for finiteness through its norm."""
+    return _clamped_defect(norm(x), norm(other), _checked_norm(x.coords + other.coords))
 
 
 def triangle_reverse_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:

@@ -303,6 +303,47 @@ def test_an_overflowing_complex_pair_equal_to_itself_is_degenerate():
         bessel_reverse_pair(vector([1e160 + 1e160j]), fam, g, g)
 
 
+_COMPLEX_PAIR_OPS = {
+    "bessel_reverse_pair": bessel_reverse_pair,
+    "legacy_bessel_pair": legacy_bessel_pair,
+    "gruss_orthonormal_pair (x pair)": lambda x, fam, g, G: gruss_orthonormal_pair(
+        x, x, fam, g, G, coefficients([1.0 + 0j]), coefficients([2.0 + 0j])
+    ),
+    "gruss_orthonormal_pair (y pair)": lambda x, fam, g, G: gruss_orthonormal_pair(
+        x, x, fam, coefficients([1.0 + 0j]), coefficients([2.0 + 0j]), g, G
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_COMPLEX_PAIR_OPS))
+def test_a_complex_pair_whose_square_sums_overflow_into_nan_is_rejected(op):
+    # numpy's complex vdot overflows into NaN past about 1e154, so sum|G -/+ g|^2 were
+    # NaN, the pair passed the rule, and bessel_reverse_pair gave margin and bound NaN
+    fam = standard_basis(FieldTag.COMPLEX, 1)
+    g, G = coefficients([1e160 + 1e160j]), coefficients([3e160j])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        PreconditionError, match=r"^coefficient sequences overflow: sum\|Gamma -/\+ gamma\|\^2 = nan, nan$"
+    ):
+        _COMPLEX_PAIR_OPS[op](vector([1e159 + 2e159j]), fam, g, G)
+
+
+def test_a_complex_pair_past_1e154_is_named_by_eval(tmp_path, capsys):
+    import json
+
+    from ineq.cli import main
+
+    doc = {"instances": [{
+        "theorem": "thm5.2", "field": "complex", "x": [{"re": 1e159, "im": 2e159}], "size": 1,
+        "gammas": [{"re": 1e160, "im": 1e160}], "Gammas": [{"re": 0.0, "im": 3e160}],
+    }]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "ineq: instance 0: coefficient sequences overflow: sum|Gamma -/+ gamma|^2 = nan, nan\n"
+    )
+
+
 def test_overflowing_pair_products_keep_the_gruss_factor_finite():
     # sum|G - g|^2 = 4e200 for both pairs: the product of the two sums
     # overflows, and the factor is the split (4e200)^(1/2) (4e200)^(1/2) over

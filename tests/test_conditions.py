@@ -246,3 +246,130 @@ def test_ball_tolerance_keeps_its_bits_where_nothing_overflows(xs, cs, r):
     x, c = vector(xs[:n]), vector(cs[:n])
     rep = in_closed_ball(x, c, r)
     assert rep.tol == conditions.BOUNDARY_REL * (1.0 + norm(x) + norm(c) + r)
+
+
+# The cores work on coordinate arrays and read finiteness off the norm or inner
+# product that consumes an intermediate.  Where an intermediate overflows they
+# raise what they raised when it was built as a checked vector.
+
+_NOT_FINITE = (ValueError, r"^entries must be finite \(no NaN/Inf\)$")
+_OUT_OF_RANGE = (OverflowError, r"^\(34, 'Numerical result out of range'\)$")
+
+
+def _overflow_cases():
+    import ineq
+
+    R, C = FieldTag.REAL, FieldTag.COMPLEX
+    big, big_c = vector([1e308]), vector([1e308 + 1e308j])
+    fam1, fam21 = standard_basis(R, 1), standard_basis(R, 2, 1)
+    u, u_c = vector([1.0]), vector([1.0 + 0j])
+    skew = ineq.gram_schmidt([vector([1.0, 1.0]), vector([1.0, -1.0])])
+    pair, huge = ScalarPair(1.0, 10.0), ScalarPair(0.5, 1e200)  # |hi|^2 overflows the scale
+    return {
+        # x - a
+        "ball x-a": (lambda: in_closed_ball(big, -big, 1.0), _NOT_FINITE),
+        "ball x-a complex": (lambda: in_closed_ball(big_c, -big_c, 1.0), _NOT_FINITE),
+        # mid*y, then x - mid*y
+        "two-sided ball mid*y": (
+            lambda: two_sided_ball(vector([0.0]), big, ScalarPair(1e10, 3e10)), _NOT_FINITE
+        ),
+        "two-sided ball x-mid*y": (
+            lambda: two_sided_ball(-big, big, ScalarPair(0.5, 1.5)), _NOT_FINITE
+        ),
+        # hi*y, hi*y - x, x - lo*y
+        "realpart hi*y": (lambda: two_sided_realpart(vector([0.0]), big, pair), _NOT_FINITE),
+        "realpart hi*y complex": (
+            lambda: two_sided_realpart(vector([0j]), big_c, ScalarPair(1.0, 10j)), _NOT_FINITE
+        ),
+        "realpart hi*y-x": (
+            lambda: two_sided_realpart(-big, big, ScalarPair(0.5, 1.0)), _NOT_FINITE
+        ),
+        "realpart x-lo*y": (
+            lambda: two_sided_realpart(big, vector([-1e308]), ScalarPair(0.5, 1.0)), _NOT_FINITE
+        ),
+        # an overflowing intermediate is found before the scale overflows
+        "realpart hi*y before the scale": (
+            lambda: two_sided_realpart(vector([0.0]), vector([1e300]), huge), _NOT_FINITE
+        ),
+        "realpart scale": (
+            lambda: two_sided_realpart(vector([0.0]), vector([1e-200]), huge), _OUT_OF_RANGE
+        ),
+        # the family's center (gamma + Gamma)/2, and sum Gamma_i e_i - x
+        "family ball center": (
+            lambda: family_two_sided(
+                vector([0.0]), fam1, coefficients([1e308]), coefficients([1.5e308])
+            ),
+            _NOT_FINITE,
+        ),
+        "family ball x-center": (
+            lambda: family_two_sided(-big, fam1, coefficients([0.7e308]), coefficients([1e308])),
+            _NOT_FINITE,
+        ),
+        "family realpart upper-x": (
+            lambda: family_two_sided(
+                -big, fam1, coefficients([0.5]), coefficients([1e308]), ConditionForm.REAL_PART
+            ),
+            _NOT_FINITE,
+        ),
+        # x + y in the triangle defect, after a condition that holds finitely
+        "triangle x+y": (lambda: ineq.triangle_reverse_ball(big, big, 1.0), _NOT_FINITE),
+        "triangle pair x+y": (
+            lambda: ineq.triangle_reverse_pair(vector([1.5e308]), big, 0.5, 1.6), _NOT_FINITE
+        ),
+        "legacy triangle x+y": (
+            lambda: ineq.legacy_triangle_ball(big, big, 0.5e308), _NOT_FINITE
+        ),
+        # the synthesized center of a Bessel or family Gruss ball
+        "bessel ball x-center": (
+            lambda: ineq.bessel_reverse_ball(vector([-1e308, 0.0]), fam21, coefficients([1e308]), 1.0),
+            _NOT_FINITE,
+        ),
+        "bessel pair center": (
+            lambda: ineq.bessel_reverse_pair(
+                vector([0.0, 0.0]), fam21, coefficients([1e308]), coefficients([1.5e308])
+            ),
+            _NOT_FINITE,
+        ),
+        "family gruss x-center": (
+            lambda: ineq.gruss_orthonormal_ball(
+                vector([-1e308, 0.0]), vector([1.0, 0.0]), fam21,
+                coefficients([1e308]), coefficients([1.0]), 1.0, 1.0,
+            ),
+            _NOT_FINITE,
+        ),
+        "legacy bessel x-center": (
+            lambda: ineq.legacy_bessel_ball(vector([-1e308, 0.0]), fam21, coefficients([1e308]), 1.0),
+            _NOT_FINITE,
+        ),
+        # Fourier coefficients over a family that is not the standard basis
+        "bessel fourier": (
+            lambda: ineq.bessel_reverse_ball(
+                vector([1.7e308, 1.7e308]), skew, coefficients([1.0, 0.0]), 1.0
+            ),
+            _NOT_FINITE,
+        ),
+        # the Gruss conditions against a unit e
+        "gruss pair hi*e-x": (
+            lambda: ineq.gruss_pair(-big, u, u, ScalarPair(0.5, 1e308), ScalarPair(0.5, 2.0)),
+            _NOT_FINITE,
+        ),
+        "gruss pair hi*e-x complex": (
+            lambda: ineq.gruss_pair(-big_c, u_c, u_c, ScalarPair(0.5, 1e308), ScalarPair(0.5, 2.0)),
+            _NOT_FINITE,
+        ),
+        "schwarz pair hi*y": (lambda: ineq.reverse_schwarz_pair(u, big, pair), _NOT_FINITE),
+        "legacy schwarz pair hi*y": (
+            lambda: ineq.legacy_schwarz_pair(u, big, pair), _NOT_FINITE
+        ),
+        "legacy triangle pair hi*y": (
+            lambda: ineq.legacy_triangle_pair(u, big, 1.0, 10.0), _NOT_FINITE
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_overflow_cases()))
+def test_an_overflowing_intermediate_raises_what_a_checked_vector_raised(case):
+    call, (exc_type, message) = _overflow_cases()[case]
+    # as `ineq eval` runs them: numpy's overflow warnings are off, the error is the report
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc_type, match=message):
+        call()

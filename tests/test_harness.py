@@ -1015,6 +1015,8 @@ def test_brief_quotes_short_values_whole_and_cuts_long_ones():
 
 def _record_dict(index, result, ok, flags) -> dict:
     """A record as a dict: what reports held before they held record texts."""
+    with np.errstate(invalid="ignore", over="ignore"):  # numpy scalars: inf - inf is NaN
+        slack = result.bound - result.gap
     return {
         "index": index,
         "theorem": result.theorem,
@@ -1024,7 +1026,7 @@ def _record_dict(index, result, ok, flags) -> dict:
         "margin": result.margin,
         "gap": result.gap,
         "bound": result.bound,
-        "slack": result.bound - result.gap,
+        "slack": slack,
         "passed": ok,
         "comparisons": [
             [l1, v1, l2, v2, flag] for (l1, v1, l2, v2), flag in zip(result.comparisons, flags)
@@ -1082,6 +1084,8 @@ def _plain_record(margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bo
 @example(_plain_record())
 @example(_plain_record(margin=float("nan")))
 @example(_plain_record(gap=-1e308, bound=1e308))  # finite values, an infinite slack
+@example(_plain_record(gap=float("inf"), bound=np.float64("inf")))  # numpy's inf - inf warns
+@example(_plain_record(gap=np.float64(-1e308), bound=np.float64(1e308)))  # and so does overflow
 @example(_plain_record(comparisons=(("gap", np.float64(0.5), "bound", 1e17),)))
 @example(_plain_record(comparisons=((1, 0.5, 2, 1e17),)))  # labels that are not strings
 def test_a_record_text_is_what_render_json_writes_for_its_dict(record):

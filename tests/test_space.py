@@ -314,3 +314,73 @@ def test_sq_norm_is_vdot_or_overflows_to_inf(parts):
 def test_complex_sq_norm_past_1e154_is_inf_not_nan():
     assert coefficients([1e160 + 1e160j]).sq_norm == np.inf
     assert coefficients([1e160j, 0.5]).norm == np.inf
+
+
+# Evaluators read finiteness off the reduction that consumes an intermediate:
+# a norm or an inner product that reads a NaN or infinite entry is not finite.
+
+_partner_float = st.one_of(st.just(0.0), st.just(-0.0), finite_any)
+_bad_entry = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _array_with_bad_entry(draw):
+    """(arr, partner): arr with a NaN or +/-inf in one part of one entry, any position,
+    and a finite partner of its length that may hold zeros."""
+    n = draw(st.integers(1, 24))
+    is_complex = draw(st.booleans())
+    parts = 2 if is_complex else 1
+    values = draw(st.lists(_partner_float, min_size=n * parts, max_size=n * parts))
+    values[draw(st.integers(0, n * parts - 1))] = draw(_bad_entry)
+    partner = draw(st.lists(_partner_float, min_size=n * parts, max_size=n * parts))
+    dtype = np.complex128 if is_complex else np.float64
+    as_array = lambda v: np.array(v, dtype=np.float64).view(dtype)  # noqa: E731
+    return as_array(values), as_array(partner)
+
+
+@given(_array_with_bad_entry())
+def test_a_reduction_that_reads_a_non_finite_entry_is_not_finite(case):
+    from ineq.space import _array_norm, _checked_norm, _vdot
+
+    arr, partner = case
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(_array_norm(arr))
+        for ip in (_vdot(arr, partner), _vdot(partner, arr)):
+            assert not np.isfinite(ip)
+        with pytest.raises(ValueError, match=r"^entries must be finite \(no NaN/Inf\)$"):
+            _checked_norm(arr)
+
+
+@np.errstate(over="ignore")
+def test_a_checked_norm_that_overflows_on_finite_entries_is_inf():
+    from ineq.space import _checked_norm
+
+    assert _checked_norm(np.array([1e200, 1e200])) == np.inf
+    assert _checked_norm(np.array([1e200 + 1e200j])) == np.inf
+
+
+def test_a_vector_norm_is_computed_once(monkeypatch):
+    from ineq import space
+
+    calls = []
+    real_norm = space._array_norm
+    monkeypatch.setattr(space, "_array_norm", lambda arr: calls.append(arr) or real_norm(arr))
+    v = vector([3.0, 4.0])
+    assert norm(v) == norm(v) == 5.0 and len(calls) == 1
+    # a sampler hands over the norm it took of the same array
+    w = Vector._computed(np.array([3.0, 4.0]), FieldTag.REAL, 5.0)
+    assert norm(w) == 5.0 and len(calls) == 1
+
+
+def test_a_computed_coefficient_sequence_reads_finiteness_off_its_square_norm():
+    from ineq import CoefficientSequence
+
+    with np.errstate(over="ignore"):
+        big = CoefficientSequence._computed(np.array([1e200, 1e200]), FieldTag.REAL)
+        assert big.sq_norm == np.inf and big.norm == np.inf
+    for bad in (np.array([np.inf, 1.0]), np.array([np.nan + 0j]), np.array([1.0, -np.inf * 1j])):
+        field = FieldTag.COMPLEX if bad.dtype.kind == "c" else FieldTag.REAL
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            CoefficientSequence._computed(bad, field)
+    seq = CoefficientSequence._computed(np.array([3.0, 4.0]), FieldTag.REAL)
+    assert seq.norm == 5.0 and not seq.entries.flags.writeable
