@@ -23,7 +23,6 @@ additive chains above to each factor.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,13 +101,14 @@ def bessel_reverse_pair(
     gammas: CoefficientSequence,
     Gammas: CoefficientSequence,
 ) -> BesselReport:
-    """Defect bound sum|G_i-g_i|^2 / (4 sqrt(sum|G_i+g_i|^2)) under the family condition."""
-    diff_sq, summ_sq = _coefficient_pair(fam, gammas, Gammas)
+    """Defect bound ||G-g||^2 / (4 ||G+g||) under the family condition, formed as
+    ||G-g|| (||G-g|| / ||G+g||) so that no square leaves the range on its own."""
+    diff, summ = _coefficient_pair(fam, gammas, Gammas)
     check_same_space(x, fam.members[0])
-    report = _family_ball(x, fam, gammas, Gammas)
+    report = _family_ball(x, fam, gammas, Gammas, diff)
     nx = norm(x)
     cn = fourier_coefficients(x, fam).norm
-    ratio = diff_sq / summ_sq ** 0.5
+    ratio = diff * (diff / summ)
     bound = 0.25 * ratio
     chain = (0.0, nx * nx - cn * cn, 0.25 * ratio * (nx + cn), 0.5 * ratio * nx)
     additive = BoundChain(ADDITIVE_LABELS, chain, report)
@@ -174,19 +174,17 @@ def gruss_orthonormal_pair(
     phis_y: CoefficientSequence,
     Phis_y: CoefficientSequence,
 ) -> GrussReport:
-    """Family Gruss bounds under the two-sided sequence conditions for x and y."""
+    """Family Gruss bounds under the two-sided sequence conditions for x and y.
+
+    Their factor ||G-g|| ||P-p|| / (||G+g|| ||P+p||)^(1/2) is formed one pair at a time, as
+    `gruss_pair`'s is, so that no product of norms leaves the range on its own.
+    """
     diff_x, summ_x = _coefficient_pair(fam, gammas_x, Gammas_x)
     diff_y, summ_y = _coefficient_pair(fam, phis_y, Phis_y)
     check_same_space(x, fam.members[0])
-    rep_x = _family_ball(x, fam, gammas_x, Gammas_x)
+    rep_x = _family_ball(x, fam, gammas_x, Gammas_x, diff_x)
     check_same_space(y, fam.members[0])
-    rep_y = _family_ball(y, fam, phis_y, Phis_y)
+    rep_y = _family_ball(y, fam, phis_y, Phis_y, diff_y)
     gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
-    factor = _root_product(diff_x, diff_y, 0.5) / _root_product(summ_x, summ_y, 0.25)
+    factor = diff_x / summ_x ** 0.5 * (diff_y / summ_y ** 0.5)
     return _ordered_pair(gap, factor, nx, cnx, ny, cny, rep_x, rep_y)
-
-
-def _root_product(a: float, b: float, p: float) -> float:
-    """(a b)^p of positive sums; a^p b^p where a b under- or overflows the normal floats."""
-    ab = a * b
-    return ab ** p if sys.float_info.min <= ab <= sys.float_info.max else a ** p * b ** p

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .space import (
     _array_norm,
     _check_finite,
     _checked_norm,
+    _seq_norm,
     _synthesized,
     _vdot,
     check_same_space,
@@ -64,7 +64,8 @@ class ConditionForm(enum.Enum):
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of an admissibility check; holds iff -inf < margin >= -tol."""
+    """Outcome of an admissibility check; holds iff margin >= -tol, and an infinite tol
+    forgives no negative margin."""
 
     holds: bool
     margin: float
@@ -87,28 +88,16 @@ class SingleCondition:
 
 
 def _report(margin: float, form: ConditionForm, scale: float) -> ConditionReport:
-    # An overflowed scale makes tol inf; a margin of -inf still fails.
+    # A scale that overflowed is no scale: its tol forgives nothing.
     tol = BOUNDARY_REL * scale
-    return ConditionReport(margin >= -tol and margin != -math.inf, float(margin), form, tol)
+    return ConditionReport(margin >= (-tol if tol < math.inf else 0.0), float(margin), form, tol)
 
 
 def _ball(x: Vector, a: np.ndarray, na: float, r: float) -> ConditionReport:
     """Ball-form report of ||x - a|| <= r for the coordinates a of a center in x's space,
-    na = ||a||: margin r - ||x - a||, scale 1 + ||x|| + ||a|| + r.
-
-    Where the scale overflowed and decides (a finite negative margin), the norms whose
-    sums of squares overflowed are taken over their largest |entry| instead."""
+    na = ||a||: margin r - ||x - a||, scale 1 + ||x|| + ||a|| + r."""
     margin = r - _checked_norm(x.coords - a)
-    nx = norm(x)
-    scale = 1.0 + nx + na + r
-    if scale == math.inf and -math.inf < margin < 0:
-        scale = 1.0 + _finite_norm(x.coords, nx) + _finite_norm(a, na) + r
-    return _report(margin, ConditionForm.BALL, scale)
-
-
-def _finite_norm(v: np.ndarray, n: float) -> float:
-    """n = ||v||, or ||v|| over the largest |v_i| where n overflowed on v's finite entries."""
-    return n if n != math.inf else _over_top(v)
+    return _report(margin, ConditionForm.BALL, 1.0 + norm(x) + na + r)
 
 
 def _real_part(above: np.ndarray, below: np.ndarray) -> float:
@@ -126,15 +115,20 @@ def _pair_realpart(x: Vector, y: Vector, lo: Scalar, hi: Scalar) -> ConditionRep
     """`two_sided_realpart` for x, y known to share a space and (lo, hi) coerced to it."""
     xc, yc = x.coords, y.coords
     margin = _real_part(hi * yc - xc, xc - lo * yc)
-    scale = 1.0 + norm(x) ** 2 + abs(hi) ** 2 * norm(y) ** 2
+    nx, ny = norm(x), norm(y)
+    # squared by *: a square norm past the range is then inf, where ** would raise
+    scale = 1.0 + nx * nx + abs(hi) ** 2 * (ny * ny)
     return _report(margin, ConditionForm.REAL_PART, scale)
 
 
-def _degenerate(mass: float, diff: float, summ: float) -> bool:
-    """The pair rule: |hi - lo| or |hi + lo| is at most PAIR_DEGENERACY_REL * mass.  <=, not <:
-    a subnormal or zero pair's cutoff underflows to 0, and hi = +/- lo is still degenerate."""
-    cutoff = PAIR_DEGENERACY_REL * mass
-    return diff <= cutoff or summ <= cutoff
+def _degenerate(lo: float, hi: float, diff: float, summ: float) -> bool:
+    """The pair rule on magnitudes |lo|, |hi|, |hi - lo| and |hi + lo|: |hi -/+ lo| is at most
+    PAIR_DEGENERACY_REL * (|lo| + |hi|), a cutoff taken term by term so that it is finite
+    whenever |lo| and |hi| are.  <=, not <: a subnormal or zero pair's cutoff underflows to 0,
+    and hi = +/- lo is still degenerate.  A magnitude past the float max (inf) decides nothing;
+    the value it makes overflow names such a pair instead."""
+    cutoff = PAIR_DEGENERACY_REL * lo + PAIR_DEGENERACY_REL * hi
+    return cutoff < math.inf and (diff <= cutoff or summ <= cutoff)
 
 
 @dataclass(frozen=True)
@@ -165,8 +159,8 @@ class ScalarPair:
         return 0.5 * (complex(self.hi) + complex(self.lo))
 
     def is_degenerate(self) -> bool:
-        mass = abs(complex(self.lo)) + abs(complex(self.hi))
-        return _degenerate(mass, abs(self.diff), abs(self.summ))
+        lo, hi = abs(complex(self.lo)), abs(complex(self.hi))
+        return _degenerate(lo, hi, abs(self.diff), abs(self.summ))
 
     def require_nondegenerate(self) -> None:
         if self.is_degenerate():
@@ -212,46 +206,20 @@ def _family_pairs(
         raise FieldMismatchError("coefficient sequences must share the family's field")
 
 
-def _over_top(v: np.ndarray) -> float:
-    """||v|| over the largest |v_i|, finite where a plain sum of squares under- or overflows."""
-    top = np.abs(v).max(initial=0.0)
-    return float(top * np.linalg.norm(np.abs(v) / top)) if top else 0.0
-
-
-def _rss(v: np.ndarray, sq: float) -> float:
-    """sqrt(sq) of sq = sum|v_i|^2; where sq underflowed, ||v|| over the largest |v_i|."""
-    return _over_top(v) if sq < sys.float_info.min else math.sqrt(sq)
-
-
 def _coefficient_pair(
     fam: OrthonormalFamily, gammas: CoefficientSequence, Gammas: CoefficientSequence
 ) -> tuple[float, float]:
-    """(sum|G_i - g_i|^2, sum|G_i + g_i|^2) of a pair that fits `fam`, by `ScalarPair`'s rule on
-    root-sum-squares, taken over the largest |entry| where a square sum underflows.  A pair that
-    passes with a sum below the normal floats is rejected; past entries of about 1.3e154 the
-    capped mass rejects a pair whose difference or sum keeps a finite square as degenerate, and
-    a complex pair whose square sum overflowed into NaN is rejected by name."""
+    """(||Gamma - gamma||, ||Gamma + gamma||) of a pair that fits `fam`, rejected by `ScalarPair`'s
+    rule on the norms ||gamma||, ||Gamma|| and these two."""
     _family_pairs(fam, gammas, Gammas)
-    diff = Gammas.entries - gammas.entries
-    summ = Gammas.entries + gammas.entries
-    diff_sq = float(np.vdot(diff, diff).real)
-    summ_sq = float(np.vdot(summ, summ).real)
-    mass = _rss(Gammas.entries, Gammas.sq_norm) + _rss(gammas.entries, gammas.sq_norm)
-    roots = _rss(diff, diff_sq), _rss(summ, summ_sq)
-    if _degenerate(min(mass, sys.float_info.max), *roots):
+    diff = _seq_norm(Gammas.entries - gammas.entries)
+    summ = _seq_norm(Gammas.entries + gammas.entries)
+    if _degenerate(gammas.norm, Gammas.norm, diff, summ):
         raise DegeneratePairError(
             "coefficient sequences are degenerate: Gamma within relative "
             f"{PAIR_DEGENERACY_REL} of +/- gamma"
         )
-    if min(roots) > 0 and min(diff_sq, summ_sq) < sys.float_info.min:
-        raise PreconditionError(
-            f"coefficient sequences underflow: sum|Gamma -/+ gamma|^2 = {diff_sq!r}, {summ_sq!r}"
-        )
-    if diff_sq != diff_sq or summ_sq != summ_sq:  # a complex vdot past about 1e154
-        raise PreconditionError(
-            f"coefficient sequences overflow: sum|Gamma -/+ gamma|^2 = {diff_sq!r}, {summ_sq!r}"
-        )
-    return diff_sq, summ_sq
+    return diff, summ
 
 
 def family_two_sided(
@@ -263,7 +231,7 @@ def family_two_sided(
 ) -> ConditionReport:
     """Two-sided condition against a family: per-index pair (gamma_i, Gamma_i).
 
-    Ball form:      ||x - sum((gamma_i+Gamma_i)/2) e_i|| <= (sum|Gamma_i-gamma_i|^2)^(1/2) / 2
+    Ball form:      ||x - sum((gamma_i+Gamma_i)/2) e_i|| <= ||Gamma - gamma|| / 2
     Real-part form: Re< sum(Gamma_i e_i) - x, x - sum(gamma_i e_i) > >= 0
     """
     check_same_space(x, fam.members[0])
@@ -271,15 +239,19 @@ def family_two_sided(
     if ConditionForm(form) is ConditionForm.REAL_PART:
         upper, lower = _synthesized(Gammas, fam), _synthesized(gammas, fam)
         margin = _real_part(upper - x.coords, x.coords - lower)
-        return _report(margin, ConditionForm.REAL_PART, 1.0 + norm(x) ** 2 + Gammas.sq_norm)
-    return _family_ball(x, fam, gammas, Gammas)
+        nx, nG = norm(x), Gammas.norm
+        return _report(margin, ConditionForm.REAL_PART, 1.0 + nx * nx + nG * nG)
+    return _family_ball(x, fam, gammas, Gammas, _seq_norm(Gammas.entries - gammas.entries))
 
 
 def _family_ball(
-    x: Vector, fam: OrthonormalFamily, gammas: CoefficientSequence, Gammas: CoefficientSequence
+    x: Vector,
+    fam: OrthonormalFamily,
+    gammas: CoefficientSequence,
+    Gammas: CoefficientSequence,
+    diff: float,
 ) -> ConditionReport:
-    """Ball form of `family_two_sided`, with x and the pair already checked against `fam`."""
-    diff = Gammas.entries - gammas.entries
-    radius = 0.5 * float((diff * diff.conj()).real.sum()) ** 0.5
+    """Ball form of `family_two_sided`, with x and the pair already checked against `fam` and
+    diff = ||Gamma - gamma|| already taken."""
     center = (0.5 * (gammas.entries + Gammas.entries)) @ fam._matrix
-    return _ball(x, center, _array_norm(center), radius)
+    return _ball(x, center, _array_norm(center), 0.5 * diff)

@@ -12,6 +12,8 @@ asserted anywhere; none holds in general.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .conditions import (
@@ -195,13 +197,12 @@ def _multiplicative_bessel(
     fam: OrthonormalFamily,
     report: ConditionReport,
     weights: np.ndarray,
-    c: float,
     denom: float,
     chain_num: float,
     additive_num: float,
 ) -> BesselReport:
-    """||x||^2 <= c Re(m)^2/denom <= c|m|^2/denom <= c chain_num/denom sum|c_i|^2 and the additive
-    bound c additive_num/denom sum|c_i|^2, m = sum conj(w_i) c_i; c = 1.0 keeps the bits exactly."""
+    """||x||^2 <= Re(m)^2/denom <= |m|^2/denom <= chain_num/denom sum|c_i|^2 and the additive
+    bound additive_num/denom sum|c_i|^2, m = sum conj(w_i) c_i."""
     nx = norm(x)
     coeffs = fourier_coefficients(x, fam)
     cn = coeffs.norm
@@ -210,15 +211,15 @@ def _multiplicative_bessel(
         BESSEL_BALL_LABELS,
         (
             nx * nx,
-            c * mixed.real ** 2 / denom,
-            c * abs(mixed) ** 2 / denom,
-            c * chain_num / denom * cn * cn,
+            mixed.real ** 2 / denom,
+            abs(mixed) ** 2 / denom,
+            chain_num / denom * cn * cn,
         ),
         report,
     )
     additive = BoundChain(
         ADDITIVE_LABELS,
-        (0.0, nx * nx - cn * cn, c * additive_num / denom * cn * cn),
+        (0.0, nx * nx - cn * cn, additive_num / denom * cn * cn),
         report,
     )
     bound = chain.bound ** 0.5 - cn
@@ -241,7 +242,7 @@ def legacy_bessel_ball(
             f"need sum|lambda|^2 > r^2, got {lam.sq_norm} <= {r * r}"
         )
     report = _family_center_ball(x, fam, lam, r)
-    return _multiplicative_bessel(x, fam, report, lam.entries, 1.0, excess, lam.sq_norm, r * r)
+    return _multiplicative_bessel(x, fam, report, lam.entries, excess, lam.sq_norm, r * r)
 
 
 def legacy_bessel_pair(
@@ -250,14 +251,23 @@ def legacy_bessel_pair(
     gammas: CoefficientSequence,
     Gammas: CoefficientSequence,
 ) -> BesselReport:
-    """Multiplicative reverse Bessel chain with factor sum|G+g|^2 / (4 sum Re(G conj(g)))."""
-    diff_sq, summ_sq = _coefficient_pair(fam, gammas, Gammas)
-    re_sum = float(np.vdot(gammas.entries, Gammas.entries).real)
+    """Multiplicative reverse Bessel chain with factor sum|G+g|^2 / (4 sum Re(G conj(g))).
+
+    The factor and the weights G+g are taken over the pair scaled by 2^k ~ 1 / ||G+g||, which
+    is exact, so no pair quantity is squared past the range: the chain leaves it only where
+    ||x||^2 does.
+    """
+    diff, summ = _coefficient_pair(fam, gammas, Gammas)
+    k = -math.frexp(summ)[1]
+    g, G = (np.ldexp(seq.entries.view(np.float64), k) for seq in (gammas, Gammas))
+    re_sum = float(g.dot(G))  # 2^(2k) sum Re(G_i conj(g_i)), over the float views
     if not re_sum > 0:
         raise PreconditionError(
-            f"sum Re(Gamma_i * conj(gamma_i)) must be positive, got {re_sum}"
+            "sum Re(Gamma_i * conj(gamma_i)) must be positive, "
+            f"got {float(np.vdot(gammas.entries, Gammas.entries).real)}"
         )
     check_same_space(x, fam.members[0])
-    report = _family_ball(x, fam, gammas, Gammas)
-    weights = Gammas.entries + gammas.entries
-    return _multiplicative_bessel(x, fam, report, weights, 0.25, re_sum, summ_sq, diff_sq)
+    report = _family_ball(x, fam, gammas, Gammas, diff)
+    weights = (G + g).view(Gammas.entries.dtype)
+    d, s = math.ldexp(diff, k), math.ldexp(summ, k)
+    return _multiplicative_bessel(x, fam, report, weights, 4.0 * re_sum, s * s, d * d)

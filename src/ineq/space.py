@@ -23,12 +23,18 @@ finite only if every entry it read is, so `_check_finite` runs on the
 intermediate only when its reduction is not finite, and raises the same
 ValueError.  A vector's norm is computed once and kept (`norm`), which is
 safe because its coordinates are read-only.
+
+Every norm keeps to one float-range rule (`_root_of`): it is the square root
+of its sum of squares where that sum is a normal float, and a hypot of the
+entries elsewhere, so it is finite wherever its value is, from subnormal
+entries up to the float max.  No other module reads the float range.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Union
 
@@ -118,13 +124,27 @@ def _check_finite(arr: np.ndarray) -> None:
 def _array_norm(arr: np.ndarray) -> float:
     """Euclidean norm of a 1-D float64/complex128 array.
 
-    The same arithmetic as np.linalg.norm's fast path (so bit-identical to it)
-    without the wrapper's dispatch cost.
+    In range, the same arithmetic as np.linalg.norm's fast path (so bit-identical
+    to it) without the wrapper's dispatch cost; out of range, `_root_of`'s.
     """
     if arr.dtype.kind == "c":
         re, im = arr.real, arr.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(arr.dot(arr))
+        return _root_of(re.dot(re) + im.dot(im), arr)
+    return _root_of(arr.dot(arr), arr)
+
+
+#: The least norm whose square is a normal float, 2**-511.
+_ROOT_TINY = math.sqrt(sys.float_info.min)
+
+
+def _root_of(sq: float, arr: np.ndarray) -> float:
+    """||arr|| from sq = sum |arr_i|^2, by the one float-range rule for norms: sqrt(sq) where sq
+    is a normal finite float, and otherwise math.hypot over arr's float view, which is finite
+    from subnormal entries up to the float max and not finite on a NaN or infinite entry."""
+    n = math.sqrt(sq)
+    if _ROOT_TINY <= n < math.inf:
+        return n
+    return math.hypot(*np.ascontiguousarray(arr).view(np.float64).tolist())
 
 
 def _check_scalar(c: Scalar, tag: FieldTag) -> Scalar:
@@ -265,18 +285,18 @@ class CoefficientSequence:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.sq_norm)
+        return _root_of(self.sq_norm, self.entries)
 
 
 def _sq_sum(arr: np.ndarray) -> float:
-    """sum |arr_i|^2 by `np.vdot`; past about 1e154 a complex vdot gives NaN, and
-    Re.Re + Im.Im gives inf, as silently."""
-    sq = float(np.vdot(arr, arr).real)
-    if sq != sq:
-        re, im = arr.real, arr.imag
-        with np.errstate(over="ignore"):
-            sq = float(re.dot(re) + im.dot(im))
-    return sq
+    """sum |arr_i|^2 by `np.vdot`, a CoefficientSequence's `sq_norm`; NaN where a complex vdot
+    overflows, past about 1e154."""
+    return float(np.vdot(arr, arr).real)
+
+
+def _seq_norm(arr: np.ndarray) -> float:
+    """The norm `CoefficientSequence.norm` takes of entries arr, without building the sequence."""
+    return _root_of(_sq_sum(arr), arr)
 
 
 def coefficients(values, field: FieldTag | str | None = None) -> CoefficientSequence:

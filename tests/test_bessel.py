@@ -1,5 +1,7 @@
 """Coefficient-defect bounds against orthonormal families."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -22,6 +24,7 @@ from ineq import (
     vector,
 )
 from ineq.conditions import _coefficient_pair
+from ineq.gruss import GrussReport
 
 FAM3 = standard_basis(FieldTag.REAL, 3, 2)
 
@@ -207,22 +210,24 @@ def test_coefficient_pair_shapes_are_checked_before_degeneracy(op):
         _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), FAM3, g, G)
 
 
+@np.errstate(over="ignore")  # the square sums overflow on purpose
 def test_overflowing_coefficient_pair_is_not_degenerate():
-    # both squared sums and the mass overflow, yet G is 1e10 times g: not degenerate,
-    # as the scalar pair (1e150, 1e160) is not
+    # both square sums overflow, yet G is 1e10 times g: not degenerate, as the scalar
+    # pair (1e150, 1e160) is not, and the two norms are exact
     fam = standard_basis(FieldTag.REAL, 3, 1)
-    assert _coefficient_pair(fam, coefficients([1e150]), coefficients([1e160])) == (np.inf, np.inf)
-    with pytest.raises(DegeneratePairError):  # finite diff: within the capped cutoff
+    pair = _coefficient_pair(fam, coefficients([1e150]), coefficients([1e160]))
+    assert pair == (1e160 - 1e150, 1e160 + 1e150)
+    with pytest.raises(DegeneratePairError):  # G = g
         _coefficient_pair(fam, coefficients([1e160]), coefficients([1e160]))
 
 
-def test_coefficient_pair_past_the_square_range_is_rejected():
-    # the documented limit: |G+g|^2 and the mass overflow, |G-g|^2 = 1e308 does not, so the
-    # pair falls under the capped cutoff although the scalar pair is far from degenerate
+@np.errstate(over="ignore")
+def test_coefficient_pair_past_the_square_range_is_not_degenerate():
+    # |G+g|^2 = 9e308 overflows and |G-g|^2 = 1e308 does not: the pair is not degenerate,
+    # as the scalar pair is not, and its norms are exact
     fam = standard_basis(FieldTag.REAL, 3, 1)
     assert not ScalarPair(1e154, 2e154).is_degenerate()
-    with pytest.raises(DegeneratePairError, match="coefficient sequences are degenerate"):
-        _coefficient_pair(fam, coefficients([1e154]), coefficients([2e154]))
+    assert _coefficient_pair(fam, coefficients([1e154]), coefficients([2e154])) == (1e154, 3e154)
 
 
 _tiny = st.one_of(
@@ -251,27 +256,48 @@ def _coefficient_pairs(draw):
 def _accepts(fam, g, G):
     try:
         _coefficient_pair(fam, g, G)
-    except (DegeneratePairError, PreconditionError):  # degenerate, or its sums underflow
+    except DegeneratePairError:
         return False
     return True
 
 
+def _exact_square_sums(g, G):
+    """(sum|G_i - g_i|^2, sum|G_i + g_i|^2) of the entries, as exact Fractions."""
+    parts = [
+        (Fraction(a.real), Fraction(a.imag), Fraction(b.real), Fraction(b.imag))
+        for a, b in zip(map(complex, g.entries.tolist()), map(complex, G.entries.tolist()))
+    ]
+    diff = sum((B - A) ** 2 + (Bi - Ai) ** 2 for A, Ai, B, Bi in parts)
+    summ = sum((B + A) ** 2 + (Bi + Ai) ** 2 for A, Ai, B, Bi in parts)
+    return diff, summ
+
+
+#: An exact value at least this far above 0 does not round to 0 (2**-1074 is the least float).
+_ABOVE_UNDERFLOW = Fraction(2) ** -1060
+
+
 @given(_coefficient_pairs())
 def test_accepted_coefficient_pairs_never_divide_by_zero(case):
+    # no accepted pair, down to subnormal entries, divides by zero, and a bound is 0
+    # only where its exact value, a ratio of positive sums, underflows
     fam, (g, G, p, P) = case
     assume(_accepts(fam, g, G))
     x = vector(np.array([1e-160, -0.5, 2.0], dtype=fam.field.dtype))
     y = vector(np.array([0.25, 1e-300, -1.0], dtype=fam.field.dtype))
-    assert bessel_reverse_pair(x, fam, g, G).bound > 0
+    d, s = _exact_square_sums(g, G)
+    bound = bessel_reverse_pair(x, fam, g, G).bound  # d / (4 s^(1/2))
+    assert bound > 0 or d * d < 16 * s * _ABOVE_UNDERFLOW**2, (bound, d, s)
     try:
         legacy_bessel_pair(x, fam, g, G)
     except PreconditionError:  # sum Re(Gamma_i conj(gamma_i)) <= 0
         pass
     pairs = [(g, G, g, G)] + [(g, G, p, P)] * _accepts(fam, p, P)
     for pair in pairs:
-        # the factor is a ratio of positive sums, so no bound may come back as 0
+        # each bound is at least 1/8 of the factor (d_x d_y)^(1/2) / (s_x s_y)^(1/4)
         rep = gruss_orthonormal_pair(x, y, fam, *pair)
-        assert all(value > 0 for _, value in rep.bounds), rep.bounds
+        (dx, sx), (dy, sy) = _exact_square_sums(*pair[:2]), _exact_square_sums(*pair[2:])
+        above = dx * dx * dy * dy >= sx * sy * _ABOVE_UNDERFLOW**4
+        assert all(value > 0 or not above for _, value in rep.bounds), rep.bounds
 
 
 def test_gruss_factor_survives_an_underflowing_product():
@@ -284,14 +310,41 @@ def test_gruss_factor_survives_an_underflowing_product():
     assert rep.bounds[1][1] == pytest.approx(0.5e-100 * (nx * ny) ** 0.5, rel=1e-12)
 
 
+#: For x = (1, 0.5, 0.25), e_1 and gamma = [1e-160], Gamma = [3e-160] (||G-g|| = 2e-160,
+#: ||G+g|| = 4e-160), each operation's values and the exact values they stand for.  A Gruss
+#: operation pairs them with (1, 2) on the other side, whose factor is 3^(-1/2).
+_NX = 1.3125**0.5
+_SUBNORMAL_SUMS_EXPECTED = {
+    "bessel_reverse_pair": lambda rep: [
+        (rep.bound, 0.25 * 2e-160 * 0.5),
+        (rep.gap, _NX - 1.0),
+        (rep.margin, 1e-160 - _NX),
+    ],
+    # 4 sum Re(G conj(g)) / ||G+g||^2 = 3/4, so the chain is ||x||^2 <= 4/3 <= 4/3 <= 4/3
+    "legacy_bessel_pair": lambda rep: [
+        *zip(rep.chain.values, (1.3125, 4 / 3, 4 / 3, 4 / 3)),
+        *zip(rep.additive_chain.values[1:], (0.3125, 1 / 3)),
+        (rep.margin, 1e-160 - _NX),
+    ],
+    "gruss_orthonormal_pair (x pair)": lambda rep: [
+        (rep.bound_values[0], 0.25 * 1e-80 / 3**0.5 * (_NX + 1.0)),
+        (rep.bound_values[1], 0.5 * 1e-80 / 3**0.5 * _NX),
+    ],
+}
+_SUBNORMAL_SUMS_EXPECTED["gruss_orthonormal_pair (y pair)"] = _SUBNORMAL_SUMS_EXPECTED[
+    "gruss_orthonormal_pair (x pair)"
+]
+
+
 @pytest.mark.parametrize("op", sorted(_SEQUENCE_PAIR_OPS))
-def test_coefficient_pair_with_subnormal_sums_is_rejected(op):
-    # not degenerate, but sum|G-g|^2 = 4e-320 keeps a dozen bits: no bound is built on it
+def test_coefficient_pair_with_subnormal_sums_gives_accurate_values(op):
+    # not degenerate, and sum|G-g|^2 = 4e-320 would keep a dozen bits; the norms keep all 53
     fam = standard_basis(FieldTag.REAL, 3, 1)
     g, G = coefficients([1e-160]), coefficients([3e-160])
     assert not ScalarPair(1e-160, 3e-160).is_degenerate()
-    with pytest.raises(PreconditionError, match=r"^coefficient sequences underflow: .* = 4e-320, "):
-        _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), fam, g, G)
+    rep = _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), fam, g, G)
+    for value, exact in _SUBNORMAL_SUMS_EXPECTED[op](rep):
+        assert value == pytest.approx(exact, rel=1e-15)
 
 
 def test_an_overflowing_complex_pair_equal_to_itself_is_degenerate():
@@ -315,48 +368,85 @@ _COMPLEX_PAIR_OPS = {
 }
 
 
+def _reported_values(rep):
+    """Every value a report states: margin, gap, bound and both sides of each comparison."""
+    values = [rep.margin, rep.gap, rep.bound]
+    for _, lhs, _, rhs in rep.comparisons:
+        values += [lhs, rhs]
+    return values
+
+
 @pytest.mark.parametrize("op", sorted(_COMPLEX_PAIR_OPS))
-def test_a_complex_pair_whose_square_sums_overflow_into_nan_is_rejected(op):
-    # numpy's complex vdot overflows into NaN past about 1e154, so sum|G -/+ g|^2 were
-    # NaN, the pair passed the rule, and bessel_reverse_pair gave margin and bound NaN
+def test_a_complex_pair_whose_square_sums_overflow_into_nan_gives_finite_values(op):
+    # numpy's complex vdot overflows into NaN past about 1e154, so sum|G -/+ g|^2 were NaN;
+    # the norms ||G-g|| = 5^(1/2) 1e160 and ||G+g|| = 17^(1/2) 1e160 are not, and every
+    # value is finite where ||x||^2 = 5e280 is
     fam = standard_basis(FieldTag.COMPLEX, 1)
     g, G = coefficients([1e160 + 1e160j]), coefficients([3e160j])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        PreconditionError, match=r"^coefficient sequences overflow: sum\|Gamma -/\+ gamma\|\^2 = nan, nan$"
-    ):
-        _COMPLEX_PAIR_OPS[op](vector([1e159 + 2e159j]), fam, g, G)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = _COMPLEX_PAIR_OPS[op](vector([1e140 + 2e140j]), fam, g, G)
+    assert all(np.isfinite(_reported_values(rep))), _reported_values(rep)
+    # radius ||G-g|| / 2, and the center (0.5 + 2j) 1e160 lies 4.25^(1/2) 1e160 from x, to 1e-19
+    if isinstance(rep, GrussReport):
+        report = rep.admissibility[1 if op.endswith("(y pair)") else 0]
+    else:
+        report = rep.admissibility
+    assert report.margin == pytest.approx((0.5 * 5**0.5 - 4.25**0.5) * 1e160, rel=1e-14)
+    if op == "bessel_reverse_pair":
+        assert rep.bound == pytest.approx(0.25 * 5 / 17**0.5 * 1e160, rel=1e-15)
 
 
-def test_a_complex_pair_past_1e154_is_named_by_eval(tmp_path, capsys):
+def _eval_stderr(tmp_path, capsys, instance):
     import json
 
     from ineq.cli import main
 
-    doc = {"instances": [{
-        "theorem": "thm5.2", "field": "complex", "x": [{"re": 1e159, "im": 2e159}], "size": 1,
-        "gammas": [{"re": 1e160, "im": 1e160}], "Gammas": [{"re": 0.0, "im": 3e160}],
-    }]}
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["eval", "--input", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "ineq: instance 0: coefficient sequences overflow: sum|Gamma -/+ gamma|^2 = nan, nan\n"
+    path.write_text(json.dumps({"instances": [instance]}), encoding="utf-8")
+    rc = main(["eval", "--input", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def test_a_complex_pair_past_1e154_is_named_by_eval(tmp_path, capsys):
+    pair = {"gammas": [{"re": 1e160, "im": 1e160}], "Gammas": [{"re": 0.0, "im": 3e160}]}
+    inst = {"theorem": "thm5.2", "field": "complex", "size": 1, **pair}
+    # where ||x||^2 is in range, the pair's report is finite and held
+    assert _eval_stderr(tmp_path, capsys, dict(inst, x=[{"re": 1e140, "im": 2e140}])) == (0, "")
+    # past it, what overflows is ||x||^2 - sum|<x,e_i>|^2, and eval names it
+    assert _eval_stderr(tmp_path, capsys, dict(inst, x=[{"re": 1e159, "im": 2e159}])) == (
+        2, "ineq: instance 0: thm5.2 residual_sq is nan; the inputs leave double precision\n"
+    )
+
+
+@np.errstate(over="ignore")
+def test_a_real_pair_whose_square_sums_overflow_gives_a_finite_bessel_bound(tmp_path, capsys):
+    # sum|G-g|^2 = 4e320 and sum|G+g|^2 = 1.6e321 both overflowed, and margin, gap and
+    # bound were NaN; in norms the bound is 0.25 (2e160)^2 / 4e160 = 2.5e159
+    fam = standard_basis(FieldTag.REAL, 1)
+    g, G = coefficients([1e160]), coefficients([3e160])
+    rep = bessel_reverse_pair(vector([1e159]), fam, g, G)
+    assert rep.bound == pytest.approx(2.5e159, rel=1e-15)
+    assert rep.gap == 0.0
+    assert rep.margin == pytest.approx(1e160 - 1.9e160, rel=1e-15)
+    # what is left out of range is ||x||^2 = 1e318 in the squared chains, and eval says so:
+    # thm5.2 names residual_sq, and legacy1.20's Re(m)^2 overflows as legacy1.18's does
+    inst = {"field": "real", "x": [1e159], "size": 1, "gammas": [1e160], "Gammas": [3e160]}
+    assert _eval_stderr(tmp_path, capsys, dict(inst, theorem="thm5.2")) == (
+        2, "ineq: instance 0: thm5.2 residual_sq is nan; the inputs leave double precision\n"
+    )
+    assert _eval_stderr(tmp_path, capsys, dict(inst, theorem="legacy1.20")) == (
+        2,
+        "ineq: instance 0: legacy1.20 (34, 'Numerical result out of range'); "
+        "the inputs leave double precision\n",
     )
 
 
 def test_overflowing_pair_products_keep_the_gruss_factor_finite():
-    # sum|G - g|^2 = 4e200 for both pairs: the product of the two sums
-    # overflows, and the factor is the split (4e200)^(1/2) (4e200)^(1/2) over
-    # (1.6e201)^(1/4) (1.6e201)^(1/4), i.e. 1e100
-    from ineq.bessel import _root_product
-
-    factor = _root_product(4e200, 4e200, 0.5) / _root_product(1.6e201, 1.6e201, 0.25)
-    assert factor == pytest.approx(1e100, rel=1e-12)
+    # sum|G - g|^2 = 4e200 for both pairs: the product of the two sums overflowed; one
+    # pair at a time the factor is (2e100 / (4e100)^(1/2))^2 = 1e100, and with
+    # ||x|| = ||y|| = |<x,e>| = |<y,e>| = 2e100 both bounds are 1e200
     fam = standard_basis(FieldTag.REAL, 1)
     g, G = coefficients([1e100]), coefficients([3e100])
     rep = gruss_orthonormal_pair(vector([2e100]), vector([2e100]), fam, g, G, g, G)
     assert rep.admissible
-    assert all(np.isfinite(bound) for _, bound in rep.bounds)
-    # in range, the product is taken whole, as before
-    assert _root_product(2.0, 8.0, 0.5) == 16.0 ** 0.5
-    assert _root_product(3e100, 5e100, 0.25) == (3e100 * 5e100) ** 0.25
+    assert rep.bound_values == pytest.approx((1e200, 1e200), rel=1e-14)

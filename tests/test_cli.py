@@ -242,11 +242,11 @@ def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, m
 #: [--adversarial]`.  A change that alters these bytes on purpose updates them
 #: and says why in CHANGES.md.
 VERIFY_SHA256 = {
-    (0, False): "e5750238d75bcab60ab30548ca0b07cf59fee3c2b8cab57eaa62444e0d7de9be",
+    (0, False): "3b4a0b42870c1539e598a79781631ecf1912fdf187b2a9681b52e48e7bc48a00",
     (0, True): "15c8153514601268e7dff0c8ed0b6e9efe8b3f50a9114ff596cf0c2848e6cd7b",
-    (1, False): "fb0812fcdc40db530c2d22293d138edd288b5324c1bed7c68666b8a3fef67ad6",
+    (1, False): "06af4454e585198d68d0c27c324dc13293b201b13c797a9c0338275b7a718e8c",
     (1, True): "1d3d0362d2fbd2238048ddf83fe74e4acf71b99e21151f296889e88abeec0fee",
-    (7, False): "5725dd31768cd924cfad1a877eb55fc911e203f8355814ad17e1da15b5d9cc47",
+    (7, False): "69963ae9eb407542c2d6521d3219ec7692f259560544e7f3de48bcf91293815e",
     (7, True): "7d009877751dfdae23e2136385a475da8aed433d7bbe45ff85ad74f435cd5ed2",
 }
 
@@ -308,8 +308,8 @@ def _sampled_document() -> dict:
 #: sha256 of the `ineq eval --output FILE [--format csv]` file written for
 #: `_sampled_document()`.
 EVAL_RECORDS_SHA256 = {
-    "json": "34625c9f0fdc0c52d1ba69a21b05097c40375a3027acf7e022408725231ab7b3",
-    "csv": "11021db345479d0e4e8ac2a0c4588de56c3bc5139e11970f6ae0e03e398fc1f9",
+    "json": "b6b12ad17dd585020ce135ffbf556156971a0de8b01e187537a90300e8ad5d36",
+    "csv": "dbd7800cdc2abf3d732f128afa87fd453d01d02b02b6f8836c141fe739828e82",
 }
 
 
@@ -670,3 +670,71 @@ def test_eval_float_overflow_names_the_theorem(tmp_path, capsys, instance):
         f"ineq: instance 0: {instance['theorem']} (34, 'Numerical result out of range'); "
         "the inputs leave double precision\n"
     )
+
+
+#: Each id's scalar pairs and coefficient-sequence pairs, as (lo key, hi key) and (key, key).
+_EDGE_PAIR_KEYS = ("pair", "pair_x", "pair_y")
+_EDGE_SEQ_PAIRS = (("gammas", "Gammas"), ("gammas_x", "Gammas_x"), ("phis_y", "Phis_y"), ("m", "M"))
+#: Keys an instance document holds that are not values of the instance.
+_EDGE_KEPT = ("theorem", "field", "seed", "size", "domain")
+
+
+def _edge_scaled(value, scale):
+    """An encoded value with every number in it, complex parts too, times scale."""
+    if isinstance(value, dict):
+        return {k: _edge_scaled(v, scale) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_edge_scaled(v, scale) for v in value]
+    return value * scale
+
+
+def _edge_tied(inst, sign):
+    """inst with hi = sign * lo in each of its scalar and sequence pairs."""
+    tied = dict(inst)
+    for key in _EDGE_PAIR_KEYS:
+        if key in tied:
+            tied[key] = {"lo": tied[key]["lo"], "hi": _edge_scaled(tied[key]["lo"], sign)}
+    for lo_key, hi_key in _EDGE_SEQ_PAIRS:
+        if lo_key in tied:
+            tied[hi_key] = _edge_scaled(tied[lo_key], sign)
+    return tied
+
+
+def _edge_cases():
+    """One-instance documents at the edges of the float range: for every id, dims 1-3 and
+    each of its fields, a sampled instance with its values scaled by 1e-320, 1e-160, 1e160
+    and 1e308, as it is and with hi = lo and hi = -lo in each of its pairs."""
+    cases = []
+    for tid in THEOREM_IDS:
+        fields = ("real",) if tid in harness.REAL_ONLY_IDS else ("real", "complex")
+        for dim, field in [(dim, field) for dim in (1, 2, 3) for field in fields]:
+            inst = sample_admissible(tid, field, dim, seed=7, index=dim)
+            for scale in (1e-320, 1e-160, 1e160, 1e308):
+                scaled = {
+                    k: v if k in _EDGE_KEPT else _edge_scaled(v, scale) for k, v in inst.items()
+                }
+                name = f"{tid}-{field}-{dim}-x{scale:g}"
+                cases.append((name, scaled))
+                for sign in (1.0, -1.0):
+                    tied = _edge_tied(scaled, sign)
+                    if tied != scaled:
+                        cases.append((f"{name}-hi={sign:+g}lo", tied))
+    return cases
+
+
+def test_eval_keeps_its_exit_contract_at_the_edges_of_the_float_range(tmp_path, capsys):
+    # exit 0, 1 or 2, never a traceback, and at most one line on stderr; numpy's warnings
+    # are errors here, so a warning eval would print fails too
+    src = tmp_path / "in.json"
+    broken = []
+    for name, inst in _edge_cases():
+        src.write_text(json.dumps({"instances": [inst]}), encoding="utf-8")
+        try:
+            rc = main(["eval", "--input", str(src)])
+        except Exception as exc:  # any exception that escapes main is the failure looked for
+            broken.append((name, repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        if rc not in (0, 1, 2) or err.count("\n") > 1 or "Traceback" in err:
+            broken.append((name, rc, err))
+    assert broken == []

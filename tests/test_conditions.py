@@ -1,6 +1,7 @@
 """Admissibility conditions: ball and real-part forms, degeneracy guards."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -144,8 +145,18 @@ def test_subnormal_pair_far_from_degenerate_is_not():
     assert not ScalarPair(5e-324, 1e-320).is_degenerate()
 
 
-_magnitude = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
-_scalar = st.one_of(_magnitude, st.builds(complex, _magnitude, _magnitude))
+def _magnitudes(top: int):
+    """Zero, and floats from 1e-320 to 10**top of either sign, spread evenly over the exponents."""
+    return st.one_of(
+        st.just(0.0),
+        st.builds(lambda m, e, sign: sign * m * 10.0**e,
+                  st.floats(1.0, 10.0), st.integers(-320, top - 1), st.sampled_from([1.0, -1.0])),
+    )
+
+
+# A complex part stops at 1e307: Python's abs of a complex whose modulus passes the float
+# max raises OverflowError, so ScalarPair has no verdict there.
+_scalar = st.one_of(_magnitudes(308), st.builds(complex, _magnitudes(307), _magnitudes(307)))
 
 
 @st.composite
@@ -158,19 +169,23 @@ def _scalar_pairs(draw):
 
 @given(_scalar_pairs())
 @example((1e-150, 1.0000000000015948e-150))  # |hi - lo|^2 is subnormal: 2.5e-324 rounds to 5e-324
+@example((1e154, 2e154))  # |hi + lo|^2 overflows and |hi - lo|^2 does not
+@example((1e308, 1.5e308))  # |lo| + |hi| overflows
 def test_scalar_and_coefficient_pairs_share_one_degeneracy_rule(pair):
+    # real pairs agree exactly; a complex magnitude is a hypot for the scalar pair and
+    # sqrt(re^2 + im^2) for the sequence, which may differ by an ulp at the cutoff
     lo, hi = pair
-    cutoff = conditions.PAIR_DEGENERACY_REL * (abs(lo) + abs(hi))
-    # within a few ulps of the cutoff, squared norms may round the other way
-    assume(all(cutoff == 0 or abs(abs(d) - cutoff) > 1e-14 * cutoff for d in (hi - lo, hi + lo)))
     tag = FieldTag.COMPLEX if complex in (type(lo), type(hi)) else FieldTag.REAL
+    if tag is FieldTag.COMPLEX:
+        rel = conditions.PAIR_DEGENERACY_REL
+        cutoff = rel * abs(lo) + rel * abs(hi)
+        assume(all(abs(abs(d) - cutoff) > math.ulp(cutoff) for d in (hi - lo, hi + lo)))
     fam = standard_basis(tag, 1)
     try:
-        conditions._coefficient_pair(fam, coefficients([lo], tag), coefficients([hi], tag))
+        with np.errstate(over="ignore"):  # hi -/+ lo and the square sums may overflow
+            conditions._coefficient_pair(fam, coefficients([lo], tag), coefficients([hi], tag))
     except DegeneratePairError:
         degenerate = True
-    except PreconditionError:  # past the rule, but its squared sums underflow
-        degenerate = False
     else:
         degenerate = False
     assert ScalarPair(lo, hi).is_degenerate() is degenerate
@@ -193,6 +208,27 @@ def _applies_the_pair_rule(node: ast.AST) -> bool:
     return False
 
 
+def _reads_the_float_range(node: ast.AST) -> bool:
+    """Whether node reads sys.float_info or calls math.hypot (or imports either by name)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("float_info", "hypot")
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in ("float_info", "hypot") for alias in node.names)
+    return False
+
+
+def test_only_space_knows_the_float_range():
+    package = Path(conditions.__file__).parent
+    offenders = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        if path.name != "space.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reads_the_float_range(node)
+    )
+    assert offenders == []
+
+
 def test_only_conditions_applies_the_pair_degeneracy_rule():
     package = Path(conditions.__file__).parent
     offenders = sorted(
@@ -205,25 +241,69 @@ def test_only_conditions_applies_the_pair_degeneracy_rule():
     assert offenders == []
 
 
-@np.errstate(over="ignore")  # the norms overflow on purpose
+@np.errstate(over="ignore")  # the square sums overflow on purpose
 def test_infinite_distance_fails_even_when_tol_overflows():
-    # ||x - c|| overflows to inf, so the margin is -inf; the scale overflows too, and
-    # tol = inf once let -inf >= -inf hold
+    # entries past 1.3e154 once made norms, and so margins and tol, overflow; the norms
+    # are finite now, and so are margin and tol, which rejects the far point
     far, lam = vector([0.0]), ScalarPair(0.5e10, 1.5e10)
-    assert not two_sided_ball(far, vector([1e150]), lam).holds  # mid*y = 1e160
-    assert not in_closed_ball(vector([1e160]), vector([-1e160]), 1.0).holds
+    rep = two_sided_ball(far, vector([1e150]), lam)  # mid*y = 1e160, radius 0.5e160
+    assert not rep.holds and rep.margin == -0.5e160 and rep.tol == pytest.approx(1.5e151)
+    rep = in_closed_ball(vector([1e160]), vector([-1e160]), 1.0)
+    assert not rep.holds and rep.margin == 1.0 - 2e160 and rep.tol == pytest.approx(2e151)
     fam = standard_basis(FieldTag.REAL, 1)
     rep = family_two_sided(vector([-1e160]), fam, coefficients([1e150]), coefficients([3e150]))
-    assert rep.margin == -np.inf and rep.tol == np.inf and not rep.holds
-    # a finite margin inside an overflowed scale still holds
+    assert not rep.holds and rep.margin == pytest.approx(-1e160) and rep.tol == pytest.approx(1e151)
     near = in_closed_ball(vector([1e160]), vector([1e160]), 1.0)
-    assert near.holds and near.margin == 1.0 and near.tol == np.inf
+    assert near.holds and near.margin == 1.0 and near.tol == pytest.approx(2e151)
+    # a distance past the float max is inf, so the margin is -inf, and the scale
+    # 1 + ||x|| + ||c|| + r overflows too: tol = inf once let -inf >= -inf hold
+    big = vector([1.5e308, 1.5e308])  # ||big|| = 2.1e308 is not a float
+    reports = [
+        in_closed_ball(big, vector([-1e307, -1e307]), 1.0),
+        two_sided_ball(vector([-0.7e308, -0.7e308]), vector([1e308, 1e308]), ScalarPair(0.5, 1.5)),
+        family_two_sided(
+            vector([-0.85e308, -0.85e308]), standard_basis(FieldTag.REAL, 2),
+            coefficients([0.9e308, 0.9e308]), coefficients([0.8e308, 0.8e308]),
+        ),
+    ]
+    for rep in reports:
+        assert rep.margin == -np.inf and rep.tol == np.inf and not rep.holds
+    # an overflowed scale forgives no finite negative margin (tol = inf once let -1e307
+    # hold), and a nonnegative margin still holds
+    rep = in_closed_ball(big, vector([1.5e308, 1.4e308]), 1.0)
+    assert rep.margin == pytest.approx(-1e307) and rep.tol == np.inf and not rep.holds
+    rep = in_closed_ball(big, big, 1.0)
+    assert rep.margin == 1.0 and rep.tol == np.inf and rep.holds
 
 
-@np.errstate(over="ignore")  # the scale's norms overflow on purpose
+@np.errstate(over="ignore")  # the square sums overflow on purpose; the norms do not
+def test_a_ball_whose_radius_and_distance_pass_the_square_range_is_exact():
+    # mid = 1, radius 0.5 |3 - (-1)| 1e160 = 2e160 and ||x - mid*y|| = 2e160: both norms
+    # overflowed to inf, and the margin inf - inf was NaN
+    rep = two_sided_ball(vector([-1e160]), vector([1e160]), ScalarPair(-1.0, 3.0))
+    assert rep.margin == 0.0 and rep.holds
+
+
+@np.errstate(over="ignore")
+def test_a_real_part_scale_past_the_square_range_is_inf_not_a_raise():
+    # ||x|| = 1e160 is finite now; squared with ** it would raise OverflowError
+    rep = two_sided_realpart(vector([1e160]), vector([1.0]), ScalarPair(1.0, 2.0))
+    assert rep.margin == -np.inf and rep.tol == np.inf and not rep.holds
+    fam = standard_basis(FieldTag.REAL, 1)
+    rep = family_two_sided(
+        vector([1e160]), fam, coefficients([1.0]), coefficients([2.0]), ConditionForm.REAL_PART
+    )
+    assert rep.margin == -np.inf and rep.tol == np.inf and not rep.holds
+    rep = family_two_sided(
+        vector([1.5]), fam, coefficients([1.0]), coefficients([1e160]), ConditionForm.REAL_PART
+    )
+    assert rep.margin == pytest.approx(0.5 * 1e160) and rep.tol == np.inf and rep.holds
+
+
+@np.errstate(over="ignore")  # the scale's square sums overflow on purpose
 def test_an_overflowed_scale_does_not_forgive_a_finite_negative_margin():
     # ||x||^2 = 1e310 overflows, so the scale, and tol with it, was inf and
-    # a margin of -1e154 held; over the largest entry the scale is 1.9e155
+    # a margin of -1e154 held; with range-safe norms the scale is 1.9e155
     rep = in_closed_ball(vector([1e155]), vector([9e154]), 1.0)
     assert not rep.holds
     assert rep.tol == pytest.approx(1e-9 * 1.9e155, rel=1e-12)

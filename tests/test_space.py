@@ -1,5 +1,7 @@
 """Vector substrate: inner products, families, analysis/synthesis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -125,14 +127,18 @@ def test_arithmetic_overflow_rejected():
         )
     )
 )
-def test_norm_is_bit_identical_to_numpy(parts):
+def test_norm_is_bit_identical_to_numpy_in_range(parts):
+    # numpy's bits wherever its square sum is a normal float; elsewhere a hypot over the
+    # float view, finite up to the float max
     re, im, is_complex = parts
     if is_complex:
         v = vector([complex(a, b) for a, b in zip(re, im)], FieldTag.COMPLEX)
     else:
         v = vector(re, FieldTag.REAL)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         expected = float(np.linalg.norm(v.coords))
+        if not 2.0**-511 <= expected < np.inf:
+            expected = math.hypot(*v.coords.view(np.float64).tolist())
         assert norm(v) == expected
 
 
@@ -301,19 +307,30 @@ def test_standard_basis_is_shared_and_its_cache_bounded(monkeypatch):
         )
     )
 )
-def test_sq_norm_is_vdot_or_overflows_to_inf(parts):
-    # numpy's complex vdot overflows into NaN; sq_norm keeps vdot's bits
-    # wherever they are finite, and is inf where the sum overflows
+def test_sq_norm_is_vdot_and_norm_is_its_root_in_range(parts):
+    # sq_norm keeps vdot's bits, NaN too (numpy's complex vdot overflows into NaN); norm is
+    # its square root where that is a normal float, and a hypot over the float view elsewhere
     seq = coefficients([complex(a, b) for a, b in zip(*parts)], FieldTag.COMPLEX)
     real = coefficients(parts[0], FieldTag.REAL)
-    expected = float(np.vdot(seq.entries, seq.entries).real)
-    assert seq.sq_norm == expected if np.isfinite(expected) else seq.sq_norm == np.inf
-    assert real.sq_norm == float(np.vdot(real.entries, real.entries))
+    for s in (seq, real):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            sq = float(np.vdot(s.entries, s.entries).real)
+        assert s.sq_norm == sq or s.sq_norm != s.sq_norm and sq != sq
+        root = math.sqrt(sq)
+        if not 2.0**-511 <= root < np.inf:
+            root = math.hypot(*s.entries.view(np.float64).tolist())
+        assert s.norm == root
 
 
-def test_complex_sq_norm_past_1e154_is_inf_not_nan():
-    assert coefficients([1e160 + 1e160j]).sq_norm == np.inf
-    assert coefficients([1e160j, 0.5]).norm == np.inf
+def test_norms_past_the_square_range_are_finite_and_exact():
+    # the squares overflow (or a complex vdot overflows into NaN) or underflow; the norms do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert coefficients([1e160 + 1e160j]).norm == math.hypot(1e160, 1e160)
+        assert coefficients([1e160j, 0.5]).norm == 1e160
+        assert norm(vector([3 * 2.0**600, 4 * 2.0**600])) == 5 * 2.0**600
+    assert coefficients([3 * 2.0**-600, -4 * 2.0**-600]).norm == 5 * 2.0**-600
+    assert norm(vector([3j * 2.0**-600, 4 * 2.0**-600])) == 5 * 2.0**-600
+    assert norm(vector([5e-324])) == 5e-324
 
 
 # Evaluators read finiteness off the reduction that consumes an intermediate:
@@ -352,11 +369,14 @@ def test_a_reduction_that_reads_a_non_finite_entry_is_not_finite(case):
 
 
 @np.errstate(over="ignore")
-def test_a_checked_norm_that_overflows_on_finite_entries_is_inf():
+def test_a_checked_norm_of_finite_entries_is_inf_only_past_the_float_max():
     from ineq.space import _checked_norm
 
-    assert _checked_norm(np.array([1e200, 1e200])) == np.inf
-    assert _checked_norm(np.array([1e200 + 1e200j])) == np.inf
+    assert _checked_norm(np.array([1e200, 1e200])) == math.hypot(1e200, 1e200)
+    assert _checked_norm(np.array([1e200 + 1e200j])) == math.hypot(1e200, 1e200)
+    # 2.1e308 is not a float: inf, and no ValueError, since every entry is finite
+    assert _checked_norm(np.array([1.5e308, 1.5e308])) == np.inf
+    assert _checked_norm(np.array([1.5e308 + 1.5e308j])) == np.inf
 
 
 def test_a_vector_norm_is_computed_once(monkeypatch):
@@ -377,7 +397,7 @@ def test_a_computed_coefficient_sequence_reads_finiteness_off_its_square_norm():
 
     with np.errstate(over="ignore"):
         big = CoefficientSequence._computed(np.array([1e200, 1e200]), FieldTag.REAL)
-        assert big.sq_norm == np.inf and big.norm == np.inf
+        assert big.sq_norm == np.inf and big.norm == math.hypot(1e200, 1e200)
     for bad in (np.array([np.inf, 1.0]), np.array([np.nan + 0j]), np.array([1.0, -np.inf * 1j])):
         field = FieldTag.COMPLEX if bad.dtype.kind == "c" else FieldTag.REAL
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
