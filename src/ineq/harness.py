@@ -90,12 +90,14 @@ record's "passed", its per-comparison booleans and the per-theorem and
 aggregate counts.  A record or a per-theorem entry thus means the same in
 both reports.  A kept record is rendered where it is counted, once, by
 `_record_text`: a forked child sends its slice's records as one JSON text,
-`SuiteReport.to_json` splices the texts in after the rendered head, and
-`SuiteReport.records` is a parsed view of them.
+`SuiteReport.to_json` splices the texts in after the head, which is all that
+`render_json` writes of a report, and `SuiteReport.records` is a parsed view
+of them.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -158,6 +160,7 @@ from .space import (
     FieldTag,
     OrthonormalFamily,
     Vector,
+    _BoundedCache,
     _array_norm,
     coefficients,
     standard_basis,
@@ -184,9 +187,6 @@ class InstanceResult:
     gap: float
     bound: float
     comparisons: tuple[tuple[str, float, str, float], ...]
-
-    def passed(self, tol: float = CHAIN_REL_TOL) -> bool:
-        return all(leq_with_slack(lhs, rhs, tol) for _, lhs, _, rhs in self.comparisons)
 
 
 @dataclass(frozen=True)
@@ -492,12 +492,20 @@ def _dec_scalar(v):
         ) from None
 
 
+def _finite(v, what: str = "number"):
+    """v, a decoded real or complex parameter, unless it is NaN or infinite."""
+    if cmath.isfinite(v):
+        return v
+    raise InputFormatError(f"expected a finite {what}, got {_brief(v)}")
+
+
 def _dec_pair(obj) -> ScalarPair:
     if isinstance(obj, ScalarPair):
         return obj
     if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
         raise InputFormatError(f"expected {{'lo','hi'}}, got {_brief(obj)}")
-    return ScalarPair(_dec_scalar(obj["lo"]), _dec_scalar(obj["hi"]))
+    lo, hi = _dec_scalar(obj["lo"]), _dec_scalar(obj["hi"])
+    return ScalarPair(_finite(lo, "'lo'"), _finite(hi, "'hi'"))
 
 
 def _dec_coords(obj: list, field: FieldTag):
@@ -538,25 +546,8 @@ _MAX_FAMILY_COORDS = 2**18
 _DOMAIN_CACHE_NODES = 2**21
 
 
-class _DomainCache(dict):
-    """Domains by decode key, evicted oldest-first above _DOMAIN_CACHE_NODES nodes."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nodes = 0
-
-    def add(self, key, dom: WeightedDomain) -> None:
-        self[key] = dom
-        self.nodes += dom.size
-        while self.nodes > _DOMAIN_CACHE_NODES:
-            self.nodes -= self.pop(next(iter(self))).size
-
-    def clear(self) -> None:
-        super().clear()
-        self.nodes = 0
-
-
-_DOMAIN_CACHE = _DomainCache()
+#: Domains by decode key, bounded by their node count.
+_DOMAIN_CACHE = _BoundedCache(_DOMAIN_CACHE_NODES, lambda dom: dom.size)
 
 DEFAULT_DOMAIN_SPEC = {
     "interval": [0.0, 1.0],
@@ -884,7 +875,7 @@ class _Decoding:
         return _dec_pair(obj)
 
     def real(self, obj) -> float:
-        return _dec_real(obj)
+        return _finite(_dec_real(obj))
 
     def count(self, obj) -> OrthonormalFamily:
         size = _dec_count(obj)
@@ -1157,16 +1148,11 @@ _RECORD_SEP = ",\n    "
 _COMPARISON_SEP = ",\n        "
 
 
-def _record_template(slots) -> str:
-    """A record's text at the records indent of a report, with `slots` for its values."""
-    lines = [
-        f"\n      {encode_basestring_ascii(key)}: {slot}" for key, slot in zip(_RECORD_KEYS, slots)
-    ]
-    return "{" + ",".join(lines) + "\n    }"
-
-
-_RECORD = _record_template(["%s"] * len(_RECORD_KEYS))
-_PLAIN_RECORD_TEXT = _record_template([_SLOTS[t] for t in _PLAIN_RECORD] + ["%s"])
+#: A plain record's text at the records indent of a report, its comparisons one "%s".
+_PLAIN_RECORD_TEXT = "{%s\n    }" % ",".join(
+    f"\n      {encode_basestring_ascii(key)}: {slot}"
+    for key, slot in zip(_RECORD_KEYS, [_SLOTS[t] for t in _PLAIN_RECORD] + ["%s"])
+)
 #: A plain comparison's text at its indent in a record.
 _PLAIN_COMPARISON_TEXT = "[%s\n        ]" % ",".join(
     f"\n          {_SLOTS[t]}" for t in _PLAIN_COMPARISON
@@ -1183,8 +1169,8 @@ def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> s
     Byte for byte what `render_json` writes for the record's dict there, and
     raising what it raises: a non-finite number is a ValueError, an
     unrenderable value a TypeError.  A record of plain types and finite
-    numbers is formatted in one step; any other takes `render_json`'s walk
-    value by value.
+    numbers is formatted in one step; any other is the record's dict through
+    `render_json`'s walk.
     """
     margin, gap, bound = result.margin, result.gap, result.bound
     try:
@@ -1218,15 +1204,8 @@ def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> s
                     BOOL_TEXT[result.admissible], margin, gap, bound, slack, BOOL_TEXT[ok],
                     _comparisons_text(texts),
                 )
-    texts = [_value_text(v, "\n      ") for v in values]  # in document order, as render_json
-    texts.append(_comparisons_text([_value_text(list(c), "\n        ") for c in comparisons]))
-    return _RECORD % tuple(texts)
-
-
-def _value_text(value, pad: str) -> str:
-    """`render_json`'s text of `value` on a line that starts with `pad`."""
     out: list = []
-    _emit(value, out, pad)
+    _emit(dict(zip(_RECORD_KEYS, values + (comparisons,))), out, "\n    ")
     return "".join(out)
 
 

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .gruss import GrussReport
 from .schwarz import BoundChain, _ball_chain, _pair_chain
-from .space import FieldTag, Scalar, Vector, _as_coords, _computed_coords
+from .space import FieldTag, Scalar, Vector, _as_coords, _computed_coords, _field_for
 from .triangle import TriangleDefect, _clamped_defect, _range_bound, _require_range
 
 #: Quadrature weights must sum to 1 within this, matching the unit-mass hypothesis.
@@ -134,11 +134,7 @@ class WeightedDomain:
         arr = np.asarray(values)
         if arr.ndim == 0:
             arr = np.full(self.size, arr[()])
-        if field is None:
-            tag = FieldTag.COMPLEX if np.iscomplexobj(arr) else FieldTag.REAL
-        else:
-            tag = FieldTag.parse(field)
-        f = DiscretizedFunction(arr, tag)
+        f = DiscretizedFunction(arr, _field_for(arr, field))
         if len(f) != self.size:
             raise DimensionMismatchError(f"{len(f)} values for {self.size} nodes")
         return f

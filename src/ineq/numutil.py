@@ -2,7 +2,9 @@
 
 `render_json` writes the one report format: two-space indentation, keys in
 insertion order, ASCII-escaped strings, numeric lists on one line and every
-float with 17 significant digits.
+float with 17 significant digits.  It renders report heads and sharpness
+sweeps.  A report's records are written by `harness._record_text`, which
+calls `_emit` only for a record its printf template cannot write.
 """
 
 from __future__ import annotations
@@ -35,17 +37,6 @@ def fmt_float(v: float) -> str:
 #: The texts of False and True.
 BOOL_TEXT = ("false", "true")
 
-#: Text of each atom, by exact type.  Subclasses (np.float64, str and int
-#: subclasses) miss this table and take `_emit_fallback`.
-_ATOMS = {
-    float: fmt_float,
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: BOOL_TEXT.__getitem__,
-    type(None): lambda _: "null",
-}
-_NUMBERS = frozenset((float, int))
-
 
 def render_json(obj: Any) -> str:
     """Serialize nested dicts/lists/scalars to JSON deterministically.
@@ -53,87 +44,51 @@ def render_json(obj: Any) -> str:
     Unlike json.dumps, floats are always printed with 17 significant digits so
     that two runs producing equal values emit byte-identical documents.  Dict
     insertion order is preserved; callers build reports in a fixed order.
+    Subclasses of the JSON types (numpy floats, str and int subclasses) are
+    rendered by the same rules as the types themselves.
     """
     out: list[str] = []
     _emit(obj, out, "\n")
     out.append("\n")
-    # One join of short pieces: a document of records is never copied whole
-    # level by level.
     return "".join(out)
+
+
+def _number_text(v: int | float) -> str:
+    return fmt_float(v) if isinstance(v, float) else str(v)
 
 
 def _emit(obj: Any, out: list[str], pad: str) -> None:
     """Append the JSON text of `obj`; `pad` is a newline plus the indent of obj's line."""
-    atom = _ATOMS.get(type(obj))
-    if atom is not None:
-        out.append(atom(obj))
-        return
-    kind = type(obj)
-    if kind is dict:
-        _emit_dict(obj, out, pad)
-    elif kind is list or kind is tuple:
-        _emit_list(obj, out, pad)
-    else:
-        _emit_fallback(obj, out, pad)
-
-
-def _emit_dict(obj: dict, out: list[str], pad: str) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    inner = pad + "  "
-    sep = "{" + inner
-    for k, v in obj.items():
-        if not isinstance(k, str):
-            raise TypeError(f"non-string key {k!r}")
-        atom = _ATOMS.get(type(v))
-        if atom is not None:
-            out.append(sep + encode_basestring_ascii(k) + ": " + atom(v))
-        else:
-            out.append(sep + encode_basestring_ascii(k) + ": ")
-            _emit(v, out, inner)
-        sep = "," + inner
-    out.append(pad + "}")
-
-
-def _emit_list(obj, out: list[str], pad: str) -> None:
-    if not obj:
-        out.append("[]")
-        return
-    kinds = set(map(type, obj))
-    # Numeric lists stay on one line for readable vectors.
-    if kinds <= _NUMBERS:
-        out.append("[" + ", ".join([_ATOMS[type(v)](v) for v in obj]) + "]")
-        return
-    inner = pad + "  "
-    if kinds <= _ATOMS.keys():  # atoms, and not all numbers: joined in one step
-        items = [_ATOMS[type(v)](v) for v in obj]
-        out.append("[" + inner + ("," + inner).join(items) + pad + "]")
-        return
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-        out.append("[" + ", ".join([_subclass_number(v) for v in obj]) + "]")
-        return
-    sep = "[" + inner
-    for v in obj:
-        out.append(sep)
-        _emit(v, out, inner)
-        sep = "," + inner
-    out.append(pad + "]")
-
-
-def _subclass_number(v) -> str:
-    return fmt_float(float(v)) if isinstance(v, float) else str(v)
-
-
-def _emit_fallback(obj: Any, out: list[str], pad: str) -> None:
-    """Subclasses of the JSON types, by the same rules as the exact types."""
-    if isinstance(obj, (int, float)):
-        out.append(_subclass_number(obj))
+    if obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else BOOL_TEXT[obj])
+    elif isinstance(obj, (int, float)):
+        out.append(_number_text(obj))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
-        _emit_dict(obj, out, pad)
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"non-string key {k!r}")
+            out.append(sep + inner + encode_basestring_ascii(k) + ": ")
+            _emit(v, out, inner)
+            sep = ","
+        out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        _emit_list(obj, out, pad)
+        if not obj:
+            out.append("[]")
+        # Numeric lists stay on one line for readable vectors.
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+            out.append("[" + ", ".join([_number_text(v) for v in obj]) + "]")
+        else:
+            inner, sep = pad + "  ", "["
+            for v in obj:
+                out.append(sep + inner)
+                _emit(v, out, inner)
+                sep = ","
+            out.append(pad + "]")
     else:
         raise TypeError(f"cannot render {type(obj).__name__} deterministically")

@@ -202,12 +202,17 @@ class Vector:
         return f"Vector({self.coords.tolist()!r}, {self.field.value})"
 
 
+def _field_for(values, field: FieldTag | str | None) -> FieldTag:
+    """The tag of `field` (a tag or its name) or, when it is None, of the values:
+    complex for a complex array or complex entries, real otherwise."""
+    if field is None:
+        return FieldTag.COMPLEX if np.iscomplexobj(values) else FieldTag.REAL
+    return FieldTag.parse(field)
+
+
 def vector(values, field: FieldTag | str | None = None) -> Vector:
     """Build a Vector, inferring the field from the values when not given."""
-    if field is None:
-        tag = FieldTag.COMPLEX if np.iscomplexobj(np.asarray(values)) else FieldTag.REAL
-    else:
-        tag = FieldTag.parse(field)
+    tag = _field_for(values, field)
     return Vector(np.asarray(values), tag)
 
 
@@ -301,10 +306,7 @@ def _seq_norm(arr: np.ndarray) -> float:
 
 def coefficients(values, field: FieldTag | str | None = None) -> CoefficientSequence:
     """Build a CoefficientSequence analogously to vector()."""
-    if field is None:
-        tag = FieldTag.COMPLEX if np.iscomplexobj(np.asarray(values)) else FieldTag.REAL
-    else:
-        tag = FieldTag.parse(field)
+    tag = _field_for(values, field)
     return CoefficientSequence(np.asarray(values), tag)
 
 
@@ -361,31 +363,35 @@ class OrthonormalFamily:
         return len(self.members)
 
 
+class _BoundedCache(dict):
+    """Values by key, evicted oldest-first while their total `size_of` exceeds `budget`.
+
+    A value larger than the whole budget is evicted as soon as it is added.
+    """
+
+    def __init__(self, budget: int, size_of) -> None:
+        super().__init__()
+        self.budget = budget
+        self.size_of = size_of
+        self.total = 0
+
+    def add(self, key, value) -> None:
+        self[key] = value
+        self.total += self.size_of(value)
+        while self.total > self.budget:
+            self.total -= self.size_of(self.pop(next(iter(self))))
+
+    def clear(self) -> None:
+        super().clear()
+        self.total = 0
+
+
 #: Most coordinates (size x dim, summed over families) `_BASIS_CACHE` holds:
 #: 2 MB of float64 per copy, and a family keeps two (members and matrix).
 _BASIS_CACHE_COORDS = 2**18
 
-
-class _BasisCache(dict):
-    """Families by (field, dim, size), evicted oldest-first above _BASIS_CACHE_COORDS."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.coords = 0
-
-    def add(self, key, fam: OrthonormalFamily) -> None:
-        self[key] = fam
-        self.coords += fam.size * fam.dim
-        while self.coords > _BASIS_CACHE_COORDS:
-            old = self.pop(next(iter(self)))
-            self.coords -= old.size * old.dim
-
-    def clear(self) -> None:
-        super().clear()
-        self.coords = 0
-
-
-_BASIS_CACHE = _BasisCache()
+#: Families by (field, dim, size).
+_BASIS_CACHE = _BoundedCache(_BASIS_CACHE_COORDS, lambda fam: fam.size * fam.dim)
 
 
 def standard_basis(field: FieldTag | str, dim: int, size: int | None = None) -> OrthonormalFamily:

@@ -206,6 +206,13 @@ def _thm51(**changes):
     return dict(sample_admissible("thm5.1", "real", 3, seed=0), **changes)
 
 
+def _sampled(tid, field="real", **changes):
+    return dict(sample_admissible(tid, field, 2, seed=0), **changes)
+
+
+_THM43 = _sampled("thm4.3", "complex")
+
+
 @pytest.mark.parametrize(
     "instance, message",
     [
@@ -223,10 +230,21 @@ def _thm51(**changes):
         (_thm51(size=2.7), "thm5.1 'size': expected an integer, got 2.7"),
         (_thm51(size="2"), "thm5.1 'size': expected an integer, got '2'"),
         (_thm51(size=True), "thm5.1 'size': expected an integer, got True"),
+        (
+            _sampled("thm2.2", pair={"lo": float("inf"), "hi": 2.0}),
+            "thm2.2 'pair': expected a finite 'lo', got inf",
+        ),
+        (
+            dict(_THM43, pair_x=dict(_THM43["pair_x"], hi={"re": float("nan"), "im": 0.0})),
+            "thm4.3 'pair_x': expected a finite 'hi', got (nan+0j)",
+        ),
+        (_sampled("thm2.1", r=float("inf")), "thm2.1 'r': expected a finite number, got inf"),
+        (_sampled("prop2.4", m=float("-inf")), "prop2.4 'm': expected a finite number, got -inf"),
     ],
     ids=[
         "rule-string", "rule-list", "rule-n-fraction", "interval-three", "empty-poly",
         "empty-values", "r-string", "r-bool", "size-fraction", "size-string", "size-bool",
+        "pair-lo-inf", "complex-pair-hi-nan", "r-inf", "m-minus-inf",
     ],
 )
 def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, message):

@@ -229,6 +229,31 @@ def test_only_space_knows_the_float_range():
     assert offenders == []
 
 
+def _slack_deciders(tree: ast.AST, scope: str = "") -> list:
+    """The dotted names of the functions and classes in tree that read leq_with_slack."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _slack_deciders(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if (isinstance(node, ast.Name) and node.id == "leq_with_slack") or (
+            isinstance(node, ast.Attribute) and node.attr == "leq_with_slack"
+        ):
+            found.append(scope or "<module>")
+        found += _slack_deciders(node, scope)
+    return found
+
+
+def test_only_tally_add_decides_a_comparison():
+    package = Path(conditions.__file__).parent
+    deciders = sorted(
+        f"{path.name}:{name}"
+        for path in package.glob("*.py")
+        for name in _slack_deciders(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert deciders == ["harness.py:_Tally.add"]
+
+
 def test_only_conditions_applies_the_pair_degeneracy_rule():
     package = Path(conditions.__file__).parent
     offenders = sorted(

@@ -287,14 +287,14 @@ def test_standard_basis_is_shared_and_its_cache_bounded(monkeypatch):
         assert standard_basis(FieldTag.REAL, 5, 2) is not fam
         assert standard_basis("complex", 5, 2) is fam  # a name shares the tag's entry
         assert standard_basis("Real", 5, 2) is standard_basis(FieldTag.REAL, 5, 2)
-        assert cache.coords == 20
-        monkeypatch.setattr(space, "_BASIS_CACHE_COORDS", 30)
+        assert cache.total == 20
+        monkeypatch.setattr(cache, "budget", 30)
         big = standard_basis(FieldTag.REAL, 4, 4)  # 36 > 30: the oldest goes
         assert list(cache) == [(FieldTag.REAL, 5, 2), (FieldTag.REAL, 4, 4)]
-        assert cache.coords == 26
+        assert cache.total == 26
         assert standard_basis(FieldTag.REAL, 4, 4) is big
         assert standard_basis(FieldTag.REAL, 40, 1).dim == 40  # above the bound: not held
-        assert len(cache) == cache.coords == 0
+        assert len(cache) == cache.total == 0
     finally:
         cache.clear()
 
