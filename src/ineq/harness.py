@@ -60,6 +60,18 @@ count.  Runs of fewer than two workers' worth of instances, one-CPU hosts,
 platforms without `os.fork` and processes running more than one Python
 thread stay serial.
 
+Within a slice, both runners take one results path, `_results`.  It
+decodes a window of consecutive instances, groups the integral ones by
+theorem, field, domain and the form of each function, and evaluates each
+group as one call of its operation over rows (`integral._ROW_OPERATIONS`),
+in chunks of at most `_GROUP_CHUNK_NODES` node values per function.  That
+arithmetic is elementwise, row sums and min/max, so each row of a group is
+bit for bit the instance evaluated alone.  A chunk that raises, and a row
+with a non-finite number, are evaluated again one at a time, as is every
+other instance: an error is then the one-instance path's, raised after the
+results before it.  The other ids are not grouped: their sums go through
+BLAS, whose order depends on the array's shape.
+
 JSON exists only at the boundary.  `sample_admissible` encodes a typed
 instance into the document schema below, and `evaluate_instance` (hence
 `ineq eval`) decodes documents with full per-element validation; a typed
@@ -123,10 +135,13 @@ from .conditions import ScalarPair
 from .errors import FieldMismatchError, IneqError, InputFormatError, _brief
 from .gruss import gruss_ball, gruss_ball_refined, gruss_pair, gruss_pair_refined
 from .integral import (
+    _ROW_OPERATIONS,
     DiscretizedFunction,
     WeightedDomain,
+    _discretized_rows,
     _poly_add,
     _poly_mul,
+    _poly_values,
     build_domain,
     integral_gruss,
     integral_schwarz_ball,
@@ -598,17 +613,15 @@ def _dec_domain(obj) -> WeightedDomain:
     return dom
 
 
-def _dec_function(obj, dom: WeightedDomain, field: FieldTag) -> DiscretizedFunction:
+def _dec_function(obj, dom: WeightedDomain, field: FieldTag):
+    """A {"values"} function discretized on dom, or the coefficients of a {"poly"} one."""
     if isinstance(obj, dict) and "poly" in obj:
         coeffs = obj["poly"]
         if not isinstance(coeffs, np.ndarray):
             coeffs = np.asarray(_dec_coords(_dec_list(coeffs), field))
         if coeffs.dtype.kind == "c" and field is FieldTag.REAL:
             raise FieldMismatchError("complex entries are not representable over real")
-        values = dom._poly(coeffs)
-        if values.dtype != field.dtype:
-            values = values.astype(field.dtype)
-        return DiscretizedFunction._computed(values, field)
+        return coeffs
     if isinstance(obj, dict) and "values" in obj:
         return dom.discretize(_dec_coords(_dec_list(obj["values"]), field), field)
     raise InputFormatError(f"expected {{'poly'}} or {{'values'}} function, got {_brief(obj)}")
@@ -844,14 +857,18 @@ def _sample_integral_gruss(theorem, rng, dim, field, adversarial):
 
 class _Decoding:
     """One decoder per parameter kind, and what later parameters depend on:
-    the field, the record's dim and the domain functions are discretized on."""
+    the field, the record's dim and the domain functions are discretized on.
 
-    __slots__ = ("field", "dim", "dom")
+    With `discretize` false, a {"poly"} function decodes to its coefficients,
+    which `_group_results` discretizes for a whole group of rows at once."""
 
-    def __init__(self, field: FieldTag):
+    __slots__ = ("field", "dim", "dom", "discretize")
+
+    def __init__(self, field: FieldTag, discretize: bool = True):
         self.field = field
         self.dim = None
         self.dom = None
+        self.discretize = discretize
 
     def vector(self, obj) -> Vector:
         if isinstance(obj, Vector):
@@ -891,8 +908,11 @@ class _Decoding:
         self.dim = self.dom.size
         return self.dom
 
-    def function(self, obj) -> DiscretizedFunction:
-        return _dec_function(obj, self.dom, self.field)
+    def function(self, obj):
+        f = _dec_function(obj, self.dom, self.field)
+        if isinstance(f, DiscretizedFunction) or not self.discretize:
+            return f
+        return DiscretizedFunction._computed(_poly_values(self.dom, f, self.field), self.field)
 
 
 @dataclass(frozen=True)
@@ -988,10 +1008,9 @@ THEOREM_IDS = tuple(_SPECS)
 REAL_ONLY_IDS = frozenset(tid for tid, spec in _SPECS.items() if spec.real_only)
 
 
-def _evaluate(tid: str, inst: dict) -> InstanceResult:
-    """Decode `inst` along its theorem's schema and certify it with the operation's report."""
+def _decode(tid: str, inst: dict, decoding: _Decoding) -> list:
+    """The operation's arguments, `inst` decoded along its theorem's schema by `decoding`."""
     spec = _SPECS[tid]
-    decoding = _Decoding(FieldTag.parse(inst["field"]))
     args = [None] * len(spec.params)
     for pos, key, decode in spec.steps:
         try:
@@ -1005,11 +1024,22 @@ def _evaluate(tid: str, inst: dict) -> InstanceResult:
             args[pos] = decode(decoding, obj)
         except (IneqError, ValueError) as exc:
             raise type(exc)(f"{tid} {key!r}: {exc}") from None
-    report = globals()[spec.operation](*args)
+    return args
+
+
+def _result(tid: str, field: FieldTag, dim: int, report) -> InstanceResult:
+    """The record of a report: what it certifies, copied from its own certificate."""
     return InstanceResult(
-        tid, decoding.field.value, decoding.dim, report.admissible, report.margin,
-        report.gap, report.bound, report.comparisons,
+        tid, field.value, dim, report.admissible, report.margin, report.gap, report.bound,
+        report.comparisons,
     )
+
+
+def _evaluate(tid: str, inst: dict) -> InstanceResult:
+    """Decode `inst` along its theorem's schema and certify it with the operation's report."""
+    decoding = _Decoding(FieldTag.parse(inst["field"]))
+    report = globals()[_SPECS[tid].operation](*_decode(tid, inst, decoding))
+    return _result(tid, decoding.field, decoding.dim, report)
 
 
 # perfbench/tracing.py wraps the entries of these two tables, so `run_suite`
@@ -1284,11 +1314,146 @@ def _worker_count(instances: int) -> int:
 def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, hi: int):
     """Instances lo..hi-1 of one theorem, sampled and evaluated in index order."""
     sampler = _SAMPLERS[tid]
-    evaluator = _EVALUATORS[tid]
     stream = _Stream(seed, tid)
-    for i in range(lo, hi):
-        dim, tag = grid[i % len(grid)]
-        yield evaluator(sampler(_rng_for(stream, i), dim, tag, adversarial))
+    rows = (
+        (i, tid, sampler(_rng_for(stream, i), *grid[i % len(grid)], adversarial))
+        for i in range(lo, hi)
+    )
+    return _results(rows, _suite_row)
+
+
+def _suite_row(i: int, tid: str, inst: dict) -> InstanceResult:
+    return _EVALUATORS[tid](inst)
+
+
+# ---------------------------------------------------------------------------
+# Integral instances in groups.
+
+#: The integral ids, whose instances a worker evaluates in groups, and the
+#: operation over rows that each group takes.
+_GROUPED = {
+    tid: _ROW_OPERATIONS[spec.operation]
+    for tid, spec in _SPECS.items()
+    if spec.operation in _ROW_OPERATIONS
+}
+
+#: Most node values per function in one grouped evaluation: a group is
+#: evaluated in chunks of max(1, _GROUP_CHUNK_NODES // n) rows on n nodes.
+#: Evaluating the quadrature benchmark's 480 instances on one CPU took a
+#: median 107 ms one row at a time and 72 ms in chunks of this size; chunks
+#: of 4096 to 32768 node values were within the noise of it, and whole
+#: groups were slower (91 against 76 ms in another run; CHANGES.md).
+_GROUP_CHUNK_NODES = 8192
+
+#: Most consecutive instances, and most nodes over their decoded integral
+#: instances, that one window holds decoded before its groups are evaluated.
+_GROUP_WINDOW = 1024
+_GROUP_WINDOW_NODES = 2**20
+
+
+def _group_member(tid: Optional[str], inst) -> Optional[tuple]:
+    """(group key, nodes, arguments) of an instance the grouped path takes, else None.
+
+    Rows of one group share theorem, field, domain, and the form of each
+    function: node values, or polynomial coefficients of one dtype and length.
+    An instance that fails to decode is not a member: it takes its own path,
+    which raises what it raises.
+    """
+    if tid not in _GROUPED:
+        return None
+    try:
+        decoding = _Decoding(FieldTag.parse(inst["field"]), discretize=False)
+        args = _decode(tid, inst, decoding)
+    except Exception:
+        return None
+    forms = []
+    for (_, kind), arg in zip(_SPECS[tid].params, args):
+        if kind == "function":
+            if isinstance(arg, DiscretizedFunction):
+                forms.append(None)
+            elif arg.ndim == 1 and arg.size and arg.dtype in (np.float64, np.complex128):
+                forms.append((arg.dtype.char, arg.size))
+            else:
+                return None
+    return (tid, decoding.field, decoding.dom, tuple(forms)), decoding.dim, args
+
+
+def _group_results(members: list) -> dict:
+    """{index: result} of the (index, member) rows whose group chunk evaluated cleanly.
+
+    A chunk that raises, a RuntimeWarning raised as an error included, is
+    left out whole, and a row with a non-finite number alone: those take
+    their own path, which gives their errors and messages."""
+    groups: dict = {}
+    for i, (key, _, args) in members:
+        groups.setdefault(key, []).append((i, args))
+    done = {}
+    for (tid, field, dom, _), rows in groups.items():
+        step = max(1, _GROUP_CHUNK_NODES // dom.size)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            try:
+                reports = _chunk_reports(tid, field, dom, [args for _, args in chunk])
+            except Exception:
+                continue
+            for (i, _), report in zip(chunk, reports):
+                result = _result(tid, field, dom.size, report)
+                if _first_non_finite(result) is None:
+                    done[i] = result
+    return done
+
+
+def _chunk_reports(tid: str, field: FieldTag, dom: WeightedDomain, chunk: list) -> list:
+    """The reports of rows of one group, from their decoded arguments: each parameter is one
+    column over the rows, a function's column its rows of node values."""
+    columns = []
+    for pos, (_, kind) in enumerate(_SPECS[tid].params):
+        parts = [args[pos] for args in chunk]
+        if kind == "domain":
+            columns.append(dom)
+        elif kind == "function":
+            columns.append(_discretized_rows(dom, parts, field))
+        else:
+            columns.append(parts)
+    return _GROUPED[tid](*columns)
+
+
+def _results(rows, evaluate):
+    """The results of `rows`, (index, theorem id, instance) triples, in their order.
+
+    `evaluate(index, tid, inst)` is a row's own path.  The integral instances
+    are decoded a window of consecutive rows at a time, and evaluated in
+    groups (`_group_results`); every other row takes `evaluate` in its turn.
+    So a bad row raises as it does alone, after the results before it.
+    """
+    rows = iter(rows)
+    window, nodes = [], 0
+    while True:
+        try:
+            i, tid, inst = next(rows)
+        except StopIteration:
+            break
+        except Exception:
+            # drawing row i raised: the rows before it come first
+            yield from _window_results(window, evaluate)
+            raise
+        member = _group_member(tid, inst)
+        if member is None and not window:
+            yield evaluate(i, tid, inst)
+            continue
+        window.append((i, tid, inst, member))
+        nodes += member[1] if member else 0
+        if len(window) >= _GROUP_WINDOW or nodes >= _GROUP_WINDOW_NODES:
+            yield from _window_results(window, evaluate)
+            window, nodes = [], 0
+    yield from _window_results(window, evaluate)
+
+
+def _window_results(window: list, evaluate):
+    done = _group_results([(i, member) for i, _, _, member in window if member])
+    for i, tid, inst, _ in window:
+        result = done.get(i)
+        yield evaluate(i, tid, inst) if result is None else result
 
 
 class _Workers:
@@ -1473,20 +1638,32 @@ _OUT_OF_RANGE = "; the inputs leave double precision"
 
 def _file_results(instances: list, lo: int, hi: int):
     """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index."""
-    for i in range(lo, hi):
-        try:
-            result = evaluate_instance(instances[i])
-        except (IneqError, ValueError, TypeError) as exc:
-            raise InputFormatError(f"instance {i}: {exc}")
-        except ArithmeticError as exc:  # a float ** overflowed or a divisor underflowed to 0
-            tid = normalize_theorem_id(instances[i]["theorem"])
-            raise InputFormatError(f"instance {i}: {tid} {exc}{_OUT_OF_RANGE}")
-        bad = _first_non_finite(result)
-        if bad is not None:
-            raise InputFormatError(
-                f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}{_OUT_OF_RANGE}"
-            )
-        yield result
+    rows = ((i, _document_id(instances[i]), instances[i]) for i in range(lo, hi))
+    return _results(rows, _file_row)
+
+
+def _document_id(inst) -> Optional[str]:
+    """The normalised theorem id of a document instance, or None: `evaluate_instance` then
+    says what is wrong."""
+    try:
+        return normalize_theorem_id(inst["theorem"])
+    except Exception:
+        return None
+
+
+def _file_row(i: int, tid: Optional[str], inst) -> InstanceResult:
+    try:
+        result = evaluate_instance(inst)
+    except (IneqError, ValueError, TypeError) as exc:
+        raise InputFormatError(f"instance {i}: {exc}")
+    except ArithmeticError as exc:  # a float ** overflowed or a divisor underflowed to 0
+        raise InputFormatError(f"instance {i}: {tid} {exc}{_OUT_OF_RANGE}")
+    bad = _first_non_finite(result)
+    if bad is not None:
+        raise InputFormatError(
+            f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}{_OUT_OF_RANGE}"
+        )
+    return result
 
 
 def evaluate_file(

@@ -18,11 +18,19 @@ condition at every node, m g <= f <= M g at every node) stand in for the
 measure-theoretic "almost everywhere" hypotheses.  A function misbehaving
 between nodes can pass them; the certified statement is about the discretized
 instance, which is itself a legitimate member of the hypothesis class.
+
+Every formula -- Horner's rule, the norms and inner products, the three
+pointwise conditions and the five operations -- is written once, over rows
+(`_Rows`): the node values of B functions, one per row, nodes along the last
+axis, a per-row scalar as a column, and reductions along axis 1.  A public
+function on one instance is the one-row call, and the harness evaluates a
+group of instances as one call on B rows (`_ROW_OPERATIONS`).  The arithmetic
+is elementwise, `np.add.reduce` along a row and min/max, never BLAS, so each
+row comes out bit for bit as its instance alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -39,7 +47,15 @@ from .errors import (
 )
 from .gruss import GrussReport
 from .schwarz import BoundChain, _ball_chain, _pair_chain
-from .space import FieldTag, Scalar, Vector, _as_coords, _computed_coords, _field_for
+from .space import (
+    FieldTag,
+    Scalar,
+    Vector,
+    _as_coords,
+    _check_finite,
+    _computed_coords,
+    _field_for,
+)
 from .triangle import TriangleDefect, _clamped_defect, _range_bound, _require_range
 
 #: Quadrature weights must sum to 1 within this, matching the unit-mass hypothesis.
@@ -77,16 +93,41 @@ class DiscretizedFunction:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def _magnitudes(self) -> np.ndarray:
-        """|f_i|, computed once for the norm and the pointwise scales alike.
+    def _row(self) -> "_Rows":
+        """This function as the one row of a `_Rows`, built once, so that its |values| are
+        computed once for the norm and the pointwise scales alike.
 
         Not a `cached_property`: before Python 3.12 that takes a lock on every
-        first read, and a decoded function is read here only twice.
+        first read, and a decoded function is read here only a few times.
         """
-        mags = self.__dict__.get("_abs")
-        if mags is None:
-            mags = self.__dict__["_abs"] = np.abs(self.values)
-        return mags
+        row = self.__dict__.get("_rows")
+        if row is None:
+            row = self.__dict__["_rows"] = _Rows(self.values[None], self.field)
+        return row
+
+
+class _Rows:
+    """The node values of B functions over one field, one function per row of a (B, n) array."""
+
+    __slots__ = ("values", "field", "_mags")
+
+    def __init__(self, values: np.ndarray, field: FieldTag):
+        self.values = values
+        self.field = field
+        self._mags = None
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def magnitudes(self) -> np.ndarray:
+        """|f_i| of every row, computed once."""
+        if self._mags is None:
+            self._mags = np.abs(self.values)
+        return self._mags
+
+    def amax(self) -> list:
+        """max_i |f_i| of each row."""
+        return np.maximum.reduce(self.magnitudes(), axis=1).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,30 +191,40 @@ class WeightedDomain:
         return self.weights.astype(np.complex128)
 
     def _poly(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_k coeffs[k] s_i^k at the nodes, bit for bit as numpy's polyval."""
+        """sum_k coeffs[k] s_i^k at the nodes, bit for bit as numpy's polyval; a 2-D coeffs
+        gives one row of node values per row of ascending coefficients."""
+        c = coeffs.T[..., None] if coeffs.ndim == 2 else coeffs
         if coeffs.dtype.kind == "c":
-            return _horner(coeffs, self.nodes, self._complex_nodes)
-        return _horner(coeffs, self.nodes)
+            return _horner(c, self.nodes, self._complex_nodes)
+        return _horner(c, self.nodes)
 
     def inner(self, f: DiscretizedFunction, g: DiscretizedFunction) -> Scalar:
         """<f, g> = sum_i w_i f_i conj(g_i)."""
+        return self._inners(f._row(), g._row())[0]
+
+    def norm(self, f: DiscretizedFunction) -> float:
+        return self._norms(f._row())[0]
+
+    def _inners(self, f: _Rows, g: _Rows) -> list:
+        """<f, g> of each row: floats over the reals, complexes over C."""
         self._check(f, g)
         if f.field is FieldTag.REAL:
             terms = self.weights * f.values
             terms *= g.values
-            return float(terms.sum())
-        # The product numpy forms after casting the weights, in the same order.
-        terms = self._complex_weights * f.values
-        terms *= np.conj(g.values)
-        return complex(terms.sum())
+        else:
+            # The product numpy forms after casting the weights, in the same order.
+            terms = self._complex_weights * f.values
+            terms *= np.conj(g.values)
+        return np.add.reduce(terms, axis=1).tolist()
 
-    def norm(self, f: DiscretizedFunction) -> float:
+    def _norms(self, f: _Rows) -> list:
+        """||f|| of each row."""
         self._check(f)
-        terms = np.square(f._magnitudes())
+        terms = np.square(f.magnitudes())
         terms *= self.weights
-        return math.sqrt(terms.sum())
+        return np.sqrt(np.add.reduce(terms, axis=1)).tolist()
 
-    def _check(self, *fs: DiscretizedFunction) -> None:
+    def _check(self, *fs) -> None:
         for f in fs:
             if len(f) != self.size:
                 raise DimensionMismatchError(f"{len(f)} values for {self.size} nodes")
@@ -190,12 +241,15 @@ def polynomial(coeffs) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _horner(c: np.ndarray, s, s_complex: Optional[np.ndarray] = None):
-    """numpy's polyval(s, c) for a 1-D float or complex c, bit for bit.
+    """numpy's polyval(s, c) for a float or complex c, bit for bit.
 
-    polyval starts from c[-1] + s*0 and builds a new array c[k] + c0*s per
-    coefficient; here c0 is updated in place.  For complex c every step is a
-    complex multiply by s cast to complex128, which polyval casts anew each
-    step and this casts once (or takes as `s_complex`).
+    c[k] is the k-th coefficient: a scalar for a 1-D c, or, as in polyval's
+    tensor form, an array broadcasting against s; coefficients of shape
+    (L, B, 1) against n nodes give B rows of n values.  polyval starts from
+    c[-1] + s*0 and builds a new array c[k] + c0*s per coefficient; here c0
+    is updated in place.  For complex c every step is a complex multiply by s
+    cast to complex128, which polyval casts anew each step and this casts
+    once (or takes as `s_complex`).
     """
     c0 = c[-1] + s * 0
     if c.dtype.kind == "c" and len(c) > 1:
@@ -204,6 +258,28 @@ def _horner(c: np.ndarray, s, s_complex: Optional[np.ndarray] = None):
         c0 *= s
         c0 += c[k]
     return c0
+
+
+def _poly_values(dom: WeightedDomain, coeffs: np.ndarray, field: FieldTag) -> np.ndarray:
+    """The node values, in field's dtype, of the polynomial with ascending coefficients coeffs,
+    or one row of them per row of a 2-D coeffs; not yet checked finite."""
+    values = dom._poly(coeffs)
+    return values if values.dtype == field.dtype else values.astype(field.dtype)
+
+
+def _discretized_rows(dom: WeightedDomain, parts: list, field: FieldTag) -> _Rows:
+    """One row per function of `parts`: DiscretizedFunctions on dom, or the 1-D coefficients
+    of polynomials, all of one dtype and length, evaluated and checked finite as one array."""
+    if isinstance(parts[0], DiscretizedFunction):
+        return _Rows(_stacked([f.values for f in parts]), field)
+    values = _poly_values(dom, _stacked(parts), field)
+    _check_finite(values)
+    return _Rows(values, field)
+
+
+def _stacked(rows: list) -> np.ndarray:
+    """Equally long 1-D arrays as the rows of one array (np.stack, at a quarter of its cost)."""
+    return np.concatenate(rows).reshape(len(rows), -1)
 
 
 def _trimmed(c: np.ndarray) -> np.ndarray:
@@ -341,58 +417,80 @@ def embedded_vector(f: DiscretizedFunction, dom: WeightedDomain) -> Vector:
 
 def pointwise_ball(f: DiscretizedFunction, g: DiscretizedFunction, r: float) -> ConditionReport:
     """|f - g| <= r at every node; margin is the worst node's r - |f_i - g_i|."""
-    if not r > 0:
-        raise PreconditionError(f"radius must be positive, got {r}")
+    return _ball_rows(f._row(), g._row(), [r])[0]
+
+
+def _ball_rows(f: _Rows, g: _Rows, r: list) -> list:
+    """`pointwise_ball` of each row, with radius r[k] for row k."""
+    for rk in r:
+        if not rk > 0:
+            raise PreconditionError(f"radius must be positive, got {rk}")
     _check_pair(f, g)
     diff = f.values - g.values
     dist = np.abs(diff, out=diff) if f.field is FieldTag.REAL else np.abs(diff)
-    margin = float(r - dist.max())
-    scale = 1.0 + _amax(f) + _amax(g) + r
-    return _report(margin, ConditionForm.BALL, scale)
+    worst = np.maximum.reduce(dist, axis=1).tolist()
+    return [
+        _report(rk - wk, ConditionForm.BALL, 1.0 + fk + gk + rk)
+        for rk, wk, fk, gk in zip(r, worst, f.amax(), g.amax())
+    ]
 
 
 def pointwise_pair(
     f: DiscretizedFunction, g: DiscretizedFunction, pair: ScalarPair
 ) -> ConditionReport:
     """Re[(hi*g - f)(conj(f) - conj(lo)*conj(g))] >= 0 at every node (worst-node margin)."""
+    return _pair_rows(f._row(), g._row(), [pair])[0]
+
+
+def _pair_rows(f: _Rows, g: _Rows, pairs: list) -> list:
+    """`pointwise_pair` of each row, with pairs[k] for row k."""
     _check_pair(f, g)
-    lo, hi = pair.coerced(f.field)
+    scalars = [pair.coerced(f.field) for pair in pairs]
+    lo, hi = (np.array(col, dtype=f.field.dtype)[:, None] for col in zip(*scalars))
     upper = hi * g.values
     upper -= f.values
     lower = lo * g.values
     np.subtract(f.values, lower, out=lower)
     if f.field is FieldTag.REAL:
         upper *= lower
-        margin = float(upper.min())
+        margins = np.minimum.reduce(upper, axis=1)
     else:
         upper *= np.conjugate(lower, out=lower)
-        margin = float(upper.real.min())
-    scale = 1.0 + _amax(f) ** 2 + abs(complex(hi)) ** 2 * _amax(g) ** 2
-    return _report(margin, ConditionForm.REAL_PART, scale)
+        margins = np.minimum.reduce(upper.real, axis=1)
+    # squared by *, as `conditions._pair_realpart` squares: a square past the range is
+    # then inf, where ** would raise
+    return [
+        _report(mk, ConditionForm.REAL_PART, 1.0 + fk * fk + abs(complex(hk)) ** 2 * (gk * gk))
+        for mk, (_, hk), fk, gk in zip(margins.tolist(), scalars, f.amax(), g.amax())
+    ]
 
 
 def pointwise_range(
     f: DiscretizedFunction, g: DiscretizedFunction, m: float, M: float
 ) -> ConditionReport:
     """m g <= f <= M g at every node; real-valued functions only."""
+    return _range_rows(f._row(), g._row(), [m], [M])[0]
+
+
+def _range_rows(f: _Rows, g: _Rows, m: list, M: list) -> list:
+    """`pointwise_range` of each row, with m[k] and M[k] for row k."""
     _check_pair(f, g)
     if f.field is not FieldTag.REAL:
         raise FieldMismatchError("the range condition m g <= f <= M g needs real values")
     fv, gv = f.values, g.values
-    below = m * gv
+    below = np.array(m, dtype=np.float64)[:, None] * gv
     np.subtract(fv, below, out=below)
-    above = M * gv
+    above = np.array(M, dtype=np.float64)[:, None] * gv
     above -= fv
-    margin = float(min(below.min(), above.min()))
-    scale = 1.0 + _amax(f) + max(abs(m), abs(M)) * _amax(g)
-    return _report(margin, ConditionForm.BALL, scale)
+    lows = np.minimum.reduce(below, axis=1).tolist()
+    highs = np.minimum.reduce(above, axis=1).tolist()
+    return [
+        _report(min(lk, hk), ConditionForm.BALL, 1.0 + fk + max(abs(mk), abs(Mk)) * gk)
+        for lk, hk, mk, Mk, fk, gk in zip(lows, highs, m, M, f.amax(), g.amax())
+    ]
 
 
-def _amax(f: DiscretizedFunction) -> float:
-    return float(f._magnitudes().max())
-
-
-def _check_pair(f: DiscretizedFunction, g: DiscretizedFunction) -> None:
+def _check_pair(f: _Rows, g: _Rows) -> None:
     if len(f) != len(g):
         raise DimensionMismatchError(f"node counts differ: {len(f)} vs {len(g)}")
     if f.field is not g.field:
@@ -407,48 +505,74 @@ def integral_schwarz_ball(
     f: DiscretizedFunction, g: DiscretizedFunction, dom: WeightedDomain, r: float
 ) -> BoundChain:
     """Gap chain for |f - g| <= r at the nodes; bound r^2/2 (unit total mass)."""
-    report = pointwise_ball(f, g, r)
-    return _ball_chain(dom.norm(f), dom.norm(g), complex(dom.inner(f, g)), r, report)
+    return _schwarz_ball_rows(f._row(), g._row(), dom, [r])[0]
+
+
+def _schwarz_ball_rows(f: _Rows, g: _Rows, dom: WeightedDomain, r: list) -> list:
+    reports = _ball_rows(f, g, r)
+    rows = zip(dom._norms(f), dom._norms(g), dom._inners(f, g), r, reports)
+    return [_ball_chain(nf, ng, complex(ip), rk, rep) for nf, ng, ip, rk, rep in rows]
 
 
 def integral_schwarz_pair(
     f: DiscretizedFunction, g: DiscretizedFunction, dom: WeightedDomain, pair: ScalarPair
 ) -> BoundChain:
     """Gap chain for the nodewise two-sided condition; bound |G-g|^2/(4|G+g|) ||g||^2."""
-    pair.require_nondegenerate()
-    report = pointwise_pair(f, g, pair)
-    return _pair_chain(dom.norm(f), dom.norm(g), complex(dom.inner(f, g)), pair, report)
+    return _schwarz_pair_rows(f._row(), g._row(), dom, [pair])[0]
+
+
+def _schwarz_pair_rows(f: _Rows, g: _Rows, dom: WeightedDomain, pairs: list) -> list:
+    for pair in pairs:
+        pair.require_nondegenerate()
+    reports = _pair_rows(f, g, pairs)
+    rows = zip(dom._norms(f), dom._norms(g), dom._inners(f, g), pairs, reports)
+    return [_pair_chain(nf, ng, complex(ip), pair, rep) for nf, ng, ip, pair, rep in rows]
 
 
 def integral_schwarz_range(
     f: DiscretizedFunction, g: DiscretizedFunction, dom: WeightedDomain, m: float, M: float
 ) -> BoundChain:
     """Simplified real-range bound (M-m)^2 / (4(M+m)) ||g||^2 under m g <= f <= M g."""
-    if not M > m:
-        raise PreconditionError(f"need M > m, got m={m}, M={M}")
-    if not M + m > 0:
-        raise PreconditionError(f"need M + m > 0, got m={m}, M={M}")
-    report = pointwise_range(f, g, m, M)
-    nf, ng = dom.norm(f), dom.norm(g)
-    ip = complex(dom.inner(f, g))
-    values = (
-        0.0,
-        nf * ng - abs(ip),
-        0.25 * (M - m) ** 2 / (M + m) * ng * ng,
-    )
-    return BoundChain(RANGE_LABELS, values, report)
+    return _schwarz_range_rows(f._row(), g._row(), dom, [m], [M])[0]
+
+
+def _schwarz_range_rows(f: _Rows, g: _Rows, dom: WeightedDomain, m: list, M: list) -> list:
+    for mk, Mk in zip(m, M):
+        if not Mk > mk:
+            raise PreconditionError(f"need M > m, got m={mk}, M={Mk}")
+        if not Mk + mk > 0:
+            raise PreconditionError(f"need M + m > 0, got m={mk}, M={Mk}")
+    reports = _range_rows(f, g, m, M)
+    rows = zip(dom._norms(f), dom._norms(g), dom._inners(f, g), m, M, reports)
+    return [
+        BoundChain(
+            RANGE_LABELS,
+            (0.0, nf * ng - abs(complex(ip)), 0.25 * (Mk - mk) ** 2 / (Mk + mk) * ng * ng),
+            rep,
+        )
+        for nf, ng, ip, mk, Mk, rep in rows
+    ]
 
 
 def integral_triangle(
     f: DiscretizedFunction, g: DiscretizedFunction, dom: WeightedDomain, m: float, M: float
 ) -> TriangleDefect:
     """Triangle defect ||f|| + ||g|| - ||f+g|| <= (sqrt(2)/2)(M-m)/sqrt(M+m) ||g||."""
-    _require_range(m, M)
-    report = pointwise_range(f, g, m, M)
-    nf, ng = dom.norm(f), dom.norm(g)
-    total = dom.norm(DiscretizedFunction._computed(f.values + g.values, f.field))
-    defect = _clamped_defect(nf, ng, total)
-    return TriangleDefect(defect, _range_bound(m, M, ng), report)
+    return _triangle_rows(f._row(), g._row(), dom, [m], [M])[0]
+
+
+def _triangle_rows(f: _Rows, g: _Rows, dom: WeightedDomain, m: list, M: list) -> list:
+    for mk, Mk in zip(m, M):
+        _require_range(mk, Mk)
+    reports = _range_rows(f, g, m, M)
+    nfs, ngs = dom._norms(f), dom._norms(g)
+    total = f.values + g.values
+    _check_finite(total)
+    rows = zip(nfs, ngs, dom._norms(_Rows(total, f.field)), m, M, reports)
+    return [
+        TriangleDefect(_clamped_defect(nf, ng, nt), _range_bound(mk, Mk, ng), rep)
+        for nf, ng, nt, mk, Mk, rep in rows
+    ]
 
 
 def integral_gruss(
@@ -464,27 +588,48 @@ def integral_gruss(
     bound = 1/4 |A-a||B-b|/sqrt(|A+a||B+b|)
             * sqrt(||f|| + |<f,h>|) * sqrt(||g|| + |<g,h>|).
     """
+    return _gruss_rows(f._row(), g._row(), h._row(), dom, [pair_f], [pair_g])[0]
+
+
+def _gruss_rows(
+    f: _Rows, g: _Rows, h: _Rows, dom: WeightedDomain, pairs_f: list, pairs_g: list
+) -> list:
     dom._check(f, g, h)
-    nh = dom.norm(h)
-    if abs(nh - 1.0) > UNIT_NORM_TOL:
-        raise NotUnitVectorError(f"||h|| = {nh!r} is not 1 within {UNIT_NORM_TOL}")
-    pair_f.require_nondegenerate()
-    pair_g.require_nondegenerate()
-    rep_f = pointwise_pair(f, h, pair_f)
-    rep_g = pointwise_pair(g, h, pair_g)
-    nf, ng = dom.norm(f), dom.norm(g)
-    fh = complex(dom.inner(f, h))
-    hg = complex(dom.inner(h, g))
-    gap = abs(complex(dom.inner(f, g)) - fh * hg)
-    factor = (
-        0.25
-        * abs(pair_f.diff)
-        * abs(pair_g.diff)
-        / (abs(pair_f.summ) * abs(pair_g.summ)) ** 0.5
+    for nh in dom._norms(h):
+        if abs(nh - 1.0) > UNIT_NORM_TOL:
+            raise NotUnitVectorError(f"||h|| = {nh!r} is not 1 within {UNIT_NORM_TOL}")
+    for pair_f, pair_g in zip(pairs_f, pairs_g):
+        pair_f.require_nondegenerate()
+        pair_g.require_nondegenerate()
+    reports_f, reports_g = _pair_rows(f, h, pairs_f), _pair_rows(g, h, pairs_g)
+    rows = zip(
+        dom._norms(f), dom._norms(g), dom._inners(f, h), dom._inners(h, g), dom._inners(f, g),
+        pairs_f, pairs_g, reports_f, reports_g,
     )
-    bound = factor * (nf + abs(fh)) ** 0.5 * (ng + abs(hg)) ** 0.5
-    return GrussReport(
-        gap=gap,
-        bounds=(("quarter_residual", bound),),
-        admissibility=(rep_f, rep_g),
-    )
+    out = []
+    for nf, ng, fh, hg, fg, pair_f, pair_g, rep_f, rep_g in rows:
+        fh, hg = complex(fh), complex(hg)
+        gap = abs(complex(fg) - fh * hg)
+        factor = (
+            0.25
+            * abs(pair_f.diff)
+            * abs(pair_g.diff)
+            / (abs(pair_f.summ) * abs(pair_g.summ)) ** 0.5
+        )
+        bound = factor * (nf + abs(fh)) ** 0.5 * (ng + abs(hg)) ** 0.5
+        out.append(GrussReport(
+            gap=gap,
+            bounds=(("quarter_residual", bound),),
+            admissibility=(rep_f, rep_g),
+        ))
+    return out
+
+
+#: The operation over rows behind each public integral operation, by name.
+_ROW_OPERATIONS = {
+    "integral_schwarz_ball": _schwarz_ball_rows,
+    "integral_schwarz_pair": _schwarz_pair_rows,
+    "integral_schwarz_range": _schwarz_range_rows,
+    "integral_triangle": _triangle_rows,
+    "integral_gruss": _gruss_rows,
+}

@@ -10,6 +10,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -349,6 +350,68 @@ def test_eval_records_are_pinned_on_three_workers(tmp_path, capsys, force_worker
     test_eval_records_are_pinned(tmp_path, capsys, fmt)
 
 
+#: Quadrature domains on [0, 1] for `_multi_domain_document`: both rules, 64 to
+#: 8192 nodes, every weight non-constant.
+_MULTI_DOMAINS = (
+    ("gauss", 64, [1.0, 1.0]),
+    ("gauss", 256, [0.5, 0.0, 1.0]),
+    ("gauss", 1024, [2.0, -1.0]),
+    ("trapezoid", 512, [1.0, 0.0, 0.0, 3.0]),
+    ("trapezoid", 2048, [1.0, 2.0]),
+    ("trapezoid", 8192, [0.5, 1.0]),
+)
+_INTEGRAL_IDS = ("prop7.1", "prop7.2", "prop7.11", "prop7.12", "prop7.3")
+
+
+def _multi_domain_document() -> dict:
+    """17 sampled prop7.* instances moved onto each of `_MULTI_DOMAINS` (102 in all): every
+    integral id, both fields, one in four adversarial.  h is rescaled to unit norm on its
+    domain by numpy's own polyval and sum, and f and g with it, so the pointwise
+    hypotheses against h are unchanged."""
+    from numpy.polynomial import polynomial as npp
+
+    from ineq import build_domain, polynomial
+
+    instances = []
+    for d, (kind, n, weight) in enumerate(_MULTI_DOMAINS):
+        spec = {"interval": [0.0, 1.0], "weight": {"poly": weight}, "rule": {"kind": kind, "n": n}}
+        dom = build_domain((0.0, 1.0), polynomial(weight), kind, n)
+        for j in range(17):
+            tid = _INTEGRAL_IDS[j % 5]
+            field = ("real", "complex")[(j // 5) % 2]
+            index, adversarial = 17 * d + j, j % 4 == 3
+            inst = sample_admissible(tid, field, 1, seed=5, adversarial=adversarial, index=index)
+            inst["domain"] = spec
+            if "h" in inst:
+                coeffs = [complex(c["re"], c["im"]) if isinstance(c, dict) else c
+                          for c in inst["h"]["poly"]]
+                values = npp.polyval(dom.nodes, np.array(coeffs))
+                scale = 1.0 / float(np.sqrt(np.sum(dom.weights * np.abs(values) ** 2)))
+                for key in ("f", "g", "h"):
+                    inst[key] = {"poly": [
+                        {k: v * scale for k, v in c.items()} if isinstance(c, dict) else c * scale
+                        for c in inst[key]["poly"]
+                    ]}
+            instances.append(inst)
+    return {"instances": instances}
+
+
+#: sha256 of the `ineq eval --output FILE` file written for `_multi_domain_document()`.
+MULTI_DOMAIN_SHA256 = "4fe69ff1c97c2940e3cacc5235c4c4d435a0066850ce9718abb7611cfb1d9a7b"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_multi_domain_eval_records_are_pinned(tmp_path, capsys, force_workers, workers):
+    force_workers(workers)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_multi_domain_document()), encoding="utf-8")
+    dest = tmp_path / "out.json"
+    rc, out, err = run_cli(capsys, "eval", "--input", str(src), "--output", str(dest))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["aggregate"]["count"] == 102
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == MULTI_DOMAIN_SHA256
+
+
 def test_forked_eval_writes_stdout_once(tmp_path, capsys):
     # as for verify: text unflushed in stdout at the fork is written once
     src = tmp_path / "in.json"
@@ -674,7 +737,7 @@ def test_eval_coefficient_lengths_are_checked_first(tmp_path, capsys, tid):
     "instance",
     [
         {"theorem": "prop7.2", "field": "real", "domain": _GAUSS_8,
-         "f": {"poly": [1e200]}, "g": {"poly": [1e200]}, "pair": {"lo": 0.5, "hi": 2.0}},
+         "f": {"poly": [1.0]}, "g": {"poly": [1.0]}, "pair": {"lo": 1e159, "hi": 1e160}},
         {"theorem": "legacy1.18", "field": "real", "x": [1e150, 0], "size": 1,
          "lam": [1e150], "r": 1},
     ],

@@ -32,6 +32,8 @@ from ineq import (
     evaluate_instance,
     polynomial,
     sample_admissible,
+    two_sided_realpart,
+    vector,
 )
 from ineq.integral import _gauss_legendre, _horner, _poly_add, _poly_mul
 
@@ -316,6 +318,11 @@ def test_horner_is_polyval_bit_for_bit(c, n, seed):
     assert _same_bits(_horner(c, s, s.astype(np.complex128)), want)
     assert _same_bits(polynomial(c)(s), want)
     assert _same_bits(polynomial(c)(float(s[0])), npp.polyval(float(s[0]), c))
+    # rows of coefficients: polyval's tensor form, one row of values per polynomial
+    rows = np.stack([c, c[::-1], -c])
+    want_rows = npp.polyval(s, rows.T)
+    assert _same_bits(_horner(rows.T[..., None], s), want_rows)
+    assert all(_same_bits(got, npp.polyval(s, row)) for got, row in zip(want_rows, rows))
 
 
 @settings(max_examples=150)
@@ -353,6 +360,17 @@ def test_each_function_magnitude_is_computed_once_per_report(monkeypatch, tid, f
     monkeypatch.setattr(np, "abs", counting)
     evaluate_instance(inst)
     assert len(calls) == _ABS_PASSES[tid], calls
+
+
+def test_pointwise_pair_past_the_float_range_fails_as_its_vector_twin_does():
+    # ||f||^2 = 1e320 leaves the range: the scale is inf, which forgives no negative
+    # margin, where squaring by ** raised OverflowError
+    f, g = UNIT.discretize(np.full(16, 1e160)), UNIT.discretize(np.ones(16))
+    with np.errstate(over="ignore"):
+        rep = pointwise_pair(f, g, ScalarPair(1.0, 2.0))
+        twin = two_sided_realpart(vector([1e160]), vector([1.0]), ScalarPair(1.0, 2.0))
+    assert (rep.holds, rep.margin, rep.tol) == (False, -math.inf, math.inf)
+    assert (twin.holds, twin.margin, twin.tol) == (rep.holds, rep.margin, rep.tol)
 
 
 def test_triangle_sum_that_overflows_is_rejected():
