@@ -56,6 +56,8 @@ def _eps_grid_arg(text: str):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid endpoints must be finite, got {text!r}")
     if start <= 0 or stop <= 0 or count < 1:
         raise argparse.ArgumentTypeError("grid endpoints must be positive, count >= 1")
     return tuple(float(e) for e in np.geomspace(start, stop, count))

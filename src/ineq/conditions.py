@@ -101,8 +101,8 @@ def _ball(x: Vector, a: np.ndarray, na: float, r: float) -> ConditionReport:
 
 
 def _real_part(above: np.ndarray, below: np.ndarray) -> float:
-    """Re<above, below>: the real-part margin, given the coordinates of upper - x and
-    x - lower.  A non-finite entry makes the inner product non-finite, and only then
+    """Re<above, below> of coordinates in one space, such as the real-part margin's upper - x
+    and x - lower.  A non-finite entry makes the inner product non-finite, and only then
     are the two scanned, raising `_check_finite`'s ValueError."""
     ip = _vdot(above, below)
     if not cmath.isfinite(ip):

@@ -24,19 +24,23 @@ Reports carry their own certificate: each report type states `admissible`,
 copies them into an `InstanceResult`.
 
 `THEOREM_IDS`, `REAL_ONLY_IDS`, `_SAMPLERS` and `_EVALUATORS` are derived
-from `_SPECS`.  One evaluator walks every schema: `_Decoding` has one decoder
-per kind, and each spec's (position, key, decoder) steps are built at import,
-the domain first because functions are discretized on its nodes.  A decoding
-error names its key; a missing key also lists the keys the theorem needs.  A
-record's `dim` is x's dimension, or the node count of an integral instance.
+from `_SPECS`.  One evaluator, `_evaluate`, walks every document schema:
+`_Decoding` has one decoder per kind, and each spec's (position, key,
+decoder) steps are built at import, the domain first because functions are
+discretized on its nodes.  A decoding error names its key; a missing key
+also lists the keys the theorem needs.  A record's `dim` is x's dimension,
+or the node count of an integral instance.
 
 Samplers produce *typed* instances: a dict with "theorem", "field" and the
 operation's parameters as the objects the operations take -- `Vector` and
 `CoefficientSequence` for coordinates and coefficients, `ScalarPair` for
 scalar pairs, {"poly": ndarray} for functions, floats for radii and bounds.
 The `Vector`/`CoefficientSequence` types carry the validation: the public
-constructors check and copy their input, and the arrays a sampler or an
-arithmetic operation computes are adopted after a finiteness check.
+constructors check and copy their input, public arithmetic checks what it
+computes, and the arrays a sampler draws are adopted unscanned.  Their
+finiteness is read off the norms that read every entry: the square norm a
+`CoefficientSequence` keeps, and the norm every operation takes of every
+vector it is given (`space.norm`), which raises the same ValueError.
 
 Randomness comes from one Philox stream per theorem (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed by
@@ -61,7 +65,7 @@ platforms without `os.fork` and processes running more than one Python
 thread stay serial.
 
 Within a slice, both runners take one results path, `_results`.  It
-decodes a window of consecutive instances, groups the integral ones by
+takes a window of consecutive instances, groups the integral ones by
 theorem, field, domain and the form of each function, and evaluates each
 group as one call of its operation over rows (`integral._ROW_OPERATIONS`),
 in chunks of at most `_GROUP_CHUNK_NODES` node values per function.  That
@@ -76,7 +80,10 @@ JSON exists only at the boundary.  `sample_admissible` encodes a typed
 instance into the document schema below, and `evaluate_instance` (hence
 `ineq eval`) decodes documents with full per-element validation; a typed
 value met while decoding passes through when its field matches.  `run_suite`
-samples and evaluates typed instances without any JSON round trip.
+samples typed instances and hands each one straight to its operation: an
+`_EVALUATORS` entry (`_hand_off`) passes the sampler's values in `params`
+order, and an integral instance joins its group from those values, so
+nothing a sampler drew is decoded or encoded.
 
 Document schema: a dict with "theorem", "field", and the operation's
 parameters -- vectors as number lists ({"re","im"} objects over the complex
@@ -636,7 +643,7 @@ def _instance(theorem: str, field: FieldTag, **params) -> dict:
     return {"theorem": theorem, "field": field.value, **params}
 
 
-_vec = Vector._computed
+_vec = Vector._sampled
 _seq = CoefficientSequence._computed
 
 
@@ -1042,10 +1049,44 @@ def _evaluate(tid: str, inst: dict) -> InstanceResult:
     return _result(tid, decoding.field, decoding.dim, report)
 
 
+def _hand_off(tid: str, inst: dict) -> InstanceResult:
+    """Certify a typed instance that its sampler just drew, with no decode."""
+    field, dim, args = _sampled_args(tid, inst)
+    return _result(tid, field, dim, globals()[_SPECS[tid].operation](*args))
+
+
+def _sampled_args(tid: str, inst: dict, discretize: bool = True) -> tuple:
+    """(field, record dim, operation arguments) of a typed instance a sampler drew.
+
+    Its values go in `params` order as they are, but for a "count", which
+    becomes the first `size` standard basis vectors of x's space, the domain,
+    built from its spec, and a {"poly"} function, whose coefficients are
+    discretized on the domain unless `discretize` is false.
+    """
+    params = _SPECS[tid].params
+    args = [inst[key] for key, _ in params]
+    if tid not in _GROUPED:
+        x = args[0]  # every vector id takes x first
+        for pos, (_, kind) in enumerate(params):
+            if kind == "count":
+                args[pos] = standard_basis(x.field, x.dim, args[pos])
+        return x.field, x.dim, args
+    field, dom = FieldTag.parse(inst["field"]), _dec_domain(inst["domain"])
+    for pos, (_, kind) in enumerate(params):
+        if kind == "domain":
+            args[pos] = dom
+        elif kind == "function":
+            args[pos] = coeffs = args[pos]["poly"]
+            if discretize:
+                args[pos] = DiscretizedFunction._computed(_poly_values(dom, coeffs, field), field)
+    return field, dom.size, args
+
+
 # perfbench/tracing.py wraps the entries of these two tables, so `run_suite`
-# looks its sampler and evaluator up here.
+# looks its sampler and evaluator up here.  An evaluator is the hand-off:
+# documents are decoded by `_evaluate`, never through this table.
 _SAMPLERS = {tid: partial(spec.sampler, tid, **spec.options) for tid, spec in _SPECS.items()}
-_EVALUATORS = {tid: partial(_evaluate, tid) for tid in _SPECS}
+_EVALUATORS = {tid: partial(_hand_off, tid) for tid in _SPECS}
 
 
 def normalize_theorem_id(theorem: str) -> str:
@@ -1096,7 +1137,7 @@ def evaluate_instance(inst: dict) -> InstanceResult:
     tid = normalize_theorem_id(inst["theorem"])
     if "field" not in inst:
         raise InputFormatError("instance is missing the 'field' key")
-    return _EVALUATORS[tid](inst)
+    return _evaluate(tid, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -1319,7 +1360,7 @@ def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, 
         (i, tid, sampler(_rng_for(stream, i), *grid[i % len(grid)], adversarial))
         for i in range(lo, hi)
     )
-    return _results(rows, _suite_row)
+    return _results(rows, _suite_row, _sampled_member)
 
 
 def _suite_row(i: int, tid: str, inst: dict) -> InstanceResult:
@@ -1352,10 +1393,8 @@ _GROUP_WINDOW_NODES = 2**20
 
 
 def _group_member(tid: Optional[str], inst) -> Optional[tuple]:
-    """(group key, nodes, arguments) of an instance the grouped path takes, else None.
+    """`_member` of a document instance the grouped path takes, else None.
 
-    Rows of one group share theorem, field, domain, and the form of each
-    function: node values, or polynomial coefficients of one dtype and length.
     An instance that fails to decode is not a member: it takes its own path,
     which raises what it raises.
     """
@@ -1366,16 +1405,35 @@ def _group_member(tid: Optional[str], inst) -> Optional[tuple]:
         args = _decode(tid, inst, decoding)
     except Exception:
         return None
+    return _member(tid, decoding.field, args)
+
+
+def _sampled_member(tid: str, inst: dict) -> Optional[tuple]:
+    """`_member` of a typed integral instance a sampler drew, from its values, else None."""
+    if tid not in _GROUPED:
+        return None
+    field, _, args = _sampled_args(tid, inst, discretize=False)
+    return _member(tid, field, args)
+
+
+def _member(tid: str, field: FieldTag, args: list) -> Optional[tuple]:
+    """(group key, nodes, arguments) of a row with these arguments, or None.
+
+    Rows of one group share theorem, field, domain, and the form of each
+    function: node values, or polynomial coefficients of one dtype and length.
+    """
     forms = []
     for (_, kind), arg in zip(_SPECS[tid].params, args):
-        if kind == "function":
+        if kind == "domain":
+            dom = arg
+        elif kind == "function":
             if isinstance(arg, DiscretizedFunction):
                 forms.append(None)
             elif arg.ndim == 1 and arg.size and arg.dtype in (np.float64, np.complex128):
                 forms.append((arg.dtype.char, arg.size))
             else:
                 return None
-    return (tid, decoding.field, decoding.dom, tuple(forms)), decoding.dim, args
+    return (tid, field, dom, tuple(forms)), dom.size, args
 
 
 def _group_results(members: list) -> dict:
@@ -1418,13 +1476,14 @@ def _chunk_reports(tid: str, field: FieldTag, dom: WeightedDomain, chunk: list) 
     return _GROUPED[tid](*columns)
 
 
-def _results(rows, evaluate):
+def _results(rows, evaluate, member):
     """The results of `rows`, (index, theorem id, instance) triples, in their order.
 
-    `evaluate(index, tid, inst)` is a row's own path.  The integral instances
-    are decoded a window of consecutive rows at a time, and evaluated in
-    groups (`_group_results`); every other row takes `evaluate` in its turn.
-    So a bad row raises as it does alone, after the results before it.
+    `evaluate(index, tid, inst)` is a row's own path, and `member(tid, inst)`
+    its `_member`, or None.  The integral instances are taken a window of
+    consecutive rows at a time, and evaluated in groups (`_group_results`);
+    every other row takes `evaluate` in its turn.  So a bad row raises as it
+    does alone, after the results before it.
     """
     rows = iter(rows)
     window, nodes = [], 0
@@ -1437,12 +1496,12 @@ def _results(rows, evaluate):
             # drawing row i raised: the rows before it come first
             yield from _window_results(window, evaluate)
             raise
-        member = _group_member(tid, inst)
-        if member is None and not window:
+        grouped = member(tid, inst)
+        if grouped is None and not window:
             yield evaluate(i, tid, inst)
             continue
-        window.append((i, tid, inst, member))
-        nodes += member[1] if member else 0
+        window.append((i, tid, inst, grouped))
+        nodes += grouped[1] if grouped else 0
         if len(window) >= _GROUP_WINDOW or nodes >= _GROUP_WINDOW_NODES:
             yield from _window_results(window, evaluate)
             window, nodes = [], 0
@@ -1558,8 +1617,8 @@ def run_suite(
     Each theorem draws from one Philox stream keyed by (seed, theorem), and
     instance i starts at counter block i * 2**64 of it, so reports depend
     only on the arguments, never on execution order.  Fields are names or
-    `FieldTag`s.  Instances stay typed from sampler to evaluator; none is
-    encoded to JSON, and records hold only results.  Instance i is drawn on grid
+    `FieldTag`s.  Instances stay typed from sampler to operation; none is
+    encoded to JSON or decoded, and records hold only results.  Instance i is drawn on grid
     cell i mod len(grid), the grid being dims x the theorem's fields in
     order; `sample_admissible(theorem, field, dim, seed, adversarial,
     index=i)` returns the same instance as a document, and evaluating that
@@ -1639,7 +1698,7 @@ _OUT_OF_RANGE = "; the inputs leave double precision"
 def _file_results(instances: list, lo: int, hi: int):
     """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index."""
     rows = ((i, _document_id(instances[i]), instances[i]) for i in range(lo, hi))
-    return _results(rows, _file_row)
+    return _results(rows, _file_row, _group_member)
 
 
 def _document_id(inst) -> Optional[str]:

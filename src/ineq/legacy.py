@@ -23,6 +23,7 @@ from .conditions import (
     _coefficient_pair,
     _family_ball,
     _pair_realpart,
+    _real_part,
     in_closed_ball,
     two_sided_realpart,
 )
@@ -121,7 +122,7 @@ def legacy_schwarz_pair(x: Vector, y: Vector, pair: ScalarPair) -> BoundChain:
 def legacy_triangle_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:
     """Triangle defect bound sqrt(2) r sqrt(Re<x,a> / (s (s + ||a||))), s = sqrt(||a||^2 - r^2)."""
     na = _strict_ball(x, a, r)
-    re_ip = _vdot(x.coords, a.coords).real
+    re_ip = _real_part(x.coords, a.coords)
     if re_ip < 0:
         raise PreconditionError(f"Re<x,a> must be nonnegative, got {re_ip}")
     report = _ball(x, a.coords, na, r)
@@ -134,7 +135,7 @@ def legacy_triangle_pair(x: Vector, y: Vector, m: float, M: float) -> TriangleDe
     """Triangle defect bound (sqrt(M) - sqrt(m)) / (M m)^(1/4) * sqrt(Re<x,y>)."""
     check_same_space(x, y)
     _require_range(m, M)
-    re_ip = _vdot(x.coords, y.coords).real
+    re_ip = _real_part(x.coords, y.coords)
     if re_ip < 0:
         raise PreconditionError(f"Re<x,y> must be nonnegative, got {re_ip}")
     report = _pair_realpart(x, y, *ScalarPair(float(m), float(M)).coerced(x.field))

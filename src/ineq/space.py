@@ -22,7 +22,9 @@ the norm or inner product that consumes an intermediate: such a reduction is
 finite only if every entry it read is, so `_check_finite` runs on the
 intermediate only when its reduction is not finite, and raises the same
 ValueError.  A vector's norm is computed once and kept (`norm`), which is
-safe because its coordinates are read-only.
+safe because its coordinates are read-only, and is checked the same way, so
+the vectors a sampler draws (`Vector._sampled`) are adopted unscanned: every
+operation takes the norm of every vector it is given.
 
 Every norm keeps to one float-range rule (`_root_of`): it is the square root
 of its sum of squares where that sum is a normal float, and a hypot of the
@@ -169,13 +171,26 @@ class Vector:
         object.__setattr__(self, "coords", _as_coords(self.coords, self.field))
 
     @classmethod
-    def _computed(cls, coords: np.ndarray, field: FieldTag, norm: float | None = None) -> "Vector":
-        """Trusted constructor for coordinates the library just computed, and
-        their norm when the caller already took `_array_norm(coords)`."""
+    def _computed(cls, coords: np.ndarray, field: FieldTag) -> "Vector":
+        """Trusted constructor for coordinates public arithmetic just computed, which
+        can overflow: they are scanned for finiteness."""
+        _check_finite(coords)
+        return cls._sampled(coords, field)
+
+    @classmethod
+    def _sampled(cls, coords: np.ndarray, field: FieldTag, norm: float | None = None) -> "Vector":
+        """Trusted constructor for coordinates a sampler just drew, and their norm when
+        the sampler already took `_array_norm(coords)`.  They are not scanned: every
+        operation takes the norm of every vector it is given, and `norm` reads the
+        finiteness of the entries off it."""
+        assert coords.dtype == field.dtype and coords.ndim == 1 and coords.size, (
+            coords.dtype, coords.shape
+        )
+        coords.flags.writeable = False
         self = object.__new__(cls)
-        object.__setattr__(self, "coords", _computed_coords(coords, field))
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "field", field)
-        if norm is not None:
+        if norm is not None and norm < math.inf:  # else `norm` takes it again, checked
             self.__dict__["_norm"] = norm
         return self
 
@@ -236,11 +251,12 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def norm(x: Vector) -> float:
-    """||x|| = sqrt(Re<x, x>); zero iff x = 0.  Computed once per vector and kept."""
+    """||x|| = sqrt(Re<x, x>); zero iff x = 0.  Computed once per vector and kept, by
+    `_checked_norm`, so it raises on a sampled vector's non-finite entry."""
     memo = x.__dict__
     n = memo.get("_norm")
     if n is None:
-        n = memo["_norm"] = _array_norm(x.coords)
+        n = memo["_norm"] = _checked_norm(x.coords)
     return n
 
 
@@ -404,7 +420,7 @@ def standard_basis(field: FieldTag | str, dim: int, size: int | None = None) -> 
     tag = FieldTag.parse(field)
     size = dim if size is None else size
     if not 1 <= size <= dim:
-        raise DimensionMismatchError(f"cannot take {size} basis vectors in dimension {dim}")
+        raise DimensionMismatchError(f"cannot take {_brief(size)} basis vectors in dimension {dim}")
     key = (tag, dim, size)
     fam = _BASIS_CACHE.get(key)
     if fam is None:

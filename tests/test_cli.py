@@ -180,6 +180,15 @@ def test_non_finite_tol_exits_2(capsys, command, tol):
     assert "--tol" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", ["nan:1:5", "inf:1:3", "1e-3:inf:3", "1:-inf:2", "1e-3:nan:4"])
+def test_non_finite_eps_grid_exits_2(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpness", "--construction", "thm21", f"--eps-grid={grid}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--eps-grid" in err and "finite" in err and "Traceback" not in err
+
+
 def test_eval_overflow_exits_2(tmp_path, capsys):
     src = tmp_path / "huge.json"
     src.write_text(
@@ -677,6 +686,13 @@ def test_eval_error_quotes_a_huge_value_briefly(tmp_path, capsys):
     assert len(err.encode("utf-8")) < 1000
     head = "ineq: instance 0: thm2.1 'x': expected a number or {'re','im'} object, got [0.5, 0.5"
     assert err.startswith(head) and err.endswith("...\n") and err.count("\n") == 1
+    # a family size too large for its dimension, as a float and as a 1,000-digit integer
+    for size, text in ((1e300, str(int(1e300))), (10**1000, str(10**1000))):
+        inst = dict(sample_admissible("thm5.1", "real", 3, seed=0), size=size)
+        rc, out, err = _eval_one(tmp_path, capsys, inst)
+        assert rc == 2 and out == "" and len(err.encode("utf-8")) < 300
+        assert err.startswith(f"ineq: instance 0: thm5.1 'size': cannot take {text[:40]}")
+        assert err.endswith("... basis vectors in dimension 3\n") and err.count("\n") == 1
 
 
 def test_eval_stdout_does_not_depend_on_output(tmp_path, capsys, monkeypatch):

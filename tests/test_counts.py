@@ -4,33 +4,38 @@ Every certificate is a short chain over ||x||, ||y|| and <x,y>, so one
 instance should read each of its arrays once: a vector's norm is kept, the
 evaluators skip space checks on operands already checked, and finiteness is
 read off the reduction that consumes an intermediate.  These tests pin the
-calls one sample and one report make, on the typed path `run_suite` takes.
+calls one sample and one report make, on the typed path `run_suite` takes:
+a sampled instance is handed to its operation as it is, with no decode, and
+a sampled vector is adopted unscanned, its finiteness read off the norm that
+every operation takes of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
-from ineq import harness, space
+from ineq import harness, run_suite, sample_admissible, space
 from ineq.harness import REAL_ONLY_IDS, THEOREM_IDS
-from ineq.space import FieldTag
+from ineq.space import FieldTag, Vector
 
 COUNTED = ("_array_norm", "check_same_space", "_check_finite")
 
 #: Most (norms, space checks, finiteness scans) one sample of each id makes at
-#: dims 3 and 8, over the instances `_counts` draws.  Every Vector a sampler
-#: builds is scanned once (a CoefficientSequence reads finiteness off its
-#: square norm); the integral ids draw polynomials and norm none.
+#: dims 3 and 8, over the instances `_counts` draws.  No Vector a sampler
+#: builds is scanned (the norm its operation takes reads its finiteness), nor
+#: is a CoefficientSequence (its square norm does); the integral ids draw
+#: polynomials and norm none, and prop7.3 scans the function it norms.
 SAMPLE_MAX = {
-    "thm2.1": (1, 0, 2), "thm2.2": (2, 0, 2), "prop2.3": (1, 0, 2), "prop2.4": (2, 0, 2),
-    "thm4.1": (3, 0, 3), "thm4.2": (3, 0, 3), "thm4.3": (3, 0, 3), "thm4.4": (3, 0, 3),
-    "thm5.1": (2, 0, 1), "thm5.2": (5, 0, 1), "thm6.1": (4, 0, 2), "thm6.2": (10, 0, 2),
-    "legacy1.1": (2, 0, 2), "legacy1.3": (2, 0, 2), "legacy1.7": (2, 0, 2),
-    "legacy1.8": (2, 0, 2), "legacy1.10": (3, 0, 3), "legacy1.13": (3, 0, 3),
-    "legacy1.18": (2, 0, 1), "legacy1.20": (5, 0, 1),
+    "thm2.1": (1, 0, 0), "thm2.2": (2, 0, 0), "prop2.3": (1, 0, 0), "prop2.4": (2, 0, 0),
+    "thm4.1": (3, 0, 0), "thm4.2": (3, 0, 0), "thm4.3": (3, 0, 0), "thm4.4": (3, 0, 0),
+    "thm5.1": (2, 0, 0), "thm5.2": (5, 0, 0), "thm6.1": (4, 0, 0), "thm6.2": (10, 0, 0),
+    "legacy1.1": (2, 0, 0), "legacy1.3": (2, 0, 0), "legacy1.7": (2, 0, 0),
+    "legacy1.8": (2, 0, 0), "legacy1.10": (3, 0, 0), "legacy1.13": (3, 0, 0),
+    "legacy1.18": (2, 0, 0), "legacy1.20": (5, 0, 0),
     "prop7.1": (0, 0, 0), "prop7.2": (0, 0, 0), "prop7.11": (0, 0, 0),
     "prop7.12": (0, 0, 0), "prop7.3": (0, 0, 1),
 }
@@ -82,7 +87,8 @@ class _Counter:
 
 def _counts(monkeypatch, tid):
     """(sample counts, report counts, arrays normed) of each instance of tid at dims 3
-    and 8 and both fields, on the typed path; the basis cache is warmed first."""
+    and 8 and both fields; the basis cache is warmed first.  Each instance is evaluated
+    through `harness._EVALUATORS`, the hand-off that `run_suite` takes."""
     counter = _Counter(monkeypatch)
     stream = harness._Stream(5, tid)
     fields = (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
@@ -114,3 +120,63 @@ def test_an_instance_reads_each_array_once(monkeypatch, tid):
             for b in normed[:i]:
                 assert a is not b
                 assert not (a.dtype == b.dtype and a.shape == b.shape and (a == b).all()), (a, b)
+
+
+def test_a_verify_row_makes_no_decode_call(force_workers, monkeypatch):
+    calls = []
+    real_decode = harness._decode
+    monkeypatch.setattr(harness, "_decode", lambda *args: calls.append(args[0]) or real_decode(*args))
+    force_workers(1)
+    report = run_suite(trials=12, dims=(1, 3, 8), seed=4, adversarial=True)
+    assert report.aggregate["count"] == 25 * 12
+    assert calls == []
+    # the document path still decodes
+    harness.evaluate_instance(sample_admissible("thm5.1", "complex", 3, seed=4))
+    assert calls == ["thm5.1"]
+
+
+def _fields(tid):
+    return (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_every_sampled_vector_is_normed_by_its_operation(tid):
+    # a sampled vector is adopted unscanned: the norm its operation takes is its check
+    stream = harness._Stream(8, tid)
+    for dim in (1, 2, 3, 8, 16):
+        for field in _fields(tid):
+            for adversarial in (False, True):
+                for i in range(4):
+                    inst = harness._SAMPLERS[tid](harness._rng_for(stream, i), dim, field, adversarial)
+                    # the same coordinates with no norm kept, so only the operation can take it
+                    fresh = {
+                        key: Vector._sampled(v.coords, v.field) if isinstance(v, Vector) else v
+                        for key, v in inst.items()
+                    }
+                    harness._EVALUATORS[tid](fresh)
+                    for key, v in fresh.items():
+                        if isinstance(v, Vector):
+                            assert "_norm" in v.__dict__, (tid, dim, field, adversarial, i, key)
+
+
+def _vector_keys(tid):
+    return [key for key, kind in harness._SPECS[tid].params if kind == "vector"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tid", [tid for tid in THEOREM_IDS if _vector_keys(tid)])
+def test_a_non_finite_sampled_coordinate_still_raises(monkeypatch, tid, bad):
+    sampler = harness._SAMPLERS[tid]
+    for key, pos, field in itertools.product(_vector_keys(tid), (0, -1), _fields(tid)):
+
+        def poisoned(rng, dim, tag, adversarial, key=key, pos=pos):
+            inst = sampler(rng, dim, tag, adversarial)
+            coords = inst[key].coords.copy()
+            coords[pos] = bad if tag is FieldTag.REAL else complex(coords[pos].real, bad)
+            inst[key] = harness._vec(coords, tag)
+            return inst
+
+        monkeypatch.setitem(harness._SAMPLERS, tid, poisoned)
+        # numpy may warn of the inf * 0 it meets first; the check then raises
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+            run_suite([tid], trials=2, dims=(3,), fields=(field,))

@@ -1,11 +1,13 @@
 """Randomized verification harness: sampling, evaluation, suite reports."""
 
+import ast
 import csv
 import json
 import os
 import pickle
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +355,52 @@ def test_emit_report_json_and_csv(tmp_path):
         emit_report(bare, str(cpath), "csv")
     with pytest.raises(InputFormatError):
         emit_report(rep, str(cpath), "xml")
+
+
+def _module_references(tree: ast.Module) -> dict:
+    """{name: the names it refers to} of each module-level function, class and assignment."""
+    refs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for name in names:
+            refs[name] = used - {name}
+    return refs
+
+
+#: The verify path's hand-off of sampled values, and what alone may refer to each part.
+_HAND_OFF = {
+    "_hand_off": ["harness.py:_EVALUATORS"],
+    "_sampled_args": ["harness.py:_hand_off", "harness.py:_sampled_member"],
+    "_sampled_member": ["harness.py:_suite_results"],
+}
+
+
+def test_untrusted_input_stays_on_the_validating_path():
+    package = Path(harness.__file__).parent
+    refs = {
+        f"{path.name}:{name}": used
+        for path in package.glob("*.py")
+        for name, used in _module_references(ast.parse(path.read_text(encoding="utf-8"))).items()
+    }
+    for part, referrers in _HAND_OFF.items():
+        assert sorted(name for name, used in refs.items() if part in used) == referrers, part
+    # what evaluates a document reaches an operation only through `_decode`
+    reached, todo = set(), ["evaluate_instance", "_file_row", "_group_member"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += refs.get(f"harness.py:{name}", ())
+    assert "_decode" in reached
+    assert not reached & (set(_HAND_OFF) | {"_EVALUATORS"})
 
 
 def test_registry_is_the_one_source_of_ids_samplers_and_schemas():

@@ -388,8 +388,25 @@ def test_a_vector_norm_is_computed_once(monkeypatch):
     v = vector([3.0, 4.0])
     assert norm(v) == norm(v) == 5.0 and len(calls) == 1
     # a sampler hands over the norm it took of the same array
-    w = Vector._computed(np.array([3.0, 4.0]), FieldTag.REAL, 5.0)
+    w = Vector._sampled(np.array([3.0, 4.0]), FieldTag.REAL, 5.0)
     assert norm(w) == 5.0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+def test_a_sampled_vector_reads_finiteness_off_its_norm(bad):
+    field = FieldTag.COMPLEX if isinstance(bad, complex) else FieldTag.REAL
+    coords = np.array([1.0, bad], dtype=field.dtype)
+    v = Vector._sampled(coords.copy(), field)  # adopted unscanned
+    assert not v.coords.flags.writeable
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        norm(v)
+    # a handed-over norm that is not finite is taken again, and checked
+    w = Vector._sampled(coords.copy(), field, math.inf)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        norm(w)
+    # public arithmetic still scans what it computes
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        Vector._computed(coords.copy(), field)
 
 
 def test_a_computed_coefficient_sequence_reads_finiteness_off_its_square_norm():
