@@ -10,10 +10,10 @@ knows about its theorem:
   standard basis vectors of x's space), "domain" (a quadrature domain) and
   "function" (discretized on that domain);
 - `sampler`, called with the keyword `options` that set its theorem-specific
-  choices.  It draws an instance whose hypothesis holds *by construction*
-  (no rejection sampling against the condition itself: the point is sampled
-  as center + scaled in-ball residual, so instances land arbitrarily close
-  to the hypothesis boundary);
+  choices.  It draws the operation's arguments, whose hypothesis holds *by
+  construction* (no rejection sampling against the condition itself: the
+  point is sampled as center + scaled in-ball residual, so instances land
+  arbitrarily close to the hypothesis boundary);
 - `operation`, the name of the bound-chain function in this module's
   namespace, looked up each time an instance is evaluated;
 - `real_only`, for hypotheses that order real values (m*g <= f <= M*g in
@@ -23,24 +23,27 @@ Reports carry their own certificate: each report type states `admissible`,
 `margin`, `gap`, `bound` and the `comparisons` it asserts, and `_evaluate`
 copies them into an `InstanceResult`.
 
-`THEOREM_IDS`, `REAL_ONLY_IDS`, `_SAMPLERS` and `_EVALUATORS` are derived
-from `_SPECS`.  One evaluator, `_evaluate`, walks every document schema:
+`THEOREM_IDS`, `REAL_ONLY_IDS` and `_SAMPLERS` are derived from `_SPECS`.
+One evaluator, `_evaluate`, walks every document schema:
 `_Decoding` has one decoder per kind, and each spec's (position, key,
 decoder) steps are built at import, the domain first because functions are
 discretized on its nodes.  A decoding error names its key; a missing key
 also lists the keys the theorem needs.  A record's `dim` is x's dimension,
 or the node count of an integral instance.
 
-Samplers produce *typed* instances: a dict with "theorem", "field" and the
-operation's parameters as the objects the operations take -- `Vector` and
+A sampler returns an instance in the one shape its operation takes:
+(field, record dim, args), with `args` in `params` order -- `Vector` and
 `CoefficientSequence` for coordinates and coefficients, `ScalarPair` for
-scalar pairs, {"poly": ndarray} for functions, floats for radii and bounds.
-The `Vector`/`CoefficientSequence` types carry the validation: the public
-constructors check and copy their input, public arithmetic checks what it
-computes, and the arrays a sampler draws are adopted unscanned.  Their
-finiteness is read off the norms that read every entry: the square norm a
-`CoefficientSequence` keeps, and the norm every operation takes of every
-vector it is given (`space.norm`), which raises the same ValueError.
+scalar pairs, floats for radii and bounds, the `standard_basis` family for a
+"count", the default `WeightedDomain` for a "domain", and the polynomial
+coefficients of a "function", discretized on the domain when it is
+evaluated.  The `Vector`/`CoefficientSequence` types carry the validation:
+the public constructors check and copy their input, public arithmetic
+checks what it computes, and the arrays a sampler draws are adopted
+unscanned.  Their finiteness is read off the norms that read every entry:
+the square norm a `CoefficientSequence` keeps, and the norm every operation
+takes of every vector it is given (`space.norm`), which raises the same
+ValueError.
 
 Randomness comes from one Philox stream per theorem (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed by
@@ -76,14 +79,14 @@ other instance: an error is then the one-instance path's, raised after the
 results before it.  The other ids are not grouped: their sums go through
 BLAS, whose order depends on the array's shape.
 
-JSON exists only at the boundary.  `sample_admissible` encodes a typed
-instance into the document schema below, and `evaluate_instance` (hence
-`ineq eval`) decodes documents with full per-element validation; a typed
-value met while decoding passes through when its field matches.  `run_suite`
-samples typed instances and hands each one straight to its operation: an
-`_EVALUATORS` entry (`_hand_off`) passes the sampler's values in `params`
-order, and an integral instance joins its group from those values, so
-nothing a sampler drew is decoded or encoded.
+JSON exists only at the boundary.  `sample_admissible` writes a sampled
+instance as the document schema below, one encoder per parameter kind
+(`_ENCODERS`), and `evaluate_instance` (hence `ineq eval`) decodes documents
+with full per-element validation; a typed value met while decoding passes
+through when its field matches.  `run_suite` hands each sampled instance
+straight to its operation (`_sampled_row`), and an integral instance joins
+its group from the same arguments (`_sampled_member`), so nothing a sampler
+drew is encoded or decoded.
 
 Document schema: a dict with "theorem", "field", and the operation's
 parameters -- vectors as number lists ({"re","im"} objects over the complex
@@ -117,6 +120,7 @@ of them.
 from __future__ import annotations
 
 import cmath
+import copy
 import json
 import math
 import os
@@ -126,7 +130,7 @@ import threading
 import zlib
 from contextlib import closing
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -444,27 +448,19 @@ def _enc_array(arr: np.ndarray, field: FieldTag) -> list:
     return [_enc_scalar(v, field) for v in arr]
 
 
-def _enc_value(value, field: FieldTag):
-    """A JSON-able copy of value: nested dicts and lists are copied, never shared."""
-    if isinstance(value, Vector):
-        return _enc_array(value.coords, field)
-    if isinstance(value, CoefficientSequence):
-        return _enc_array(value.entries, field)
-    if isinstance(value, ScalarPair):
-        return {"lo": _enc_scalar(value.lo, field), "hi": _enc_scalar(value.hi, field)}
-    if isinstance(value, np.ndarray):
-        return _enc_array(value, field)
-    if isinstance(value, dict):
-        return {key: _enc_value(v, field) for key, v in value.items()}
-    if isinstance(value, list):
-        return [_enc_value(v, field) for v in value]
-    return value
-
-
-def _encode_instance(inst: dict) -> dict:
-    """The JSON-able document form of a typed instance, keys in the same order."""
-    field = FieldTag.parse(inst["field"])
-    return {key: _enc_value(value, field) for key, value in inst.items()}
+#: One encoder per parameter kind: (sampled argument, field) -> its document
+#: form, fresh JSON-able objects that the decoder of the kind reads back bit
+#: for bit.  Samplers draw on the default domain only, so a domain is written
+#: as a copy of its spec.
+_ENCODERS = {
+    "vector": lambda x, field: _enc_array(x.coords, field),
+    "seq": lambda seq, field: _enc_array(seq.entries, field),
+    "pair": lambda p, field: {"lo": _enc_scalar(p.lo, field), "hi": _enc_scalar(p.hi, field)},
+    "real": lambda v, field: v,
+    "count": lambda family, field: family.size,
+    "domain": lambda dom, field: copy.deepcopy(DEFAULT_DOMAIN_SPEC),
+    "function": lambda coeffs, field: {"poly": _enc_array(coeffs, field)},
+}
 
 
 def _same_field(value, field: FieldTag):
@@ -609,7 +605,7 @@ def _dec_domain(obj) -> WeightedDomain:
         n = _dec_count(rule.get("n", 64))
         cap = _MAX_NODES.get(kind)
         if cap is not None and n > cap:
-            raise InputFormatError(f"{kind} rules take at most {cap} nodes, got {n}")
+            raise InputFormatError(f"{kind} rules take at most {cap} nodes, got {_brief(n)}")
     except InputFormatError as exc:
         raise InputFormatError(f"{part}: {exc}") from None
     key = (a, b, wpoly, kind, n)
@@ -635,19 +631,18 @@ def _dec_function(obj, dom: WeightedDomain, field: FieldTag):
 
 
 # ---------------------------------------------------------------------------
-# Samplers.  Each returns a typed instance dict whose hypothesis holds by
-# construction (or is deliberately broken when adversarial=True).
-
-
-def _instance(theorem: str, field: FieldTag, **params) -> dict:
-    return {"theorem": theorem, "field": field.value, **params}
+# Samplers.  Each returns (field, record dim, args), its operation's arguments
+# in `params` order, whose hypothesis holds by construction (or is deliberately
+# broken when adversarial=True).  A "count" is the `standard_basis` family, a
+# "domain" is `_default_domain()`, and a "function" is its polynomial
+# coefficients; `_sampled_row` discretizes them on the domain.
 
 
 _vec = Vector._sampled
 _seq = CoefficientSequence._computed
 
 
-def _sample_ball(theorem, rng, dim, field, adversarial, restrict=False, capped=False):
+def _sample_ball(rng, dim, field, adversarial, restrict=False, capped=False):
     """x in the ball around a; restrict=True keeps r < ||a|| (strict form), and
     capped=True keeps Re<x,a> >= 0 when adversarial (the triangle form)."""
     if restrict:
@@ -665,7 +660,7 @@ def _sample_ball(theorem, rng, dim, field, adversarial, restrict=False, capped=F
         r = _radius(rng)
         t = _frac(rng, adversarial)
     x = _in_ball(rng, field, a, r, t)
-    return _instance(theorem, field, x=_vec(x, field), a=_vec(a, field, na), r=r)
+    return field, dim, (_vec(x, field), _vec(a, field, na), r)
 
 
 def _pair_point(rng, field, adversarial, base, scale, lo, hi) -> np.ndarray:
@@ -678,15 +673,14 @@ def _pair_point(rng, field, adversarial, base, scale, lo, hi) -> np.ndarray:
     return _in_ball(rng, field, c * base, radius, t)
 
 
-def _sample_two_sided(theorem, rng, dim, field, adversarial, positive_real=False):
+def _sample_two_sided(rng, dim, field, adversarial, positive_real=False):
     y, ny = _nonzero_coords(rng, dim, field)
     lo, hi = _sample_pair(rng, field, positive_real=positive_real)
     x = _pair_point(rng, field, adversarial, y, ny, lo, hi)
-    y = _vec(y, field, ny)
-    return _instance(theorem, field, x=_vec(x, field), y=y, pair=ScalarPair(lo, hi))
+    return field, dim, (_vec(x, field), _vec(y, field, ny), ScalarPair(lo, hi))
 
 
-def _sample_real_range(theorem, rng, dim, field, adversarial, capped=False):
+def _sample_real_range(rng, dim, field, adversarial, capped=False):
     """Real pair 0 < m < M against y; capped=True keeps Re<x,y> >= 0 when
     adversarial (the strict triangle form)."""
     y, ny = _nonzero_coords(rng, dim, field)
@@ -702,10 +696,10 @@ def _sample_real_range(theorem, rng, dim, field, adversarial, capped=False):
     mid = 0.5 * (m + M)
     radius = 0.5 * (M - m) * ny
     x = _in_ball(rng, field, mid * y, radius, t)
-    return _instance(theorem, field, x=_vec(x, field), y=_vec(y, field, ny), m=m, M=M)
+    return field, dim, (_vec(x, field), _vec(y, field, ny), m, M)
 
 
-def _sample_gruss_ball(theorem, rng, dim, field, adversarial, unit_radii=False):
+def _sample_gruss_ball(rng, dim, field, adversarial, unit_radii=False):
     """unit_radii=True draws r1, r2 below 1 (the squared-level legacy form)."""
     e = _unit_coords(rng, dim, field)
     if unit_radii:
@@ -715,25 +709,33 @@ def _sample_gruss_ball(theorem, rng, dim, field, adversarial, unit_radii=False):
         r1, r2 = _radius_pair(rng, adversarial)
     x = _in_ball(rng, field, e, r1, _frac(rng, adversarial))
     y = _in_ball(rng, field, e, r2, _frac(rng, adversarial))
-    x, y, e = _vec(x, field), _vec(y, field), _vec(e, field)
-    return _instance(theorem, field, x=x, y=y, e=e, r1=r1, r2=r2)
+    return field, dim, (_vec(x, field), _vec(y, field), _vec(e, field), r1, r2)
 
 
-def _sample_gruss_pair(theorem, rng, dim, field, adversarial, positive_real=False):
+def _sample_gruss_pair(rng, dim, field, adversarial, positive_real=False):
     e = _unit_coords(rng, dim, field)
     lo_x, hi_x = _sample_pair(rng, field, positive_real=positive_real)
     lo_y, hi_y = _sample_pair(rng, field, positive_real=positive_real)
     x = _vec(_pair_point(rng, field, adversarial, e, 1.0, lo_x, hi_x), field)
     y = _vec(_pair_point(rng, field, adversarial, e, 1.0, lo_y, hi_y), field)
-    pair_x, pair_y = ScalarPair(lo_x, hi_x), ScalarPair(lo_y, hi_y)
-    return _instance(theorem, field, x=x, y=y, e=_vec(e, field), pair_x=pair_x, pair_y=pair_y)
+    return field, dim, (x, y, _vec(e, field), ScalarPair(lo_x, hi_x), ScalarPair(lo_y, hi_y))
 
 
 def _family_size(dim: int) -> int:
     return dim - 1 if dim >= 2 else 1
 
 
-def _sample_bessel_ball(theorem, rng, dim, field, adversarial, restrict=False):
+def _check_dim(dim: int) -> None:
+    """Refuse a dimension >= 1 whose sampled family would pass the family cap of `eval`:
+    one rule for every id, so at most 512 with the cap at 2**18."""
+    if dim * _family_size(dim) > _MAX_FAMILY_COORDS:
+        raise InputFormatError(
+            f"dimension {_brief(dim)} is too large: a family sampled in it takes more "
+            f"than {_MAX_FAMILY_COORDS} coordinates"
+        )
+
+
+def _sample_bessel_ball(rng, dim, field, adversarial, restrict=False):
     """restrict=True keeps r < ||lam|| (strict form)."""
     k = _family_size(dim)
     lam, nlam = _nonzero_coords(rng, k, field)
@@ -742,7 +744,7 @@ def _sample_bessel_ball(theorem, rng, dim, field, adversarial, restrict=False):
     else:
         r = _radius(rng)
     x = _in_ball(rng, field, _padded(lam, dim, field), r, _frac(rng, adversarial))
-    return _instance(theorem, field, x=_vec(x, field), size=k, lam=_seq(lam, field), r=r)
+    return field, dim, (_vec(x, field), standard_basis(field, dim, k), _seq(lam, field), r)
 
 
 def _seq_pair_point(rng, dim, field, adversarial, lo, hi, sep) -> np.ndarray:
@@ -751,42 +753,41 @@ def _seq_pair_point(rng, dim, field, adversarial, lo, hi, sep) -> np.ndarray:
     return _in_ball(rng, field, center, 0.5 * sep, _frac(rng, adversarial))
 
 
-def _sample_bessel_pair(theorem, rng, dim, field, adversarial, positive_sum=False):
+def _sample_bessel_pair(rng, dim, field, adversarial, positive_sum=False):
     k = _family_size(dim)
     lo, hi, sep = _sample_seq_pair(rng, field, k, positive_sum=positive_sum)
     x = _seq_pair_point(rng, dim, field, adversarial, lo, hi, sep)
-    x, gammas, Gammas = _vec(x, field), _seq(lo, field), _seq(hi, field)
-    return _instance(theorem, field, x=x, size=k, gammas=gammas, Gammas=Gammas)
+    family = standard_basis(field, dim, k)
+    return field, dim, (_vec(x, field), family, _seq(lo, field), _seq(hi, field))
 
 
-def _sample_family_gruss_ball(theorem, rng, dim, field, adversarial):
+def _sample_family_gruss_ball(rng, dim, field, adversarial):
     k = _family_size(dim)
     lam, _ = _nonzero_coords(rng, k, field)
     mu, _ = _nonzero_coords(rng, k, field)
     r1, r2 = _radius_pair(rng, adversarial)
     x = _vec(_in_ball(rng, field, _padded(lam, dim, field), r1, _frac(rng, adversarial)), field)
     y = _vec(_in_ball(rng, field, _padded(mu, dim, field), r2, _frac(rng, adversarial)), field)
-    lam, mu = _seq(lam, field), _seq(mu, field)
-    return _instance(theorem, field, x=x, y=y, size=k, lam=lam, mu=mu, r1=r1, r2=r2)
+    family = standard_basis(field, dim, k)
+    return field, dim, (x, y, family, _seq(lam, field), _seq(mu, field), r1, r2)
 
 
-def _sample_family_gruss_pair(theorem, rng, dim, field, adversarial):
+def _sample_family_gruss_pair(rng, dim, field, adversarial):
     k = _family_size(dim)
     lo_x, hi_x, sep_x = _sample_seq_pair(rng, field, k)
     lo_y, hi_y, sep_y = _sample_seq_pair(rng, field, k)
     x = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_x, hi_x, sep_x), field)
     y = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_y, hi_y, sep_y), field)
-    seqs = {
-        "gammas_x": _seq(lo_x, field),
-        "Gammas_x": _seq(hi_x, field),
-        "phis_y": _seq(lo_y, field),
-        "Phis_y": _seq(hi_y, field),
-    }
-    return _instance(theorem, field, x=x, y=y, size=k, **seqs)
+    seqs = (_seq(lo_x, field), _seq(hi_x, field), _seq(lo_y, field), _seq(hi_y, field))
+    return field, dim, (x, y, standard_basis(field, dim, k), *seqs)
 
 
+@cache
 def _default_domain() -> WeightedDomain:
-    return _dec_domain(DEFAULT_DOMAIN_SPEC)
+    """The domain of every sampled integral instance: `DEFAULT_DOMAIN_SPEC`, built on first use."""
+    spec = DEFAULT_DOMAIN_SPEC
+    weight = polynomial(tuple(spec["weight"]["poly"]))
+    return build_domain(spec["interval"], weight, spec["rule"]["kind"], spec["rule"]["n"])
 
 
 def _scaled_perturbation(rng, deg, field, dom, limit) -> np.ndarray:
@@ -800,14 +801,14 @@ def _scaled_perturbation(rng, deg, field, dom, limit) -> np.ndarray:
     return p * (limit / m)
 
 
-def _sample_integral_ball(theorem, rng, dim, field, adversarial):
+def _sample_integral_ball(rng, dim, field, adversarial):
     dom = _default_domain()
     g = _rand_coords(rng, 4, field)
     r = _radius(rng)
     t = _frac(rng, adversarial)
     delta = _scaled_perturbation(rng, 3, field, dom, t * r)
     f = _poly_add(g, delta)
-    return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, f={"poly": f}, g={"poly": g}, r=r)
+    return field, dom.size, (f, g, dom, r)
 
 
 def _pair_multiple(rng, field, dom, adversarial, base, lo, hi) -> np.ndarray:
@@ -820,27 +821,25 @@ def _pair_multiple(rng, field, dom, adversarial, base, lo, hi) -> np.ndarray:
     return _poly_mul(_poly_add(np.array([mid_c]), q), base)
 
 
-def _sample_integral_pair(theorem, rng, dim, field, adversarial):
+def _sample_integral_pair(rng, dim, field, adversarial):
     dom = _default_domain()
     g = _rand_coords(rng, 3, field)
     lo, hi = _sample_pair(rng, field)
     f = _pair_multiple(rng, field, dom, adversarial, g, lo, hi)
-    f, g = {"poly": f}, {"poly": g}
-    return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, f=f, g=g, pair=ScalarPair(lo, hi))
+    return field, dom.size, (f, g, dom, ScalarPair(lo, hi))
 
 
-def _sample_integral_range(theorem, rng, dim, field, adversarial):
+def _sample_integral_range(rng, dim, field, adversarial):
     dom = _default_domain()
     q = _rand_coords(rng, 3, FieldTag.REAL)
     g = _poly_add(_poly_mul(q, q), np.array([float(rng.uniform(0.1, 1.0))]))
     m = _radius(rng, 0.05, 2.0)
     M = m + _radius(rng, 0.01, 5.0)
     f = _pair_multiple(rng, FieldTag.REAL, dom, adversarial, g, m, M)
-    f, g = {"poly": f}, {"poly": g}
-    return _instance(theorem, FieldTag.REAL, domain=DEFAULT_DOMAIN_SPEC, f=f, g=g, m=m, M=M)
+    return FieldTag.REAL, dom.size, (f, g, dom, m, M)
 
 
-def _sample_integral_gruss(theorem, rng, dim, field, adversarial):
+def _sample_integral_gruss(rng, dim, field, adversarial):
     dom = _default_domain()
     h0 = _rand_coords(rng, 3, field)
     nh = dom.norm(DiscretizedFunction._computed(dom._poly(h0), field))
@@ -853,9 +852,7 @@ def _sample_integral_gruss(theorem, rng, dim, field, adversarial):
     f = _pair_multiple(rng, field, dom, adversarial, h, lo_f, hi_f)
     lo_g, hi_g = _sample_pair(rng, field)
     g = _pair_multiple(rng, field, dom, False, h, lo_g, hi_g)
-    funcs = {"f": {"poly": f}, "g": {"poly": g}, "h": {"poly": h}}
-    pairs = {"pair_f": ScalarPair(lo_f, hi_f), "pair_g": ScalarPair(lo_g, hi_g)}
-    return _instance(theorem, field, domain=DEFAULT_DOMAIN_SPEC, **funcs, **pairs)
+    return field, dom.size, (f, g, h, dom, ScalarPair(lo_f, hi_f), ScalarPair(lo_g, hi_g))
 
 
 # ---------------------------------------------------------------------------
@@ -1049,44 +1046,9 @@ def _evaluate(tid: str, inst: dict) -> InstanceResult:
     return _result(tid, decoding.field, decoding.dim, report)
 
 
-def _hand_off(tid: str, inst: dict) -> InstanceResult:
-    """Certify a typed instance that its sampler just drew, with no decode."""
-    field, dim, args = _sampled_args(tid, inst)
-    return _result(tid, field, dim, globals()[_SPECS[tid].operation](*args))
-
-
-def _sampled_args(tid: str, inst: dict, discretize: bool = True) -> tuple:
-    """(field, record dim, operation arguments) of a typed instance a sampler drew.
-
-    Its values go in `params` order as they are, but for a "count", which
-    becomes the first `size` standard basis vectors of x's space, the domain,
-    built from its spec, and a {"poly"} function, whose coefficients are
-    discretized on the domain unless `discretize` is false.
-    """
-    params = _SPECS[tid].params
-    args = [inst[key] for key, _ in params]
-    if tid not in _GROUPED:
-        x = args[0]  # every vector id takes x first
-        for pos, (_, kind) in enumerate(params):
-            if kind == "count":
-                args[pos] = standard_basis(x.field, x.dim, args[pos])
-        return x.field, x.dim, args
-    field, dom = FieldTag.parse(inst["field"]), _dec_domain(inst["domain"])
-    for pos, (_, kind) in enumerate(params):
-        if kind == "domain":
-            args[pos] = dom
-        elif kind == "function":
-            args[pos] = coeffs = args[pos]["poly"]
-            if discretize:
-                args[pos] = DiscretizedFunction._computed(_poly_values(dom, coeffs, field), field)
-    return field, dom.size, args
-
-
-# perfbench/tracing.py wraps the entries of these two tables, so `run_suite`
-# looks its sampler and evaluator up here.  An evaluator is the hand-off:
-# documents are decoded by `_evaluate`, never through this table.
-_SAMPLERS = {tid: partial(spec.sampler, tid, **spec.options) for tid, spec in _SPECS.items()}
-_EVALUATORS = {tid: partial(_hand_off, tid) for tid in _SPECS}
+# perfbench/tracing.py wraps the entries of this table, so `run_suite` looks
+# its samplers up here.
+_SAMPLERS = {tid: partial(spec.sampler, **spec.options) for tid, spec in _SPECS.items()}
 
 
 def normalize_theorem_id(theorem: str) -> str:
@@ -1109,8 +1071,9 @@ def sample_admissible(
     """Deterministically sample one instance whose hypothesis holds by construction.
 
     Returns the instance as a JSON-able document, the schema `evaluate_instance`
-    and `ineq eval` read.  It is instance `index` (0 <= index < 2**64) of the
-    theorem's stream for `seed`, the one `run_suite` draws at that index.
+    and `ineq eval` read, its parameters in decoding order (the domain first).
+    It is instance `index` (0 <= index < 2**64) of the theorem's stream for
+    `seed`, the one `run_suite` draws at that index.
     """
     tid = normalize_theorem_id(theorem)
     tag = FieldTag.parse(field)
@@ -1118,14 +1081,19 @@ def sample_admissible(
         tag = FieldTag.REAL
     if dim < 1:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
+    _check_dim(int(dim))
     if int(seed) < 0:
         raise InputFormatError(f"seed must be nonnegative, got {seed}")
     if not 0 <= int(index) < 2**64:
         raise InputFormatError(f"index must be in [0, 2**64), got {index}")
     rng = _rng_for(_Stream(seed, tid), int(index))
-    inst = _encode_instance(_SAMPLERS[tid](rng, int(dim), tag, bool(adversarial)))
-    inst["seed"] = int(seed)
-    return inst
+    tag, _, args = _SAMPLERS[tid](rng, int(dim), tag, bool(adversarial))
+    spec = _SPECS[tid]
+    doc = {"theorem": tid, "field": tag.value}
+    for pos, key, _ in spec.steps:
+        doc[key] = _ENCODERS[spec.params[pos][1]](args[pos], tag)
+    doc["seed"] = int(seed)
+    return doc
 
 
 def evaluate_instance(inst: dict) -> InstanceResult:
@@ -1360,11 +1328,24 @@ def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, 
         (i, tid, sampler(_rng_for(stream, i), *grid[i % len(grid)], adversarial))
         for i in range(lo, hi)
     )
-    return _results(rows, _suite_row, _sampled_member)
+    return _results(rows, _sampled_row, _sampled_member)
 
 
-def _suite_row(i: int, tid: str, inst: dict) -> InstanceResult:
-    return _EVALUATORS[tid](inst)
+def _sampled_row(i: int, tid: str, row: tuple) -> InstanceResult:
+    """Certify the (field, record dim, args) a sampler drew, with no decode: a
+    function's coefficients are discretized on the instance's domain, and every
+    other argument goes to the operation as it is."""
+    field, dim, args = row
+    spec = _SPECS[tid]
+    if tid in _GROUPED:
+        kinds = [kind for _, kind in spec.params]
+        dom = args[kinds.index("domain")]
+        args = [
+            DiscretizedFunction._computed(_poly_values(dom, arg, field), field)
+            if kind == "function" else arg
+            for kind, arg in zip(kinds, args)
+        ]
+    return _result(tid, field, dim, globals()[spec.operation](*args))
 
 
 # ---------------------------------------------------------------------------
@@ -1408,12 +1389,9 @@ def _group_member(tid: Optional[str], inst) -> Optional[tuple]:
     return _member(tid, decoding.field, args)
 
 
-def _sampled_member(tid: str, inst: dict) -> Optional[tuple]:
-    """`_member` of a typed integral instance a sampler drew, from its values, else None."""
-    if tid not in _GROUPED:
-        return None
-    field, _, args = _sampled_args(tid, inst, discretize=False)
-    return _member(tid, field, args)
+def _sampled_member(tid: str, row: tuple) -> Optional[tuple]:
+    """`_member` of the (field, record dim, args) a sampler drew for an integral id, else None."""
+    return _member(tid, row[0], row[2]) if tid in _GROUPED else None
 
 
 def _member(tid: str, field: FieldTag, args: list) -> Optional[tuple]:
@@ -1479,11 +1457,12 @@ def _chunk_reports(tid: str, field: FieldTag, dom: WeightedDomain, chunk: list) 
 def _results(rows, evaluate, member):
     """The results of `rows`, (index, theorem id, instance) triples, in their order.
 
-    `evaluate(index, tid, inst)` is a row's own path, and `member(tid, inst)`
-    its `_member`, or None.  The integral instances are taken a window of
-    consecutive rows at a time, and evaluated in groups (`_group_results`);
-    every other row takes `evaluate` in its turn.  So a bad row raises as it
-    does alone, after the results before it.
+    An instance is a document or what a sampler drew.  `evaluate(index, tid,
+    inst)` is a row's own path, and `member(tid, inst)` its `_member`, or
+    None.  The integral instances are taken a window of consecutive rows at a
+    time, and evaluated in groups (`_group_results`); every other row takes
+    `evaluate` in its turn.  So a bad row raises as it does alone, after the
+    results before it.
     """
     rows = iter(rows)
     window, nodes = [], 0
@@ -1650,6 +1629,8 @@ def run_suite(
         raise InputFormatError("need at least one dimension")
     if any(d < 1 for d in dims):
         raise InputFormatError(f"dimensions must be >= 1, got {dims}")
+    for d in dims:
+        _check_dim(d)
     field_tags = [FieldTag.parse(f) for f in fields]
     if not field_tags:
         raise InputFormatError("need at least one field")

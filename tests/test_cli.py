@@ -93,6 +93,43 @@ def test_verify_rejects_bad_flag_values():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dims", "99999999999", "--theorems", "thm2.1"],
+        ["--dims", "3,513", "--theorems", "thm5.1"],
+        ["--dims", "2," + "9" * 4000, "--theorems", "prop7.1"],
+    ],
+    ids=["thm2.1", "thm5.1", "prop7.1"],
+)
+def test_verify_too_large_a_dimension_exits_2_before_sampling(capsys, monkeypatch, argv):
+    # every id takes one rule, the family cap of `eval`: dimension 513 is the first over it
+    def never(*args):
+        raise AssertionError("sampled a dimension over the cap")
+
+    monkeypatch.setattr(harness, "_rng_for", never)
+    rc, out, err = run_cli(capsys, "verify", "--trials", "1", *argv)
+    assert rc == 2 and out == "" and err.count("\n") == 1 and len(err) < 300
+    assert err.startswith("ineq: dimension ") and "is too large" in err
+
+
+def test_verify_dimension_cap_is_on_the_family_size_times_dim(capsys, monkeypatch):
+    # dimension 4 samples a family of 3 vectors: 12 coordinates
+    argv = ["verify", "--trials", "2", "--dims", "1,4", "--theorems", "thm2.1"]
+    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 12)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert harness.sample_admissible("thm6.2", "complex", 4)["size"] == 3
+    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 11)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == (
+        "ineq: dimension 4 is too large: a family sampled in it takes more than 11 coordinates\n"
+    )
+    with pytest.raises(harness.InputFormatError, match="^dimension 4 is too large"):
+        harness.sample_admissible("thm6.2", "complex", 4)
+
+
 def test_verify_negative_tol_forces_violation_exit(capsys):
     # with a negative slack every comparison fails, exercising exit code 1
     rc, out, err = run_cli(
@@ -535,8 +572,9 @@ def test_eval_family_over_the_size_cap_exits_2_without_building(tmp_path, capsys
     def never(*args):
         raise AssertionError("standard_basis called for an over-cap family")
 
-    monkeypatch.setattr(harness, "standard_basis", never)
+    # a sampled family is built while sampling, so sample first
     inst = dict(sample_admissible("thm5.1", "real", 3, seed=0), x=[0.5] * 2000, size=2000)
+    monkeypatch.setattr(harness, "standard_basis", never)
     rc, out, err = _eval_one(tmp_path, capsys, inst)
     assert rc == 2 and out == ""
     assert err == (
@@ -693,6 +731,15 @@ def test_eval_error_quotes_a_huge_value_briefly(tmp_path, capsys):
         assert rc == 2 and out == "" and len(err.encode("utf-8")) < 300
         assert err.startswith(f"ineq: instance 0: thm5.1 'size': cannot take {text[:40]}")
         assert err.endswith("... basis vectors in dimension 3\n") and err.count("\n") == 1
+    # a quadrature rule over its node cap, as a float and as a 4,000-digit integer
+    for n, text in ((1e300, str(int(1e300))), (10**3999, str(10**3999))):
+        inst = sample_admissible("prop7.1", "real", 1, seed=0)
+        inst["domain"]["rule"]["n"] = n
+        rc, out, err = _eval_one(tmp_path, capsys, inst)
+        assert rc == 2 and out == "" and len(err.encode("utf-8")) < 300
+        head = "ineq: instance 0: prop7.1 'domain': rule.n: gauss rules take at most 2048 nodes"
+        assert err.startswith(f"{head}, got {text[:40]}") and err.endswith("...\n")
+        assert err.count("\n") == 1
 
 
 def test_eval_stdout_does_not_depend_on_output(tmp_path, capsys, monkeypatch):

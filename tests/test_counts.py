@@ -88,7 +88,7 @@ class _Counter:
 def _counts(monkeypatch, tid):
     """(sample counts, report counts, arrays normed) of each instance of tid at dims 3
     and 8 and both fields; the basis cache is warmed first.  Each instance is evaluated
-    through `harness._EVALUATORS`, the hand-off that `run_suite` takes."""
+    by `harness._sampled_row`, the path `run_suite` takes from a sampler to its operation."""
     counter = _Counter(monkeypatch)
     stream = harness._Stream(5, tid)
     fields = (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
@@ -96,14 +96,14 @@ def _counts(monkeypatch, tid):
     for dim in (3, 8):
         for field in fields:
             warm = harness._SAMPLERS[tid](harness._rng_for(stream, 99), dim, field, False)
-            harness._EVALUATORS[tid](warm)
+            harness._sampled_row(99, tid, warm)
             for i in range(6):
                 counter.take()
                 del counter.normed[:]
                 rng = harness._rng_for(stream, i)
-                inst = harness._SAMPLERS[tid](rng, dim, field, i % 3 == 2)
+                row = harness._SAMPLERS[tid](rng, dim, field, i % 3 == 2)
                 sampled = counter.take()
-                harness._EVALUATORS[tid](inst)
+                harness._sampled_row(i, tid, row)
                 rows.append((sampled, counter.take(), list(counter.normed)))
     return rows
 
@@ -135,6 +135,20 @@ def test_a_verify_row_makes_no_decode_call(force_workers, monkeypatch):
     assert calls == ["thm5.1"]
 
 
+def test_a_verify_run_decodes_no_domain(force_workers, monkeypatch):
+    # a sampled integral instance carries the default domain itself, built once
+    calls = []
+    real_dec_domain = harness._dec_domain
+    monkeypatch.setattr(harness, "_dec_domain", lambda obj: calls.append(obj) or real_dec_domain(obj))
+    force_workers(1)
+    report = run_suite(trials=10, dims=(1, 3), seed=5, adversarial=True)
+    assert report.aggregate["count"] == 25 * 10
+    assert calls == []
+    # the document path still decodes its domain
+    harness.evaluate_instance(sample_admissible("prop7.1", "real", 1, seed=5))
+    assert len(calls) == 1
+
+
 def _fields(tid):
     return (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
 
@@ -147,34 +161,36 @@ def test_every_sampled_vector_is_normed_by_its_operation(tid):
         for field in _fields(tid):
             for adversarial in (False, True):
                 for i in range(4):
-                    inst = harness._SAMPLERS[tid](harness._rng_for(stream, i), dim, field, adversarial)
+                    rng = harness._rng_for(stream, i)
+                    tag, rec_dim, args = harness._SAMPLERS[tid](rng, dim, field, adversarial)
                     # the same coordinates with no norm kept, so only the operation can take it
-                    fresh = {
-                        key: Vector._sampled(v.coords, v.field) if isinstance(v, Vector) else v
-                        for key, v in inst.items()
-                    }
-                    harness._EVALUATORS[tid](fresh)
-                    for key, v in fresh.items():
+                    fresh = [
+                        Vector._sampled(v.coords, v.field) if isinstance(v, Vector) else v
+                        for v in args
+                    ]
+                    harness._sampled_row(i, tid, (tag, rec_dim, fresh))
+                    for pos, v in enumerate(fresh):
                         if isinstance(v, Vector):
-                            assert "_norm" in v.__dict__, (tid, dim, field, adversarial, i, key)
+                            assert "_norm" in v.__dict__, (tid, dim, field, adversarial, i, pos)
 
 
-def _vector_keys(tid):
-    return [key for key, kind in harness._SPECS[tid].params if kind == "vector"]
+def _vector_positions(tid):
+    return [pos for pos, (_, kind) in enumerate(harness._SPECS[tid].params) if kind == "vector"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("tid", [tid for tid in THEOREM_IDS if _vector_keys(tid)])
+@pytest.mark.parametrize("tid", [tid for tid in THEOREM_IDS if _vector_positions(tid)])
 def test_a_non_finite_sampled_coordinate_still_raises(monkeypatch, tid, bad):
     sampler = harness._SAMPLERS[tid]
-    for key, pos, field in itertools.product(_vector_keys(tid), (0, -1), _fields(tid)):
+    for pos, entry, field in itertools.product(_vector_positions(tid), (0, -1), _fields(tid)):
 
-        def poisoned(rng, dim, tag, adversarial, key=key, pos=pos):
-            inst = sampler(rng, dim, tag, adversarial)
-            coords = inst[key].coords.copy()
-            coords[pos] = bad if tag is FieldTag.REAL else complex(coords[pos].real, bad)
-            inst[key] = harness._vec(coords, tag)
-            return inst
+        def poisoned(rng, dim, tag, adversarial, pos=pos, entry=entry):
+            tag, rec_dim, args = sampler(rng, dim, tag, adversarial)
+            coords = args[pos].coords.copy()
+            coords[entry] = bad if tag is FieldTag.REAL else complex(coords[entry].real, bad)
+            args = list(args)
+            args[pos] = harness._vec(coords, tag)
+            return tag, rec_dim, args
 
         monkeypatch.setitem(harness._SAMPLERS, tid, poisoned)
         # numpy may warn of the inf * 0 it meets first; the check then raises

@@ -375,10 +375,9 @@ def _module_references(tree: ast.Module) -> dict:
     return refs
 
 
-#: The verify path's hand-off of sampled values, and what alone may refer to each part.
+#: The verify path from a sampler to its operation, and what alone may refer to each part.
 _HAND_OFF = {
-    "_hand_off": ["harness.py:_EVALUATORS"],
-    "_sampled_args": ["harness.py:_hand_off", "harness.py:_sampled_member"],
+    "_sampled_row": ["harness.py:_suite_results"],
     "_sampled_member": ["harness.py:_suite_results"],
 }
 
@@ -400,7 +399,7 @@ def test_untrusted_input_stays_on_the_validating_path():
             reached.add(name)
             todo += refs.get(f"harness.py:{name}", ())
     assert "_decode" in reached
-    assert not reached & (set(_HAND_OFF) | {"_EVALUATORS"})
+    assert not reached & (set(_HAND_OFF) | {"_suite_results"})
 
 
 def test_registry_is_the_one_source_of_ids_samplers_and_schemas():
@@ -523,8 +522,8 @@ def test_instance_i_starts_at_counter_block_i_times_2_to_the_64():
     assert reused.uniform(size=7).tolist() == fresh.uniform(size=7).tolist()
 
     doc = sample_admissible(tid, "complex", 4, seed, index=i)
-    inst = harness._SAMPLERS[tid](harness._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
-    assert dict(harness._encode_instance(inst), seed=seed) == doc
+    row = harness._SAMPLERS[tid](harness._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
+    assert _document_of(tid, row, seed) == doc
 
 
 def test_far_indices_are_deterministic_and_distinct():
@@ -654,6 +653,55 @@ class _UniformOnly:
         return self._rng.uniform(low, high, size)
 
 
+def _document_of(tid, row, seed) -> dict:
+    """The document of what a sampler drew: each argument written by the encoder of its
+    kind, the keys in decoding order, as `sample_admissible` writes them."""
+    field, _, args = row
+    spec = _SPECS[tid]
+    encoded = {
+        key: harness._ENCODERS[kind](arg, field) for (key, kind), arg in zip(spec.params, args)
+    }
+    doc = {"theorem": tid, "field": field.value}
+    doc.update((key, encoded[key]) for _, key, _ in spec.steps)
+    return dict(doc, seed=seed)
+
+
+def _argument_bits(kind, value):
+    """What tells two arguments of a kind apart bit for bit, -0.0 from 0.0 included."""
+    if kind == "vector":
+        return value.field, value.coords.dtype, value.coords.tobytes()
+    if kind == "seq":
+        return value.field, value.entries.dtype, value.entries.tobytes()
+    if kind == "pair":
+        return [(type(v), np.array(v).tobytes()) for v in (value.lo, value.hi)]
+    if kind == "real":
+        return type(value), np.array(value).tobytes()
+    if kind == "count":
+        return value.field, value.dim, value.size
+    if kind == "domain":
+        return value.nodes.tobytes(), value.weights.tobytes()
+    return value.dtype, value.shape, value.tobytes()  # a function's coefficients
+
+
+@given(st.integers(1, 16), st.booleans(), st.integers(0, 2**64 - 1))
+def test_a_sampled_document_decodes_to_the_sampled_arguments(dim, adversarial, index):
+    seed = 12
+    for tid in THEOREM_IDS:
+        fields = [FieldTag.REAL] if tid in REAL_ONLY_IDS else [FieldTag.REAL, FieldTag.COMPLEX]
+        for field in fields:
+            doc = sample_admissible(tid, field, dim, seed, adversarial, index=index)
+            rng = harness._rng_for(harness._Stream(seed, tid), index)
+            tag, rec_dim, args = harness._SAMPLERS[tid](rng, dim, field, adversarial)
+            decoding = harness._Decoding(FieldTag.parse(doc["field"]), discretize=False)
+            decoded = harness._decode(tid, doc, decoding)
+            assert (decoding.field, decoding.dim) == (tag, rec_dim)
+            for (key, kind), want, got in zip(_SPECS[tid].params, args, decoded):
+                assert _argument_bits(kind, got) == _argument_bits(kind, want), (tid, field, key)
+            # and the sampled row, evaluated alone, is the document's result (repr tells -0.0)
+            alone = harness._sampled_row(index, tid, (tag, rec_dim, args))
+            assert repr(alone) == repr(evaluate_instance(doc)), (tid, field)
+
+
 def test_samplers_draw_only_through_uniform():
     # the draw-source contract: a stand-in exposing only `uniform` reproduces
     # every sampled document bit for bit
@@ -667,8 +715,8 @@ def test_samplers_draw_only_through_uniform():
                     for i in range(3):
                         want = sample_admissible(tid, tag, dim, seed, adversarial, index=i)
                         source = _UniformOnly(harness._rng_for(stream, i))
-                        inst = harness._SAMPLERS[tid](source, dim, tag, adversarial)
-                        got = dict(harness._encode_instance(inst), seed=seed)
+                        row = harness._SAMPLERS[tid](source, dim, tag, adversarial)
+                        got = _document_of(tid, row, seed)
                         assert json.dumps(got) == json.dumps(want), (tid, dim, tag, i)
                         checked += 1
     assert checked == 1440
@@ -760,22 +808,26 @@ def test_report_does_not_depend_on_the_worker_count(force_workers, monkeypatch, 
 
 
 def _act_at(monkeypatch, tid, index, action):
-    """Call `action()` before `tid`'s instance `index` is evaluated, in any process."""
+    """Call `action()` before `tid`'s instance `index` is evaluated, in any process.
+
+    It wraps the operation at the name harness looks up at call time; `tid` is
+    the only id of that operation, and one whose instances are not grouped."""
     current = {}
     real_rng_for = harness._rng_for
-    real_evaluator = harness._EVALUATORS[tid]
+    name = _SPECS[tid].operation
+    real_operation = getattr(harness, name)
 
     def rng_for(stream, i):
         current["index"] = i
         return real_rng_for(stream, i)
 
-    def evaluator(inst):
+    def operation(*args):
         if current["index"] == index:
             action()
-        return real_evaluator(inst)
+        return real_operation(*args)
 
     monkeypatch.setattr(harness, "_rng_for", rng_for)
-    monkeypatch.setitem(harness._EVALUATORS, tid, evaluator)
+    monkeypatch.setattr(harness, name, operation)
 
 
 def _log_pid(path):
@@ -1086,7 +1138,7 @@ def _record_dict(index, result, ok, flags) -> dict:
 def _rendered(render):
     try:
         return render()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return type(exc)
 
 
@@ -1137,6 +1189,7 @@ def _plain_record(margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bo
 @example(_plain_record(gap=np.float64(-1e308), bound=np.float64(1e308)))  # and so does overflow
 @example(_plain_record(comparisons=(("gap", np.float64(0.5), "bound", 1e17),)))
 @example(_plain_record(comparisons=((1, 0.5, 2, 1e17),)))  # labels that are not strings
+@example(_plain_record(gap=2**63, bound=np.int64(3)))  # bound - gap leaves int64: OverflowError
 def test_a_record_text_is_what_render_json_writes_for_its_dict(record):
     expected = _rendered(lambda: render_json({"records": [_record_dict(*record)]}))
     got = _rendered(
