@@ -20,30 +20,32 @@ knows about its theorem:
   prop7.11 and prop7.12).
 
 Reports carry their own certificate: each report type states `admissible`,
-`margin`, `gap`, `bound` and the `comparisons` it asserts, and `_evaluate`
+`margin`, `gap`, `bound` and the `comparisons` it asserts, and `_result`
 copies them into an `InstanceResult`.
 
 `THEOREM_IDS`, `REAL_ONLY_IDS` and `_SAMPLERS` are derived from `_SPECS`.
-One evaluator, `_evaluate`, walks every document schema:
-`_Decoding` has one decoder per kind, and each spec's (position, key,
-decoder) steps are built at import, the domain first because functions are
-discretized on its nodes.  A decoding error names its key; a missing key
-also lists the keys the theorem needs.  A record's `dim` is x's dimension,
-or the node count of an integral instance.
+One decoder, `_decode`, walks every document schema: `_Decoding` has one
+decoder per kind, and each spec's (position, key, decoder) steps are built
+at import, the domain first because {"values"} functions are discretized on
+its nodes.  A decoding error names its key; a missing key also lists the
+keys the theorem needs.  A record's `dim` is x's dimension, or the node
+count of an integral instance.
 
-A sampler returns an instance in the one shape its operation takes:
-(field, record dim, args), with `args` in `params` order -- `Vector` and
+A row is an instance in the one shape its operation takes: (field, record
+dim, args), with `args` in `params` order -- `Vector` and
 `CoefficientSequence` for coordinates and coefficients, `ScalarPair` for
 scalar pairs, floats for radii and bounds, the `standard_basis` family for a
-"count", the default `WeightedDomain` for a "domain", and the polynomial
-coefficients of a "function", discretized on the domain when it is
-evaluated.  The `Vector`/`CoefficientSequence` types carry the validation:
-the public constructors check and copy their input, public arithmetic
-checks what it computes, and the arrays a sampler draws are adopted
-unscanned.  Their finiteness is read off the norms that read every entry:
-the square norm a `CoefficientSequence` keeps, and the norm every operation
-takes of every vector it is given (`space.norm`), which raises the same
-ValueError.
+"count", a `WeightedDomain` for a "domain", and for a "function" its
+polynomial coefficients, or a document's {"values"} already discretized.
+Samplers return rows, `_document_row` decodes a document into one, and
+`_row_result`, the one evaluator, discretizes the coefficients on the
+domain and calls the operation.  The `Vector`/`CoefficientSequence` types
+carry the validation: the public constructors check and copy their input,
+public arithmetic checks what it computes, and the arrays a sampler draws
+are adopted unscanned.  Their finiteness is read off the norms that read
+every entry: the square norm a `CoefficientSequence` keeps, and the norm
+every operation takes of every vector it is given (`space.norm`), which
+raises the same ValueError.
 
 Randomness comes from one Philox stream per theorem (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed by
@@ -68,8 +70,8 @@ platforms without `os.fork` and processes running more than one Python
 thread stay serial.
 
 Within a slice, both runners take one results path, `_results`.  It
-takes a window of consecutive instances, groups the integral ones by
-theorem, field, domain and the form of each function, and evaluates each
+takes a window of consecutive rows, groups the integral ones by theorem,
+field, domain and the form of each function (`_member`), and evaluates each
 group as one call of its operation over rows (`integral._ROW_OPERATIONS`),
 in chunks of at most `_GROUP_CHUNK_NODES` node values per function.  That
 arithmetic is elementwise, row sums and min/max, so each row of a group is
@@ -80,13 +82,13 @@ results before it.  The other ids are not grouped: their sums go through
 BLAS, whose order depends on the array's shape.
 
 JSON exists only at the boundary.  `sample_admissible` writes a sampled
-instance as the document schema below, one encoder per parameter kind
-(`_ENCODERS`), and `evaluate_instance` (hence `ineq eval`) decodes documents
-with full per-element validation; a typed value met while decoding passes
-through when its field matches.  `run_suite` hands each sampled instance
-straight to its operation (`_sampled_row`), and an integral instance joins
-its group from the same arguments (`_sampled_member`), so nothing a sampler
-drew is encoded or decoded.
+row as the document schema below, one encoder per parameter kind
+(`_ENCODERS`).  `_document_row` (hence `evaluate_instance` and `ineq eval`)
+decodes each document instance once into its row, with full per-element
+validation: `_decode` is the only reader of untrusted input, and a value
+that is not JSON, a `Vector` say, is refused by its key.  `run_suite` never
+encodes or decodes what a sampler drew.  From the row on, both runners take
+the same path.
 
 Document schema: a dict with "theorem", "field", and the operation's
 parameters -- vectors as number lists ({"re","im"} objects over the complex
@@ -463,14 +465,6 @@ _ENCODERS = {
 }
 
 
-def _same_field(value, field: FieldTag):
-    if value.field is not field:
-        raise FieldMismatchError(
-            f"{value.field.value} {type(value).__name__} in a {field.value} instance"
-        )
-    return value
-
-
 def _dec_real(v) -> float:
     """The one rule for numbers in a document: an int or a float, not a bool or a string."""
     if type(v) is float:
@@ -518,8 +512,6 @@ def _finite(v, what: str = "number"):
 
 
 def _dec_pair(obj) -> ScalarPair:
-    if isinstance(obj, ScalarPair):
-        return obj
     if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
         raise InputFormatError(f"expected {{'lo','hi'}}, got {_brief(obj)}")
     lo, hi = _dec_scalar(obj["lo"]), _dec_scalar(obj["hi"])
@@ -619,9 +611,7 @@ def _dec_domain(obj) -> WeightedDomain:
 def _dec_function(obj, dom: WeightedDomain, field: FieldTag):
     """A {"values"} function discretized on dom, or the coefficients of a {"poly"} one."""
     if isinstance(obj, dict) and "poly" in obj:
-        coeffs = obj["poly"]
-        if not isinstance(coeffs, np.ndarray):
-            coeffs = np.asarray(_dec_coords(_dec_list(coeffs), field))
+        coeffs = np.asarray(_dec_coords(_dec_list(obj["poly"]), field))
         if coeffs.dtype.kind == "c" and field is FieldTag.REAL:
             raise FieldMismatchError("complex entries are not representable over real")
         return coeffs
@@ -635,7 +625,7 @@ def _dec_function(obj, dom: WeightedDomain, field: FieldTag):
 # in `params` order, whose hypothesis holds by construction (or is deliberately
 # broken when adversarial=True).  A "count" is the `standard_basis` family, a
 # "domain" is `_default_domain()`, and a "function" is its polynomial
-# coefficients; `_sampled_row` discretizes them on the domain.
+# coefficients; `_row_result` discretizes them on the domain.
 
 
 _vec = Vector._sampled
@@ -861,33 +851,24 @@ def _sample_integral_gruss(rng, dim, field, adversarial):
 
 class _Decoding:
     """One decoder per parameter kind, and what later parameters depend on:
-    the field, the record's dim and the domain functions are discretized on.
+    the field, the record's dim and the domain functions are discretized on."""
 
-    With `discretize` false, a {"poly"} function decodes to its coefficients,
-    which `_group_results` discretizes for a whole group of rows at once."""
+    __slots__ = ("field", "dim", "dom")
 
-    __slots__ = ("field", "dim", "dom", "discretize")
-
-    def __init__(self, field: FieldTag, discretize: bool = True):
+    def __init__(self, field: FieldTag):
         self.field = field
         self.dim = None
         self.dom = None
-        self.discretize = discretize
 
     def vector(self, obj) -> Vector:
-        if isinstance(obj, Vector):
-            x = _same_field(obj, self.field)
-        elif isinstance(obj, (list, tuple)):
-            x = vector(_dec_coords(obj, self.field), self.field)
-        else:
+        if not isinstance(obj, (list, tuple)):
             raise InputFormatError(f"expected a coordinate list, got {_brief(obj)}")
+        x = vector(_dec_coords(obj, self.field), self.field)
         if self.dim is None:
             self.dim = x.dim
         return x
 
     def seq(self, obj) -> CoefficientSequence:
-        if isinstance(obj, CoefficientSequence):
-            return _same_field(obj, self.field)
         if not isinstance(obj, (list, tuple)):
             raise InputFormatError(f"expected a coefficient list, got {_brief(obj)}")
         return coefficients(_dec_coords(obj, self.field), self.field)
@@ -913,10 +894,7 @@ class _Decoding:
         return self.dom
 
     def function(self, obj):
-        f = _dec_function(obj, self.dom, self.field)
-        if isinstance(f, DiscretizedFunction) or not self.discretize:
-            return f
-        return DiscretizedFunction._computed(_poly_values(self.dom, f, self.field), self.field)
+        return _dec_function(obj, self.dom, self.field)
 
 
 @dataclass(frozen=True)
@@ -1039,13 +1017,6 @@ def _result(tid: str, field: FieldTag, dim: int, report) -> InstanceResult:
     )
 
 
-def _evaluate(tid: str, inst: dict) -> InstanceResult:
-    """Decode `inst` along its theorem's schema and certify it with the operation's report."""
-    decoding = _Decoding(FieldTag.parse(inst["field"]))
-    report = globals()[_SPECS[tid].operation](*_decode(tid, inst, decoding))
-    return _result(tid, decoding.field, decoding.dim, report)
-
-
 # perfbench/tracing.py wraps the entries of this table, so `run_suite` looks
 # its samplers up here.
 _SAMPLERS = {tid: partial(spec.sampler, **spec.options) for tid, spec in _SPECS.items()}
@@ -1096,8 +1067,12 @@ def sample_admissible(
     return doc
 
 
-def evaluate_instance(inst: dict) -> InstanceResult:
-    """Decode one instance dict (a document, or typed) and run its theorem's operation."""
+def _document_row(inst) -> tuple:
+    """(theorem id, row) of an instance document: the (field, record dim, args) its
+    sampler would draw, decoded once with full per-element validation.
+
+    A {"poly"} function stays its coefficients, which `_row_result` or a group
+    discretizes; a {"values"} function is already discretized."""
     if not isinstance(inst, dict):
         raise InputFormatError(f"instance must be an object, got {type(inst).__name__}")
     if "theorem" not in inst:
@@ -1105,7 +1080,14 @@ def evaluate_instance(inst: dict) -> InstanceResult:
     tid = normalize_theorem_id(inst["theorem"])
     if "field" not in inst:
         raise InputFormatError("instance is missing the 'field' key")
-    return _evaluate(tid, inst)
+    decoding = _Decoding(FieldTag.parse(inst["field"]))
+    args = _decode(tid, inst, decoding)
+    return tid, (decoding.field, decoding.dim, args)
+
+
+def evaluate_instance(inst: dict) -> InstanceResult:
+    """Decode one instance document and certify it on `run_suite`'s path (`_row_result`)."""
+    return _row_result(*_document_row(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -1325,26 +1307,31 @@ def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, 
     sampler = _SAMPLERS[tid]
     stream = _Stream(seed, tid)
     rows = (
-        (i, tid, sampler(_rng_for(stream, i), *grid[i % len(grid)], adversarial))
+        (tid, sampler(_rng_for(stream, i), *grid[i % len(grid)], adversarial))
         for i in range(lo, hi)
     )
-    return _results(rows, _sampled_row, _sampled_member)
+    return _results(rows)
 
 
-def _sampled_row(i: int, tid: str, row: tuple) -> InstanceResult:
-    """Certify the (field, record dim, args) a sampler drew, with no decode: a
-    function's coefficients are discretized on the instance's domain, and every
-    other argument goes to the operation as it is."""
+def _row_result(tid: str, row: tuple) -> InstanceResult:
+    """Certify a row, the (field, record dim, args) a sampler drew or `_document_row`
+    decoded: the one place an instance reaches its operation.
+
+    A function given by its coefficients is discretized on the instance's
+    domain first, an error naming its key as `_decode` does; every other
+    argument goes to the operation as it is."""
     field, dim, args = row
     spec = _SPECS[tid]
     if tid in _GROUPED:
-        kinds = [kind for _, kind in spec.params]
-        dom = args[kinds.index("domain")]
-        args = [
-            DiscretizedFunction._computed(_poly_values(dom, arg, field), field)
-            if kind == "function" else arg
-            for kind, arg in zip(kinds, args)
-        ]
+        dom = next(arg for arg in args if isinstance(arg, WeightedDomain))
+        args = list(args)
+        for pos, (key, kind) in enumerate(spec.params):
+            if kind == "function" and not isinstance(args[pos], DiscretizedFunction):
+                try:
+                    values = _poly_values(dom, args[pos], field)
+                    args[pos] = DiscretizedFunction._computed(values, field)
+                except ValueError as exc:
+                    raise ValueError(f"{tid} {key!r}: {exc}") from None
     return _result(tid, field, dim, globals()[spec.operation](*args))
 
 
@@ -1373,33 +1360,17 @@ _GROUP_WINDOW = 1024
 _GROUP_WINDOW_NODES = 2**20
 
 
-def _group_member(tid: Optional[str], inst) -> Optional[tuple]:
-    """`_member` of a document instance the grouped path takes, else None.
+def _member(tid: str, row: tuple) -> Optional[tuple]:
+    """(group key, nodes, arguments) of a row, or None for an id that is not grouped.
 
-    An instance that fails to decode is not a member: it takes its own path,
-    which raises what it raises.
+    Rows of one group share theorem, field, domain, and the form of each
+    function: node values, or 1-D polynomial coefficients of one dtype
+    (float64 or complex128, as samplers draw and `_decode` builds them) and
+    one length.
     """
     if tid not in _GROUPED:
         return None
-    try:
-        decoding = _Decoding(FieldTag.parse(inst["field"]), discretize=False)
-        args = _decode(tid, inst, decoding)
-    except Exception:
-        return None
-    return _member(tid, decoding.field, args)
-
-
-def _sampled_member(tid: str, row: tuple) -> Optional[tuple]:
-    """`_member` of the (field, record dim, args) a sampler drew for an integral id, else None."""
-    return _member(tid, row[0], row[2]) if tid in _GROUPED else None
-
-
-def _member(tid: str, field: FieldTag, args: list) -> Optional[tuple]:
-    """(group key, nodes, arguments) of a row with these arguments, or None.
-
-    Rows of one group share theorem, field, domain, and the form of each
-    function: node values, or polynomial coefficients of one dtype and length.
-    """
+    field, _, args = row
     forms = []
     for (_, kind), arg in zip(_SPECS[tid].params, args):
         if kind == "domain":
@@ -1407,10 +1378,8 @@ def _member(tid: str, field: FieldTag, args: list) -> Optional[tuple]:
         elif kind == "function":
             if isinstance(arg, DiscretizedFunction):
                 forms.append(None)
-            elif arg.ndim == 1 and arg.size and arg.dtype in (np.float64, np.complex128):
-                forms.append((arg.dtype.char, arg.size))
             else:
-                return None
+                forms.append((arg.dtype.char, arg.size))
     return (tid, field, dom, tuple(forms)), dom.size, args
 
 
@@ -1454,44 +1423,44 @@ def _chunk_reports(tid: str, field: FieldTag, dom: WeightedDomain, chunk: list) 
     return _GROUPED[tid](*columns)
 
 
-def _results(rows, evaluate, member):
-    """The results of `rows`, (index, theorem id, instance) triples, in their order.
+def _results(rows):
+    """The results of `rows`, (theorem id, row) pairs, in their order.
 
-    An instance is a document or what a sampler drew.  `evaluate(index, tid,
-    inst)` is a row's own path, and `member(tid, inst)` its `_member`, or
-    None.  The integral instances are taken a window of consecutive rows at a
-    time, and evaluated in groups (`_group_results`); every other row takes
-    `evaluate` in its turn.  So a bad row raises as it does alone, after the
-    results before it.
+    A row is what a sampler drew or `_document_row` decoded.  The integral
+    rows are taken a window of consecutive rows at a time, and evaluated in
+    groups (`_group_results`); every other row goes to `_row_result` in its
+    turn.  So a bad row raises as it does alone, after the results before
+    it, and so does a row whose draw or decode raises.
     """
     rows = iter(rows)
     window, nodes = [], 0
     while True:
         try:
-            i, tid, inst = next(rows)
+            tid, row = next(rows)
         except StopIteration:
             break
         except Exception:
-            # drawing row i raised: the rows before it come first
-            yield from _window_results(window, evaluate)
+            # drawing or decoding the next row raised: the rows before it come first
+            yield from _window_results(window)
             raise
-        grouped = member(tid, inst)
+        grouped = _member(tid, row)
         if grouped is None and not window:
-            yield evaluate(i, tid, inst)
+            yield _row_result(tid, row)
             continue
-        window.append((i, tid, inst, grouped))
+        window.append((tid, row, grouped))
         nodes += grouped[1] if grouped else 0
         if len(window) >= _GROUP_WINDOW or nodes >= _GROUP_WINDOW_NODES:
-            yield from _window_results(window, evaluate)
+            yield from _window_results(window)
             window, nodes = [], 0
-    yield from _window_results(window, evaluate)
+    yield from _window_results(window)
 
 
-def _window_results(window: list, evaluate):
-    done = _group_results([(i, member) for i, _, _, member in window if member])
-    for i, tid, inst, _ in window:
-        result = done.get(i)
-        yield evaluate(i, tid, inst) if result is None else result
+def _window_results(window: list):
+    members = [(pos, member) for pos, (_, _, member) in enumerate(window) if member]
+    done = _group_results(members)
+    for pos, (tid, row, _) in enumerate(window):
+        result = done.get(pos)
+        yield _row_result(tid, row) if result is None else result
 
 
 class _Workers:
@@ -1677,33 +1646,29 @@ _OUT_OF_RANGE = "; the inputs leave double precision"
 
 
 def _file_results(instances: list, lo: int, hi: int):
-    """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index."""
-    rows = ((i, _document_id(instances[i]), instances[i]) for i in range(lo, hi))
-    return _results(rows, _file_row, _group_member)
+    """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index.
 
-
-def _document_id(inst) -> Optional[str]:
-    """The normalised theorem id of a document instance, or None: `evaluate_instance` then
-    says what is wrong."""
-    try:
-        return normalize_theorem_id(inst["theorem"])
-    except Exception:
-        return None
-
-
-def _file_row(i: int, tid: Optional[str], inst) -> InstanceResult:
-    try:
-        result = evaluate_instance(inst)
-    except (IneqError, ValueError, TypeError) as exc:
-        raise InputFormatError(f"instance {i}: {exc}")
-    except ArithmeticError as exc:  # a float ** overflowed or a divisor underflowed to 0
-        raise InputFormatError(f"instance {i}: {tid} {exc}{_OUT_OF_RANGE}")
-    bad = _first_non_finite(result)
-    if bad is not None:
-        raise InputFormatError(
-            f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}{_OUT_OF_RANGE}"
-        )
-    return result
+    Each instance is decoded once, into its row, and takes `run_suite`'s path
+    (`_results`).  That raises only after yielding every result before the
+    bad row, a row that fails to decode included, so the error is always
+    that of the next instance due.
+    """
+    results = _results(_document_row(instances[j]) for j in range(lo, hi))
+    for i in range(lo, hi):
+        try:
+            result = next(results)
+        except (IneqError, ValueError, TypeError) as exc:
+            raise InputFormatError(f"instance {i}: {exc}")
+        except ArithmeticError as exc:  # a float ** overflowed or a divisor underflowed to 0
+            # instance i decoded its id before any arithmetic, so this cannot fail
+            tid = normalize_theorem_id(instances[i]["theorem"])
+            raise InputFormatError(f"instance {i}: {tid} {exc}{_OUT_OF_RANGE}")
+        bad = _first_non_finite(result)
+        if bad is not None:
+            raise InputFormatError(
+                f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}{_OUT_OF_RANGE}"
+            )
+        yield result
 
 
 def evaluate_file(

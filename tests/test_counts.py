@@ -13,12 +13,14 @@ every operation takes of it.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 
 import numpy as np
 import pytest
 
-from ineq import harness, run_suite, sample_admissible, space
+from ineq import evaluate_file, harness, run_suite, sample_admissible, space
+from ineq.errors import InputFormatError
 from ineq.harness import REAL_ONLY_IDS, THEOREM_IDS
 from ineq.space import FieldTag, Vector
 
@@ -88,7 +90,7 @@ class _Counter:
 def _counts(monkeypatch, tid):
     """(sample counts, report counts, arrays normed) of each instance of tid at dims 3
     and 8 and both fields; the basis cache is warmed first.  Each instance is evaluated
-    by `harness._sampled_row`, the path `run_suite` takes from a sampler to its operation."""
+    by `harness._row_result`, the path `run_suite` takes from a sampler to its operation."""
     counter = _Counter(monkeypatch)
     stream = harness._Stream(5, tid)
     fields = (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
@@ -96,14 +98,14 @@ def _counts(monkeypatch, tid):
     for dim in (3, 8):
         for field in fields:
             warm = harness._SAMPLERS[tid](harness._rng_for(stream, 99), dim, field, False)
-            harness._sampled_row(99, tid, warm)
+            harness._row_result(tid, warm)
             for i in range(6):
                 counter.take()
                 del counter.normed[:]
                 rng = harness._rng_for(stream, i)
                 row = harness._SAMPLERS[tid](rng, dim, field, i % 3 == 2)
                 sampled = counter.take()
-                harness._sampled_row(i, tid, row)
+                harness._row_result(tid, row)
                 rows.append((sampled, counter.take(), list(counter.normed)))
     return rows
 
@@ -149,6 +151,23 @@ def test_a_verify_run_decodes_no_domain(force_workers, monkeypatch):
     assert len(calls) == 1
 
 
+def test_eval_decodes_each_document_instance_once(force_workers, monkeypatch, tmp_path):
+    # 16 prop7.11 rows on 64 nodes are one group chunk; row 9 has m > M, so the
+    # chunk raises and its rows are certified one at a time, from the rows
+    # already decoded, until row 9 raises
+    docs = [sample_admissible("prop7.11", "real", 1, seed=3, index=i) for i in range(16)]
+    docs[9]["m"], docs[9]["M"] = docs[9]["M"], docs[9]["m"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"instances": docs}), encoding="utf-8")
+    calls = []
+    real_decode = harness._decode
+    monkeypatch.setattr(harness, "_decode", lambda *args: calls.append(args[0]) or real_decode(*args))
+    force_workers(1)
+    with pytest.raises(InputFormatError, match="^instance 9: "):
+        evaluate_file(str(path))
+    assert calls == ["prop7.11"] * 16
+
+
 def _fields(tid):
     return (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
 
@@ -168,7 +187,7 @@ def test_every_sampled_vector_is_normed_by_its_operation(tid):
                         Vector._sampled(v.coords, v.field) if isinstance(v, Vector) else v
                         for v in args
                     ]
-                    harness._sampled_row(i, tid, (tag, rec_dim, fresh))
+                    harness._row_result(tid, (tag, rec_dim, fresh))
                     for pos, v in enumerate(fresh):
                         if isinstance(v, Vector):
                             assert "_norm" in v.__dict__, (tid, dim, field, adversarial, i, pos)

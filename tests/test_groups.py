@@ -1,11 +1,11 @@
 """Integral instances evaluated in groups: bit for bit the instances alone, errors in order.
 
-A worker decodes the integral instances of a window of consecutive rows,
-groups them by theorem, field, domain and the form of each function, and
-evaluates each group in chunks of rows (`harness._group_results`).  These
-tests hold a group to the one-instance path (`harness._evaluate`) byte for
-byte, hold a bad row to the error it raises alone, and pin the number of
-Horner passes a group makes.
+A worker takes the integral rows of a window of consecutive rows, groups
+them by theorem, field, domain and the form of each function
+(`harness._member`), and evaluates each group in chunks of rows
+(`harness._group_results`).  These tests hold a group to the one-instance
+path (`evaluate_instance`) byte for byte, hold a bad row to the error it
+raises alone, and pin the number of Horner passes a group makes.
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineq import evaluate_file, harness, integral, sample_admissible
+from ineq import evaluate_file, evaluate_instance, harness, integral, sample_admissible
 from ineq.harness import REAL_ONLY_IDS
 from ineq.cli import main
 
@@ -129,14 +129,15 @@ def _groups(draw):
 @given(group=_groups())
 def test_a_group_is_bit_for_bit_its_rows_alone(group):
     tid, instances = group
-    members = [(i, harness._group_member(tid, inst)) for i, inst in enumerate(instances)]
+    rows = [harness._document_row(inst) for inst in instances]
+    members = [(i, harness._member(*row)) for i, row in enumerate(rows)]
     assert all(member is not None for _, member in members)
     assert len({member[0] for _, member in members}) == 1
     done = harness._group_results(members)
     assert sorted(done) == list(range(len(instances)))
     for i, inst in enumerate(instances):
         # repr tells -0.0 from 0.0, and a numpy scalar from a float
-        assert repr(done[i]) == repr(harness._evaluate(tid, inst)), i
+        assert repr(done[i]) == repr(evaluate_instance(inst)), i
 
 
 # ---------------------------------------------------------------------------

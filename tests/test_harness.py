@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ineq import (
-    FieldMismatchError,
     FieldTag,
     InputFormatError,
+    ScalarPair,
     THEOREM_IDS,
     coefficients,
     emit_report,
@@ -253,12 +253,21 @@ def test_evaluate_instance_rejects_malformed_input():
             )
 
 
-def test_typed_values_pass_through_only_in_their_field():
-    inst = {"theorem": "thm2.1", "field": "real", "x": [0.5, 0.5], "a": [1.0, 0.0], "r": 1.0}
-    typed = dict(inst, x=vector(inst["x"], FieldTag.REAL))
-    assert evaluate_instance(typed) == evaluate_instance(inst)
-    with pytest.raises(FieldMismatchError):
-        evaluate_instance(dict(typed, field="complex", a=[{"re": 1.0}, {"re": 0.0}]))
+@pytest.mark.parametrize(
+    "tid, key, value",
+    [
+        ("thm2.1", "x", vector([0.5, 0.5], FieldTag.REAL)),
+        ("thm5.1", "lam", coefficients([0.5], FieldTag.REAL)),
+        ("thm2.2", "pair", ScalarPair(1.0, 2.0)),
+        ("prop7.1", "f", {"poly": np.array([1.0, 0.5])}),
+    ],
+    ids=["Vector", "CoefficientSequence", "ScalarPair", "ndarray-poly"],
+)
+def test_a_typed_value_in_a_document_is_refused_by_its_key(tid, key, value):
+    # a document holds JSON values only; what a sampler draws is never decoded
+    inst = dict(sample_admissible(tid, "real", 2, seed=0), **{key: value})
+    with pytest.raises(InputFormatError, match=f"^{tid} '{key}': expected "):
+        evaluate_instance(inst)
 
 
 def _bits(value):
@@ -375,31 +384,94 @@ def _module_references(tree: ast.Module) -> dict:
     return refs
 
 
-#: The verify path from a sampler to its operation, and what alone may refer to each part.
-_HAND_OFF = {
-    "_sampled_row": ["harness.py:_suite_results"],
-    "_sampled_member": ["harness.py:_suite_results"],
-}
+def _readers(tree: ast.Module, attr: str) -> list:
+    """The module-level names whose definition reads the attribute `attr` of anything."""
+    return [
+        name
+        for name, node in _definitions(tree)
+        if any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node))
+    ]
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class and single-name assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
 
 
 def test_untrusted_input_stays_on_the_validating_path():
     package = Path(harness.__file__).parent
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
     refs = {
         f"{path.name}:{name}": used
         for path in package.glob("*.py")
         for name, used in _module_references(ast.parse(path.read_text(encoding="utf-8"))).items()
     }
-    for part, referrers in _HAND_OFF.items():
-        assert sorted(name for name, used in refs.items() if part in used) == referrers, part
-    # what evaluates a document reaches an operation only through `_decode`
-    reached, todo = set(), ["evaluate_instance", "_file_row", "_group_member"]
+    # document rows come only from `_document_row`, which decodes them
+    assert sorted(name for name, used in refs.items() if "_document_row" in used) == [
+        "harness.py:_file_results", "harness.py:evaluate_instance",
+    ]
+    # samplers are called only through `_SAMPLERS`, which the suite runner and
+    # `sample_admissible` alone refer to
+    samplers = {spec.sampler.__name__ for spec in _SPECS.values()}
+    for sampler in samplers:
+        assert sorted(name for name, used in refs.items() if sampler in used) == [
+            "harness.py:_SPECS",
+        ], sampler
+    assert _readers(tree, "sampler") == ["_SAMPLERS"]
+    assert sorted(name for name, used in refs.items() if "_SAMPLERS" in used) == [
+        "harness.py:_suite_results", "harness.py:sample_admissible",
+    ]
+    # the document path decodes, and reaches no sampler and no draw; the walk
+    # stops at the registry, which names every sampler as data
+    reached, todo = set(), ["evaluate_instance", "_file_results"]
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            todo += refs.get(f"harness.py:{name}", ())
-    assert "_decode" in reached
-    assert not reached & (set(_HAND_OFF) | {"_suite_results"})
+            if name != "_SPECS":
+                todo += refs.get(f"harness.py:{name}", ())
+    assert {"_document_row", "_decode", "_row_result"} <= reached
+    assert not reached & (samplers | {"_SAMPLERS", "_suite_results", "_rng_for", "_Stream"})
+
+
+def _operation_callers(tree: ast.AST, scope: str = "") -> list:
+    """(dotted name, what) of each call in tree of a theorem operation, by its name or
+    looked up in `globals()`, and of an operation over rows, looked up in `_GROUPED`."""
+    operations = {spec.operation for spec in _SPECS.values()}
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _operation_callers(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in operations:
+                found.append((scope or "<module>", "operation"))
+            elif isinstance(func, ast.Subscript):
+                table = func.value
+                if isinstance(table, ast.Call) and getattr(table.func, "id", None) == "globals":
+                    found.append((scope or "<module>", "operation"))
+                elif getattr(table, "id", None) in ("_GROUPED", "_ROW_OPERATIONS"):
+                    found.append((scope or "<module>", "rows"))
+        found += _operation_callers(node, scope)
+    return found
+
+
+def test_only_row_result_calls_a_theorem_operation():
+    # both runners, and `evaluate_instance`, certify a row in one place; a group
+    # of integral rows is one call of the operation over rows
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    assert sorted(set(_operation_callers(tree))) == [
+        ("_chunk_reports", "rows"), ("_row_result", "operation"),
+    ]
+    assert _readers(tree, "operation") == ["_row_result", "_GROUPED"]
 
 
 def test_registry_is_the_one_source_of_ids_samplers_and_schemas():
@@ -692,13 +764,12 @@ def test_a_sampled_document_decodes_to_the_sampled_arguments(dim, adversarial, i
             doc = sample_admissible(tid, field, dim, seed, adversarial, index=index)
             rng = harness._rng_for(harness._Stream(seed, tid), index)
             tag, rec_dim, args = harness._SAMPLERS[tid](rng, dim, field, adversarial)
-            decoding = harness._Decoding(FieldTag.parse(doc["field"]), discretize=False)
-            decoded = harness._decode(tid, doc, decoding)
-            assert (decoding.field, decoding.dim) == (tag, rec_dim)
+            doc_tid, (doc_field, doc_dim, decoded) = harness._document_row(doc)
+            assert (doc_tid, doc_field, doc_dim) == (tid, tag, rec_dim)
             for (key, kind), want, got in zip(_SPECS[tid].params, args, decoded):
                 assert _argument_bits(kind, got) == _argument_bits(kind, want), (tid, field, key)
             # and the sampled row, evaluated alone, is the document's result (repr tells -0.0)
-            alone = harness._sampled_row(index, tid, (tag, rec_dim, args))
+            alone = harness._row_result(tid, (tag, rec_dim, args))
             assert repr(alone) == repr(evaluate_instance(doc)), (tid, field)
 
 
@@ -1027,15 +1098,15 @@ def test_eval_does_not_depend_on_the_worker_count(force_workers, monkeypatch, tm
 
 
 def _act_at_marked(monkeypatch, action):
-    """Call `action()` before a document instance with a "mark" key is evaluated."""
-    real_evaluate = harness.evaluate_instance
+    """Call `action()` before a document instance with a "mark" key is decoded."""
+    real_document_row = harness._document_row
 
-    def evaluate(inst):
+    def document_row(inst):
         if "mark" in inst:
             action()
-        return real_evaluate(inst)
+        return real_document_row(inst)
 
-    monkeypatch.setattr(harness, "evaluate_instance", evaluate)
+    monkeypatch.setattr(harness, "_document_row", document_row)
 
 
 def _marked_document(tmp_path, index) -> str:
