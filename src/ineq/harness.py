@@ -42,10 +42,11 @@ Samplers return rows, `_document_row` decodes a document into one, and
 domain and calls the operation.  The `Vector`/`CoefficientSequence` types
 carry the validation: the public constructors check and copy their input,
 public arithmetic checks what it computes, and the arrays a sampler draws
-are adopted unscanned.  Their finiteness is read off the norms that read
-every entry: the square norm a `CoefficientSequence` keeps, and the norm
-every operation takes of every vector it is given (`space.norm`), which
-raises the same ValueError.
+are adopted unscanned, as are the arrays `_decode` builds from a document's
+float lists.  Their finiteness is read off the norms that read every entry:
+the square norm a `CoefficientSequence` keeps, and the norm every operation
+takes of every vector it is given (`space.norm`), which raises the same
+ValueError; `_decode` takes a decoded vector's norm, so the error names its key.
 
 Randomness comes from one Philox stream per theorem (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed by
@@ -122,7 +123,6 @@ of them.
 from __future__ import annotations
 
 import cmath
-import copy
 import json
 import math
 import os
@@ -190,6 +190,7 @@ from .space import (
     Vector,
     _BoundedCache,
     _array_norm,
+    _checked_norm,
     coefficients,
     standard_basis,
     vector,
@@ -447,7 +448,9 @@ def _enc_scalar(c, field: FieldTag):
 
 
 def _enc_array(arr: np.ndarray, field: FieldTag) -> list:
-    return [_enc_scalar(v, field) for v in arr]
+    if field is FieldTag.REAL:
+        return arr.tolist()
+    return [{"re": c.real, "im": c.imag} for c in arr.tolist()]
 
 
 #: One encoder per parameter kind: (sampled argument, field) -> its document
@@ -460,7 +463,11 @@ _ENCODERS = {
     "pair": lambda p, field: {"lo": _enc_scalar(p.lo, field), "hi": _enc_scalar(p.hi, field)},
     "real": lambda v, field: v,
     "count": lambda family, field: family.size,
-    "domain": lambda dom, field: copy.deepcopy(DEFAULT_DOMAIN_SPEC),
+    "domain": lambda dom, field: {
+        "interval": [*DEFAULT_DOMAIN_SPEC["interval"]],
+        "weight": {"poly": [*DEFAULT_DOMAIN_SPEC["weight"]["poly"]]},
+        "rule": {**DEFAULT_DOMAIN_SPEC["rule"]},
+    },
     "function": lambda coeffs, field: {"poly": _enc_array(coeffs, field)},
 }
 
@@ -511,15 +518,30 @@ def _finite(v, what: str = "number"):
     raise InputFormatError(f"expected a finite {what}, got {_brief(v)}")
 
 
+def _exact_finite(v):
+    """A finite float v, or the finite complex of a {"re","im"} object of floats; else None."""
+    if type(v) is float:
+        return v if math.isfinite(v) else None
+    if type(v) is dict and len(v) == 2:
+        re, im = v.get("re"), v.get("im")
+        if type(re) is float and type(im) is float:
+            c = complex(re, im)
+            return c if cmath.isfinite(c) else None
+    return None
+
+
 def _dec_pair(obj) -> ScalarPair:
     if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
         raise InputFormatError(f"expected {{'lo','hi'}}, got {_brief(obj)}")
-    lo, hi = _dec_scalar(obj["lo"]), _dec_scalar(obj["hi"])
-    return ScalarPair(_finite(lo, "'lo'"), _finite(hi, "'hi'"))
+    lo, hi = _exact_finite(obj["lo"]), _exact_finite(obj["hi"])
+    if lo is None or hi is None:
+        lo, hi = _dec_scalar(obj["lo"]), _dec_scalar(obj["hi"])
+        lo, hi = _finite(lo, "'lo'"), _finite(hi, "'hi'")
+    return ScalarPair(lo, hi)
 
 
 def _dec_coords(obj: list, field: FieldTag):
-    """The coordinates of a document list, for the `vector`/`coefficients` constructors.
+    """The coordinates of a document list: a fresh array, or scalars for the constructors.
 
     A list of exact floats (real field) or of exact {"re": float, "im": float}
     objects (complex field), as `sample_admissible` writes them, becomes one
@@ -863,7 +885,12 @@ class _Decoding:
     def vector(self, obj) -> Vector:
         if not isinstance(obj, (list, tuple)):
             raise InputFormatError(f"expected a coordinate list, got {_brief(obj)}")
-        x = vector(_dec_coords(obj, self.field), self.field)
+        coords = _dec_coords(obj, self.field)
+        if type(coords) is np.ndarray:
+            # the norm every operation takes of x, taken here: it reads the finiteness
+            x = _vec(coords, self.field, _checked_norm(coords))
+        else:
+            x = vector(coords, self.field)
         if self.dim is None:
             self.dim = x.dim
         return x
@@ -871,7 +898,10 @@ class _Decoding:
     def seq(self, obj) -> CoefficientSequence:
         if not isinstance(obj, (list, tuple)):
             raise InputFormatError(f"expected a coefficient list, got {_brief(obj)}")
-        return coefficients(_dec_coords(obj, self.field), self.field)
+        entries = _dec_coords(obj, self.field)
+        if type(entries) is np.ndarray:
+            return _seq(entries, self.field)  # its square norm reads the finiteness
+        return coefficients(entries, self.field)
 
     def pair(self, obj) -> ScalarPair:
         return _dec_pair(obj)
@@ -1631,7 +1661,15 @@ def run_suite(
 
 
 def _first_non_finite(result: InstanceResult) -> Optional[tuple[str, float]]:
-    """(name, value) of the first reported quantity that is NaN or infinite."""
+    """(name, value) of the first reported quantity that is NaN or infinite.
+
+    A float sum of them all with total - total == 0.0 means none is (as in
+    `_record_text`); any other total takes the scan that names the first."""
+    total = result.gap + result.bound + result.margin
+    for _, lhs, _, rhs in result.comparisons:
+        total += lhs + rhs
+    if type(total) is float and total - total == 0.0:
+        return None
     named = [("gap", result.gap), ("bound", result.bound), ("margin", result.margin)]
     for lhs_label, lhs, rhs_label, rhs in result.comparisons:
         named += [(lhs_label, lhs), (rhs_label, rhs)]

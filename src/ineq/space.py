@@ -23,8 +23,9 @@ finite only if every entry it read is, so `_check_finite` runs on the
 intermediate only when its reduction is not finite, and raises the same
 ValueError.  A vector's norm is computed once and kept (`norm`), which is
 safe because its coordinates are read-only, and is checked the same way, so
-the vectors a sampler draws (`Vector._sampled`) are adopted unscanned: every
-operation takes the norm of every vector it is given.
+the vectors a sampler draws or a document decoder builds (`Vector._sampled`)
+are adopted unscanned: every operation takes the norm of every vector it is
+given.
 
 Every norm keeps to one float-range rule (`_root_of`): it is the square root
 of its sum of squares where that sum is a normal float, and a hypot of the
@@ -179,10 +180,10 @@ class Vector:
 
     @classmethod
     def _sampled(cls, coords: np.ndarray, field: FieldTag, norm: float | None = None) -> "Vector":
-        """Trusted constructor for coordinates a sampler just drew, and their norm when
-        the sampler already took `_array_norm(coords)`.  They are not scanned: every
-        operation takes the norm of every vector it is given, and `norm` reads the
-        finiteness of the entries off it."""
+        """Trusted constructor for coordinates a sampler just drew or a document decoder
+        just built, and their norm when the caller already took it.  They are not
+        scanned: every operation takes the norm of every vector it is given, and
+        `norm` reads the finiteness of the entries off it."""
         assert coords.dtype == field.dtype and coords.ndim == 1 and coords.size, (
             coords.dtype, coords.shape
         )

@@ -518,7 +518,8 @@ _NAN, _INF = float("nan"), float("inf")
 _C3 = [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": 1.0}]
 
 #: (theorem, field, key, bad value, exit code, stderr after "ineq: instance 0: ").
-#: An exit-0 case names, instead of a message, the all-float value it must equal.
+#: An exit-0 case names, instead of a message, the all-float value whose report
+#: and record bytes it must equal.
 _MALFORMED_COORDS = {
     "bool": ("thm2.1", "real", "x", [1.0, True, 0.5], 2,
              "thm2.1 'x': expected a number or {'re','im'} object, got True"),
@@ -547,13 +548,21 @@ _MALFORMED_COORDS = {
                    "thm5.1 'lam': expected a number or {'re','im'} object, got [0.5, 0.0]"),
     "seq-nan": ("thm5.1", "real", "lam", [_NAN], 2,
                 "thm5.1 'lam': entries must be finite (no NaN/Inf)"),
+    "complex-seq-nan": ("thm5.1", "complex", "lam", [{"re": _NAN, "im": 0.0}, _C3[1]], 2,
+                        "thm5.1 'lam': entries must be finite (no NaN/Inf)"),
+    "complex-seq-infinity": ("thm5.1", "complex", "lam", [_C3[0], {"re": 0.0, "im": _INF}], 2,
+                             "thm5.1 'lam': entries must be finite (no NaN/Inf)"),
+    "int-part": ("thm2.1", "complex", "x", [{"re": 1, "im": 0.0}] + _C3, 0,
+                 [{"re": 1.0, "im": 0.0}] + _C3),
+    "seq-int-part": ("thm5.1", "complex", "lam", [{"re": 0.5, "im": 0}, _C3[1]], 0,
+                     [{"re": 0.5, "im": 0.0}, _C3[1]]),
 }
 
 
-def _eval_one(tmp_path, capsys, inst):
+def _eval_one(tmp_path, capsys, inst, *options):
     src = tmp_path / "in.json"
     src.write_text(json.dumps({"instances": [inst]}), encoding="utf-8")  # NaN, Infinity tokens
-    return run_cli(capsys, "eval", "--input", str(src))
+    return run_cli(capsys, "eval", "--input", str(src), *options)
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_COORDS))
@@ -564,8 +573,13 @@ def test_eval_coordinate_lists_keep_their_rules_and_messages(tmp_path, capsys, c
     assert rc == code
     if code == 2:
         assert out == "" and err == f"ineq: instance 0: {expected}\n"
-    else:
-        assert err == "" and (rc, out) == _eval_one(tmp_path, capsys, dict(inst, **{key: expected}))[:2]
+        return
+    dest = tmp_path / "records.json"
+    runs = []
+    for coords in (value, expected):
+        runs.append(_eval_one(tmp_path, capsys, dict(inst, **{key: coords}), "--output", str(dest)))
+        runs[-1] += (dest.read_bytes(),)
+    assert err == "" and runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_eval_family_over_the_size_cap_exits_2_without_building(tmp_path, capsys, monkeypatch):

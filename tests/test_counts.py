@@ -7,7 +7,9 @@ read off the reduction that consumes an intermediate.  These tests pin the
 calls one sample and one report make, on the typed path `run_suite` takes:
 a sampled instance is handed to its operation as it is, with no decode, and
 a sampled vector is adopted unscanned, its finiteness read off the norm that
-every operation takes of it.
+every operation takes of it.  A document instance is decoded into the same
+row: a coordinate list of exact floats becomes one array, adopted unscanned,
+and the norm its operation reuses is taken while decoding.
 """
 
 from __future__ import annotations
@@ -51,6 +53,21 @@ REPORT_MAX = {
     "thm5.1": (3, 2, 0), "thm5.2": (3, 2, 0), "thm6.1": (6, 4, 0), "thm6.2": (6, 4, 0),
     "legacy1.1": (2, 1, 0), "legacy1.3": (1, 1, 0), "legacy1.7": (3, 1, 0),
     "legacy1.8": (2, 1, 0), "legacy1.10": (5, 3, 0), "legacy1.13": (3, 3, 0),
+    "legacy1.18": (3, 2, 0), "legacy1.20": (3, 2, 0),
+    "prop7.1": (0, 0, 2), "prop7.2": (0, 0, 2), "prop7.11": (0, 0, 2),
+    "prop7.12": (0, 0, 3), "prop7.3": (0, 0, 3),
+}
+
+#: Exact (norms, space checks, finiteness scans) of one decoded document instance
+#: of each id, decode and report together.  Decoding takes each vector's norm,
+#: which its operation reuses, where it would scan it, so no scan is left but
+#: the integral ids', which decode no vector or sequence.
+DECODE_COUNTS = {
+    "thm2.1": (3, 1, 0), "thm2.2": (2, 1, 0), "prop2.3": (4, 1, 0), "prop2.4": (3, 1, 0),
+    "thm4.1": (5, 2, 0), "thm4.2": (5, 2, 0), "thm4.3": (3, 2, 0), "thm4.4": (3, 2, 0),
+    "thm5.1": (3, 2, 0), "thm5.2": (3, 2, 0), "thm6.1": (6, 4, 0), "thm6.2": (6, 4, 0),
+    "legacy1.1": (3, 1, 0), "legacy1.3": (2, 1, 0), "legacy1.7": (4, 1, 0),
+    "legacy1.8": (3, 1, 0), "legacy1.10": (5, 3, 0), "legacy1.13": (3, 3, 0),
     "legacy1.18": (3, 2, 0), "legacy1.20": (3, 2, 0),
     "prop7.1": (0, 0, 2), "prop7.2": (0, 0, 2), "prop7.11": (0, 0, 2),
     "prop7.12": (0, 0, 3), "prop7.3": (0, 0, 3),
@@ -110,18 +127,39 @@ def _counts(monkeypatch, tid):
     return rows
 
 
+def _assert_normed_once(normed):
+    """No array in `normed` is the same object as, or an equal copy of, one before it."""
+    for i, a in enumerate(normed):
+        for b in normed[:i]:
+            assert a is not b
+            assert not (a.dtype == b.dtype and a.shape == b.shape and (a == b).all()), (a, b)
+
+
 @pytest.mark.parametrize("tid", THEOREM_IDS)
 def test_an_instance_reads_each_array_once(monkeypatch, tid):
     rows = _counts(monkeypatch, tid)
     for sampled, reported, normed in rows:
         assert all(n <= m for n, m in zip(sampled, SAMPLE_MAX[tid])), (sampled, SAMPLE_MAX[tid])
         assert all(n <= m for n, m in zip(reported, REPORT_MAX[tid])), (reported, REPORT_MAX[tid])
-        # no array is normed twice within one instance, sampling and report together:
-        # not the same object, and not an equal copy of it
-        for i, a in enumerate(normed):
-            for b in normed[:i]:
-                assert a is not b
-                assert not (a.dtype == b.dtype and a.shape == b.shape and (a == b).all()), (a, b)
+        # no array is normed twice within one instance, sampling and report together
+        _assert_normed_once(normed)
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_a_decoded_instance_reads_each_array_once(monkeypatch, tid):
+    # the document of each instance `_counts` draws, decoded and certified by
+    # `evaluate_instance`; the basis and domain caches are warmed first
+    counter = _Counter(monkeypatch)
+    for dim in (3, 8):
+        for field in _fields(tid):
+            harness.evaluate_instance(sample_admissible(tid, field, dim, seed=5, index=99))
+            for i in range(6):
+                doc = sample_admissible(tid, field, dim, seed=5, adversarial=i % 3 == 2, index=i)
+                counter.take()
+                del counter.normed[:]
+                harness.evaluate_instance(doc)
+                assert counter.take() == DECODE_COUNTS[tid], (field, dim, i)
+                _assert_normed_once(counter.normed)
 
 
 def test_a_verify_row_makes_no_decode_call(force_workers, monkeypatch):

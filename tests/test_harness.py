@@ -2,6 +2,8 @@
 
 import ast
 import csv
+import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -791,6 +793,21 @@ def test_samplers_draw_only_through_uniform():
                         assert json.dumps(got) == json.dumps(want), (tid, dim, tag, i)
                         checked += 1
     assert checked == 1440
+
+
+#: sha256 of `json.dumps` of the list of documents `sample_admissible` writes at
+#: seed 3 for every id x dims 1, 2, 3, 8, 16 x both fields x plain and
+#: adversarial, the i-th of them at index i.  An encoder change keeps it.
+SAMPLE_DOCS_SHA256 = "1f6c801a417fd6b492b2cca86ceb5eb83a16af00781fce54a8dbf8fe244408eb"
+
+
+def test_sampled_documents_are_pinned():
+    cases = itertools.product(THEOREM_IDS, (1, 2, 3, 8, 16), ("real", "complex"), (False, True))
+    docs = [
+        sample_admissible(tid, field, dim, seed=3, adversarial=adversarial, index=i)
+        for i, (tid, dim, field, adversarial) in enumerate(cases)
+    ]
+    assert hashlib.sha256(json.dumps(docs).encode("utf-8")).hexdigest() == SAMPLE_DOCS_SHA256
 
 
 def test_eval_keys_results_by_the_normalised_id(tmp_path):
