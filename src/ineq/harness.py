@@ -38,12 +38,13 @@ scalar pairs, floats for radii and bounds, the `standard_basis` family for a
 "count", a `WeightedDomain` for a "domain", and for a "function" its
 polynomial coefficients, or a document's {"values"} already discretized.
 Samplers return rows, `_document_row` decodes a document into one, and
-`_row_result`, the one evaluator, discretizes the coefficients on the
-domain and calls the operation.  The `Vector`/`CoefficientSequence` types
-carry the validation: the public constructors check and copy their input,
-public arithmetic checks what it computes, and the arrays a sampler draws
-are adopted unscanned, as are the arrays `_decode` builds from a document's
-float lists.  Their finiteness is read off the norms that read every entry:
+`_row_result`, the one evaluator, calls the operation; an integral row is
+the one-row group of its id, whose coefficients are discretized on the
+domain.  The `Vector`/`CoefficientSequence` types carry the validation:
+the public constructors check and copy their input, public arithmetic
+checks what it computes, and the arrays a sampler draws are adopted
+unscanned, as are the arrays `_decode` builds from a document's float
+lists.  Their finiteness is read off the norms that read every entry:
 the square norm a `CoefficientSequence` keeps, and the norm every operation
 takes of every vector it is given (`space.norm`), which raises the same
 ValueError; `_decode` takes a decoded vector's norm, so the error names its key.
@@ -76,11 +77,12 @@ field, domain and the form of each function (`_member`), and evaluates each
 group as one call of its operation over rows (`integral._ROW_OPERATIONS`),
 in chunks of at most `_GROUP_CHUNK_NODES` node values per function.  That
 arithmetic is elementwise, row sums and min/max, so each row of a group is
-bit for bit the instance evaluated alone.  A chunk that raises, and a row
-with a non-finite number, are evaluated again one at a time, as is every
-other instance: an error is then the one-instance path's, raised after the
-results before it.  The other ids are not grouped: their sums go through
-BLAS, whose order depends on the array's shape.
+bit for bit the instance evaluated alone, a NaN or inf included, which
+`evaluate_file` refuses as it would alone.  A chunk that raises is
+evaluated again one row at a time, as is every other instance: an error is
+then the one-instance path's, raised after the results before it.  The
+other ids are not grouped: their sums go through BLAS, whose order depends
+on the array's shape.
 
 JSON exists only at the boundary.  `sample_admissible` writes a sampled
 row as the document schema below, one encoder per parameter kind
@@ -114,10 +116,11 @@ desired outcome, not errors.
 record's "passed", its per-comparison booleans and the per-theorem and
 aggregate counts.  A record or a per-theorem entry thus means the same in
 both reports.  A kept record is rendered where it is counted, once, by
-`_record_text`: a forked child sends its slice's records as one JSON text,
-`SuiteReport.to_json` splices the texts in after the head, which is all that
-`render_json` writes of a report, and `SuiteReport.records` is a parsed view
-of them.
+`_record_text`, one printf template over the plain values `_result` copies
+(float numbers, str labels, bool flags, an int dim).  A forked child sends
+its slice's records as one JSON text, `SuiteReport.to_json` splices the
+texts in after the head, which is all that `render_json` writes of a
+report, and `SuiteReport.records` is a parsed view of them.
 """
 
 from __future__ import annotations
@@ -154,13 +157,7 @@ from .integral import (
     _discretized_rows,
     _poly_add,
     _poly_mul,
-    _poly_values,
     build_domain,
-    integral_gruss,
-    integral_schwarz_ball,
-    integral_schwarz_pair,
-    integral_schwarz_range,
-    integral_triangle,
     polynomial,
 )
 from .legacy import (
@@ -177,8 +174,8 @@ from .numutil import (
     BOOL_TEXT,
     CHAIN_REL_TOL,
     FLOAT_SLOT,
-    _emit,
     encode_basestring_ascii,
+    fmt_float,
     leq_with_slack,
     render_json,
 )
@@ -518,26 +515,11 @@ def _finite(v, what: str = "number"):
     raise InputFormatError(f"expected a finite {what}, got {_brief(v)}")
 
 
-def _exact_finite(v):
-    """A finite float v, or the finite complex of a {"re","im"} object of floats; else None."""
-    if type(v) is float:
-        return v if math.isfinite(v) else None
-    if type(v) is dict and len(v) == 2:
-        re, im = v.get("re"), v.get("im")
-        if type(re) is float and type(im) is float:
-            c = complex(re, im)
-            return c if cmath.isfinite(c) else None
-    return None
-
-
 def _dec_pair(obj) -> ScalarPair:
     if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
         raise InputFormatError(f"expected {{'lo','hi'}}, got {_brief(obj)}")
-    lo, hi = _exact_finite(obj["lo"]), _exact_finite(obj["hi"])
-    if lo is None or hi is None:
-        lo, hi = _dec_scalar(obj["lo"]), _dec_scalar(obj["hi"])
-        lo, hi = _finite(lo, "'lo'"), _finite(hi, "'hi'")
-    return ScalarPair(lo, hi)
+    lo, hi = _dec_scalar(obj["lo"]), _dec_scalar(obj["hi"])
+    return ScalarPair(_finite(lo, "'lo'"), _finite(hi, "'hi'"))
 
 
 def _dec_coords(obj: list, field: FieldTag):
@@ -647,7 +629,7 @@ def _dec_function(obj, dom: WeightedDomain, field: FieldTag):
 # in `params` order, whose hypothesis holds by construction (or is deliberately
 # broken when adversarial=True).  A "count" is the `standard_basis` family, a
 # "domain" is `_default_domain()`, and a "function" is its polynomial
-# coefficients; `_row_result` discretizes them on the domain.
+# coefficients, which its group discretizes on the domain (`_chunk_reports`).
 
 
 _vec = Vector._sampled
@@ -1101,8 +1083,8 @@ def _document_row(inst) -> tuple:
     """(theorem id, row) of an instance document: the (field, record dim, args) its
     sampler would draw, decoded once with full per-element validation.
 
-    A {"poly"} function stays its coefficients, which `_row_result` or a group
-    discretizes; a {"values"} function is already discretized."""
+    A {"poly"} function stays its coefficients, which its group discretizes
+    (`_chunk_reports`); a {"values"} function is already discretized."""
     if not isinstance(inst, dict):
         raise InputFormatError(f"instance must be an object, got {type(inst).__name__}")
     if "theorem" not in inst:
@@ -1188,25 +1170,23 @@ CSV_COLUMNS = (
 
 #: A record's keys in report order: the CSV columns, then its comparisons.
 _RECORD_KEYS = CSV_COLUMNS + ("comparisons",)
-#: The types of a plain record's values, and of a plain comparison's
-#: [lhs label, lhs, rhs label, rhs, flag]: what evaluations give.
-_PLAIN_RECORD = (int, str, str, int, bool, float, float, float, float, bool)
-_PLAIN_COMPARISON = (str, float, str, float, bool)
-#: Printf slots that write a plain value's text once the str and bool values are JSON texts.
-_SLOTS = {int: "%d", float: FLOAT_SLOT, str: "%s", bool: "%s"}
 #: Between two records of a report, and between two comparisons of a record.
 _RECORD_SEP = ",\n    "
 _COMPARISON_SEP = ",\n        "
 
 
-#: A plain record's text at the records indent of a report, its comparisons one "%s".
-_PLAIN_RECORD_TEXT = "{%s\n    }" % ",".join(
+#: A record's text at the records indent of a report, its comparisons one "%s":
+#: printf slots for `_result`'s int, str, bool and float values, the str and
+#: bool ones given as their JSON texts.
+_RECORD_TEXT = "{%s\n    }" % ",".join(
     f"\n      {encode_basestring_ascii(key)}: {slot}"
-    for key, slot in zip(_RECORD_KEYS, [_SLOTS[t] for t in _PLAIN_RECORD] + ["%s"])
+    for key, slot in zip(
+        _RECORD_KEYS, ["%d", "%s", "%s", "%d", "%s"] + [FLOAT_SLOT] * 4 + ["%s", "%s"]
+    )
 )
-#: A plain comparison's text at its indent in a record.
-_PLAIN_COMPARISON_TEXT = "[%s\n        ]" % ",".join(
-    f"\n          {_SLOTS[t]}" for t in _PLAIN_COMPARISON
+#: A comparison's text, [lhs label, lhs, rhs label, rhs, flag], at its indent in a record.
+_COMPARISON_TEXT = "[%s\n        ]" % ",".join(
+    f"\n          {slot}" for slot in ("%s", FLOAT_SLOT, "%s", FLOAT_SLOT, "%s")
 )
 
 
@@ -1218,46 +1198,29 @@ def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> s
     """The one definition of a record: its text at the records indent of a report.
 
     Byte for byte what `render_json` writes for the record's dict there, and
-    raising what it raises: a non-finite number is a ValueError, an
-    unrenderable value a TypeError.  A record of plain types and finite
-    numbers is formatted in one step; any other is the record's dict through
-    `render_json`'s walk.
+    raising its ValueError for a NaN or infinite number.  The values are the
+    plain ones `_result` copies (float numbers, str labels, bool flags and an
+    int dim), so one printf template writes every record.
     """
     margin, gap, bound = result.margin, result.gap, result.bound
-    try:
-        slack = bound - gap
-    except RuntimeWarning:
-        # numpy scalars warn on inf - inf or an overflow, and warnings may be errors;
-        # the NaN or inf is then render_json's ValueError below, as for the dict
-        with np.errstate(invalid="ignore", over="ignore"):
-            slack = bound - gap
-    values = (
-        index, result.theorem, result.field, result.dim, result.admissible,
-        margin, gap, bound, slack, ok,
+    slack = bound - gap
+    total = margin + gap + bound + slack
+    texts = []
+    for (l1, v1, l2, v2), flag in zip(result.comparisons, flags):
+        total += v1 + v2
+        texts.append(_COMPARISON_TEXT % (
+            encode_basestring_ascii(l1), v1, encode_basestring_ascii(l2), v2, BOOL_TEXT[flag]
+        ))
+    # a sum of finite floats is finite or overflows; one NaN or inf makes it non-finite,
+    # and then render_json's rule raises for the first such number
+    if total - total != 0.0:
+        for v in (margin, gap, bound, slack, *[v for c in result.comparisons for v in c[1::2]]):
+            fmt_float(v)
+    return _RECORD_TEXT % (
+        index, encode_basestring_ascii(result.theorem), encode_basestring_ascii(result.field),
+        result.dim, BOOL_TEXT[result.admissible], margin, gap, bound, slack, BOOL_TEXT[ok],
+        _comparisons_text(texts),
     )
-    comparisons = [(l1, v1, l2, v2, f) for (l1, v1, l2, v2), f in zip(result.comparisons, flags)]
-    if tuple(map(type, values)) == _PLAIN_RECORD:
-        total = margin + gap + bound + slack
-        texts = []
-        for l1, v1, l2, v2, flag in comparisons:
-            if (type(l1), type(v1), type(l2), type(v2), type(flag)) != _PLAIN_COMPARISON:
-                break
-            total += v1 + v2
-            texts.append(_PLAIN_COMPARISON_TEXT % (
-                encode_basestring_ascii(l1), v1, encode_basestring_ascii(l2), v2, BOOL_TEXT[flag]
-            ))
-        else:
-            # a sum of finite floats is finite or overflows; one NaN or inf makes it non-finite
-            if total - total == 0.0:
-                return _PLAIN_RECORD_TEXT % (
-                    index, encode_basestring_ascii(result.theorem),
-                    encode_basestring_ascii(result.field), result.dim,
-                    BOOL_TEXT[result.admissible], margin, gap, bound, slack, BOOL_TEXT[ok],
-                    _comparisons_text(texts),
-                )
-    out: list = []
-    _emit(dict(zip(_RECORD_KEYS, values + (comparisons,))), out, "\n    ")
-    return "".join(out)
 
 
 class _Tally:
@@ -1347,22 +1310,14 @@ def _row_result(tid: str, row: tuple) -> InstanceResult:
     """Certify a row, the (field, record dim, args) a sampler drew or `_document_row`
     decoded: the one place an instance reaches its operation.
 
-    A function given by its coefficients is discretized on the instance's
-    domain first, an error naming its key as `_decode` does; every other
-    argument goes to the operation as it is."""
+    An integral row is the one-row group of its id (`_chunk_reports`), which
+    discretizes its coefficients on the instance's domain; every other row's
+    arguments go to the operation as they are."""
     field, dim, args = row
-    spec = _SPECS[tid]
     if tid in _GROUPED:
         dom = next(arg for arg in args if isinstance(arg, WeightedDomain))
-        args = list(args)
-        for pos, (key, kind) in enumerate(spec.params):
-            if kind == "function" and not isinstance(args[pos], DiscretizedFunction):
-                try:
-                    values = _poly_values(dom, args[pos], field)
-                    args[pos] = DiscretizedFunction._computed(values, field)
-                except ValueError as exc:
-                    raise ValueError(f"{tid} {key!r}: {exc}") from None
-    return _result(tid, field, dim, globals()[spec.operation](*args))
+        return _result(tid, field, dim, _chunk_reports(tid, field, dom, [args])[0])
+    return _result(tid, field, dim, globals()[_SPECS[tid].operation](*args))
 
 
 # ---------------------------------------------------------------------------
@@ -1417,8 +1372,8 @@ def _group_results(members: list) -> dict:
     """{index: result} of the (index, member) rows whose group chunk evaluated cleanly.
 
     A chunk that raises, a RuntimeWarning raised as an error included, is
-    left out whole, and a row with a non-finite number alone: those take
-    their own path, which gives their errors and messages."""
+    left out whole: its rows take their own path, which gives their errors
+    and messages."""
     groups: dict = {}
     for i, (key, _, args) in members:
         groups.setdefault(key, []).append((i, args))
@@ -1432,22 +1387,26 @@ def _group_results(members: list) -> dict:
             except Exception:
                 continue
             for (i, _), report in zip(chunk, reports):
-                result = _result(tid, field, dom.size, report)
-                if _first_non_finite(result) is None:
-                    done[i] = result
+                done[i] = _result(tid, field, dom.size, report)
     return done
 
 
 def _chunk_reports(tid: str, field: FieldTag, dom: WeightedDomain, chunk: list) -> list:
     """The reports of rows of one group, from their decoded arguments: each parameter is one
-    column over the rows, a function's column its rows of node values."""
+    column over the rows, a function's column its rows of node values.
+
+    A function that discretizes to a NaN or inf is a ValueError naming its
+    key, as `_decode` names the key of a value it refuses."""
     columns = []
-    for pos, (_, kind) in enumerate(_SPECS[tid].params):
+    for pos, (key, kind) in enumerate(_SPECS[tid].params):
         parts = [args[pos] for args in chunk]
         if kind == "domain":
             columns.append(dom)
         elif kind == "function":
-            columns.append(_discretized_rows(dom, parts, field))
+            try:
+                columns.append(_discretized_rows(dom, parts, field))
+            except ValueError as exc:
+                raise ValueError(f"{tid} {key!r}: {exc}") from None
         else:
             columns.append(parts)
     return _GROUPED[tid](*columns)
@@ -1663,12 +1622,12 @@ def run_suite(
 def _first_non_finite(result: InstanceResult) -> Optional[tuple[str, float]]:
     """(name, value) of the first reported quantity that is NaN or infinite.
 
-    A float sum of them all with total - total == 0.0 means none is (as in
+    A sum of them all with total - total == 0.0 means none is (as in
     `_record_text`); any other total takes the scan that names the first."""
     total = result.gap + result.bound + result.margin
     for _, lhs, _, rhs in result.comparisons:
         total += lhs + rhs
-    if type(total) is float and total - total == 0.0:
+    if total - total == 0.0:
         return None
     named = [("gap", result.gap), ("bound", result.bound), ("margin", result.margin)]
     for lhs_label, lhs, rhs_label, rhs in result.comparisons:

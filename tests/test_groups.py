@@ -3,9 +3,12 @@
 A worker takes the integral rows of a window of consecutive rows, groups
 them by theorem, field, domain and the form of each function
 (`harness._member`), and evaluates each group in chunks of rows
-(`harness._group_results`).  These tests hold a group to the one-instance
-path (`evaluate_instance`) byte for byte, hold a bad row to the error it
-raises alone, and pin the number of Horner passes a group makes.
+(`harness._group_results`); a row alone is its one-row group
+(`harness._row_result`).  These tests hold a group byte for byte to the
+public `integral_*` operation on each row's functions, discretized one
+function at a time; hold a bad row to the error it raises alone, a
+non-finite result included; and pin the number of Horner passes a group
+makes.
 """
 
 import json
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineq import evaluate_file, evaluate_instance, harness, integral, sample_admissible
+from ineq import evaluate_file, harness, integral, sample_admissible
 from ineq.harness import REAL_ONLY_IDS
 from ineq.cli import main
 
@@ -135,9 +138,23 @@ def test_a_group_is_bit_for_bit_its_rows_alone(group):
     assert len({member[0] for _, member in members}) == 1
     done = harness._group_results(members)
     assert sorted(done) == list(range(len(instances)))
-    for i, inst in enumerate(instances):
+    for i, (_, row) in enumerate(rows):
         # repr tells -0.0 from 0.0, and a numpy scalar from a float
-        assert repr(done[i]) == repr(evaluate_instance(inst)), i
+        assert repr(done[i]) == repr(_alone(tid, row)), i
+
+
+def _alone(tid, row):
+    """The result of a row from its public operation, each {"poly"} function discretized on
+    its own: 1-D Horner, where a group takes one 2-D pass."""
+    field, dim, args = row
+    spec = harness._SPECS[tid]
+    dom = next(arg for arg in args if isinstance(arg, integral.WeightedDomain))
+    args = [
+        arg if kind != "function" or isinstance(arg, integral.DiscretizedFunction)
+        else integral.DiscretizedFunction._computed(integral._poly_values(dom, arg, field), field)
+        for (_, kind), arg in zip(spec.params, args)
+    ]
+    return harness._result(tid, field, dim, getattr(integral, spec.operation)(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +174,19 @@ def _break_horner(inst):
     return dict(inst, f={"poly": [huge] * len(inst["f"]["poly"])})
 
 
+def _overflow_norm(inst):
+    # Horner stays finite at 1e200 a coefficient; the norm's square sum does not
+    return dict(inst, f={"poly": [1e200] * len(inst["f"]["poly"])})
+
+
 #: (theorem, field, how the bad row is made, the start of its message).
 _BAD_ROWS = {
     "unit-norm": ("prop7.3", "complex", _break_unit_norm, "||h|| = "),
     "range": ("prop7.11", "real", _break_range, "need M > m, got m="),
     "horner": ("prop7.1", "complex", _break_horner,
                "prop7.1 'f': entries must be finite (no NaN/Inf)"),
+    "norm-overflow": ("prop7.1", "real", _overflow_norm,
+                      "prop7.1 gap is inf; the inputs leave double precision"),
 }
 
 
