@@ -62,16 +62,15 @@ drawn by `_in_ball` (t first, then the direction).  Any object with that one
 method is a draw source: a sampled instance is a function of the values it
 returns, in call order.  The tests hold every sampler to this contract.
 
-`run_suite` and `evaluate_file` share one runner, `_run`, which uses every
-CPU available to the process, with no option to choose how many: each job's
-index range is cut into one contiguous slice per worker, forked children
-tally all slices but the first, and this process merges the tallies in
-serial (job, slice) order, so the report does not depend on the worker
-count.  Runs of fewer than two workers' worth of instances, one-CPU hosts,
-platforms without `os.fork` and processes running more than one Python
-thread stay serial.
+`run_suite` and `evaluate_file` share one fork runner, `runner._run`: their
+jobs (theorems, or a document) are cut into pieces that this process and
+forked children claim from one queue, and this process merges the pieces'
+tallies in piece order, so the report does not depend on the worker count
+or on which worker counted what.  The default domain and the orthonormal
+families a `run_suite` job's sampler draws on are built once, before the
+fork.
 
-Within a slice, both runners take one results path, `_results`.  It
+Within a piece, both runners take one results path, `_results`.  It
 takes a window of consecutive rows, groups the integral ones by theorem,
 field, domain and the form of each function (`_member`), and evaluates each
 group as one call of its operation over rows (`integral._ROW_OPERATIONS`),
@@ -118,7 +117,7 @@ aggregate counts.  A record or a per-theorem entry thus means the same in
 both reports.  A kept record is rendered where it is counted, once, by
 `_record_text`, one printf template over the plain values `_result` copies
 (float numbers, str labels, bool flags, an int dim).  A forked child sends
-its slice's records as one JSON text, `SuiteReport.to_json` splices the
+a piece's records as one JSON text, `SuiteReport.to_json` splices the
 texts in after the head, which is all that `render_json` writes of a
 report, and `SuiteReport.records` is a parsed view of them.
 """
@@ -128,12 +127,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
-import pickle
-import signal
-import threading
 import zlib
-from contextlib import closing
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -179,6 +173,7 @@ from .numutil import (
     leq_with_slack,
     render_json,
 )
+from .runner import _run
 from .schwarz import reverse_schwarz_ball, reverse_schwarz_pair
 from .space import (
     CoefficientSequence,
@@ -1253,7 +1248,7 @@ class _Tally:
     def counted(self, job, lo: int, hi: int) -> "_Tally":
         """A new tally, with this one's tol and records choice, of `job(lo, hi)`.
 
-        Its records, if any, are one text: a child sends its slice's records
+        Its records, if any, are one text: a child sends a piece's records
         as one string, and the report splices it in as it is."""
         part = _Tally(self.tol, self.records is not None)
         for i, result in zip(range(lo, hi), job(lo, hi)):
@@ -1273,26 +1268,6 @@ class _Tally:
     def report(self, metadata: dict) -> SuiteReport:
         per_theorem = {tid: stats.as_dict() for tid, stats in self.per_theorem.items()}
         return SuiteReport(metadata, self.total.as_dict(), per_theorem, self.records)
-
-
-#: Instances per worker below which one more forked worker costs `_run`
-#: more than it saves: a fork, its copy-on-write faults and its reaping cost
-#: about as much as this many instances (CHANGES.md has the measurement).
-_FORK_BREAK_EVEN = 128
-
-
-def _worker_count(instances: int) -> int:
-    """Processes `_run` splits `instances` over: 1 means serial, no fork.
-
-    One per CPU available to this process, but no more than leaves each
-    worker `_FORK_BREAK_EVEN` instances.  Forking needs `os.fork` and a
-    process with a single Python thread.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() != 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), instances // _FORK_BREAK_EVEN))
 
 
 def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, hi: int):
@@ -1452,93 +1427,6 @@ def _window_results(window: list):
         yield _row_result(tid, row) if result is None else result
 
 
-class _Workers:
-    """Forked children, one per index slice of every job but the first.
-
-    The first slice is this process's own.  A child writes one pickled
-    `_Tally` per job, in job order: the tally of its slice.  It ends with
-    `os._exit`, so the stdio buffers it inherited are never flushed twice.  A
-    child that fails for any reason ends without writing that job's tally;
-    `take` then returns None for it and every later job, and the parent
-    computes those slices itself.  `close` kills and reaps every child,
-    whether or not the parent finished.
-    """
-
-    def __init__(self, tally: _Tally, jobs, slices) -> None:
-        self.pids: list[int] = []
-        self.readers = []
-        try:
-            for lo, hi in slices[1:]:
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    pid = None  # the reader sees end of file: the parent computes
-                if pid == 0:
-                    os.close(r)
-                    self._work(tally, jobs, lo, hi, w)
-                os.close(w)
-                if pid is not None:
-                    self.pids.append(pid)
-                self.readers.append(os.fdopen(r, "rb"))
-        except BaseException:
-            self.close()
-            raise
-
-    @staticmethod
-    def _work(tally, jobs, lo, hi, fd) -> None:
-        """A child's whole life; it never returns, and an error only ends it early."""
-        code = 1
-        try:
-            out = os.fdopen(fd, "wb")
-            for job in jobs:
-                pickle.dump(tally.counted(job, lo, hi), out, pickle.HIGHEST_PROTOCOL)
-                out.flush()
-            code = 0
-        finally:
-            os._exit(code)
-
-    def take(self, part: int) -> Optional[_Tally]:
-        """Slice `part`'s tally for the next job; None means compute it here.
-
-        None for slice 0, and for a child that ended short.
-        """
-        try:
-            return pickle.load(self.readers[part - 1]) if part else None
-        except (EOFError, pickle.UnpicklingError):
-            return None
-
-    def close(self) -> None:
-        for reader in self.readers:
-            reader.close()
-        for pid in self.pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
-        self.pids = []
-
-
-def _run(tally: _Tally, jobs: list, size: int) -> None:
-    """Count `job(0, size)` of every job into `tally`, job after job.
-
-    Each job is a callable (lo, hi) -> its results lo..hi-1 in index order.
-    Index range [0, size) is cut into one contiguous slice per worker
-    (`_worker_count`); this process counts the first slice of every job and
-    forked children the others.  Every slice is counted into a tally of its
-    own, and those are merged here in (job, slice) order, so `tally`, and
-    the first exception raised, do not depend on the worker count.
-    """
-    workers = _worker_count(len(jobs) * size)
-    cuts = [size * w // workers for w in range(workers + 1)]
-    slices = list(zip(cuts, cuts[1:]))
-    with closing(_Workers(tally, jobs, slices)) as children:
-        for job in jobs:
-            for part, (lo, hi) in enumerate(slices):
-                tally.merge(children.take(part) or tally.counted(job, lo, hi))
-
-
 def run_suite(
     theorems: Optional[Sequence[str]] = None,
     trials: int = DEFAULT_TRIALS,
@@ -1561,9 +1449,11 @@ def run_suite(
     index=i)` returns the same instance as a document, and evaluating that
     document gives the same record bit for bit.
 
-    Each theorem is one job of `_run`, which splits its index range over the
-    CPUs available to the process; no argument sets how many.  The report,
-    and the first exception raised, do not depend on the worker count.
+    Each theorem is one job of `runner._run`, over the CPUs available to the
+    process; no argument sets how many.  The default domain and the standard
+    families its sampler draws on are built here, once, before any fork.
+    The report, and the first exception raised, do not depend on the worker
+    count.
 
     Violations count admissible instances failing an asserted comparison at
     relative tolerance tol (the theorems guarantee zero); counterexamples
@@ -1599,6 +1489,12 @@ def run_suite(
         tags = [t for t in field_tags if not (tid in REAL_ONLY_IDS and t is FieldTag.COMPLEX)]
         if tags:
             grid = [(d, t) for d in dims for t in tags]
+            # what the job's instances share, built once, before any fork
+            kinds = {kind for _, kind in _SPECS[tid].params}
+            if "domain" in kinds:
+                _default_domain()
+            for d, t in grid[:trials] if "count" in kinds else ():
+                standard_basis(t, d, _family_size(d))
             jobs.append(partial(_suite_results, tid, grid, seed, adversarial))
     _run(tally, jobs, trials)
 
@@ -1676,9 +1572,9 @@ def evaluate_file(
     Results are counted by the same `_Tally` as `run_suite`'s, every record
     kept unless `keep_records` is false (then `records` is None); per-theorem
     entries follow the first appearance of each id.  The
-    document is one job of `_run`, as a theorem is in `run_suite`: its
-    instances are split over the CPUs in the same way, and the first bad
-    one is reported as "instance i: ..." whatever the worker count.
+    document is one job of `runner._run`, cut into one contiguous slice per
+    CPU, and the first bad instance is reported as "instance i: ..."
+    whatever the worker count.
     """
     tally = _Tally(tol, keep_records)
     try:

@@ -331,11 +331,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     )
     if n % 2:
         x[-1] = 0.0  # P_n(0) = 0 exactly for odd n, so Newton keeps it there
+    # the recurrence's three buffers, written in place at every step
+    p_prev, p, xp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for _ in range(_NEWTON_MAX_STEPS):
-        p_prev, p = np.ones_like(x), x.copy()
+        p_prev.fill(1.0)
+        np.copyto(p, x)
         for k in range(1, n):
             # Bonnet: P_{k+1} = x P_k + k/(k+1) (x P_k - P_{k-1}), built in p_prev.
-            xp = x * p
+            np.multiply(x, p, out=xp)
             np.subtract(xp, p_prev, out=p_prev)
             p_prev *= k / (k + 1)
             p_prev += xp

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ineq import harness
+from ineq import runner
 
 settings.register_profile(
     "fast",
@@ -35,7 +35,7 @@ def force_workers(monkeypatch):
     """
 
     def force(n):
-        monkeypatch.setattr(harness, "_FORK_BREAK_EVEN", 1)
+        monkeypatch.setattr(runner, "_FORK_BREAK_EVEN", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     return force

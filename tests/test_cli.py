@@ -336,9 +336,9 @@ def test_forked_verify_writes_stdout_once():
     argv = ["verify", "--trials", "40", "--dims", "1,2,3,8,16", "--seed", "0"]
     script = (
         "import os, sys\n"
-        "from ineq import harness\n"
+        "from ineq import runner\n"
         "from ineq.cli import main\n"
-        "harness._FORK_BREAK_EVEN = 1\n"
+        "runner._FORK_BREAK_EVEN = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.stdout.write('before the report\\n')\n"
         f"sys.exit(main({argv!r}))\n"
@@ -467,9 +467,9 @@ def test_forked_eval_writes_stdout_once(tmp_path, capsys):
     assert rc == 0 and err == ""
     script = (
         "import os, sys\n"
-        "from ineq import harness\n"
+        "from ineq import runner\n"
         "from ineq.cli import main\n"
-        "harness._FORK_BREAK_EVEN = 1\n"
+        "runner._FORK_BREAK_EVEN = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.stdout.write('before the report\\n')\n"
         f"sys.exit(main({argv!r}))\n"

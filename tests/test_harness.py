@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from ineq import (
     sample_admissible,
     vector,
 )
-from ineq import bessel, conditions, gruss, harness, integral, legacy
+from ineq import bessel, conditions, gruss, harness, integral, legacy, runner
 from ineq.cli import main
 from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, InstanceResult, normalize_theorem_id
 from ineq.numutil import leq_with_slack, render_json
@@ -839,16 +840,16 @@ def test_eval_records_name_the_field_by_its_tag(tmp_path):
 
 def test_worker_count_follows_cpus_and_break_even(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    even = harness._FORK_BREAK_EVEN
-    assert harness._worker_count(len(THEOREM_IDS)) == 1  # one instance of every id
-    assert harness._worker_count(2 * even - 1) == 1
-    assert harness._worker_count(2 * even) == 2
-    assert harness._worker_count(100 * even) == 4
+    even = runner._FORK_BREAK_EVEN
+    assert runner._worker_count(len(THEOREM_IDS)) == 1  # one instance of every id
+    assert runner._worker_count(2 * even - 1) == 1
+    assert runner._worker_count(2 * even) == 2
+    assert runner._worker_count(100 * even) == 4
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert harness._worker_count(100 * even) == 1  # no fork beside a thread
+        assert runner._worker_count(100 * even) == 1  # no fork beside a thread
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -924,7 +925,40 @@ def _log_pid(path):
         fh.write(f"{os.getpid()}\n")
 
 
-#: With 10 trials over 2 workers, instance 1 is this process's and 9 a child's.
+def _logged_pids(path) -> set:
+    return set(path.read_text(encoding="ascii").split()) if path.exists() else set()
+
+
+def _hold_here(monkeypatch, ready) -> list:
+    """In each forked run, hold this process before its first piece until `ready(children)`.
+
+    `children` are the pids forked for that run.  They claim the pieces after
+    this process's first meanwhile, so which process counts which piece does
+    not depend on timing.  Returns the pids forked from now on."""
+    parent, forks, counted = os.getpid(), _count_forks(monkeypatch), harness._Tally.counted
+    held = [0]
+
+    def holding(self, job, lo, hi):
+        if os.getpid() == parent and len(forks) > held[0]:
+            children, held[0] = forks[held[0]:], len(forks)
+            deadline = time.monotonic() + 60
+            while not ready(children):
+                assert time.monotonic() < deadline, "no child got there"
+                time.sleep(0.002)
+        return counted(self, job, lo, hi)
+
+    monkeypatch.setattr(harness._Tally, "counted", holding)
+    return forks
+
+
+def _logged_by(path):
+    """`_hold_here`'s `ready`: one of the run's children has logged its pid in `path`."""
+    return lambda children: bool(_logged_pids(path) & {str(pid) for pid in children})
+
+
+#: With 10 trials over 2 workers, instance 1 of thm4.1 lies in the first piece,
+#: which this process claims before it forks, and 9 in the next, which the
+#: child claims while this process is held.
 @pytest.mark.parametrize("index", [1, 9])
 def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
     force_workers, monkeypatch, capsys, tmp_path, index
@@ -936,7 +970,9 @@ def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
         raise InputFormatError(f"instance {index} is broken")
 
     _act_at(monkeypatch, "thm4.1", index, fail)
-    ids = ["thm2.1", "thm4.1", "thm5.2"]
+    if index == 9:
+        _hold_here(monkeypatch, _logged_by(raised_in))
+    ids = ["thm4.1", "thm2.1", "thm5.2"]
     errors, cli = [], []
     for n in (1, 2):
         force_workers(n)
@@ -958,8 +994,9 @@ def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
 
 
 def test_a_child_that_dies_has_its_slices_computed_here(force_workers, monkeypatch, tmp_path):
-    # over 3 workers instance 7 lies in the last child's slice; that child
-    # dies at thm4.1, and its thm4.1 and thm5.2 slices are computed here
+    # over 3 workers instance 7 lies in thm4.1's last slice, which a child
+    # claims while this process is held; that child dies there, and the
+    # slices it claimed and did not send are computed here
     parent, died = os.getpid(), tmp_path / "pids"
 
     def die_in_a_child():
@@ -971,10 +1008,192 @@ def test_a_child_that_dies_has_its_slices_computed_here(force_workers, monkeypat
     kwargs = dict(theorems=["thm2.1", "thm4.1", "thm5.2"], trials=10, seed=2, keep_records=True)
     force_workers(1)
     serial = run_suite(**kwargs).to_json()
+    _hold_here(monkeypatch, _logged_by(died))
     force_workers(3)
     assert run_suite(**kwargs).to_json() == serial
     assert_no_child_left()
     assert len(died.read_text(encoding="ascii").split()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Whole theorems as pieces: two jobs or more per worker.
+
+#: Eight ids, so at 2 and 3 workers a piece is a whole theorem but in the tail,
+#: which 40 trials cut finer; the integral ids, last, are evaluated in groups.
+_CLAIM_IDS = ["thm4.1", "thm2.1", "thm2.2", "thm5.2", "thm6.1", "legacy1.13", "prop7.1", "prop7.3"]
+#: The same ids with thm4.1 fourth: a piece a child claims while this process is held.
+_CHILD_IDS = [*_CLAIM_IDS[1:4], "thm4.1", *_CLAIM_IDS[4:]]
+_CLAIM_CASES = {
+    "plain": dict(trials=40, dims=(1, 3, 8), seed=11),
+    "adversarial": dict(trials=40, dims=(2, 16), seed=12, adversarial=True),
+    "records": dict(
+        trials=40, dims=(1, 3, 8), fields=("complex", "real"), seed=13, keep_records=True
+    ),
+}
+
+
+def test_the_piece_cut_covers_every_index_once_and_cuts_only_the_tail():
+    floor = runner._PIECE_FLOOR
+    for jobs, size, workers in itertools.product(
+        range(1, 30), (1, 2, 7, floor, floor + 1, 40, 1000), range(1, 5)
+    ):
+        pieces = runner._pieces(jobs, size, workers)
+        assert [(j, i) for j, lo, hi in pieces for i in range(lo, hi)] == [
+            (j, i) for j in range(jobs) for i in range(size)
+        ]
+        assert all(lo < hi for _, lo, hi in pieces)
+        if jobs < 2 * workers:
+            # one contiguous slice per worker of each job, as before the claims
+            cuts = [size * w // workers for w in range(workers + 1)]
+            assert pieces == [
+                (j, lo, hi) for j in range(jobs) for lo, hi in zip(cuts, cuts[1:]) if lo < hi
+            ]
+            continue
+        # every job before the last 2 x workers is one piece; a piece that is
+        # cut holds at least the floor, or ends its job
+        assert pieces[: jobs - 2 * workers] == [(j, 0, size) for j in range(jobs - 2 * workers)]
+        assert all(hi - lo >= floor or hi == size for _, lo, hi in pieces)
+    # ceil(remaining / 6) falls below 40 instances at the fourth job
+    assert runner._pieces(8, 40, 3) == [
+        (0, 0, 40), (1, 0, 40), (2, 0, 40), (3, 0, 34), (3, 34, 40), (4, 0, 27), (4, 27, 40),
+        (5, 0, 20), (5, 20, 37), (5, 37, 40), (6, 0, 16), (6, 16, 32), (6, 32, 40),
+        (7, 0, 16), (7, 16, 32), (7, 32, 40),
+    ]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", sorted(_CLAIM_CASES))
+def test_whole_theorem_pieces_give_the_serial_report(force_workers, monkeypatch, case, workers):
+    kwargs = dict(theorems=_CLAIM_IDS, **_CLAIM_CASES[case])
+    force_workers(1)
+    serial = run_suite(**kwargs).to_json()
+    forks = _count_forks(monkeypatch)
+    force_workers(workers)
+    assert run_suite(**kwargs).to_json() == serial
+    assert len(forks) == workers - 1
+    if case == "adversarial":
+        assert json.loads(serial)["aggregate"]["counterexamples"] > 0
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("where", ["here", "child"])
+def test_an_error_in_a_claimed_piece_is_the_serial_error(
+    force_workers, monkeypatch, tmp_path, where, workers
+):
+    # thm4.1 is the first piece, which this process claims before it forks,
+    # or the fourth, which a child claims while this process is held
+    raised_in = tmp_path / "pids"
+
+    def fail():
+        _log_pid(raised_in)
+        raise InputFormatError("instance 21 is broken")
+
+    _act_at(monkeypatch, "thm4.1", 21, fail)
+    ids = _CLAIM_IDS if where == "here" else _CHILD_IDS
+    force_workers(1)
+    with pytest.raises(InputFormatError) as serial:
+        run_suite(ids, trials=40, seed=3)
+    raised_in.unlink()
+    child_raised = _logged_by(raised_in)
+    forks = _hold_here(monkeypatch, lambda children: where == "here" or child_raised(children))
+    force_workers(workers)
+    with pytest.raises(InputFormatError) as forked:
+        run_suite(ids, trials=40, seed=3)
+    assert_no_child_left()
+    assert str(forked.value) == str(serial.value) == "instance 21 is broken"
+    here = str(os.getpid())
+    if where == "here":
+        assert _logged_pids(raised_in) == {here}
+    else:  # raised in the child that claimed it, then here in its turn
+        [child] = _logged_pids(raised_in) - {here}
+        assert _logged_pids(raised_in) == {here, child} and int(child) in forks
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_child_that_dies_mid_run_has_its_pieces_computed_here(
+    force_workers, monkeypatch, tmp_path, workers
+):
+    # the child that claims thm4.1 dies at its instance 21, after sending the
+    # pieces it counted before
+    parent, died = os.getpid(), tmp_path / "pids"
+
+    def die_in_a_child():
+        if os.getpid() != parent:
+            _log_pid(died)
+            os._exit(1)
+
+    _act_at(monkeypatch, "thm4.1", 21, die_in_a_child)
+    kwargs = dict(theorems=_CHILD_IDS, trials=40, seed=4, keep_records=True)
+    force_workers(1)
+    serial = run_suite(**kwargs).to_json()
+    forks = _hold_here(monkeypatch, _logged_by(died))
+    force_workers(workers)
+    assert run_suite(**kwargs).to_json() == serial
+    assert_no_child_left()
+    [child] = _logged_pids(died)
+    assert int(child) in forks
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_slow_child_changes_no_byte(force_workers, monkeypatch, workers):
+    parent, counted, slept = os.getpid(), harness._Tally.counted, []
+
+    def slow_first_piece(self, job, lo, hi):
+        if os.getpid() != parent and not slept:  # each child appends to its own copy
+            slept.append(True)
+            time.sleep(0.2)
+        return counted(self, job, lo, hi)
+
+    monkeypatch.setattr(harness._Tally, "counted", slow_first_piece)
+    kwargs = dict(theorems=_CLAIM_IDS, **_CLAIM_CASES["records"])
+    force_workers(1)
+    serial = run_suite(**kwargs).to_json()
+    force_workers(workers)
+    assert run_suite(**kwargs).to_json() == serial
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_clean_run_evaluates_every_instance_once(force_workers, monkeypatch, tmp_path, workers):
+    logged, suite_results = tmp_path / "evaluated", harness._suite_results
+
+    def logging_results(tid, grid, seed, adversarial, lo, hi):
+        results = suite_results(tid, grid, seed, adversarial, lo, hi)
+        for i, result in zip(range(lo, hi), results):
+            with open(logged, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {tid} {i}\n")
+            yield result
+
+    monkeypatch.setattr(harness, "_suite_results", logging_results)
+    forks = _count_forks(monkeypatch)
+    force_workers(workers)
+    run_suite(_CLAIM_IDS, trials=40, dims=(1, 3), seed=6)
+    rows = [line.split() for line in logged.read_text(encoding="ascii").splitlines()]
+    assert sorted((tid, int(i)) for _, tid, i in rows) == sorted(
+        (tid, i) for tid in _CLAIM_IDS for i in range(40)
+    )
+    assert {pid for pid, _, _ in rows} <= {str(os.getpid()), *map(str, forks)}
+
+
+def test_a_forked_run_takes_pipe_descriptors_past_the_select_limit(force_workers):
+    # with 1,100 descriptors open, the claim and result pipes get numbers
+    # above select's FD_SETSIZE of 1024
+    import resource
+
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != resource.RLIM_INFINITY and soft < 1200:
+        pytest.skip(f"RLIMIT_NOFILE {soft} leaves no descriptor above 1024")
+    held = []
+    try:
+        while not held or held[-1] < 1100:
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        kwargs = dict(theorems=_CLAIM_IDS, trials=10, seed=7, keep_records=True)
+        force_workers(1)
+        serial = run_suite(**kwargs).to_json()
+        force_workers(3)
+        assert run_suite(**kwargs).to_json() == serial
+    finally:
+        for fd in held:
+            os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,17 +1232,21 @@ def test_stats_merged_in_slice_order_equal_the_serial_fold(rows, cuts):
 def test_a_records_free_child_message_does_not_grow_with_trials(
     force_workers, monkeypatch, tmp_path
 ):
-    # a child sends one pickled tally per job; without records its size does
-    # not depend on the slice's length, but for the pickled width of the two
-    # counts (the total and the theorem's), one byte wider each from 256 on
-    logged, dump = tmp_path / "sizes", pickle.dump
+    # a child sends one pickled (piece, tally) per piece, here the second
+    # slice of the one job, which it claims while this process is held;
+    # without records its size does not depend on the slice's length, but for
+    # the pickled width of the two counts (the total and the theorem's), one
+    # byte wider each from 256 on
+    logged, dumps = tmp_path / "sizes", pickle.dumps
 
-    def logging_dump(obj, file, protocol=None):
+    def logging_dumps(obj, protocol=None):
+        data = dumps(obj, protocol)
         with open(logged, "a", encoding="ascii") as fh:
-            fh.write(f"{len(pickle.dumps(obj, protocol))}\n")
-        return dump(obj, file, protocol)
+            fh.write(f"{len(data)}\n")
+        return data
 
-    monkeypatch.setattr(pickle, "dump", logging_dump)
+    monkeypatch.setattr(pickle, "dumps", logging_dumps)
+    _hold_here(monkeypatch, lambda children: logged.exists())
     force_workers(2)
     sizes = {}
     for trials in (100, 10_000):
@@ -1038,16 +1261,18 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
 def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
     force_workers, monkeypatch, tmp_path
 ):
-    # over 2 workers this process counts instances 0..49 of 100 and a child
-    # 50..99; the child's one message is its slice of the report's JSON, as
-    # one text, plus its tally's stats; this process renders its own slice's
-    # records and, for the report, only the head
-    logged, dump = tmp_path / "messages", pickle.dump
+    # over 2 workers this process counts instances 0..49 of 100, the first
+    # slice, which it claims before it forks; the child claims 50..99 while
+    # this process is held.  The child's one message is its slice of the
+    # report's JSON, as one text, plus its tally's stats; this process renders
+    # its own slice's records and, for the report, only the head
+    logged, dumps = tmp_path / "messages", pickle.dumps
 
-    def logging_dump(obj, file, protocol=None):
+    def logging_dumps(obj, protocol=None):
+        data = dumps(obj, protocol)
         with open(logged, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps([len(pickle.dumps(obj, protocol)), obj.records]) + "\n")
-        return dump(obj, file, protocol)
+            fh.write(json.dumps([len(data), obj[1].records]) + "\n")
+        return data
 
     parent, emitted, rendered = os.getpid(), [], []
     record_text, render_json = harness._record_text, harness.render_json
@@ -1063,9 +1288,10 @@ def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
         return render_json(obj)
 
     path = _every_id_document(tmp_path)
-    monkeypatch.setattr(pickle, "dump", logging_dump)
+    monkeypatch.setattr(pickle, "dumps", logging_dumps)
     monkeypatch.setattr(harness, "_record_text", counting_record_text)
     monkeypatch.setattr(harness, "render_json", counting_render_json)
+    _hold_here(monkeypatch, lambda children: logged.exists())
     force_workers(2)
     report = evaluate_file(path)
     text = report.to_json()
@@ -1134,7 +1360,8 @@ def _marked_document(tmp_path, index) -> str:
     return _document(tmp_path, docs)
 
 
-#: With 10 instances over 2 workers, instance 1 is this process's and 9 a child's.
+#: With 10 instances over 2 workers, instance 1 lies in the slice this process
+#: claims before it forks, and 9 in the one the child claims while it is held.
 @pytest.mark.parametrize("index", [1, 9])
 def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
     force_workers, monkeypatch, capsys, tmp_path, index
@@ -1146,6 +1373,8 @@ def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
         raise InputFormatError("broken")
 
     _act_at_marked(monkeypatch, fail)
+    if index == 9:
+        _hold_here(monkeypatch, _logged_by(raised_in))
     path = _marked_document(tmp_path, index)
     errors, cli = [], []
     for n in (1, 2):
@@ -1168,7 +1397,8 @@ def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
 def test_an_eval_child_that_dies_has_its_slice_computed_here(
     force_workers, monkeypatch, tmp_path
 ):
-    # over 3 workers instance 7 lies in the last child's slice, 6..9
+    # over 3 workers instance 7 lies in the last slice, 6..9, which a child
+    # claims while this process is held
     parent, died = os.getpid(), tmp_path / "pids"
 
     def die_in_a_child():
@@ -1180,6 +1410,7 @@ def test_an_eval_child_that_dies_has_its_slice_computed_here(
     path = _marked_document(tmp_path, 7)
     force_workers(1)
     serial = evaluate_file(path).to_json()
+    _hold_here(monkeypatch, _logged_by(died))
     force_workers(3)
     assert evaluate_file(path).to_json() == serial
     assert_no_child_left()

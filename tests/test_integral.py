@@ -1,5 +1,6 @@
 """Quadrature-discretized weighted L^2 instances."""
 
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -250,6 +251,21 @@ def test_gauss_rule_matches_40_digit_oracle(n):
             assert abs(Decimal(float(got)) - want) <= 2 * Decimal(float(ulp)), (got, want)
     for got, want in zip(w, want_w):
         assert abs(Decimal(float(got)) - want) <= Decimal("1e-12") * want, (got, want)
+
+
+#: sha256 over the node and weight bytes of `_gauss_legendre(n)` for n = 2..64,
+#: 256, 1024 and 2048, in that order, as the recurrence wrote them when it
+#: allocated its arrays at every step: writing into fixed buffers moves no bit.
+GAUSS_RULES_SHA256 = "c608662979db001608dea30e37bd610152b22165da85b5909c7f1214af3efbc3"
+
+
+def test_gauss_rules_are_pinned():
+    digest = hashlib.sha256()
+    for n in [*range(2, 65), 256, 1024, 2048]:
+        x, w = _gauss_legendre(n)
+        digest.update(x.tobytes())
+        digest.update(w.tobytes())
+    assert digest.hexdigest() == GAUSS_RULES_SHA256
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 65, 256, 1024, 2048])
