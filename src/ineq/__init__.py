@@ -48,16 +48,7 @@ from .gruss import (
     gruss_pair,
     gruss_pair_refined,
 )
-from .harness import (
-    THEOREM_IDS,
-    InstanceResult,
-    SuiteReport,
-    emit_report,
-    evaluate_file,
-    evaluate_instance,
-    run_suite,
-    sample_admissible,
-)
+from .harness import THEOREM_IDS, evaluate_file, evaluate_instance, run_suite, sample_admissible
 from .integral import (
     DiscretizedFunction,
     WeightedDomain,
@@ -109,6 +100,7 @@ from .space import (
     synthesize,
     vector,
 )
+from .tally import InstanceResult, SuiteReport, emit_report
 from .triangle import TriangleDefect, triangle_reverse_ball, triangle_reverse_pair
 
 __all__ = [

@@ -17,16 +17,10 @@ import numpy as np
 
 from . import __version__
 from .errors import InputFormatError, PreconditionError
-from .harness import (
-    DEFAULT_DIMS,
-    DEFAULT_TRIALS,
-    THEOREM_IDS,
-    emit_report,
-    evaluate_file,
-    run_suite,
-)
+from .harness import DEFAULT_DIMS, DEFAULT_TRIALS, THEOREM_IDS, evaluate_file, run_suite
 from .numutil import CHAIN_REL_TOL, render_json
 from .sharpness import CONSTRUCTIONS, sweep
+from .tally import emit_report
 
 
 def _dims_arg(text: str):
@@ -169,6 +163,8 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.format == "csv" and args.output is None:
+        raise InputFormatError("--format csv needs --output FILE: stdout carries the JSON summary")
     report = evaluate_file(args.input, tol=args.tol, keep_records=args.output is not None)
     if args.output is not None:
         emit_report(report, args.output, args.format)

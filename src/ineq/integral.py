@@ -67,6 +67,13 @@ UNIT_NORM_TOL = 1e-8
 #: Default Gauss-Legendre node count used when no rule is specified.
 DEFAULT_NODES = 64
 
+#: The domain of every sampled integral instance, as a document spells it.
+DEFAULT_DOMAIN_SPEC = {
+    "interval": [0.0, 1.0],
+    "weight": {"poly": [1.0]},
+    "rule": {"kind": "gauss", "n": DEFAULT_NODES},
+}
+
 RANGE_LABELS = ("zero", "abs_gap", "bound")
 
 WeightFunction = Callable[[np.ndarray], Union[np.ndarray, float]]

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineq import THEOREM_IDS, harness, sample_admissible
+from ineq import THEOREM_IDS, documents, harness, sample_admissible, sampling, space
 from ineq.cli import main
 
 
@@ -116,11 +117,11 @@ def test_verify_too_large_a_dimension_exits_2_before_sampling(capsys, monkeypatc
 def test_verify_dimension_cap_is_on_the_family_size_times_dim(capsys, monkeypatch):
     # dimension 4 samples a family of 3 vectors: 12 coordinates
     argv = ["verify", "--trials", "2", "--dims", "1,4", "--theorems", "thm2.1"]
-    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 12)
+    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 12)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0 and err == ""
     assert harness.sample_admissible("thm6.2", "complex", 4)["size"] == 3
-    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 11)
+    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 11)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err == (
@@ -197,6 +198,17 @@ def test_eval_missing_input_exits_2(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "eval", "--input", str(tmp_path / "nope.json"))
     assert rc == 2
     assert err.startswith("ineq: ")
+
+
+def test_eval_csv_without_output_exits_2_before_reading(tmp_path, capsys):
+    # stdout carries the JSON summary, so CSV records need a file: the flags are
+    # refused before the document is read, so a missing one is not what is reported
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps({"instances": [_thm51()]}), encoding="utf-8")
+    for path in (src, tmp_path / "nope.json"):
+        rc, out, err = run_cli(capsys, "eval", "--input", str(path), "--format", "csv")
+        assert rc == 2 and out == ""
+        assert err == "ineq: --format csv needs --output FILE: stdout carries the JSON summary\n"
 
 
 def test_eval_malformed_instance_exits_2(tmp_path, capsys):
@@ -504,7 +516,7 @@ def test_eval_huge_rule_n_exits_2_without_building(tmp_path, capsys, monkeypatch
     def never(*args):
         raise AssertionError("build_domain called for an over-cap rule.n")
 
-    monkeypatch.setattr(harness, "build_domain", never)
+    monkeypatch.setattr(documents, "build_domain", never)
     instance = dict(_PROP71, domain={"rule": {"kind": kind, "n": 10**9}})
     src = tmp_path / "huge.json"
     src.write_text(json.dumps({"instances": [instance]}), encoding="utf-8")
@@ -588,20 +600,20 @@ def test_eval_family_over_the_size_cap_exits_2_without_building(tmp_path, capsys
 
     # a sampled family is built while sampling, so sample first
     inst = dict(sample_admissible("thm5.1", "real", 3, seed=0), x=[0.5] * 2000, size=2000)
-    monkeypatch.setattr(harness, "standard_basis", never)
+    monkeypatch.setattr(documents, "standard_basis", never)
     rc, out, err = _eval_one(tmp_path, capsys, inst)
     assert rc == 2 and out == ""
     assert err == (
         "ineq: instance 0: thm5.1 'size': size 2000 in dimension 2000 takes 4000000 "
-        f"coordinates, more than {harness._MAX_FAMILY_COORDS}\n"
+        f"coordinates, more than {documents._MAX_FAMILY_COORDS}\n"
     )
 
 
 def test_eval_family_size_cap_is_on_size_times_dim(tmp_path, capsys, monkeypatch):
     inst = sample_admissible("thm5.1", "real", 3, seed=0)
-    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 3 * inst["size"])
+    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 3 * inst["size"])
     assert _eval_one(tmp_path, capsys, inst)[0] == 0
-    monkeypatch.setattr(harness, "_MAX_FAMILY_COORDS", 3 * inst["size"] - 1)
+    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 3 * inst["size"] - 1)
     rc, out, err = _eval_one(tmp_path, capsys, inst)
     assert rc == 2 and err.startswith("ineq: instance 0: thm5.1 'size': size ")
     # a size above the dimension keeps its own message
@@ -896,3 +908,27 @@ def test_eval_keeps_its_exit_contract_at_the_edges_of_the_float_range(tmp_path, 
         if rc not in (0, 1, 2) or err.count("\n") > 1 or "Traceback" in err:
             broken.append((name, rc, err))
     assert broken == []
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by its path and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_cold_start_empties_every_cache_a_run_fills(tmp_path, capsys):
+    # each benchmark call stands for a fresh process: a cache that `cold_start`
+    # does not reach would have the benchmark time warm caches
+    verify = ["verify", "--trials", "2", "--dims", "3", "--field", "real"]
+    assert run_cli(capsys, *verify, "--theorems", "prop7.1,thm5.1")[0] == 0
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps({"instances": [_PROP71]}), encoding="utf-8")
+    assert run_cli(capsys, "eval", "--input", str(src))[0] == 0
+    caches = (documents._DOMAIN_CACHE, space._BASIS_CACHE)
+    assert all(caches) and sampling._default_domain.cache_info().currsize == 1
+    _perfbench_workloads().cold_start()
+    assert not any(caches) and sampling._default_domain.cache_info().currsize == 0
+    assert [cache.total for cache in caches] == [0, 0]

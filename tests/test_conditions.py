@@ -251,7 +251,7 @@ def test_only_tally_add_decides_a_comparison():
         for path in package.glob("*.py")
         for name in _slack_deciders(ast.parse(path.read_text(encoding="utf-8")))
     )
-    assert deciders == ["harness.py:_Tally.add"]
+    assert deciders == ["tally.py:_Tally.add"]
 
 
 def test_only_conditions_applies_the_pair_degeneracy_rule():

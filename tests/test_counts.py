@@ -21,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from ineq import evaluate_file, harness, run_suite, sample_admissible, space
+from ineq import documents, evaluate_file, harness, run_suite, sample_admissible, sampling, space
 from ineq.errors import InputFormatError
 from ineq.harness import REAL_ONLY_IDS, THEOREM_IDS
 from ineq.space import FieldTag, Vector
@@ -109,17 +109,17 @@ def _counts(monkeypatch, tid):
     and 8 and both fields; the basis cache is warmed first.  Each instance is evaluated
     by `harness._row_result`, the path `run_suite` takes from a sampler to its operation."""
     counter = _Counter(monkeypatch)
-    stream = harness._Stream(5, tid)
+    stream = sampling._Stream(5, tid)
     fields = (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
     rows = []
     for dim in (3, 8):
         for field in fields:
-            warm = harness._SAMPLERS[tid](harness._rng_for(stream, 99), dim, field, False)
+            warm = harness._SAMPLERS[tid](sampling._rng_for(stream, 99), dim, field, False)
             harness._row_result(tid, warm)
             for i in range(6):
                 counter.take()
                 del counter.normed[:]
-                rng = harness._rng_for(stream, i)
+                rng = sampling._rng_for(stream, i)
                 row = harness._SAMPLERS[tid](rng, dim, field, i % 3 == 2)
                 sampled = counter.take()
                 harness._row_result(tid, row)
@@ -178,8 +178,8 @@ def test_a_verify_row_makes_no_decode_call(force_workers, monkeypatch):
 def test_a_verify_run_decodes_no_domain(force_workers, monkeypatch):
     # a sampled integral instance carries the default domain itself, built once
     calls = []
-    real_dec_domain = harness._dec_domain
-    monkeypatch.setattr(harness, "_dec_domain", lambda obj: calls.append(obj) or real_dec_domain(obj))
+    real_dec_domain = documents._dec_domain
+    monkeypatch.setattr(documents, "_dec_domain", lambda obj: calls.append(obj) or real_dec_domain(obj))
     force_workers(1)
     report = run_suite(trials=10, dims=(1, 3), seed=5, adversarial=True)
     assert report.aggregate["count"] == 25 * 10
@@ -213,12 +213,12 @@ def _fields(tid):
 @pytest.mark.parametrize("tid", THEOREM_IDS)
 def test_every_sampled_vector_is_normed_by_its_operation(tid):
     # a sampled vector is adopted unscanned: the norm its operation takes is its check
-    stream = harness._Stream(8, tid)
+    stream = sampling._Stream(8, tid)
     for dim in (1, 2, 3, 8, 16):
         for field in _fields(tid):
             for adversarial in (False, True):
                 for i in range(4):
-                    rng = harness._rng_for(stream, i)
+                    rng = sampling._rng_for(stream, i)
                     tag, rec_dim, args = harness._SAMPLERS[tid](rng, dim, field, adversarial)
                     # the same coordinates with no norm kept, so only the operation can take it
                     fresh = [
@@ -246,7 +246,7 @@ def test_a_non_finite_sampled_coordinate_still_raises(monkeypatch, tid, bad):
             coords = args[pos].coords.copy()
             coords[entry] = bad if tag is FieldTag.REAL else complex(coords[entry].real, bad)
             args = list(args)
-            args[pos] = harness._vec(coords, tag)
+            args[pos] = sampling._vec(coords, tag)
             return tag, rec_dim, args
 
         monkeypatch.setitem(harness._SAMPLERS, tid, poisoned)

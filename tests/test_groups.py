@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineq import evaluate_file, harness, integral, sample_admissible
+from ineq import documents, evaluate_file, harness, integral, sample_admissible
+from ineq.conditions import ScalarPair
 from ineq.harness import REAL_ONLY_IDS
 from ineq.cli import main
 
@@ -82,7 +83,7 @@ def _pair(rng, field, lo_one):
         lo, hi = _draws(rng, 2, field)
         if lo_one:
             lo = 1.0
-        if not harness.ScalarPair(complex(lo), complex(hi)).is_degenerate():
+        if not ScalarPair(complex(lo), complex(hi)).is_degenerate():
             return {"lo": _scalar(complex(lo), field), "hi": _scalar(complex(hi), field)}
 
 
@@ -106,7 +107,7 @@ def _groups(draw):
     }
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = {"interval": [0.0, 1.0], "weight": {"poly": weight}, "rule": {"kind": kind, "n": n}}
-    dom = harness._dec_domain(spec)
+    dom = documents._dec_domain(spec)
     instances = []
     for _ in range(rows):
         inst = {"theorem": tid, "field": field, "domain": spec}

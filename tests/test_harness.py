@@ -30,10 +30,13 @@ from ineq import (
     sample_admissible,
     vector,
 )
-from ineq import bessel, conditions, gruss, harness, integral, legacy, runner
+from ineq import (
+    bessel, conditions, documents, gruss, harness, integral, legacy, runner, sampling, tally
+)
 from ineq.cli import main
-from ineq.harness import _SPECS, CSV_COLUMNS, REAL_ONLY_IDS, InstanceResult, normalize_theorem_id
+from ineq.harness import _SPECS, REAL_ONLY_IDS, normalize_theorem_id
 from ineq.numutil import leq_with_slack, render_json
+from ineq.tally import CSV_COLUMNS, InstanceResult, _Stats, _Tally
 
 from conftest import assert_no_child_left
 
@@ -167,7 +170,7 @@ def test_verify_and_eval_tally_alike(tmp_path, adversarial):
 
 def test_eval_decides_each_comparison_once(tmp_path, monkeypatch):
     calls = []
-    decide = harness.leq_with_slack
+    decide = tally.leq_with_slack
 
     def counting(lhs, rhs, tol):
         calls.append((lhs, rhs))
@@ -179,7 +182,7 @@ def test_eval_decides_each_comparison_once(tmp_path, monkeypatch):
     ]
     path = tmp_path / "all.json"
     path.write_text(json.dumps({"instances": docs}), encoding="utf-8")
-    monkeypatch.setattr(harness, "leq_with_slack", counting)
+    monkeypatch.setattr(tally, "leq_with_slack", counting)
     rep = evaluate_file(str(path))
     assert rep.counterexamples > 0
     assert calls == [(v1, v2) for rec in rep.records for _, v1, _, v2, _ in rec["comparisons"]]
@@ -369,24 +372,6 @@ def test_emit_report_json_and_csv(tmp_path):
         emit_report(rep, str(cpath), "xml")
 
 
-def _module_references(tree: ast.Module) -> dict:
-    """{name: the names it refers to} of each module-level function, class and assignment."""
-    refs = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        for name in names:
-            refs[name] = used - {name}
-    return refs
-
-
 def _readers(tree: ast.Module, attr: str) -> list:
     """The module-level names whose definition reads the attribute `attr` of anything."""
     return [
@@ -408,40 +393,37 @@ def _definitions(tree: ast.Module):
                     yield target.id, node
 
 
+def _ineq_imports(path: Path) -> set:
+    """The names a module imports from `ineq`: the modules it names, and the names it takes
+    from the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("ineq.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "ineq"):
+                names |= {a.name for a in node.names}
+            elif module.startswith((".", "ineq.")):
+                names.add(module.lstrip(".").removeprefix("ineq.").split(".")[0])
+    return names
+
+
 def test_untrusted_input_stays_on_the_validating_path():
+    # the pipeline's stages import only downward: a sampler cannot read a
+    # document, the decoder cannot draw, and neither can count; only the
+    # registry in `harness` ties them together, and the fork runner knows none
     package = Path(harness.__file__).parent
-    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
-    refs = {
-        f"{path.name}:{name}": used
-        for path in package.glob("*.py")
-        for name, used in _module_references(ast.parse(path.read_text(encoding="utf-8"))).items()
+    imports = {path.stem: _ineq_imports(path) for path in package.glob("*.py")}
+    stages = {"sampling", "documents", "tally"}
+    assert stages <= set(imports)
+    for stage in sorted(stages):
+        assert not imports[stage] & (stages | {"harness", "runner"}), stage
+    assert not imports["runner"] & (stages | {"harness"})
+    assert stages | {"runner"} <= imports["harness"]
+    assert {name for name, names in imports.items() if "harness" in names} == {
+        "__init__", "cli", "sharpness",
     }
-    # document rows come only from `_document_row`, which decodes them
-    assert sorted(name for name, used in refs.items() if "_document_row" in used) == [
-        "harness.py:_file_results", "harness.py:evaluate_instance",
-    ]
-    # samplers are called only through `_SAMPLERS`, which the suite runner and
-    # `sample_admissible` alone refer to
-    samplers = {spec.sampler.__name__ for spec in _SPECS.values()}
-    for sampler in samplers:
-        assert sorted(name for name, used in refs.items() if sampler in used) == [
-            "harness.py:_SPECS",
-        ], sampler
-    assert _readers(tree, "sampler") == ["_SAMPLERS"]
-    assert sorted(name for name, used in refs.items() if "_SAMPLERS" in used) == [
-        "harness.py:_suite_results", "harness.py:sample_admissible",
-    ]
-    # the document path decodes, and reaches no sampler and no draw; the walk
-    # stops at the registry, which names every sampler as data
-    reached, todo = set(), ["evaluate_instance", "_file_results"]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            if name != "_SPECS":
-                todo += refs.get(f"harness.py:{name}", ())
-    assert {"_document_row", "_decode", "_row_result"} <= reached
-    assert not reached & (samplers | {"_SAMPLERS", "_suite_results", "_rng_for", "_Stream"})
 
 
 def _operation_callers(tree: ast.AST, scope: str = "") -> list:
@@ -588,17 +570,17 @@ def test_instance_i_starts_at_counter_block_i_times_2_to_the_64():
     # 32-bit word) yields the same instance i as a fresh stream advanced to
     # block i * 2**64, which is what sample_admissible(index=i) replays
     tid, seed, i = "thm6.2", 9, 5
-    stream = harness._Stream(seed, tid)
-    dirty = harness._rng_for(stream, i - 1)
+    stream = sampling._Stream(seed, tid)
+    dirty = sampling._rng_for(stream, i - 1)
     dirty.uniform(size=10_001)
     dirty.integers(0, 2**31, size=3, dtype=np.uint32)
-    reused = harness._rng_for(stream, i)
+    reused = sampling._rng_for(stream, i)
     key = np.random.SeedSequence([seed, zlib.crc32(tid.encode("ascii"))])
     fresh = np.random.Generator(np.random.Philox(key).advance(i << 64))
     assert reused.uniform(size=7).tolist() == fresh.uniform(size=7).tolist()
 
     doc = sample_admissible(tid, "complex", 4, seed, index=i)
-    row = harness._SAMPLERS[tid](harness._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
+    row = harness._SAMPLERS[tid](sampling._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
     assert _document_of(tid, row, seed) == doc
 
 
@@ -619,13 +601,13 @@ def test_domain_node_caps_are_checked_before_building(monkeypatch):
         built.append((kind, n))
         raise RuntimeError("stop before allocating")
 
-    monkeypatch.setattr(harness, "build_domain", recording)
+    monkeypatch.setattr(documents, "build_domain", recording)
     for kind, cap in (("gauss", 2048), ("trapezoid", 2**20)):
         over = {"interval": [0.0, 3.0], "rule": {"kind": kind, "n": cap + 1}}
         with pytest.raises(InputFormatError, match=f"^rule.n: {kind} rules take at most {cap} "):
-            harness._dec_domain(over)
+            documents._dec_domain(over)
         with pytest.raises(RuntimeError, match="stop before allocating"):
-            harness._dec_domain(dict(over, rule={"kind": kind, "n": cap}))
+            documents._dec_domain(dict(over, rule={"kind": kind, "n": cap}))
     assert built == [("gauss", 2048), ("trapezoid", 2**20)]
 
 
@@ -644,7 +626,7 @@ def test_domain_cache_is_bounded_and_keeps_records(tmp_path, monkeypatch):
     path = tmp_path / "domains.json"
     path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
 
-    cache = harness._DOMAIN_CACHE
+    cache = documents._DOMAIN_CACHE
     held = []
     add = cache.add
 
@@ -657,7 +639,7 @@ def test_domain_cache_is_bounded_and_keeps_records(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "add", recording)
     try:
         bounded = evaluate_file(str(path)).records
-        assert len(held) == 45 and max(held) <= harness._DOMAIN_CACHE_NODES
+        assert len(held) == 45 and max(held) <= documents._DOMAIN_CACHE_NODES
         cache.clear()
         monkeypatch.setattr(cache, "budget", 2**40)
         unbounded = evaluate_file(str(path)).records
@@ -678,9 +660,9 @@ def test_coordinate_lists_decode_bit_identically_to_the_per_element_route(field)
             for key, kind in _SPECS[tid].params:
                 if kind not in constructors:
                     continue
-                fast = harness._dec_coords(inst[key], tag)
+                fast = documents._dec_coords(inst[key], tag)
                 assert isinstance(fast, np.ndarray), (tid, key)  # the one-call route ran
-                slow = [harness._dec_scalar(v) for v in inst[key]]
+                slow = [documents._dec_scalar(v) for v in inst[key]]
                 build = constructors[kind]
                 a, b = build(fast, tag), build(slow, tag)
                 got, want = (a.coords, b.coords) if kind == "vector" else (a.entries, b.entries)
@@ -693,7 +675,7 @@ def test_coordinate_lists_decode_bit_identically_to_the_per_element_route(field)
 def test_sampled_documents_own_their_domain():
     # a returned document is the caller's to edit: changing any nested part
     # of its domain leaves the default spec, later samples and suites alone
-    saved = json.loads(json.dumps(harness.DEFAULT_DOMAIN_SPEC))
+    saved = json.loads(json.dumps(integral.DEFAULT_DOMAIN_SPEC))
 
     def suite():
         rep = run_suite(["prop7.1"], trials=4, dims=(3,), fields=("real",), seed=6,
@@ -708,13 +690,13 @@ def test_sampled_documents_own_their_domain():
             dom["weight"]["poly"].append(1.0)
             dom["rule"]["kind"] = "trapezoid"
             dom["rule"]["n"] = 8
-        assert harness.DEFAULT_DOMAIN_SPEC == saved
+        assert integral.DEFAULT_DOMAIN_SPEC == saved
         assert sample_admissible("prop7.1", "real", 3, seed=6) == fresh
         assert suite() == report
     finally:
-        harness.DEFAULT_DOMAIN_SPEC.clear()
-        harness.DEFAULT_DOMAIN_SPEC.update(saved)
-        harness._DOMAIN_CACHE.clear()
+        integral.DEFAULT_DOMAIN_SPEC.clear()
+        integral.DEFAULT_DOMAIN_SPEC.update(saved)
+        documents._DOMAIN_CACHE.clear()
 
 
 class _UniformOnly:
@@ -735,7 +717,7 @@ def _document_of(tid, row, seed) -> dict:
     field, _, args = row
     spec = _SPECS[tid]
     encoded = {
-        key: harness._ENCODERS[kind](arg, field) for (key, kind), arg in zip(spec.params, args)
+        key: documents._ENCODERS[kind](arg, field) for (key, kind), arg in zip(spec.params, args)
     }
     doc = {"theorem": tid, "field": field.value}
     doc.update((key, encoded[key]) for _, key, _ in spec.steps)
@@ -766,7 +748,7 @@ def test_a_sampled_document_decodes_to_the_sampled_arguments(dim, adversarial, i
         fields = [FieldTag.REAL] if tid in REAL_ONLY_IDS else [FieldTag.REAL, FieldTag.COMPLEX]
         for field in fields:
             doc = sample_admissible(tid, field, dim, seed, adversarial, index=index)
-            rng = harness._rng_for(harness._Stream(seed, tid), index)
+            rng = sampling._rng_for(sampling._Stream(seed, tid), index)
             tag, rec_dim, args = harness._SAMPLERS[tid](rng, dim, field, adversarial)
             doc_tid, (doc_field, doc_dim, decoded) = harness._document_row(doc)
             assert (doc_tid, doc_field, doc_dim) == (tid, tag, rec_dim)
@@ -782,14 +764,14 @@ def test_samplers_draw_only_through_uniform():
     # every sampled document bit for bit
     seed, checked = 11, 0
     for tid in THEOREM_IDS:
-        stream = harness._Stream(seed, tid)
+        stream = sampling._Stream(seed, tid)
         tags = [FieldTag.REAL] if tid in REAL_ONLY_IDS else [FieldTag.REAL, FieldTag.COMPLEX]
         for dim in (1, 2, 3, 8, 16):
             for tag in tags:
                 for adversarial in (False, True):
                     for i in range(3):
                         want = sample_admissible(tid, tag, dim, seed, adversarial, index=i)
-                        source = _UniformOnly(harness._rng_for(stream, i))
+                        source = _UniformOnly(sampling._rng_for(stream, i))
                         row = harness._SAMPLERS[tid](source, dim, tag, adversarial)
                         got = _document_of(tid, row, seed)
                         assert json.dumps(got) == json.dumps(want), (tid, dim, tag, i)
@@ -935,7 +917,7 @@ def _hold_here(monkeypatch, ready) -> list:
     `children` are the pids forked for that run.  They claim the pieces after
     this process's first meanwhile, so which process counts which piece does
     not depend on timing.  Returns the pids forked from now on."""
-    parent, forks, counted = os.getpid(), _count_forks(monkeypatch), harness._Tally.counted
+    parent, forks, counted = os.getpid(), _count_forks(monkeypatch), _Tally.counted
     held = [0]
 
     def holding(self, job, lo, hi):
@@ -947,7 +929,7 @@ def _hold_here(monkeypatch, ready) -> list:
                 time.sleep(0.002)
         return counted(self, job, lo, hi)
 
-    monkeypatch.setattr(harness._Tally, "counted", holding)
+    monkeypatch.setattr(_Tally, "counted", holding)
     return forks
 
 
@@ -1136,7 +1118,7 @@ def test_a_child_that_dies_mid_run_has_its_pieces_computed_here(
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_slow_child_changes_no_byte(force_workers, monkeypatch, workers):
-    parent, counted, slept = os.getpid(), harness._Tally.counted, []
+    parent, counted, slept = os.getpid(), _Tally.counted, []
 
     def slow_first_piece(self, job, lo, hi):
         if os.getpid() != parent and not slept:  # each child appends to its own copy
@@ -1144,7 +1126,7 @@ def test_a_slow_child_changes_no_byte(force_workers, monkeypatch, workers):
             time.sleep(0.2)
         return counted(self, job, lo, hi)
 
-    monkeypatch.setattr(harness._Tally, "counted", slow_first_piece)
+    monkeypatch.setattr(_Tally, "counted", slow_first_piece)
     kwargs = dict(theorems=_CLAIM_IDS, **_CLAIM_CASES["records"])
     force_workers(1)
     serial = run_suite(**kwargs).to_json()
@@ -1216,13 +1198,13 @@ _FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
 def test_stats_merged_in_slice_order_equal_the_serial_fold(rows, cuts):
     # rows are (admissible, ok, gap, bound); empty slices included
     def folded(part):
-        stats = harness._Stats()
+        stats = _Stats()
         for admissible, ok, gap, bound in part:
             stats.add(InstanceResult("thm2.1", "real", 1, admissible, 0.0, gap, bound, ()), ok)
         return stats
 
     bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
-    merged = harness._Stats()
+    merged = _Stats()
     for lo, hi in zip(bounds, bounds[1:]):
         merged.merge(folded(rows[lo:hi]))
     # repr tells -0.0 from 0.0
@@ -1275,7 +1257,7 @@ def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
         return data
 
     parent, emitted, rendered = os.getpid(), [], []
-    record_text, render_json = harness._record_text, harness.render_json
+    record_text, render_json = tally._record_text, tally.render_json
 
     def counting_record_text(index, *args):
         if os.getpid() == parent:
@@ -1289,8 +1271,8 @@ def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
 
     path = _every_id_document(tmp_path)
     monkeypatch.setattr(pickle, "dumps", logging_dumps)
-    monkeypatch.setattr(harness, "_record_text", counting_record_text)
-    monkeypatch.setattr(harness, "render_json", counting_render_json)
+    monkeypatch.setattr(tally, "_record_text", counting_record_text)
+    monkeypatch.setattr(tally, "render_json", counting_render_json)
     _hold_here(monkeypatch, lambda children: logged.exists())
     force_workers(2)
     report = evaluate_file(path)
@@ -1426,7 +1408,7 @@ def test_brief_quotes_short_values_whole_and_cuts_long_ones():
     assert len(_brief(long)) == _BRIEF_CHARS
     assert _brief(long) == repr(long)[: _BRIEF_CHARS - 3] + "..."
     with pytest.raises(InputFormatError) as exc:
-        harness._dec_real("x" * 10**6)
+        documents._dec_real("x" * 10**6)
     assert str(exc.value) == f"expected a number, got {_brief('x' * 10**6)}"
 
 
@@ -1502,7 +1484,7 @@ def _plain_record(margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bo
 def test_a_record_text_is_what_render_json_writes_for_its_dict(record):
     expected = _rendered(lambda: render_json({"records": [_record_dict(*record)]}))
     got = _rendered(
-        lambda: '{\n  "records": [\n    ' + harness._record_text(*record) + "\n  ]\n}\n"
+        lambda: '{\n  "records": [\n    ' + tally._record_text(*record) + "\n  ]\n}\n"
     )
     assert got == expected
 
@@ -1514,13 +1496,13 @@ def test_every_counted_result_holds_the_plain_values_of_the_record_template(
     # `_record_text`'s one printf template takes float numbers, str labels, bool
     # flags and an int dim: every id, dim and field, through both runners
     counted = []
-    add = harness._Tally.add
+    add = _Tally.add
 
     def recording(self, index, result):
         counted.append(result)
         add(self, index, result)
 
-    monkeypatch.setattr(harness._Tally, "add", recording)
+    monkeypatch.setattr(_Tally, "add", recording)
     force_workers(1)
     dims, fields = (1, 2, 3, 8, 16), ("real", "complex")
     run_suite(trials=10, dims=dims, fields=fields, seed=5, adversarial=adversarial)
@@ -1571,7 +1553,7 @@ def _csv_bytes(path, records) -> bytes:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([harness._csv_cell(rec[c]) for c in CSV_COLUMNS])
+            writer.writerow([tally._csv_cell(rec[c]) for c in CSV_COLUMNS])
     return path.read_bytes()
 
 
@@ -1592,7 +1574,7 @@ def test_records_are_a_parsed_view_that_renders_to_the_same_bytes(tmp_path):
     with open(path, encoding="utf-8") as fh:
         for i, inst in enumerate(json.load(fh)["instances"]):
             result = evaluate_instance(inst)
-            flags = [harness.leq_with_slack(v1, v2, 1e-9) for _, v1, _, v2 in result.comparisons]
+            flags = [leq_with_slack(v1, v2, 1e-9) for _, v1, _, v2 in result.comparisons]
             expected.append(_record_dict(i, result, all(flags), flags))
     _assert_records_round_trip(report, expected, tmp_path)
     for rec in report.records:
@@ -1603,7 +1585,7 @@ def test_records_are_a_parsed_view_that_renders_to_the_same_bytes(tmp_path):
 
 
 def test_a_negative_zero_margin_survives_the_parsed_view(tmp_path):
-    tally = harness._Tally(1e-9, keep_records=True)
+    tally = _Tally(1e-9, keep_records=True)
     index, result, ok, flags = _plain_record(margin=-0.0, comparisons=(("zero", -0.0, "gap", 2.0),))
     tally.add(index, result)
     report = tally.report({"mode": "eval"})

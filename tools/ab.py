@@ -15,8 +15,10 @@ same `argv(k)` on both sides.
 
 The output gives, per side, the median raw and rescaled rate (instances per
 second; rescaled as perfbench rescales, by the mean kernel time over its
-reference time), the B/A ratio of each median, the number of pairs B won, and
-the report hashes of call 0.  Two copies of one checkout (an A/A run) read
+reference time) with its lower and upper quartiles, the B/A ratio of each
+median, the number of pairs B won, and the report hashes of call 0.  So
+whether the medians lie further apart than A's interquartile spread reads
+straight off the output.  Two copies of one checkout (an A/A run) read
 within 1% of 1.0 rescaled; raw ratios follow the host's speed and spread
 more.  Nothing under `perfbench/` is changed.
 """
@@ -78,6 +80,14 @@ def ask(proc: subprocess.Popen, k: int) -> dict:
     return json.loads(proc.stdout.readline())
 
 
+def _quartiles(values: list) -> list:
+    """[lower, upper] quartile of `values`, as `statistics.quantiles` cuts them."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    lower, _, upper = statistics.quantiles(values, n=4)
+    return [lower, upper]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", type=Path, help="the reference checkout")
@@ -107,7 +117,9 @@ def main(argv=None) -> int:
         a, b = ([r[key] for r in runs[s]] for s in ("a", "b"))
         out[key] = {
             "a_median": statistics.median(a),
+            "a_quartiles": _quartiles(a),
             "b_median": statistics.median(b),
+            "b_quartiles": _quartiles(b),
             "ratio": statistics.median(b) / statistics.median(a),
             "b_wins": f"{sum(y > x for x, y in zip(a, b))}/{len(a)}",
         }
