@@ -80,17 +80,18 @@ class BesselReport(SingleCondition):
 def bessel_reverse_ball(
     x: Vector, fam: OrthonormalFamily, lam: CoefficientSequence, r: float
 ) -> BesselReport:
-    """Defect bound r^2 / (2 sqrt(sum|lambda_i|^2)) under ||x - sum lambda_i e_i|| <= r."""
+    """Defect bound r^2 / (2 ||lambda||) under ||x - sum lambda_i e_i|| <= r, formed as
+    r (r / ||lambda||) so that no square leaves the range on its own."""
     if not r > 0:
         raise PreconditionError(f"radius must be positive, got {r}")
-    if lam.sq_norm == 0.0:
+    if lam.norm == 0.0:
         raise PreconditionError("lambda must be nonzero")
     report = _family_center_ball(x, fam, lam, r)
     nx = norm(x)
     cn = fourier_coefficients(x, fam).norm
-    lam_norm = lam.sq_norm ** 0.5
-    bound = 0.5 * r * r / lam_norm
-    chain = (0.0, nx * nx - cn * cn, 0.5 * r * r * (nx + cn) / lam_norm, r * r * nx / lam_norm)
+    ratio = r * (r / lam.norm)
+    bound = 0.5 * ratio
+    chain = (0.0, nx * nx - cn * cn, 0.5 * ratio * (nx + cn), ratio * nx)
     additive = BoundChain(ADDITIVE_LABELS, chain, report)
     return BesselReport(nx, cn, nx - cn, bound, additive, report)
 
@@ -150,14 +151,14 @@ def gruss_orthonormal_ball(
     r2: float,
 ) -> GrussReport:
     """Family Gruss bounds under ||x - sum lambda_i e_i|| <= r1 and the y analogue."""
-    if lam.sq_norm == 0.0 or mu.sq_norm == 0.0:
+    if lam.norm == 0.0 or mu.norm == 0.0:
         raise PreconditionError("lambda and mu must be nonzero")
     if not (r1 > 0 and r2 > 0):
         raise PreconditionError("radii must be positive")
     rep_x = _family_center_ball(x, fam, lam, r1)
     rep_y = _family_center_ball(y, fam, mu, r2)
     gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
-    denom = lam.sq_norm ** 0.25 * mu.sq_norm ** 0.25
+    denom = lam.norm ** 0.5 * mu.norm ** 0.5
     first = 0.5 * r1 * r2 * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5 / denom
     second = r1 * r2 * (nx * ny) ** 0.5 / denom
     bounds = (("half_residual", first), ("norm_route", second))

@@ -43,7 +43,6 @@ from .space import (
     _array_norm,
     _check_finite,
     _checked_norm,
-    _seq_norm,
     _synthesized,
     _vdot,
     check_same_space,
@@ -116,8 +115,9 @@ def _pair_realpart(x: Vector, y: Vector, lo: Scalar, hi: Scalar) -> ConditionRep
     xc, yc = x.coords, y.coords
     margin = _real_part(hi * yc - xc, xc - lo * yc)
     nx, ny = norm(x), norm(y)
-    # squared by *: a square norm past the range is then inf, where ** would raise
-    scale = 1.0 + nx * nx + abs(hi) ** 2 * (ny * ny)
+    # squared by *: a square past the range is then inf, where ** would raise
+    hy = abs(hi) * ny
+    scale = 1.0 + nx * nx + hy * hy
     return _report(margin, ConditionForm.REAL_PART, scale)
 
 
@@ -212,8 +212,8 @@ def _coefficient_pair(
     """(||Gamma - gamma||, ||Gamma + gamma||) of a pair that fits `fam`, rejected by `ScalarPair`'s
     rule on the norms ||gamma||, ||Gamma|| and these two."""
     _family_pairs(fam, gammas, Gammas)
-    diff = _seq_norm(Gammas.entries - gammas.entries)
-    summ = _seq_norm(Gammas.entries + gammas.entries)
+    diff = _array_norm(Gammas.entries - gammas.entries)
+    summ = _array_norm(Gammas.entries + gammas.entries)
     if _degenerate(gammas.norm, Gammas.norm, diff, summ):
         raise DegeneratePairError(
             "coefficient sequences are degenerate: Gamma within relative "
@@ -241,7 +241,7 @@ def family_two_sided(
         margin = _real_part(upper - x.coords, x.coords - lower)
         nx, nG = norm(x), Gammas.norm
         return _report(margin, ConditionForm.REAL_PART, 1.0 + nx * nx + nG * nG)
-    return _family_ball(x, fam, gammas, Gammas, _seq_norm(Gammas.entries - gammas.entries))
+    return _family_ball(x, fam, gammas, Gammas, _array_norm(Gammas.entries - gammas.entries))
 
 
 def _family_ball(

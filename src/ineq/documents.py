@@ -12,8 +12,9 @@ first because {"values"} functions are discretized on its nodes.  An error
 names its key; a missing key also lists the keys the theorem needs.  A
 record's dim is x's dimension, or the node count of an integral instance.
 A list of plain floats is built into its array once and adopted unscanned:
-its finiteness is read off the square norm a `CoefficientSequence` keeps, or
-off a vector's norm, which `_Decoding.vector` takes so the error names its key.
+its finiteness is read off the norm a `CoefficientSequence` takes when it is
+built, or off a vector's norm, which `_Decoding.vector` takes so the error
+names its key.
 
 Document schema: a dict with "theorem", "field", and the operation's
 parameters -- vectors as number lists ({"re","im"} objects over the complex
@@ -257,7 +258,7 @@ class _Decoding:
             raise InputFormatError(f"expected a coefficient list, got {_brief(obj)}")
         entries = _dec_coords(obj, self.field)
         if type(entries) is np.ndarray:
-            # its square norm reads the finiteness
+            # its norm reads the finiteness
             return CoefficientSequence._computed(entries, self.field)
         return coefficients(entries, self.field)
 

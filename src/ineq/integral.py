@@ -469,9 +469,10 @@ def _pair_rows(f: _Rows, g: _Rows, pairs: list) -> list:
         margins = np.minimum.reduce(upper.real, axis=1)
     # squared by *, as `conditions._pair_realpart` squares: a square past the range is
     # then inf, where ** would raise
+    hg = [abs(complex(hk)) * gk for (_, hk), gk in zip(scalars, g.amax())]
     return [
-        _report(mk, ConditionForm.REAL_PART, 1.0 + fk * fk + abs(complex(hk)) ** 2 * (gk * gk))
-        for mk, (_, hk), fk, gk in zip(margins.tolist(), scalars, f.amax(), g.amax())
+        _report(mk, ConditionForm.REAL_PART, 1.0 + fk * fk + hk * hk)
+        for mk, fk, hk in zip(margins.tolist(), f.amax(), hg)
     ]
 
 

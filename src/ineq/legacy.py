@@ -4,7 +4,7 @@ These are the predecessors of the results in `schwarz`, `triangle`, `gruss`
 and `bessel`: squared-level reverse Schwarz bounds, the square-root-shaped
 triangle reverses, the unit-ball Gruss bound, and the multiplicative reverse
 Bessel chains.  They are implemented exactly as stated — including the
-stricter hypotheses (r < ||a||, radii in (0,1), sum|lambda|^2 > r^2) that the
+stricter hypotheses (r < ||a||, radii in (0,1), ||lambda|| > r) that the
 newer results drop — so the verification harness can evaluate old and new
 bounds on identical instances.  No ordering between old and new bounds is
 asserted anywhere; none holds in general.
@@ -194,35 +194,31 @@ def legacy_gruss_pair(
 
 
 def _multiplicative_bessel(
-    x: Vector,
-    fam: OrthonormalFamily,
-    report: ConditionReport,
-    weights: np.ndarray,
-    denom: float,
-    chain_num: float,
-    additive_num: float,
+    x: Vector, fam: OrthonormalFamily, report: ConditionReport, weights: np.ndarray,
+    size: float, radius: float,
 ) -> BesselReport:
-    """||x||^2 <= Re(m)^2/denom <= |m|^2/denom <= chain_num/denom sum|c_i|^2 and the additive
-    bound additive_num/denom sum|c_i|^2, m = sum conj(w_i) c_i."""
+    """The chain ||x||^2 <= Re(m)^2/q <= |m|^2/q <= ||w||^2/q sum|c_i|^2 and the additive bound
+    r^2/q sum|c_i|^2 for x in the ball of radius r < ||w|| about sum w_i e_i, where
+    m = sum conj(w_i) c_i and q = (||w|| - r)(||w|| + r), size = ||w|| and radius = r.
+
+    w and r are first scaled by 2^k ~ 1 / ||w||, which is exact and cancels from every
+    value, so none of them is squared past the range: the chain leaves it only where
+    ||x||^2 does.
+    """
+    k = -math.frexp(size)[1]
+    w = np.ldexp(weights.view(np.float64), k).view(weights.dtype)
+    s, r = math.ldexp(size, k), math.ldexp(radius, k)
+    q = (s - r) * (s + r)
     nx = norm(x)
     coeffs = fourier_coefficients(x, fam)
     cn = coeffs.norm
-    mixed = complex(np.vdot(weights, coeffs.entries))
+    mixed = complex(np.vdot(w, coeffs.entries))
     chain = BoundChain(
         BESSEL_BALL_LABELS,
-        (
-            nx * nx,
-            mixed.real ** 2 / denom,
-            abs(mixed) ** 2 / denom,
-            chain_num / denom * cn * cn,
-        ),
+        (nx * nx, mixed.real ** 2 / q, abs(mixed) ** 2 / q, s * s / q * cn * cn),
         report,
     )
-    additive = BoundChain(
-        ADDITIVE_LABELS,
-        (0.0, nx * nx - cn * cn, additive_num / denom * cn * cn),
-        report,
-    )
+    additive = BoundChain(ADDITIVE_LABELS, (0.0, nx * nx - cn * cn, r * r / q * cn * cn), report)
     bound = chain.bound ** 0.5 - cn
     return BesselReport(nx, cn, nx - cn, bound, additive, report, chain=chain)
 
@@ -230,20 +226,17 @@ def _multiplicative_bessel(
 def legacy_bessel_ball(
     x: Vector, fam: OrthonormalFamily, lam: CoefficientSequence, r: float
 ) -> BesselReport:
-    """Multiplicative reverse Bessel chain with factor sum|lam|^2 / (sum|lam|^2 - r^2).
+    """Multiplicative reverse Bessel chain with factor ||lam||^2 / (||lam||^2 - r^2).
 
-    Requires sum |lambda_i|^2 > r^2.  The additive companion bounds
-    ||x||^2 - sum|c_i|^2 by r^2/(sum|lam|^2 - r^2) * sum|c_i|^2.
+    Requires ||lambda|| > r.  The additive companion bounds ||x||^2 - sum|c_i|^2 by
+    r^2/(||lam||^2 - r^2) * sum|c_i|^2.
     """
     if not r > 0:
         raise PreconditionError(f"radius must be positive, got {r}")
-    excess = lam.sq_norm - r * r
-    if not excess > 0:
-        raise PreconditionError(
-            f"need sum|lambda|^2 > r^2, got {lam.sq_norm} <= {r * r}"
-        )
+    if not lam.norm > r:
+        raise PreconditionError(f"need ||lambda|| > r, got {lam.norm} <= {r}")
     report = _family_center_ball(x, fam, lam, r)
-    return _multiplicative_bessel(x, fam, report, lam.entries, excess, lam.sq_norm, r * r)
+    return _multiplicative_bessel(x, fam, report, lam.entries, lam.norm, r)
 
 
 def legacy_bessel_pair(
@@ -254,21 +247,16 @@ def legacy_bessel_pair(
 ) -> BesselReport:
     """Multiplicative reverse Bessel chain with factor sum|G+g|^2 / (4 sum Re(G conj(g))).
 
-    The factor and the weights G+g are taken over the pair scaled by 2^k ~ 1 / ||G+g||, which
-    is exact, so no pair quantity is squared past the range: the chain leaves it only where
-    ||x||^2 does.
+    That is `legacy_bessel_ball`'s chain for lambda = (G+g)/2 and r = ||G-g||/2, since
+    4 sum Re(G_i conj(g_i)) = ||G+g||^2 - ||G-g||^2: it is formed over the weights G+g with
+    radius ||G-g||, and the hypothesis sum Re(G_i conj(g_i)) > 0 is ||G+g|| > ||G-g||.
     """
     diff, summ = _coefficient_pair(fam, gammas, Gammas)
-    k = -math.frexp(summ)[1]
-    g, G = (np.ldexp(seq.entries.view(np.float64), k) for seq in (gammas, Gammas))
-    re_sum = float(g.dot(G))  # 2^(2k) sum Re(G_i conj(g_i)), over the float views
-    if not re_sum > 0:
+    if not summ > diff:
         raise PreconditionError(
-            "sum Re(Gamma_i * conj(gamma_i)) must be positive, "
-            f"got {float(np.vdot(gammas.entries, Gammas.entries).real)}"
+            "sum Re(Gamma_i * conj(gamma_i)) must be positive: need ||Gamma + gamma|| > "
+            f"||Gamma - gamma||, got {summ} <= {diff}"
         )
     check_same_space(x, fam.members[0])
     report = _family_ball(x, fam, gammas, Gammas, diff)
-    weights = (G + g).view(Gammas.entries.dtype)
-    d, s = math.ldexp(diff, k), math.ldexp(summ, k)
-    return _multiplicative_bessel(x, fam, report, weights, 4.0 * re_sum, s * s, d * d)
+    return _multiplicative_bessel(x, fam, report, Gammas.entries + gammas.entries, summ, diff)

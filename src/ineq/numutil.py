@@ -3,7 +3,7 @@
 `render_json` writes the one report format: two-space indentation, keys in
 insertion order, ASCII-escaped strings, numeric lists on one line and every
 float with 17 significant digits.  It renders report heads and sharpness
-sweeps.  A report's records are written by `harness._record_text`, one
+sweeps.  A report's records are written by `tally._record_text`, one
 printf template that writes what `render_json` would, and raises its
 ValueError (`fmt_float`) for a NaN or infinite number.
 """

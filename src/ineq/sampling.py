@@ -132,8 +132,8 @@ def _frac(rng, adversarial: bool) -> float:
 
 
 def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
-    """Sequences (lo_i), (hi_i) jointly nondegenerate, and ||hi - lo||; optionally
-    sum Re(hi conj(lo)) > 0."""
+    """Sequences (lo_i), (hi_i) jointly nondegenerate, adopted with the norms taken here,
+    and ||hi - lo||; optionally sum Re(hi conj(lo)) > 0."""
     for _ in range(_RESAMPLE_CAP):
         lo = _rand_coords(rng, k, field)
         hi = _rand_coords(rng, k, field)
@@ -154,10 +154,10 @@ def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
             if re < 0:
                 # flips the sign of the sum; separations swap roles (hi - (-lo) is hi + lo bit for bit)
                 lo, sep_diff = -lo, sep_summ
-        return lo, hi, sep_diff
+        return _seq(lo, field, norm_lo), _seq(hi, field, norm_hi), sep_diff
     lo = np.ones(k, dtype=field.dtype)
     hi = 2.5 * lo
-    return lo, hi, _array_norm(hi - lo)
+    return _seq(lo, field), _seq(hi, field), _array_norm(hi - lo)
 
 
 def _sample_pair(rng, field: FieldTag, positive_real: bool = False):
@@ -289,12 +289,12 @@ def _sample_bessel_ball(rng, dim, field, adversarial, restrict=False):
     else:
         r = _radius(rng)
     x = _in_ball(rng, field, _padded(lam, dim, field), r, _frac(rng, adversarial))
-    return field, dim, (_vec(x, field), standard_basis(field, dim, k), _seq(lam, field), r)
+    return field, dim, (_vec(x, field), standard_basis(field, dim, k), _seq(lam, field, nlam), r)
 
 
 def _seq_pair_point(rng, dim, field, adversarial, lo, hi, sep) -> np.ndarray:
     """sum (lo_i + hi_i)/2 e_i plus a residual of length t * ||hi - lo||/2, sep = ||hi - lo||."""
-    center = _padded(0.5 * (lo + hi), dim, field)
+    center = _padded(0.5 * (lo.entries + hi.entries), dim, field)
     return _in_ball(rng, field, center, 0.5 * sep, _frac(rng, adversarial))
 
 
@@ -303,18 +303,18 @@ def _sample_bessel_pair(rng, dim, field, adversarial, positive_sum=False):
     lo, hi, sep = _sample_seq_pair(rng, field, k, positive_sum=positive_sum)
     x = _seq_pair_point(rng, dim, field, adversarial, lo, hi, sep)
     family = standard_basis(field, dim, k)
-    return field, dim, (_vec(x, field), family, _seq(lo, field), _seq(hi, field))
+    return field, dim, (_vec(x, field), family, lo, hi)
 
 
 def _sample_family_gruss_ball(rng, dim, field, adversarial):
     k = _family_size(dim)
-    lam, _ = _nonzero_coords(rng, k, field)
-    mu, _ = _nonzero_coords(rng, k, field)
+    lam, nlam = _nonzero_coords(rng, k, field)
+    mu, nmu = _nonzero_coords(rng, k, field)
     r1, r2 = _radius_pair(rng, adversarial)
     x = _vec(_in_ball(rng, field, _padded(lam, dim, field), r1, _frac(rng, adversarial)), field)
     y = _vec(_in_ball(rng, field, _padded(mu, dim, field), r2, _frac(rng, adversarial)), field)
     family = standard_basis(field, dim, k)
-    return field, dim, (x, y, family, _seq(lam, field), _seq(mu, field), r1, r2)
+    return field, dim, (x, y, family, _seq(lam, field, nlam), _seq(mu, field, nmu), r1, r2)
 
 
 def _sample_family_gruss_pair(rng, dim, field, adversarial):
@@ -323,8 +323,7 @@ def _sample_family_gruss_pair(rng, dim, field, adversarial):
     lo_y, hi_y, sep_y = _sample_seq_pair(rng, field, k)
     x = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_x, hi_x, sep_x), field)
     y = _vec(_seq_pair_point(rng, dim, field, adversarial, lo_y, hi_y, sep_y), field)
-    seqs = (_seq(lo_x, field), _seq(hi_x, field), _seq(lo_y, field), _seq(hi_y, field))
-    return field, dim, (x, y, standard_basis(field, dim, k), *seqs)
+    return field, dim, (x, y, standard_basis(field, dim, k), lo_x, hi_x, lo_y, hi_y)
 
 
 @cache

@@ -25,7 +25,8 @@ ValueError.  A vector's norm is computed once and kept (`norm`), which is
 safe because its coordinates are read-only, and is checked the same way, so
 the vectors a sampler draws or a document decoder builds (`Vector._sampled`)
 are adopted unscanned: every operation takes the norm of every vector it is
-given.
+given.  A coefficient sequence takes its norm the same way, once, when it is
+built.
 
 Every norm keeps to one float-range rule (`_root_of`): it is the square root
 of its sum of squares where that sum is a normal float, and a hypot of the
@@ -273,52 +274,40 @@ def _checked_norm(arr: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Finite truncation of an l^2 scalar sequence, with cached square norm."""
+    """Finite truncation of an l^2 scalar sequence, with its norm taken once, by the vectors'
+    rule, `_checked_norm`."""
 
     entries: np.ndarray
     field: FieldTag
-    sq_norm: float = dc_field(init=False)
+    norm: float = dc_field(init=False)
 
     def __post_init__(self) -> None:
         self._adopt(_as_coords(self.entries, self.field))
 
-    def _adopt(self, arr: np.ndarray) -> None:
+    def _adopt(self, arr: np.ndarray, norm: float | None = None) -> None:
+        if norm is None or not norm < math.inf:  # else it is taken again, checked
+            norm = _checked_norm(arr)
+        object.__setattr__(self, "norm", norm)
+        arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "sq_norm", _sq_sum(arr))
 
     @classmethod
-    def _computed(cls, entries: np.ndarray, field: FieldTag) -> "CoefficientSequence":
-        """Trusted constructor for entries the library just computed.  The square norm
-        reads every entry, so the entries are scanned for finiteness only where it is
-        not finite."""
+    def _computed(
+        cls, entries: np.ndarray, field: FieldTag, norm: float | None = None
+    ) -> "CoefficientSequence":
+        """Trusted constructor for entries the library just computed, and their norm when the
+        caller already took it.  The norm reads every entry, so the entries are scanned for
+        finiteness only where it is not finite."""
         assert entries.dtype == field.dtype and entries.ndim == 1 and entries.size, (
             entries.dtype, entries.shape
         )
         self = object.__new__(cls)
         object.__setattr__(self, "field", field)
-        self._adopt(entries)
-        if not self.sq_norm < math.inf:
-            _check_finite(entries)
-        entries.flags.writeable = False
+        self._adopt(entries, norm)
         return self
 
     def __len__(self) -> int:
         return int(self.entries.size)
-
-    @property
-    def norm(self) -> float:
-        return _root_of(self.sq_norm, self.entries)
-
-
-def _sq_sum(arr: np.ndarray) -> float:
-    """sum |arr_i|^2 by `np.vdot`, a CoefficientSequence's `sq_norm`; NaN where a complex vdot
-    overflows, past about 1e154."""
-    return float(np.vdot(arr, arr).real)
-
-
-def _seq_norm(arr: np.ndarray) -> float:
-    """The norm `CoefficientSequence.norm` takes of entries arr, without building the sequence."""
-    return _root_of(_sq_sum(arr), arr)
 
 
 def coefficients(values, field: FieldTag | str | None = None) -> CoefficientSequence:

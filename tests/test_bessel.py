@@ -347,12 +347,31 @@ def test_coefficient_pair_with_subnormal_sums_gives_accurate_values(op):
         assert value == pytest.approx(exact, rel=1e-15)
 
 
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_ball_bounds_with_lambda_and_r_near_1e160_are_finite(field):
+    # r^2 and sum|lambda|^2 leave the range (a complex one as NaN); the bounds do not
+    fam, dt = standard_basis(field, 2, 1), field.dtype
+    with np.errstate(over="ignore"):
+        lam = coefficients(np.array([1e160], dtype=dt))
+        x = vector(np.array([1e160, 0.5e160], dtype=dt))
+        rep = bessel_reverse_ball(x, fam, lam, 1e160)
+    # r^2 / (2 ||lambda||), with x at 0.5e160 from the center
+    assert rep.bound == 0.5e160 and rep.admissible
+    # thm6.1's denominator (||lambda|| ||mu||)^(1/2) = 1e160, from norms whose squares
+    # leave the range
+    y = vector(np.array([2.0, 0.0], dtype=dt))
+    with np.errstate(over="ignore"):
+        rep = gruss_orthonormal_ball(y, y, fam, lam, lam, 1.0, 1.0)
+    # 1/2 r1 r2 (||y|| + 2)^(1/2) (||y|| + 2)^(1/2) / 1e160
+    assert rep.bounds[0][1] == pytest.approx(0.5 * 4.0 / 1e160, rel=1e-15, abs=0.0)
+
+
 def test_an_overflowing_complex_pair_equal_to_itself_is_degenerate():
-    # sq_norm once came out NaN here, so the pair rule's cutoff was NaN and
-    # Gamma = gamma passed with bound NaN and admissible True
+    # a sequence's square norm (a complex vdot) once came out NaN here, so the pair
+    # rule's cutoff was NaN and Gamma = gamma passed with bound NaN and admissible True
     fam = standard_basis(FieldTag.COMPLEX, 1)
-    g = coefficients([1e160 + 1e160j])
     with np.errstate(over="ignore"), pytest.raises(DegeneratePairError):
+        g = coefficients([1e160 + 1e160j])
         bessel_reverse_pair(vector([1e160 + 1e160j]), fam, g, g)
 
 
@@ -382,8 +401,8 @@ def test_a_complex_pair_whose_square_sums_overflow_into_nan_gives_finite_values(
     # the norms ||G-g|| = 5^(1/2) 1e160 and ||G+g|| = 17^(1/2) 1e160 are not, and every
     # value is finite where ||x||^2 = 5e280 is
     fam = standard_basis(FieldTag.COMPLEX, 1)
-    g, G = coefficients([1e160 + 1e160j]), coefficients([3e160j])
     with np.errstate(over="ignore", invalid="ignore"):
+        g, G = coefficients([1e160 + 1e160j]), coefficients([3e160j])
         rep = _COMPLEX_PAIR_OPS[op](vector([1e140 + 2e140j]), fam, g, G)
     assert all(np.isfinite(_reported_values(rep))), _reported_values(rep)
     # radius ||G-g|| / 2, and the center (0.5 + 2j) 1e160 lies 4.25^(1/2) 1e160 from x, to 1e-19

@@ -319,11 +319,11 @@ def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, m
 #: [--adversarial]`.  A change that alters these bytes on purpose updates them
 #: and says why in CHANGES.md.
 VERIFY_SHA256 = {
-    (0, False): "3b4a0b42870c1539e598a79781631ecf1912fdf187b2a9681b52e48e7bc48a00",
+    (0, False): "b25314a2beed010b8cd5385e0ef674a71f1cf966f2adabb10904a4963b379796",
     (0, True): "15c8153514601268e7dff0c8ed0b6e9efe8b3f50a9114ff596cf0c2848e6cd7b",
-    (1, False): "06af4454e585198d68d0c27c324dc13293b201b13c797a9c0338275b7a718e8c",
+    (1, False): "bee680e5fefb0adcc38ca4dd060dc6d67f84ab9c46541984344003d774ebc941",
     (1, True): "1d3d0362d2fbd2238048ddf83fe74e4acf71b99e21151f296889e88abeec0fee",
-    (7, False): "69963ae9eb407542c2d6521d3219ec7692f259560544e7f3de48bcf91293815e",
+    (7, False): "2081e2948c3cea2fb98a2fe07b9741a5e2bcba798ee06984d9d31b3a72c0c0b2",
     (7, True): "7d009877751dfdae23e2136385a475da8aed433d7bbe45ff85ad74f435cd5ed2",
 }
 
@@ -385,8 +385,8 @@ def _sampled_document() -> dict:
 #: sha256 of the `ineq eval --output FILE [--format csv]` file written for
 #: `_sampled_document()`.
 EVAL_RECORDS_SHA256 = {
-    "json": "b6b12ad17dd585020ce135ffbf556156971a0de8b01e187537a90300e8ad5d36",
-    "csv": "dbd7800cdc2abf3d732f128afa87fd453d01d02b02b6f8836c141fe739828e82",
+    "json": "4f50cafb7aec7a2dd81d4d482239a49c611d1835645e36dbed238303e0419071",
+    "csv": "b6f33ac67df0c76b5b0aa0de7b11614898f561dad7aeacc50ebde1dabe14e059",
 }
 
 
@@ -827,8 +827,8 @@ def test_eval_coefficient_lengths_are_checked_first(tmp_path, capsys, tid):
     [
         {"theorem": "prop7.2", "field": "real", "domain": _GAUSS_8,
          "f": {"poly": [1.0]}, "g": {"poly": [1.0]}, "pair": {"lo": 1e159, "hi": 1e160}},
-        {"theorem": "legacy1.18", "field": "real", "x": [1e150, 0], "size": 1,
-         "lam": [1e150], "r": 1},
+        {"theorem": "legacy1.18", "field": "real", "x": [1e160, 0], "size": 1,
+         "lam": [1e160], "r": 1},
     ],
     ids=["prop7.2", "legacy1.18"],
 )
@@ -858,6 +858,11 @@ def _edge_scaled(value, scale):
     return value * scale
 
 
+def _edge_times(inst, scale):
+    """inst with each of its values, not its kept keys, times scale."""
+    return {k: v if k in _EDGE_KEPT else _edge_scaled(v, scale) for k, v in inst.items()}
+
+
 def _edge_tied(inst, sign):
     """inst with hi = sign * lo in each of its scalar and sequence pairs."""
     tied = dict(inst)
@@ -880,9 +885,7 @@ def _edge_cases():
         for dim, field in [(dim, field) for dim in (1, 2, 3) for field in fields]:
             inst = sample_admissible(tid, field, dim, seed=7, index=dim)
             for scale in (1e-320, 1e-160, 1e160, 1e308):
-                scaled = {
-                    k: v if k in _EDGE_KEPT else _edge_scaled(v, scale) for k, v in inst.items()
-                }
+                scaled = _edge_times(inst, scale)
                 name = f"{tid}-{field}-{dim}-x{scale:g}"
                 cases.append((name, scaled))
                 for sign in (1.0, -1.0):
@@ -908,6 +911,74 @@ def test_eval_keeps_its_exit_contract_at_the_edges_of_the_float_range(tmp_path, 
         if rc not in (0, 1, 2) or err.count("\n") > 1 or "Traceback" in err:
             broken.append((name, rc, err))
     assert broken == []
+
+
+def _edge_records(tmp_path, capsys, instances):
+    """The records `ineq eval --output` writes for `instances`, which must all certify."""
+    src, dest = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"instances": instances}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "eval", "--input", str(src), "--output", str(dest))
+    assert (rc, err) == (0, "")
+    return json.loads(dest.read_text(encoding="utf-8"))["records"]
+
+
+#: Degree of a record's gap, bound and slack in its document's scale.  A margin
+#: has degree 1, a comparison degree 2, but for the Bessel ids' last one, gap <= bound.
+_SCALE_DEGREE = {"thm5.1": 1, "legacy1.18": 1, "thm6.1": 2}
+
+
+def _assert_scaled_record(plain, scaled, scale):
+    """scaled is plain with each value times scale^(its degree), to 1e-12, and each flag kept."""
+    deg = _SCALE_DEGREE[plain["theorem"]]
+
+    def times(value, d):
+        return pytest.approx(value * scale**d, rel=1e-12, abs=0.0)
+
+    assert (scaled["admissible"], scaled["passed"]) == (plain["admissible"], plain["passed"])
+    assert scaled["margin"] == times(plain["margin"], 1)
+    for key in ("gap", "bound", "slack"):
+        assert scaled[key] == times(plain[key], deg), key
+    comps = plain["comparisons"]
+    for i, (p, s) in enumerate(zip(comps, scaled["comparisons"])):
+        d = deg if i == len(comps) - 1 else 2
+        assert (s[0], s[2], s[4]) == (p[0], p[2], p[4])
+        assert (s[1], s[3]) == (times(p[1], d), times(p[3], d)), p
+
+
+@pytest.mark.parametrize("tid", sorted(_SCALE_DEGREE))
+def test_ball_bessel_bounds_scale_with_their_documents(tmp_path, capsys, tid):
+    # every float times 2^332: the squares of the inputs pass the float max, the norm
+    # forms of these bounds do not, and a power of two scales every value exactly
+    scale = 2.0**332
+    plain = [
+        sample_admissible(tid, field, dim, seed=0, adversarial=i == 3, index=i)
+        for dim in (3, 8) for field in ("real", "complex") for i in range(4)
+    ]
+    scaled = [_edge_times(inst, scale) for inst in plain]
+    records = _edge_records(tmp_path, capsys, plain + scaled)
+    for p, s in zip(records[: len(plain)], records[len(plain):]):
+        _assert_scaled_record(p, s, scale)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_legacy_bessel_ball_certifies_a_document_scaled_by_1e100(tmp_path, capsys, field):
+    # every value of the chain stays in range at 1e100, so its construction must too
+    inst = sample_admissible("legacy1.18", field, 3, seed=0, index=1)
+    plain, scaled = _edge_records(tmp_path, capsys, [inst, _edge_times(inst, 1e100)])
+    assert (scaled["admissible"], scaled["passed"]) == (plain["admissible"], plain["passed"])
+    for key in ("gap", "bound"):
+        assert scaled[key] == pytest.approx(plain[key] * 1e100, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_legacy_bessel_ball_past_the_range_names_the_range(tmp_path, capsys, field):
+    # at 2^532 the squared chain itself leaves the range (||x||^2 is about 1e320): the
+    # error says so, not that ||lambda|| > r fails
+    inst = _edge_times(sample_admissible("legacy1.18", field, 3, seed=0, index=1), 2.0**532)
+    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    assert (rc, out) == (2, "")
+    assert err.startswith("ineq: instance 0: legacy1.18 ")
+    assert err.endswith("; the inputs leave double precision\n") and err.count("\n") == 1
 
 
 def _perfbench_workloads():

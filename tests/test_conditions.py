@@ -358,7 +358,6 @@ def test_ball_tolerance_keeps_its_bits_where_nothing_overflows(xs, cs, r):
 # raise what they raised when it was built as a checked vector.
 
 _NOT_FINITE = (ValueError, r"^entries must be finite \(no NaN/Inf\)$")
-_OUT_OF_RANGE = (OverflowError, r"^\(34, 'Numerical result out of range'\)$")
 
 
 def _overflow_cases():
@@ -369,7 +368,7 @@ def _overflow_cases():
     fam1, fam21 = standard_basis(R, 1), standard_basis(R, 2, 1)
     u, u_c = vector([1.0]), vector([1.0 + 0j])
     skew = ineq.gram_schmidt([vector([1.0, 1.0]), vector([1.0, -1.0])])
-    pair, huge = ScalarPair(1.0, 10.0), ScalarPair(0.5, 1e200)  # |hi|^2 overflows the scale
+    pair, huge = ScalarPair(1.0, 10.0), ScalarPair(0.5, 1e200)
     return {
         # x - a
         "ball x-a": (lambda: in_closed_ball(big, -big, 1.0), _NOT_FINITE),
@@ -395,9 +394,6 @@ def _overflow_cases():
         # an overflowing intermediate is found before the scale overflows
         "realpart hi*y before the scale": (
             lambda: two_sided_realpart(vector([0.0]), vector([1e300]), huge), _NOT_FINITE
-        ),
-        "realpart scale": (
-            lambda: two_sided_realpart(vector([0.0]), vector([1e-200]), huge), _OUT_OF_RANGE
         ),
         # the family's center (gamma + Gamma)/2, and sum Gamma_i e_i - x
         "family ball center": (
@@ -478,3 +474,16 @@ def test_an_overflowing_intermediate_raises_what_a_checked_vector_raised(case):
     # as `ineq eval` runs them: numpy's overflow warnings are off, the error is the report
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc_type, match=message):
         call()
+
+
+def test_the_realpart_scale_squares_the_product_and_never_raises():
+    # the scale is 1 + ||x||^2 + (|hi| ||y||)^2, squared by *: |hi|^2 = 1e400 leaves the
+    # range, the square of the product is about 1
+    rep = two_sided_realpart(vector([0.0]), vector([1e-200]), ScalarPair(0.5, 1e200))
+    hy = 1e200 * 1e-200
+    assert rep.tol == conditions.BOUNDARY_REL * (1.0 + hy * hy)
+    assert rep.holds and rep.margin == pytest.approx(-0.5e-200, rel=1e-15)
+    # a product past the root of the float max squares to inf: the tol forgives nothing
+    rep = two_sided_realpart(vector([0.0]), vector([1e100]), ScalarPair(0.5, 1e60))
+    assert (rep.holds, rep.tol) == (False, math.inf)
+    assert rep.margin == pytest.approx(-0.5e260, rel=1e-15)

@@ -389,6 +389,16 @@ def test_pointwise_pair_past_the_float_range_fails_as_its_vector_twin_does():
     assert (twin.holds, twin.margin, twin.tol) == (rep.holds, rep.margin, rep.tol)
 
 
+def test_pointwise_pair_scale_squares_the_product_as_its_vector_twin_does():
+    # |hi|^2 = 1e400 leaves the range; (|hi| max|g|)^2 is about 1
+    f, g = UNIT.discretize(np.zeros(16)), UNIT.discretize(np.full(16, 1e-200))
+    pair = ScalarPair(0.5, 1e200)
+    rep = pointwise_pair(f, g, pair)
+    twin = two_sided_realpart(vector([0.0]), vector([1e-200]), pair)
+    assert (rep.holds, rep.margin, rep.tol) == (twin.holds, twin.margin, twin.tol)
+    assert rep.holds and math.isfinite(rep.tol)
+
+
 def test_triangle_sum_that_overflows_is_rejected():
     f = UNIT.discretize(polynomial([1e308]))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):

@@ -307,19 +307,14 @@ def test_standard_basis_is_shared_and_its_cache_bounded(monkeypatch):
         )
     )
 )
-def test_sq_norm_is_vdot_and_norm_is_its_root_in_range(parts):
-    # sq_norm keeps vdot's bits, NaN too (numpy's complex vdot overflows into NaN); norm is
-    # its square root where that is a normal float, and a hypot over the float view elsewhere
-    seq = coefficients([complex(a, b) for a, b in zip(*parts)], FieldTag.COMPLEX)
-    real = coefficients(parts[0], FieldTag.REAL)
-    for s in (seq, real):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            sq = float(np.vdot(s.entries, s.entries).real)
-        assert s.sq_norm == sq or s.sq_norm != s.sq_norm and sq != sq
-        root = math.sqrt(sq)
-        if not 2.0**-511 <= root < np.inf:
-            root = math.hypot(*s.entries.view(np.float64).tolist())
-        assert s.norm == root
+def test_a_sequence_norm_is_the_vector_norm_of_its_entries(parts):
+    # one norm rule: a sequence's norm is, bit for bit, the norm of the vector with its
+    # entries, so a square sum past the range (complex too) and a norm past the float max
+    # read as they read for vectors
+    values = [complex(a, b) for a, b in zip(*parts)]
+    for vals, field in ((values, FieldTag.COMPLEX), (parts[0], FieldTag.REAL)):
+        with np.errstate(over="ignore", under="ignore"):
+            assert coefficients(vals, field).norm == norm(vector(vals, field))
 
 
 def test_norms_past_the_square_range_are_finite_and_exact():
@@ -409,15 +404,22 @@ def test_a_sampled_vector_reads_finiteness_off_its_norm(bad):
         Vector._computed(coords.copy(), field)
 
 
-def test_a_computed_coefficient_sequence_reads_finiteness_off_its_square_norm():
+def test_a_computed_coefficient_sequence_reads_finiteness_off_its_norm():
     from ineq import CoefficientSequence
 
     with np.errstate(over="ignore"):
         big = CoefficientSequence._computed(np.array([1e200, 1e200]), FieldTag.REAL)
-        assert big.sq_norm == np.inf and big.norm == math.hypot(1e200, 1e200)
+        assert big.norm == math.hypot(1e200, 1e200)
+        # finite entries whose norm passes the float max are not an error
+        huge = CoefficientSequence._computed(np.array([1.5e308, 1.5e308j]), FieldTag.COMPLEX)
+        assert huge.norm == np.inf
     for bad in (np.array([np.inf, 1.0]), np.array([np.nan + 0j]), np.array([1.0, -np.inf * 1j])):
         field = FieldTag.COMPLEX if bad.dtype.kind == "c" else FieldTag.REAL
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
             CoefficientSequence._computed(bad, field)
     seq = CoefficientSequence._computed(np.array([3.0, 4.0]), FieldTag.REAL)
     assert seq.norm == 5.0 and not seq.entries.flags.writeable
+    # a handed-over norm is kept; one that is not finite is taken again, and checked
+    assert CoefficientSequence._computed(np.array([3.0, 4.0]), FieldTag.REAL, 0.5).norm == 0.5
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        CoefficientSequence._computed(np.array([np.inf]), FieldTag.REAL, math.inf)

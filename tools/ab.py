@@ -16,11 +16,12 @@ same `argv(k)` on both sides.
 The output gives, per side, the median raw and rescaled rate (instances per
 second; rescaled as perfbench rescales, by the mean kernel time over its
 reference time) with its lower and upper quartiles, the B/A ratio of each
-median, the number of pairs B won, and the report hashes of call 0.  So
-whether the medians lie further apart than A's interquartile spread reads
-straight off the output.  Two copies of one checkout (an A/A run) read
-within 1% of 1.0 rescaled; raw ratios follow the host's speed and spread
-more.  Nothing under `perfbench/` is changed.
+median, the number of pairs B won, and the report hashes of call 0.  After
+that JSON comes one verdict line per scale, on the rule a claimed gain must
+pass: B wins at least 9 of 10 pairs (a tie counts for neither side), and B's
+median lies above A's by more than A's interquartile spread.  Two copies of
+one checkout (an A/A run) read within 1% of 1.0 rescaled; raw ratios follow
+the host's speed and spread more.  Nothing under `perfbench/` is changed.
 """
 
 from __future__ import annotations
@@ -88,6 +89,19 @@ def _quartiles(values: list) -> list:
     return [lower, upper]
 
 
+def verdict(key: str, a: list, b: list) -> str:
+    """One line: whether B's rates on scale `key` pass the rule for a claimed gain."""
+    wins = sum(y > x for x, y in zip(a, b))
+    lower, upper = _quartiles(a)
+    lead = statistics.median(b) - statistics.median(a)
+    won, clear = 10 * wins >= 9 * len(a), lead > upper - lower
+    return (
+        f"{key}: B won {wins}/{len(a)} pairs ({'at least' if won else 'under'} 9/10); "
+        f"median B - A {lead:+.1f}/s against A's interquartile spread {upper - lower:.1f}/s "
+        f"({'beyond' if clear else 'within'} it): {'a gain' if won and clear else 'no gain'}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", type=Path, help="the reference checkout")
@@ -113,8 +127,10 @@ def main(argv=None) -> int:
             proc.stdin.close()
             proc.wait()
     out = {"workload": args.workload, "seed": args.seed, "calls": args.calls}
+    verdicts = []
     for key in ("raw", "rescaled"):
         a, b = ([r[key] for r in runs[s]] for s in ("a", "b"))
+        verdicts.append(verdict(key, a, b))
         out[key] = {
             "a_median": statistics.median(a),
             "a_quartiles": _quartiles(a),
@@ -126,6 +142,7 @@ def main(argv=None) -> int:
     out["shas"] = {side: runs[side][0]["shas"] for side in runs}
     out["problems"] = {side: [p for r in runs[side] for p in r["problems"]] for side in runs}
     print(json.dumps(out, indent=1))
+    print("\n".join(verdicts))
     return 0 if not any(out["problems"].values()) else 1
 
 
