@@ -193,22 +193,25 @@ def legacy_gruss_pair(
     )
 
 
-def _multiplicative_bessel(
-    x: Vector, fam: OrthonormalFamily, report: ConditionReport, weights: np.ndarray,
-    size: float, radius: float,
-) -> BesselReport:
-    """The chain ||x||^2 <= Re(m)^2/q <= |m|^2/q <= ||w||^2/q sum|c_i|^2 and the additive bound
-    r^2/q sum|c_i|^2 for x in the ball of radius r < ||w|| about sum w_i e_i, where
-    m = sum conj(w_i) c_i and q = (||w|| - r)(||w|| + r), size = ||w|| and radius = r.
-
-    w and r are first scaled by 2^k ~ 1 / ||w||, which is exact and cancels from every
-    value, so none of them is squared past the range: the chain leaves it only where
-    ||x||^2 does.
-    """
+def _unit_scaled(size: float, radius: float, *entries: np.ndarray) -> tuple:
+    """size, radius and the float views of `entries`, each times 2^k ~ 1 / size, which is exact."""
     k = -math.frexp(size)[1]
-    w = np.ldexp(weights.view(np.float64), k).view(weights.dtype)
-    s, r = math.ldexp(size, k), math.ldexp(radius, k)
-    q = (s - r) * (s + r)
+    views = (np.ldexp(e.view(np.float64), k) for e in entries)
+    return (math.ldexp(size, k), math.ldexp(radius, k), *views)
+
+
+def _multiplicative_bessel(
+    x: Vector, fam: OrthonormalFamily, report: ConditionReport, w: np.ndarray, s: float,
+    r: float, q: float,
+) -> BesselReport:
+    """The chain ||x||^2 <= Re(m)^2/q <= |m|^2/q <= s^2/q sum|c_i|^2 and the additive bound
+    r^2/q sum|c_i|^2 for x in the ball of radius r < s = ||w|| about sum w_i e_i, where
+    m = sum conj(w_i) c_i and q = s^2 - r^2.
+
+    w, s and r come from `_unit_scaled`, and q is scaled to match by 2^(2k).  That scaling is
+    exact and cancels from every value, so none of them is squared past the range: the chain
+    leaves it only where ||x||^2 does.
+    """
     nx = norm(x)
     coeffs = fourier_coefficients(x, fam)
     cn = coeffs.norm
@@ -229,14 +232,18 @@ def legacy_bessel_ball(
     """Multiplicative reverse Bessel chain with factor ||lam||^2 / (||lam||^2 - r^2).
 
     Requires ||lambda|| > r.  The additive companion bounds ||x||^2 - sum|c_i|^2 by
-    r^2/(||lam||^2 - r^2) * sum|c_i|^2.
+    r^2/(||lam||^2 - r^2) * sum|c_i|^2.  The denominator is formed as
+    (||lam|| - r)(||lam|| + r), which does not cancel as sum|lam|^2 - r^2 does.
     """
     if not r > 0:
         raise PreconditionError(f"radius must be positive, got {r}")
     if not lam.norm > r:
         raise PreconditionError(f"need ||lambda|| > r, got {lam.norm} <= {r}")
     report = _family_center_ball(x, fam, lam, r)
-    return _multiplicative_bessel(x, fam, report, lam.entries, lam.norm, r)
+    s, rs, w = _unit_scaled(lam.norm, r, lam.entries)
+    return _multiplicative_bessel(
+        x, fam, report, w.view(lam.entries.dtype), s, rs, (s - rs) * (s + rs)
+    )
 
 
 def legacy_bessel_pair(
@@ -247,16 +254,20 @@ def legacy_bessel_pair(
 ) -> BesselReport:
     """Multiplicative reverse Bessel chain with factor sum|G+g|^2 / (4 sum Re(G conj(g))).
 
-    That is `legacy_bessel_ball`'s chain for lambda = (G+g)/2 and r = ||G-g||/2, since
-    4 sum Re(G_i conj(g_i)) = ||G+g||^2 - ||G-g||^2: it is formed over the weights G+g with
-    radius ||G-g||, and the hypothesis sum Re(G_i conj(g_i)) > 0 is ||G+g|| > ||G-g||.
+    That is `legacy_bessel_ball`'s chain over the weights G+g with radius ||G-g||, whose
+    denominator ||G+g||^2 - ||G-g||^2 is taken as the dot 4 sum Re(G_i conj(g_i)) of the
+    scaled float views: unlike the difference of the two norms, it does not cancel when g is
+    small against G.
     """
     diff, summ = _coefficient_pair(fam, gammas, Gammas)
-    if not summ > diff:
+    s, d, g, G = _unit_scaled(summ, diff, gammas.entries, Gammas.entries)
+    re_sum = float(g.dot(G))  # 2^(2k) sum Re(G_i conj(g_i)), over the float views
+    if not re_sum > 0:
         raise PreconditionError(
-            "sum Re(Gamma_i * conj(gamma_i)) must be positive: need ||Gamma + gamma|| > "
-            f"||Gamma - gamma||, got {summ} <= {diff}"
+            "sum Re(Gamma_i * conj(gamma_i)) must be positive, "
+            f"got {float(np.vdot(gammas.entries, Gammas.entries).real)}"
         )
     check_same_space(x, fam.members[0])
     report = _family_ball(x, fam, gammas, Gammas, diff)
-    return _multiplicative_bessel(x, fam, report, Gammas.entries + gammas.entries, summ, diff)
+    weights = (G + g).view(Gammas.entries.dtype)
+    return _multiplicative_bessel(x, fam, report, weights, s, d, 4.0 * re_sum)

@@ -321,7 +321,7 @@ def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, m
 VERIFY_SHA256 = {
     (0, False): "b25314a2beed010b8cd5385e0ef674a71f1cf966f2adabb10904a4963b379796",
     (0, True): "15c8153514601268e7dff0c8ed0b6e9efe8b3f50a9114ff596cf0c2848e6cd7b",
-    (1, False): "bee680e5fefb0adcc38ca4dd060dc6d67f84ab9c46541984344003d774ebc941",
+    (1, False): "bb42731556b9e3227afb06f2e9ccaec284b5ec52a51503810389133d07fd575e",
     (1, True): "1d3d0362d2fbd2238048ddf83fe74e4acf71b99e21151f296889e88abeec0fee",
     (7, False): "2081e2948c3cea2fb98a2fe07b9741a5e2bcba798ee06984d9d31b3a72c0c0b2",
     (7, True): "7d009877751dfdae23e2136385a475da8aed433d7bbe45ff85ad74f435cd5ed2",
@@ -385,8 +385,8 @@ def _sampled_document() -> dict:
 #: sha256 of the `ineq eval --output FILE [--format csv]` file written for
 #: `_sampled_document()`.
 EVAL_RECORDS_SHA256 = {
-    "json": "4f50cafb7aec7a2dd81d4d482239a49c611d1835645e36dbed238303e0419071",
-    "csv": "b6f33ac67df0c76b5b0aa0de7b11614898f561dad7aeacc50ebde1dabe14e059",
+    "json": "3a245f06648c7ea3c19e7335862e2fbec83ee1c89a515264392ae4a603ed1086",
+    "csv": "7690d0d5b4a2879f8b93ca58a886e19d9bf1f23fffb56f728c313d52d4465279",
 }
 
 
@@ -979,6 +979,15 @@ def test_legacy_bessel_ball_past_the_range_names_the_range(tmp_path, capsys, fie
     assert (rc, out) == (2, "")
     assert err.startswith("ineq: instance 0: legacy1.18 ")
     assert err.endswith("; the inputs leave double precision\n") and err.count("\n") == 1
+
+
+def test_legacy_bessel_pair_certifies_a_gamma_below_the_rounding_of_gamma(tmp_path, capsys):
+    # ||G+g|| and ||G-g|| are both 1.0 in floats, but sum Re(G_i conj(g_i)) = 1e-17 > 0
+    inst = {"theorem": "legacy1.20", "field": "real", "x": [0.6, 0.3], "size": 1,
+            "gammas": [1e-17], "Gammas": [1.0]}
+    (record,) = _edge_records(tmp_path, capsys, [inst])
+    assert (record["admissible"], record["passed"]) == (True, True)
+    assert record["bound"] == pytest.approx(0.6 * (1 + 1e-17) / (4e-17) ** 0.5 - 0.6, rel=1e-15)
 
 
 def _perfbench_workloads():

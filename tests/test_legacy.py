@@ -1,5 +1,8 @@
 """Older squared-level and restricted-hypothesis bounds."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -214,6 +217,21 @@ class TestBesselPair:
         )
         assert rep.bound == pytest.approx(5.0625**0.5 - 4.5**0.5, abs=1e-10)
         assert rep.admissibility.holds
+
+    @pytest.mark.parametrize("small", [1e-17, 1e-9])
+    def test_a_small_gamma_against_gamma_certifies_to_full_precision(self, small):
+        # ||G+g|| and ||G-g|| round to the same float here, so the hypothesis and the
+        # denominator are taken from the dot sum Re(G_i conj(g_i)), not from the two norms
+        x = vector([0.6, 0.3])
+        rep = legacy_bessel_pair(
+            x, standard_basis(FieldTag.REAL, 2, 1),
+            coefficients([small], FieldTag.REAL), coefficients([1.0], FieldTag.REAL),
+        )
+        assert rep.admissibility.holds
+        G, g, c = Fraction(1), Fraction(small), Fraction(0.6)
+        tail = (G + g) ** 2 / (4 * G * g) * c * c
+        assert rep.chain.values[-1] == pytest.approx(float(tail), rel=1e-15, abs=0.0)
+        assert rep.bound == pytest.approx(math.sqrt(tail) - 0.6, rel=1e-15, abs=0.0)
 
     def test_rejects_sign_indefinite_coefficient_sum(self):
         with pytest.raises(PreconditionError):
