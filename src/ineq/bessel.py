@@ -23,6 +23,7 @@ additive chains above to each factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,9 +159,9 @@ def gruss_orthonormal_ball(
     rep_x = _family_center_ball(x, fam, lam, r1)
     rep_y = _family_center_ball(y, fam, mu, r2)
     gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
-    denom = lam.norm ** 0.5 * mu.norm ** 0.5
-    first = 0.5 * r1 * r2 * (nx + cnx) ** 0.5 * (ny + cny) ** 0.5 / denom
-    second = r1 * r2 * (nx * ny) ** 0.5 / denom
+    denom = math.sqrt(lam.norm) * math.sqrt(mu.norm)
+    first = 0.5 * r1 * r2 * math.sqrt(nx + cnx) * math.sqrt(ny + cny) / denom
+    second = r1 * r2 * math.sqrt(nx * ny) / denom
     bounds = (("half_residual", first), ("norm_route", second))
     # first <= second (Bessel: cnx <= nx); the intermediates assert it
     return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y), intermediates=bounds)
@@ -187,5 +188,5 @@ def gruss_orthonormal_pair(
     check_same_space(y, fam.members[0])
     rep_y = _family_ball(y, fam, phis_y, Phis_y, diff_y)
     gap, nx, ny, cnx, cny = _family_terms(x, y, fam)
-    factor = diff_x / summ_x ** 0.5 * (diff_y / summ_y ** 0.5)
+    factor = diff_x / math.sqrt(summ_x) * (diff_y / math.sqrt(summ_y))
     return _ordered_pair(gap, factor, nx, cnx, ny, cny, rep_x, rep_y)

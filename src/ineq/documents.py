@@ -34,13 +34,12 @@ import numpy as np
 
 from .conditions import ScalarPair
 from .errors import FieldMismatchError, IneqError, InputFormatError, _brief
-from .integral import DEFAULT_DOMAIN_SPEC, WeightedDomain, build_domain, polynomial
+from .integral import DEFAULT_DOMAIN_SPEC, WeightedDomain, _cached_domain
 from .space import (
     CoefficientSequence,
     FieldTag,
     OrthonormalFamily,
     Vector,
-    _BoundedCache,
     _checked_norm,
     coefficients,
     standard_basis,
@@ -165,20 +164,11 @@ def _dec_coords(obj: list, field: FieldTag):
 _MAX_FAMILY_COORDS = 2**18
 
 
-#: Most quadrature nodes the decoded-domain cache holds: about 32 MB of nodes
-#: and weights, and up to 64 MB more for the complex128 casts a domain keeps
-#: once complex functions are evaluated on it.  A document naming more
-#: distinct domains rebuilds evicted ones.
-_DOMAIN_CACHE_NODES = 2**21
-
-
-#: Domains by decode key, bounded by their node count.
-_DOMAIN_CACHE = _BoundedCache(_DOMAIN_CACHE_NODES, lambda dom: dom.size)
-
 #: Node caps per rule for untrusted documents, checked before anything is
 #: allocated.  Both rules take O(n) memory; gauss takes O(n^2) time (Newton on
 #: the Legendre recurrence, tens of ms at n = 2048), trapezoid O(n).  No cap
-#: exceeds _DOMAIN_CACHE_NODES, so the domain just built is never evicted.
+#: exceeds `integral._DOMAIN_CACHE_NODES`, so the domain just built is never
+#: evicted.
 _MAX_NODES = {"gauss": 2048, "trapezoid": 2**20}
 
 
@@ -201,20 +191,15 @@ def _dec_domain(obj) -> WeightedDomain:
         rule = obj.get("rule", DEFAULT_DOMAIN_SPEC["rule"])
         if not isinstance(rule, dict):
             raise InputFormatError(f"expected an object, got {_brief(rule)}")
-        kind = str(rule.get("kind", "gauss"))
+        kind = str(rule.get("kind", DEFAULT_DOMAIN_SPEC["rule"]["kind"]))
         part = "rule.n"
-        n = _dec_count(rule.get("n", 64))
+        n = _dec_count(rule.get("n", DEFAULT_DOMAIN_SPEC["rule"]["n"]))
         cap = _MAX_NODES.get(kind)
         if cap is not None and n > cap:
             raise InputFormatError(f"{kind} rules take at most {cap} nodes, got {_brief(n)}")
     except InputFormatError as exc:
         raise InputFormatError(f"{part}: {exc}") from None
-    key = (a, b, wpoly, kind, n)
-    dom = _DOMAIN_CACHE.get(key)
-    if dom is None:
-        dom = build_domain((a, b), polynomial(wpoly), kind, n)
-        _DOMAIN_CACHE.add(key, dom)
-    return dom
+    return _cached_domain((a, b, wpoly, kind, n))
 
 
 def _dec_function(obj, dom: WeightedDomain, field: FieldTag):

@@ -20,6 +20,7 @@ sqrt(||x|| ||y||) in their second bound, which restores the ordering there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .conditions import ConditionReport, ScalarPair, in_closed_ball, two_sided_realpart
@@ -97,7 +98,7 @@ def gruss_ball(x: Vector, y: Vector, e: Vector, r1: float, r2: float) -> GrussRe
     rep_x = in_closed_ball(x, e, r1)
     rep_y = in_closed_ball(y, e, r2)
     gap, _, axe, aye, nx, ny = _terms(x, y, e)
-    half = 0.5 * r1 * r2 * (nx + axe) ** 0.5 * (ny + aye) ** 0.5
+    half = 0.5 * r1 * r2 * math.sqrt(nx + axe) * math.sqrt(ny + aye)
     plain = r1 * r2 * nx * ny
     bounds = (("half_residual", half), ("norm_product", plain))
     return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y))
@@ -113,7 +114,7 @@ def gruss_ball_refined(x: Vector, y: Vector, e: Vector, r1: float, r2: float) ->
     rep_x = in_closed_ball(x, e, r1)
     rep_y = in_closed_ball(y, e, r2)
     gap, _, axe, aye, nx, ny = _terms(x, y, e)
-    bound = r1 * r2 * (0.25 * r1 * r1 + axe) ** 0.5 * (0.25 * r2 * r2 + aye) ** 0.5
+    bound = r1 * r2 * math.sqrt(0.25 * r1 * r1 + axe) * math.sqrt(0.25 * r2 * r2 + aye)
     inter = (
         ("residual_sq_x", nx * nx - axe * axe),
         ("residual_sq_x_bound", r1 * r1 * (0.25 * r1 * r1 + axe)),
@@ -133,8 +134,8 @@ def _ordered_pair(
     ax is |<x,e>| or the coefficient norm, so ax <= ||x|| (Bessel) and the
     y analogue give the order, which the intermediates assert.
     """
-    first = 0.25 * factor * (nx + ax) ** 0.5 * (ny + ay) ** 0.5
-    second = 0.5 * factor * (nx * ny) ** 0.5
+    first = 0.25 * factor * math.sqrt(nx + ax) * math.sqrt(ny + ay)
+    second = 0.5 * factor * math.sqrt(nx * ny)
     bounds = (("quarter_residual", first), ("half_norm", second))
     return GrussReport(gap=gap, bounds=bounds, admissibility=(rep_x, rep_y), intermediates=bounds)
 
@@ -142,7 +143,7 @@ def _ordered_pair(
 def _pair_factor(pair: ScalarPair) -> float:
     """|hi - lo| / sqrt(|hi + lo|) for one side of a two-sided Gruss bound."""
     pair.require_nondegenerate()
-    return abs(pair.diff) / abs(pair.summ) ** 0.5
+    return abs(pair.diff) / math.sqrt(abs(pair.summ))
 
 
 def gruss_pair(
@@ -180,7 +181,7 @@ def gruss_pair_refined(
     gap, _, axe, aye, nx, ny = _terms(x, y, e)
     cx = abs(pair_x.diff) ** 2 / abs(pair_x.summ)
     cy = abs(pair_y.diff) ** 2 / abs(pair_y.summ)
-    bound = 0.5 * factor * (0.125 * cx + axe) ** 0.5 * (0.125 * cy + aye) ** 0.5
+    bound = 0.5 * factor * math.sqrt(0.125 * cx + axe) * math.sqrt(0.125 * cy + aye)
     inter = (
         ("residual_sq_x", nx * nx - axe * axe),
         ("residual_sq_x_bound", 0.5 * cx * (axe + 0.125 * cx)),

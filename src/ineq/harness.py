@@ -3,11 +3,12 @@
 Each supported result has a wire id and one `TheoremSpec` in `_SPECS`, whose
 order is the canonical report order.  A spec holds the operation's `params`
 in call order as (key, kind) pairs, the kinds a document spells
-(`documents`); the `sampler` that draws them (`sampling`), called with the
-keyword `options` of its theorem; the name of the bound-chain `operation` in
-this module's namespace, looked up each time an instance is evaluated; and
-`real_only`, for hypotheses that order real values (m*g <= f <= M*g in
-prop7.11 and prop7.12).  `THEOREM_IDS`, `REAL_ONLY_IDS` and `_SAMPLERS` are
+(`documents`); the `sampler` that draws them (`sampling`), bound to the
+options of its theorem; the `operation` the harness calls; and `real_only`,
+for hypotheses that order real values (m*g <= f <= M*g in prop7.11 and
+prop7.12).  The operation is the public bound chain of a vector id, and the
+operation over rows (`integral`) of an id whose params include a function,
+which the spec marks `grouped`.  `THEOREM_IDS` and `REAL_ONLY_IDS` are
 derived from `_SPECS`.
 
 A row is an instance in the one shape its operation takes: (field, record
@@ -26,7 +27,7 @@ their tallies in order.  The default domain and the orthonormal families a
 Within a piece, both runners take one results path, `_results`.  It
 takes a window of consecutive rows, groups the integral ones by theorem,
 field, domain and the form of each function (`_member`), and evaluates each
-group as one call of its operation over rows (`integral._ROW_OPERATIONS`),
+group as one call of its operation over rows (`TheoremSpec.operation`),
 in chunks of at most `_GROUP_CHUNK_NODES` node values per function.  That
 arithmetic is elementwise, row sums and min/max, so each row of a group is
 bit for bit the instance evaluated alone, a NaN or inf included, which
@@ -47,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, documents
+from . import __version__, documents, integral
 from .bessel import (
     bessel_reverse_ball,
     bessel_reverse_pair,
@@ -57,7 +58,7 @@ from .bessel import (
 from .documents import _ENCODERS, _decode, _decode_steps, _Decoding
 from .errors import IneqError, InputFormatError, _brief
 from .gruss import gruss_ball, gruss_ball_refined, gruss_pair, gruss_pair_refined
-from .integral import _ROW_OPERATIONS, DiscretizedFunction, WeightedDomain, _discretized_rows
+from .integral import DiscretizedFunction, WeightedDomain, _discretized_rows
 from .legacy import (
     legacy_bessel_ball,
     legacy_bessel_pair,
@@ -105,13 +106,14 @@ class TheoremSpec:
 
     params: tuple[tuple[str, str], ...]
     sampler: Callable
-    operation: str
-    options: dict = dc_field(default_factory=dict)
+    operation: Callable
     real_only: bool = False
     steps: tuple = dc_field(init=False, repr=False)
+    grouped: bool = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _decode_steps(self.params))
+        object.__setattr__(self, "grouped", any(kind == "function" for _, kind in self.params))
 
 
 _BALL = (("x", "vector"), ("a", "vector"), ("r", "real"))
@@ -137,49 +139,49 @@ _INTEGRAL_GRUSS = _INTEGRAL + (
 
 
 _SPECS: dict[str, TheoremSpec] = {
-    "thm2.1": TheoremSpec(_BALL, _sample_ball, "reverse_schwarz_ball"),
-    "thm2.2": TheoremSpec(_TWO_SIDED, _sample_two_sided, "reverse_schwarz_pair"),
-    "prop2.3": TheoremSpec(_BALL, _sample_ball, "triangle_reverse_ball"),
-    "prop2.4": TheoremSpec(_RANGE, _sample_real_range, "triangle_reverse_pair"),
-    "thm4.1": TheoremSpec(_GRUSS_BALL, _sample_gruss_ball, "gruss_ball"),
-    "thm4.2": TheoremSpec(_GRUSS_BALL, _sample_gruss_ball, "gruss_ball_refined"),
-    "thm4.3": TheoremSpec(_GRUSS_PAIR, _sample_gruss_pair, "gruss_pair"),
-    "thm4.4": TheoremSpec(_GRUSS_PAIR, _sample_gruss_pair, "gruss_pair_refined"),
-    "thm5.1": TheoremSpec(_BESSEL_BALL, _sample_bessel_ball, "bessel_reverse_ball"),
-    "thm5.2": TheoremSpec(_BESSEL_PAIR, _sample_bessel_pair, "bessel_reverse_pair"),
-    "thm6.1": TheoremSpec(_FAMILY_BALL, _sample_family_gruss_ball, "gruss_orthonormal_ball"),
-    "thm6.2": TheoremSpec(_FAMILY_PAIR, _sample_family_gruss_pair, "gruss_orthonormal_pair"),
-    "legacy1.1": TheoremSpec(_BALL, _sample_ball, "legacy_schwarz_ball", {"restrict": True}),
+    "thm2.1": TheoremSpec(_BALL, _sample_ball, reverse_schwarz_ball),
+    "thm2.2": TheoremSpec(_TWO_SIDED, _sample_two_sided, reverse_schwarz_pair),
+    "prop2.3": TheoremSpec(_BALL, _sample_ball, triangle_reverse_ball),
+    "prop2.4": TheoremSpec(_RANGE, _sample_real_range, triangle_reverse_pair),
+    "thm4.1": TheoremSpec(_GRUSS_BALL, _sample_gruss_ball, gruss_ball),
+    "thm4.2": TheoremSpec(_GRUSS_BALL, _sample_gruss_ball, gruss_ball_refined),
+    "thm4.3": TheoremSpec(_GRUSS_PAIR, _sample_gruss_pair, gruss_pair),
+    "thm4.4": TheoremSpec(_GRUSS_PAIR, _sample_gruss_pair, gruss_pair_refined),
+    "thm5.1": TheoremSpec(_BESSEL_BALL, _sample_bessel_ball, bessel_reverse_ball),
+    "thm5.2": TheoremSpec(_BESSEL_PAIR, _sample_bessel_pair, bessel_reverse_pair),
+    "thm6.1": TheoremSpec(_FAMILY_BALL, _sample_family_gruss_ball, gruss_orthonormal_ball),
+    "thm6.2": TheoremSpec(_FAMILY_PAIR, _sample_family_gruss_pair, gruss_orthonormal_pair),
+    "legacy1.1": TheoremSpec(_BALL, partial(_sample_ball, restrict=True), legacy_schwarz_ball),
     "legacy1.3": TheoremSpec(
-        _TWO_SIDED, _sample_two_sided, "legacy_schwarz_pair", {"positive_real": True}
+        _TWO_SIDED, partial(_sample_two_sided, positive_real=True), legacy_schwarz_pair
     ),
     "legacy1.7": TheoremSpec(
-        _BALL, _sample_ball, "legacy_triangle_ball", {"restrict": True, "capped": True}
+        _BALL, partial(_sample_ball, restrict=True, capped=True), legacy_triangle_ball
     ),
     "legacy1.8": TheoremSpec(
-        _RANGE, _sample_real_range, "legacy_triangle_pair", {"capped": True}
+        _RANGE, partial(_sample_real_range, capped=True), legacy_triangle_pair
     ),
     "legacy1.10": TheoremSpec(
-        _GRUSS_BALL, _sample_gruss_ball, "legacy_gruss_ball", {"unit_radii": True}
+        _GRUSS_BALL, partial(_sample_gruss_ball, unit_radii=True), legacy_gruss_ball
     ),
     "legacy1.13": TheoremSpec(
-        _GRUSS_PAIR, _sample_gruss_pair, "legacy_gruss_pair", {"positive_real": True}
+        _GRUSS_PAIR, partial(_sample_gruss_pair, positive_real=True), legacy_gruss_pair
     ),
     "legacy1.18": TheoremSpec(
-        _BESSEL_BALL, _sample_bessel_ball, "legacy_bessel_ball", {"restrict": True}
+        _BESSEL_BALL, partial(_sample_bessel_ball, restrict=True), legacy_bessel_ball
     ),
     "legacy1.20": TheoremSpec(
-        _BESSEL_PAIR, _sample_bessel_pair, "legacy_bessel_pair", {"positive_sum": True}
+        _BESSEL_PAIR, partial(_sample_bessel_pair, positive_sum=True), legacy_bessel_pair
     ),
-    "prop7.1": TheoremSpec(_INTEGRAL_BALL, _sample_integral_ball, "integral_schwarz_ball"),
-    "prop7.2": TheoremSpec(_INTEGRAL_PAIR, _sample_integral_pair, "integral_schwarz_pair"),
+    "prop7.1": TheoremSpec(_INTEGRAL_BALL, _sample_integral_ball, integral._schwarz_ball_rows),
+    "prop7.2": TheoremSpec(_INTEGRAL_PAIR, _sample_integral_pair, integral._schwarz_pair_rows),
     "prop7.11": TheoremSpec(
-        _INTEGRAL_RANGE, _sample_integral_range, "integral_schwarz_range", real_only=True
+        _INTEGRAL_RANGE, _sample_integral_range, integral._schwarz_range_rows, real_only=True
     ),
     "prop7.12": TheoremSpec(
-        _INTEGRAL_RANGE, _sample_integral_range, "integral_triangle", real_only=True
+        _INTEGRAL_RANGE, _sample_integral_range, integral._triangle_rows, real_only=True
     ),
-    "prop7.3": TheoremSpec(_INTEGRAL_GRUSS, _sample_integral_gruss, "integral_gruss"),
+    "prop7.3": TheoremSpec(_INTEGRAL_GRUSS, _sample_integral_gruss, integral._gruss_rows),
 }
 
 #: Wire ids in canonical report order.
@@ -195,11 +197,6 @@ def _result(tid: str, field: FieldTag, dim: int, report) -> InstanceResult:
         tid, field.value, dim, report.admissible, report.margin, report.gap, report.bound,
         report.comparisons,
     )
-
-
-# perfbench/tracing.py wraps the entries of this table, so `run_suite` looks
-# its samplers up here.
-_SAMPLERS = {tid: partial(spec.sampler, **spec.options) for tid, spec in _SPECS.items()}
 
 
 def normalize_theorem_id(theorem: str) -> str:
@@ -249,8 +246,8 @@ def sample_admissible(
     if not 0 <= int(index) < 2**64:
         raise InputFormatError(f"index must be in [0, 2**64), got {index}")
     rng = _rng_for(_Stream(seed, tid), int(index))
-    tag, _, args = _SAMPLERS[tid](rng, int(dim), tag, bool(adversarial))
     spec = _SPECS[tid]
+    tag, _, args = spec.sampler(rng, int(dim), tag, bool(adversarial))
     doc = {"theorem": tid, "field": tag.value}
     for pos, key, _ in spec.steps:
         doc[key] = _ENCODERS[spec.params[pos][1]](args[pos], tag)
@@ -283,7 +280,7 @@ def evaluate_instance(inst: dict) -> InstanceResult:
 
 def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, hi: int):
     """Instances lo..hi-1 of one theorem, sampled and evaluated in index order."""
-    sampler = _SAMPLERS[tid]
+    sampler = _SPECS[tid].sampler
     stream = _Stream(seed, tid)
     rows = (
         (tid, sampler(_rng_for(stream, i), *grid[i % len(grid)], adversarial))
@@ -300,19 +297,12 @@ def _row_result(tid: str, row: tuple) -> InstanceResult:
     discretizes its coefficients on the instance's domain; every other row's
     arguments go to the operation as they are."""
     field, dim, args = row
-    if tid in _GROUPED:
+    spec = _SPECS[tid]
+    if spec.grouped:
         dom = next(arg for arg in args if isinstance(arg, WeightedDomain))
         return _result(tid, field, dim, _chunk_reports(tid, field, dom, [args])[0])
-    return _result(tid, field, dim, globals()[_SPECS[tid].operation](*args))
+    return _result(tid, field, dim, spec.operation(*args))
 
-
-#: The integral ids, whose instances a worker evaluates in groups, and the
-#: operation over rows that each group takes.
-_GROUPED = {
-    tid: _ROW_OPERATIONS[spec.operation]
-    for tid, spec in _SPECS.items()
-    if spec.operation in _ROW_OPERATIONS
-}
 
 #: Most node values per function in one grouped evaluation: a group is
 #: evaluated in chunks of max(1, _GROUP_CHUNK_NODES // n) rows on n nodes.
@@ -336,11 +326,12 @@ def _member(tid: str, row: tuple) -> Optional[tuple]:
     (float64 or complex128, as samplers draw and `_decode` builds them) and
     one length.
     """
-    if tid not in _GROUPED:
+    spec = _SPECS[tid]
+    if not spec.grouped:
         return None
     field, _, args = row
     forms = []
-    for (_, kind), arg in zip(_SPECS[tid].params, args):
+    for (_, kind), arg in zip(spec.params, args):
         if kind == "domain":
             dom = arg
         elif kind == "function":
@@ -380,8 +371,9 @@ def _chunk_reports(tid: str, field: FieldTag, dom: WeightedDomain, chunk: list) 
 
     A function that discretizes to a NaN or inf is a ValueError naming its
     key, as `_decode` names the key of a value it refuses."""
+    spec = _SPECS[tid]
     columns = []
-    for pos, (key, kind) in enumerate(_SPECS[tid].params):
+    for pos, (key, kind) in enumerate(spec.params):
         parts = [args[pos] for args in chunk]
         if kind == "domain":
             columns.append(dom)
@@ -392,7 +384,7 @@ def _chunk_reports(tid: str, field: FieldTag, dom: WeightedDomain, chunk: list) 
                 raise ValueError(f"{tid} {key!r}: {exc}") from None
         else:
             columns.append(parts)
-    return _GROUPED[tid](*columns)
+    return spec.operation(*columns)
 
 
 def _results(rows):

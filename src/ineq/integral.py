@@ -24,13 +24,14 @@ pointwise conditions and the five operations -- is written once, over rows
 (`_Rows`): the node values of B functions, one per row, nodes along the last
 axis, a per-row scalar as a column, and reductions along axis 1.  A public
 function on one instance is the one-row call, and the harness evaluates a
-group of instances as one call on B rows (`_ROW_OPERATIONS`).  The arithmetic
-is elementwise, `np.add.reduce` along a row and min/max, never BLAS, so each
-row comes out bit for bit as its instance alone.
+group of instances as one call on B rows of its `_*_rows` operation.  The
+arithmetic is elementwise, `np.add.reduce` along a row and min/max, never
+BLAS, so each row comes out bit for bit as its instance alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -51,6 +52,7 @@ from .space import (
     FieldTag,
     Scalar,
     Vector,
+    _BoundedCache,
     _as_coords,
     _check_finite,
     _computed_coords,
@@ -415,6 +417,33 @@ def build_domain(
     return WeightedDomain(nodes, w / mass, raw_mass=mass)
 
 
+#: Most quadrature nodes the domain cache holds: about 32 MB of nodes and
+#: weights, and up to 64 MB more for the complex128 casts a domain keeps once
+#: complex functions are evaluated on it.  A document naming more distinct
+#: domains rebuilds evicted ones.
+_DOMAIN_CACHE_NODES = 2**21
+
+#: Domains by key (a, b, weight coefficients, rule, n), bounded by their node
+#: count: the default domain of sampled instances and every decoded one.
+_DOMAIN_CACHE = _BoundedCache(_DOMAIN_CACHE_NODES, lambda dom: dom.size)
+
+#: The key of `DEFAULT_DOMAIN_SPEC`, which a document spelling it decodes to.
+_DEFAULT_DOMAIN_KEY = (
+    *DEFAULT_DOMAIN_SPEC["interval"], tuple(DEFAULT_DOMAIN_SPEC["weight"]["poly"]),
+    DEFAULT_DOMAIN_SPEC["rule"]["kind"], DEFAULT_DOMAIN_SPEC["rule"]["n"],
+)
+
+
+def _cached_domain(key: tuple) -> WeightedDomain:
+    """The domain of a cache key, built with its polynomial weight on a miss."""
+    dom = _DOMAIN_CACHE.get(key)
+    if dom is None:
+        a, b, wpoly, kind, n = key
+        dom = build_domain((a, b), polynomial(wpoly), kind, n)
+        _DOMAIN_CACHE.add(key, dom)
+    return dom
+
+
 def embedded_vector(f: DiscretizedFunction, dom: WeightedDomain) -> Vector:
     """The coordinates (sqrt(w_i) f_i)_i, carrying the quadrature inner product."""
     dom._check(f)
@@ -625,22 +654,12 @@ def _gruss_rows(
             0.25
             * abs(pair_f.diff)
             * abs(pair_g.diff)
-            / (abs(pair_f.summ) * abs(pair_g.summ)) ** 0.5
+            / math.sqrt(abs(pair_f.summ) * abs(pair_g.summ))
         )
-        bound = factor * (nf + abs(fh)) ** 0.5 * (ng + abs(hg)) ** 0.5
+        bound = factor * math.sqrt(nf + abs(fh)) * math.sqrt(ng + abs(hg))
         out.append(GrussReport(
             gap=gap,
             bounds=(("quarter_residual", bound),),
             admissibility=(rep_f, rep_g),
         ))
     return out
-
-
-#: The operation over rows behind each public integral operation, by name.
-_ROW_OPERATIONS = {
-    "integral_schwarz_ball": _schwarz_ball_rows,
-    "integral_schwarz_pair": _schwarz_pair_rows,
-    "integral_schwarz_range": _schwarz_range_rows,
-    "integral_triangle": _triangle_rows,
-    "integral_gruss": _gruss_rows,
-}

@@ -3,11 +3,13 @@
 These are the predecessors of the results in `schwarz`, `triangle`, `gruss`
 and `bessel`: squared-level reverse Schwarz bounds, the square-root-shaped
 triangle reverses, the unit-ball Gruss bound, and the multiplicative reverse
-Bessel chains.  They are implemented exactly as stated — including the
+Bessel chains.  They are implemented exactly as stated, including the
 stricter hypotheses (r < ||a||, radii in (0,1), ||lambda|| > r) that the
-newer results drop — so the verification harness can evaluate old and new
-bounds on identical instances.  No ordering between old and new bounds is
-asserted anywhere; none holds in general.
+newer results drop.  The harness certifies each on its own instances: a
+legacy id draws from its own stream, through its new counterpart's sampler
+with options that meet those hypotheses, so no instance is evaluated by
+both.  No ordering between old and new bounds is asserted anywhere; none
+holds in general.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ def legacy_triangle_ball(x: Vector, a: Vector, r: float) -> TriangleDefect:
     if re_ip < 0:
         raise PreconditionError(f"Re<x,a> must be nonnegative, got {re_ip}")
     report = _ball(x, a.coords, na, r)
-    s = (na * na - r * r) ** 0.5
-    bound = 2.0 ** 0.5 * r * (re_ip / (s * (s + na))) ** 0.5
+    s = math.sqrt(na * na - r * r)
+    bound = math.sqrt(2.0) * r * math.sqrt(re_ip / (s * (s + na)))
     return TriangleDefect(_defect(x, a), bound, report)
 
 
@@ -139,7 +141,7 @@ def legacy_triangle_pair(x: Vector, y: Vector, m: float, M: float) -> TriangleDe
     if re_ip < 0:
         raise PreconditionError(f"Re<x,y> must be nonnegative, got {re_ip}")
     report = _pair_realpart(x, y, *ScalarPair(float(m), float(M)).coerced(x.field))
-    bound = (M ** 0.5 - m ** 0.5) / (M * m) ** 0.25 * re_ip ** 0.5
+    bound = (math.sqrt(M) - math.sqrt(m)) / (M * m) ** 0.25 * math.sqrt(re_ip)
     return TriangleDefect(_defect(x, y), bound, report)
 
 
@@ -180,7 +182,7 @@ def legacy_gruss_pair(
         )
     rep_x = two_sided_realpart(x, e, pair_x)
     rep_y = two_sided_realpart(y, e, pair_y)
-    constant = 0.25 * abs(Gamma - gamma) * abs(Phi - phi) / (re_x * re_y) ** 0.5
+    constant = 0.25 * abs(Gamma - gamma) * abs(Phi - phi) / math.sqrt(re_x * re_y)
     gap, abs_prod, _, _, nx, ny = _terms(x, y, e)
     intermediates: tuple[tuple[str, float], ...] = ()
     if abs_prod > RATIO_EMIT_REL * nx * ny:
@@ -222,7 +224,7 @@ def _multiplicative_bessel(
         report,
     )
     additive = BoundChain(ADDITIVE_LABELS, (0.0, nx * nx - cn * cn, r * r / q * cn * cn), report)
-    bound = chain.bound ** 0.5 - cn
+    bound = math.sqrt(chain.bound) - cn
     return BesselReport(nx, cn, nx - cn, bound, additive, report, chain=chain)
 
 

@@ -1,6 +1,6 @@
 """Samplers: each theorem's arguments, drawn so that its hypothesis holds by construction.
 
-A sampler is called as `sampler(rng, dim, field, adversarial, **options)` and
+A sampler is called as `sampler(rng, dim, field, adversarial)` and
 returns a row, (field, record dim, args): `Vector`s, `CoefficientSequence`s,
 `ScalarPair`s and floats, the `standard_basis` family for a "count",
 `_default_domain()` for a "domain", and a function's polynomial
@@ -10,7 +10,8 @@ to the hypothesis boundary.  Drawn arrays are adopted unscanned: every
 operation takes the norm of each vector it is given.  In adversarial mode
 the residual is inflated far beyond the admissible limit while every scalar
 precondition stays valid, so the evaluator still runs and the suite can show
-that the bare inequalities fail without their hypotheses.
+that the bare inequalities fail without their hypotheses.  The registry in
+`harness` binds a sampler's keyword options for each theorem.
 
 Randomness comes from one Philox stream per theorem (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed by
@@ -27,19 +28,17 @@ from __future__ import annotations
 
 import math
 import zlib
-from functools import cache
 
 import numpy as np
 
 from .conditions import ScalarPair
 from .integral import (
-    DEFAULT_DOMAIN_SPEC,
+    _DEFAULT_DOMAIN_KEY,
     DiscretizedFunction,
     WeightedDomain,
+    _cached_domain,
     _poly_add,
     _poly_mul,
-    build_domain,
-    polynomial,
 )
 from .space import CoefficientSequence, FieldTag, Vector, _array_norm, standard_basis
 
@@ -326,12 +325,9 @@ def _sample_family_gruss_pair(rng, dim, field, adversarial):
     return field, dim, (x, y, standard_basis(field, dim, k), lo_x, hi_x, lo_y, hi_y)
 
 
-@cache
 def _default_domain() -> WeightedDomain:
-    """The domain of every sampled integral instance: `DEFAULT_DOMAIN_SPEC`, built on first use."""
-    spec = DEFAULT_DOMAIN_SPEC
-    weight = polynomial(tuple(spec["weight"]["poly"]))
-    return build_domain(spec["interval"], weight, spec["rule"]["kind"], spec["rule"]["n"])
+    """`DEFAULT_DOMAIN_SPEC`, the domain of every sampled integral instance, from the cache."""
+    return _cached_domain(_DEFAULT_DOMAIN_KEY)
 
 
 def _scaled_perturbation(rng, deg, field, dom, limit) -> np.ndarray:

@@ -10,6 +10,7 @@ linear in eps**order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -39,7 +40,7 @@ class Construction:
 def _ball(operation: Callable) -> Callable[[float], object]:
     """Ball construction in the plane: a = e1, x = a + sqrt(eps) e2, r = sqrt(eps)."""
     a = vector([1.0, 0.0], FieldTag.REAL)
-    return lambda e: operation(vector([1.0, e**0.5], FieldTag.REAL), a, e**0.5)
+    return lambda e: operation(vector([1.0, math.sqrt(e)], FieldTag.REAL), a, math.sqrt(e))
 
 
 def _two_sided(e: float):

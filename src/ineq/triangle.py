@@ -13,6 +13,7 @@ Intermediate routes used in the proofs, checked by the test suite:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .conditions import (
@@ -74,7 +75,7 @@ def _require_range(m: float, M: float) -> None:
 
 def _range_bound(m: float, M: float, ny: float) -> float:
     """(sqrt(2)/2)(M-m)/sqrt(M+m) ||y|| from ||y||."""
-    return (0.5 ** 0.5) * (M - m) / (M + m) ** 0.5 * ny
+    return math.sqrt(0.5) * (M - m) / math.sqrt(M + m) * ny
 
 
 def triangle_reverse_pair(x: Vector, y: Vector, m: float, M: float) -> TriangleDefect:

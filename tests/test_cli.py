@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineq import THEOREM_IDS, documents, harness, sample_admissible, sampling, space
+from ineq import THEOREM_IDS, documents, harness, integral, sample_admissible, space
 from ineq.cli import main
 
 
@@ -516,7 +516,7 @@ def test_eval_huge_rule_n_exits_2_without_building(tmp_path, capsys, monkeypatch
     def never(*args):
         raise AssertionError("build_domain called for an over-cap rule.n")
 
-    monkeypatch.setattr(documents, "build_domain", never)
+    monkeypatch.setattr(integral, "build_domain", never)
     instance = dict(_PROP71, domain={"rule": {"kind": kind, "n": 10**9}})
     src = tmp_path / "huge.json"
     src.write_text(json.dumps({"instances": [instance]}), encoding="utf-8")
@@ -1007,8 +1007,8 @@ def test_the_benchmark_cold_start_empties_every_cache_a_run_fills(tmp_path, caps
     src = tmp_path / "doc.json"
     src.write_text(json.dumps({"instances": [_PROP71]}), encoding="utf-8")
     assert run_cli(capsys, "eval", "--input", str(src))[0] == 0
-    caches = (documents._DOMAIN_CACHE, space._BASIS_CACHE)
-    assert all(caches) and sampling._default_domain.cache_info().currsize == 1
+    caches = (integral._DOMAIN_CACHE, space._BASIS_CACHE)
+    assert all(caches) and integral._DEFAULT_DOMAIN_KEY in integral._DOMAIN_CACHE
     _perfbench_workloads().cold_start()
-    assert not any(caches) and sampling._default_domain.cache_info().currsize == 0
+    assert not any(caches)
     assert [cache.total for cache in caches] == [0, 0]

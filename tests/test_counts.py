@@ -14,6 +14,7 @@ and the norm its operation reuses is taken while decoding.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -125,13 +126,13 @@ def _counts(monkeypatch, tid):
     rows = []
     for dim in (3, 8):
         for field in fields:
-            warm = harness._SAMPLERS[tid](sampling._rng_for(stream, 99), dim, field, False)
+            warm = harness._SPECS[tid].sampler(sampling._rng_for(stream, 99), dim, field, False)
             harness._row_result(tid, warm)
             for i in range(6):
                 counter.take()
                 del counter.normed[:]
                 rng = sampling._rng_for(stream, i)
-                row = harness._SAMPLERS[tid](rng, dim, field, i % 3 == 2)
+                row = harness._SPECS[tid].sampler(rng, dim, field, i % 3 == 2)
                 sampled = counter.take()
                 harness._row_result(tid, row)
                 rows.append((sampled, counter.take(), list(counter.normed)))
@@ -237,7 +238,7 @@ def test_every_sampled_vector_is_normed_by_its_operation(tid):
             for adversarial in (False, True):
                 for i in range(4):
                     rng = sampling._rng_for(stream, i)
-                    tag, rec_dim, args = harness._SAMPLERS[tid](rng, dim, field, adversarial)
+                    tag, rec_dim, args = harness._SPECS[tid].sampler(rng, dim, field, adversarial)
                     # the same coordinates with no norm kept, so only the operation can take it
                     fresh = [
                         Vector._sampled(v.coords, v.field) if isinstance(v, Vector) else v
@@ -256,18 +257,18 @@ def _vector_positions(tid):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("tid", [tid for tid in THEOREM_IDS if _vector_positions(tid)])
 def test_a_non_finite_sampled_coordinate_still_raises(monkeypatch, tid, bad):
-    sampler = harness._SAMPLERS[tid]
+    spec = harness._SPECS[tid]
     for pos, entry, field in itertools.product(_vector_positions(tid), (0, -1), _fields(tid)):
 
         def poisoned(rng, dim, tag, adversarial, pos=pos, entry=entry):
-            tag, rec_dim, args = sampler(rng, dim, tag, adversarial)
+            tag, rec_dim, args = spec.sampler(rng, dim, tag, adversarial)
             coords = args[pos].coords.copy()
             coords[entry] = bad if tag is FieldTag.REAL else complex(coords[entry].real, bad)
             args = list(args)
             args[pos] = sampling._vec(coords, tag)
             return tag, rec_dim, args
 
-        monkeypatch.setitem(harness._SAMPLERS, tid, poisoned)
+        monkeypatch.setitem(harness._SPECS, tid, dataclasses.replace(spec, sampler=poisoned))
         # numpy may warn of the inf * 0 it meets first; the check then raises
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="entries must be finite"):
             run_suite([tid], trials=2, dims=(3,), fields=(field,))

@@ -11,6 +11,7 @@ non-finite result included; and pin the number of Horner passes a group
 makes.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -144,6 +145,16 @@ def test_a_group_is_bit_for_bit_its_rows_alone(group):
         assert repr(done[i]) == repr(_alone(tid, row)), i
 
 
+#: The public operation of each integral id, the reference a group is checked against.
+_PUBLIC = {
+    "prop7.1": integral.integral_schwarz_ball,
+    "prop7.2": integral.integral_schwarz_pair,
+    "prop7.11": integral.integral_schwarz_range,
+    "prop7.12": integral.integral_triangle,
+    "prop7.3": integral.integral_gruss,
+}
+
+
 def _alone(tid, row):
     """The result of a row from its public operation, each {"poly"} function discretized on
     its own: 1-D Horner, where a group takes one 2-D pass."""
@@ -155,7 +166,7 @@ def _alone(tid, row):
         else integral.DiscretizedFunction._computed(integral._poly_values(dom, arg, field), field)
         for (_, kind), arg in zip(spec.params, args)
     ]
-    return harness._result(tid, field, dim, getattr(integral, spec.operation)(*args))
+    return harness._result(tid, field, dim, _PUBLIC[tid](*args))
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +277,15 @@ def test_a_window_holds_a_bounded_run_of_rows(tmp_path, monkeypatch, force_worke
 def test_the_rows_drawn_before_a_failing_draw_come_first(monkeypatch):
     # verify draws a window of integral instances before evaluating them; a draw
     # that raises still comes after the results of the rows before it
-    sampler, calls = harness._SAMPLERS["prop7.1"], []
+    spec, calls = harness._SPECS["prop7.1"], []
 
     def failing(*args):
         calls.append(args)
         if len(calls) == 4:
             raise RuntimeError("draw 3 failed")
-        return sampler(*args)
+        return spec.sampler(*args)
 
-    monkeypatch.setitem(harness._SAMPLERS, "prop7.1", failing)
+    monkeypatch.setitem(harness._SPECS, "prop7.1", dataclasses.replace(spec, sampler=failing))
     results = harness._suite_results("prop7.1", [(1, harness.FieldTag.REAL)], 0, False, 0, 6)
     got = []
     with pytest.raises(RuntimeError, match="draw 3 failed"):

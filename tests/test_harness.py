@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -426,37 +427,33 @@ def test_untrusted_input_stays_on_the_validating_path():
     }
 
 
-def _operation_callers(tree: ast.AST, scope: str = "") -> list:
-    """(dotted name, what) of each call in tree of a theorem operation, by its name or
-    looked up in `globals()`, and of an operation over rows, looked up in `_GROUPED`."""
-    operations = {spec.operation for spec in _SPECS.values()}
+def test_square_roots_are_taken_by_math_sqrt():
+    # x ** 0.5 and pow(x, 0.5) call libm's pow, which is not correctly rounded
     found = []
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += _operation_callers(node, f"{scope}.{node.name}".lstrip("."))
-            continue
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in operations:
-                found.append((scope or "<module>", "operation"))
-            elif isinstance(func, ast.Subscript):
-                table = func.value
-                if isinstance(table, ast.Call) and getattr(table.func, "id", None) == "globals":
-                    found.append((scope or "<module>", "operation"))
-                elif getattr(table, "id", None) in ("_GROUPED", "_ROW_OPERATIONS"):
-                    found.append((scope or "<module>", "rows"))
-        found += _operation_callers(node, scope)
-    return found
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                exponent = node.right
+            elif isinstance(node, ast.Call) and len(node.args) == 2 and "pow" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                exponent = node.args[1]
+            else:
+                continue
+            if isinstance(exponent, ast.Constant) and exponent.value == 0.5:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_only_row_result_calls_a_theorem_operation():
     # both runners, and `evaluate_instance`, certify a row in one place; a group
-    # of integral rows is one call of the operation over rows
+    # of integral rows is one call of the operation over rows, in `_chunk_reports`
     tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
-    assert sorted(set(_operation_callers(tree))) == [
-        ("_chunk_reports", "rows"), ("_row_result", "operation"),
-    ]
-    assert _readers(tree, "operation") == ["_row_result", "_GROUPED"]
+    assert _readers(tree, "operation") == ["_row_result", "_chunk_reports"]
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "operation"]
+    calls = [n.func for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert reads and all(any(read is func for func in calls) for read in reads)
+    assert not [func for func in calls if getattr(func, "id", None) == "globals"]
 
 
 def test_registry_is_the_one_source_of_ids_samplers_and_schemas():
@@ -466,8 +463,8 @@ def test_registry_is_the_one_source_of_ids_samplers_and_schemas():
         doc = sample_admissible(tid, "real", 3, seed=0)
         decode_order = [key for _, key, _ in spec.steps]
         assert list(doc) == ["theorem", "field", *decode_order, "seed"], tid
-        operation = integral._ROW_OPERATIONS.get(spec.operation) or getattr(harness, spec.operation)
-        assert callable(operation), tid
+        assert callable(spec.sampler) and callable(spec.operation), tid
+        assert spec.grouped == tid.startswith("prop7."), tid
 
 
 #: (kind, theorem, key, value): a bool, a string or an int beyond double range
@@ -538,11 +535,11 @@ def test_missing_key_lists_the_keys_the_theorem_needs():
 
 
 def test_errors_inside_an_operation_are_not_missing_keys(monkeypatch):
-    # operations are looked up by name when called, so this patch takes effect
+    # operations are read from the registry when called, so this patch takes effect
     def broken(*args):
         raise KeyError("r")
 
-    monkeypatch.setattr(harness, "reverse_schwarz_ball", broken)
+    monkeypatch.setitem(_SPECS, "thm2.1", dataclasses.replace(_SPECS["thm2.1"], operation=broken))
     inst = {"theorem": "thm2.1", "field": "real", "x": [0.5, 0.5], "a": [1.0, 0.0], "r": 1.0}
     with pytest.raises(KeyError):
         evaluate_instance(inst)
@@ -580,7 +577,7 @@ def test_instance_i_starts_at_counter_block_i_times_2_to_the_64():
     assert reused.uniform(size=7).tolist() == fresh.uniform(size=7).tolist()
 
     doc = sample_admissible(tid, "complex", 4, seed, index=i)
-    row = harness._SAMPLERS[tid](sampling._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
+    row = _SPECS[tid].sampler(sampling._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
     assert _document_of(tid, row, seed) == doc
 
 
@@ -601,7 +598,7 @@ def test_domain_node_caps_are_checked_before_building(monkeypatch):
         built.append((kind, n))
         raise RuntimeError("stop before allocating")
 
-    monkeypatch.setattr(documents, "build_domain", recording)
+    monkeypatch.setattr(integral, "build_domain", recording)
     for kind, cap in (("gauss", 2048), ("trapezoid", 2**20)):
         over = {"interval": [0.0, 3.0], "rule": {"kind": kind, "n": cap + 1}}
         with pytest.raises(InputFormatError, match=f"^rule.n: {kind} rules take at most {cap} "):
@@ -626,7 +623,7 @@ def test_domain_cache_is_bounded_and_keeps_records(tmp_path, monkeypatch):
     path = tmp_path / "domains.json"
     path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
 
-    cache = documents._DOMAIN_CACHE
+    cache = integral._DOMAIN_CACHE
     held = []
     add = cache.add
 
@@ -639,7 +636,7 @@ def test_domain_cache_is_bounded_and_keeps_records(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "add", recording)
     try:
         bounded = evaluate_file(str(path)).records
-        assert len(held) == 45 and max(held) <= documents._DOMAIN_CACHE_NODES
+        assert len(held) == 45 and max(held) <= integral._DOMAIN_CACHE_NODES
         cache.clear()
         monkeypatch.setattr(cache, "budget", 2**40)
         unbounded = evaluate_file(str(path)).records
@@ -696,7 +693,7 @@ def test_sampled_documents_own_their_domain():
     finally:
         integral.DEFAULT_DOMAIN_SPEC.clear()
         integral.DEFAULT_DOMAIN_SPEC.update(saved)
-        documents._DOMAIN_CACHE.clear()
+        integral._DOMAIN_CACHE.clear()
 
 
 class _UniformOnly:
@@ -749,7 +746,7 @@ def test_a_sampled_document_decodes_to_the_sampled_arguments(dim, adversarial, i
         for field in fields:
             doc = sample_admissible(tid, field, dim, seed, adversarial, index=index)
             rng = sampling._rng_for(sampling._Stream(seed, tid), index)
-            tag, rec_dim, args = harness._SAMPLERS[tid](rng, dim, field, adversarial)
+            tag, rec_dim, args = _SPECS[tid].sampler(rng, dim, field, adversarial)
             doc_tid, (doc_field, doc_dim, decoded) = harness._document_row(doc)
             assert (doc_tid, doc_field, doc_dim) == (tid, tag, rec_dim)
             for (key, kind), want, got in zip(_SPECS[tid].params, args, decoded):
@@ -772,7 +769,7 @@ def test_samplers_draw_only_through_uniform():
                     for i in range(3):
                         want = sample_admissible(tid, tag, dim, seed, adversarial, index=i)
                         source = _UniformOnly(sampling._rng_for(stream, i))
-                        row = harness._SAMPLERS[tid](source, dim, tag, adversarial)
+                        row = _SPECS[tid].sampler(source, dim, tag, adversarial)
                         got = _document_of(tid, row, seed)
                         assert json.dumps(got) == json.dumps(want), (tid, dim, tag, i)
                         checked += 1
@@ -882,12 +879,12 @@ def test_report_does_not_depend_on_the_worker_count(force_workers, monkeypatch, 
 def _act_at(monkeypatch, tid, index, action):
     """Call `action()` before `tid`'s instance `index` is evaluated, in any process.
 
-    It wraps the operation at the name harness looks up at call time; `tid` is
-    the only id of that operation, and one whose instances are not grouped."""
+    It wraps the operation in `tid`'s registry entry, which harness reads at
+    call time; `tid` is an id whose instances are not grouped."""
     current = {}
     real_rng_for = harness._rng_for
-    name = _SPECS[tid].operation
-    real_operation = getattr(harness, name)
+    spec = _SPECS[tid]
+    real_operation = spec.operation
 
     def rng_for(stream, i):
         current["index"] = i
@@ -899,7 +896,7 @@ def _act_at(monkeypatch, tid, index, action):
         return real_operation(*args)
 
     monkeypatch.setattr(harness, "_rng_for", rng_for)
-    monkeypatch.setattr(harness, name, operation)
+    monkeypatch.setitem(_SPECS, tid, dataclasses.replace(spec, operation=operation))
 
 
 def _log_pid(path):
