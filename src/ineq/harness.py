@@ -568,9 +568,9 @@ def evaluate_file(
     Results are counted by the same `_Tally` as `run_suite`'s, every record
     kept unless `keep_records` is false (then `records` is None); per-theorem
     entries follow the first appearance of each id.  The
-    document is one job of `runner._run`, cut into one contiguous slice per
-    CPU, and the first bad instance is reported as "instance i: ..."
-    whatever the worker count.
+    document is one job of `runner._run`, cut into pieces that every CPU
+    claims from one queue, and the first bad instance is reported as
+    "instance i: ..." whatever the worker count.
     """
     tally = _Tally(tol, keep_records)
     try:

@@ -47,6 +47,7 @@ from .errors import (
     _brief,
 )
 from .gruss import GrussReport
+from .polynomials import _gauss_legendre, _horner
 from .schwarz import BoundChain, _ball_chain, _pair_chain
 from .space import (
     FieldTag,
@@ -249,26 +250,6 @@ def polynomial(coeffs) -> Callable[[np.ndarray], np.ndarray]:
     return lambda s: _horner(c, np.asarray(s) if isinstance(s, (list, tuple)) else s)
 
 
-def _horner(c: np.ndarray, s, s_complex: Optional[np.ndarray] = None):
-    """numpy's polyval(s, c) for a float or complex c, bit for bit.
-
-    c[k] is the k-th coefficient: a scalar for a 1-D c, or, as in polyval's
-    tensor form, an array broadcasting against s; coefficients of shape
-    (L, B, 1) against n nodes give B rows of n values.  polyval starts from
-    c[-1] + s*0 and builds a new array c[k] + c0*s per coefficient; here c0
-    is updated in place.  For complex c every step is a complex multiply by s
-    cast to complex128, which polyval casts anew each step and this casts
-    once (or takes as `s_complex`).
-    """
-    c0 = c[-1] + s * 0
-    if c.dtype.kind == "c" and len(c) > 1:
-        s = np.asarray(s, dtype=np.complex128) if s_complex is None else s_complex
-    for k in range(len(c) - 2, -1, -1):
-        c0 *= s
-        c0 += c[k]
-    return c0
-
-
 def _poly_values(dom: WeightedDomain, coeffs: np.ndarray, field: FieldTag) -> np.ndarray:
     """The node values, in field's dtype, of the polynomial with ascending coefficients coeffs,
     or one row of them per row of a 2-D coeffs; not yet checked finite."""
@@ -314,59 +295,6 @@ def _poly_mul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return _trimmed(np.convolve(_trimmed(c1), _trimmed(c2)))
 
 
-#: Newton on the Tricomi guesses takes 4 steps for n <= 88 and 3 above
-#: (checked for every n up to 2048); the cap only guarantees termination.
-_NEWTON_MAX_STEPS = 10
-
-#: A correction no larger than this (one ulp of 1) is rounding noise: the
-#: iterate it was computed at is already a root to working precision.
-_NEWTON_TOL = float(np.finfo(np.float64).eps)
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1]: ascending nodes and weights.
-
-    Newton's method on the three-term recurrence, started from Tricomi's
-    asymptotic guesses (Hale and Townsend, "Fast and accurate computation of
-    Gauss-Legendre and Gauss-Jacobi quadrature nodes and weights", SIAM J. Sci.
-    Comput. 35 (2013)).  Only the ceil(n/2) non-negative roots are iterated, all
-    at once; the negative half is their exact mirror.  O(n) memory and O(n^2)
-    time.
-    """
-    m = (n + 1) // 2
-    theta = np.pi * (4.0 * np.arange(1, m + 1) - 1.0) / (4.0 * n + 2.0)
-    x = np.cos(theta) * (
-        1.0 - (n - 1.0) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
-    )
-    if n % 2:
-        x[-1] = 0.0  # P_n(0) = 0 exactly for odd n, so Newton keeps it there
-    # the recurrence's three buffers, written in place at every step
-    p_prev, p, xp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    for _ in range(_NEWTON_MAX_STEPS):
-        p_prev.fill(1.0)
-        np.copyto(p, x)
-        for k in range(1, n):
-            # Bonnet: P_{k+1} = x P_k + k/(k+1) (x P_k - P_{k-1}), built in p_prev.
-            np.multiply(x, p, out=xp)
-            np.subtract(xp, p_prev, out=p_prev)
-            p_prev *= k / (k + 1)
-            p_prev += xp
-            p_prev, p = p, p_prev
-        # (1-x)(1+x) rather than 1-x^2: no cancellation next to +-1.
-        one_minus_x2 = (1.0 - x) * (1.0 + x)
-        dp = n * (p_prev - x * p) / one_minus_x2
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= _NEWTON_TOL:
-            break
-    # The last correction was at rounding level, so dp was taken at the root.
-    w = 2.0 / (one_minus_x2 * dp * dp)
-    nodes, weights = np.empty(n), np.empty(n)
-    nodes[n - m :], weights[n - m :] = x[::-1], w[::-1]
-    nodes[: n - m], weights[: n - m] = -x[: n - m], w[: n - m]
-    return nodes, weights
-
-
 def build_domain(
     interval: tuple[float, float],
     weight: Optional[WeightFunction] = None,
@@ -376,12 +304,13 @@ def build_domain(
     """Quadrature-discretize the measure weight(s) ds on [a, b], rescaled to mass 1.
 
     rule "gauss" uses Gauss-Legendre nodes (exact for polynomial integrands of
-    degree <= 2n-1 against a polynomial weight), computed by Newton's method
-    on the Legendre three-term recurrence in O(n) memory and O(n^2) time.
-    Nodes agree with numpy's `leggauss` to about 1e-16.  Weights are within
-    1e-13 relative of a 40-digit reference for n <= 65, and within 6e-11 of
-    an 80-bit one at n = 2048, where leggauss is off by 6e-8.  "trapezoid"
-    uses the composite trapezoid rule on equispaced nodes (O(n^-2) error).
+    degree <= 2n-1 against a polynomial weight) from `_gauss_legendre`: Newton's
+    method on the Legendre three-term recurrence up to 64 nodes, O(n^2) time,
+    and asymptotic expansions above, O(n) time; O(n) memory either way.
+    Nodes are within 2 ulp of a 40-digit reference and weights within 1e-13
+    relative of it, up to 64 nodes and at every node checked above (numpy's
+    dense `leggauss` is off by 6e-8 in weight at n = 2048).  "trapezoid" uses
+    the composite trapezoid rule on equispaced nodes (O(n^-2) error).
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:

@@ -4,15 +4,14 @@
 with no option to choose how many.  A job is a callable (lo, hi) -> its
 results lo..hi-1 in index order: a theorem's trials, or a document's
 instances.  The run is cut into `_pieces` whose bounds depend only on the
-job count, the job size and the worker count: whole jobs, with the tail cut
-finer, when there are two jobs or more per worker, and one contiguous slice
-per worker of each job otherwise.  This process and its forked children
-claim the pieces from one pipe as each becomes free, and this process
-merges the pieces' tallies in piece order, so the report, and the first
-error raised, do not depend on the worker count or on which worker counted
-what.  Runs of fewer than two workers' worth of instances, one-CPU hosts,
-platforms without `os.fork` and processes running more than one Python
-thread stay serial.
+job count, the job size and the worker count, by one rule for every run:
+guided self-scheduling, so whole jobs while many are left, and a tail cut
+finer.  This process and its forked children claim the pieces from one pipe
+as each becomes free, and this process merges the pieces' tallies in piece
+order, so the report, and the first error raised, do not depend on the
+worker count or on which worker counted what.  Runs of fewer than two
+workers' worth of instances, one-CPU hosts, platforms without `os.fork` and
+processes running more than one Python thread stay serial.
 
 The runner knows nothing of theorems.  A tally is what `_run` is given:
 `tally.counted(job, lo, hi)` returns a new, picklable tally of `job(lo, hi)`,
@@ -40,6 +39,11 @@ _FORK_BREAK_EVEN = 128
 #: Fewest instances in a piece cut from the tail of a run (`_pieces`).
 _PIECE_FLOOR = 16
 
+#: Most pieces `_pieces` cuts a run into, give or take one a job: its floor
+#: grows with the run so that the claims `_run` writes, 4 bytes a piece, fit
+#: the 64 KiB a pipe buffers by default, whatever the run or worker count.
+_PIECES_MAX = 8192
+
 #: Bytes a child's result pipe holds where the platform lets a pipe be sized
 #: (Linux, up to its pipe-max-size): room for the records of several pieces,
 #: so that a child seldom waits while this process counts a piece of its own.
@@ -63,20 +67,20 @@ def _worker_count(instances: int) -> int:
 def _pieces(jobs: int, size: int, workers: int) -> list:
     """The (job, lo, hi) pieces of a run of `jobs` jobs of `size`, in (job, lo) order.
 
-    With fewer than two jobs per worker, each job is cut into one contiguous
-    slice per worker.  Otherwise a piece is the rest of its job or, if fewer,
-    ceil(remaining / (2 workers)) instances, but at least `_PIECE_FLOOR`:
-    whole jobs, and a tail cut guided-style (Polychronopoulos and Kuck,
-    "Guided self-scheduling", IEEE Trans. Computers C-36(12), 1987).
+    A piece is the rest of its job or, if fewer, ceil(remaining / (2 workers))
+    instances, but at least max(`_PIECE_FLOOR`, ceil(jobs size / _PIECES_MAX)):
+    whole jobs while the run has many left, and a tail cut finer, guided-style
+    (Polychronopoulos and Kuck, "Guided self-scheduling", IEEE Trans.
+    Computers C-36(12), 1987).  A run of one job, as every `eval` is, is cut
+    the same way: the first piece a quarter of it over two workers, the last
+    ones of the floor.
     """
-    if jobs < 2 * workers:
-        cuts = [size * w // workers for w in range(workers + 1)]
-        return [(j, lo, hi) for j in range(jobs) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    floor = max(_PIECE_FLOOR, -(-jobs * size // _PIECES_MAX))
     pieces, remaining = [], jobs * size
     for j in range(jobs):
         lo = 0
         while lo < size:
-            hi = min(size, lo + max(_PIECE_FLOOR, -(-remaining // (2 * workers))))
+            hi = min(size, lo + max(floor, -(-remaining // (2 * workers))))
             pieces.append((j, lo, hi))
             remaining -= hi - lo
             lo = hi
@@ -158,7 +162,8 @@ def _run(tally, jobs: list, size: int) -> None:
                 os.close(fd)
 
     claims, w = os.pipe()
-    # 4 bytes a piece: 25 jobs of 650 slices still fit the 64 KiB a pipe buffers
+    # 4 bytes a piece: at most about _PIECES_MAX of them, which fit the 64 KiB a
+    # pipe buffers, so this write never waits for a reader
     os.write(w, b"".join(k.to_bytes(4, "little") for k in range(len(pieces))))
     os.close(w)
     done, readers, pids = {}, [], []

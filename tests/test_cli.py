@@ -455,10 +455,10 @@ def _multi_domain_document() -> dict:
 
 
 #: sha256 of the `ineq eval --output FILE` file written for `_multi_domain_document()`.
-MULTI_DOMAIN_SHA256 = "4fe69ff1c97c2940e3cacc5235c4c4d435a0066850ce9718abb7611cfb1d9a7b"
+MULTI_DOMAIN_SHA256 = "dbb4943db93fe35ce8850a4bd4077cfb7273a60108be8ccf97e01eb6726aca87"
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_multi_domain_eval_records_are_pinned(tmp_path, capsys, force_workers, workers):
     force_workers(workers)
     src = tmp_path / "in.json"

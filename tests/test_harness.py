@@ -935,13 +935,15 @@ def _logged_by(path):
     return lambda children: bool(_logged_pids(path) & {str(pid) for pid in children})
 
 
-#: With 10 trials over 2 workers, instance 1 of thm4.1 lies in the first piece,
-#: which this process claims before it forks, and 9 in the next, which the
-#: child claims while this process is held.
+#: With 10 trials over 2 workers and a floor of 5, instance 1 of thm4.1 lies in
+#: the first piece, 0..7, which this process claims before it forks, and 9 in
+#: the next, 8..9, which the child claims while this process is held.  At the
+#: default floor of 16 the first piece, always this process's, holds both.
 @pytest.mark.parametrize("index", [1, 9])
 def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
     force_workers, monkeypatch, capsys, tmp_path, index
 ):
+    monkeypatch.setattr(runner, "_PIECE_FLOOR", 5)
     raised_in = tmp_path / "pids"
 
     def fail():
@@ -973,9 +975,9 @@ def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
 
 
 def test_a_child_that_dies_has_its_slices_computed_here(force_workers, monkeypatch, tmp_path):
-    # over 3 workers instance 7 lies in thm4.1's last slice, which a child
-    # claims while this process is held; that child dies there, and the
-    # slices it claimed and did not send are computed here
+    # over 3 workers each theorem is one piece, and thm4.1's, the second, is
+    # claimed by a child while this process is held; that child dies at
+    # instance 7, and the pieces it claimed and did not send are computed here
     parent, died = os.getpid(), tmp_path / "pids"
 
     def die_in_a_child():
@@ -1021,16 +1023,16 @@ def test_the_piece_cut_covers_every_index_once_and_cuts_only_the_tail():
             (j, i) for j in range(jobs) for i in range(size)
         ]
         assert all(lo < hi for _, lo, hi in pieces)
-        if jobs < 2 * workers:
-            # one contiguous slice per worker of each job, as before the claims
-            cuts = [size * w // workers for w in range(workers + 1)]
-            assert pieces == [
-                (j, lo, hi) for j in range(jobs) for lo, hi in zip(cuts, cuts[1:]) if lo < hi
-            ]
-            continue
-        # every job before the last 2 x workers is one piece; a piece that is
-        # cut holds at least the floor, or ends its job
-        assert pieces[: jobs - 2 * workers] == [(j, 0, size) for j in range(jobs - 2 * workers)]
+        # a piece is the rest of its job or ceil(remaining / (2 x workers)),
+        # whichever is less, but at least the floor: so every job that starts
+        # with more than 2 x workers x size instances left is one piece, and a
+        # piece that is cut holds at least the floor, or ends its job
+        remaining = jobs * size
+        for j, lo, hi in pieces:
+            assert hi - lo == min(size - lo, max(floor, -(-remaining // (2 * workers))))
+            remaining -= hi - lo
+        whole = max(0, jobs - 2 * workers)
+        assert pieces[:whole] == [(j, 0, size) for j in range(whole)]
         assert all(hi - lo >= floor or hi == size for _, lo, hi in pieces)
     # ceil(remaining / 6) falls below 40 instances at the fourth job
     assert runner._pieces(8, 40, 3) == [
@@ -1038,6 +1040,26 @@ def test_the_piece_cut_covers_every_index_once_and_cuts_only_the_tail():
         (5, 0, 20), (5, 20, 37), (5, 37, 40), (6, 0, 16), (6, 16, 32), (6, 32, 40),
         (7, 0, 16), (7, 16, 32), (7, 32, 40),
     ]
+    # one job, as an eval document is, is cut by the same rule: perfbench's
+    # 480-instance quadrature document over two workers
+    assert [hi - lo for _, lo, hi in runner._pieces(1, 480, 2)] == [
+        120, 90, 68, 51, 38, 29, 21, 16, 16, 16, 15
+    ]
+
+
+def test_the_claims_of_any_run_fit_one_pipe_write():
+    # `_run` writes 4 bytes a piece into a pipe before any reader exists; the
+    # floor grows with the run, so no run has more than _PIECES_MAX pieces
+    # cut short of their job's end, and a job ends one piece at most
+    for jobs, size, workers in itertools.product(
+        (1, 2, 25), (1, 480, 10**6, 2**20, 2**31), (1, 2, 3, 64, 1000, 4096)
+    ):
+        pieces = runner._pieces(jobs, size, workers)
+        assert len(pieces) <= runner._PIECES_MAX + jobs, (jobs, size, workers)
+        assert 4 * len(pieces) <= 65536  # what a Linux pipe buffers by default
+        assert pieces[-1] == (jobs - 1, pieces[-1][1], size)
+    # the guided rule alone would cut 24,693 pieces here, 98,772 bytes
+    assert len(runner._pieces(1, 2**31, 1024)) <= runner._PIECES_MAX + 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -1212,10 +1234,10 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
     force_workers, monkeypatch, tmp_path
 ):
     # a child sends one pickled (piece, tally) per piece, here the second
-    # slice of the one job, which it claims while this process is held;
-    # without records its size does not depend on the slice's length, but for
-    # the pickled width of the two counts (the total and the theorem's), one
-    # byte wider each from 256 on
+    # half of the one job (a floor of half the job cuts it in two), which it
+    # claims while this process is held; without records its size does not
+    # depend on the piece's length, but for the pickled width of the two
+    # counts (the total and the theorem's), one byte wider each from 256 on
     logged, dumps = tmp_path / "sizes", pickle.dumps
 
     def logging_dumps(obj, protocol=None):
@@ -1229,6 +1251,7 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
     force_workers(2)
     sizes = {}
     for trials in (100, 10_000):
+        monkeypatch.setattr(runner, "_PIECE_FLOOR", trials // 2)
         run_suite(["thm2.1"], trials=trials, dims=(1, 2, 3, 8, 16), seed=1)
         sizes[trials] = [int(n) for n in logged.read_text(encoding="ascii").split()]
         logged.unlink()
@@ -1240,11 +1263,12 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
 def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
     force_workers, monkeypatch, tmp_path
 ):
-    # over 2 workers this process counts instances 0..49 of 100, the first
-    # slice, which it claims before it forks; the child claims 50..99 while
-    # this process is held.  The child's one message is its slice of the
-    # report's JSON, as one text, plus its tally's stats; this process renders
-    # its own slice's records and, for the report, only the head
+    # over 2 workers and with a floor of 50, this process counts instances
+    # 0..49 of 100, the first piece, which it claims before it forks; the child
+    # claims 50..99, the other, while this process is held.  The child's one
+    # message is its slice of the report's JSON, as one text, plus its
+    # tally's stats; this process renders its own slice's records and, for
+    # the report, only the head
     logged, dumps = tmp_path / "messages", pickle.dumps
 
     def logging_dumps(obj, protocol=None):
@@ -1267,6 +1291,7 @@ def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
         return render_json(obj)
 
     path = _every_id_document(tmp_path)
+    monkeypatch.setattr(runner, "_PIECE_FLOOR", 50)
     monkeypatch.setattr(pickle, "dumps", logging_dumps)
     monkeypatch.setattr(tally, "_record_text", counting_record_text)
     monkeypatch.setattr(tally, "render_json", counting_render_json)
@@ -1339,12 +1364,15 @@ def _marked_document(tmp_path, index) -> str:
     return _document(tmp_path, docs)
 
 
-#: With 10 instances over 2 workers, instance 1 lies in the slice this process
-#: claims before it forks, and 9 in the one the child claims while it is held.
+#: With 10 instances over 2 workers and a floor of 5, instance 1 lies in the
+#: piece this process claims before it forks, 0..4, and 9 in the one the child
+#: claims while it is held, 5..9.  At the default floor of 16 the document is
+#: one piece.
 @pytest.mark.parametrize("index", [1, 9])
 def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
     force_workers, monkeypatch, capsys, tmp_path, index
 ):
+    monkeypatch.setattr(runner, "_PIECE_FLOOR", 5)
     raised_in = tmp_path / "pids"
 
     def fail():
@@ -1376,8 +1404,9 @@ def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
 def test_an_eval_child_that_dies_has_its_slice_computed_here(
     force_workers, monkeypatch, tmp_path
 ):
-    # over 3 workers instance 7 lies in the last slice, 6..9, which a child
-    # claims while this process is held
+    # over 3 workers and with a floor of 3, instance 7 lies in the third piece,
+    # 6..8, which a child claims while this process is held
+    monkeypatch.setattr(runner, "_PIECE_FLOOR", 3)
     parent, died = os.getpid(), tmp_path / "pids"
 
     def die_in_a_child():
