@@ -43,6 +43,7 @@ from .space import (
     _array_norm,
     _check_finite,
     _checked_norm,
+    _combination,
     _synthesized,
     _vdot,
     check_same_space,
@@ -253,5 +254,5 @@ def _family_ball(
 ) -> ConditionReport:
     """Ball form of `family_two_sided`, with x and the pair already checked against `fam` and
     diff = ||Gamma - gamma|| already taken."""
-    center = (0.5 * (gammas.entries + Gammas.entries)) @ fam._matrix
+    center = _combination(0.5 * (gammas.entries + Gammas.entries), fam)
     return _ball(x, center, _array_norm(center), 0.5 * diff)

@@ -17,7 +17,9 @@ dim, args), with `args` in `params` order.  Samplers draw rows,
 evaluator, calls the operation; an integral row is the one-row group of its
 id.  Each report type states `admissible`, `margin`, `gap`, `bound` and the
 `comparisons` it asserts, and `_result` copies them into the
-`InstanceResult` that both runners count through one tally (`tally`).
+`InstanceResult` that both runners count through one tally (`tally`).  The
+tally alone refuses a result with a NaN or infinite number to report, as
+bad input named by its index.
 
 Both runners share one fork runner, `runner._run`, which deals their jobs
 (theorems, or a document) to this process and forked children and merges
@@ -31,7 +33,7 @@ group as one call of its operation over rows (`TheoremSpec.operation`),
 in chunks of at most `_GROUP_CHUNK_NODES` node values per function.  That
 arithmetic is elementwise, row sums and min/max, so each row of a group is
 bit for bit the instance evaluated alone, a NaN or inf included, which
-`evaluate_file` refuses as it would alone.  A chunk that raises is
+the tally refuses as it would alone (`_Tally.add`).  A chunk that raises is
 evaluated again one row at a time, as is every other instance: an error is
 then the one-instance path's, raised after the results before it.  The
 other ids are not grouped: their sums go through BLAS, whose order depends
@@ -41,7 +43,6 @@ on the array's shape.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -92,7 +93,7 @@ from .sampling import (
 )
 from .schwarz import reverse_schwarz_ball, reverse_schwarz_pair
 from .space import FieldTag, standard_basis
-from .tally import InstanceResult, SuiteReport, _Tally
+from .tally import _OUT_OF_RANGE, InstanceResult, SuiteReport, _Tally
 from .triangle import triangle_reverse_ball, triangle_reverse_pair
 
 DEFAULT_DIMS = (1, 2, 3, 8)
@@ -511,29 +512,6 @@ def run_suite(
     })
 
 
-def _first_non_finite(result: InstanceResult) -> Optional[tuple[str, float]]:
-    """(name, value) of the first reported quantity that is NaN or infinite.
-
-    A sum of them all with total - total == 0.0 means none is (as in
-    `_record_text`); any other total takes the scan that names the first."""
-    total = result.gap + result.bound + result.margin
-    for _, lhs, _, rhs in result.comparisons:
-        total += lhs + rhs
-    if total - total == 0.0:
-        return None
-    named = [("gap", result.gap), ("bound", result.bound), ("margin", result.margin)]
-    for lhs_label, lhs, rhs_label, rhs in result.comparisons:
-        named += [(lhs_label, lhs), (rhs_label, rhs)]
-    for name, value in named:
-        if not math.isfinite(value):
-            return name, float(value)
-    return None
-
-
-#: How `eval` ends the message of an instance whose evaluation leaves the range of a float.
-_OUT_OF_RANGE = "; the inputs leave double precision"
-
-
 def _file_results(instances: list, lo: int, hi: int):
     """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index.
 
@@ -552,11 +530,6 @@ def _file_results(instances: list, lo: int, hi: int):
             # instance i decoded its id before any arithmetic, so this cannot fail
             tid = normalize_theorem_id(instances[i]["theorem"])
             raise InputFormatError(f"instance {i}: {tid} {exc}{_OUT_OF_RANGE}")
-        bad = _first_non_finite(result)
-        if bad is not None:
-            raise InputFormatError(
-                f"instance {i}: {result.theorem} {bad[0]} is {bad[1]!r}{_OUT_OF_RANGE}"
-            )
         yield result
 
 
@@ -586,7 +559,7 @@ def evaluate_file(
     if not isinstance(instances, list):
         raise InputFormatError(f"{path}: 'instances' must be a list")
 
-    # Overflow is bad input (`_file_results`), so numpy need not warn; workers inherit this.
+    # Overflow is bad input (`_Tally.add`), so numpy need not warn; workers inherit this.
     with np.errstate(over="ignore", invalid="ignore"):
         _run(tally, [partial(_file_results, instances)], len(instances))
 

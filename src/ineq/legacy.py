@@ -217,7 +217,7 @@ def _multiplicative_bessel(
     nx = norm(x)
     coeffs = fourier_coefficients(x, fam)
     cn = coeffs.norm
-    mixed = complex(np.vdot(w, coeffs.entries))
+    mixed = _vdot(coeffs.entries, w)
     chain = BoundChain(
         BESSEL_BALL_LABELS,
         (nx * nx, mixed.real ** 2 / q, abs(mixed) ** 2 / q, s * s / q * cn * cn),
@@ -263,11 +263,11 @@ def legacy_bessel_pair(
     """
     diff, summ = _coefficient_pair(fam, gammas, Gammas)
     s, d, g, G = _unit_scaled(summ, diff, gammas.entries, Gammas.entries)
-    re_sum = float(g.dot(G))  # 2^(2k) sum Re(G_i conj(g_i)), over the float views
+    re_sum = _vdot(g, G).real  # 2^(2k) sum Re(G_i conj(g_i)), over the float views
     if not re_sum > 0:
         raise PreconditionError(
             "sum Re(Gamma_i * conj(gamma_i)) must be positive, "
-            f"got {float(np.vdot(gammas.entries, Gammas.entries).real)}"
+            f"got {_vdot(Gammas.entries, gammas.entries).real}"
         )
     check_same_space(x, fam.members[0])
     report = _family_ball(x, fam, gammas, Gammas, diff)

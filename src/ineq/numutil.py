@@ -4,8 +4,8 @@
 insertion order, ASCII-escaped strings, numeric lists on one line and every
 float with 17 significant digits.  It renders report heads and sharpness
 sweeps.  A report's records are written by `tally._record_text`, one
-printf template that writes what `render_json` would, and raises its
-ValueError (`fmt_float`) for a NaN or infinite number.
+printf template that writes what `render_json` would for the finite
+numbers `tally._Tally.add` lets through.
 """
 
 from __future__ import annotations

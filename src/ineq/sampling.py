@@ -40,7 +40,7 @@ from .integral import (
     _poly_add,
     _poly_mul,
 )
-from .space import CoefficientSequence, FieldTag, Vector, _array_norm, standard_basis
+from .space import CoefficientSequence, FieldTag, Vector, _array_norm, _vdot, standard_basis
 
 _RESAMPLE_CAP = 64
 
@@ -147,7 +147,7 @@ def _sample_seq_pair(rng, field: FieldTag, k: int, positive_sum: bool = False):
         if sep_summ < 1e-3 * mass:
             continue
         if positive_sum:
-            re = float(np.vdot(lo, hi).real)
+            re = _vdot(hi, lo).real
             if abs(re) < 1e-3 * norm_lo * norm_hi:
                 continue
             if re < 0:

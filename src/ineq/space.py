@@ -243,13 +243,13 @@ def check_same_space(x: Vector, y: Vector) -> None:
 def inner(x: Vector, y: Vector) -> Scalar:
     """<x, y> = sum_i x_i conj(y_i); a float over R, a complex over C."""
     check_same_space(x, y)
-    v = np.vdot(y.coords, x.coords)  # vdot conjugates its first argument
-    return float(v.real) if x.field is FieldTag.REAL else complex(v)
+    v = _vdot(x.coords, y.coords)
+    return v.real if x.field is FieldTag.REAL else v
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """<a, b> of coordinate arrays known to share a space, as a complex (`inner`'s value)."""
-    return complex(np.vdot(b, a))
+    return complex(np.vdot(b, a))  # vdot conjugates its first argument
 
 
 def norm(x: Vector) -> float:
@@ -472,7 +472,12 @@ def _synthesized(coeffs: CoefficientSequence, fam: OrthonormalFamily) -> np.ndar
         raise DimensionMismatchError(f"{len(coeffs)} coefficients for {fam.size} members")
     if coeffs.field is not fam.field:
         raise FieldMismatchError("coefficient field differs from family field")
-    return coeffs.entries @ fam._matrix
+    return _combination(coeffs.entries, fam)
+
+
+def _combination(entries: np.ndarray, fam: OrthonormalFamily) -> np.ndarray:
+    """The coordinates of sum_i entries_i e_i, for entries known to fit `fam`."""
+    return entries @ fam._matrix
 
 
 def synthesize(coeffs: CoefficientSequence, fam: OrthonormalFamily) -> Vector:

@@ -7,7 +7,8 @@ per-theorem and aggregate counts (`_Stats`).  A record is a "violation" when
 its hypothesis holds and some asserted comparison fails, and a
 "counterexample" when the hypothesis fails and a comparison fails; the
 theorems guarantee zero violations, and counterexamples are what
-adversarial mode looks for.
+adversarial mode looks for.  `_Tally.add` alone refuses a result with a NaN
+or infinite number to render, as bad input named by the instance's index.
 
 A kept record is rendered where it is counted, once, by `_record_text`, one
 printf template over the plain values `_result` copies (float numbers, str
@@ -30,7 +31,6 @@ from .numutil import (
     BOOL_TEXT,
     FLOAT_SLOT,
     encode_basestring_ascii,
-    fmt_float,
     leq_with_slack,
     render_json,
 )
@@ -141,8 +141,8 @@ class _Stats:
     def merge(self, later: "_Stats") -> None:
         """Fold in the stats of the rows after these, as `add` would have: ties keep the first.
 
-        Exact for NaN-free values only: sampled instances are finite, and
-        `evaluate_file` rejects non-finite results before tallying."""
+        Exact for NaN-free values, which `_Tally.add` makes them: it counts finite
+        results only, and gap / bound of finite values is never NaN."""
         self.count += later.count
         self.violations += later.violations
         self.counterexamples += later.counterexamples
@@ -204,30 +204,26 @@ def _comparisons_text(texts: list) -> str:
 def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> str:
     """The one definition of a record: its text at the records indent of a report.
 
-    Byte for byte what `render_json` writes for the record's dict there, and
-    raising its ValueError for a NaN or infinite number.  The values are the
-    plain ones `_result` copies (float numbers, str labels, bool flags and an
-    int dim), so one printf template writes every record.
+    Byte for byte what `render_json` writes for the record's dict there.  The
+    values are the plain ones `_result` copies (float numbers, str labels,
+    bool flags and an int dim), so one printf template writes every record,
+    and finite ones: `_Tally.add` refuses a result before rendering it.
     """
     margin, gap, bound = result.margin, result.gap, result.bound
-    slack = bound - gap
-    total = margin + gap + bound + slack
     texts = []
     for (l1, v1, l2, v2), flag in zip(result.comparisons, flags):
-        total += v1 + v2
         texts.append(_COMPARISON_TEXT % (
             encode_basestring_ascii(l1), v1, encode_basestring_ascii(l2), v2, BOOL_TEXT[flag]
         ))
-    # a sum of finite floats is finite or overflows; one NaN or inf makes it non-finite,
-    # and then render_json's rule raises for the first such number
-    if total - total != 0.0:
-        for v in (margin, gap, bound, slack, *[v for c in result.comparisons for v in c[1::2]]):
-            fmt_float(v)
     return _RECORD_TEXT % (
         index, encode_basestring_ascii(result.theorem), encode_basestring_ascii(result.field),
-        result.dim, BOOL_TEXT[result.admissible], margin, gap, bound, slack, BOOL_TEXT[ok],
+        result.dim, BOOL_TEXT[result.admissible], margin, gap, bound, bound - gap, BOOL_TEXT[ok],
         _comparisons_text(texts),
     )
+
+
+#: How a refused result's message ends: its numbers left the range of a float.
+_OUT_OF_RANGE = "; the inputs leave double precision"
 
 
 class _Tally:
@@ -247,7 +243,25 @@ class _Tally:
         self.records: Optional[list] = [] if keep_records else None
 
     def add(self, index: int, result: InstanceResult) -> None:
-        flags = [leq_with_slack(lhs, rhs, self.tol) for _, lhs, _, rhs in result.comparisons]
+        """Count `result`, or refuse it as bad input naming the first NaN or infinite number
+        its record or the aggregate renders: gap, bound, margin, each comparison's two
+        sides, then slack.  The one place a result is judged."""
+        gap, bound = result.gap, result.bound
+        total = result.margin + gap + bound + (bound - gap)
+        flags = []
+        for _, lhs, _, rhs in result.comparisons:
+            flags.append(leq_with_slack(lhs, rhs, self.tol))
+            total += lhs + rhs
+        # a sum of finite floats is finite or overflows; one NaN or inf makes it non-finite,
+        # and only then does the scan look for one
+        if total - total != 0.0:
+            named = [("gap", gap), ("bound", bound), ("margin", result.margin)]
+            named += [pair for c in result.comparisons for pair in (c[:2], c[2:])]
+            for name, value in named + [("slack", bound - gap)]:
+                if not math.isfinite(value):
+                    raise InputFormatError(
+                        f"instance {index}: {result.theorem} {name} is {value!r}{_OUT_OF_RANGE}"
+                    )
         ok = all(flags)
         stats = self.per_theorem.get(result.theorem)
         if stats is None:

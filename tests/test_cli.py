@@ -1,10 +1,12 @@
 """Command line entry points."""
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,10 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ineq import THEOREM_IDS, documents, harness, integral, sample_admissible, space
+from ineq import (
+    THEOREM_IDS, InputFormatError, documents, harness, integral, run_suite, sample_admissible,
+    space,
+)
 from ineq.cli import main
 
 
@@ -689,6 +694,8 @@ def _scaled(value, k: int):
     dim=st.sampled_from((1, 2, 3, 8)),
     index=st.integers(0, 2**32),
 )
+# thm5.2, real: finite values whose sum overflows, which the tally still counts
+@example(k=154, dim=1, index=404982)
 def test_eval_exit_code_holds_at_any_scale(tmp_path_factory, tid, field, k, dim, index):
     # every input number of a sampled document scaled by 10**k: bad input (2)
     # when the scale breaks double precision, never a traceback
@@ -698,6 +705,44 @@ def test_eval_exit_code_holds_at_any_scale(tmp_path_factory, tid, field, k, dim,
     src.write_text(json.dumps({"instances": [dict(_scaled(inst, k), **fixed)]}), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["eval", "--input", str(src)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["summary", "records"])
+def test_eval_counts_finite_values_whose_sum_overflows(tmp_path, capsys, records):
+    # thm5.2 at dim 1, scaled by 1e154: its half_route links are 6.8e307, so the sum of
+    # its values overflows, and every value is finite
+    inst = sample_admissible("thm5.2", "real", 1, seed=5, index=404982)
+    fixed = {key: inst.pop(key) for key in _UNSCALED if key in inst}
+    options = ("--output", str(tmp_path / "out.json")) if records else ()
+    rc, out, err = _eval_one(tmp_path, capsys, dict(_scaled(inst, 154), **fixed), *options)
+    assert (rc, err) == (0, "") and json.loads(out)["aggregate"]["count"] == 1
+
+
+#: What `ineq` writes of thm2.1 instance 0 when its chain's gap link is NaN.
+_NAN_GAP = "ineq: instance 0: thm2.1 gap is nan; the inputs leave double precision\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_refuses_a_non_finite_result_as_eval_does(
+    tmp_path, capsys, monkeypatch, force_workers, workers
+):
+    spec = harness._SPECS["thm2.1"]
+
+    def nan_gap(*args):
+        chain = spec.operation(*args)
+        return dataclasses.replace(chain, values=chain.values[:-2] + (math.nan, chain.bound))
+
+    monkeypatch.setitem(harness._SPECS, "thm2.1", dataclasses.replace(spec, operation=nan_gap))
+    force_workers(workers)
+    assert run_cli(capsys, "verify", "--theorems", "thm2.1", "--trials", "8") == (2, "", _NAN_GAP)
+    with pytest.raises(InputFormatError) as refused:
+        run_suite(["thm2.1"], trials=8, keep_records=True)
+    assert f"ineq: {refused.value}\n" == _NAN_GAP
+    inst = sample_admissible("thm2.1", "real", 3)
+    assert _eval_one(tmp_path, capsys, inst) == (2, "", _NAN_GAP)
+    assert _eval_one(tmp_path, capsys, inst, "--output", str(tmp_path / "out.json")) == (
+        2, "", _NAN_GAP
+    )
 
 
 _GAUSS_8 = {"rule": {"kind": "gauss", "n": 8}}

@@ -232,6 +232,10 @@ def test_the_first_bad_row_of_a_group_is_reported_first(
     assert main(["eval", "--input", path]) == 2
     assert capsys.readouterr() == ("", message)
     assert_no_child_left()
+    # with records kept, the same error
+    assert main(["eval", "--input", path, "--output", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

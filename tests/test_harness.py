@@ -1508,11 +1508,65 @@ def _plain_record(margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bo
 @example(_plain_record(margin=1e308, gap=1e308, bound=1e308))  # finite values, an infinite sum
 @example(_plain_record(comparisons=(("gap", -float("inf"), "bound", 1e17),)))
 def test_a_record_text_is_what_render_json_writes_for_its_dict(record):
+    # render_json refuses a NaN or infinite number; the tally refuses such a result
+    # before its record is rendered, and counts every other, records kept or not
     expected = _rendered(lambda: render_json({"records": [_record_dict(*record)]}))
-    got = _rendered(
-        lambda: '{\n  "records": [\n    ' + tally._record_text(*record) + "\n  ]\n}\n"
+    index, result, _, _ = record
+    for keep_records in (False, True):
+        counting = _Tally(1e-9, keep_records)
+        if expected is not ValueError:
+            counting.add(index, result)
+            continue
+        with pytest.raises(InputFormatError) as refused:
+            counting.add(index, result)
+        message = str(refused.value)
+        assert message.startswith(f"instance {index}: {result.theorem} "), message
+        assert message.endswith("; the inputs leave double precision"), message
+    if expected is not ValueError:
+        got = '{\n  "records": [\n    ' + tally._record_text(*record) + "\n  ]\n}\n"
+        assert got == expected
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ({"gap": _NAN, "bound": _INF, "margin": _NAN}, "gap is nan"),
+        ({"bound": -_INF, "margin": _NAN}, "bound is -inf"),
+        ({"margin": _INF, "comparisons": (("a", _NAN, "b", 1.0),)}, "margin is inf"),
+        ({"comparisons": (("a", 1.0, "b", 2.0), ("c", 1.0, "d", _NAN))}, "d is nan"),
+        ({"gap": -1e308, "bound": 1e308}, "slack is inf"),  # finite values, an infinite slack
+        ({"gap": -1e308, "bound": 1e308, "comparisons": (("a", _INF, "b", 1.0),)}, "a is inf"),
+    ],
+)
+@pytest.mark.parametrize("keep_records", [False, True])
+def test_the_tally_refuses_a_result_naming_its_first_non_finite_number(
+    values, named, keep_records
+):
+    counting = _Tally(1e-9, keep_records)
+    result = _plain_record(**values)[1]
+    with pytest.raises(InputFormatError) as refused:
+        counting.add(4, result)
+    assert str(refused.value) == (
+        f"instance 4: thm2.1 {named}; the inputs leave double precision"
     )
-    assert got == expected
+    assert counting.total.count == 0 and counting.records in (None, [])
+
+
+@pytest.mark.parametrize("keep_records", [False, True])
+def test_the_tally_counts_finite_values_whose_sum_overflows(keep_records):
+    # gap = bound = 1e308: the values' sum overflows, and every value is finite
+    counting = _Tally(1e-9, keep_records)
+    record = _plain_record(gap=1e308, bound=1e308, comparisons=(("gap", 1e308, "bound", 1e308),))
+    counting.add(*record[:2])
+    report = counting.report({})
+    assert report.aggregate == {
+        "count": 1, "violations": 0, "counterexamples": 0, "min_slack": 0.0, "max_ratio": 1.0
+    }
+    if keep_records:
+        assert report.records == [_record_dict(*record)]
 
 
 @pytest.mark.parametrize("adversarial", [False, True], ids=["plain", "adversarial"])

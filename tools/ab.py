@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/ab.py --a PARENT_CHECKOUT --b CHANGED_CHECKOUT \
-        --workload suite|eval-records|quadrature [--seed N] [--calls 40]
+        --workload suite|eval-records|quadrature [--seed N] [--calls 120]
 
 Each checkout gets one long-lived process, which imports that checkout's
 `perfbench/run.py` (so BLAS is pinned as perfbench pins it), sets the workload
@@ -18,10 +18,15 @@ second; rescaled as perfbench rescales, by the mean kernel time over its
 reference time) with its lower and upper quartiles, the B/A ratio of each
 median, the number of pairs B won, and the report hashes of call 0.  After
 that JSON comes one verdict line per scale, on the rule a claimed gain must
-pass: B wins at least 9 of 10 pairs (a tie counts for neither side), and B's
-median lies above A's by more than A's interquartile spread.  Two copies of
-one checkout (an A/A run) read within 1% of 1.0 rescaled; raw ratios follow
-the host's speed and spread more.  Nothing under `perfbench/` is changed.
+pass, applied to runs as perfbench makes them, medians of many calls: each
+side's calls are cut, in order, into ten blocks, and block k of A and of B
+make pair k.  B wins at least 9 of the 10 pairs (a tie counts for neither
+side), and B's median block lies above A's by more than the interquartile
+spread of A's blocks.  Single calls spread too widely for that rule (a
+quarter of the median or more), so fewer than ten calls are refused.  Two
+copies of one checkout (an A/A run) read within 1% of 1.0 rescaled; raw
+ratios follow the host's speed and spread more.  Nothing under
+`perfbench/` is changed.
 """
 
 from __future__ import annotations
@@ -89,16 +94,29 @@ def _quartiles(values: list) -> list:
     return [lower, upper]
 
 
+#: Runs each side's calls are cut into for the verdict, as perfbench's runs are medians.
+BLOCKS = 10
+
+
+def _block_medians(values: list) -> list:
+    """The medians of `values` cut, in order, into `BLOCKS` blocks of sizes differing by one."""
+    cuts = [len(values) * k // BLOCKS for k in range(BLOCKS + 1)]
+    return [statistics.median(values[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def verdict(key: str, a: list, b: list) -> str:
-    """One line: whether B's rates on scale `key` pass the rule for a claimed gain."""
+    """One line: whether B's rates on scale `key` pass the rule for a claimed gain, over
+    the pairs of block medians."""
+    a, b = _block_medians(a), _block_medians(b)
     wins = sum(y > x for x, y in zip(a, b))
     lower, upper = _quartiles(a)
     lead = statistics.median(b) - statistics.median(a)
     won, clear = 10 * wins >= 9 * len(a), lead > upper - lower
     return (
-        f"{key}: B won {wins}/{len(a)} pairs ({'at least' if won else 'under'} 9/10); "
-        f"median B - A {lead:+.1f}/s against A's interquartile spread {upper - lower:.1f}/s "
-        f"({'beyond' if clear else 'within'} it): {'a gain' if won and clear else 'no gain'}"
+        f"{key}: B won {wins}/{len(a)} block pairs ({'at least' if won else 'under'} 9/10); "
+        f"median block B - A {lead:+.1f}/s against A's block interquartile spread "
+        f"{upper - lower:.1f}/s ({'beyond' if clear else 'within'} it): "
+        f"{'a gain' if won and clear else 'no gain'}"
     )
 
 
@@ -108,7 +126,9 @@ def main(argv=None) -> int:
     parser.add_argument("--b", type=Path, help="the checkout measured against it")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--calls", type=int, default=40, help="calls per side")
+    parser.add_argument(
+        "--calls", type=int, default=120, help=f"calls per side, at least {BLOCKS}"
+    )
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.serve:
@@ -116,6 +136,8 @@ def main(argv=None) -> int:
         return 0
     if args.a is None or args.b is None:
         parser.error("--a and --b are required")
+    if args.calls < BLOCKS:
+        parser.error(f"--calls must be at least {BLOCKS}: the verdict compares {BLOCKS} blocks")
     sides = {"a": start(args.a.resolve(), args), "b": start(args.b.resolve(), args)}
     runs = {"a": [], "b": []}
     try:
