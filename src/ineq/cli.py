@@ -16,11 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import InputFormatError, PreconditionError
+from .errors import IneqError, InputFormatError
 from .harness import DEFAULT_DIMS, DEFAULT_TRIALS, THEOREM_IDS, evaluate_file, run_suite
-from .numutil import CHAIN_REL_TOL, render_json
 from .sharpness import CONSTRUCTIONS, sweep
-from .tally import emit_report
+from .tally import CHAIN_REL_TOL, emit_report, render_json
 
 
 def _dims_arg(text: str):
@@ -54,7 +53,9 @@ def _eps_grid_arg(text: str):
         raise argparse.ArgumentTypeError(f"grid endpoints must be finite, got {text!r}")
     if start <= 0 or stop <= 0 or count < 1:
         raise argparse.ArgumentTypeError("grid endpoints must be positive, count >= 1")
-    return tuple(float(e) for e in np.geomspace(start, stop, count))
+    # numpy's power can overflow on its way to a far endpoint, which it then sets exactly
+    with np.errstate(over="ignore"):
+        return tuple(float(e) for e in np.geomspace(start, stop, count))
 
 
 def _finite_float(text: str) -> float:
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
         if args.command == "sharpness":
             return _cmd_sharpness(args)
         return _cmd_eval(args)
-    except (InputFormatError, PreconditionError, OSError) as exc:
+    except (IneqError, OSError) as exc:
         print(f"ineq: {exc}", file=sys.stderr)
         return 2
 

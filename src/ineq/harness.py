@@ -70,7 +70,6 @@ from .legacy import (
     legacy_triangle_ball,
     legacy_triangle_pair,
 )
-from .numutil import CHAIN_REL_TOL
 from .runner import _run
 from .sampling import (
     _default_domain,
@@ -93,7 +92,7 @@ from .sampling import (
 )
 from .schwarz import reverse_schwarz_ball, reverse_schwarz_pair
 from .space import FieldTag, standard_basis
-from .tally import _OUT_OF_RANGE, InstanceResult, SuiteReport, _Tally
+from .tally import _OUT_OF_RANGE, CHAIN_REL_TOL, InstanceResult, SuiteReport, _Tally
 from .triangle import triangle_reverse_ball, triangle_reverse_pair
 
 DEFAULT_DIMS = (1, 2, 3, 8)

@@ -315,6 +315,8 @@ def build_domain(
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PreconditionError(f"need b > a, got [{a}, {b}]")
+    if not math.isfinite(b - a):
+        raise PreconditionError(f"interval [{a}, {b}] is wider than the float range")
     if n < 2:
         raise PreconditionError(f"need at least 2 nodes, got {n}")
     if rule == "gauss":

@@ -111,8 +111,12 @@ def sweep(construction: str, epsilons=None) -> SweepResult:
         )
     family = _CONSTRUCTIONS[key]
     eps = _prepare_grid(family.grid if epsilons is None else epsilons, key, family.open_unit)
-    reports = [family.report(e) for e in eps]
-    ratios = [report.gap / report.bound for report in reports]
+    ratios = []
+    for e in eps:
+        report = family.report(e)
+        if not report.bound > 0.0:
+            raise PreconditionError(f"{key}: eps {e!r} leaves a bound of {report.bound!r}")
+        ratios.append(report.gap / report.bound)
     return SweepResult(key, eps, tuple(ratios), _extrapolate(eps, ratios, family.order))
 
 

@@ -1,21 +1,25 @@
-"""The tally of certified results, and the report it makes.
+"""The tally of certified results, and the report it makes: the one module
+that judges, counts and writes every number a report shows.
 
 `run_suite` (verify) and `evaluate_file` (eval) both count through one
-`_Tally`: it decides each asserted comparison of an `InstanceResult` once,
-and those flags set a record's "passed", its per-comparison booleans and the
-per-theorem and aggregate counts (`_Stats`).  A record is a "violation" when
-its hypothesis holds and some asserted comparison fails, and a
-"counterexample" when the hypothesis fails and a comparison fails; the
-theorems guarantee zero violations, and counterexamples are what
-adversarial mode looks for.  `_Tally.add` alone refuses a result with a NaN
-or infinite number to render, as bad input named by the instance's index.
+`_Tally`: it decides each asserted comparison of an `InstanceResult` once, by
+`leq_with_slack`, and those flags set a record's "passed", its per-comparison
+booleans and the per-theorem and aggregate counts (`_Stats`).  A record is a
+"violation" when its hypothesis holds and some asserted comparison fails, and
+a "counterexample" when the hypothesis fails and a comparison fails; the
+theorems guarantee zero violations, and counterexamples are what adversarial
+mode looks for.  `_Tally.add` alone forms a result's slack and ratio, and
+refuses a result with a NaN or infinite number to render, as bad input named
+by the instance's index.
 
-A kept record is rendered where it is counted, once, by `_record_text`, one
-printf template over the plain values `_result` copies (float numbers, str
-labels, bool flags, an int dim).  A forked child sends a piece's records as
-one JSON text, `SuiteReport.to_json` splices the texts in after the head,
-which is all that `render_json` writes of a report, and `SuiteReport.records`
-is a parsed view of them.  `emit_report` writes a report as JSON or CSV.
+Every command writes `render_json`'s one format: two-space indentation, keys
+in insertion order, ASCII-escaped strings, numeric lists on one line, floats
+as `FLOAT_SLOT` and bools as `BOOL_TEXT`, which CSV cells share.  A kept
+record is rendered where it is counted, once, by `_record_text`, one printf
+template over the plain values `_result` copies.  A forked child sends a
+piece's records as one JSON text, `SuiteReport.to_json` splices the texts in
+after the head, which is all that `render_json` writes of a report, and
+`SuiteReport.records` is a parsed view of them.
 """
 
 from __future__ import annotations
@@ -24,16 +28,94 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Optional, Sequence
 
 from .errors import InputFormatError
-from .numutil import (
-    BOOL_TEXT,
-    FLOAT_SLOT,
-    encode_basestring_ascii,
-    leq_with_slack,
-    render_json,
-)
+
+#: Relative slack used throughout when checking a <= b on computed chains.
+CHAIN_REL_TOL = 1e-9
+
+
+def leq_with_slack(lhs: float, rhs: float, tol: float = CHAIN_REL_TOL) -> bool:
+    """True when lhs <= rhs up to both relative and absolute slack tol."""
+    return lhs <= rhs * (1.0 + tol) + tol
+
+
+#: The printf form of a report float: 17 significant digits (round-trip exact).
+FLOAT_SLOT = "%.17g"
+
+
+def fmt_float(v: float) -> str:
+    """Render a double with 17 significant digits (round-trip exact).
+
+    Refuses NaN and infinities: the renderer's own safety check for report
+    heads and sharpness sweeps."""
+    text = FLOAT_SLOT % v
+    # "nan", "inf" and "-inf" are the only renderings with an "n" in them.
+    if "n" in text:
+        raise ValueError("reports must contain finite numbers only")
+    return text
+
+
+#: The texts of False and True.
+BOOL_TEXT = ("false", "true")
+
+
+def render_json(obj: Any) -> str:
+    """Serialize nested dicts/lists/scalars to JSON deterministically.
+
+    Unlike json.dumps, floats are always printed with 17 significant digits so
+    that two runs producing equal values emit byte-identical documents.  Dict
+    insertion order is preserved; callers build reports in a fixed order.
+    Subclasses of the JSON types (numpy floats, str and int subclasses) are
+    rendered by the same rules as the types themselves.
+    """
+    out: list[str] = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _number_text(v: int | float) -> str:
+    return fmt_float(v) if isinstance(v, float) else str(v)
+
+
+def _emit(obj: Any, out: list[str], pad: str) -> None:
+    """Append the JSON text of `obj`; `pad` is a newline plus the indent of obj's line."""
+    if obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else BOOL_TEXT[obj])
+    elif isinstance(obj, (int, float)):
+        out.append(_number_text(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"non-string key {k!r}")
+            out.append(sep + inner + encode_basestring_ascii(k) + ": ")
+            _emit(v, out, inner)
+            sep = ","
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        # Numeric lists stay on one line for readable vectors.
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+            out.append("[" + ", ".join([_number_text(v) for v in obj]) + "]")
+        else:
+            inner, sep = pad + "  ", "["
+            for v in obj:
+                out.append(sep + inner)
+                _emit(v, out, inner)
+                sep = ","
+            out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} deterministically")
 
 
 @dataclass(frozen=True)
@@ -123,26 +205,24 @@ class _Stats:
         self.min_slack = None
         self.max_ratio = None
 
-    def add(self, result: InstanceResult, ok: bool) -> None:
+    def add(self, admissible: bool, ok: bool, slack: float, ratio: Optional[float]) -> None:
+        """Count one result; its slack and ratio (None when not counted) count if admissible."""
         self.count += 1
-        if result.admissible:
+        if admissible:
             if not ok:
                 self.violations += 1
-            slack = result.bound - result.gap
             if self.min_slack is None or slack < self.min_slack:
                 self.min_slack = slack
-            if result.bound > 1e-300:
-                ratio = result.gap / result.bound
-                if self.max_ratio is None or ratio > self.max_ratio:
-                    self.max_ratio = ratio
+            if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
+                self.max_ratio = ratio
         elif not ok:
             self.counterexamples += 1
 
     def merge(self, later: "_Stats") -> None:
         """Fold in the stats of the rows after these, as `add` would have: ties keep the first.
 
-        Exact for NaN-free values, which `_Tally.add` makes them: it counts finite
-        results only, and gap / bound of finite values is never NaN."""
+        Exact for NaN-free values, which `_Tally.add` makes them: it counts a result
+        only when its slack and counted ratio are finite."""
         self.count += later.count
         self.violations += later.violations
         self.counterexamples += later.counterexamples
@@ -201,7 +281,7 @@ def _comparisons_text(texts: list) -> str:
     return "[\n        " + _COMPARISON_SEP.join(texts) + "\n      ]" if texts else "[]"
 
 
-def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> str:
+def _record_text(index: int, result: InstanceResult, ok: bool, flags: list, slack: float) -> str:
     """The one definition of a record: its text at the records indent of a report.
 
     Byte for byte what `render_json` writes for the record's dict there.  The
@@ -209,7 +289,6 @@ def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> s
     bool flags and an int dim), so one printf template writes every record,
     and finite ones: `_Tally.add` refuses a result before rendering it.
     """
-    margin, gap, bound = result.margin, result.gap, result.bound
     texts = []
     for (l1, v1, l2, v2), flag in zip(result.comparisons, flags):
         texts.append(_COMPARISON_TEXT % (
@@ -217,8 +296,8 @@ def _record_text(index: int, result: InstanceResult, ok: bool, flags: list) -> s
         ))
     return _RECORD_TEXT % (
         index, encode_basestring_ascii(result.theorem), encode_basestring_ascii(result.field),
-        result.dim, BOOL_TEXT[result.admissible], margin, gap, bound, bound - gap, BOOL_TEXT[ok],
-        _comparisons_text(texts),
+        result.dim, BOOL_TEXT[result.admissible], result.margin, result.gap, result.bound, slack,
+        BOOL_TEXT[ok], _comparisons_text(texts),
     )
 
 
@@ -245,9 +324,13 @@ class _Tally:
     def add(self, index: int, result: InstanceResult) -> None:
         """Count `result`, or refuse it as bad input naming the first NaN or infinite number
         its record or the aggregate renders: gap, bound, margin, each comparison's two
-        sides, then slack.  The one place a result is judged."""
-        gap, bound = result.gap, result.bound
-        total = result.margin + gap + bound + (bound - gap)
+        sides, slack, then ratio.  The one place a result is judged and its slack
+        (bound - gap) and ratio are formed; the ratio, gap / bound, is None (not counted,
+        not judged) unless the result is admissible with a bound above 1e-300."""
+        gap, bound, admissible = result.gap, result.bound, result.admissible
+        slack = bound - gap
+        ratio = gap / bound if admissible and bound > 1e-300 else None
+        total = result.margin + gap + bound + slack + (0.0 if ratio is None else ratio)
         flags = []
         for _, lhs, _, rhs in result.comparisons:
             flags.append(leq_with_slack(lhs, rhs, self.tol))
@@ -257,7 +340,8 @@ class _Tally:
         if total - total != 0.0:
             named = [("gap", gap), ("bound", bound), ("margin", result.margin)]
             named += [pair for c in result.comparisons for pair in (c[:2], c[2:])]
-            for name, value in named + [("slack", bound - gap)]:
+            named += [("slack", slack)] + ([] if ratio is None else [("ratio", ratio)])
+            for name, value in named:
                 if not math.isfinite(value):
                     raise InputFormatError(
                         f"instance {index}: {result.theorem} {name} is {value!r}{_OUT_OF_RANGE}"
@@ -266,10 +350,10 @@ class _Tally:
         stats = self.per_theorem.get(result.theorem)
         if stats is None:
             stats = self.per_theorem[result.theorem] = _Stats()
-        stats.add(result, ok)
-        self.total.add(result, ok)
+        stats.add(admissible, ok, slack, ratio)
+        self.total.add(admissible, ok, slack, ratio)
         if self.records is not None:
-            self.records.append(_record_text(index, result, ok, flags))
+            self.records.append(_record_text(index, result, ok, flags, slack))
 
     def counted(self, job, lo: int, hi: int) -> "_Tally":
         """A new tally, with this one's tol and records choice, of `job(lo, hi)`.
@@ -317,7 +401,7 @@ def emit_report(report: SuiteReport, path: str, format: str = "json") -> None:
 
 def _csv_cell(v):
     if isinstance(v, bool):
-        return "true" if v else "false"
+        return BOOL_TEXT[v]
     if isinstance(v, float):
-        return format(v, ".17g")
+        return FLOAT_SLOT % v
     return v

@@ -23,6 +23,7 @@ from ineq import (
     space,
 )
 from ineq.cli import main
+from ineq.sharpness import CONSTRUCTIONS
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +244,38 @@ def test_non_finite_eps_grid_exits_2(capsys, grid):
     assert "--eps-grid" in err and "finite" in err and "Traceback" not in err
 
 
+def test_a_degenerate_sharpness_pair_exits_2_with_one_line(capsys):
+    # eps 1e-17 rounds the thm22 pair (1 - eps, 1 + eps) to (1.0, 1.0)
+    rc, out, err = run_cli(
+        capsys, "sharpness", "--construction", "thm22", "--eps-grid", "0.5:1e-17:2"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "ineq: pair (1.0, 1.0): hi is within relative 1e-12 of +/- lo\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    construction=st.sampled_from(CONSTRUCTIONS),
+    start=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    stop=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    count=st.integers(1, 4),
+)
+@example(construction="thm21", start=5e-324, stop=5e-324, count=1)  # a zero bound
+def test_any_finite_positive_eps_grid_exits_0_or_2_with_one_line(
+    construction, start, stop, count
+):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["sharpness", "--construction", construction, f"--eps-grid={start!r}:{stop!r}:{count}"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1
+    if rc == 0:
+        assert len(json.loads(out.getvalue())["ratios"]) <= count
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("ineq: ")
+
+
 def test_eval_overflow_exits_2(tmp_path, capsys):
     src = tmp_path / "huge.json"
     src.write_text(
@@ -254,6 +287,21 @@ def test_eval_overflow_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("ineq: instance 0: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+def test_eval_refuses_an_admissible_ratio_that_overflows(tmp_path, capsys, output):
+    # the gap is -1.49e284 from rounding and the bound 5e-281, so gap / bound is
+    # -inf: the tally refuses the result before the report head renders it
+    x = [1.1e150, 3.3e149, 7e148]
+    src = tmp_path / "ratio.json"
+    src.write_text(json.dumps({"instances": [
+        {"theorem": "thm2.1", "field": "real", "x": x, "a": x, "r": 1e-140}
+    ]}), encoding="utf-8")
+    argv = ["eval", "--input", str(src)] + (["--output", str(tmp_path / "out.json")] * output)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "ineq: instance 0: thm2.1 ratio is -inf; the inputs leave double precision\n"
 
 
 _PROP71 = {
@@ -304,11 +352,15 @@ _THM43 = _sampled("thm4.3", "complex")
         ),
         (_sampled("thm2.1", r=float("inf")), "thm2.1 'r': expected a finite number, got inf"),
         (_sampled("prop2.4", m=float("-inf")), "prop2.4 'm': expected a finite number, got -inf"),
+        (
+            dict(_PROP71, domain={"interval": [-1e308, 1e308], "weight": {"poly": [1.0]}}),
+            "prop7.1 'domain': interval [-1e+308, 1e+308] is wider than the float range\n",
+        ),
     ],
     ids=[
         "rule-string", "rule-list", "rule-n-fraction", "interval-three", "empty-poly",
         "empty-values", "r-string", "r-bool", "size-fraction", "size-string", "size-bool",
-        "pair-lo-inf", "complex-pair-hi-nan", "r-inf", "m-minus-inf",
+        "pair-lo-inf", "complex-pair-hi-nan", "r-inf", "m-minus-inf", "interval-too-wide",
     ],
 )
 def test_eval_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, instance, message):

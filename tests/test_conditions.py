@@ -307,6 +307,21 @@ def test_only_tally_add_decides_a_comparison():
     assert deciders == ["tally.py:_Tally.add"]
 
 
+def test_only_tally_spells_a_report_float_or_bool():
+    # `tally` owns the report's texts: the 17-digit float slot and the JSON bools
+    package = Path(conditions.__file__).parent
+    offenders = sorted(
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in package.glob("*.py")
+        if path.name != "tally.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and (".17g" in node.value or node.value in ("true", "false"))
+    )
+    assert offenders == []
+
+
 def test_only_conditions_applies_the_pair_degeneracy_rule():
     package = Path(conditions.__file__).parent
     offenders = sorted(

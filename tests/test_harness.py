@@ -36,8 +36,7 @@ from ineq import (
 )
 from ineq.cli import main
 from ineq.harness import _SPECS, REAL_ONLY_IDS, normalize_theorem_id
-from ineq.numutil import leq_with_slack, render_json
-from ineq.tally import CSV_COLUMNS, InstanceResult, _Stats, _Tally
+from ineq.tally import CSV_COLUMNS, InstanceResult, _Stats, _Tally, leq_with_slack, render_json
 
 from conftest import assert_no_child_left
 
@@ -1207,19 +1206,22 @@ _FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=300)
 @given(
-    rows=st.lists(st.tuples(st.booleans(), st.booleans(), _FLOATS, _FLOATS), max_size=40),
+    rows=st.lists(
+        st.tuples(st.booleans(), st.booleans(), _FLOATS, _FLOATS | st.none()), max_size=40
+    ),
     cuts=st.lists(st.integers(0, 40), max_size=4),
 )
 # tied extremes that only the first to reach them decides: slack 0.0 then
 # -0.0, and ratio 0.0 then -0.0
-@example(rows=[(True, True, 1.0, 1.0), (True, True, 0.0, -0.0)], cuts=[1])
-@example(rows=[(True, True, 0.0, 1.0), (True, True, -0.0, 1.0)], cuts=[1])
+@example(rows=[(True, True, 0.0, 1.0), (True, True, -0.0, None)], cuts=[1])
+@example(rows=[(True, True, 1.0, 0.0), (True, True, 1.0, -0.0)], cuts=[1])
 def test_stats_merged_in_slice_order_equal_the_serial_fold(rows, cuts):
-    # rows are (admissible, ok, gap, bound); empty slices included
+    # rows are (admissible, ok, slack, ratio), a ratio of None not counted; empty
+    # slices included
     def folded(part):
         stats = _Stats()
-        for admissible, ok, gap, bound in part:
-            stats.add(InstanceResult("thm2.1", "real", 1, admissible, 0.0, gap, bound, ()), ok)
+        for row in part:
+            stats.add(*row)
         return stats
 
     bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
@@ -1494,8 +1496,10 @@ def _records(draw):
     return draw(st.integers(0, 2**63)), result, draw(st.booleans()), flags
 
 
-def _plain_record(margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bound", 1.0),)):
-    result = InstanceResult("thm2.1", "real", 3, True, margin, gap, bound, comparisons)
+def _plain_record(
+    margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bound", 1.0),), admissible=True
+):
+    result = InstanceResult("thm2.1", "real", 3, admissible, margin, gap, bound, comparisons)
     return 7, result, True, [True]
 
 
@@ -1507,14 +1511,20 @@ def _plain_record(margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bo
 @example(_plain_record(gap=float("inf"), bound=float("inf")))  # inf - inf is NaN
 @example(_plain_record(margin=1e308, gap=1e308, bound=1e308))  # finite values, an infinite sum
 @example(_plain_record(comparisons=(("gap", -float("inf"), "bound", 1e17),)))
+@example(_plain_record(gap=1e10, bound=1e-299))  # finite values, an infinite ratio
 def test_a_record_text_is_what_render_json_writes_for_its_dict(record):
-    # render_json refuses a NaN or infinite number; the tally refuses such a result
-    # before its record is rendered, and counts every other, records kept or not
-    expected = _rendered(lambda: render_json({"records": [_record_dict(*record)]}))
+    # render_json refuses a NaN or infinite number; the tally refuses a result with
+    # one in its record or in the aggregate entry it feeds (an admissible result's
+    # ratio counts above a bound of 1e-300) before rendering it, and counts every
+    # other, records kept or not
     index, result, _, _ = record
+    counted = result.admissible and result.bound > 1e-300
+    ratio = result.gap / result.bound if counted else None
+    expected = _rendered(lambda: render_json({"records": [_record_dict(*record)]}))
+    unrenderable = ValueError in (expected, _rendered(lambda: render_json({"max_ratio": ratio})))
     for keep_records in (False, True):
         counting = _Tally(1e-9, keep_records)
-        if expected is not ValueError:
+        if not unrenderable:
             counting.add(index, result)
             continue
         with pytest.raises(InputFormatError) as refused:
@@ -1522,8 +1532,9 @@ def test_a_record_text_is_what_render_json_writes_for_its_dict(record):
         message = str(refused.value)
         assert message.startswith(f"instance {index}: {result.theorem} "), message
         assert message.endswith("; the inputs leave double precision"), message
-    if expected is not ValueError:
-        got = '{\n  "records": [\n    ' + tally._record_text(*record) + "\n  ]\n}\n"
+    if not unrenderable:
+        slack = result.bound - result.gap
+        got = '{\n  "records": [\n    ' + tally._record_text(*record, slack) + "\n  ]\n}\n"
         assert got == expected
 
 
@@ -1539,6 +1550,9 @@ _NAN, _INF = float("nan"), float("inf")
         ({"comparisons": (("a", 1.0, "b", 2.0), ("c", 1.0, "d", _NAN))}, "d is nan"),
         ({"gap": -1e308, "bound": 1e308}, "slack is inf"),  # finite values, an infinite slack
         ({"gap": -1e308, "bound": 1e308, "comparisons": (("a", _INF, "b", 1.0),)}, "a is inf"),
+        ({"gap": 1e10, "bound": 1e-299}, "ratio is inf"),  # finite values, an infinite ratio
+        # a result that is not admissible counts no ratio, and is not judged on it
+        ({"gap": 1e10, "bound": 1e-299, "admissible": False}, None),
     ],
 )
 @pytest.mark.parametrize("keep_records", [False, True])
@@ -1547,6 +1561,10 @@ def test_the_tally_refuses_a_result_naming_its_first_non_finite_number(
 ):
     counting = _Tally(1e-9, keep_records)
     result = _plain_record(**values)[1]
+    if named is None:
+        counting.add(4, result)
+        assert counting.total.count == 1 and counting.total.max_ratio is None
+        return
     with pytest.raises(InputFormatError) as refused:
         counting.add(4, result)
     assert str(refused.value) == (

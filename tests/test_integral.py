@@ -107,6 +107,9 @@ def test_build_domain_rejects_bad_input():
         build_domain((0.0, 1.0), rule="simpson")
     with pytest.raises(PreconditionError):
         build_domain((0.0, 1.0), weight=lambda s: 0.0 * s)
+    # b - a overflows: refused before a node is built, naming the interval
+    with pytest.raises(PreconditionError, match=r"^interval \[-1e\+308, 1e\+308\] is wider"):
+        build_domain((-1e308, 1e308))
 
 
 def test_discretize_checks_length_and_default_size():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import render_json_oracle
-from ineq.numutil import render_json
+from ineq.tally import render_json
 
 
 class _Key(str):
