@@ -1,171 +1,170 @@
-"""Paired A/B timing of two source checkouts on one perfbench workload.
+"""Paired A/B runs of the benchmark on two checkouts, judged as a claimed change is judged.
 
-Usage, from anywhere:
+    python3 tools/ab.py --a PARENT --b CHANGE [--workload W] [--seed S] [--runs 10]
 
-    python3 tools/ab.py --a PARENT_CHECKOUT --b CHANGED_CHECKOUT \
-        --workload suite|eval-records|quadrature [--seed N] [--calls 120]
-
-Each checkout gets one long-lived process, which imports that checkout's
-`perfbench/run.py` (so BLAS is pinned as perfbench pins it), sets the workload
-up with perfbench's own `set_up`, and then runs one call at a time with
-perfbench's `call`, timing perfbench's calibration kernel right before and
-right after it.  The two processes take turns, one call each, and the side
-that goes first alternates, so both see the same host speed.  Call k is the
-same `argv(k)` on both sides.
-
-The output gives, per side, the median raw and rescaled rate (instances per
-second; rescaled as perfbench rescales, by the mean kernel time over its
-reference time) with its lower and upper quartiles, the B/A ratio of each
-median, the number of pairs B won, and the report hashes of call 0.  After
-that JSON comes one verdict line per scale, on the rule a claimed gain must
-pass, applied to runs as perfbench makes them, medians of many calls: each
-side's calls are cut, in order, into ten blocks, and block k of A and of B
-make pair k.  B wins at least 9 of the 10 pairs (a tie counts for neither
-side), and B's median block lies above A's by more than the interquartile
-spread of A's blocks.  Single calls spread too widely for that rule (a
-quarter of the median or more), so fewer than ten calls are refused.  Two
-copies of one checkout (an A/A run) read within 1% of 1.0 rescaled; raw
-ratios follow the host's speed and spread more.  Nothing under
-`perfbench/` is changed.
+Pair k of each workload in A's BENCHMARK.json (or of `--workload`) runs its
+command with `--workload W --seed S+k --seconds <run_seconds>` as a fresh
+process in checkout A ("before") and in B ("after"), A first for even k, with
+PYTHONDONTWRITEBYTECODE=1, so give fresh copies (`git archive`).  stdout gets
+`judge`'s verdict on each (workload, end-to-end metric), whether each pair's
+report hashes match, and a BENCH record whose `what` and `note` its author
+writes.  The exit code is 1 on a `Refused` run, a "worse" or an "unresolved".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-
-def serve(checkout: Path, workload: str, seed: int) -> None:
-    """One side: answer each line k on stdin with one timed call as a JSON line."""
-    sys.path.insert(0, str(checkout / "perfbench"))
-    import run  # noqa: E402  (perfbench's run.py; pins BLAS before numpy)
-    from calibration import Calibration  # noqa: E402
-    from workloads import WORKLOADS  # noqa: E402
-
-    with tempfile.TemporaryDirectory() as workdir:
-        main, work, _setup, _numpy = run.set_up(WORKLOADS[workload], seed, Path(workdir))
-        cal = Calibration(work.calibration_lapack_reps)
-        work.start()
-        print("ready", flush=True)
-        for line in sys.stdin:
-            k = int(line)
-            before = cal.seconds()
-            t0 = time.perf_counter()
-            code, stdout = run.call(main, work.argv(k))
-            elapsed = time.perf_counter() - t0
-            after = cal.seconds()
-            raw = work.instances_per_call / elapsed
-            print(json.dumps({
-                "raw": raw,
-                "rescaled": raw * cal.slowdown((before + after) / 2),
-                "problems": work.check(k, code, stdout),
-                "shas": work.shas(),
-            }), flush=True)
+SIDES = ("before", "after")
+#: Summarised beside the end-to-end metrics, never judged.
+RAW = {"name": "raw_instances_per_s", "better": "higher"}
+MACHINE = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
+COMMIT = ("commit", "src_sha256")
 
 
-def start(checkout: Path, args) -> subprocess.Popen:
-    proc = subprocess.Popen(
-        [sys.executable, __file__, "--serve", str(checkout), "--workload", args.workload,
-         "--seed", str(args.seed)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-    )
-    if proc.stdout.readline().strip() != "ready":
-        raise SystemExit(f"ab: {checkout} did not set up")
-    return proc
+class Refused(Exception):
+    """A run the benchmark would refuse; the message names why, as the benchmark does."""
 
 
-def ask(proc: subprocess.Popen, k: int) -> dict:
-    proc.stdin.write(f"{k}\n")
-    proc.stdin.flush()
-    return json.loads(proc.stdout.readline())
+def read(returncode: int, stdout: str) -> tuple[dict, dict]:
+    """One perfbench run's figures and its `env` line, from its exit code and stdout."""
+    if returncode != 0:
+        raise Refused(f"run_failed (exit {returncode})")
+    try:
+        *head, result = [json.loads(line) for line in stdout.splitlines() if line.strip()]
+        info = {key: value for line in head for key, value in line.items()}
+        run = {name: metric["value"] for name, metric in result["metrics"].items()}
+        run["raw_instances_per_s"] = info["unscaled"]["raw_instances_per_s"]
+        run.update({key: result[key] for key in ("correct", "attempted", "failed")})
+        run.update({key: value for key, value in info.items() if key.endswith("_sha256")})
+        env = info["env"]
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise Refused("output_malformed") from None
+    if run["correct"] is not True:
+        raise Refused("outputs_incorrect")
+    return run, env
 
 
-def _quartiles(values: list) -> list:
-    """[lower, upper] quartile of `values`, as `statistics.quantiles` cuts them."""
-    if len(values) < 2:
-        return [values[0], values[0]]
-    lower, _, upper = statistics.quantiles(values, n=4)
-    return [lower, upper]
+def quartiles(values: list) -> tuple[float, float]:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
 
 
-#: Runs each side's calls are cut into for the verdict, as perfbench's runs are medians.
-BLOCKS = 10
+def wins(spec: dict, before: list, after: list) -> int:
+    """Pairs in which B reads better; a tie counts for neither side."""
+    sign = 1 if spec["better"] == "higher" else -1
+    return sum(sign * (b - a) > 0 for a, b in zip(before, after))
 
 
-def _block_medians(values: list) -> list:
-    """The medians of `values` cut, in order, into `BLOCKS` blocks of sizes differing by one."""
-    cuts = [len(values) * k // BLOCKS for k in range(BLOCKS + 1)]
-    return [statistics.median(values[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+def judge(spec: dict, before: list, after: list) -> str:
+    """One end-to-end metric's verdict over the pairs, by its `better` and `bound`: "gain" if
+    B reads better in at least 9/10 of the pairs and its median beats A's by more than A's
+    interquartile range; "worse" if B's median is worse than A's by more than `bound` x A's
+    median; "unresolved" if A's interquartile range exceeds `bound` x its median, unless
+    every B run beats every A run; "no change" otherwise."""
+    sign = 1 if spec["better"] == "higher" else -1
+    a, b = statistics.median(before), statistics.median(after)
+    q1, q3 = quartiles(before)
+    if 10 * wins(spec, before, after) >= 9 * len(before) and sign * (b - a) > q3 - q1:
+        return "gain"
+    if sign * (a - b) > spec["bound"] * abs(a):
+        return "worse"
+    beats_all = min(sign * x for x in after) > max(sign * x for x in before)
+    return "unresolved" if q3 - q1 > spec["bound"] * abs(a) and not beats_all else "no change"
 
 
-def verdict(key: str, a: list, b: list) -> str:
-    """One line: whether B's rates on scale `key` pass the rule for a claimed gain, over
-    the pairs of block medians."""
-    a, b = _block_medians(a), _block_medians(b)
-    wins = sum(y > x for x, y in zip(a, b))
-    lower, upper = _quartiles(a)
-    lead = statistics.median(b) - statistics.median(a)
-    won, clear = 10 * wins >= 9 * len(a), lead > upper - lower
-    return (
-        f"{key}: B won {wins}/{len(a)} block pairs ({'at least' if won else 'under'} 9/10); "
-        f"median block B - A {lead:+.1f}/s against A's block interquartile spread "
-        f"{upper - lower:.1f}/s ({'beyond' if clear else 'within'} it): "
-        f"{'a gain' if won and clear else 'no gain'}"
-    )
+def summary(spec: dict, pairs: list) -> dict:
+    """One metric's median and quartiles per side, change of median, B's wins and verdict."""
+    before, after = ([pair[side][spec["name"]] for pair in pairs] for side in SIDES)
+    out = {side: dict(zip(("median", "q1", "q3"), (statistics.median(v), *quartiles(v))))
+           for side, v in zip(SIDES, (before, after))}
+    out["change_of_median"] = out["after"]["median"] / out["before"]["median"] - 1
+    out["after_better_in"] = f"{wins(spec, before, after)}/{len(pairs)}"
+    if "bound" in spec:
+        out["verdict"] = judge(spec, before, after)
+    return out
+
+
+def run_pair(bench: dict, checkouts: dict, workload: str, seed: int, order: tuple):
+    """Both sides' runs of one seed, in `order`; returns (pair, each side's env)."""
+    argv = [*bench["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(bench["run_seconds"])]
+    pair, envs = {"seed": seed, "first": order[0]}, {}
+    for side in order:
+        proc = subprocess.run(argv, cwd=checkouts[side], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+        try:
+            pair[side], envs[side] = read(proc.returncode, proc.stdout)
+        except Refused as exc:
+            stderr = proc.stderr.strip().splitlines()[-1:]
+            raise Refused(" ".join([f"{workload} seed {seed} {side}: {exc}", *stderr])) from None
+    share = {side: pair[side]["failed"] / max(pair[side]["attempted"], 1) for side in SIDES}
+    if share["before"] != share["after"]:
+        raise Refused(f"{workload} seed {seed}: more operations failed (shares {share})")
+    print(f"ab: {workload} seed {seed}: " + ", ".join(
+        f"{side} {pair[side]['instances_per_s']:,.0f}/s" for side in SIDES), file=sys.stderr)
+    return pair, envs
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--a", type=Path, help="the reference checkout")
-    parser.add_argument("--b", type=Path, help="the checkout measured against it")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--calls", type=int, default=120, help=f"calls per side, at least {BLOCKS}"
-    )
-    parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--a", type=Path, required=True, help="the parent checkout")
+    parser.add_argument("--b", type=Path, required=True, help="the changed checkout")
+    parser.add_argument("--workload", help="one workload of BENCHMARK.json (default: each)")
+    parser.add_argument("--seed", type=int, default=1, help="pair k runs seed SEED+k")
+    parser.add_argument("--runs", type=int, default=10, help="pairs per workload, at least 2")
     args = parser.parse_args(argv)
-    if args.serve:
-        serve(args.serve.resolve(), args.workload, args.seed)
-        return 0
-    if args.a is None or args.b is None:
-        parser.error("--a and --b are required")
-    if args.calls < BLOCKS:
-        parser.error(f"--calls must be at least {BLOCKS}: the verdict compares {BLOCKS} blocks")
-    sides = {"a": start(args.a.resolve(), args), "b": start(args.b.resolve(), args)}
-    runs = {"a": [], "b": []}
+    if not (args.a / "BENCHMARK.json").is_file() or not args.b.is_dir():
+        parser.error("--a must be a checkout with a BENCHMARK.json, and --b a checkout")
+    bench = json.loads((args.a / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload is not None and args.workload not in workloads:
+        parser.error(f"--workload must be one of {workloads}")
+    if args.runs < 2:
+        parser.error("--runs must be at least 2: quartiles need two runs")
+    workloads = [args.workload] if args.workload else workloads
+    checkouts = {"before": args.a.resolve(), "after": args.b.resolve()}
+    seeds = range(args.seed, args.seed + args.runs)
+    record = {"what": "", "command": " ".join(bench["command"]) + " --workload W --seed S "
+              f"--seconds {bench['run_seconds']}", "order": ", then ".join(
+                  f"{w} seeds {seeds[0]}..{seeds[-1]}" for w in workloads) + "; each pair ran "
+              "back to back, the side that ran first alternating (field 'first').",
+              "machine": {}, "commits": {}, "note": "", "workloads": {}}
+    lines, verdicts = [], set()
     try:
-        for k in range(args.calls):
-            for side in ("a", "b") if k % 2 == 0 else ("b", "a"):
-                runs[side].append(ask(sides[side], k))
-    finally:
-        for proc in sides.values():
-            proc.stdin.close()
-            proc.wait()
-    out = {"workload": args.workload, "seed": args.seed, "calls": args.calls}
-    verdicts = []
-    for key in ("raw", "rescaled"):
-        a, b = ([r[key] for r in runs[s]] for s in ("a", "b"))
-        verdicts.append(verdict(key, a, b))
-        out[key] = {
-            "a_median": statistics.median(a),
-            "a_quartiles": _quartiles(a),
-            "b_median": statistics.median(b),
-            "b_quartiles": _quartiles(b),
-            "ratio": statistics.median(b) / statistics.median(a),
-            "b_wins": f"{sum(y > x for x, y in zip(a, b))}/{len(a)}",
-        }
-    out["shas"] = {side: runs[side][0]["shas"] for side in runs}
-    out["problems"] = {side: [p for r in runs[side] for p in r["problems"]] for side in runs}
-    print(json.dumps(out, indent=1))
-    print("\n".join(verdicts))
-    return 0 if not any(out["problems"].values()) else 1
+        for workload in workloads:
+            pairs, envs = zip(*(run_pair(bench, checkouts, workload, seed, order) for seed, order
+                                in zip(seeds, [SIDES, SIDES[::-1]] * len(seeds))))
+            record["machine"] = {key: envs[0]["before"][key] for key in MACHINE}
+            record["commits"] = {side: {name: envs[0][side][name] for name in COMMIT}
+                                 for side in SIDES}
+            sums = {spec["name"]: summary(spec, pairs) for spec in [*bench["end_to_end"], RAW]}
+            record["workloads"][workload] = {"summary": sums, "pairs": list(pairs)}
+            for spec in bench["end_to_end"]:
+                s = sums[spec["name"]]
+                verdicts.add(s["verdict"])
+                lines.append(f"{workload} {spec['name']}: {s['verdict']}; median "
+                             f"{s['before']['median']:.6g} -> {s['after']['median']:.6g} "
+                             f"{spec['unit']} ({s['change_of_median']:+.2%}), B better in "
+                             f"{s['after_better_in']} pairs; A's quartiles {s['before']['q1']:.6g}"
+                             f"..{s['before']['q3']:.6g} (bound {spec['bound']:.0%})")
+            differ = [pair["seed"] for pair in pairs if any(
+                value != pair["after"].get(key)
+                for key, value in pair["before"].items() if key.endswith("_sha256"))]
+            lines.append(f"{workload}: report hashes " + (
+                f"differ at seeds {differ}" if differ else f"equal in all {len(pairs)} pairs"))
+    except Refused as exc:
+        print(f"ab: refused: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
+    print(json.dumps(record, indent=1))
+    return 1 if verdicts & {"worse", "unresolved"} else 0
 
 
 if __name__ == "__main__":
