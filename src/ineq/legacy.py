@@ -259,15 +259,20 @@ def legacy_bessel_pair(
     That is `legacy_bessel_ball`'s chain over the weights G+g with radius ||G-g||, whose
     denominator ||G+g||^2 - ||G-g||^2 is taken as the dot 4 sum Re(G_i conj(g_i)) of the
     scaled float views: unlike the difference of the two norms, it does not cancel when g is
-    small against G.
+    small against G.  A positive sum whose scaled form underflows to 0 raises
+    ZeroDivisionError: that denominator leaves double precision.
     """
     diff, summ = _coefficient_pair(fam, gammas, Gammas)
     s, d, g, G = _unit_scaled(summ, diff, gammas.entries, Gammas.entries)
     re_sum = _vdot(g, G).real  # 2^(2k) sum Re(G_i conj(g_i)), over the float views
     if not re_sum > 0:
+        unscaled = _vdot(Gammas.entries, gammas.entries).real
+        if unscaled > 0:
+            raise ZeroDivisionError(
+                f"sum Re(Gamma_i * conj(gamma_i)) is {unscaled}, but 0 at the scale of ||G + g||"
+            )
         raise PreconditionError(
-            "sum Re(Gamma_i * conj(gamma_i)) must be positive, "
-            f"got {_vdot(Gammas.entries, gammas.entries).real}"
+            f"sum Re(Gamma_i * conj(gamma_i)) must be positive, got {unscaled}"
         )
     check_same_space(x, fam.members[0])
     report = _family_ball(x, fam, gammas, Gammas, diff)

@@ -7,6 +7,7 @@ renderer is checked against `render_json_oracle`, a plain recursive restatement
 of the report format.
 """
 
+import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ineq import runner
+from ineq import harness, runner, sample_admissible
 
 settings.register_profile(
     "fast",
@@ -31,14 +32,35 @@ def force_workers(monkeypatch):
     """`force_workers(n)` makes `run_suite` and `evaluate_file` split any run over n processes.
 
     The host's CPU count is replaced by n and the fork break-even by one
-    instance, so a one-CPU host still runs the forked path.
+    instance, so a one-CPU host still runs the forked path.  `floor=k` also
+    sets the fewest instances a piece is cut to, so that a test can place an
+    instance in a piece a child claims.  This is the one place outside
+    test_runner.py that sets a constant of `runner`.
     """
 
-    def force(n):
+    def force(n, floor=None):
         monkeypatch.setattr(runner, "_FORK_BREAK_EVEN", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        if floor is not None:
+            monkeypatch.setattr(runner, "_PIECE_FLOOR", floor)
 
     return force
+
+
+def sampled_row(tid, *args, index=0):
+    """`sample_admissible(tid, *args, index=index)`'s document, and the row its sampler drew
+    for it: the (field, record dim, args) that `run_suite` certifies as that instance."""
+    spec, rows = harness._SPECS[tid], []
+
+    def drawing(*draw):
+        rows.append(spec.sampler(*draw))
+        return rows[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(harness._SPECS, tid, dataclasses.replace(spec, sampler=drawing))
+        doc = sample_admissible(tid, *args, index=index)
+    [row] = rows
+    return doc, row
 
 
 def assert_no_child_left():

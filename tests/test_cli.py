@@ -120,21 +120,21 @@ def test_verify_too_large_a_dimension_exits_2_before_sampling(capsys, monkeypatc
     assert err.startswith("ineq: dimension ") and "is too large" in err
 
 
-def test_verify_dimension_cap_is_on_the_family_size_times_dim(capsys, monkeypatch):
-    # dimension 4 samples a family of 3 vectors: 12 coordinates
-    argv = ["verify", "--trials", "2", "--dims", "1,4", "--theorems", "thm2.1"]
-    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 12)
-    rc, out, err = run_cli(capsys, *argv)
+def test_verify_dimension_cap_is_on_the_family_size_times_dim(capsys):
+    # dimension 512 samples a family of 511 vectors: 261,632 coordinates, within the
+    # cap of 2**18; dimension 513 samples 512 of them, 262,656 coordinates
+    argv = ["verify", "--trials", "2", "--theorems", "thm2.1", "--dims"]
+    rc, out, err = run_cli(capsys, *argv, "1,512")
     assert rc == 0 and err == ""
-    assert harness.sample_admissible("thm6.2", "complex", 4)["size"] == 3
-    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 11)
-    rc, out, err = run_cli(capsys, *argv)
+    assert harness.sample_admissible("thm6.2", "complex", 512)["size"] == 511
+    rc, out, err = run_cli(capsys, *argv, "1,513")
     assert rc == 2 and out == ""
     assert err == (
-        "ineq: dimension 4 is too large: a family sampled in it takes more than 11 coordinates\n"
+        "ineq: dimension 513 is too large: a family sampled in it takes more than 262144 "
+        "coordinates\n"
     )
-    with pytest.raises(harness.InputFormatError, match="^dimension 4 is too large"):
-        harness.sample_admissible("thm6.2", "complex", 4)
+    with pytest.raises(harness.InputFormatError, match="^dimension 513 is too large"):
+        harness.sample_admissible("thm6.2", "complex", 513)
 
 
 def test_verify_negative_tol_forces_violation_exit(capsys):
@@ -662,16 +662,17 @@ def test_eval_family_over_the_size_cap_exits_2_without_building(tmp_path, capsys
     assert rc == 2 and out == ""
     assert err == (
         "ineq: instance 0: thm5.1 'size': size 2000 in dimension 2000 takes 4000000 "
-        f"coordinates, more than {documents._MAX_FAMILY_COORDS}\n"
+        "coordinates, more than 262144\n"
     )
 
 
-def test_eval_family_size_cap_is_on_size_times_dim(tmp_path, capsys, monkeypatch):
+def test_eval_family_size_cap_is_on_size_times_dim(tmp_path, capsys):
+    # 512 basis vectors in dimension 512 are 2**18 coordinates, the cap; in
+    # dimension 513, one coordinate more each, they pass it
     inst = sample_admissible("thm5.1", "real", 3, seed=0)
-    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 3 * inst["size"])
-    assert _eval_one(tmp_path, capsys, inst)[0] == 0
-    monkeypatch.setattr(documents, "_MAX_FAMILY_COORDS", 3 * inst["size"] - 1)
-    rc, out, err = _eval_one(tmp_path, capsys, inst)
+    at_cap = dict(inst, x=[1.0] * 512, size=512, lam=[1.0] * 512)
+    assert _eval_one(tmp_path, capsys, at_cap)[0] == 0
+    rc, out, err = _eval_one(tmp_path, capsys, dict(at_cap, x=[1.0] * 513))
     assert rc == 2 and err.startswith("ineq: instance 0: thm5.1 'size': size ")
     # a size above the dimension keeps its own message
     rc, out, err = _eval_one(tmp_path, capsys, dict(inst, size=10**9))

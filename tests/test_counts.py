@@ -22,10 +22,12 @@ import sys
 import numpy as np
 import pytest
 
-from ineq import documents, evaluate_file, harness, run_suite, sample_admissible, sampling, space
+from ineq import documents, evaluate_file, harness, run_suite, sample_admissible, space
 from ineq.errors import InputFormatError
 from ineq.harness import REAL_ONLY_IDS, THEOREM_IDS
 from ineq.space import FieldTag, Vector
+
+from conftest import sampled_row
 
 COUNTED = ("_array_norm", "check_same_space", "_check_finite")
 
@@ -118,21 +120,18 @@ class _Counter:
 
 def _counts(monkeypatch, tid):
     """(sample counts, report counts, arrays normed) of each instance of tid at dims 3
-    and 8 and both fields; the basis cache is warmed first.  Each instance is evaluated
-    by `harness._row_result`, the path `run_suite` takes from a sampler to its operation."""
+    and 8 and both fields; the basis and domain caches are warmed first.  Each instance
+    is evaluated by `harness._row_result`, the path `run_suite` takes from a sampler to
+    its operation."""
     counter = _Counter(monkeypatch)
-    stream = sampling._Stream(5, tid)
-    fields = (FieldTag.REAL,) if tid in REAL_ONLY_IDS else (FieldTag.REAL, FieldTag.COMPLEX)
     rows = []
     for dim in (3, 8):
-        for field in fields:
-            warm = harness._SPECS[tid].sampler(sampling._rng_for(stream, 99), dim, field, False)
-            harness._row_result(tid, warm)
+        for field in _fields(tid):
+            harness.evaluate_instance(sample_admissible(tid, field, dim, seed=5, index=99))
             for i in range(6):
                 counter.take()
                 del counter.normed[:]
-                rng = sampling._rng_for(stream, i)
-                row = harness._SPECS[tid].sampler(rng, dim, field, i % 3 == 2)
+                _, row = sampled_row(tid, field, dim, 5, i % 3 == 2, index=i)
                 sampled = counter.take()
                 harness._row_result(tid, row)
                 rows.append((sampled, counter.take(), list(counter.normed)))
@@ -181,10 +180,15 @@ def test_a_decoded_instance_reads_each_array_once(monkeypatch, tid):
                 _assert_normed_once(counter.normed)
 
 
-def test_a_verify_row_makes_no_decode_call(force_workers, monkeypatch):
-    calls = []
-    real_decode = harness._decode
+def _decoded_ids(monkeypatch) -> list:
+    """The theorem ids of the instances decoded from now on."""
+    calls, real_decode = [], harness._decode
     monkeypatch.setattr(harness, "_decode", lambda *args: calls.append(args[0]) or real_decode(*args))
+    return calls
+
+
+def test_a_verify_row_makes_no_decode_call(force_workers, monkeypatch):
+    calls = _decoded_ids(monkeypatch)
     force_workers(1)
     report = run_suite(trials=12, dims=(1, 3, 8), seed=4, adversarial=True)
     assert report.aggregate["count"] == 25 * 12
@@ -216,9 +220,7 @@ def test_eval_decodes_each_document_instance_once(force_workers, monkeypatch, tm
     docs[9]["m"], docs[9]["M"] = docs[9]["M"], docs[9]["m"]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"instances": docs}), encoding="utf-8")
-    calls = []
-    real_decode = harness._decode
-    monkeypatch.setattr(harness, "_decode", lambda *args: calls.append(args[0]) or real_decode(*args))
+    calls = _decoded_ids(monkeypatch)
     force_workers(1)
     with pytest.raises(InputFormatError, match="^instance 9: "):
         evaluate_file(str(path))
@@ -232,13 +234,11 @@ def _fields(tid):
 @pytest.mark.parametrize("tid", THEOREM_IDS)
 def test_every_sampled_vector_is_normed_by_its_operation(tid):
     # a sampled vector is adopted unscanned: the norm its operation takes is its check
-    stream = sampling._Stream(8, tid)
     for dim in (1, 2, 3, 8, 16):
         for field in _fields(tid):
             for adversarial in (False, True):
                 for i in range(4):
-                    rng = sampling._rng_for(stream, i)
-                    tag, rec_dim, args = harness._SPECS[tid].sampler(rng, dim, field, adversarial)
+                    _, (tag, rec_dim, args) = sampled_row(tid, field, dim, 8, adversarial, index=i)
                     # the same coordinates with no norm kept, so only the operation can take it
                     fresh = [
                         Vector._sampled(v.coords, v.field) if isinstance(v, Vector) else v
@@ -265,7 +265,7 @@ def test_a_non_finite_sampled_coordinate_still_raises(monkeypatch, tid, bad):
             coords = args[pos].coords.copy()
             coords[entry] = bad if tag is FieldTag.REAL else complex(coords[entry].real, bad)
             args = list(args)
-            args[pos] = sampling._vec(coords, tag)
+            args[pos] = Vector._sampled(coords, tag)
             return tag, rec_dim, args
 
         monkeypatch.setitem(harness._SPECS, tid, dataclasses.replace(spec, sampler=poisoned))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineq import documents, evaluate_file, harness, integral, runner, sample_admissible
+from ineq import evaluate_file, harness, integral, sample_admissible
 from ineq.conditions import ScalarPair
 from ineq.harness import REAL_ONLY_IDS
 from ineq.cli import main
@@ -108,7 +108,7 @@ def _groups(draw):
     }
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = {"interval": [0.0, 1.0], "weight": {"poly": weight}, "rule": {"kind": kind, "n": n}}
-    dom = documents._dec_domain(spec)
+    dom = integral.build_domain((0.0, 1.0), integral.polynomial(weight), kind, n)
     instances = []
     for _ in range(rows):
         inst = {"theorem": tid, "field": field, "domain": spec}
@@ -211,14 +211,13 @@ def _write(tmp_path, name, instances) -> str:
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(_BAD_ROWS))
 def test_the_first_bad_row_of_a_group_is_reported_first(
-    tmp_path, capsys, monkeypatch, force_workers, case, workers
+    tmp_path, capsys, force_workers, case, workers
 ):
     # 16 rows of one group; row 9 fails in evaluation and row 13 in decoding.
     # Over 2 or 3 workers a floor of 5 cuts them 0..4, 5..9, 10..14 and 15: row
     # 9 and row 13 are in pieces after this process's first, which the
     # children claim as they start.  At the default floor of 16 the document
     # is one piece.
-    monkeypatch.setattr(runner, "_PIECE_FLOOR", 5)
     tid, field, spoil, start = _BAD_ROWS[case]
     docs = [sample_admissible(tid, field, 1, seed=4, index=i) for i in range(16)]
     docs[9] = spoil(docs[9])
@@ -228,7 +227,7 @@ def test_the_first_bad_row_of_a_group_is_reported_first(
     message = capsys.readouterr().err.replace("instance 0: ", "instance 9: ", 1)
     assert message.startswith(f"ineq: instance 9: {start}")
     path = _write(tmp_path, "doc.json", docs)
-    force_workers(workers)
+    force_workers(workers, floor=5)
     assert main(["eval", "--input", path]) == 2
     assert capsys.readouterr() == ("", message)
     assert_no_child_left()
@@ -278,7 +277,7 @@ def test_a_window_holds_a_bounded_run_of_rows(tmp_path, monkeypatch, force_worke
 
     monkeypatch.setattr(harness, "_group_results", recording)
     monkeypatch.setattr(harness, "_GROUP_WINDOW", 6)
-    monkeypatch.setattr(runner, "_PIECE_FLOOR", 20)  # one piece: only the window cuts
+    force_workers(1, floor=20)  # one piece: only the window cuts
     assert evaluate_file(path).to_json() == whole
     assert sizes == [6, 6, 6, 2]
 

@@ -8,9 +8,7 @@ import itertools
 import json
 import os
 import pickle
-import threading
 import time
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +29,12 @@ from ineq import (
     sample_admissible,
     vector,
 )
-from ineq import (
-    bessel, conditions, documents, gruss, harness, integral, legacy, runner, sampling, tally
-)
+from ineq import bessel, conditions, documents, gruss, harness, integral, legacy, tally
 from ineq.cli import main
 from ineq.harness import _SPECS, REAL_ONLY_IDS, normalize_theorem_id
 from ineq.tally import CSV_COLUMNS, InstanceResult, _Stats, _Tally, leq_with_slack, render_json
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, sampled_row
 
 
 def test_theorem_catalog():
@@ -561,25 +557,6 @@ def test_theorem_order_does_not_change_per_theorem_stats():
     assert list(ba.per_theorem) == ["thm5.2", "thm2.1"]
 
 
-def test_instance_i_starts_at_counter_block_i_times_2_to_the_64():
-    # a generator that instance i - 1 left dirty (many doubles, a half-used
-    # 32-bit word) yields the same instance i as a fresh stream advanced to
-    # block i * 2**64, which is what sample_admissible(index=i) replays
-    tid, seed, i = "thm6.2", 9, 5
-    stream = sampling._Stream(seed, tid)
-    dirty = sampling._rng_for(stream, i - 1)
-    dirty.uniform(size=10_001)
-    dirty.integers(0, 2**31, size=3, dtype=np.uint32)
-    reused = sampling._rng_for(stream, i)
-    key = np.random.SeedSequence([seed, zlib.crc32(tid.encode("ascii"))])
-    fresh = np.random.Generator(np.random.Philox(key).advance(i << 64))
-    assert reused.uniform(size=7).tolist() == fresh.uniform(size=7).tolist()
-
-    doc = sample_admissible(tid, "complex", 4, seed, index=i)
-    row = _SPECS[tid].sampler(sampling._rng_for(stream, i), 4, FieldTag.COMPLEX, False)
-    assert _document_of(tid, row, seed) == doc
-
-
 def test_far_indices_are_deterministic_and_distinct():
     far = 2**40
     a = sample_admissible("thm4.3", "complex", 3, seed=1, index=far)
@@ -597,13 +574,16 @@ def test_domain_node_caps_are_checked_before_building(monkeypatch):
         built.append((kind, n))
         raise RuntimeError("stop before allocating")
 
+    inst = sample_admissible("prop7.1", "real", 1, seed=0)
     monkeypatch.setattr(integral, "build_domain", recording)
     for kind, cap in (("gauss", 2048), ("trapezoid", 2**20)):
         over = {"interval": [0.0, 3.0], "rule": {"kind": kind, "n": cap + 1}}
-        with pytest.raises(InputFormatError, match=f"^rule.n: {kind} rules take at most {cap} "):
-            documents._dec_domain(over)
+        with pytest.raises(
+            InputFormatError, match=f"^prop7.1 'domain': rule.n: {kind} rules take at most {cap} "
+        ):
+            evaluate_instance(dict(inst, domain=over))
         with pytest.raises(RuntimeError, match="stop before allocating"):
-            documents._dec_domain(dict(over, rule={"kind": kind, "n": cap}))
+            evaluate_instance(dict(inst, domain=dict(over, rule={"kind": kind, "n": cap})))
     assert built == [("gauss", 2048), ("trapezoid", 2**20)]
 
 
@@ -695,31 +675,6 @@ def test_sampled_documents_own_their_domain():
         integral._DOMAIN_CACHE.clear()
 
 
-class _UniformOnly:
-    """A draw source with `uniform(low, high, size)` and nothing else."""
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._rng.uniform(low, high, size)
-
-
-def _document_of(tid, row, seed) -> dict:
-    """The document of what a sampler drew: each argument written by the encoder of its
-    kind, the keys in decoding order, as `sample_admissible` writes them."""
-    field, _, args = row
-    spec = _SPECS[tid]
-    encoded = {
-        key: documents._ENCODERS[kind](arg, field) for (key, kind), arg in zip(spec.params, args)
-    }
-    doc = {"theorem": tid, "field": field.value}
-    doc.update((key, encoded[key]) for _, key, _ in spec.steps)
-    return dict(doc, seed=seed)
-
-
 def _argument_bits(kind, value):
     """What tells two arguments of a kind apart bit for bit, -0.0 from 0.0 included."""
     if kind == "vector":
@@ -743,9 +698,7 @@ def test_a_sampled_document_decodes_to_the_sampled_arguments(dim, adversarial, i
     for tid in THEOREM_IDS:
         fields = [FieldTag.REAL] if tid in REAL_ONLY_IDS else [FieldTag.REAL, FieldTag.COMPLEX]
         for field in fields:
-            doc = sample_admissible(tid, field, dim, seed, adversarial, index=index)
-            rng = sampling._rng_for(sampling._Stream(seed, tid), index)
-            tag, rec_dim, args = _SPECS[tid].sampler(rng, dim, field, adversarial)
+            doc, (tag, rec_dim, args) = sampled_row(tid, field, dim, seed, adversarial, index=index)
             doc_tid, (doc_field, doc_dim, decoded) = harness._document_row(doc)
             assert (doc_tid, doc_field, doc_dim) == (tid, tag, rec_dim)
             for (key, kind), want, got in zip(_SPECS[tid].params, args, decoded):
@@ -753,26 +706,6 @@ def test_a_sampled_document_decodes_to_the_sampled_arguments(dim, adversarial, i
             # and the sampled row, evaluated alone, is the document's result (repr tells -0.0)
             alone = harness._row_result(tid, (tag, rec_dim, args))
             assert repr(alone) == repr(evaluate_instance(doc)), (tid, field)
-
-
-def test_samplers_draw_only_through_uniform():
-    # the draw-source contract: a stand-in exposing only `uniform` reproduces
-    # every sampled document bit for bit
-    seed, checked = 11, 0
-    for tid in THEOREM_IDS:
-        stream = sampling._Stream(seed, tid)
-        tags = [FieldTag.REAL] if tid in REAL_ONLY_IDS else [FieldTag.REAL, FieldTag.COMPLEX]
-        for dim in (1, 2, 3, 8, 16):
-            for tag in tags:
-                for adversarial in (False, True):
-                    for i in range(3):
-                        want = sample_admissible(tid, tag, dim, seed, adversarial, index=i)
-                        source = _UniformOnly(sampling._rng_for(stream, i))
-                        row = _SPECS[tid].sampler(source, dim, tag, adversarial)
-                        got = _document_of(tid, row, seed)
-                        assert json.dumps(got) == json.dumps(want), (tid, dim, tag, i)
-                        checked += 1
-    assert checked == 1440
 
 
 #: sha256 of `json.dumps` of the list of documents `sample_admissible` writes at
@@ -814,24 +747,6 @@ def test_eval_records_name_the_field_by_its_tag(tmp_path):
 
 # ---------------------------------------------------------------------------
 # run_suite split over forked workers.
-
-
-def test_worker_count_follows_cpus_and_break_even(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    even = runner._FORK_BREAK_EVEN
-    assert runner._worker_count(len(THEOREM_IDS)) == 1  # one instance of every id
-    assert runner._worker_count(2 * even - 1) == 1
-    assert runner._worker_count(2 * even) == 2
-    assert runner._worker_count(100 * even) == 4
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert runner._worker_count(100 * even) == 1  # no fork beside a thread
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
 
 
 _SPLIT_CASES = {
@@ -942,7 +857,6 @@ def _logged_by(path):
 def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
     force_workers, monkeypatch, capsys, tmp_path, index
 ):
-    monkeypatch.setattr(runner, "_PIECE_FLOOR", 5)
     raised_in = tmp_path / "pids"
 
     def fail():
@@ -955,7 +869,7 @@ def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
     ids = ["thm4.1", "thm2.1", "thm5.2"]
     errors, cli = [], []
     for n in (1, 2):
-        force_workers(n)
+        force_workers(n, floor=5)
         with pytest.raises(InputFormatError) as info:
             run_suite(ids, trials=10, seed=2)
         errors.append((type(info.value), str(info.value)))
@@ -1010,55 +924,6 @@ _CLAIM_CASES = {
         trials=40, dims=(1, 3, 8), fields=("complex", "real"), seed=13, keep_records=True
     ),
 }
-
-
-def test_the_piece_cut_covers_every_index_once_and_cuts_only_the_tail():
-    floor = runner._PIECE_FLOOR
-    for jobs, size, workers in itertools.product(
-        range(1, 30), (1, 2, 7, floor, floor + 1, 40, 1000), range(1, 5)
-    ):
-        pieces = runner._pieces(jobs, size, workers)
-        assert [(j, i) for j, lo, hi in pieces for i in range(lo, hi)] == [
-            (j, i) for j in range(jobs) for i in range(size)
-        ]
-        assert all(lo < hi for _, lo, hi in pieces)
-        # a piece is the rest of its job or ceil(remaining / (2 x workers)),
-        # whichever is less, but at least the floor: so every job that starts
-        # with more than 2 x workers x size instances left is one piece, and a
-        # piece that is cut holds at least the floor, or ends its job
-        remaining = jobs * size
-        for j, lo, hi in pieces:
-            assert hi - lo == min(size - lo, max(floor, -(-remaining // (2 * workers))))
-            remaining -= hi - lo
-        whole = max(0, jobs - 2 * workers)
-        assert pieces[:whole] == [(j, 0, size) for j in range(whole)]
-        assert all(hi - lo >= floor or hi == size for _, lo, hi in pieces)
-    # ceil(remaining / 6) falls below 40 instances at the fourth job
-    assert runner._pieces(8, 40, 3) == [
-        (0, 0, 40), (1, 0, 40), (2, 0, 40), (3, 0, 34), (3, 34, 40), (4, 0, 27), (4, 27, 40),
-        (5, 0, 20), (5, 20, 37), (5, 37, 40), (6, 0, 16), (6, 16, 32), (6, 32, 40),
-        (7, 0, 16), (7, 16, 32), (7, 32, 40),
-    ]
-    # one job, as an eval document is, is cut by the same rule: perfbench's
-    # 480-instance quadrature document over two workers
-    assert [hi - lo for _, lo, hi in runner._pieces(1, 480, 2)] == [
-        120, 90, 68, 51, 38, 29, 21, 16, 16, 16, 15
-    ]
-
-
-def test_the_claims_of_any_run_fit_one_pipe_write():
-    # `_run` writes 4 bytes a piece into a pipe before any reader exists; the
-    # floor grows with the run, so no run has more than _PIECES_MAX pieces
-    # cut short of their job's end, and a job ends one piece at most
-    for jobs, size, workers in itertools.product(
-        (1, 2, 25), (1, 480, 10**6, 2**20, 2**31), (1, 2, 3, 64, 1000, 4096)
-    ):
-        pieces = runner._pieces(jobs, size, workers)
-        assert len(pieces) <= runner._PIECES_MAX + jobs, (jobs, size, workers)
-        assert 4 * len(pieces) <= 65536  # what a Linux pipe buffers by default
-        assert pieces[-1] == (jobs - 1, pieces[-1][1], size)
-    # the guided rule alone would cut 24,693 pieces here, 98,772 bytes
-    assert len(runner._pieces(1, 2**31, 1024)) <= runner._PIECES_MAX + 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -1250,10 +1115,9 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
 
     monkeypatch.setattr(pickle, "dumps", logging_dumps)
     _hold_here(monkeypatch, lambda children: logged.exists())
-    force_workers(2)
     sizes = {}
     for trials in (100, 10_000):
-        monkeypatch.setattr(runner, "_PIECE_FLOOR", trials // 2)
+        force_workers(2, floor=trials // 2)
         run_suite(["thm2.1"], trials=trials, dims=(1, 2, 3, 8, 16), seed=1)
         sizes[trials] = [int(n) for n in logged.read_text(encoding="ascii").split()]
         logged.unlink()
@@ -1293,12 +1157,11 @@ def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
         return render_json(obj)
 
     path = _every_id_document(tmp_path)
-    monkeypatch.setattr(runner, "_PIECE_FLOOR", 50)
     monkeypatch.setattr(pickle, "dumps", logging_dumps)
     monkeypatch.setattr(tally, "_record_text", counting_record_text)
     monkeypatch.setattr(tally, "render_json", counting_render_json)
     _hold_here(monkeypatch, lambda children: logged.exists())
-    force_workers(2)
+    force_workers(2, floor=50)
     report = evaluate_file(path)
     text = report.to_json()
     assert emitted == list(range(50))
@@ -1374,7 +1237,6 @@ def _marked_document(tmp_path, index) -> str:
 def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
     force_workers, monkeypatch, capsys, tmp_path, index
 ):
-    monkeypatch.setattr(runner, "_PIECE_FLOOR", 5)
     raised_in = tmp_path / "pids"
 
     def fail():
@@ -1387,7 +1249,7 @@ def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
     path = _marked_document(tmp_path, index)
     errors, cli = [], []
     for n in (1, 2):
-        force_workers(n)
+        force_workers(n, floor=5)
         with pytest.raises(InputFormatError) as info:
             evaluate_file(path)
         errors.append((type(info.value), str(info.value)))
@@ -1408,7 +1270,6 @@ def test_an_eval_child_that_dies_has_its_slice_computed_here(
 ):
     # over 3 workers and with a floor of 3, instance 7 lies in the third piece,
     # 6..8, which a child claims while this process is held
-    monkeypatch.setattr(runner, "_PIECE_FLOOR", 3)
     parent, died = os.getpid(), tmp_path / "pids"
 
     def die_in_a_child():
@@ -1418,7 +1279,7 @@ def test_an_eval_child_that_dies_has_its_slice_computed_here(
 
     _act_at_marked(monkeypatch, die_in_a_child)
     path = _marked_document(tmp_path, 7)
-    force_workers(1)
+    force_workers(1, floor=3)
     serial = evaluate_file(path).to_json()
     _hold_here(monkeypatch, _logged_by(died))
     force_workers(3)
@@ -1436,8 +1297,8 @@ def test_brief_quotes_short_values_whole_and_cuts_long_ones():
     assert len(_brief(long)) == _BRIEF_CHARS
     assert _brief(long) == repr(long)[: _BRIEF_CHARS - 3] + "..."
     with pytest.raises(InputFormatError) as exc:
-        documents._dec_real("x" * 10**6)
-    assert str(exc.value) == f"expected a number, got {_brief('x' * 10**6)}"
+        evaluate_instance(dict(sample_admissible("thm2.1"), r="x" * 10**6))
+    assert str(exc.value) == f"thm2.1 'r': expected a number, got {_brief('x' * 10**6)}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Older squared-level and restricted-hypothesis bounds."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from ineq import (
     standard_basis,
     vector,
 )
+from ineq.cli import main
 
 FAM3 = standard_basis(FieldTag.REAL, 3, 2)
 
@@ -241,3 +243,23 @@ class TestBesselPair:
                 coefficients([1, -1], FieldTag.REAL),
                 coefficients([2, 2], FieldTag.REAL),
             )
+
+    @pytest.mark.parametrize(
+        "small, message",
+        [
+            # scaled by 2^-997, 1e-300 underflows to 0 while the sum itself is 1.0
+            (1e-300, "legacy1.20 sum Re(Gamma_i * conj(gamma_i)) is 1.0, but 0 at the scale of "
+                     "||G + g||; the inputs leave double precision"),
+            (-1e-300, "sum Re(Gamma_i * conj(gamma_i)) must be positive, got -1.0"),
+        ],
+        ids=["positive", "negative"],
+    )
+    def test_a_positive_sum_that_underflows_once_scaled_leaves_double_precision(
+        self, tmp_path, capsys, small, message
+    ):
+        inst = {"theorem": "legacy1.20", "field": "real", "x": [1.0, 0.0], "size": 1,
+                "gammas": [small], "Gammas": [1e300]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"instances": [inst]}), encoding="utf-8")
+        assert main(["eval", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"ineq: instance 0: {message}\n")
