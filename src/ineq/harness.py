@@ -18,8 +18,9 @@ evaluator, calls the operation; an integral row is the one-row group of its
 id.  Each report type states `admissible`, `margin`, `gap`, `bound` and the
 `comparisons` it asserts, and `_result` copies them into the
 `InstanceResult` that both runners count through one tally (`tally`).  The
-tally alone refuses a result with a NaN or infinite number to report, as
-bad input named by its index.
+tally alone refuses a result with a NaN or infinite number to report, and an
+instance whose draw, decode or evaluation raised, as bad input named by its
+index.
 
 Both runners share one fork runner, `runner._run`, which deals their jobs
 (theorems, or a document) to this process and forked children and merges
@@ -57,7 +58,7 @@ from .bessel import (
     gruss_orthonormal_pair,
 )
 from .documents import _ENCODERS, _decode, _decode_steps, _Decoding
-from .errors import IneqError, InputFormatError, _brief
+from .errors import InputFormatError, _brief
 from .gruss import gruss_ball, gruss_ball_refined, gruss_pair, gruss_pair_refined
 from .integral import DiscretizedFunction, WeightedDomain, _discretized_rows
 from .legacy import (
@@ -92,7 +93,7 @@ from .sampling import (
 )
 from .schwarz import reverse_schwarz_ball, reverse_schwarz_pair
 from .space import FieldTag, standard_basis
-from .tally import _OUT_OF_RANGE, CHAIN_REL_TOL, InstanceResult, SuiteReport, _Tally
+from .tally import CHAIN_REL_TOL, InstanceResult, SuiteReport, _Tally
 from .triangle import triangle_reverse_ball, triangle_reverse_pair
 
 DEFAULT_DIMS = (1, 2, 3, 8)
@@ -236,8 +237,6 @@ def sample_admissible(
     """
     tid = normalize_theorem_id(theorem)
     tag = FieldTag.parse(field)
-    if tid in REAL_ONLY_IDS:
-        tag = FieldTag.REAL
     if dim < 1:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
     _check_dim(int(dim))
@@ -295,13 +294,18 @@ def _row_result(tid: str, row: tuple) -> InstanceResult:
 
     An integral row is the one-row group of its id (`_chunk_reports`), which
     discretizes its coefficients on the instance's domain; every other row's
-    arguments go to the operation as they are."""
+    arguments go to the operation as they are.  An ArithmeticError (a float **
+    that overflowed, a divisor that underflowed to 0) names the row's theorem,
+    which the tally's message for it quotes (`_Tally.counted`)."""
     field, dim, args = row
     spec = _SPECS[tid]
-    if spec.grouped:
-        dom = next(arg for arg in args if isinstance(arg, WeightedDomain))
-        return _result(tid, field, dim, _chunk_reports(tid, field, dom, [args])[0])
-    return _result(tid, field, dim, spec.operation(*args))
+    try:
+        if spec.grouped:
+            dom = next(arg for arg in args if isinstance(arg, WeightedDomain))
+            return _result(tid, field, dim, _chunk_reports(tid, field, dom, [args])[0])
+        return _result(tid, field, dim, spec.operation(*args))
+    except ArithmeticError as exc:
+        raise type(exc)(f"{tid} {exc}") from None
 
 
 #: Most node values per function in one grouped evaluation: a group is
@@ -453,7 +457,8 @@ def run_suite(
     process; no argument sets how many.  The default domain and the standard
     families its sampler draws on are built here, once, before any fork.
     The report, and the first exception raised, do not depend on the worker
-    count.
+    count.  A run refuses an empty theorem list, and a run that would draw no
+    instance: real-only ids (`REAL_ONLY_IDS`) with no real field.
 
     Violations count admissible instances failing an asserted comparison at
     relative tolerance tol (the theorems guarantee zero); counterexamples
@@ -467,6 +472,8 @@ def run_suite(
         if theorems is None
         else dict.fromkeys(normalize_theorem_id(t) for t in theorems)
     )
+    if not ids:
+        raise InputFormatError("need at least one theorem")
     tally = _Tally(tol, keep_records, ids)
     if trials < 1:
         raise InputFormatError(f"trials must be >= 1, got {trials}")
@@ -496,6 +503,11 @@ def run_suite(
             for d, t in grid[:trials] if "count" in kinds else ():
                 standard_basis(t, d, _family_size(d))
             jobs.append(partial(_suite_results, tid, grid, seed, adversarial))
+    if not jobs:
+        verb = "takes" if len(ids) == 1 else "take"
+        raise InputFormatError(
+            f"the run draws no instance: {', '.join(ids)} {verb} real fields only"
+        )
     _run(tally, jobs, trials)
 
     return tally.report({
@@ -509,27 +521,6 @@ def run_suite(
         "theorems": ids,
         "adversarial": adversarial,
     })
-
-
-def _file_results(instances: list, lo: int, hi: int):
-    """Instances lo..hi-1 of a document in index order; a bad one is bad input named by index.
-
-    Each instance is decoded once, into its row, and takes `run_suite`'s path
-    (`_results`).  That raises only after yielding every result before the
-    bad row, a row that fails to decode included, so the error is always
-    that of the next instance due.
-    """
-    results = _results(_document_row(instances[j]) for j in range(lo, hi))
-    for i in range(lo, hi):
-        try:
-            result = next(results)
-        except (IneqError, ValueError, TypeError) as exc:
-            raise InputFormatError(f"instance {i}: {exc}")
-        except ArithmeticError as exc:  # a float ** overflowed or a divisor underflowed to 0
-            # instance i decoded its id before any arithmetic, so this cannot fail
-            tid = normalize_theorem_id(instances[i]["theorem"])
-            raise InputFormatError(f"instance {i}: {tid} {exc}{_OUT_OF_RANGE}")
-        yield result
 
 
 def evaluate_file(
@@ -558,8 +549,12 @@ def evaluate_file(
     if not isinstance(instances, list):
         raise InputFormatError(f"{path}: 'instances' must be a list")
 
+    def job(lo: int, hi: int):
+        # each instance decoded once, into its row, and evaluated on `run_suite`'s path
+        return _results(_document_row(instances[j]) for j in range(lo, hi))
+
     # Overflow is bad input (`_Tally.add`), so numpy need not warn; workers inherit this.
     with np.errstate(over="ignore", invalid="ignore"):
-        _run(tally, [partial(_file_results, instances)], len(instances))
+        _run(tally, [job], len(instances))
 
     return tally.report({"mode": "eval", "version": __version__, "tol": float(tol)})

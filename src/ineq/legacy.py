@@ -259,21 +259,28 @@ def legacy_bessel_pair(
     That is `legacy_bessel_ball`'s chain over the weights G+g with radius ||G-g||, whose
     denominator ||G+g||^2 - ||G-g||^2 is taken as the dot 4 sum Re(G_i conj(g_i)) of the
     scaled float views: unlike the difference of the two norms, it does not cancel when g is
-    small against G.  A positive sum whose scaled form underflows to 0 raises
-    ZeroDivisionError: that denominator leaves double precision.
+    small against G.  A dot that is not positive is decided exactly, over the unscaled views:
+    a sum <= 0 fails the hypothesis, and a positive sum whose scaled form rounds to 0 raises
+    ZeroDivisionError, as that denominator leaves double precision.
     """
     diff, summ = _coefficient_pair(fam, gammas, Gammas)
     s, d, g, G = _unit_scaled(summ, diff, gammas.entries, Gammas.entries)
     re_sum = _vdot(g, G).real  # 2^(2k) sum Re(G_i conj(g_i)), over the float views
     if not re_sum > 0:
+        from fractions import Fraction  # this rare branch alone needs it
+
+        views = (e.view(np.float64).tolist() for e in (gammas.entries, Gammas.entries))
+        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(*views))
         unscaled = _vdot(Gammas.entries, gammas.entries).real
-        if unscaled > 0:
+        if not exact > 0:
+            raise PreconditionError(
+                f"sum Re(Gamma_i * conj(gamma_i)) must be positive, got {unscaled}"
+            )
+        re_sum = float(exact * Fraction(4) ** -math.frexp(summ)[1])  # the scale of the views
+        if re_sum == 0.0:
             raise ZeroDivisionError(
                 f"sum Re(Gamma_i * conj(gamma_i)) is {unscaled}, but 0 at the scale of ||G + g||"
             )
-        raise PreconditionError(
-            f"sum Re(Gamma_i * conj(gamma_i)) must be positive, got {unscaled}"
-        )
     check_same_space(x, fam.members[0])
     report = _family_ball(x, fam, gammas, Gammas, diff)
     weights = (G + g).view(Gammas.entries.dtype)

@@ -10,7 +10,8 @@ a "counterexample" when the hypothesis fails and a comparison fails; the
 theorems guarantee zero violations, and counterexamples are what adversarial
 mode looks for.  `_Tally.add` alone forms a result's slack and ratio, and
 refuses a result with a NaN or infinite number to render, as bad input named
-by the instance's index.
+by the instance's index; `_Tally.counted` names an instance whose sampling,
+decoding or evaluation raised the same way, for both runners.
 
 Every command writes `render_json`'s one format: two-space indentation, keys
 in insertion order, ASCII-escaped strings, numeric lists on one line, floats
@@ -31,7 +32,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
-from .errors import InputFormatError
+from .errors import IneqError, InputFormatError
 
 #: Relative slack used throughout when checking a <= b on computed chains.
 CHAIN_REL_TOL = 1e-9
@@ -358,10 +359,21 @@ class _Tally:
     def counted(self, job, lo: int, hi: int) -> "_Tally":
         """A new tally, with this one's tol and records choice, of `job(lo, hi)`.
 
+        The one place an index meets its result, so the one place an error that
+        `job` raises for instance i is named by it: bad input, as "instance i: ...",
+        and an ArithmeticError, whose text names the row's theorem (a float ** that
+        overflowed or a divisor that underflowed to 0), as leaving double precision.
         Its records, if any, are one text: a child sends a piece's records
         as one string, and the report splices it in as it is."""
         part = _Tally(self.tol, self.records is not None)
-        for i, result in zip(range(lo, hi), job(lo, hi)):
+        results = job(lo, hi)
+        for i in range(lo, hi):
+            try:
+                result = next(results)
+            except (IneqError, ValueError, TypeError) as exc:
+                raise InputFormatError(f"instance {i}: {exc}")
+            except ArithmeticError as exc:
+                raise InputFormatError(f"instance {i}: {exc}{_OUT_OF_RANGE}")
             part.add(i, result)
         if part.records:
             part.records = [_RECORD_SEP.join(part.records)]

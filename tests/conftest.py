@@ -10,13 +10,14 @@ of the report format.
 import dataclasses
 import json
 import os
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ineq import harness, runner, sample_admissible
+from ineq import THEOREM_IDS, harness, runner, sample_admissible
 
 settings.register_profile(
     "fast",
@@ -66,6 +67,58 @@ def sampled_row(tid, *args, index=0):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids of the children this process forks from now on."""
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def hold_here(monkeypatch, owner, name, ready) -> list:
+    """In each forked run, hold this process at its first call of `owner.name`, a call
+    each piece makes once as it starts, until `ready(children)`.
+
+    `children` are the pids forked for that run.  They claim the pieces after
+    this process's first meanwhile, so which process counts which piece does
+    not depend on timing.  Returns the pids forked from now on."""
+    parent, forks, real = os.getpid(), count_forks(monkeypatch), getattr(owner, name)
+    held = [0]
+
+    def holding(*args):
+        if os.getpid() == parent and len(forks) > held[0]:
+            children, held[0] = forks[held[0]:], len(forks)
+            deadline = time.monotonic() + 60
+            while not ready(children):
+                assert time.monotonic() < deadline, "no child got there"
+                time.sleep(0.002)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, holding)
+    return forks
+
+
+def write_document(tmp_path, instances) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
+    return str(path)
+
+
+def every_id_document(tmp_path) -> str:
+    """Every id at dims 1 and 3 in both fields, one instance in three adversarial."""
+    cells = [(tid, d, f) for tid in THEOREM_IDS for d in (1, 3) for f in ("real", "complex")]
+    return write_document(tmp_path, [
+        sample_admissible(tid, f, d, seed=9, adversarial=(i % 3 == 2), index=i)
+        for i, (tid, d, f) in enumerate(cells)
+    ])
 
 
 @pytest.fixture(autouse=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ineq import (
@@ -23,7 +23,6 @@ from ineq import (
     standard_basis,
     vector,
 )
-from ineq.conditions import _coefficient_pair
 from ineq.gruss import GrussReport
 
 FAM3 = standard_basis(FieldTag.REAL, 3, 2)
@@ -210,26 +209,6 @@ def test_coefficient_pair_shapes_are_checked_before_degeneracy(op):
         _SEQUENCE_PAIR_OPS[op](vector([1.0, 0.5, 0.25]), FAM3, g, G)
 
 
-@np.errstate(over="ignore")  # the square sums overflow on purpose
-def test_overflowing_coefficient_pair_is_not_degenerate():
-    # both square sums overflow, yet G is 1e10 times g: not degenerate, as the scalar
-    # pair (1e150, 1e160) is not, and the two norms are exact
-    fam = standard_basis(FieldTag.REAL, 3, 1)
-    pair = _coefficient_pair(fam, coefficients([1e150]), coefficients([1e160]))
-    assert pair == (1e160 - 1e150, 1e160 + 1e150)
-    with pytest.raises(DegeneratePairError):  # G = g
-        _coefficient_pair(fam, coefficients([1e160]), coefficients([1e160]))
-
-
-@np.errstate(over="ignore")
-def test_coefficient_pair_past_the_square_range_is_not_degenerate():
-    # |G+g|^2 = 9e308 overflows and |G-g|^2 = 1e308 does not: the pair is not degenerate,
-    # as the scalar pair is not, and its norms are exact
-    fam = standard_basis(FieldTag.REAL, 3, 1)
-    assert not ScalarPair(1e154, 2e154).is_degenerate()
-    assert _coefficient_pair(fam, coefficients([1e154]), coefficients([2e154])) == (1e154, 3e154)
-
-
 _tiny = st.one_of(
     st.just(0.0),
     st.floats(-1e-150, 1e-150, allow_subnormal=True),
@@ -253,9 +232,10 @@ def _coefficient_pairs(draw):
     return standard_basis(tag, 3, size), seqs
 
 
-def _accepts(fam, g, G):
+def _accepts(x, fam, g, G):
+    """Whether the coefficient-pair rule accepts (g, G), as `bessel_reverse_pair` applies it."""
     try:
-        _coefficient_pair(fam, g, G)
+        bessel_reverse_pair(x, fam, g, G)
     except DegeneratePairError:
         return False
     return True
@@ -272,26 +252,47 @@ def _exact_square_sums(g, G):
     return diff, summ
 
 
+def _exact_real_sum(g, G):
+    """sum Re(G_i conj(g_i)) of the entries, as an exact Fraction."""
+    return sum(
+        Fraction(a.real) * Fraction(b.real) + Fraction(a.imag) * Fraction(b.imag)
+        for a, b in zip(map(complex, g.entries.tolist()), map(complex, G.entries.tolist()))
+    )
+
+
+def _real_pair_case(gammas, Gammas):
+    g, G = coefficients(gammas, FieldTag.REAL), coefficients(Gammas, FieldTag.REAL)
+    return standard_basis(FieldTag.REAL, 3, len(gammas)), [g, G, g, G]
+
+
 #: An exact value at least this far above 0 does not round to 0 (2**-1074 is the least float).
 _ABOVE_UNDERFLOW = Fraction(2) ** -1060
 
 
 @given(_coefficient_pairs())
+# the float sum Re(Gamma_i conj(gamma_i)) is 5e-324, but its factor is about 5e322
+@example(_real_pair_case([0.0, 5e-324], [0.0, 1.0]))
+# the float sum is 0.0, and the exact one, about 2.5e-647, is positive
+@example(_real_pair_case([0.0, 5e-324], [7.0e-151, 5e-324]))
 def test_accepted_coefficient_pairs_never_divide_by_zero(case):
     # no accepted pair, down to subnormal entries, divides by zero, and a bound is 0
-    # only where its exact value, a ratio of positive sums, underflows
+    # only where its exact value, a ratio of positive sums, underflows; legacy1.20
+    # refuses a pair only as its exact sum Re(Gamma_i conj(gamma_i)) says
     fam, (g, G, p, P) = case
-    assume(_accepts(fam, g, G))
     x = vector(np.array([1e-160, -0.5, 2.0], dtype=fam.field.dtype))
     y = vector(np.array([0.25, 1e-300, -1.0], dtype=fam.field.dtype))
+    assume(_accepts(x, fam, g, G))
     d, s = _exact_square_sums(g, G)
     bound = bessel_reverse_pair(x, fam, g, G).bound  # d / (4 s^(1/2))
     assert bound > 0 or d * d < 16 * s * _ABOVE_UNDERFLOW**2, (bound, d, s)
+    real_sum = _exact_real_sum(g, G)
     try:
         legacy_bessel_pair(x, fam, g, G)
-    except PreconditionError:  # sum Re(Gamma_i conj(gamma_i)) <= 0
-        pass
-    pairs = [(g, G, g, G)] + [(g, G, p, P)] * _accepts(fam, p, P)
+    except PreconditionError:  # the hypothesis fails
+        assert real_sum <= 0, real_sum
+    except ZeroDivisionError:  # the factor s / (4 real_sum) leaves double precision
+        assert 0 < real_sum and s > 4 * real_sum * Fraction(2) ** 1024, (real_sum, s)
+    pairs = [(g, G, g, G)] + [(g, G, p, P)] * _accepts(x, fam, p, P)
     for pair in pairs:
         # each bound is at least 1/8 of the factor (d_x d_y)^(1/2) / (s_x s_y)^(1/4)
         rep = gruss_orthonormal_pair(x, y, fam, *pair)

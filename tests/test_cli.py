@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ineq import (
-    THEOREM_IDS, InputFormatError, documents, harness, integral, run_suite, sample_admissible,
-    space,
+    THEOREM_IDS, InputFormatError, documents, evaluate_file, harness, integral, run_suite,
+    sample_admissible, space,
 )
 from ineq.cli import main
 from ineq.sharpness import CONSTRUCTIONS
@@ -88,16 +88,61 @@ def test_verify_unknown_theorem(capsys):
     assert "thm9.9" in err
 
 
-def test_verify_rejects_bad_flag_values():
+def test_verify_rejects_bad_flag_values(capsys):
+    # an out-of-range value is the library's one-line refusal, and a field argparse
+    # does not offer is its usage error
     for argv in (
         ["verify", "--trials", "0"],
         ["verify", "--seed", "-1"],
         ["verify", "--dims", "0,2"],
-        ["verify", "--field", "quaternion"],
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "") and err.startswith("ineq: ") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--field", "quaternion"])
+    assert exc.value.code == 2
+
+
+#: Flags whose value parses but is out of range: (argv, the library call given the
+#: parsed value), "DOC" standing for an instance document's path.
+_REFUSED_FLAGS = {
+    "trials 0": (["verify", "--trials", "0"], lambda doc: run_suite(trials=0)),
+    "seed -1": (["verify", "--seed", "-1"], lambda doc: run_suite(seed=-1)),
+    "dims 0,2": (["verify", "--dims", "0,2"], lambda doc: run_suite(dims=(0, 2))),
+    "dims ,": (["verify", "--dims", ","], lambda doc: run_suite(dims=())),
+    "tol nan": (["verify", "--tol", "nan"], lambda doc: run_suite(tol=math.nan)),
+    "theorems ,": (["verify", "--theorems", ","], lambda doc: run_suite(theorems=())),
+    "eval tol inf": (
+        ["eval", "--input", "DOC", "--tol", "inf"], lambda doc: evaluate_file(doc, tol=math.inf)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_FLAGS))
+def test_a_refused_flag_is_the_library_refusal_in_one_line(tmp_path, capsys, case):
+    # the library owns every range rule: the command line prints its message, and
+    # no traceback
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"instances": [sample_admissible("thm2.1")]}), encoding="utf-8")
+    argv, call = _REFUSED_FLAGS[case]
+    with pytest.raises(InputFormatError) as refused:
+        call(str(doc))
+    argv = [str(doc) if arg == "DOC" else arg for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"ineq: {refused.value}\n")
+
+
+def test_a_verify_that_draws_no_instance_exits_2(capsys):
+    # prop7.11 takes real fields only: alone over the complex field it would certify
+    # nothing, and alongside an id that draws it counts 0
+    assert run_cli(capsys, "verify", "--theorems", "prop7.11", "--field", "complex") == (
+        2, "", "ineq: the run draws no instance: prop7.11 takes real fields only\n"
+    )
+    rc, out, err = run_cli(
+        capsys, "verify", "--theorems", "prop7.11,thm2.1", "--field", "complex", "--trials", "4"
+    )
+    assert (rc, err) == (0, "")
+    per_theorem = json.loads(out)["per_theorem"]
+    assert (per_theorem["prop7.11"]["count"], per_theorem["thm2.1"]["count"]) == (0, 4)
 
 
 @pytest.mark.parametrize(
@@ -228,11 +273,9 @@ def test_eval_malformed_instance_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["verify"], ["eval", "--input", "unused.json"]])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 def test_non_finite_tol_exits_2(capsys, command, tol):
-    with pytest.raises(SystemExit) as exc:
-        main(command + [f"--tol={tol}"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--tol" in err and "Traceback" not in err
+    assert run_cli(capsys, *command, f"--tol={tol}") == (
+        2, "", f"ineq: tol must be finite, got {float(tol)!r}\n"
+    )
 
 
 @pytest.mark.parametrize("grid", ["nan:1:5", "inf:1:3", "1e-3:inf:3", "1:-inf:2", "1e-3:nan:4"])
@@ -769,6 +812,31 @@ def test_eval_counts_finite_values_whose_sum_overflows(tmp_path, capsys, records
     options = ("--output", str(tmp_path / "out.json")) if records else ()
     rc, out, err = _eval_one(tmp_path, capsys, dict(_scaled(inst, 154), **fixed), *options)
     assert (rc, err) == (0, "") and json.loads(out)["aggregate"]["count"] == 1
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (ValueError("broken"), "ineq: instance 0: broken\n"),
+        (
+            ZeroDivisionError("underflowed"),
+            "ineq: instance 0: thm2.1 underflowed; the inputs leave double precision\n",
+        ),
+    ],
+    ids=["bad input", "out of range"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_names_an_instance_whose_operation_raises_as_eval_does(
+    tmp_path, capsys, monkeypatch, force_workers, workers, error, message
+):
+    def broken(*args):
+        raise error
+
+    spec = harness._SPECS["thm2.1"]
+    monkeypatch.setitem(harness._SPECS, "thm2.1", dataclasses.replace(spec, operation=broken))
+    force_workers(workers)
+    assert run_cli(capsys, "verify", "--theorems", "thm2.1", "--trials", "8") == (2, "", message)
+    assert _eval_one(tmp_path, capsys, sample_admissible("thm2.1", "real", 3)) == (2, "", message)
 
 
 #: What `ineq` writes of thm2.1 instance 0 when its chain's gap link is NaN.

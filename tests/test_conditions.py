@@ -26,6 +26,7 @@ from ineq import (
     vector,
 )
 from ineq import conditions
+from ineq.conditions import _coefficient_pair
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=64)
 
@@ -215,6 +216,26 @@ def _reads_the_float_range(node: ast.AST) -> bool:
     if isinstance(node, ast.ImportFrom):
         return any(alias.name in ("float_info", "hypot") for alias in node.names)
     return False
+
+
+@np.errstate(over="ignore")  # the square sums overflow on purpose
+def test_overflowing_coefficient_pair_is_not_degenerate():
+    # both square sums overflow, yet G is 1e10 times g: not degenerate, as the scalar
+    # pair (1e150, 1e160) is not, and the two norms are exact
+    fam = standard_basis(FieldTag.REAL, 3, 1)
+    pair = _coefficient_pair(fam, coefficients([1e150]), coefficients([1e160]))
+    assert pair == (1e160 - 1e150, 1e160 + 1e150)
+    with pytest.raises(DegeneratePairError):  # G = g
+        _coefficient_pair(fam, coefficients([1e160]), coefficients([1e160]))
+
+
+@np.errstate(over="ignore")
+def test_coefficient_pair_past_the_square_range_is_not_degenerate():
+    # |G+g|^2 = 9e308 overflows and |G-g|^2 = 1e308 does not: the pair is not degenerate,
+    # as the scalar pair is not, and its norms are exact
+    fam = standard_basis(FieldTag.REAL, 3, 1)
+    assert not ScalarPair(1e154, 2e154).is_degenerate()
+    assert _coefficient_pair(fam, coefficients([1e154]), coefficients([2e154])) == (1e154, 3e154)
 
 
 def test_only_space_knows_the_float_range():

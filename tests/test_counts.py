@@ -269,6 +269,9 @@ def test_a_non_finite_sampled_coordinate_still_raises(monkeypatch, tid, bad):
             return tag, rec_dim, args
 
         monkeypatch.setitem(harness._SPECS, tid, dataclasses.replace(spec, sampler=poisoned))
-        # numpy may warn of the inf * 0 it meets first; the check then raises
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        # numpy may warn of the inf * 0 it meets first; the check then raises, and the
+        # tally names the instance
+        with np.errstate(all="ignore"), pytest.raises(
+            InputFormatError, match=r"^instance 0: entries must be finite \(no NaN/Inf\)$"
+        ):
             run_suite([tid], trials=2, dims=(3,), fields=(field,))

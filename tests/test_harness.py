@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ineq import (
@@ -29,12 +29,14 @@ from ineq import (
     sample_admissible,
     vector,
 )
-from ineq import bessel, conditions, documents, gruss, harness, integral, legacy, tally
+from ineq import bessel, conditions, gruss, harness, integral, legacy, tally
 from ineq.cli import main
 from ineq.harness import _SPECS, REAL_ONLY_IDS, normalize_theorem_id
-from ineq.tally import CSV_COLUMNS, InstanceResult, _Stats, _Tally, leq_with_slack, render_json
+from ineq.tally import CSV_COLUMNS, leq_with_slack
 
-from conftest import assert_no_child_left, sampled_row
+from conftest import (
+    assert_no_child_left, count_forks, every_id_document, hold_here, sampled_row, write_document
+)
 
 
 def test_theorem_catalog():
@@ -95,8 +97,13 @@ def test_adversarial_mode_finds_counterexamples():
 
 
 def test_complex_only_run_skips_real_only_theorems():
-    rep = run_suite(theorems=["prop7.11"], trials=4, dims=(2,), fields=("complex",))
+    rep = run_suite(theorems=["prop7.11", "thm2.1"], trials=4, dims=(2,), fields=("complex",))
     assert rep.per_theorem["prop7.11"]["count"] == 0
+    assert rep.per_theorem["thm2.1"]["count"] == 4
+    # a run of real-only ids alone would draw nothing, and is refused
+    with pytest.raises(InputFormatError) as refused:
+        run_suite(theorems=["prop7.11"], trials=4, dims=(2,), fields=("complex",))
+    assert str(refused.value) == "the run draws no instance: prop7.11 takes real fields only"
 
 
 def test_record_structure_and_prefix_determinism():
@@ -625,29 +632,6 @@ def test_domain_cache_is_bounded_and_keeps_records(tmp_path, monkeypatch):
     assert bounded == unbounded
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_coordinate_lists_decode_bit_identically_to_the_per_element_route(field):
-    constructors = {"vector": vector, "seq": coefficients}
-    checked = 0
-    for tid in THEOREM_IDS:
-        for dim in (1, 2, 3, 8, 16):
-            inst = sample_admissible(tid, field, dim, seed=4, index=dim)
-            tag = FieldTag.parse(inst["field"])
-            for key, kind in _SPECS[tid].params:
-                if kind not in constructors:
-                    continue
-                fast = documents._dec_coords(inst[key], tag)
-                assert isinstance(fast, np.ndarray), (tid, key)  # the one-call route ran
-                slow = [documents._dec_scalar(v) for v in inst[key]]
-                build = constructors[kind]
-                a, b = build(fast, tag), build(slow, tag)
-                got, want = (a.coords, b.coords) if kind == "vector" else (a.entries, b.entries)
-                assert got.dtype == want.dtype == tag.dtype
-                assert got.tobytes() == want.tobytes(), (tid, dim, key)
-                checked += 1
-    assert checked > 200
-
-
 def test_sampled_documents_own_their_domain():
     # a returned document is the caller's to edit: changing any nested part
     # of its domain leaves the default spec, later samples and suites alone
@@ -760,25 +744,11 @@ _SPLIT_CASES = {
 }
 
 
-def _count_forks(monkeypatch) -> list:
-    """The pids of the children this process forks from now on."""
-    forks, real_fork = [], os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
 def test_report_does_not_depend_on_the_worker_count(force_workers, monkeypatch, case):
     # 7 trials split unevenly over 2 and 3 workers; 2 trials leave one of 3
     # slices empty
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     reports = []
     for n in (1, 2, 3):
         force_workers(n)
@@ -822,30 +792,8 @@ def _logged_pids(path) -> set:
     return set(path.read_text(encoding="ascii").split()) if path.exists() else set()
 
 
-def _hold_here(monkeypatch, ready) -> list:
-    """In each forked run, hold this process before its first piece until `ready(children)`.
-
-    `children` are the pids forked for that run.  They claim the pieces after
-    this process's first meanwhile, so which process counts which piece does
-    not depend on timing.  Returns the pids forked from now on."""
-    parent, forks, counted = os.getpid(), _count_forks(monkeypatch), _Tally.counted
-    held = [0]
-
-    def holding(self, job, lo, hi):
-        if os.getpid() == parent and len(forks) > held[0]:
-            children, held[0] = forks[held[0]:], len(forks)
-            deadline = time.monotonic() + 60
-            while not ready(children):
-                assert time.monotonic() < deadline, "no child got there"
-                time.sleep(0.002)
-        return counted(self, job, lo, hi)
-
-    monkeypatch.setattr(_Tally, "counted", holding)
-    return forks
-
-
 def _logged_by(path):
-    """`_hold_here`'s `ready`: one of the run's children has logged its pid in `path`."""
+    """`hold_here`'s `ready`: one of the run's children has logged its pid in `path`."""
     return lambda children: bool(_logged_pids(path) & {str(pid) for pid in children})
 
 
@@ -861,11 +809,11 @@ def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
 
     def fail():
         _log_pid(raised_in)
-        raise InputFormatError(f"instance {index} is broken")
+        raise InputFormatError("broken")
 
     _act_at(monkeypatch, "thm4.1", index, fail)
     if index == 9:
-        _hold_here(monkeypatch, _logged_by(raised_in))
+        hold_here(monkeypatch, harness, "_results", _logged_by(raised_in))
     ids = ["thm4.1", "thm2.1", "thm5.2"]
     errors, cli = [], []
     for n in (1, 2):
@@ -878,8 +826,8 @@ def test_an_error_in_any_slice_is_raised_as_in_a_serial_run(
         captured = capsys.readouterr()
         cli.append((rc, captured.out, captured.err))
         assert_no_child_left()
-    assert errors[1] == errors[0] == (InputFormatError, f"instance {index} is broken")
-    assert cli[1] == cli[0] == (2, "", f"ineq: instance {index} is broken\n")
+    assert errors[1] == errors[0] == (InputFormatError, f"instance {index}: broken")
+    assert cli[1] == cli[0] == (2, "", f"ineq: instance {index}: broken\n")
     pids = set(raised_in.read_text(encoding="ascii").split())
     # a child's error ends the child, and this process then computes its
     # slice: instance 9 raised in each of the two forked runs' child too
@@ -902,7 +850,7 @@ def test_a_child_that_dies_has_its_slices_computed_here(force_workers, monkeypat
     kwargs = dict(theorems=["thm2.1", "thm4.1", "thm5.2"], trials=10, seed=2, keep_records=True)
     force_workers(1)
     serial = run_suite(**kwargs).to_json()
-    _hold_here(monkeypatch, _logged_by(died))
+    hold_here(monkeypatch, harness, "_results", _logged_by(died))
     force_workers(3)
     assert run_suite(**kwargs).to_json() == serial
     assert_no_child_left()
@@ -932,7 +880,7 @@ def test_whole_theorem_pieces_give_the_serial_report(force_workers, monkeypatch,
     kwargs = dict(theorems=_CLAIM_IDS, **_CLAIM_CASES[case])
     force_workers(1)
     serial = run_suite(**kwargs).to_json()
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     force_workers(workers)
     assert run_suite(**kwargs).to_json() == serial
     assert len(forks) == workers - 1
@@ -951,7 +899,7 @@ def test_an_error_in_a_claimed_piece_is_the_serial_error(
 
     def fail():
         _log_pid(raised_in)
-        raise InputFormatError("instance 21 is broken")
+        raise InputFormatError("broken")
 
     _act_at(monkeypatch, "thm4.1", 21, fail)
     ids = _CLAIM_IDS if where == "here" else _CHILD_IDS
@@ -960,12 +908,14 @@ def test_an_error_in_a_claimed_piece_is_the_serial_error(
         run_suite(ids, trials=40, seed=3)
     raised_in.unlink()
     child_raised = _logged_by(raised_in)
-    forks = _hold_here(monkeypatch, lambda children: where == "here" or child_raised(children))
+    forks = hold_here(
+        monkeypatch, harness, "_results", lambda children: where == "here" or child_raised(children)
+    )
     force_workers(workers)
     with pytest.raises(InputFormatError) as forked:
         run_suite(ids, trials=40, seed=3)
     assert_no_child_left()
-    assert str(forked.value) == str(serial.value) == "instance 21 is broken"
+    assert str(forked.value) == str(serial.value) == "instance 21: broken"
     here = str(os.getpid())
     if where == "here":
         assert _logged_pids(raised_in) == {here}
@@ -991,7 +941,7 @@ def test_a_child_that_dies_mid_run_has_its_pieces_computed_here(
     kwargs = dict(theorems=_CHILD_IDS, trials=40, seed=4, keep_records=True)
     force_workers(1)
     serial = run_suite(**kwargs).to_json()
-    forks = _hold_here(monkeypatch, _logged_by(died))
+    forks = hold_here(monkeypatch, harness, "_results", _logged_by(died))
     force_workers(workers)
     assert run_suite(**kwargs).to_json() == serial
     assert_no_child_left()
@@ -1001,15 +951,15 @@ def test_a_child_that_dies_mid_run_has_its_pieces_computed_here(
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_slow_child_changes_no_byte(force_workers, monkeypatch, workers):
-    parent, counted, slept = os.getpid(), _Tally.counted, []
+    parent, results, slept = os.getpid(), harness._results, []
 
-    def slow_first_piece(self, job, lo, hi):
+    def slow_first_piece(rows):
         if os.getpid() != parent and not slept:  # each child appends to its own copy
             slept.append(True)
             time.sleep(0.2)
-        return counted(self, job, lo, hi)
+        return results(rows)
 
-    monkeypatch.setattr(_Tally, "counted", slow_first_piece)
+    monkeypatch.setattr(harness, "_results", slow_first_piece)
     kwargs = dict(theorems=_CLAIM_IDS, **_CLAIM_CASES["records"])
     force_workers(1)
     serial = run_suite(**kwargs).to_json()
@@ -1029,7 +979,7 @@ def test_a_clean_run_evaluates_every_instance_once(force_workers, monkeypatch, t
             yield result
 
     monkeypatch.setattr(harness, "_suite_results", logging_results)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     force_workers(workers)
     run_suite(_CLAIM_IDS, trials=40, dims=(1, 3), seed=6)
     rows = [line.split() for line in logged.read_text(encoding="ascii").splitlines()]
@@ -1062,39 +1012,7 @@ def test_a_forked_run_takes_pipe_descriptors_past_the_select_limit(force_workers
 
 
 # ---------------------------------------------------------------------------
-# Slice tallies, and evaluate_file split over forked workers.
-
-#: Values that tie, change sign, sit at or below the ratio's 1e-300 floor, or not.
-_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-301, 1e-300, 2e-300, 0.5, 1.0, -1.0, 3.0])
-_FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300)
-@given(
-    rows=st.lists(
-        st.tuples(st.booleans(), st.booleans(), _FLOATS, _FLOATS | st.none()), max_size=40
-    ),
-    cuts=st.lists(st.integers(0, 40), max_size=4),
-)
-# tied extremes that only the first to reach them decides: slack 0.0 then
-# -0.0, and ratio 0.0 then -0.0
-@example(rows=[(True, True, 0.0, 1.0), (True, True, -0.0, None)], cuts=[1])
-@example(rows=[(True, True, 1.0, 0.0), (True, True, 1.0, -0.0)], cuts=[1])
-def test_stats_merged_in_slice_order_equal_the_serial_fold(rows, cuts):
-    # rows are (admissible, ok, slack, ratio), a ratio of None not counted; empty
-    # slices included
-    def folded(part):
-        stats = _Stats()
-        for row in part:
-            stats.add(*row)
-        return stats
-
-    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
-    merged = _Stats()
-    for lo, hi in zip(bounds, bounds[1:]):
-        merged.merge(folded(rows[lo:hi]))
-    # repr tells -0.0 from 0.0
-    assert repr(merged.as_dict()) == repr(folded(rows).as_dict())
+# A child's messages, and evaluate_file split over forked workers.
 
 
 def test_a_records_free_child_message_does_not_grow_with_trials(
@@ -1114,7 +1032,7 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
         return data
 
     monkeypatch.setattr(pickle, "dumps", logging_dumps)
-    _hold_here(monkeypatch, lambda children: logged.exists())
+    hold_here(monkeypatch, harness, "_results", lambda children: logged.exists())
     sizes = {}
     for trials in (100, 10_000):
         force_workers(2, floor=trials // 2)
@@ -1126,77 +1044,16 @@ def test_a_records_free_child_message_does_not_grow_with_trials(
     assert sizes[10_000][0] < 512
 
 
-def test_a_records_keeping_eval_child_sends_its_slice_as_one_text(
-    force_workers, monkeypatch, tmp_path
-):
-    # over 2 workers and with a floor of 50, this process counts instances
-    # 0..49 of 100, the first piece, which it claims before it forks; the child
-    # claims 50..99, the other, while this process is held.  The child's one
-    # message is its slice of the report's JSON, as one text, plus its
-    # tally's stats; this process renders its own slice's records and, for
-    # the report, only the head
-    logged, dumps = tmp_path / "messages", pickle.dumps
-
-    def logging_dumps(obj, protocol=None):
-        data = dumps(obj, protocol)
-        with open(logged, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps([len(data), obj[1].records]) + "\n")
-        return data
-
-    parent, emitted, rendered = os.getpid(), [], []
-    record_text, render_json = tally._record_text, tally.render_json
-
-    def counting_record_text(index, *args):
-        if os.getpid() == parent:
-            emitted.append(index)
-        return record_text(index, *args)
-
-    def counting_render_json(obj):
-        if os.getpid() == parent:
-            rendered.append(list(obj))
-        return render_json(obj)
-
-    path = _every_id_document(tmp_path)
-    monkeypatch.setattr(pickle, "dumps", logging_dumps)
-    monkeypatch.setattr(tally, "_record_text", counting_record_text)
-    monkeypatch.setattr(tally, "render_json", counting_render_json)
-    _hold_here(monkeypatch, lambda children: logged.exists())
-    force_workers(2, floor=50)
-    report = evaluate_file(path)
-    text = report.to_json()
-    assert emitted == list(range(50))
-    assert rendered == [["metadata", "aggregate", "per_theorem"]]
-    [[size, records]] = [json.loads(line) for line in logged.read_text("utf-8").splitlines()]
-    start = text.index('{\n      "index": 50,')
-    assert records == [text[start:text.rindex("\n  ]\n}\n")]]
-    assert 0 < size - len(records[0]) < 2048
-
-
-def _document(tmp_path, instances) -> str:
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps({"instances": instances}), encoding="utf-8")
-    return str(path)
-
-
-def _every_id_document(tmp_path) -> str:
-    """Every id at dims 1 and 3 in both fields, one instance in three adversarial."""
-    cells = [(tid, d, f) for tid in THEOREM_IDS for d in (1, 3) for f in ("real", "complex")]
-    return _document(tmp_path, [
-        sample_admissible(tid, f, d, seed=9, adversarial=(i % 3 == 2), index=i)
-        for i, (tid, d, f) in enumerate(cells)
-    ])
-
-
 @pytest.mark.parametrize("case", ["every id", "two instances"])
 def test_eval_does_not_depend_on_the_worker_count(force_workers, monkeypatch, tmp_path, case):
     # 100 instances split unevenly over 3 workers; 2 instances, fewer than
     # 3 CPUs, take 2 workers, one instance each
     if case == "every id":
-        path, size = _every_id_document(tmp_path), 100
+        path, size = every_id_document(tmp_path), 100
     else:
         docs = [sample_admissible("thm5.2", "complex", 3, seed=4, index=i) for i in range(2)]
-        path, size = _document(tmp_path, docs), 2
-    forks = _count_forks(monkeypatch)
+        path, size = write_document(tmp_path, docs), 2
+    forks = count_forks(monkeypatch)
     reports = []
     for n in (1, 2, 3):
         force_workers(n)
@@ -1226,7 +1083,7 @@ def _marked_document(tmp_path, index) -> str:
     """10 instances, the one at `index` marked."""
     docs = [sample_admissible("thm4.1", "real", 3, seed=2, index=i) for i in range(10)]
     docs[index]["mark"] = True
-    return _document(tmp_path, docs)
+    return write_document(tmp_path, docs)
 
 
 #: With 10 instances over 2 workers and a floor of 5, instance 1 lies in the
@@ -1245,7 +1102,7 @@ def test_an_eval_error_in_any_slice_is_raised_as_in_a_serial_run(
 
     _act_at_marked(monkeypatch, fail)
     if index == 9:
-        _hold_here(monkeypatch, _logged_by(raised_in))
+        hold_here(monkeypatch, harness, "_results", _logged_by(raised_in))
     path = _marked_document(tmp_path, index)
     errors, cli = [], []
     for n in (1, 2):
@@ -1281,206 +1138,11 @@ def test_an_eval_child_that_dies_has_its_slice_computed_here(
     path = _marked_document(tmp_path, 7)
     force_workers(1, floor=3)
     serial = evaluate_file(path).to_json()
-    _hold_here(monkeypatch, _logged_by(died))
+    hold_here(monkeypatch, harness, "_results", _logged_by(died))
     force_workers(3)
     assert evaluate_file(path).to_json() == serial
     assert_no_child_left()
     assert len(died.read_text(encoding="ascii").split()) == 1
-
-
-def test_brief_quotes_short_values_whole_and_cuts_long_ones():
-    from ineq.errors import _BRIEF_CHARS, _brief
-
-    short = [0.5] * 10
-    assert _brief(short) == repr(short)
-    long = [0.5] * 1000
-    assert len(_brief(long)) == _BRIEF_CHARS
-    assert _brief(long) == repr(long)[: _BRIEF_CHARS - 3] + "..."
-    with pytest.raises(InputFormatError) as exc:
-        evaluate_instance(dict(sample_admissible("thm2.1"), r="x" * 10**6))
-    assert str(exc.value) == f"thm2.1 'r': expected a number, got {_brief('x' * 10**6)}"
-
-
-# ---------------------------------------------------------------------------
-# Records: each rendered once, as text, by the tally that counts it.
-
-
-def _record_dict(index, result, ok, flags) -> dict:
-    """A record as a dict: what reports held before they held record texts."""
-    return {
-        "index": index,
-        "theorem": result.theorem,
-        "field": result.field,
-        "dim": result.dim,
-        "admissible": result.admissible,
-        "margin": result.margin,
-        "gap": result.gap,
-        "bound": result.bound,
-        "slack": result.bound - result.gap,
-        "passed": ok,
-        "comparisons": [
-            [l1, v1, l2, v2, flag] for (l1, v1, l2, v2), flag in zip(result.comparisons, flags)
-        ],
-    }
-
-
-def _rendered(render):
-    try:
-        return render()
-    except ValueError as exc:
-        return type(exc)
-
-
-#: The values `_result` copies: float numbers, NaN and infinities among them
-#: (`st.floats()`), str labels, bool flags and int index and dim.
-_record_floats = st.one_of(
-    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e16, 1e17, 123456789012345.0, 1e308, -1e308]),
-    st.integers(-(10**17), 10**17).map(float),  # integral floats print without a point
-    st.floats(),
-)
-_record_labels = st.one_of(
-    st.sampled_from(["gap", "bound", "half_route", "Grüss ‖h‖"]), st.text(max_size=8)
-)
-
-
-@st.composite
-def _records(draw):
-    comparisons = draw(st.lists(
-        st.tuples(_record_labels, _record_floats, _record_labels, _record_floats), max_size=6
-    ))
-    result = InstanceResult(
-        draw(_record_labels), draw(_record_labels), draw(st.integers(0, 2**63)),
-        draw(st.booleans()), draw(_record_floats), draw(_record_floats), draw(_record_floats),
-        tuple(comparisons),
-    )
-    flags = [draw(st.booleans()) for _ in comparisons]
-    return draw(st.integers(0, 2**63)), result, draw(st.booleans()), flags
-
-
-def _plain_record(
-    margin=-0.0, gap=0.0, bound=1.0, comparisons=(("gap", 0.0, "bound", 1.0),), admissible=True
-):
-    result = InstanceResult("thm2.1", "real", 3, admissible, margin, gap, bound, comparisons)
-    return 7, result, True, [True]
-
-
-@settings(max_examples=300)
-@given(_records())
-@example(_plain_record())
-@example(_plain_record(margin=float("nan")))
-@example(_plain_record(gap=-1e308, bound=1e308))  # finite values, an infinite slack
-@example(_plain_record(gap=float("inf"), bound=float("inf")))  # inf - inf is NaN
-@example(_plain_record(margin=1e308, gap=1e308, bound=1e308))  # finite values, an infinite sum
-@example(_plain_record(comparisons=(("gap", -float("inf"), "bound", 1e17),)))
-@example(_plain_record(gap=1e10, bound=1e-299))  # finite values, an infinite ratio
-def test_a_record_text_is_what_render_json_writes_for_its_dict(record):
-    # render_json refuses a NaN or infinite number; the tally refuses a result with
-    # one in its record or in the aggregate entry it feeds (an admissible result's
-    # ratio counts above a bound of 1e-300) before rendering it, and counts every
-    # other, records kept or not
-    index, result, _, _ = record
-    counted = result.admissible and result.bound > 1e-300
-    ratio = result.gap / result.bound if counted else None
-    expected = _rendered(lambda: render_json({"records": [_record_dict(*record)]}))
-    unrenderable = ValueError in (expected, _rendered(lambda: render_json({"max_ratio": ratio})))
-    for keep_records in (False, True):
-        counting = _Tally(1e-9, keep_records)
-        if not unrenderable:
-            counting.add(index, result)
-            continue
-        with pytest.raises(InputFormatError) as refused:
-            counting.add(index, result)
-        message = str(refused.value)
-        assert message.startswith(f"instance {index}: {result.theorem} "), message
-        assert message.endswith("; the inputs leave double precision"), message
-    if not unrenderable:
-        slack = result.bound - result.gap
-        got = '{\n  "records": [\n    ' + tally._record_text(*record, slack) + "\n  ]\n}\n"
-        assert got == expected
-
-
-_NAN, _INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize(
-    "values, named",
-    [
-        ({"gap": _NAN, "bound": _INF, "margin": _NAN}, "gap is nan"),
-        ({"bound": -_INF, "margin": _NAN}, "bound is -inf"),
-        ({"margin": _INF, "comparisons": (("a", _NAN, "b", 1.0),)}, "margin is inf"),
-        ({"comparisons": (("a", 1.0, "b", 2.0), ("c", 1.0, "d", _NAN))}, "d is nan"),
-        ({"gap": -1e308, "bound": 1e308}, "slack is inf"),  # finite values, an infinite slack
-        ({"gap": -1e308, "bound": 1e308, "comparisons": (("a", _INF, "b", 1.0),)}, "a is inf"),
-        ({"gap": 1e10, "bound": 1e-299}, "ratio is inf"),  # finite values, an infinite ratio
-        # a result that is not admissible counts no ratio, and is not judged on it
-        ({"gap": 1e10, "bound": 1e-299, "admissible": False}, None),
-    ],
-)
-@pytest.mark.parametrize("keep_records", [False, True])
-def test_the_tally_refuses_a_result_naming_its_first_non_finite_number(
-    values, named, keep_records
-):
-    counting = _Tally(1e-9, keep_records)
-    result = _plain_record(**values)[1]
-    if named is None:
-        counting.add(4, result)
-        assert counting.total.count == 1 and counting.total.max_ratio is None
-        return
-    with pytest.raises(InputFormatError) as refused:
-        counting.add(4, result)
-    assert str(refused.value) == (
-        f"instance 4: thm2.1 {named}; the inputs leave double precision"
-    )
-    assert counting.total.count == 0 and counting.records in (None, [])
-
-
-@pytest.mark.parametrize("keep_records", [False, True])
-def test_the_tally_counts_finite_values_whose_sum_overflows(keep_records):
-    # gap = bound = 1e308: the values' sum overflows, and every value is finite
-    counting = _Tally(1e-9, keep_records)
-    record = _plain_record(gap=1e308, bound=1e308, comparisons=(("gap", 1e308, "bound", 1e308),))
-    counting.add(*record[:2])
-    report = counting.report({})
-    assert report.aggregate == {
-        "count": 1, "violations": 0, "counterexamples": 0, "min_slack": 0.0, "max_ratio": 1.0
-    }
-    if keep_records:
-        assert report.records == [_record_dict(*record)]
-
-
-@pytest.mark.parametrize("adversarial", [False, True], ids=["plain", "adversarial"])
-def test_every_counted_result_holds_the_plain_values_of_the_record_template(
-    tmp_path, monkeypatch, force_workers, adversarial
-):
-    # `_record_text`'s one printf template takes float numbers, str labels, bool
-    # flags and an int dim: every id, dim and field, through both runners
-    counted = []
-    add = _Tally.add
-
-    def recording(self, index, result):
-        counted.append(result)
-        add(self, index, result)
-
-    monkeypatch.setattr(_Tally, "add", recording)
-    force_workers(1)
-    dims, fields = (1, 2, 3, 8, 16), ("real", "complex")
-    run_suite(trials=10, dims=dims, fields=fields, seed=5, adversarial=adversarial)
-    cells = [(tid, d, f) for tid in THEOREM_IDS for d in dims for f in fields]
-    evaluate_file(_document(tmp_path, [
-        sample_admissible(tid, f, d, seed=5, adversarial=adversarial, index=i)
-        for i, (tid, d, f) in enumerate(cells)
-    ]))
-    assert len(counted) == 2 * len(cells)
-    assert {(r.theorem, r.field) for r in counted} == {
-        (tid, "real" if tid in REAL_ONLY_IDS else f) for tid, _, f in cells
-    }
-    for r in counted:
-        assert (type(r.theorem), type(r.field), type(r.dim), type(r.admissible)) == (
-            str, str, int, bool
-        ), r
-        assert (type(r.margin), type(r.gap), type(r.bound)) == (float, float, float), r
-        for comparison in r.comparisons:
-            assert tuple(map(type, comparison)) == (str, float, str, float), r
 
 
 def test_result_is_the_one_constructor_of_instance_results():
@@ -1505,48 +1167,3 @@ def test_result_is_the_one_constructor_of_instance_results():
         for path in sorted(package.glob("*.py"))
         for scope in constructors(ast.parse(path.read_text(encoding="utf-8")))
     ] == [("harness.py", "_result")]
-
-
-def _csv_bytes(path, records) -> bytes:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([tally._csv_cell(rec[c]) for c in CSV_COLUMNS])
-    return path.read_bytes()
-
-
-def _assert_records_round_trip(report, expected, tmp_path):
-    # repr tells 1 from 1.0 and -0.0 from 0.0
-    assert repr(report.records) == repr(expected)
-    assert render_json(report.as_dict()) == report.to_json()
-    emit_report(report, str(tmp_path / "report.json"), "json")
-    assert (tmp_path / "report.json").read_text("utf-8") == report.to_json()
-    emit_report(report, str(tmp_path / "report.csv"), "csv")
-    assert (tmp_path / "report.csv").read_bytes() == _csv_bytes(tmp_path / "dicts.csv", expected)
-
-
-def test_records_are_a_parsed_view_that_renders_to_the_same_bytes(tmp_path):
-    path = _every_id_document(tmp_path)
-    report = evaluate_file(path)
-    expected = []
-    with open(path, encoding="utf-8") as fh:
-        for i, inst in enumerate(json.load(fh)["instances"]):
-            result = evaluate_instance(inst)
-            flags = [leq_with_slack(v1, v2, 1e-9) for _, v1, _, v2 in result.comparisons]
-            expected.append(_record_dict(i, result, all(flags), flags))
-    _assert_records_round_trip(report, expected, tmp_path)
-    for rec in report.records:
-        assert type(rec["index"]) is int and type(rec["dim"]) is int
-        numbers = [rec[k] for k in ("margin", "gap", "bound", "slack")]
-        numbers += [v for _, v1, _, v2, _ in rec["comparisons"] for v in (v1, v2)]
-        assert all(type(v) is float for v in numbers)
-
-
-def test_a_negative_zero_margin_survives_the_parsed_view(tmp_path):
-    tally = _Tally(1e-9, keep_records=True)
-    index, result, ok, flags = _plain_record(margin=-0.0, comparisons=(("zero", -0.0, "gap", 2.0),))
-    tally.add(index, result)
-    report = tally.report({"mode": "eval"})
-    assert str(report.records[0]["margin"]) == "-0.0"
-    _assert_records_round_trip(report, [_record_dict(index, result, ok, flags)], tmp_path)

@@ -28,10 +28,8 @@ EXCEPTIONS = {
         "force_workers(n, floor=k) places an instance in the piece a child claims",
     ("conftest.py", "harness._SPECS"):
         "sampled_row reads the row a sampler drew, for every file that needs it typed",
-    ("test_bessel.py", "conditions._coefficient_pair"):
-        "unit tests of the coefficient-pair rule the Bessel pairs share; not yet moved",
     ("test_cli.py", "harness._SPECS"):
-        "a NaN gap no sampled instance can give, to hold verify's refusal to eval's",
+        "a NaN gap or a raise no sampled instance gives, to hold verify's refusal to eval's",
     ("test_cli.py", "harness._rng_for"):
         "a draw would be the only sign that verify sampled before refusing a dimension",
     ("test_cli.py", "integral._DOMAIN_CACHE"):
@@ -52,36 +50,10 @@ EXCEPTIONS = {
         "counts Horner passes: one per function per chunk of a group",
     ("test_groups.py", "integral._poly_values"):
         "the one-row discretization a group is held to, bit for bit",
-    ("test_harness.py", "documents._dec_coords"):
-        "unit test of the one-call coordinate decode; not yet moved",
-    ("test_harness.py", "documents._dec_scalar"):
-        "unit test of the one-call coordinate decode; not yet moved",
-    ("test_harness.py", "errors._brief"):
-        "unit test of how a quoted value is cut; not yet moved",
-    ("test_harness.py", "errors._BRIEF_CHARS"):
-        "unit test of how a quoted value is cut; not yet moved",
     ("test_harness.py", "integral._DOMAIN_CACHE"):
         "an eval run's domains are bounded in the cache, which no public name shows",
     ("test_harness.py", "integral._DOMAIN_CACHE_NODES"):
         "an eval run's domains are bounded in the cache, which no public name shows",
-    ("test_harness.py", "tally._Stats"):
-        "unit tests of the tally's merge and record template; not yet moved",
-    ("test_harness.py", "tally._Tally"):
-        "unit tests of the tally's merge and record template; not yet moved",
-    ("test_harness.py", "tally._record_text"):
-        "unit tests of the tally's merge and record template; not yet moved",
-    ("test_harness.py", "tally._csv_cell"):
-        "unit tests of the tally's merge and record template; not yet moved",
-    ("test_integral.py", "polynomials._gauss_legendre"):
-        "unit tests of the Gauss-Legendre rule; not yet moved",
-    ("test_integral.py", "polynomials._RECURRENCE_MAX_NODES"):
-        "unit tests of the Gauss-Legendre rule; not yet moved",
-    ("test_integral.py", "polynomials._bessel_j01"):
-        "unit tests of the Gauss-Legendre rule; not yet moved",
-    ("test_integral.py", "polynomials._J0_ZEROS"):
-        "unit tests of the Gauss-Legendre rule; not yet moved",
-    ("test_integral.py", "polynomials._BESSEL_SERIES"):
-        "unit tests of the Gauss-Legendre rule; not yet moved",
 }
 
 
