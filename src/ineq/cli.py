@@ -18,12 +18,10 @@ import dataclasses
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import IneqError, InputFormatError
 from .harness import DEFAULT_DIMS, DEFAULT_TRIALS, THEOREM_IDS, evaluate_file, run_suite
-from .sharpness import CONSTRUCTIONS, sweep
+from .sharpness import CONSTRUCTIONS, _geometric_grid, sweep
 from .tally import CHAIN_REL_TOL, emit_report, render_json
 
 
@@ -52,9 +50,7 @@ def _eps_grid_arg(text: str):
         raise argparse.ArgumentTypeError(f"grid endpoints must be finite, got {text!r}")
     if start <= 0 or stop <= 0 or count < 1:
         raise argparse.ArgumentTypeError("grid endpoints must be positive, count >= 1")
-    # numpy's power can overflow on its way to a far endpoint, which it then sets exactly
-    with np.errstate(over="ignore"):
-        return tuple(float(e) for e in np.geomspace(start, stop, count))
+    return start, stop, count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +126,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    result = sweep(args.construction, args.eps_grid)
+    grid = None if args.eps_grid is None else _geometric_grid(*args.eps_grid)
+    result = sweep(args.construction, grid)
     sys.stdout.write(render_json(result.as_dict()))
     return 0
 

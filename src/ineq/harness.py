@@ -75,6 +75,7 @@ from .runner import _run
 from .sampling import (
     _default_domain,
     _family_size,
+    _key,
     _rng_for,
     _sample_ball,
     _sample_bessel_ball,
@@ -89,7 +90,6 @@ from .sampling import (
     _sample_integral_range,
     _sample_real_range,
     _sample_two_sided,
-    _Stream,
 )
 from .schwarz import reverse_schwarz_ball, reverse_schwarz_pair
 from .space import FieldTag, standard_basis
@@ -233,7 +233,9 @@ def sample_admissible(
     Returns the instance as a JSON-able document, the schema `evaluate_instance`
     and `ineq eval` read, its parameters in decoding order (the domain first).
     It is instance `index` (0 <= index < 2**64) of the theorem's stream for
-    `seed`, the one `run_suite` draws at that index.
+    `seed`, the one `run_suite` draws at that index: drawn with the key of
+    (seed, theorem), derived once per process, on this thread's generator,
+    from one block of uniforms (`sampling`).
     """
     tid = normalize_theorem_id(theorem)
     tag = FieldTag.parse(field)
@@ -244,7 +246,7 @@ def sample_admissible(
         raise InputFormatError(f"seed must be nonnegative, got {seed}")
     if not 0 <= int(index) < 2**64:
         raise InputFormatError(f"index must be in [0, 2**64), got {index}")
-    rng = _rng_for(_Stream(seed, tid), int(index))
+    rng = _rng_for(_key(seed, tid), int(index), (tid, int(dim), tag))
     spec = _SPECS[tid]
     tag, _, args = spec.sampler(rng, int(dim), tag, bool(adversarial))
     doc = {"theorem": tid, "field": tag.value}
@@ -279,10 +281,10 @@ def evaluate_instance(inst: dict) -> InstanceResult:
 
 def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, hi: int):
     """Instances lo..hi-1 of one theorem, sampled and evaluated in index order."""
-    sampler = _SPECS[tid].sampler
-    stream = _Stream(seed, tid)
+    sampler, key = _SPECS[tid].sampler, _key(seed, tid)
+    cells = [(tid, *cell) for cell in grid]
     rows = (
-        (tid, sampler(_rng_for(stream, i), *grid[i % len(grid)], adversarial))
+        (tid, sampler(_rng_for(key, i, cells[i % len(grid)]), *grid[i % len(grid)], adversarial))
         for i in range(lo, hi)
     )
     return _results(rows)
@@ -443,9 +445,11 @@ def run_suite(
 ) -> SuiteReport:
     """Sample and evaluate `trials` instances per theorem over the dims x fields grid.
 
-    Each theorem draws from one Philox stream keyed by (seed, theorem), and
-    instance i starts at counter block i * 2**64 of it, so reports depend
-    only on the arguments, never on execution order.  Fields are names or
+    Each theorem draws from one Philox stream keyed by (seed, theorem), the
+    key derived once per process; instance i starts at counter block
+    i * 2**64 of it, read through the drawing thread's one generator as one
+    block of uniforms (`sampling`), so reports depend only on the arguments,
+    never on execution order.  Fields are names or
     `FieldTag`s.  Instances stay typed from sampler to operation; none is
     encoded to JSON or decoded, and records hold only results.  Instance i is drawn on grid
     cell i mod len(grid), the grid being dims x the theorem's fields in

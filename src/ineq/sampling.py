@@ -13,20 +13,24 @@ precondition stays valid, so the evaluator still runs and the suite can show
 that the bare inequalities fail without their hypotheses.  The registry in
 `harness` binds a sampler's keyword options for each theorem.
 
-Randomness comes from one Philox stream per theorem (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed by
-SeedSequence([seed, crc32(theorem)]).  Instance i reads the counter blocks
-from i * 2**64 on, so it depends only on (seed, theorem, i).  Samplers read
-randomness only through `rng.uniform(low, high, size)`, with numpy
-`Generator` defaults for omitted arguments, and every in-ball point is drawn
-by `_in_ball` (t first, then the direction).  Any object with that one
-method is a draw source: a sampled instance is a function of the values it
-returns, in call order.  The tests hold every sampler to this contract.
+Randomness comes from one Philox stream per (seed, theorem) (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed as
+Philox(SeedSequence([seed, crc32(theorem)])) keys it.  Instance i reads the
+counter blocks from i * 2**64 on, so it depends only on (seed, theorem, i).
+Each key is derived once per process (`_KEY_CACHE`), each thread places its
+one generator on the instance (`_rng_for`), and each instance prefetches its
+uniforms as one block (`_Draws`).  Samplers read randomness only through
+`rng.uniform(low, high, size)`, with numpy `Generator` defaults for omitted
+arguments, and every in-ball point is drawn by `_in_ball` (t first, then the
+direction).  Any object with that one method is a draw source: a sampled
+instance is a function of the values it returns, in call order.  The tests
+hold every sampler to this contract.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import zlib
 
 import numpy as np
@@ -45,36 +49,94 @@ from .space import CoefficientSequence, FieldTag, Vector, _array_norm, _vdot, st
 _RESAMPLE_CAP = 64
 
 
-class _Stream:
-    """A Philox generator keyed by (seed, theorem); `_rng_for` places it on an instance."""
+#: The key of each theorem's stream for the last seed it was drawn with:
+#: theorem -> (seed, key), so one entry per theorem id.  A reader checks the
+#: seed of the entry it got, so threads that replace entries need no lock.
+_KEY_CACHE: dict = {}
 
-    __slots__ = ("generator", "bits", "key")
+#: Uniforms the last instance of each (theorem, dim, field) drew: how many the
+#: next instance of it prefetches.  A count sets speed only, never a value.
+_BLOCK_CACHE: dict = {}
 
-    def __init__(self, seed: int, theorem: str):
-        tag = zlib.crc32(theorem.encode("ascii"))
-        self.bits = np.random.Philox(np.random.SeedSequence([int(seed), tag]))
-        # the key Philox derived from the SeedSequence, read once for `_rng_for`
-        self.key = tuple(int(k) for k in self.bits.state["state"]["key"])
+_THREAD = threading.local()
+
+
+def _key(seed: int, theorem: str) -> tuple:
+    """The Philox key of `theorem`'s stream for `seed`: the two words Philox derives
+    from SeedSequence([seed, crc32(theorem)])."""
+    seed = int(seed)
+    hit = _KEY_CACHE.get(theorem)
+    if hit is None or hit[0] != seed:
+        entropy = np.random.SeedSequence([seed, zlib.crc32(theorem.encode("ascii"))])
+        hit = _KEY_CACHE[theorem] = (seed, tuple(entropy.generate_state(2, np.uint64).tolist()))
+    return hit[1]
+
+
+class _Draws:
+    """One thread's draw source: its Philox generator, and the uniform block it
+    prefetched for the instance `_rng_for` placed it on.
+
+    `uniform(low, high, size)` serves low + (high - low) * u for the block's next
+    uniforms u on [0, 1), and asks the generator past the block; `size` is None or
+    an int.  numpy computes each uniform draw so from the same doubles, so every
+    value is the one the generator would return."""
+
+    __slots__ = ("bits", "generator", "block", "size", "drawn", "cell")
+
+    def __init__(self):
+        self.bits = np.random.Philox(key=0)
         self.generator = np.random.Generator(self.bits)
+        self.block, self.size, self.drawn, self.cell = None, 0, 0, None
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        drawn = self.drawn
+        if size is None:
+            self.drawn = drawn + 1
+            if drawn < self.size:
+                return low + (high - low) * self.block.item(drawn)
+            return self.generator.uniform(low, high)
+        end = self.drawn = drawn + size
+        if end <= self.size:
+            u = self.block[drawn:end]
+        elif drawn >= self.size:
+            return self.generator.uniform(low, high, size)
+        else:
+            past = self.generator.uniform(0.0, 1.0, end - self.size)
+            u = np.concatenate((self.block[drawn:], past))
+        out = u * (high - low)
+        out += low
+        return out
 
 
-def _rng_for(stream: _Stream, index: int) -> np.random.Generator:
-    """The stream's generator, reset to instance `index`'s counter block.
+def _rng_for(key: tuple, index: int, cell: tuple) -> _Draws:
+    """This thread's draw source, placed on instance `index` of the stream keyed `key`.
 
     The 256-bit counter is set to index * 2**64 with an empty buffer, so
     instance i draws from blocks [i * 2**64, (i + 1) * 2**64): no rejection
     loop reaches instance i + 1, and whatever instance i - 1 drew does not
-    matter.  Assigning a state built here skips the state getter.
+    matter.  Assigning a state built here skips the state getter.  The source
+    then prefetches as many uniforms as the last instance of `cell`, its
+    (theorem, dim, field), drew; it counts the draws of this one when the
+    thread places it again.
     """
-    stream.bits.state = {
+    draws = getattr(_THREAD, "draws", None)
+    if draws is None:
+        draws = _THREAD.draws = _Draws()
+    elif draws.cell is not None:
+        _BLOCK_CACHE[draws.cell] = draws.drawn
+    draws.bits.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, index, 0, 0), "key": stream.key},
+        "state": {"counter": (0, index, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return stream.generator
+    size = _BLOCK_CACHE.get(cell, 0)
+    if size:
+        draws.block = draws.generator.uniform(0.0, 1.0, size)
+    draws.size, draws.drawn, draws.cell = size, 0, cell
+    return draws
 
 
 def _rand_coords(rng: np.random.Generator, dim: int, field: FieldTag) -> np.ndarray:

@@ -83,10 +83,10 @@ def test_a_wide_spread_is_resolved_when_every_b_run_beats_every_a_run(name, befo
     assert (s["verdict"], s["after_better_in"]) == ("no change", "10/10")
 
 
-def _stdout(correct=True, failed=0, attempted=500, rate=18_000.0):
+def _stdout(correct=True, failed=0, attempted=500, rate=18_000.0, raw_setup=0.1):
     lines = [
         {"report_sha256": "ab" * 32},
-        {"unscaled": {"raw_instances_per_s": rate / 2, "raw_setup_s": 0.1,
+        {"unscaled": {"raw_instances_per_s": rate / 2, "raw_setup_s": raw_setup,
                       "host_slowdown": 2.0, "calls": 3}},
         {"env": {**dict.fromkeys(ab.MACHINE, "x"), "commit": None, "src_sha256": "cd" * 32}},
         {"correct": correct, "attempted": attempted, "failed": failed,
@@ -100,7 +100,8 @@ def _stdout(correct=True, failed=0, attempted=500, rate=18_000.0):
 def test_read_takes_the_metrics_the_raw_rate_and_the_hashes():
     run, env = ab.read(0, _stdout())
     assert run == {"instances_per_s": 18_000.0, "setup_s": 0.12, "peak_rss_mb": 40.7,
-                   "raw_instances_per_s": 9_000.0, "correct": True, "attempted": 500,
+                   "raw_instances_per_s": 9_000.0, "raw_setup_s": 0.1, "correct": True,
+                   "attempted": 500,
                    "failed": 0, "report_sha256": "ab" * 32}
     assert env["src_sha256"] == "cd" * 32
 
@@ -144,15 +145,20 @@ def test_a_pair_whose_sides_fail_different_shares_is_refused(monkeypatch):
         ab.run_pair(BENCH, {"before": Path("a"), "after": Path("b")}, "suite", 7, ab.SIDES)
 
 
-def test_main_prints_a_verdict_per_metric_the_hashes_and_a_bench_record(
-    monkeypatch, tmp_path, capsys
-):
+def _main_on_quadrature(tmp_path) -> int:
+    """`ab.main` on two checkouts holding this BENCHMARK.json, 10 quadrature pairs from seed 5."""
     for side in "ab":
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return ab.main(["--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+                    "--workload", "quadrature", "--seed", "5", "--runs", "10"])
+
+
+def test_main_prints_a_verdict_per_metric_the_hashes_and_a_bench_record(
+    monkeypatch, tmp_path, capsys
+):
     _stub(monkeypatch, lambda side: _stdout(rate=18_000.0 if side == "a" else 21_000.0))
-    assert ab.main(["--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
-                    "--workload", "quadrature", "--seed", "5", "--runs", "10"]) == 0
+    assert _main_on_quadrature(tmp_path) == 0
     out = capsys.readouterr().out
     head, _, record = out.partition("\n{")
     assert head.splitlines() == [
@@ -162,6 +168,10 @@ def test_main_prints_a_verdict_per_metric_the_hashes_and_a_bench_record(
         "pairs; A's quartiles 0.12..0.12 (bound 25%)",
         "quadrature peak_rss_mb: no change; median 40.7 -> 40.7 MB (+0.00%), B better in 0/10 "
         "pairs; A's quartiles 40.7..40.7 (bound 5%)",
+        "quadrature raw_instances_per_s: not judged; median 9000 -> 10500 1/s (+16.67%), B "
+        "better in 10/10 pairs",
+        "quadrature raw_setup_s: not judged; median 0.1 -> 0.1 s (+0.00%), B better in 0/10 "
+        "pairs",
         "quadrature: report hashes equal in all 10 pairs",
     ]
     record = json.loads("{" + record)
@@ -171,5 +181,23 @@ def test_main_prints_a_verdict_per_metric_the_hashes_and_a_bench_record(
     assert list(entry) == list(latest["workloads"]["quadrature"])
     assert [p["seed"] for p in entry["pairs"]] == list(range(5, 15))
     assert [p["first"] for p in entry["pairs"]] == ["before", "after"] * 5
-    assert set(entry["summary"]) == {*SPECS, "raw_instances_per_s"}
+    assert set(entry["summary"]) == {*SPECS, "raw_instances_per_s", "raw_setup_s"}
     assert record["order"].startswith("quadrature seeds 5..14;")
+
+
+def test_the_raw_set_up_time_is_summarised_beside_setup_s_and_never_judged(
+    monkeypatch, tmp_path, capsys
+):
+    # B's unscaled set-up takes twice A's, far past setup_s's bound, and A's rescaled
+    # setup_s is unchanged: the raw line shows it, with no verdict and exit code 0
+    _stub(monkeypatch, lambda side: _stdout(raw_setup=0.1 if side == "a" else 0.2))
+    assert _main_on_quadrature(tmp_path) == 0
+    head, _, record = capsys.readouterr().out.partition("\n{")
+    lines = head.splitlines()
+    setup = lines.index("quadrature setup_s: no change; median 0.12 -> 0.12 s (+0.00%), B better "
+                        "in 0/10 pairs; A's quartiles 0.12..0.12 (bound 25%)")
+    assert lines[setup + 3] == ("quadrature raw_setup_s: not judged; median 0.1 -> 0.2 s "
+                                "(+100.00%), B better in 0/10 pairs")
+    raw = json.loads("{" + record)["workloads"]["quadrature"]["summary"]["raw_setup_s"]
+    assert "verdict" not in raw
+    assert (raw["before"]["median"], raw["after"]["median"]) == (0.1, 0.2)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ineq import (
     THEOREM_IDS, InputFormatError, documents, evaluate_file, harness, integral, run_suite,
-    sample_admissible, space,
+    sample_admissible, sampling, space,
 )
 from ineq.cli import main
 from ineq.sharpness import CONSTRUCTIONS
@@ -304,6 +304,7 @@ def test_a_degenerate_sharpness_pair_exits_2_with_one_line(capsys):
     count=st.integers(1, 4),
 )
 @example(construction="thm21", start=5e-324, stop=5e-324, count=1)  # a zero bound
+@example(construction="thm21", start=1e-3, stop=1e-6, count=10**15)  # refused before it allocates
 def test_any_finite_positive_eps_grid_exits_0_or_2_with_one_line(
     construction, start, stop, count
 ):
@@ -1173,8 +1174,9 @@ def test_the_benchmark_cold_start_empties_every_cache_a_run_fills(tmp_path, caps
     src = tmp_path / "doc.json"
     src.write_text(json.dumps({"instances": [_PROP71]}), encoding="utf-8")
     assert run_cli(capsys, "eval", "--input", str(src))[0] == 0
-    caches = (integral._DOMAIN_CACHE, space._BASIS_CACHE)
+    bounded = (integral._DOMAIN_CACHE, space._BASIS_CACHE)
+    caches = (*bounded, sampling._KEY_CACHE, sampling._BLOCK_CACHE)
     assert all(caches) and integral._DEFAULT_DOMAIN_KEY in integral._DOMAIN_CACHE
     _perfbench_workloads().cold_start()
     assert not any(caches)
-    assert [cache.total for cache in caches] == [0, 0]
+    assert [cache.total for cache in bounded] == [0, 0]

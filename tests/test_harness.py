@@ -770,9 +770,9 @@ def _act_at(monkeypatch, tid, index, action):
     spec = _SPECS[tid]
     real_operation = spec.operation
 
-    def rng_for(stream, i):
+    def rng_for(key, i, cell):
         current["index"] = i
-        return real_rng_for(stream, i)
+        return real_rng_for(key, i, cell)
 
     def operation(*args):
         if current["index"] == index:

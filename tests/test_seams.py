@@ -38,6 +38,10 @@ EXCEPTIONS = {
         "perfbench's cold_start must empty every cache, and no cache is public",
     ("test_cli.py", "space._BASIS_CACHE"):
         "perfbench's cold_start must empty every cache, and no cache is public",
+    ("test_cli.py", "sampling._KEY_CACHE"):
+        "perfbench's cold_start must empty every cache, and no cache is public",
+    ("test_cli.py", "sampling._BLOCK_CACHE"):
+        "perfbench's cold_start must empty every cache, and no cache is public",
     ("test_counts.py", "harness._SPECS"):
         "pins the calls of the typed row each sampler draws, which no public name returns",
     ("test_counts.py", "harness._row_result"):
@@ -54,6 +58,8 @@ EXCEPTIONS = {
         "an eval run's domains are bounded in the cache, which no public name shows",
     ("test_harness.py", "integral._DOMAIN_CACHE_NODES"):
         "an eval run's domains are bounded in the cache, which no public name shows",
+    ("test_sampling.py", "harness._rng_for"):
+        "the draw-source contract: a sampler's source is handed to it where harness draws",
 }
 
 

@@ -105,6 +105,12 @@ def test_grid_validation():
         sweep("thm23")
 
 
+def test_a_grid_longer_than_2_to_the_16_is_refused():
+    grid = [(k + 1) / 2**17 for k in range(2**16 + 1)]
+    with pytest.raises(PreconditionError, match="at most 65536 points, got 65537"):
+        sweep("legacy11", epsilons=grid)
+
+
 def test_random_probe_is_deterministic_and_bounded():
     a = random_probe("thm2.1", trials=300, dim=3, seed=7)
     b = random_probe("thm2.1", trials=300, dim=3, seed=7)

@@ -6,9 +6,10 @@ Pair k of each workload in A's BENCHMARK.json (or of `--workload`) runs its
 command with `--workload W --seed S+k --seconds <run_seconds>` as a fresh
 process in checkout A ("before") and in B ("after"), A first for even k, with
 PYTHONDONTWRITEBYTECODE=1, so give fresh copies (`git archive`).  stdout gets
-`judge`'s verdict on each (workload, end-to-end metric), whether each pair's
-report hashes match, and a BENCH record whose `what` and `note` its author
-writes.  The exit code is 1 on a `Refused` run, a "worse" or an "unresolved".
+`judge`'s verdict on each (workload, end-to-end metric), the unscaled rate
+and set-up time beside them (never judged), whether each pair's report hashes
+match, and a BENCH record whose `what` and `note` its author writes.  The
+exit code is 1 on a `Refused` run, a "worse" or an "unresolved".
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ import sys
 from pathlib import Path
 
 SIDES = ("before", "after")
-#: Summarised beside the end-to-end metrics, never judged.
-RAW = {"name": "raw_instances_per_s", "better": "higher"}
+#: The unscaled figures of the end-to-end metrics perfbench rescales, summarised
+#: beside them and never judged.
+RAW = (
+    {"name": "raw_instances_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "raw_setup_s", "unit": "s", "better": "lower"},
+)
 MACHINE = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
 COMMIT = ("commit", "src_sha256")
 
@@ -40,7 +45,7 @@ def read(returncode: int, stdout: str) -> tuple[dict, dict]:
         *head, result = [json.loads(line) for line in stdout.splitlines() if line.strip()]
         info = {key: value for line in head for key, value in line.items()}
         run = {name: metric["value"] for name, metric in result["metrics"].items()}
-        run["raw_instances_per_s"] = info["unscaled"]["raw_instances_per_s"]
+        run.update({spec["name"]: info["unscaled"][spec["name"]] for spec in RAW})
         run.update({key: result[key] for key in ("correct", "attempted", "failed")})
         run.update({key: value for key, value in info.items() if key.endswith("_sha256")})
         env = info["env"]
@@ -89,6 +94,18 @@ def summary(spec: dict, pairs: list) -> dict:
     if "bound" in spec:
         out["verdict"] = judge(spec, before, after)
     return out
+
+
+def describe(workload: str, spec: dict, s: dict) -> str:
+    """One metric's line: its verdict (or "not judged"), the change of its median, B's wins,
+    and A's quartiles against the bound of a judged metric."""
+    line = (f"{workload} {spec['name']}: {s.get('verdict', 'not judged')}; median "
+            f"{s['before']['median']:.6g} -> {s['after']['median']:.6g} {spec['unit']} "
+            f"({s['change_of_median']:+.2%}), B better in {s['after_better_in']} pairs")
+    if "bound" not in spec:
+        return line
+    return (f"{line}; A's quartiles {s['before']['q1']:.6g}..{s['before']['q3']:.6g} "
+            f"(bound {spec['bound']:.0%})")
 
 
 def run_pair(bench: dict, checkouts: dict, workload: str, seed: int, order: tuple):
@@ -144,16 +161,11 @@ def main(argv=None) -> int:
             record["machine"] = {key: envs[0]["before"][key] for key in MACHINE}
             record["commits"] = {side: {name: envs[0][side][name] for name in COMMIT}
                                  for side in SIDES}
-            sums = {spec["name"]: summary(spec, pairs) for spec in [*bench["end_to_end"], RAW]}
+            sums = {spec["name"]: summary(spec, pairs) for spec in [*bench["end_to_end"], *RAW]}
             record["workloads"][workload] = {"summary": sums, "pairs": list(pairs)}
-            for spec in bench["end_to_end"]:
-                s = sums[spec["name"]]
-                verdicts.add(s["verdict"])
-                lines.append(f"{workload} {spec['name']}: {s['verdict']}; median "
-                             f"{s['before']['median']:.6g} -> {s['after']['median']:.6g} "
-                             f"{spec['unit']} ({s['change_of_median']:+.2%}), B better in "
-                             f"{s['after_better_in']} pairs; A's quartiles {s['before']['q1']:.6g}"
-                             f"..{s['before']['q3']:.6g} (bound {spec['bound']:.0%})")
+            for spec in [*bench["end_to_end"], *RAW]:
+                verdicts.add(sums[spec["name"]].get("verdict"))
+                lines.append(describe(workload, spec, sums[spec["name"]]))
             differ = [pair["seed"] for pair in pairs if any(
                 value != pair["after"].get(key)
                 for key, value in pair["before"].items() if key.endswith("_sha256"))]
