@@ -234,8 +234,8 @@ def sample_admissible(
     and `ineq eval` read, its parameters in decoding order (the domain first).
     It is instance `index` (0 <= index < 2**64) of the theorem's stream for
     `seed`, the one `run_suite` draws at that index: drawn with the key of
-    (seed, theorem), derived once per process, on this thread's generator,
-    from one block of uniforms (`sampling`).
+    (seed, theorem), derived once per process, on this thread's generator
+    (`sampling`).
     """
     tid = normalize_theorem_id(theorem)
     tag = FieldTag.parse(field)
@@ -246,7 +246,7 @@ def sample_admissible(
         raise InputFormatError(f"seed must be nonnegative, got {seed}")
     if not 0 <= int(index) < 2**64:
         raise InputFormatError(f"index must be in [0, 2**64), got {index}")
-    rng = _rng_for(_key(seed, tid), int(index), (tid, int(dim), tag))
+    rng = _rng_for(_key(seed, tid), int(index))
     spec = _SPECS[tid]
     tag, _, args = spec.sampler(rng, int(dim), tag, bool(adversarial))
     doc = {"theorem": tid, "field": tag.value}
@@ -282,9 +282,8 @@ def evaluate_instance(inst: dict) -> InstanceResult:
 def _suite_results(tid: str, grid: list, seed: int, adversarial: bool, lo: int, hi: int):
     """Instances lo..hi-1 of one theorem, sampled and evaluated in index order."""
     sampler, key = _SPECS[tid].sampler, _key(seed, tid)
-    cells = [(tid, *cell) for cell in grid]
     rows = (
-        (tid, sampler(_rng_for(key, i, cells[i % len(grid)]), *grid[i % len(grid)], adversarial))
+        (tid, sampler(_rng_for(key, i), *grid[i % len(grid)], adversarial))
         for i in range(lo, hi)
     )
     return _results(rows)
@@ -447,9 +446,9 @@ def run_suite(
 
     Each theorem draws from one Philox stream keyed by (seed, theorem), the
     key derived once per process; instance i starts at counter block
-    i * 2**64 of it, read through the drawing thread's one generator as one
-    block of uniforms (`sampling`), so reports depend only on the arguments,
-    never on execution order.  Fields are names or
+    i * 2**64 of it, read through the drawing thread's one generator
+    (`sampling`), so reports depend only on the arguments, never on
+    execution order.  Fields are names or
     `FieldTag`s.  Instances stay typed from sampler to operation; none is
     encoded to JSON or decoded, and records hold only results.  Instance i is drawn on grid
     cell i mod len(grid), the grid being dims x the theorem's fields in

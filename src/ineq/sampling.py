@@ -17,12 +17,11 @@ Randomness comes from one Philox stream per (seed, theorem) (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed as
 Philox(SeedSequence([seed, crc32(theorem)])) keys it.  Instance i reads the
 counter blocks from i * 2**64 on, so it depends only on (seed, theorem, i).
-Each key is derived once per process (`_KEY_CACHE`), each thread places its
-one generator on the instance (`_rng_for`), and each instance prefetches its
-uniforms as one block (`_Draws`).  Samplers read randomness only through
-`rng.uniform(low, high, size)`, with numpy `Generator` defaults for omitted
-arguments, and every in-ball point is drawn by `_in_ball` (t first, then the
-direction).  Any object with that one method is a draw source: a sampled
+Each key is derived once per process (`_KEY_CACHE`), and each thread places
+its one generator on the instance it draws (`_rng_for`).  Samplers read
+randomness only through `rng.uniform(low, high, size)`, with numpy
+`Generator` defaults for omitted arguments, and every in-ball point is drawn
+by `_in_ball` (t first, then the direction).  Any object with that one method is a draw source: a sampled
 instance is a function of the values it returns, in call order.  The tests
 hold every sampler to this contract.
 """
@@ -54,11 +53,10 @@ _RESAMPLE_CAP = 64
 #: seed of the entry it got, so threads that replace entries need no lock.
 _KEY_CACHE: dict = {}
 
-#: Uniforms the last instance of each (theorem, dim, field) drew: how many the
-#: next instance of it prefetches.  A count sets speed only, never a value.
-_BLOCK_CACHE: dict = {}
-
-_THREAD = threading.local()
+#: Each thread's one Philox generator, by thread ident.  Only the thread of an
+#: ident uses its entry; a new thread that reuses a finished thread's ident
+#: takes over its generator, which `_rng_for` places anew on every instance.
+_GENERATOR_CACHE: dict = {}
 
 
 def _key(seed: int, theorem: str) -> tuple:
@@ -72,59 +70,19 @@ def _key(seed: int, theorem: str) -> tuple:
     return hit[1]
 
 
-class _Draws:
-    """One thread's draw source: its Philox generator, and the uniform block it
-    prefetched for the instance `_rng_for` placed it on.
-
-    `uniform(low, high, size)` serves low + (high - low) * u for the block's next
-    uniforms u on [0, 1), and asks the generator past the block; `size` is None or
-    an int.  numpy computes each uniform draw so from the same doubles, so every
-    value is the one the generator would return."""
-
-    __slots__ = ("bits", "generator", "block", "size", "drawn", "cell")
-
-    def __init__(self):
-        self.bits = np.random.Philox(key=0)
-        self.generator = np.random.Generator(self.bits)
-        self.block, self.size, self.drawn, self.cell = None, 0, 0, None
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        drawn = self.drawn
-        if size is None:
-            self.drawn = drawn + 1
-            if drawn < self.size:
-                return low + (high - low) * self.block.item(drawn)
-            return self.generator.uniform(low, high)
-        end = self.drawn = drawn + size
-        if end <= self.size:
-            u = self.block[drawn:end]
-        elif drawn >= self.size:
-            return self.generator.uniform(low, high, size)
-        else:
-            past = self.generator.uniform(0.0, 1.0, end - self.size)
-            u = np.concatenate((self.block[drawn:], past))
-        out = u * (high - low)
-        out += low
-        return out
-
-
-def _rng_for(key: tuple, index: int, cell: tuple) -> _Draws:
-    """This thread's draw source, placed on instance `index` of the stream keyed `key`.
+def _rng_for(key: tuple, index: int) -> np.random.Generator:
+    """This thread's generator, placed on instance `index` of the stream keyed `key`.
 
     The 256-bit counter is set to index * 2**64 with an empty buffer, so
     instance i draws from blocks [i * 2**64, (i + 1) * 2**64): no rejection
     loop reaches instance i + 1, and whatever instance i - 1 drew does not
-    matter.  Assigning a state built here skips the state getter.  The source
-    then prefetches as many uniforms as the last instance of `cell`, its
-    (theorem, dim, field), drew; it counts the draws of this one when the
-    thread places it again.
+    matter.  Assigning a state built here skips the state getter.
     """
-    draws = getattr(_THREAD, "draws", None)
-    if draws is None:
-        draws = _THREAD.draws = _Draws()
-    elif draws.cell is not None:
-        _BLOCK_CACHE[draws.cell] = draws.drawn
-    draws.bits.state = {
+    ident = threading.get_ident()
+    rng = _GENERATOR_CACHE.get(ident)
+    if rng is None:
+        rng = _GENERATOR_CACHE[ident] = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, index, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
@@ -132,11 +90,7 @@ def _rng_for(key: tuple, index: int, cell: tuple) -> _Draws:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    size = _BLOCK_CACHE.get(cell, 0)
-    if size:
-        draws.block = draws.generator.uniform(0.0, 1.0, size)
-    draws.size, draws.drawn, draws.cell = size, 0, cell
-    return draws
+    return rng
 
 
 def _rand_coords(rng: np.random.Generator, dim: int, field: FieldTag) -> np.ndarray:

@@ -81,23 +81,19 @@ class SweepResult:
         }
 
 
-#: Most epsilons one sweep takes.  A thm22 sweep, the costliest, spends about
-#: 30 us per epsilon on a 2-vCPU Xeon host, so a grid this long runs in about
-#: 2 s and its report takes about 3 MB.
+#: Most points `_geometric_grid` builds (the CLI's --eps-grid COUNT).  A thm22
+#: sweep, the costliest, spends about 30 us per epsilon on a 2-vCPU Xeon host,
+#: so a grid this long runs in about 2 s and its report takes about 3 MB.
 _MAX_GRID_POINTS = 2**16
-
-
-def _check_grid_size(count: int) -> None:
-    if count > _MAX_GRID_POINTS:
-        raise PreconditionError(
-            f"an epsilon grid takes at most {_MAX_GRID_POINTS} points, got {count}"
-        )
 
 
 def _geometric_grid(start: float, stop: float, count: int) -> tuple[float, ...]:
     """numpy's geomspace(start, stop, count) as floats, refused before it allocates a grid
     longer than a sweep takes."""
-    _check_grid_size(count)
+    if count > _MAX_GRID_POINTS:
+        raise PreconditionError(
+            f"an epsilon grid takes at most {_MAX_GRID_POINTS} points, got {count}"
+        )
     # numpy's power can overflow on its way to a far endpoint, which it then sets exactly
     with np.errstate(over="ignore"):
         return tuple(float(e) for e in np.geomspace(start, stop, count))
@@ -107,7 +103,6 @@ def _prepare_grid(epsilons, construction: str, open_unit: bool) -> tuple[float, 
     eps = tuple(sorted((float(e) for e in epsilons), reverse=True))
     if not eps:
         raise PreconditionError(f"{construction}: empty epsilon grid")
-    _check_grid_size(len(eps))
     if any(e <= 0 for e in eps):
         raise PreconditionError(f"{construction}: epsilons must be positive")
     if open_unit and eps[0] >= 1.0:

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -1175,8 +1176,12 @@ def test_the_benchmark_cold_start_empties_every_cache_a_run_fills(tmp_path, caps
     src.write_text(json.dumps({"instances": [_PROP71]}), encoding="utf-8")
     assert run_cli(capsys, "eval", "--input", str(src))[0] == 0
     bounded = (integral._DOMAIN_CACHE, space._BASIS_CACHE)
-    caches = (*bounded, sampling._KEY_CACHE, sampling._BLOCK_CACHE)
+    caches = (*bounded, sampling._KEY_CACHE, sampling._GENERATOR_CACHE)
     assert all(caches) and integral._DEFAULT_DOMAIN_KEY in integral._DOMAIN_CACHE
     _perfbench_workloads().cold_start()
     assert not any(caches)
     assert [cache.total for cache in bounded] == [0, 0]
+    # the next call fills them afresh, with its own draws only
+    assert run_cli(capsys, *verify, "--theorems", "thm5.1")[0] == 0
+    assert list(sampling._KEY_CACHE) == ["thm5.1"]
+    assert list(sampling._GENERATOR_CACHE) == [threading.get_ident()]

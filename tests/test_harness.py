@@ -770,9 +770,9 @@ def _act_at(monkeypatch, tid, index, action):
     spec = _SPECS[tid]
     real_operation = spec.operation
 
-    def rng_for(key, i, cell):
+    def rng_for(key, i):
         current["index"] = i
-        return real_rng_for(key, i, cell)
+        return real_rng_for(key, i)
 
     def operation(*args):
         if current["index"] == index:

@@ -29,11 +29,10 @@ def test_instance_i_starts_at_counter_block_i_times_2_to_the_64():
     entropy = np.random.SeedSequence([seed, zlib.crc32(tid.encode("ascii"))])
     key = sampling._key(seed, tid)
     assert key == tuple(int(k) for k in np.random.Philox(entropy).state["state"]["key"])
-    cell = (tid, 4, FieldTag.COMPLEX)
-    dirty = sampling._rng_for(key, i - 1, cell)
+    dirty = sampling._rng_for(key, i - 1)
     dirty.uniform(size=10_001)
-    dirty.generator.integers(0, 2**31, size=3, dtype=np.uint32)
-    reused = sampling._rng_for(key, i, cell)
+    dirty.integers(0, 2**31, size=3, dtype=np.uint32)
+    reused = sampling._rng_for(key, i)
     fresh = np.random.Generator(np.random.Philox(entropy).advance(i << 64))
     assert reused.uniform(size=7).tolist() == fresh.uniform(size=7).tolist()
 
@@ -41,9 +40,9 @@ def test_instance_i_starts_at_counter_block_i_times_2_to_the_64():
     # when this thread's generator is left dirty by instance i - 1 first
     doc = sample_admissible(tid, "complex", 4, seed, index=i)
     assert sampling._KEY_CACHE[tid] == (seed, key)
-    left = sampling._rng_for(key, i - 1, cell)
+    left = sampling._rng_for(key, i - 1)
     left.uniform(size=10_001)
-    left.generator.integers(0, 2**31, size=3, dtype=np.uint32)
+    left.integers(0, 2**31, size=3, dtype=np.uint32)
     assert sample_admissible(tid, "complex", 4, seed, index=i) == doc
 
 
@@ -80,12 +79,10 @@ def test_samplers_draw_only_through_uniform(monkeypatch):
 
 
 #: (theorem, field, dim, seed, adversarial, index), drawn in this order: thm2.2's key
-#: is missed, hit, missed on a seed change and on the change back, and its cells'
-#: blocks are missed and hit, between draws of other theorems.  At seed 3, instance
-#: 294 of thm2.2 on (real, 1) rejects a draw: it draws 7 uniforms where instance 0
-#: draws 5, so it runs past the block that instance 0 sized.  Instance 43 of
-#: legacy1.13 on (real, 3), adversarial, runs past the block that instance 42 sized
-#: in the middle of a vector draw.
+#: is missed, hit, missed on a seed change and on the change back, between draws of
+#: other theorems.  At seed 3, instance 294 of thm2.2 on (real, 1) rejects a draw
+#: and draws 7 uniforms where instance 0 draws 5, so a rejection loop runs on a
+#: reused key and generator.
 REUSE_CASES = (
     ("thm2.2", "real", 1, 3, False, 0),
     ("thm2.2", "real", 1, 3, False, 294),
@@ -106,15 +103,14 @@ REUSE_CASES = (
 @pytest.fixture(scope="module")
 def fresh_documents() -> list:
     """Each of REUSE_CASES as the first draw of a new process: drawn in a new process,
-    with every cache and this thread's generator dropped before each draw."""
+    with every key and generator dropped before each draw."""
     script = (
         "import json, sys\n"
         "from ineq import sample_admissible, sampling\n"
         "docs = []\n"
         "for *args, index in json.loads(sys.argv[1]):\n"
         "    sampling._KEY_CACHE.clear()\n"
-        "    sampling._BLOCK_CACHE.clear()\n"
-        "    vars(sampling._THREAD).clear()\n"
+        "    sampling._GENERATOR_CACHE.clear()\n"
         "    docs.append(sample_admissible(*args, index=index))\n"
         "print(json.dumps(docs))\n"
     )
@@ -131,17 +127,38 @@ def _draw(cases) -> list:
     return [json.dumps(sample_admissible(*case[:5], index=case[5])) for case in cases]
 
 
-def test_reused_keys_and_blocks_draw_what_a_new_process_draws(fresh_documents):
+class _Counting(_UniformOnly):
+    """A `_UniformOnly` that counts the uniforms it returns."""
+
+    __slots__ = ("drawn",)
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.drawn = 0
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.drawn += 1 if size is None else size
+        return super().uniform(low, high, size)
+
+
+def test_the_rejecting_case_draws_more_than_its_first_instance(monkeypatch):
+    sources, rng_for = [], harness._rng_for
+
+    def counting(*place):
+        sources.append(_Counting(rng_for(*place)))
+        return sources[-1]
+
+    monkeypatch.setattr(harness, "_rng_for", counting)
+    _draw(REUSE_CASES[:2])
+    assert [source.drawn for source in sources] == [5, 7]
+
+
+def test_reused_keys_and_generators_draw_what_a_new_process_draws(fresh_documents):
     sampling._KEY_CACHE.clear()
-    sampling._BLOCK_CACHE.clear()
-    vars(sampling._THREAD).clear()
-    docs, past = [], []
-    for case in REUSE_CASES:
-        docs += _draw([case])
-        draws = sampling._THREAD.draws
-        past.append(draws.drawn > draws.size > 0)
-    assert docs == fresh_documents
-    assert past[1] and past[-1], "an instance meant to run past its block did not"
+    sampling._GENERATOR_CACHE.clear()
+    assert _draw(REUSE_CASES) == fresh_documents
+    assert list(sampling._GENERATOR_CACHE) == [threading.get_ident()]
+    assert sampling._KEY_CACHE["thm2.2"] == (3, sampling._key(3, "thm2.2"))
 
 
 def test_four_threads_at_once_draw_what_a_new_process_draws(fresh_documents):
@@ -149,13 +166,13 @@ def test_four_threads_at_once_draw_what_a_new_process_draws(fresh_documents):
     # places only its own generator
     n, rounds = 4, 5
     start = threading.Barrier(n)
-    got, sources = [None] * n, [None] * n
+    got, generators = [None] * n, [None] * n
 
     def work(k):
         start.wait(timeout=60)
         cases = REUSE_CASES[k:] + REUSE_CASES[:k]
         got[k] = [_draw(cases) for _ in range(rounds)]
-        sources[k] = sampling._THREAD.draws  # kept alive, so no two ids coincide
+        generators[k] = sampling._GENERATOR_CACHE[threading.get_ident()]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -171,13 +188,12 @@ def test_four_threads_at_once_draw_what_a_new_process_draws(fresh_documents):
     for k in range(n):
         want = fresh_documents[k:] + fresh_documents[:k]
         assert got[k] == [want] * rounds
-    generators = {id(source.generator) for source in sources}
-    own = getattr(sampling._THREAD, "draws", None)
-    assert len(generators) == n and (own is None or id(own.generator) not in generators)
+    own = sampling._GENERATOR_CACHE.get(threading.get_ident())
+    assert len({id(rng) for rng in (*generators, own) if rng is not None}) == n + (own is not None)
 
 
 def test_a_forked_child_draws_what_a_new_process_draws(fresh_documents):
-    # the child inherits this process's keys, block sizes and generator
+    # the child inherits this process's keys and generator
     _draw(REUSE_CASES)
     read_end, write_end = os.pipe()
     pid = os.fork()

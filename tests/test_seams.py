@@ -40,7 +40,7 @@ EXCEPTIONS = {
         "perfbench's cold_start must empty every cache, and no cache is public",
     ("test_cli.py", "sampling._KEY_CACHE"):
         "perfbench's cold_start must empty every cache, and no cache is public",
-    ("test_cli.py", "sampling._BLOCK_CACHE"):
+    ("test_cli.py", "sampling._GENERATOR_CACHE"):
         "perfbench's cold_start must empty every cache, and no cache is public",
     ("test_counts.py", "harness._SPECS"):
         "pins the calls of the typed row each sampler draws, which no public name returns",

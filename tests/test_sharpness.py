@@ -15,6 +15,7 @@ from ineq import (
     sweep_thm21,
     sweep_thm22,
 )
+from ineq.sharpness import _geometric_grid
 
 
 def closed_ball_ratio(e):
@@ -105,10 +106,10 @@ def test_grid_validation():
         sweep("thm23")
 
 
-def test_a_grid_longer_than_2_to_the_16_is_refused():
-    grid = [(k + 1) / 2**17 for k in range(2**16 + 1)]
+def test_a_geometric_grid_takes_at_most_2_to_the_16_points():
+    assert len(_geometric_grid(1e-3, 1e-6, 2**16)) == 2**16
     with pytest.raises(PreconditionError, match="at most 65536 points, got 65537"):
-        sweep("legacy11", epsilons=grid)
+        _geometric_grid(1e-3, 1e-6, 2**16 + 1)
 
 
 def test_random_probe_is_deterministic_and_bounded():
